@@ -20,7 +20,8 @@
 #      chain and the Chrome trace it writes must carry complete events;
 #   9. wire-throughput bench under the perf preset (Release -O2 — the
 #      optimization level the numbers in docs/PERFORMANCE.md use),
-#      archiving BENCH_wire_throughput.json;
+#      archiving BENCH_wire_throughput.json; fails when the binary row
+#      costs more allocs/call than the soap row;
 #  10. durable-store gate: smoke-run of the store recovery bench
 #      (archives BENCH_store_recovery.json), then `hcm_store fsck` +
 #      `stats` over the store it leaves behind — the on-disk formats
@@ -97,6 +98,16 @@ grep -q '"calls_per_sec"' BENCH_wire_throughput.json
 # The churn arm's pooled-block row must be present: stream-scale block
 # recycling is part of the wire gate (docs/PERFORMANCE.md §"Block pool").
 grep -q '"pool_hit_rate"' BENCH_wire_throughput.json
+# The binary channel exists to be the lighter protocol: it may not cost
+# more heap allocations per call than SOAP (docs/PERFORMANCE.md
+# §"Binary channel").
+python3 - BENCH_wire_throughput.json <<'PY'
+import json, sys
+rows = {r["path"]: r for r in json.load(open(sys.argv[1]))["rows"]}
+soap, binary = rows["soap"]["allocs_per_call"], rows["binary"]["allocs_per_call"]
+print("allocs/call: binary %.2f, soap %.2f" % (binary, soap))
+sys.exit(0 if binary <= soap else "binary allocs/call exceeds soap's")
+PY
 
 echo "=== [10/12] durable store: recovery bench + hcm_store fsck/stats ==="
 store_smoke_dir="$(mktemp -d)/store"

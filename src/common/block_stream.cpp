@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstring>
 
+#include "common/check.hpp"
+
 namespace hcm {
 
 BlockStream& BlockStream::operator=(BlockStream&& o) noexcept {
@@ -105,6 +107,12 @@ std::size_t BlockStream::copy_to(void* dst, std::size_t pos,
     skip = 0;
   }
   return n;
+}
+
+void BlockStream::patch(std::size_t pos, const void* data, std::size_t n) {
+  HCM_CHECK_MSG(head_ != nullptr && front_off_ + pos + n <= head_->used,
+                "patch must lie inside the head block");
+  std::memcpy(head_->data() + front_off_ + pos, data, n);
 }
 
 std::string_view BlockStream::view(std::size_t pos, std::size_t len,

@@ -23,7 +23,7 @@
 
 namespace hcm {
 
-class BlockStream {
+class BlockStream : public BigEndianWriter<BlockStream> {
  public:
   static constexpr std::size_t npos = static_cast<std::size_t>(-1);
 
@@ -60,6 +60,9 @@ class BlockStream {
   void append(std::string_view s) { append(s.data(), s.size()); }
   void append(const Bytes& b) { append(b.data(), b.size()); }
   void put(char c) { append(&c, 1); }
+  // Overwrites [pos, pos+n), already written and inside the head block:
+  // how a length prefix is patched once the body behind it is complete.
+  void patch(std::size_t pos, const void* data, std::size_t n);
 
   // Splices `other`'s chain onto this stream's tail: O(1) relink when
   // possible, chunk-copy otherwise (partially consumed head). Either

@@ -1,70 +1,6 @@
 #include "common/bytes.hpp"
 
-#include <bit>
-#include <cstring>
-
 namespace hcm {
-
-void BufWriter::put_u16(std::uint16_t v) {
-  buf_.push_back(static_cast<std::uint8_t>(v >> 8));
-  buf_.push_back(static_cast<std::uint8_t>(v));
-}
-
-void BufWriter::put_u32(std::uint32_t v) {
-  put_u16(static_cast<std::uint16_t>(v >> 16));
-  put_u16(static_cast<std::uint16_t>(v));
-}
-
-void BufWriter::put_u64(std::uint64_t v) {
-  put_u32(static_cast<std::uint32_t>(v >> 32));
-  put_u32(static_cast<std::uint32_t>(v));
-}
-
-void BufWriter::put_f64(double v) {
-  std::uint64_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(v));
-  std::memcpy(&bits, &v, sizeof(bits));
-  put_u64(bits);
-}
-
-void BufWriter::put_bytes(const Bytes& b) {
-  put_u32(static_cast<std::uint32_t>(b.size()));
-  put_raw(b);
-}
-
-void BufWriter::put_string(std::string_view s) {
-  put_u32(static_cast<std::uint32_t>(s.size()));
-  put_raw(s);
-}
-
-Result<std::uint8_t> BufReader::u8() {
-  if (!has(1)) return protocol_error("buffer underrun reading u8");
-  return buf_[pos_++];
-}
-
-Result<std::uint16_t> BufReader::u16() {
-  if (!has(2)) return protocol_error("buffer underrun reading u16");
-  auto hi = buf_[pos_];
-  auto lo = buf_[pos_ + 1];
-  pos_ += 2;
-  return static_cast<std::uint16_t>((hi << 8) | lo);
-}
-
-Result<std::uint32_t> BufReader::u32() {
-  auto hi = u16();
-  if (!hi.is_ok()) return hi.status();
-  auto lo = u16();
-  if (!lo.is_ok()) return lo.status();
-  return (static_cast<std::uint32_t>(hi.value()) << 16) | lo.value();
-}
-
-Result<std::uint64_t> BufReader::u64() {
-  auto hi = u32();
-  if (!hi.is_ok()) return hi.status();
-  auto lo = u32();
-  if (!lo.is_ok()) return lo.status();
-  return (static_cast<std::uint64_t>(hi.value()) << 32) | lo.value();
-}
 
 Result<std::int64_t> BufReader::i64() {
   auto v = u64();
@@ -75,26 +11,30 @@ Result<std::int64_t> BufReader::i64() {
 Result<double> BufReader::f64() {
   auto v = u64();
   if (!v.is_ok()) return v.status();
-  double d = 0;
-  auto bits = v.value();
-  std::memcpy(&d, &bits, sizeof(d));
-  return d;
+  return std::bit_cast<double>(v.value());
+}
+
+Result<std::string_view> BufReader::view(std::size_t n) {
+  if (!has(n)) return protocol_error("buffer underrun reading bytes");
+  std::string_view out(reinterpret_cast<const char*>(data_ + pos_), n);
+  pos_ += n;
+  return out;
 }
 
 Result<Bytes> BufReader::bytes() {
   auto len = u32();
   if (!len.is_ok()) return len.status();
-  if (!has(len.value())) return protocol_error("buffer underrun reading bytes");
-  Bytes out(buf_.begin() + static_cast<std::ptrdiff_t>(pos_),
-            buf_.begin() + static_cast<std::ptrdiff_t>(pos_ + len.value()));
-  pos_ += len.value();
-  return out;
+  auto v = view(len.value());
+  if (!v.is_ok()) return v.status();
+  return Bytes(v.value().begin(), v.value().end());
 }
 
 Result<std::string> BufReader::string() {
-  auto b = bytes();
-  if (!b.is_ok()) return b.status();
-  return to_string(b.value());
+  auto len = u32();
+  if (!len.is_ok()) return len.status();
+  auto v = view(len.value());
+  if (!v.is_ok()) return v.status();
+  return std::string(v.value());
 }
 
 std::string to_hex(const Bytes& b) {

@@ -1,10 +1,37 @@
 #include "common/value_codec.hpp"
 
+#include "common/block_stream.hpp"
+
 namespace hcm {
 
 namespace {
 // Nesting bound: a hostile/corrupt buffer must not blow the stack.
 constexpr int kMaxDepth = 64;
+
+Result<Value> decode_rec(BufReader& r, int depth);
+
+template <typename T>
+Result<Value> as_value(Result<T> r) {
+  if (!r.is_ok()) return r.status();
+  return Value(std::move(r).take());
+}
+
+// Body of a list at `depth` (its tag already read) into `out`.
+Status decode_list(BufReader& r, int depth, ValueList& out) {
+  auto n = r.u32();
+  if (!n.is_ok()) return n.status();
+  if (n.value() > r.remaining()) {
+    return protocol_error("list length exceeds buffer");
+  }
+  out.clear();
+  out.reserve(n.value());
+  for (std::uint32_t i = 0; i < n.value(); ++i) {
+    auto e = decode_rec(r, depth + 1);
+    if (!e.is_ok()) return e.status();
+    out.push_back(std::move(e).take());
+  }
+  return Status::ok();
+}
 
 Result<Value> decode_rec(BufReader& r, int depth) {
   if (depth > kMaxDepth) return protocol_error("value nesting too deep");
@@ -18,39 +45,17 @@ Result<Value> decode_rec(BufReader& r, int depth) {
       if (!b.is_ok()) return b.status();
       return Value(b.value() != 0);
     }
-    case ValueType::kInt: {
-      auto i = r.i64();
-      if (!i.is_ok()) return i.status();
-      return Value(i.value());
-    }
-    case ValueType::kDouble: {
-      auto d = r.f64();
-      if (!d.is_ok()) return d.status();
-      return Value(d.value());
-    }
-    case ValueType::kString: {
-      auto s = r.string();
-      if (!s.is_ok()) return s.status();
-      return Value(std::move(s).take());
-    }
-    case ValueType::kBytes: {
-      auto b = r.bytes();
-      if (!b.is_ok()) return b.status();
-      return Value(std::move(b).take());
-    }
+    case ValueType::kInt:
+      return as_value(r.i64());
+    case ValueType::kDouble:
+      return as_value(r.f64());
+    case ValueType::kString:
+      return as_value(r.string());
+    case ValueType::kBytes:
+      return as_value(r.bytes());
     case ValueType::kList: {
-      auto n = r.u32();
-      if (!n.is_ok()) return n.status();
-      if (n.value() > r.remaining()) {
-        return protocol_error("list length exceeds buffer");
-      }
       ValueList list;
-      list.reserve(n.value());
-      for (std::uint32_t i = 0; i < n.value(); ++i) {
-        auto e = decode_rec(r, depth + 1);
-        if (!e.is_ok()) return e.status();
-        list.push_back(std::move(e).take());
-      }
+      if (auto s = decode_list(r, depth, list); !s.is_ok()) return s;
       return Value(std::move(list));
     }
     case ValueType::kMap: {
@@ -75,10 +80,20 @@ Result<Value> decode_rec(BufReader& r, int depth) {
 
 }  // namespace
 
-void encode_value(const Value& v, BufWriter& w) {
+template <typename Sink>
+void encode_value(const ValueList& list, BigEndianWriter<Sink>& w) {
+  w.put_u8(static_cast<std::uint8_t>(ValueType::kList));
+  w.put_u32(static_cast<std::uint32_t>(list.size()));
+  for (const auto& e : list) encode_value(e, w);
+}
+
+template <typename Sink>
+void encode_value(const Value& v, BigEndianWriter<Sink>& w) {
+  if (v.is_list()) return encode_value(v.as_list(), w);
   w.put_u8(static_cast<std::uint8_t>(v.type()));
   switch (v.type()) {
     case ValueType::kNull:
+    case ValueType::kList:
       break;
     case ValueType::kBool:
       w.put_u8(v.as_bool() ? 1 : 0);
@@ -95,10 +110,6 @@ void encode_value(const Value& v, BufWriter& w) {
     case ValueType::kBytes:
       w.put_bytes(v.as_bytes());
       break;
-    case ValueType::kList:
-      w.put_u32(static_cast<std::uint32_t>(v.as_list().size()));
-      for (const auto& e : v.as_list()) encode_value(e, w);
-      break;
     case ValueType::kMap:
       w.put_u32(static_cast<std::uint32_t>(v.as_map().size()));
       for (const auto& [k, e] : v.as_map()) {
@@ -109,6 +120,11 @@ void encode_value(const Value& v, BufWriter& w) {
   }
 }
 
+template void encode_value(const Value&, BigEndianWriter<BufWriter>&);
+template void encode_value(const Value&, BigEndianWriter<BlockStream>&);
+template void encode_value(const ValueList&, BigEndianWriter<BufWriter>&);
+template void encode_value(const ValueList&, BigEndianWriter<BlockStream>&);
+
 Bytes encode_value(const Value& v) {
   BufWriter w;
   encode_value(v, w);
@@ -117,7 +133,16 @@ Bytes encode_value(const Value& v) {
 
 Result<Value> decode_value(BufReader& r) { return decode_rec(r, 0); }
 
-Result<Value> decode_value(const Bytes& b) {
+Status decode_value(BufReader& r, ValueList& out) {
+  auto tag = r.u8();
+  if (!tag.is_ok()) return tag.status();
+  if (tag.value() != static_cast<std::uint8_t>(ValueType::kList)) {
+    return protocol_error("expected a list value");
+  }
+  return decode_list(r, 0, out);
+}
+
+Result<Value> decode_value(ByteView b) {
   BufReader r(b);
   auto v = decode_rec(r, 0);
   if (!v.is_ok()) return v;

@@ -9,10 +9,18 @@
 
 namespace hcm {
 
-void encode_value(const Value& v, BufWriter& w);
+// One encoder over either sink, BufWriter or BlockStream (instantiated
+// for both in value_codec.cpp).
+template <typename Sink>
+void encode_value(const Value& v, BigEndianWriter<Sink>& w);
+// Same bytes as encode_value(Value(list), w), without copying the list.
+template <typename Sink>
+void encode_value(const ValueList& list, BigEndianWriter<Sink>& w);
 [[nodiscard]] Bytes encode_value(const Value& v);
 
 [[nodiscard]] Result<Value> decode_value(BufReader& r);
-[[nodiscard]] Result<Value> decode_value(const Bytes& b);
+// Decodes a list value into `out`, reusing its capacity.
+[[nodiscard]] Status decode_value(BufReader& r, ValueList& out);
+[[nodiscard]] Result<Value> decode_value(ByteView b);
 
 }  // namespace hcm

@@ -1,53 +1,91 @@
 #include "core/binary_channel.hpp"
 
-#include "common/bytes.hpp"
+#include <algorithm>
+
 #include "obs/slab.hpp"
-#include "obs/trace.hpp"
 
 namespace hcm::core {
 
 namespace {
 
-Bytes frame(const Bytes& payload) {
-  BufWriter w;
-  w.put_u32(static_cast<std::uint32_t>(payload.size()));
-  w.put_raw(payload);
-  return w.take();
+// Frame kinds (binary_channel.hpp has the layout).
+constexpr std::uint8_t kRequest = 1;
+constexpr std::uint8_t kOk = 2;
+constexpr std::uint8_t kError = 3;
+constexpr std::uint8_t kTraced = 0x80;
+
+// A decoded frame header; the names borrow from the frame.
+struct Header {
+  std::uint64_t id = 0;
+  std::uint8_t kind = 0;  // without kTraced
+  std::string_view svc;
+  std::string_view method;
+  obs::TraceContext trace;
+};
+
+Result<std::string_view> read_name(BufReader& r) {
+  auto n = r.u16();
+  if (!n.is_ok()) return n.status();
+  return r.view(n.value());
 }
 
-// Incremental length-prefix deframer (shared shape with jini's, but the
-// binary VSG channel is its own protocol). Accumulates in pooled
-// blocks: deliveries splice in, drained frames release their blocks.
-class Deframer {
- public:
-  Status feed(BlockStream&& data, std::vector<Bytes>& out) {
-    buf_.splice(std::move(data));
-    while (buf_.size() >= 4) {
-      std::uint8_t hdr[4];
-      buf_.copy_to(hdr, 0, 4);
-      std::uint32_t len = (static_cast<std::uint32_t>(hdr[0]) << 24) |
-                          (static_cast<std::uint32_t>(hdr[1]) << 16) |
-                          (static_cast<std::uint32_t>(hdr[2]) << 8) |
-                          static_cast<std::uint32_t>(hdr[3]);
-      if (len > 16 * 1024 * 1024) return protocol_error("frame too large");
-      if (buf_.size() < 4u + len) return Status::ok();
-      Bytes frame(len);
-      buf_.copy_to(frame.data(), 4, len);
-      buf_.consume(4u + len);
-      out.push_back(std::move(frame));
-    }
-    return Status::ok();
+Result<Header> read_header(BufReader& r) {
+  Header h;
+  auto id = r.u64();
+  auto kind = r.u8();
+  if (!id.is_ok() || !kind.is_ok()) return protocol_error("binary: short");
+  h.id = id.value();
+  h.kind = kind.value() & ~kTraced;
+  const bool traced = (kind.value() & kTraced) != 0;
+  if (h.kind < kRequest || h.kind > kError || (traced && h.kind != kRequest)) {
+    return protocol_error("binary: unknown frame kind");
   }
-
- private:
-  BlockStream buf_;
-};
+  if (h.kind == kRequest) {
+    auto svc = read_name(r);
+    if (!svc.is_ok()) return svc.status();
+    auto method = read_name(r);
+    if (!method.is_ok()) return method.status();
+    h.svc = svc.value();
+    h.method = method.value();
+  }
+  if (traced) {
+    auto trace_id = r.u64();
+    auto span_id = r.u64();
+    if (!trace_id.is_ok() || !span_id.is_ok()) {
+      return protocol_error("binary: short trace ids");
+    }
+    h.trace = {trace_id.value(), span_id.value()};
+  }
+  return h;
+}
 
 }  // namespace
 
+BlockStream encode_request(std::uint64_t id, std::string_view service,
+                           std::string_view method, const ValueList& args,
+                           const obs::TraceContext& trace) {
+  return build_frame([&](BlockStream& f) {
+    f.put_u64(id);
+    f.put_u8(trace.valid() ? kRequest | kTraced : kRequest);
+    f.put_u16(static_cast<std::uint16_t>(service.size()));
+    f.put_raw(service);
+    f.put_u16(static_cast<std::uint16_t>(method.size()));
+    f.put_raw(method);
+    if (trace.valid()) {
+      f.put_u64(trace.trace_id);
+      f.put_u64(trace.span_id);
+    }
+    encode_value(args, f);
+  });
+}
+
 struct BinaryRpcServer::Conn {
   net::StreamPtr stream;
-  Deframer deframer;
+  FrameReader reader;
+  // Decode scratch reused call over call: handlers consume the args
+  // synchronously, as on the SOAP path (vsg.cpp).
+  std::string method;
+  ValueList args;
 };
 
 BinaryRpcServer::BinaryRpcServer(net::Network& net, net::NodeId node,
@@ -57,6 +95,7 @@ BinaryRpcServer::BinaryRpcServer(net::Network& net, net::NodeId node,
       port_(port),
       obs_scope_(obs::shard_registry().unique_scope("binary.server")),
       calls_served_(obs::shard_registry().counter(obs_scope_ + ".calls")),
+      rejected_(obs::shard_registry().counter(obs_scope_ + ".rejected")),
       dispatch_latency_us_(
           obs::shard_registry().histogram(obs_scope_ + ".latency_us")) {}
 
@@ -103,83 +142,129 @@ void BinaryRpcServer::on_accept(net::StreamPtr stream) {
   connections_.push_back(conn);
   stream->set_on_close([conn] { conn->stream = nullptr; });
   stream->set_on_data([this, conn](BlockStream&& data) {
-    std::vector<Bytes> frames;
-    if (!conn->deframer.feed(std::move(data), frames).is_ok()) {
-      if (conn->stream) conn->stream->close();
-      return;
-    }
-    for (const auto& f : frames) {
-      auto msg = decode_value(f);
-      if (!msg.is_ok() || !msg.value().is_map()) continue;
-      const Value& m = msg.value();
-      auto id = m.at("id").to_int().value_or(0);
-      const std::string svc =
-          m.at("svc").is_string() ? m.at("svc").as_string() : "";
-      const std::string method =
-          m.at("method").is_string() ? m.at("method").as_string() : "";
-      ValueList args =
-          m.at("args").is_list() ? m.at("args").as_list() : ValueList{};
-      calls_served_.inc();
-
-      // "tr" frame field = [trace_id, span_id] of the caller's span;
-      // rejoin that trace for the duration of the dispatch.
-      obs::TraceContext wire_ctx;
-      if (m.at("tr").is_list() && m.at("tr").as_list().size() == 2) {
-        const auto& tr = m.at("tr").as_list();
-        wire_ctx.trace_id =
-            static_cast<std::uint64_t>(tr[0].to_int().value_or(0));
-        wire_ctx.span_id =
-            static_cast<std::uint64_t>(tr[1].to_int().value_or(0));
-      }
-      auto& tracer = obs::Tracer::global();
-      auto& sched = net_.scheduler();
-      obs::Tracer::Scope wire_scope(tracer, wire_ctx);
-      const std::uint64_t span_id = tracer.begin_span(
-          "binary.server:" + method, "binary.server", sched.now());
-      obs::Tracer::Scope span_scope(tracer, tracer.context_of(span_id));
-
-      auto reply = [conn, id, &tracer, &sched, span_id,
-                    &latency = dispatch_latency_us_,
-                    start = sched.now()](Result<Value> result) {
-        latency.observe(sched.now() - start);
-        tracer.end_span(span_id, sched.now(), result.is_ok());
-        if (!conn->stream || !conn->stream->is_open()) return;
-        ValueMap r{{"id", Value(id)}, {"ok", Value(result.is_ok())}};
-        if (result.is_ok()) {
-          r["value"] = std::move(result).take();
-        } else {
-          r["code"] =
-              Value(static_cast<std::int64_t>(result.status().code()));
-          r["msg"] = Value(result.status().message());
-        }
-        conn->stream->send(frame(encode_value(Value(std::move(r)))));
-      };
-
-      auto it = services_.find(svc);
-      if (it == services_.end()) {
-        reply(not_found("no binary service: " + svc));
-        continue;
-      }
-      it->second(method, args, reply);
-    }
+    auto status = conn->reader.feed(
+        std::move(data), [&](ByteView f) { return serve(conn, f); });
+    if (status.is_ok()) return;
+    rejected_.inc();
+    if (conn->stream) conn->stream->close();
   });
 }
 
+Status BinaryRpcServer::serve(const std::shared_ptr<Conn>& conn,
+                              ByteView frame) {
+  BufReader r(frame);
+  auto header = read_header(r);
+  if (!header.is_ok()) return header.status();
+  const Header& h = header.value();
+  if (h.kind != kRequest) return protocol_error("binary: reply to server");
+  if (auto s = decode_value(r, conn->args); !s.is_ok()) return s;
+  if (!r.at_end()) return protocol_error("binary: trailing bytes");
+  conn->method.assign(h.method);
+  calls_served_.inc();
+
+  // Rejoin the caller's trace for the duration of the dispatch.
+  auto& tracer = obs::Tracer::global();
+  auto& sched = net_.scheduler();
+  obs::Tracer::Scope wire_scope(tracer, h.trace);
+  const std::uint64_t span_id =
+      tracer.enabled() ? tracer.begin_span("binary.server:" + conn->method,
+                                           "binary.server", sched.now())
+                       : 0;
+  obs::Tracer::Scope span_scope(tracer, tracer.context_of(span_id));
+
+  InvokeResultFn reply = [conn, id = h.id, &sched, span_id,
+                          &latency = dispatch_latency_us_,
+                          start = sched.now()](Result<Value> result) {
+    latency.observe(sched.now() - start);
+    obs::Tracer::global().end_span(span_id, sched.now(), result.is_ok());
+    if (!conn->stream || !conn->stream->is_open()) return;
+    conn->stream->send(build_frame([&](BlockStream& out) {
+      out.put_u64(id);
+      if (result.is_ok()) {
+        out.put_u8(kOk);
+        encode_value(result.value(), out);
+      } else {
+        out.put_u8(kError);
+        out.put_u8(static_cast<std::uint8_t>(result.status().code()));
+        out.put_string(result.status().message());
+      }
+    }));
+  };
+  auto it = services_.find(h.svc);
+  if (it == services_.end()) {
+    reply(not_found("no binary service: " + std::string(h.svc)));
+  } else {
+    it->second(conn->method, conn->args, std::move(reply));
+  }
+  return Status::ok();
+}
+
 struct BinaryRpcClient::Conn {
+  // A call awaiting its reply, with the span and latency bookkeeping
+  // that complete it.
+  struct Pending {
+    std::uint64_t id;
+    std::uint64_t span_id;
+    sim::SimTime start;
+    InvokeResultFn done;
+  };
+
+  Conn(sim::Scheduler& s, obs::Counter& e, obs::Histogram& l)
+      : sched(s), errors(e), latency(l) {}
+
+  sim::Scheduler& sched;
+  obs::Counter& errors;
+  obs::Histogram& latency;
   net::StreamPtr stream;
-  Deframer deframer;
+  FrameReader reader;
   bool connecting = false;
-  std::vector<std::function<void(const Status&)>> waiters;
   std::uint64_t next_id = 1;
-  std::map<std::uint64_t, InvokeResultFn> pending;
+  std::vector<Pending> pending;     // oldest first; capacity reused
+  std::vector<BlockStream> unsent;  // requests encoded while connecting
+
+  void finish(Pending p, Result<Value> r) {
+    latency.observe(sched.now() - p.start);
+    if (!r.is_ok()) errors.inc();
+    obs::Tracer::global().end_span(p.span_id, sched.now(), r.is_ok());
+    p.done(std::move(r));
+  }
 
   void fail_all(const Status& s) {
-    auto p = std::move(pending);
+    unsent.clear();
+    auto failed = std::move(pending);
     pending.clear();
-    for (auto& [id, done] : p) done(s);
-    auto w = std::move(waiters);
-    waiters.clear();
-    for (auto& fn : w) fn(s);
+    for (auto& p : failed) finish(std::move(p), s);
+  }
+
+  Status on_reply(ByteView frame) {
+    BufReader r(frame);
+    auto header = read_header(r);
+    if (!header.is_ok()) return header.status();
+    const std::uint64_t id = header.value().id;
+    Result<Value> result = Value();
+    if (header.value().kind == kOk) {
+      result = decode_value(r);
+      if (!result.is_ok()) return result.status();
+    } else if (header.value().kind == kError) {
+      auto code = r.u8();
+      auto msg = r.string();
+      if (!code.is_ok() || !msg.is_ok() || code.value() == 0 ||
+          code.value() > static_cast<int>(StatusCode::kResourceExhausted)) {
+        return protocol_error("binary: bad error reply");
+      }
+      result = Status(static_cast<StatusCode>(code.value()),
+                      std::move(msg).take());
+    } else {
+      return protocol_error("binary: request sent to client");
+    }
+    if (!r.at_end()) return protocol_error("binary: trailing bytes");
+    auto it = std::find_if(pending.begin(), pending.end(),
+                           [id](const Pending& p) { return p.id == id; });
+    if (it == pending.end()) return Status::ok();  // not ours: drop
+    Pending p = std::move(*it);
+    pending.erase(it);
+    finish(std::move(p), std::move(result));
+    return Status::ok();
   }
 };
 
@@ -194,7 +279,7 @@ std::shared_ptr<BinaryRpcClient::Conn> BinaryRpcClient::conn_for(
     net::Endpoint dest) {
   auto it = conns_.find(dest);
   if (it != conns_.end()) return it->second;
-  auto conn = std::make_shared<Conn>();
+  auto conn = std::make_shared<Conn>(net_.scheduler(), errors_, latency_);
   conns_[dest] = conn;
   return conn;
 }
@@ -203,56 +288,39 @@ void BinaryRpcClient::call(net::Endpoint dest, const std::string& service,
                            const std::string& method, const ValueList& args,
                            InvokeResultFn done) {
   calls_.inc();
-  auto& tracer = obs::Tracer::global();
-  auto& sched = net_.scheduler();
-  const std::uint64_t span_id = tracer.begin_span(
-      "binary.call:" + method, "binary.client", sched.now());
-  done = [this, done = std::move(done), &tracer, &sched, span_id,
-          start = sched.now()](Result<Value> r) {
-    latency_.observe(sched.now() - start);
-    if (!r.is_ok()) errors_.inc();
-    tracer.end_span(span_id, sched.now(), r.is_ok());
-    done(std::move(r));
-  };
-  const obs::TraceContext trace = tracer.context_of(span_id);
-  auto conn = conn_for(dest);
-  auto send = [conn, service, method, args, trace,
-               done = std::move(done)](const Status& s) mutable {
-    if (!s.is_ok()) {
-      done(s);
-      return;
-    }
-    auto id = conn->next_id++;
-    conn->pending[id] = std::move(done);
-    ValueMap req{
-        {"id", Value(static_cast<std::int64_t>(id))},
-        {"svc", Value(service)},
-        {"method", Value(method)},
-        {"args", Value(args)},
-    };
-    if (trace.valid()) {
-      req["tr"] = Value(ValueList{
-          Value(static_cast<std::int64_t>(trace.trace_id)),
-          Value(static_cast<std::int64_t>(trace.span_id))});
-    }
-    conn->stream->send(frame(encode_value(Value(std::move(req)))));
-  };
-  if (conn->stream && conn->stream->is_open()) {
-    send(Status::ok());
+  if (service.size() > 0xFFFF || method.size() > 0xFFFF) {
+    errors_.inc();
+    done(invalid_argument("binary: service or method name too long"));
     return;
   }
-  conn->waiters.push_back(std::move(send));
+  auto& tracer = obs::Tracer::global();
+  auto& sched = net_.scheduler();
+  const std::uint64_t span_id =
+      tracer.enabled() ? tracer.begin_span("binary.call:" + method,
+                                           "binary.client", sched.now())
+                       : 0;
+  const obs::TraceContext trace = tracer.context_of(span_id);
+  auto conn = conn_for(dest);
+  const std::uint64_t id = conn->next_id++;
+  conn->pending.push_back({id, span_id, sched.now(), std::move(done)});
+
+  BlockStream out = encode_request(id, service, method, args, trace);
+  if (conn->stream && conn->stream->is_open()) {
+    conn->stream->send(std::move(out));
+    return;
+  }
+  conn->unsent.push_back(std::move(out));
   if (conn->connecting) return;
   conn->connecting = true;
-  net_.connect(node_, dest, [conn](Result<net::StreamPtr> r) {
+  net_.connect(node_, dest, [conn, &rejected = rejected_](
+                                Result<net::StreamPtr> r) {
     conn->connecting = false;
     if (!r.is_ok()) {
-      auto waiters = std::move(conn->waiters);
-      conn->waiters.clear();
-      for (auto& w : waiters) w(r.status());
+      conn->fail_all(r.status());
       return;
     }
     conn->stream = r.value();
+    conn->reader = FrameReader{};
     // Weak captures: conn owns the stream, and the client's conns_ map
     // owns conn — a strong capture here would be a Conn<->Stream cycle
     // that outlives the client.
@@ -262,36 +330,18 @@ void BinaryRpcClient::call(net::Endpoint dest, const std::string& service,
         c->fail_all(unavailable("binary peer closed"));
       }
     });
-    conn->stream->set_on_data([wconn](BlockStream&& data) {
+    conn->stream->set_on_data([wconn, &rejected](BlockStream&& data) {
       auto conn = wconn.lock();
       if (!conn) return;
-      std::vector<Bytes> frames;
-      if (!conn->deframer.feed(std::move(data), frames).is_ok()) {
-        conn->stream->close();
-        return;
-      }
-      for (const auto& f : frames) {
-        auto msg = decode_value(f);
-        if (!msg.is_ok() || !msg.value().is_map()) continue;
-        const Value& m = msg.value();
-        auto id = static_cast<std::uint64_t>(m.at("id").to_int().value_or(0));
-        auto it = conn->pending.find(id);
-        if (it == conn->pending.end()) continue;
-        auto done = std::move(it->second);
-        conn->pending.erase(it);
-        if (m.at("ok").is_bool() && m.at("ok").as_bool()) {
-          done(m.at("value"));
-        } else {
-          auto code = m.at("code").to_int().value_or(
-              static_cast<std::int64_t>(StatusCode::kInternal));
-          done(Status(static_cast<StatusCode>(code),
-                      m.at("msg").is_string() ? m.at("msg").as_string() : ""));
-        }
-      }
+      auto status = conn->reader.feed(
+          std::move(data), [&conn](ByteView f) { return conn->on_reply(f); });
+      if (status.is_ok()) return;
+      rejected.inc();
+      conn->stream->close();
+      conn->fail_all(unavailable("binary: rejected: " + status.message()));
     });
-    auto waiters = std::move(conn->waiters);
-    conn->waiters.clear();
-    for (auto& w : waiters) w(Status::ok());
+    for (auto& out : conn->unsent) conn->stream->send(std::move(out));
+    conn->unsent.clear();
   });
 }
 

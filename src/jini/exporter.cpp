@@ -50,25 +50,19 @@ void Exporter::on_accept(net::StreamPtr stream) {
   connections_.push_back(conn);
   stream->set_on_close([conn] { conn->stream = nullptr; });
   stream->set_on_data([this, conn](BlockStream&& data) {
-    std::vector<Bytes> frames;
-    auto status = conn->reader.feed(std::move(data), frames);
+    auto status = conn->reader.feed(
+        std::move(data), [&](ByteView f) { return handle_frame(f, conn); });
     if (!status.is_ok()) {
       log_warn("jini", "bad frame, closing: ", status.to_string());
       if (conn->stream) conn->stream->close();
-      return;
     }
-    for (const auto& f : frames) handle_frame(f, conn);
   });
 }
 
-void Exporter::handle_frame(const Bytes& payload,
-                            const std::shared_ptr<Conn>& conn) {
+Status Exporter::handle_frame(ByteView payload,
+                              const std::shared_ptr<Conn>& conn) {
   auto call = decode_call(payload);
-  if (!call.is_ok()) {
-    log_warn("jini", "undecodable call: ", call.status().to_string());
-    if (conn->stream) conn->stream->close();
-    return;
-  }
+  if (!call.is_ok()) return call.status();
   ++calls_served_;
   const CallMessage& msg = call.value();
   auto reply_with = [conn, call_id = msg.call_id,
@@ -88,9 +82,10 @@ void Exporter::handle_frame(const Bytes& payload,
   auto it = objects_.find(msg.service_id);
   if (it == objects_.end()) {
     reply_with(not_found("no exported object: " + msg.service_id));
-    return;
+    return Status::ok();
   }
   it->second(msg.method, msg.args, reply_with);
+  return Status::ok();
 }
 
 }  // namespace hcm::jini

@@ -7,6 +7,7 @@
 #include <memory>
 #include <string>
 
+#include "common/frame_reader.hpp"
 #include "common/service.hpp"
 #include "jini/protocol.hpp"
 #include "net/network.hpp"
@@ -41,7 +42,8 @@ class Exporter {
   };
 
   void on_accept(net::StreamPtr stream);
-  void handle_frame(const Bytes& payload, const std::shared_ptr<Conn>& conn);
+  [[nodiscard]] Status handle_frame(ByteView payload,
+                                    const std::shared_ptr<Conn>& conn);
 
   net::Network& net_;
   net::NodeId node_;

@@ -45,7 +45,7 @@ Bytes encode_call(const CallMessage& m) {
   }));
 }
 
-Result<CallMessage> decode_call(const Bytes& b) {
+Result<CallMessage> decode_call(ByteView b) {
   auto v = decode_value(b);
   if (!v.is_ok()) return v.status();
   const Value& m = v.value();
@@ -78,7 +78,7 @@ Bytes encode_reply(const ReplyMessage& m) {
   return encode_value(Value(std::move(map)));
 }
 
-Result<ReplyMessage> decode_reply(const Bytes& b) {
+Result<ReplyMessage> decode_reply(ByteView b) {
   auto v = decode_value(b);
   if (!v.is_ok()) return v.status();
   const Value& m = v.value();
@@ -101,34 +101,6 @@ Result<ReplyMessage> decode_reply(const Bytes& b) {
         m.at("msg").is_string() ? m.at("msg").as_string() : "");
   }
   return out;
-}
-
-Bytes frame(const Bytes& payload) {
-  BufWriter w;
-  w.put_u32(static_cast<std::uint32_t>(payload.size()));
-  w.put_raw(payload);
-  return w.take();
-}
-
-Status FrameReader::feed(BlockStream&& data, std::vector<Bytes>& out) {
-  buf_.splice(std::move(data));
-  while (buf_.size() >= 4) {
-    std::uint8_t hdr[4];
-    buf_.copy_to(hdr, 0, 4);
-    std::uint32_t len = (static_cast<std::uint32_t>(hdr[0]) << 24) |
-                        (static_cast<std::uint32_t>(hdr[1]) << 16) |
-                        (static_cast<std::uint32_t>(hdr[2]) << 8) |
-                        static_cast<std::uint32_t>(hdr[3]);
-    if (len > 16 * 1024 * 1024) {
-      return protocol_error("frame too large: " + std::to_string(len));
-    }
-    if (buf_.size() < 4u + len) return Status::ok();
-    Bytes frame(len);
-    buf_.copy_to(frame.data(), 4, len);
-    buf_.consume(4u + len);
-    out.push_back(std::move(frame));
-  }
-  return Status::ok();
 }
 
 }  // namespace hcm::jini

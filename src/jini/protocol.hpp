@@ -1,13 +1,13 @@
 // The Jini-like middleware's wire protocol. Real Jini moves serialized
 // Java objects over JRMP; our stand-in moves length-framed binary Values
-// over reliable streams, preserving the call/reply, registration, lease
-// and remote-event semantics (see DESIGN.md substitution table).
+// over reliable streams (framing: common/frame_reader.hpp), preserving
+// the call/reply, registration, lease and remote-event semantics (see
+// DESIGN.md substitution table).
 #pragma once
 
 #include <cstdint>
 #include <string>
 
-#include "common/block_stream.hpp"
 #include "common/bytes.hpp"
 #include "common/interface_desc.hpp"
 #include "common/service.hpp"
@@ -53,23 +53,8 @@ struct ReplyMessage {
 };
 
 [[nodiscard]] Bytes encode_call(const CallMessage& m);
-[[nodiscard]] Result<CallMessage> decode_call(const Bytes& b);
+[[nodiscard]] Result<CallMessage> decode_call(ByteView b);
 [[nodiscard]] Bytes encode_reply(const ReplyMessage& m);
-[[nodiscard]] Result<ReplyMessage> decode_reply(const Bytes& b);
-
-// Length-prefix framing for streams: u32 length + payload.
-[[nodiscard]] Bytes frame(const Bytes& payload);
-
-// Incremental deframer. Accumulates in pooled blocks: delivered
-// payloads splice in and drained frames release their blocks, so
-// steady-state deframing does no buffer grow/shrink heap traffic.
-class FrameReader {
- public:
-  // Feed stream bytes; complete frames are appended to `out`.
-  Status feed(BlockStream&& data, std::vector<Bytes>& out);
-
- private:
-  BlockStream buf_;
-};
+[[nodiscard]] Result<ReplyMessage> decode_reply(ByteView b);
 
 }  // namespace hcm::jini

@@ -1,5 +1,7 @@
 #include "jini/proxy.hpp"
 
+#include "common/frame_reader.hpp"
+
 namespace hcm::jini {
 
 struct Proxy::Shared {
@@ -66,16 +68,11 @@ void Proxy::ensure_connected(std::function<void(const Status&)> then) {
                  shared->stream->set_on_close(
                      [shared] { shared->fail_all(unavailable("peer closed")); });
                  shared->stream->set_on_data([shared](BlockStream&& data) {
-                   std::vector<Bytes> frames;
-                   if (!shared->reader.feed(std::move(data), frames).is_ok()) {
-                     shared->stream->close();
-                     return;
-                   }
-                   for (const auto& f : frames) {
+                   auto on_reply = [&shared](ByteView f) {
                      auto reply = decode_reply(f);
-                     if (!reply.is_ok()) continue;
+                     if (!reply.is_ok()) return Status::ok();
                      auto it = shared->pending.find(reply.value().call_id);
-                     if (it == shared->pending.end()) continue;
+                     if (it == shared->pending.end()) return Status::ok();
                      auto p = std::move(it->second);
                      shared->pending.erase(it);
                      if (p.timeout_event != 0) {
@@ -86,7 +83,10 @@ void Proxy::ensure_connected(std::function<void(const Status&)> then) {
                      } else {
                        p.done(reply.value().status);
                      }
-                   }
+                     return Status::ok();
+                   };
+                   auto status = shared->reader.feed(std::move(data), on_reply);
+                   if (!status.is_ok()) shared->stream->close();
                  });
                  auto waiters = std::move(shared->waiters);
                  shared->waiters.clear();

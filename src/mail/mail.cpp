@@ -266,8 +266,13 @@ void MailClient::track(net::StreamPtr stream) {
 void MailClient::untrack(net::Stream* stream) { active_.erase(stream); }
 
 void MailClient::send(const Message& m, DoneFn done) {
-  net_.connect(node_, {server_, kSmtpPort}, [this, m, done = std::move(done)](
-                                                Result<net::StreamPtr> r) {
+  net_.connect(node_, {server_, kSmtpPort},
+               [this, alive = std::weak_ptr<bool>(alive_), m,
+                done = std::move(done)](Result<net::StreamPtr> r) {
+    if (alive.expired()) {  // client destroyed while connecting
+      if (r.is_ok()) r.value()->close();
+      return;
+    }
     if (!r.is_ok()) {
       done(r.status());
       return;
@@ -336,8 +341,12 @@ void MailClient::send(const Message& m, DoneFn done) {
 
 void MailClient::fetch(const std::string& mailbox, MessagesFn done) {
   net_.connect(node_, {server_, kPopPort},
-               [this, mailbox, done = std::move(done)](
-                   Result<net::StreamPtr> r) {
+               [this, alive = std::weak_ptr<bool>(alive_), mailbox,
+                done = std::move(done)](Result<net::StreamPtr> r) {
+    if (alive.expired()) {  // client destroyed while connecting
+      if (r.is_ok()) r.value()->close();
+      return;
+    }
     if (!r.is_ok()) {
       done(r.status());
       return;
@@ -472,13 +481,22 @@ void MailClient::unwatch() {
 
 void MailClient::poll() {
   watch_event_ = 0;
-  fetch(watch_mailbox_, [this](Result<std::vector<Message>> r) {
+  // A watcher may be destroyed mid-fetch (unexport); its completion then
+  // must neither deliver nor re-arm.
+  fetch(watch_mailbox_, [this, alive = std::weak_ptr<bool>(alive_)](
+                            Result<std::vector<Message>> r) {
+    if (alive.expired()) return;
     if (r.is_ok() && watch_fn_) {
-      for (const auto& m : r.value()) watch_fn_(m);
+      for (const auto& m : r.value()) {
+        watch_fn_(m);
+        if (alive.expired()) return;
+      }
     }
     if (watch_fn_) {
-      watch_event_ =
-          net_.scheduler().after(watch_interval_, [this] { poll(); });
+      watch_event_ = net_.scheduler().after(
+          watch_interval_, [this, alive] {
+            if (!alive.expired()) poll();
+          });
     }
   });
 }

@@ -108,6 +108,9 @@ class MailClient {
   sim::Duration watch_interval_ = 0;
   std::function<void(const Message&)> watch_fn_;
   sim::EventId watch_event_ = 0;
+  // Expires with the client: connect and fetch completions that can
+  // outlive it (an unexport mid-poll) hold it weakly and bail out.
+  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
 };
 
 }  // namespace hcm::mail

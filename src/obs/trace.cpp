@@ -117,6 +117,7 @@ void Tracer::end_span(std::uint64_t span_id, sim::SimTime now, bool ok) {
 }
 
 TraceContext Tracer::context_of(std::uint64_t span_id) const {
+  if (span_id == 0) return {};  // untraced: no scan, no lock
   std::lock_guard<std::mutex> lk(mu_);
   for (auto it = spans_.rbegin(); it != spans_.rend(); ++it) {
     if (it->span_id == span_id) {

@@ -1,7 +1,7 @@
 // Cross-island causal tracing. A TraceContext (trace id, span id,
 // parent span id) travels with every invocation: in-process via the
 // Tracer's current-context slot (Scope RAII), across the wire inside a
-// SOAP <hcm:Trace> header or the binary channel's "tr" frame field.
+// SOAP <hcm:Trace> header or the binary channel's traced frame header.
 // Each hop records a Span keyed to sim-scheduler virtual time, and the
 // whole trace exports as Chrome trace_event JSON (load via
 // chrome://tracing or https://ui.perfetto.dev).

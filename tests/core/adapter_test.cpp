@@ -35,6 +35,42 @@ TEST(MailArgParsing, StringsAndTrimming) {
   EXPECT_EQ(MailAdapter::parse_arg("1.2.3"), Value("1.2.3"));
 }
 
+// --- MailAdapter: watcher lifetime ------------------------------------
+
+TEST(MailAdapterLifetime, UnexportMidFetchIsSafe) {
+  // Unexport destroys the service's mailbox watcher. Caught at several
+  // points of its first poll — POP connect in flight, dialogue under
+  // way — the poll's completions must not touch the freed watcher.
+  for (int at_ms : {1, 20, 40, 60, 80, 120}) {
+    sim::Scheduler sched;
+    net::Network net{sched};
+    auto& gateway = net.add_node("gateway");
+    auto& host = net.add_node("mail-host");
+    auto& eth = net.add_ethernet("internet", sim::milliseconds(20),
+                                 10'000'000);
+    net.attach(gateway, eth);
+    net.attach(host, eth);
+    mail::MailServer server(net, host.id());
+    ASSERT_TRUE(server.start().is_ok());
+    MailAdapter adapter(net, gateway.id(), host.id(), "home",
+                        sim::seconds(5));
+    LocalService service;
+    service.name = "lamp";
+    service.interface = InterfaceDesc{
+        "Lamp", {MethodDesc{"on", {}, ValueType::kBool, false}}};
+    ASSERT_TRUE(adapter
+                    .export_service(service,
+                                    [](const std::string&, const ValueList&,
+                                       InvokeResultFn done) {
+                                      done(Value(true));
+                                    })
+                    .is_ok());
+    sched.run_until(sim::seconds(5) + sim::milliseconds(at_ms));
+    adapter.unexport_service("lamp");
+    sched.run_until(sim::seconds(30));
+  }
+}
+
 // --- X10Adapter: ON/OFF method mapping policy --------------------------
 
 class X10MappingTest : public ::testing::Test {

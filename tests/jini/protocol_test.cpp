@@ -79,52 +79,5 @@ TEST(JiniProtocolTest, DecodeRejectsMalformed) {
   EXPECT_FALSE(decode_call(encode_value(Value("nope"))).is_ok());
 }
 
-TEST(JiniFramingTest, SingleFrame) {
-  FrameReader reader;
-  std::vector<Bytes> out;
-  Bytes payload = to_bytes("payload");
-  BlockStream wire;
-  wire.append(frame(payload));
-  ASSERT_TRUE(reader.feed(std::move(wire), out).is_ok());
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0], payload);
-}
-
-TEST(JiniFramingTest, SplitAcrossFeeds) {
-  FrameReader reader;
-  std::vector<Bytes> out;
-  Bytes wire = frame(to_bytes("split"));
-  for (auto b : wire) {
-    BlockStream chunk;
-    chunk.append(&b, 1);
-    ASSERT_TRUE(reader.feed(std::move(chunk), out).is_ok());
-  }
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(to_string(out[0]), "split");
-}
-
-TEST(JiniFramingTest, MultipleFramesInOneFeed) {
-  FrameReader reader;
-  std::vector<Bytes> out;
-  Bytes wire = frame(to_bytes("a"));
-  Bytes second = frame(to_bytes("bb"));
-  wire.insert(wire.end(), second.begin(), second.end());
-  BlockStream stream;
-  stream.append(wire);
-  ASSERT_TRUE(reader.feed(std::move(stream), out).is_ok());
-  ASSERT_EQ(out.size(), 2u);
-  EXPECT_EQ(to_string(out[0]), "a");
-  EXPECT_EQ(to_string(out[1]), "bb");
-}
-
-TEST(JiniFramingTest, OversizedFrameRejected) {
-  FrameReader reader;
-  std::vector<Bytes> out;
-  Bytes evil{0xFF, 0xFF, 0xFF, 0xFF};  // 4 GiB frame length
-  BlockStream stream;
-  stream.append(evil);
-  EXPECT_FALSE(reader.feed(std::move(stream), out).is_ok());
-}
-
 }  // namespace
 }  // namespace hcm::jini

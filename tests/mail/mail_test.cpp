@@ -145,6 +145,28 @@ TEST_F(MailTest, WatchLatencyBoundedByPollInterval) {
   client->unwatch();
 }
 
+TEST_F(MailTest, DestroyingWatcherMidPollIsSafe) {
+  // A watcher destroyed while its poll's connect or POP dialogue is in
+  // flight: the completion must neither run nor re-arm the timer.
+  for (int at_ms : {1, 20, 40, 60, 80, 120}) {
+    client = std::make_unique<MailClient>(net, client_node->id(),
+                                          server_node->id());
+    int seen = 0;
+    client->watch("home", sim::seconds(5),
+                  [&seen](const Message&) { ++seen; });
+    Message m;
+    m.to = "home";
+    m.subject = "s";
+    server->deliver(m);
+    sched.run_until(sched.now() + sim::seconds(5) +
+                    sim::milliseconds(at_ms));
+    const int seen_before = seen;
+    client.reset();
+    sched.run_until(sched.now() + sim::seconds(30));
+    EXPECT_EQ(seen, seen_before);
+  }
+}
+
 TEST_F(MailTest, ServerDownFailsSend) {
   server_node->set_up(false);
   EXPECT_FALSE(send("home", "s", "b").is_ok());

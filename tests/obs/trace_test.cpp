@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <vector>
 
 #include "common/logging.hpp"
@@ -98,6 +99,24 @@ TEST_F(TracerTest, EndSpanRecordsFailure) {
 TEST_F(TracerTest, ContextOfUnknownSpanIsInvalid) {
   EXPECT_FALSE(tracer().context_of(12345).valid());
   EXPECT_FALSE(tracer().context_of(0).valid());
+}
+
+TEST_F(TracerTest, ContextOfZeroSkipsTheSpanScan) {
+  // Span id 0 means "not traced": its (empty) context must come back
+  // without a scan, however many spans are recorded.
+  for (int i = 0; i < 20000; ++i) tracer().begin_span("s", "test", i);
+  auto time = [](auto&& fn) {
+    const auto t0 = std::chrono::steady_clock::now();
+    for (int i = 0; i < 500; ++i) fn();
+    return std::chrono::steady_clock::now() - t0;
+  };
+  const auto zero = time([&] {
+    EXPECT_FALSE(tracer().context_of(0).valid());
+  });
+  const auto missing = time([&] {
+    EXPECT_FALSE(tracer().context_of(999999).valid());
+  });
+  EXPECT_LT(zero * 20, missing);
 }
 
 TEST_F(TracerTest, ClearResetsSpansAndCurrent) {
