@@ -13,6 +13,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/json.hpp"
 #include "sim/scheduler.hpp"
 
 namespace hcm::bench {
@@ -51,9 +52,8 @@ inline void print_row_ms(const std::string& label, const Stats& s) {
               label.c_str(), s.n, s.min, s.mean, s.p95);
 }
 
-// Flat-row JSON report: {"bench": <name>, "rows": [{k: v, ...}, ...]}.
-// Rows keep insertion order; values are numbers or strings. Kept
-// dependency-free on purpose (the image has no JSON library).
+// Flat-row JSON report: {"bench": <name>, "rows": [{k: v, ...}, ...]},
+// rendered by the common JSON codec (compact, keys sorted).
 class JsonReport {
  public:
   explicit JsonReport(std::string bench) : bench_(std::move(bench)) {}
@@ -61,28 +61,21 @@ class JsonReport {
   class Row {
    public:
     Row& num(const std::string& key, double v) {
-      char buf[32];
-      std::snprintf(buf, sizeof buf, "%.6g", v);
-      fields_.emplace_back(key, buf);
+      fields_[key] = v;
       return *this;
     }
     Row& num(const std::string& key, std::uint64_t v) {
-      fields_.emplace_back(key, std::to_string(v));
+      fields_[key] = static_cast<std::int64_t>(v);
       return *this;
     }
     Row& str(const std::string& key, const std::string& v) {
-      std::string enc;
-      enc += '"';
-      enc += escape(v);
-      enc += '"';
-      fields_.emplace_back(key, std::move(enc));
+      fields_[key] = v;
       return *this;
     }
 
    private:
     friend class JsonReport;
-    // key -> already-JSON-encoded value
-    std::vector<std::pair<std::string, std::string>> fields_;
+    ValueMap fields_;
   };
 
   Row& row() {
@@ -101,45 +94,16 @@ class JsonReport {
       std::fprintf(stderr, "bench: cannot write %s\n", path.c_str());
       return false;
     }
-    std::fprintf(f, "{\"bench\": \"%s\", \"rows\": [", escape(bench_).c_str());
-    for (std::size_t i = 0; i < rows_.size(); ++i) {
-      std::fprintf(f, "%s\n  {", i == 0 ? "" : ",");
-      const auto& fields = rows_[i].fields_;
-      for (std::size_t j = 0; j < fields.size(); ++j) {
-        std::fprintf(f, "%s\"%s\": %s", j == 0 ? "" : ", ",
-                     escape(fields[j].first).c_str(), fields[j].second.c_str());
-      }
-      std::fprintf(f, "}");
-    }
-    std::fprintf(f, "\n]}\n");
+    ValueList rows;
+    for (const Row& r : rows_) rows.emplace_back(r.fields_);
+    const std::string json =
+        json_write(ValueMap{{"bench", bench_}, {"rows", std::move(rows)}});
+    std::fprintf(f, "%s\n", json.c_str());
     std::fclose(f);
     return true;
   }
 
  private:
-  static std::string escape(const std::string& s) {
-    std::string out;
-    for (char raw : s) {
-      switch (raw) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\r': out += "\\r"; break;
-        case '\t': out += "\\t"; break;
-        default:
-          if (static_cast<unsigned char>(raw) < 0x20) {
-            char buf[8];
-            std::snprintf(buf, sizeof buf, "\\u%04x",
-                          static_cast<unsigned>(raw) & 0xff);
-            out += buf;
-          } else {
-            out.push_back(raw);
-          }
-      }
-    }
-    return out;
-  }
-
   std::string bench_;
   std::vector<Row> rows_;
 };

@@ -210,14 +210,6 @@ void BlockStream::consume(std::size_t n) {
   }
 }
 
-Bytes BlockStream::to_bytes() const {
-  Bytes out;
-  // hcm:allow(hotpath-bytes-growth): documented whole-stream copy-out
-  out.reserve(size_);
-  append_to(out);
-  return out;
-}
-
 std::string BlockStream::to_string() const {
   std::string out;
   out.reserve(size_);

@@ -100,7 +100,6 @@ class BlockStream : public BigEndianWriter<BlockStream> {
   void consume(std::size_t n);
 
   // Whole-stream copy-outs (diagnostics, legacy consumers).
-  [[nodiscard]] Bytes to_bytes() const;
   [[nodiscard]] std::string to_string() const;
   void append_to(std::string& out) const;
   void append_to(Bytes& out) const;

@@ -5,8 +5,6 @@
 namespace hcm {
 
 namespace {
-// Nesting bound: a hostile/corrupt buffer must not blow the stack.
-constexpr int kMaxDepth = 64;
 
 Result<Value> decode_rec(BufReader& r, int depth);
 
@@ -34,7 +32,7 @@ Status decode_list(BufReader& r, int depth, ValueList& out) {
 }
 
 Result<Value> decode_rec(BufReader& r, int depth) {
-  if (depth > kMaxDepth) return protocol_error("value nesting too deep");
+  if (depth > kMaxValueDepth) return protocol_error("value nesting too deep");
   auto tag = r.u8();
   if (!tag.is_ok()) return tag.status();
   switch (static_cast<ValueType>(tag.value())) {

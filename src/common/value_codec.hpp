@@ -9,6 +9,12 @@
 
 namespace hcm {
 
+// Deepest nesting the value decoders accept (this binary codec and the
+// SOAP XML one); a top-level value is depth 0. Bounds their recursion,
+// so hostile input is rejected with a Status instead of exhausting the
+// stack.
+inline constexpr int kMaxValueDepth = 64;
+
 // One encoder over either sink, BufWriter or BlockStream (instantiated
 // for both in value_codec.cpp).
 template <typename Sink>

@@ -2,7 +2,6 @@
 
 #include <charconv>
 
-#include "common/check.hpp"
 #include "common/strings.hpp"
 
 namespace hcm::http {
@@ -34,118 +33,58 @@ std::string& header_slot(Headers& headers, std::string_view name) {
 
 namespace {
 
-// Serialization renders straight into the sink handed to the stream —
-// the Bytes buffer or the wire path's pooled BlockStream — with no
-// intermediate std::string. Both sinks share one rendering core so the
-// emitted bytes are identical by construction.
-void append(Bytes& out, std::string_view s) {
-  out.insert(out.end(), s.begin(), s.end());
-}
-
-void append(BlockStream& out, std::string_view s) { out.append(s); }
-
-template <class Sink>
-void append_uint(Sink& out, unsigned long long v) {
+// Serialization renders straight into the wire path's pooled
+// BlockStream, with no intermediate std::string.
+void append_uint(BlockStream& out, unsigned long long v) {
   char buf[24];
   auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), v);
-  append(out, std::string_view(buf, static_cast<std::size_t>(end - buf)));
+  out.append(std::string_view(buf, static_cast<std::size_t>(end - buf)));
 }
 
-std::size_t headers_size(const Headers& headers) {
-  std::size_t n = 0;
-  for (const auto& [k, v] : headers) n += k.size() + v.size() + 4;
-  return n;
-}
-
-template <class Sink>
-void serialize_headers(Sink& out, const Headers& headers,
+void serialize_headers(BlockStream& out, const Headers& headers,
                        std::size_t body_size) {
   bool have_length = false;
   for (const auto& [k, v] : headers) {
-    append(out, k);
-    append(out, ": ");
+    out.append(k);
+    out.append(": ");
     if (iequals(k, "Content-Length")) {
       have_length = true;
       append_uint(out, body_size);
     } else {
-      append(out, v);
+      out.append(v);
     }
-    append(out, "\r\n");
+    out.append("\r\n");
   }
   if (!have_length) {
-    append(out, "Content-Length: ");
+    out.append("Content-Length: ");
     append_uint(out, body_size);
-    append(out, "\r\n");
+    out.append("\r\n");
   }
-  append(out, "\r\n");
-}
-
-template <class Sink>
-void serialize_request_head(Sink& out, const Request& r,
-                            std::size_t body_size) {
-  append(out, r.method);
-  append(out, " ");
-  append(out, r.target);
-  append(out, " ");
-  append(out, r.version);
-  append(out, "\r\n");
-  serialize_headers(out, r.headers, body_size);
-}
-
-template <class Sink>
-void serialize_response_head(Sink& out, const Response& r,
-                             std::size_t body_size) {
-  append(out, r.version);
-  append(out, " ");
-  append_uint(out, static_cast<unsigned long long>(r.status));
-  append(out, " ");
-  append(out, r.reason);
-  append(out, "\r\n");
-  serialize_headers(out, r.headers, body_size);
+  out.append("\r\n");
 }
 
 }  // namespace
 
-Bytes Request::serialize() const {
-  Bytes out;
-  // hcm:allow(hotpath-bytes-growth): legacy flat form off the wire path
-  out.reserve(method.size() + target.size() + version.size() + 4 +
-              headers_size(headers) + 32 + body.size());
-  serialize_request_head(out, *this, body.size());
-  append(out, body);
-  return out;
-}
-
 void Request::serialize_to(BlockStream& out) const {
-  serialize_request_head(out, *this, body.size());
+  out.append(method);
+  out.append(" ");
+  out.append(target);
+  out.append(" ");
+  out.append(version);
+  out.append("\r\n");
+  serialize_headers(out, headers, body.size());
   out.append(body);
-}
-
-void Request::serialize_head_to(BlockStream& out,
-                                std::size_t body_size) const {
-  HCM_DCHECK_MSG(body.empty(), "spliced-body form requires an empty body");
-  serialize_request_head(out, *this, body_size);
-}
-
-Bytes Response::serialize() const {
-  Bytes out;
-  // hcm:allow(hotpath-bytes-growth): legacy flat form off the wire path
-  out.reserve(version.size() + reason.size() + 6 + headers_size(headers) + 32 +
-              body.size());
-  serialize_response_head(out, *this, body.size());
-  append(out, body);
-  return out;
 }
 
 void Response::serialize_to(BlockStream& out) const {
-  serialize_response_head(out, *this, body.size());
+  out.append(version);
+  out.append(" ");
+  append_uint(out, static_cast<unsigned long long>(status));
+  out.append(" ");
+  out.append(reason);
+  out.append("\r\n");
+  serialize_headers(out, headers, body.size());
   out.append(body);
-}
-
-void Response::serialize_head_to(BlockStream& out,
-                                 std::size_t body_size) const {
-  HCM_DCHECK_MSG(body.empty(), "spliced-body form requires an empty body");
-  serialize_response_head(out, *this, body_size);
 }
 
 Response Response::make(int status, std::string reason, std::string body,
@@ -156,11 +95,6 @@ Response Response::make(int status, std::string reason, std::string body,
   r.body = std::move(body);
   r.set_header("Content-Type", std::move(content_type));
   return r;
-}
-
-Status MessageParser::feed(const Bytes& data) {
-  buf_.append(data.data(), data.size());
-  return try_parse();
 }
 
 Status MessageParser::feed(BlockStream&& data) {
@@ -291,26 +225,6 @@ Status MessageParser::parse_head(std::string_view head) {
     }
   }
   return Status::ok();
-}
-
-std::vector<Request> MessageParser::take_requests() {
-  std::vector<Request> out;
-  out.reserve(used_req_ - next_req_);
-  for (std::size_t i = next_req_; i < used_req_; ++i) {
-    out.push_back(std::move(requests_[i]));
-  }
-  next_req_ = used_req_ = 0;
-  return out;
-}
-
-std::vector<Response> MessageParser::take_responses() {
-  std::vector<Response> out;
-  out.reserve(used_resp_ - next_resp_);
-  for (std::size_t i = next_resp_; i < used_resp_; ++i) {
-    out.push_back(std::move(responses_[i]));
-  }
-  next_resp_ = used_resp_ = 0;
-  return out;
 }
 
 bool MessageParser::pop_request(Request& out) {

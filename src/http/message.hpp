@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "common/block_stream.hpp"
-#include "common/bytes.hpp"
 #include "common/status.hpp"
 
 namespace hcm::http {
@@ -39,15 +38,9 @@ struct Request {
   void set_header(std::string name, std::string value) {
     http::set_header(headers, std::move(name), std::move(value));
   }
-  // Serializes with a correct Content-Length.
-  [[nodiscard]] Bytes serialize() const;
-  // Identical bytes into pooled blocks (the wire path's form).
+  // Appends the message, with a correct Content-Length, to pooled
+  // blocks.
   void serialize_to(BlockStream& out) const;
-  // Head only, with an explicit Content-Length for a body that already
-  // lives in its own BlockStream; the caller splices the body on after
-  // (this->body must be empty — the SOAP fast path renders envelopes
-  // straight into pooled blocks and never materializes a body string).
-  void serialize_head_to(BlockStream& out, std::size_t body_size) const;
 };
 
 struct Response {
@@ -63,9 +56,7 @@ struct Response {
   void set_header(std::string name, std::string value) {
     http::set_header(headers, std::move(name), std::move(value));
   }
-  [[nodiscard]] Bytes serialize() const;
   void serialize_to(BlockStream& out) const;
-  void serialize_head_to(BlockStream& out, std::size_t body_size) const;
 
   static Response make(int status, std::string reason, std::string body,
                        std::string content_type = "text/plain");
@@ -83,16 +74,12 @@ class MessageParser {
   enum class Mode { kRequest, kResponse };
   explicit MessageParser(Mode mode) : mode_(mode) {}
 
+  // Splices the delivered blocks into accumulation without copying.
   // Returns a protocol error on malformed input; the connection should
   // then be dropped.
-  Status feed(const Bytes& data);
-  // Zero-copy form: splices the delivered blocks into accumulation.
   Status feed(BlockStream&& data);
 
-  // Completed messages, in arrival order. Caller takes them.
-  std::vector<Request> take_requests();
-  std::vector<Response> take_responses();
-  // Allocation-free draining (the wire path's form): moves the oldest
+  // Allocation-free draining, in arrival order: moves the oldest
   // completed message into `out`, false when none is pending.
   [[nodiscard]] bool pop_request(Request& out);
   [[nodiscard]] bool pop_response(Response& out);
@@ -112,8 +99,8 @@ class MessageParser {
   // FIFO of completed messages, kept as a ring of reusable slots:
   // [next_, used_) are pending, slots past used_ hold drained messages
   // whose storage the next completion swaps back into service. Slots
-  // are only destroyed by take_*(), so pop_*-based consumers run
-  // allocation-free at steady state.
+  // are never destroyed, so consumers run allocation-free at steady
+  // state.
   std::vector<Request> requests_;
   std::vector<Response> responses_;
   std::size_t next_req_ = 0;

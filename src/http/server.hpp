@@ -57,7 +57,7 @@ class HttpServer {
     net::StreamPtr stream;
     MessageParser parser{MessageParser::Mode::kRequest};
     // Drain slot for pop_request, so dispatch does not materialize a
-    // per-delivery vector the way take_requests() does.
+    // per-delivery vector.
     Request scratch_req;
   };
 

@@ -20,7 +20,7 @@ using StreamPtr = std::shared_ptr<Stream>;
 // Payloads travel as pooled BlockStreams end-to-end: the sender renders
 // into blocks, transit moves the chain (no copy), and the receiver
 // splices it straight into its parser. Handlers that still want flat
-// bytes call data.to_bytes()/to_string().
+// bytes call data.append_to()/to_string().
 using DataHandler = std::function<void(BlockStream&& data)>;
 using CloseHandler = std::function<void()>;
 

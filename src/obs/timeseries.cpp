@@ -5,6 +5,7 @@
 #include <fstream>
 
 #include "common/check.hpp"
+#include "common/fnv.hpp"
 #include "common/json.hpp"
 #include "obs/health.hpp"
 
@@ -12,20 +13,18 @@ namespace hcm::obs {
 
 namespace {
 
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
-
-void fold_byte(std::uint64_t& h, unsigned char b) {
-  h = (h ^ b) * kFnvPrime;
-}
+// Series-hash seed: one digit short of the FNV-1a offset basis. Pinned
+// series hashes depend on it, so it stays.
+constexpr std::uint64_t kSeriesSeed = 1469598103934665603ULL;
 
 void fold_u64(std::uint64_t& h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) fold_byte(h, (v >> (8 * i)) & 0xff);
+  for (int i = 0; i < 8; ++i) {
+    h = fnv1a_byte(h, static_cast<std::uint8_t>(v >> (8 * i)));
+  }
 }
 
 void fold_str(std::uint64_t& h, const std::string& s) {
-  for (char c : s) fold_byte(h, static_cast<unsigned char>(c));
-  fold_byte(h, 0xff);  // terminator so "ab"+"c" != "a"+"bc"
+  h = fnv1a_byte(fnv1a(h, s), 0xff);  // terminator so "ab"+"c" != "a"+"bc"
 }
 
 // The histogram-snapshot fields that become sub-series of a histogram
@@ -270,7 +269,7 @@ void TimeSeriesRecorder::each_series(
 }
 
 std::uint64_t TimeSeriesRecorder::hash_locked() const {
-  std::uint64_t h = kFnvOffset;
+  std::uint64_t h = kSeriesSeed;
   for (const auto& [name, s] : series_) {
     fold_str(h, name);
     for (std::size_t t = 0; t < s.rings.size(); ++t) {

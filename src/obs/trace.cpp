@@ -1,10 +1,10 @@
 #include "obs/trace.hpp"
 
-#include <cstdio>
 #include <fstream>
 #include <map>
 #include <sstream>
 
+#include "common/json.hpp"
 #include "common/logging.hpp"
 
 namespace hcm::obs {
@@ -15,26 +15,6 @@ std::string hex(std::uint64_t v) {
   std::ostringstream os;
   os << std::hex << v;
   return os.str();
-}
-
-void json_escape(std::ostringstream& os, const std::string& s) {
-  for (char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\r': os << "\\r"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          os << buf;
-        } else {
-          os << c;
-        }
-    }
-  }
 }
 
 }  // namespace
@@ -169,9 +149,8 @@ std::string Tracer::export_chrome(std::uint64_t trace_id) const {
     if (!first) os << ",";
     first = false;
     os << "{\"ph\":\"M\",\"pid\":1,\"tid\":" << tid
-       << ",\"name\":\"thread_name\",\"args\":{\"name\":\"";
-    json_escape(os, component);
-    os << "\"}}";
+       << ",\"name\":\"thread_name\",\"args\":{\"name\":\""
+       << json_escape(component) << "\"}}";
   }
   for (const auto& s : spans_) {
     if (trace_id != 0 && s.trace_id != trace_id) continue;
@@ -179,9 +158,8 @@ std::string Tracer::export_chrome(std::uint64_t trace_id) const {
     first = false;
     os << "{\"ph\":\"X\",\"pid\":1,\"tid\":" << tids[s.component]
        << ",\"ts\":" << s.start << ",\"dur\":" << (s.end - s.start)
-       << ",\"name\":\"";
-    json_escape(os, s.name);
-    os << "\",\"args\":{\"trace\":\"" << hex(s.trace_id) << "\",\"span\":\""
+       << ",\"name\":\"" << json_escape(s.name)
+       << "\",\"args\":{\"trace\":\"" << hex(s.trace_id) << "\",\"span\":\""
        << hex(s.span_id) << "\",\"parent\":\"" << hex(s.parent_span_id)
        << "\",\"ok\":" << (s.ok ? "true" : "false") << "}}";
   }

@@ -10,24 +10,25 @@
 
 #include <cstdint>
 
+#include "common/fnv.hpp"
 #include "sim/scheduler.hpp"
 
 namespace hcm::sim {
 
-// FNV-1a, 64-bit — stable across platforms and runs by construction.
+// FNV-1a over each mixed u64's little-endian bytes — stable across
+// platforms and runs by construction.
 class TraceHash {
  public:
   void mix(std::uint64_t x) {
     for (int i = 0; i < 8; ++i) {
-      hash_ ^= (x >> (i * 8)) & 0xffU;
-      hash_ *= 0x100000001b3ULL;
+      hash_ = fnv1a_byte(hash_, static_cast<std::uint8_t>(x >> (i * 8)));
     }
   }
 
   [[nodiscard]] std::uint64_t digest() const { return hash_; }
 
  private:
-  std::uint64_t hash_ = 0xcbf29ce484222325ULL;
+  std::uint64_t hash_ = kFnv1aOffset;
 };
 
 // Attaches to a Scheduler (via Scheduler::set_trace) on construction

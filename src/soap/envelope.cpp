@@ -3,7 +3,6 @@
 #include <charconv>
 #include <cstdlib>
 
-#include "common/block_stream.hpp"
 #include "soap/value_xml.hpp"
 #include "xml/xml.hpp"
 
@@ -16,10 +15,14 @@ constexpr const char* kEncNs = "http://schemas.xmlsoap.org/soap/encoding/";
 constexpr const char* kXsdNs = "http://www.w3.org/2001/XMLSchema";
 constexpr const char* kXsiNs = "http://www.w3.org/2001/XMLSchema-instance";
 
-// Prolog + <SOAP-ENV:Envelope> with the standard namespace set; the
-// writer streams straight into its sink, no Element tree on the encode
-// path.
-void open_envelope(xml::Writer& w) {
+// Clears `out` (keeping its capacity) and opens a writer on it with the
+// prolog + <SOAP-ENV:Envelope> and the standard namespace set already
+// written; the writer streams straight into the string, no Element tree
+// on the encode path.
+xml::Writer open_envelope(std::string& out) {
+  out.clear();
+  if (out.capacity() < 512) out.reserve(512);
+  xml::Writer w(out);
   w.prolog()
       .start("SOAP-ENV:Envelope")
       .attr("xmlns:SOAP-ENV", kEnvNs)
@@ -27,59 +30,12 @@ void open_envelope(xml::Writer& w) {
       .attr("xmlns:xsd", kXsdNs)
       .attr("xmlns:xsi", kXsiNs)
       .attr("SOAP-ENV:encodingStyle", kEncNs);
+  return w;
 }
 
 std::string_view u64_chars(std::uint64_t v, char (&buf)[24]) {
   auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), v);
   return {buf, static_cast<std::size_t>(end - buf)};
-}
-
-// Shared render cores: the std::string and BlockStream entry points
-// below differ only in the writer's sink, so the bytes stay identical
-// by construction (pinned by EnvelopeTest + the wire-equality tests).
-void render_call(xml::Writer& w, const std::string& ns,
-                 const std::string& method, const NamedValues& params,
-                 const obs::TraceContext& trace) {
-  open_envelope(w);
-  if (trace.valid()) {
-    char tid[24];
-    char sid[24];
-    w.start("SOAP-ENV:Header")
-        .start("hcm:Trace")
-        .attr("xmlns:hcm", "urn:hcm:trace")
-        .attr("traceId", u64_chars(trace.trace_id, tid))
-        .attr("spanId", u64_chars(trace.span_id, sid))
-        .end()
-        .end();
-  }
-  std::string qname = "m:";
-  qname += method;
-  w.start("SOAP-ENV:Body").start(qname).attr("xmlns:m", ns);
-  for (const auto& [name, value] : params) {
-    value_write(name, value, w);
-  }
-  w.end().end().end();
-}
-
-void render_response(xml::Writer& w, const std::string& ns,
-                     const std::string& method, const Value& result) {
-  open_envelope(w);
-  std::string qname = "m:";
-  qname += method;
-  qname += "Response";
-  w.start("SOAP-ENV:Body").start(qname).attr("xmlns:m", ns);
-  value_write("return", result, w);
-  w.end().end().end();
-}
-
-void render_fault(xml::Writer& w, const Fault& fault) {
-  open_envelope(w);
-  w.start("SOAP-ENV:Body")
-      .start("SOAP-ENV:Fault")
-      .leaf("faultcode", fault.code)
-      .leaf("faultstring", fault.string);
-  if (!fault.detail.empty()) w.leaf("detail", fault.detail);
-  w.end().end().end();
 }
 
 }  // namespace
@@ -124,69 +80,66 @@ std::string build_call(const std::string& ns, const std::string& method,
                        const NamedValues& params,
                        const obs::TraceContext& trace) {
   std::string out;
-  out.reserve(512);
-  xml::Writer w(out);
-  render_call(w, ns, method, params, trace);
+  build_call_into(out, ns, method, params, trace);
   return out;
 }
 
 std::string build_response(const std::string& ns, const std::string& method,
                            const Value& result) {
   std::string out;
-  out.reserve(512);
-  xml::Writer w(out);
-  render_response(w, ns, method, result);
+  build_response_into(out, ns, method, result);
   return out;
 }
 
 std::string build_fault(const Fault& fault) {
   std::string out;
-  out.reserve(512);
-  xml::Writer w(out);
-  render_fault(w, fault);
+  build_fault_into(out, fault);
   return out;
 }
 
 void build_call_into(std::string& out, const std::string& ns,
                      const std::string& method, const NamedValues& params,
                      const obs::TraceContext& trace) {
-  out.clear();
-  if (out.capacity() < 512) out.reserve(512);
-  xml::Writer w(out);
-  render_call(w, ns, method, params, trace);
+  xml::Writer w = open_envelope(out);
+  if (trace.valid()) {
+    char tid[24];
+    char sid[24];
+    w.start("SOAP-ENV:Header")
+        .start("hcm:Trace")
+        .attr("xmlns:hcm", "urn:hcm:trace")
+        .attr("traceId", u64_chars(trace.trace_id, tid))
+        .attr("spanId", u64_chars(trace.span_id, sid))
+        .end()
+        .end();
+  }
+  std::string qname = "m:";
+  qname += method;
+  w.start("SOAP-ENV:Body").start(qname).attr("xmlns:m", ns);
+  for (const auto& [name, value] : params) {
+    value_write(name, value, w);
+  }
+  w.end().end().end();
 }
 
 void build_response_into(std::string& out, const std::string& ns,
                          const std::string& method, const Value& result) {
-  out.clear();
-  if (out.capacity() < 512) out.reserve(512);
-  xml::Writer w(out);
-  render_response(w, ns, method, result);
+  xml::Writer w = open_envelope(out);
+  std::string qname = "m:";
+  qname += method;
+  qname += "Response";
+  w.start("SOAP-ENV:Body").start(qname).attr("xmlns:m", ns);
+  value_write("return", result, w);
+  w.end().end().end();
 }
 
 void build_fault_into(std::string& out, const Fault& fault) {
-  out.clear();
-  if (out.capacity() < 512) out.reserve(512);
-  xml::Writer w(out);
-  render_fault(w, fault);
-}
-
-void build_call_to(BlockStream& out, const std::string& ns,
-                   const std::string& method, const NamedValues& params,
-                   const obs::TraceContext& trace) {
-  xml::Writer w(out);
-  render_call(w, ns, method, params, trace);
-}
-
-void build_response_to(BlockStream& out, const std::string& ns,
-                       const std::string& method, const Value& result) {
-  xml::Writer w(out);
-  render_response(w, ns, method, result);
-}
-
-void build_fault_to(BlockStream& out, const Fault& fault) {
-  xml::Writer w(out);
-  render_fault(w, fault);
+  xml::Writer w = open_envelope(out);
+  w.start("SOAP-ENV:Body")
+      .start("SOAP-ENV:Fault")
+      .leaf("faultcode", fault.code)
+      .leaf("faultstring", fault.string);
+  if (!fault.detail.empty()) w.leaf("detail", fault.detail);
+  w.end().end().end();
 }
 
 namespace {

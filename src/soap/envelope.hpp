@@ -10,10 +10,6 @@
 #include "common/value.hpp"
 #include "obs/trace.hpp"
 
-namespace hcm {
-class BlockStream;
-}
-
 namespace hcm::soap {
 
 struct Fault {
@@ -63,16 +59,6 @@ void build_call_into(std::string& out, const std::string& ns,
 void build_response_into(std::string& out, const std::string& ns,
                          const std::string& method, const Value& result);
 void build_fault_into(std::string& out, const Fault& fault);
-
-// Pooled-sink forms: byte-identical envelopes appended to a
-// BlockStream, so the wire path renders straight into the HTTP body's
-// pooled blocks with no intermediate std::string.
-void build_call_to(BlockStream& out, const std::string& ns,
-                   const std::string& method, const NamedValues& params,
-                   const obs::TraceContext& trace);
-void build_response_to(BlockStream& out, const std::string& ns,
-                       const std::string& method, const Value& result);
-void build_fault_to(BlockStream& out, const Fault& fault);
 
 [[nodiscard]] Result<Envelope> parse_envelope(std::string_view body);
 

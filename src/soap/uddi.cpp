@@ -2,6 +2,7 @@
 
 #include <atomic>
 
+#include "common/fnv.hpp"
 #include "store/vsr_store.hpp"
 
 namespace hcm::soap {
@@ -41,18 +42,10 @@ std::string registry_fingerprint(
   // FNV-1a over the sorted (name, digest) pairs with NUL separators —
   // the map iteration order is already sorted, so registry and client
   // fold identical byte streams for identical sets.
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  auto mix = [&h](std::string_view s) {
-    for (unsigned char c : s) {
-      h ^= c;
-      h *= 0x100000001b3ULL;
-    }
-    h ^= 0;
-    h *= 0x100000001b3ULL;
-  };
+  std::uint64_t h = kFnv1aOffset;
   for (const auto& [name, digest] : digest_by_name) {
-    mix(name);
-    mix(digest);
+    h = fnv1a_byte(fnv1a(h, name), 0);
+    h = fnv1a_byte(fnv1a(h, digest), 0);
   }
   char buf[17];
   static const char* hex = "0123456789abcdef";

@@ -3,6 +3,7 @@
 #include <charconv>
 
 #include "common/base64.hpp"
+#include "common/value_codec.hpp"
 #include "common/strings.hpp"
 
 namespace hcm::soap {
@@ -245,7 +246,8 @@ Result<Value> value_from_xml(const xml::Element& elem) {
   return protocol_error("unhandled value type");
 }
 
-Result<Value> value_from_pull(xml::PullParser& p) {
+Result<Value> value_from_pull(xml::PullParser& p, int depth) {
+  if (depth > kMaxValueDepth) return protocol_error("value nesting too deep");
   // Typing attributes must be captured before any event advances the
   // parser past the start tag.
   std::string scratch;
@@ -305,7 +307,7 @@ Result<Value> value_from_pull(xml::PullParser& p) {
         key.assign(kv.value());
       }
     }
-    auto item = value_from_pull(p);
+    auto item = value_from_pull(p, depth + 1);
     if (!item.is_ok()) return item.status();
     kids.emplace_back(std::move(key), std::move(item).take());
   }

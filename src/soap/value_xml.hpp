@@ -19,9 +19,11 @@ void value_to_xml(const std::string& name, const Value& v, xml::Element& parent)
 // rendered straight into the writer's buffer, and decoding straight off
 // pull-parser events — no intermediate Element tree either way.
 void value_write(std::string_view name, const Value& v, xml::Writer& w);
-// Pre: the parser just produced kStart for the encoded element.
-// Post: the matching kEnd has been consumed.
-[[nodiscard]] Result<Value> value_from_pull(xml::PullParser& p);
+// Pre: the parser just produced kStart for the encoded element, which
+// sits `depth` levels below the top-level value. Post: the matching
+// kEnd has been consumed. Values nested past kMaxValueDepth are
+// rejected.
+[[nodiscard]] Result<Value> value_from_pull(xml::PullParser& p, int depth = 0);
 
 // The xsi:type string used for a ValueType ("xsd:long", "xsd:string", ...).
 [[nodiscard]] const char* xsi_type_for(ValueType t);

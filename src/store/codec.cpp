@@ -6,8 +6,6 @@ namespace hcm::store {
 
 namespace {
 
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
-
 // IEEE CRC32 table, computed at compile time (reflected polynomial).
 constexpr auto kCrcTable = [] {
   std::array<std::uint32_t, 256> t{};
@@ -24,12 +22,7 @@ constexpr auto kCrcTable = [] {
 }  // namespace
 
 std::uint64_t chain_hash(std::uint64_t seed, std::string_view bytes) {
-  std::uint64_t h = seed;
-  for (unsigned char c : bytes) {
-    h ^= c;
-    h *= kFnvPrime;
-  }
-  return h;
+  return fnv1a(seed, bytes);
 }
 
 std::string content_digest(std::string_view text) {

@@ -16,6 +16,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/fnv.hpp"
 #include "common/status.hpp"
 
 namespace hcm::store {
@@ -30,7 +31,7 @@ namespace hcm::store {
                                        std::string_view bytes);
 
 // The FNV-1a offset basis; genesis seed of every log's hash chain.
-inline constexpr std::uint64_t kChainGenesis = 0xcbf29ce484222325ULL;
+inline constexpr std::uint64_t kChainGenesis = kFnv1aOffset;
 
 // CRC32 (IEEE, reflected) over bytes.
 [[nodiscard]] std::uint32_t crc32(std::string_view bytes);

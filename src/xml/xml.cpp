@@ -4,7 +4,6 @@
 #include <cctype>
 #include <cstring>
 
-#include "common/block_stream.hpp"
 #include "common/strings.hpp"
 
 namespace hcm::xml {
@@ -154,73 +153,42 @@ std::string_view Element::text_view(std::string& scratch) const {
   return scratch;
 }
 
-namespace {
-
-// One escape core for both sinks; the sink shims keep the string
-// version's bytes (pinned by XmlWriterTest) authoritative for both.
-inline void sink_append(std::string& out, std::string_view s) {
-  out.append(s);
-}
-inline void sink_append(BlockStream& out, std::string_view s) {
-  out.append(s);
-}
-
-template <typename Out>
-void append_escaped_text_impl(Out& out, std::string_view s) {
+void append_escaped_text(std::string& out, std::string_view s) {
   std::size_t start = 0;
   while (true) {
     std::size_t i = scan_for(s, start, kTextEsc);
     if (i == s.size()) {
-      sink_append(out, s.substr(start));
+      out.append(s.substr(start));
       return;
     }
-    sink_append(out, s.substr(start, i - start));
+    out.append(s.substr(start, i - start));
     switch (s[i]) {
-      case '&': sink_append(out, "&amp;"); break;
-      case '<': sink_append(out, "&lt;"); break;
-      default: sink_append(out, "&gt;"); break;
+      case '&': out.append("&amp;"); break;
+      case '<': out.append("&lt;"); break;
+      default: out.append("&gt;"); break;
     }
     start = i + 1;
   }
 }
 
-template <typename Out>
-void append_escaped_attr_impl(Out& out, std::string_view s) {
+void append_escaped_attr(std::string& out, std::string_view s) {
   std::size_t start = 0;
   while (true) {
     std::size_t i = scan_for(s, start, kAttrEsc);
     if (i == s.size()) {
-      sink_append(out, s.substr(start));
+      out.append(s.substr(start));
       return;
     }
-    sink_append(out, s.substr(start, i - start));
+    out.append(s.substr(start, i - start));
     switch (s[i]) {
-      case '&': sink_append(out, "&amp;"); break;
-      case '<': sink_append(out, "&lt;"); break;
-      case '>': sink_append(out, "&gt;"); break;
-      case '"': sink_append(out, "&quot;"); break;
-      default: sink_append(out, "&apos;"); break;
+      case '&': out.append("&amp;"); break;
+      case '<': out.append("&lt;"); break;
+      case '>': out.append("&gt;"); break;
+      case '"': out.append("&quot;"); break;
+      default: out.append("&apos;"); break;
     }
     start = i + 1;
   }
-}
-
-}  // namespace
-
-void append_escaped_text(std::string& out, std::string_view s) {
-  append_escaped_text_impl(out, s);
-}
-
-void append_escaped_attr(std::string& out, std::string_view s) {
-  append_escaped_attr_impl(out, s);
-}
-
-void append_escaped_text(BlockStream& out, std::string_view s) {
-  append_escaped_text_impl(out, s);
-}
-
-void append_escaped_attr(BlockStream& out, std::string_view s) {
-  append_escaped_attr_impl(out, s);
 }
 
 std::string escape_text(std::string_view s) {
@@ -287,26 +255,6 @@ std::string Element::to_pretty_string() const {
 // Writer
 // ---------------------------------------------------------------------
 
-void Writer::put(char c) {
-  if (str_ != nullptr) {
-    *str_ += c;
-  } else {
-    blk_->put(c);
-  }
-}
-
-void Writer::put(std::string_view s) {
-  if (str_ != nullptr) {
-    str_->append(s);
-  } else {
-    blk_->append(s);
-  }
-}
-
-std::size_t Writer::out_size() const {
-  return str_ != nullptr ? str_->size() : blk_->size();
-}
-
 void Writer::push_open(Open o) {
   if (depth_ < kInlineDepth) {
     stack_[depth_] = o;
@@ -326,80 +274,55 @@ Writer::Open Writer::pop_open() {
 
 void Writer::close_start_tag() {
   if (in_start_tag_) {
-    put('>');
+    out_ += '>';
     in_start_tag_ = false;
   }
 }
 
 Writer& Writer::start(std::string_view name) {
   close_start_tag();
-  put('<');
-  const auto off = static_cast<std::uint32_t>(out_size());
-  put(name);
+  out_ += '<';
+  const auto off = static_cast<std::uint32_t>(out_.size());
+  out_.append(name);
   push_open({off, static_cast<std::uint32_t>(name.size())});
   in_start_tag_ = true;
   return *this;
 }
 
 Writer& Writer::attr(std::string_view name, std::string_view value) {
-  put(' ');
-  put(name);
-  put("=\"");
-  if (str_ != nullptr) {
-    append_escaped_attr(*str_, value);
-  } else {
-    append_escaped_attr(*blk_, value);
-  }
-  put('"');
+  out_ += ' ';
+  out_.append(name);
+  out_.append("=\"");
+  append_escaped_attr(out_, value);
+  out_ += '"';
   return *this;
 }
 
 Writer& Writer::text(std::string_view s) {
   close_start_tag();
-  if (str_ != nullptr) {
-    append_escaped_text(*str_, s);
-  } else {
-    append_escaped_text(*blk_, s);
-  }
+  append_escaped_text(out_, s);
   return *this;
 }
 
 Writer& Writer::raw(std::string_view s) {
   close_start_tag();
-  put(s);
+  out_.append(s);
   return *this;
 }
 
 Writer& Writer::end() {
   const Open open = pop_open();
   if (in_start_tag_) {
-    put("/>");
+    out_.append("/>");
     in_start_tag_ = false;
     return *this;
   }
-  if (str_ != nullptr) {
-    // Reserve first: the close-tag name is copied out of the buffer
-    // itself, so the source must not move mid-append.
-    str_->reserve(str_->size() + open.name_len + 3);
-    str_->append("</");
-    str_->append(str_->data() + open.name_off, open.name_len);
-    *str_ += '>';
-    return *this;
-  }
-  // Block sink: the name is read back out of the stream in bounded
-  // chunks (block appends never move already-written bytes).
-  blk_->append("</");
-  char tmp[64];
-  std::size_t off = open.name_off;
-  std::size_t left = open.name_len;
-  while (left > 0) {
-    const std::size_t take = left < sizeof(tmp) ? left : sizeof(tmp);
-    blk_->copy_to(tmp, off, take);
-    blk_->append(tmp, take);
-    off += take;
-    left -= take;
-  }
-  blk_->put('>');
+  // Reserve first: the close-tag name is copied out of the buffer
+  // itself, so the source must not move mid-append.
+  out_.reserve(out_.size() + open.name_len + 3);
+  out_.append("</");
+  out_.append(out_.data() + open.name_off, open.name_len);
+  out_ += '>';
   return *this;
 }
 
@@ -408,7 +331,7 @@ Writer& Writer::leaf(std::string_view name, std::string_view text_content) {
 }
 
 Writer& Writer::prolog() {
-  put("<?xml version=\"1.0\" encoding=\"UTF-8\"?>");
+  out_.append("<?xml version=\"1.0\" encoding=\"UTF-8\"?>");
   return *this;
 }
 

@@ -21,10 +21,6 @@
 
 #include "common/status.hpp"
 
-namespace hcm {
-class BlockStream;
-}
-
 namespace hcm::xml {
 
 class Element;
@@ -100,12 +96,9 @@ class Element {
 [[nodiscard]] std::string escape_text(std::string_view s);
 [[nodiscard]] std::string escape_attr(std::string_view s);
 // Appending forms with a memcpy fast path: runs without special
-// characters are copied in one shot instead of byte-by-byte. The
-// BlockStream overloads emit the same bytes into pooled blocks.
+// characters are copied in one shot instead of byte-by-byte.
 void append_escaped_text(std::string& out, std::string_view s);
 void append_escaped_attr(std::string& out, std::string_view s);
-void append_escaped_text(BlockStream& out, std::string_view s);
-void append_escaped_attr(BlockStream& out, std::string_view s);
 
 // Streaming serializer: renders into a caller-provided buffer with the
 // exact compact byte format Element::to_string produces, but with no
@@ -115,12 +108,8 @@ void append_escaped_attr(BlockStream& out, std::string_view s);
 class Writer {
  public:
   // Appends to `out`; the caller clears/reuses the buffer between
-  // messages. The buffer must outlive the writer. The BlockStream form
-  // renders the identical bytes into pooled blocks — the wire path
-  // uses it so envelope encoding touches the heap allocator only for
-  // pathological nesting depth (docs/PERFORMANCE.md §"Block pool").
-  explicit Writer(std::string& out) : str_(&out) {}
-  explicit Writer(BlockStream& out) : blk_(&out) {}
+  // messages. The buffer must outlive the writer.
+  explicit Writer(std::string& out) : out_(out) {}
 
   Writer& start(std::string_view name);
   // Valid only between start() and the first content/end() call.
@@ -142,14 +131,10 @@ class Writer {
   };
 
   void close_start_tag();
-  void put(char c);
-  void put(std::string_view s);
-  [[nodiscard]] std::size_t out_size() const;
   void push_open(Open o);
   [[nodiscard]] Open pop_open();
 
-  std::string* str_ = nullptr;
-  BlockStream* blk_ = nullptr;
+  std::string& out_;
   // Close-tag names are offsets into the output itself; the open stack
   // lives inline in the writer (SOAP/WSDL/UPnP nesting is shallow) with
   // a heap spill only past kInlineDepth.

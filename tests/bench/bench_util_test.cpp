@@ -37,6 +37,7 @@ TEST_F(JsonReportTest, EscapesControlCharactersInStrings) {
   report.row().str("k", "a\nb\tc \"quoted\" back\\slash \x01");
   ASSERT_TRUE(report.write(path_));
   const std::string json = slurp(path_);
+  EXPECT_TRUE(json_parse(json).is_ok()) << json;
   EXPECT_NE(json.find("a\\nb\\tc \\\"quoted\\\" back\\\\slash \\u0001"),
             std::string::npos)
       << json;

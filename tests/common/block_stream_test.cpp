@@ -140,7 +140,9 @@ TEST(BlockStreamTest, ToBytesMatchesAppendedBytes) {
   BlockStream s;  // default pool
   Bytes in = {0x00, 0xff, 0x10, 0x20};
   s.append(in);
-  EXPECT_EQ(s.to_bytes(), in);
+  Bytes out = {0x7f};  // append_to appends after existing contents
+  s.append_to(out);
+  EXPECT_EQ(out, (Bytes{0x7f, 0x00, 0xff, 0x10, 0x20}));
 }
 
 }  // namespace

@@ -25,7 +25,8 @@ TEST(FrameReaderTest, SingleFrame) {
 TEST(FrameReaderTest, SplitAcrossFeeds) {
   FrameReader reader;
   std::vector<Bytes> out;
-  Bytes wire = frame(to_bytes("split")).to_bytes();
+  Bytes wire;
+  frame(to_bytes("split")).append_to(wire);
   for (auto b : wire) {
     BlockStream chunk;
     chunk.append(&b, 1);

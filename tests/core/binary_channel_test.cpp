@@ -47,7 +47,11 @@ const Bytes kErrorReply = {
     0x00, 0x00, 0x00, 0x04, 'n', 'o', 'p', 'e'};     // message
 
 // `payload` behind its true length prefix.
-Bytes framed(const Bytes& payload) { return frame(payload).to_bytes(); }
+Bytes framed(const Bytes& payload) {
+  Bytes out;
+  frame(payload).append_to(out);
+  return out;
+}
 
 // Hostile frames common to both ends: every truncation of `goldens`
 // (prefix rewritten to match, so each arrives as a whole frame), each

@@ -2,7 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
+#include <string>
+#include <vector>
 
 #include "common/block_pool.hpp"
 #include "common/block_stream.hpp"
@@ -11,13 +12,27 @@
 namespace hcm::http {
 namespace {
 
+// The stack's only wire form: a message rendered into pooled blocks.
+template <class Msg>
+BlockStream wire_of(const Msg& msg) {
+  BlockStream out;
+  msg.serialize_to(out);
+  return out;
+}
+
+BlockStream raw_wire(std::string_view bytes) {
+  BlockStream out;
+  out.append(bytes);
+  return out;
+}
+
 TEST(HttpMessageTest, RequestSerializeIncludesContentLength) {
   Request req;
   req.method = "POST";
   req.target = "/soap";
   req.body = "hello";
   req.set_header("Content-Type", "text/xml");
-  auto s = to_string(req.serialize());
+  const std::string s = wire_of(req).to_string();
   EXPECT_NE(s.find("POST /soap HTTP/1.1\r\n"), std::string::npos);
   EXPECT_NE(s.find("Content-Length: 5\r\n"), std::string::npos);
   EXPECT_NE(s.find("\r\n\r\nhello"), std::string::npos);
@@ -45,37 +60,40 @@ TEST(HttpParserTest, ParseSingleRequest) {
   req.method = "POST";
   req.target = "/x";
   req.body = "body!";
-  ASSERT_TRUE(p.feed(req.serialize()).is_ok());
-  auto reqs = p.take_requests();
-  ASSERT_EQ(reqs.size(), 1u);
-  EXPECT_EQ(reqs[0].method, "POST");
-  EXPECT_EQ(reqs[0].target, "/x");
-  EXPECT_EQ(reqs[0].body, "body!");
+  ASSERT_TRUE(p.feed(wire_of(req)).is_ok());
+  Request got;
+  ASSERT_TRUE(p.pop_request(got));
+  EXPECT_EQ(got.method, "POST");
+  EXPECT_EQ(got.target, "/x");
+  EXPECT_EQ(got.body, "body!");
+  EXPECT_FALSE(p.pop_request(got));
 }
 
 TEST(HttpParserTest, ParseResponseWithReasonPhrase) {
   MessageParser p(MessageParser::Mode::kResponse);
   Response resp = Response::make(404, "Not Found", "nope");
-  ASSERT_TRUE(p.feed(resp.serialize()).is_ok());
-  auto resps = p.take_responses();
-  ASSERT_EQ(resps.size(), 1u);
-  EXPECT_EQ(resps[0].status, 404);
-  EXPECT_EQ(resps[0].reason, "Not Found");
-  EXPECT_EQ(resps[0].body, "nope");
+  ASSERT_TRUE(p.feed(wire_of(resp)).is_ok());
+  Response got;
+  ASSERT_TRUE(p.pop_response(got));
+  EXPECT_EQ(got.status, 404);
+  EXPECT_EQ(got.reason, "Not Found");
+  EXPECT_EQ(got.body, "nope");
+  EXPECT_FALSE(p.pop_response(got));
 }
 
 TEST(HttpParserTest, ByteAtATimeFeeding) {
   MessageParser p(MessageParser::Mode::kRequest);
   Request req;
   req.body = "chunky";
-  Bytes wire = req.serialize();
-  std::vector<Request> all;
-  for (auto b : wire) {
-    ASSERT_TRUE(p.feed({b}).is_ok());
-    for (auto& r : p.take_requests()) all.push_back(std::move(r));
+  const std::string wire = wire_of(req).to_string();
+  std::vector<std::string> bodies;
+  Request got;
+  for (char c : wire) {
+    ASSERT_TRUE(p.feed(raw_wire(std::string_view(&c, 1))).is_ok());
+    while (p.pop_request(got)) bodies.push_back(got.body);
   }
-  ASSERT_EQ(all.size(), 1u);
-  EXPECT_EQ(all[0].body, "chunky");
+  ASSERT_EQ(bodies.size(), 1u);
+  EXPECT_EQ(bodies[0], "chunky");
 }
 
 TEST(HttpParserTest, PipelinedMessages) {
@@ -84,63 +102,65 @@ TEST(HttpParserTest, PipelinedMessages) {
   a.target = "/one";
   b.target = "/two";
   b.body = "data";
-  Bytes wire = a.serialize();
-  Bytes wire_b = b.serialize();
-  wire.insert(wire.end(), wire_b.begin(), wire_b.end());
-  ASSERT_TRUE(p.feed(wire).is_ok());
-  auto reqs = p.take_requests();
-  ASSERT_EQ(reqs.size(), 2u);
-  EXPECT_EQ(reqs[0].target, "/one");
-  EXPECT_EQ(reqs[1].target, "/two");
-  EXPECT_EQ(reqs[1].body, "data");
+  BlockStream wire = wire_of(a);
+  b.serialize_to(wire);
+  ASSERT_TRUE(p.feed(std::move(wire)).is_ok());
+  Request got;
+  ASSERT_TRUE(p.pop_request(got));
+  EXPECT_EQ(got.target, "/one");
+  ASSERT_TRUE(p.pop_request(got));
+  EXPECT_EQ(got.target, "/two");
+  EXPECT_EQ(got.body, "data");
+  EXPECT_FALSE(p.pop_request(got));
 }
 
 TEST(HttpParserTest, ZeroLengthBody) {
   MessageParser p(MessageParser::Mode::kRequest);
-  ASSERT_TRUE(p.feed(to_bytes("GET / HTTP/1.1\r\n\r\n")).is_ok());
-  auto reqs = p.take_requests();
-  ASSERT_EQ(reqs.size(), 1u);
-  EXPECT_EQ(reqs[0].body, "");
+  ASSERT_TRUE(p.feed(raw_wire("GET / HTTP/1.1\r\n\r\n")).is_ok());
+  Request got;
+  ASSERT_TRUE(p.pop_request(got));
+  EXPECT_EQ(got.body, "");
+  EXPECT_FALSE(p.pop_request(got));
 }
 
 TEST(HttpParserTest, MalformedRequestLine) {
   MessageParser p(MessageParser::Mode::kRequest);
-  EXPECT_FALSE(p.feed(to_bytes("NONSENSE\r\n\r\n")).is_ok());
+  EXPECT_FALSE(p.feed(raw_wire("NONSENSE\r\n\r\n")).is_ok());
 }
 
 TEST(HttpParserTest, MalformedHeaderLine) {
   MessageParser p(MessageParser::Mode::kRequest);
   EXPECT_FALSE(
-      p.feed(to_bytes("GET / HTTP/1.1\r\nBadHeaderNoColon\r\n\r\n")).is_ok());
+      p.feed(raw_wire("GET / HTTP/1.1\r\nBadHeaderNoColon\r\n\r\n")).is_ok());
 }
 
 TEST(HttpParserTest, BadContentLength) {
   MessageParser p(MessageParser::Mode::kRequest);
   EXPECT_FALSE(
-      p.feed(to_bytes("GET / HTTP/1.1\r\nContent-Length: abc\r\n\r\n"))
+      p.feed(raw_wire("GET / HTTP/1.1\r\nContent-Length: abc\r\n\r\n"))
           .is_ok());
 }
 
 TEST(HttpParserTest, BadStatusCode) {
   MessageParser p(MessageParser::Mode::kResponse);
-  EXPECT_FALSE(p.feed(to_bytes("HTTP/1.1 XX OK\r\n\r\n")).is_ok());
+  EXPECT_FALSE(p.feed(raw_wire("HTTP/1.1 XX OK\r\n\r\n")).is_ok());
 }
 
 TEST(HttpParserTest, OversizedHeadersRejected) {
   MessageParser p(MessageParser::Mode::kRequest);
   std::string big = "GET / HTTP/1.1\r\nX-Pad: ";
   big += std::string(100 * 1024, 'a');  // never terminates headers
-  EXPECT_FALSE(p.feed(to_bytes(big)).is_ok());
+  EXPECT_FALSE(p.feed(raw_wire(big)).is_ok());
 }
 
 TEST(HttpParserTest, HeaderWhitespaceTrimmed) {
   MessageParser p(MessageParser::Mode::kRequest);
   ASSERT_TRUE(
-      p.feed(to_bytes("GET / HTTP/1.1\r\nX-K:   padded value  \r\n\r\n"))
+      p.feed(raw_wire("GET / HTTP/1.1\r\nX-K:   padded value  \r\n\r\n"))
           .is_ok());
-  auto reqs = p.take_requests();
-  ASSERT_EQ(reqs.size(), 1u);
-  EXPECT_EQ(*reqs[0].header("X-K"), "padded value");
+  Request got;
+  ASSERT_TRUE(p.pop_request(got));
+  EXPECT_EQ(*got.header("X-K"), "padded value");
 }
 
 TEST(HttpParserTest, LargeBodySpansBlockSeams) {
@@ -178,22 +198,21 @@ TEST(HttpParserTest, SoapEnvelopeSplitAcrossDeliveries) {
   req.target = "/vsg/calc";
   req.body = envelope;
   req.set_header("Content-Type", "text/xml");
-  const Bytes wire = req.serialize();
+  const std::string wire = wire_of(req).to_string();
 
   for (std::size_t chunk :
        {std::size_t{1}, std::size_t{7}, std::size_t{64}, wire.size()}) {
     MessageParser parser(MessageParser::Mode::kRequest);
     for (std::size_t off = 0; off < wire.size(); off += chunk) {
-      const std::size_t n = std::min(chunk, wire.size() - off);
       ASSERT_TRUE(
-          parser.feed(Bytes(wire.begin() + static_cast<std::ptrdiff_t>(off),
-                            wire.begin() + static_cast<std::ptrdiff_t>(off + n)))
+          parser.feed(raw_wire(std::string_view(wire).substr(off, chunk)))
               .is_ok());
     }
-    auto reqs = parser.take_requests();
-    ASSERT_EQ(reqs.size(), 1u) << "chunk size " << chunk;
-    EXPECT_EQ(reqs[0].body, envelope);
-    auto env = soap::parse_envelope(reqs[0].body);
+    Request got;
+    ASSERT_TRUE(parser.pop_request(got)) << "chunk size " << chunk;
+    EXPECT_FALSE(parser.pop_request(got));
+    EXPECT_EQ(got.body, envelope);
+    auto env = soap::parse_envelope(got.body);
     ASSERT_TRUE(env.is_ok()) << env.status().to_string();
     EXPECT_EQ(env.value().method, "add");
     ASSERT_EQ(env.value().params.size(), 2u);

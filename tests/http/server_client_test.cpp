@@ -243,26 +243,32 @@ TEST_F(HttpEndToEndTest, WireBytesMatchSerializedMessageSizes) {
   req.target = "/echo";
   req.body = "payload-0123456789";
   req.set_header("Content-Type", "text/plain");
-  const Bytes wire = req.serialize();
+  BlockStream wire;
+  req.serialize_to(wire);
+  const std::size_t wire_size = wire.size();
 
-  Bytes received;
+  BlockStream received;
   stream->set_on_data(
-      [&](BlockStream&& data) { data.append_to(received); });
-  stream->send(req.serialize());
+      [&](BlockStream&& data) { received.splice(std::move(data)); });
+  stream->send(std::move(wire));
   sched.run();
 
-  EXPECT_EQ(stream->bytes_sent(), wire.size());
+  EXPECT_EQ(stream->bytes_sent(), wire_size);
   ASSERT_FALSE(received.empty());
   EXPECT_EQ(stream->bytes_received(), received.size());
 
   // The received bytes re-serialize to the identical frame: parse the
   // response and compare byte counts.
+  const std::size_t received_size = received.size();
   MessageParser parser(MessageParser::Mode::kResponse);
-  ASSERT_TRUE(parser.feed(received).is_ok());
-  auto resps = parser.take_responses();
-  ASSERT_EQ(resps.size(), 1u);
-  EXPECT_EQ(resps[0].body, req.body);
-  EXPECT_EQ(resps[0].serialize().size(), received.size());
+  ASSERT_TRUE(parser.feed(std::move(received)).is_ok());
+  Response got;
+  ASSERT_TRUE(parser.pop_response(got));
+  EXPECT_FALSE(parser.pop_response(got));
+  EXPECT_EQ(got.body, req.body);
+  BlockStream reserialized;
+  got.serialize_to(reserialized);
+  EXPECT_EQ(reserialized.size(), received_size);
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include <chrono>
 #include <vector>
 
+#include "common/json.hpp"
 #include "common/logging.hpp"
 #include "obs/metrics.hpp"
 
@@ -137,6 +138,7 @@ TEST_F(TracerTest, ChromeExportContainsCompleteEventsAndThreadNames) {
   tracer().end_span(root, 200);
 
   std::string json = tracer().export_chrome();
+  EXPECT_TRUE(json_parse(json).is_ok()) << json;
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
   EXPECT_NE(json.find("thread_name"), std::string::npos);

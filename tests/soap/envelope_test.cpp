@@ -2,8 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include "common/value_codec.hpp"
+
 namespace hcm::soap {
 namespace {
+
+// An int wrapped in `levels` single-item lists: the outermost list is
+// the top-level value (depth 0) and the int sits at depth `levels`.
+Value nested(int levels) {
+  Value v(1);
+  for (int i = 0; i < levels; ++i) v = Value(ValueList{v});
+  return v;
+}
 
 TEST(EnvelopeTest, CallRoundTrip) {
   NamedValues params{{"channel", Value(5)}, {"name", Value("NHK")}};
@@ -101,6 +111,39 @@ TEST(EnvelopeTest, WireSizeIsSubstantial) {
   // ablation quantifies this.
   auto wire = build_call("urn:x", "m", {{"a", Value(1)}});
   EXPECT_GT(wire.size(), 300u);
+}
+
+TEST(EnvelopeTest, NestingAtTheDepthLimitIsAccepted) {
+  const Value deep = nested(kMaxValueDepth);
+  auto env = parse_envelope(build_call("urn:x", "m", {{"p", deep}}));
+  ASSERT_TRUE(env.is_ok()) << env.status().to_string();
+  EXPECT_EQ(env.value().params[0].second, deep);
+  // The binary codec shares the bound.
+  EXPECT_TRUE(decode_value(encode_value(deep)).is_ok());
+}
+
+TEST(EnvelopeTest, NestingPastTheDepthLimitIsRejected) {
+  const Value deep = nested(kMaxValueDepth + 1);
+  auto env = parse_envelope(build_call("urn:x", "m", {{"p", deep}}));
+  ASSERT_FALSE(env.is_ok());
+  EXPECT_EQ(env.status().code(), StatusCode::kProtocolError);
+  EXPECT_FALSE(decode_value(encode_value(deep)).is_ok());
+}
+
+TEST(EnvelopeTest, HostileNestingIsRejectedWithoutCrashing) {
+  // ~700 KB of untyped nesting: one decoder frame per level used to
+  // overflow the stack.
+  constexpr int kLevels = 100'000;
+  std::string wire =
+      "<SOAP-ENV:Envelope "
+      "xmlns:SOAP-ENV=\"http://schemas.xmlsoap.org/soap/envelope/\">"
+      "<SOAP-ENV:Body><m:m xmlns:m=\"urn:x\"><p>";
+  for (int i = 0; i < kLevels; ++i) wire += "<a>";
+  for (int i = 0; i < kLevels; ++i) wire += "</a>";
+  wire += "</p></m:m></SOAP-ENV:Body></SOAP-ENV:Envelope>";
+  auto env = parse_envelope(wire);
+  ASSERT_FALSE(env.is_ok());
+  EXPECT_EQ(env.status().code(), StatusCode::kProtocolError);
 }
 
 }  // namespace

@@ -7,8 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
 #include <string>
 
+#include "common/json.hpp"
 #include "hcm_analyze/analysis.hpp"
 #include "hcm_analyze/passes.hpp"
 #include "hcm_analyze/token_stream.hpp"
@@ -87,16 +89,6 @@ TEST(TokenStreamTest, ProseMentionOfAllowIsNotAnAnnotation) {
       lex("// the `hcm:allow(<rule>): reason` syntax is documented\n"
           "int x = 0;\n");
   EXPECT_TRUE(ts.allows.empty());
-}
-
-TEST(TokenStreamTest, BlankNoncodeIsRawStringSafe) {
-  std::string blanked = blank_noncode(
-      "auto s = R\"(Status phantom();)\";\n"
-      "int keep; // gone\n");
-  EXPECT_EQ(blanked.find("phantom"), std::string::npos);
-  EXPECT_EQ(blanked.find("gone"), std::string::npos);
-  EXPECT_NE(blanked.find("int keep;"), std::string::npos);
-  EXPECT_EQ(std::count(blanked.begin(), blanked.end(), '\n'), 2);
 }
 
 TEST(TokenStreamTest, FunctionRangesCoverMemberAndFree) {
@@ -476,6 +468,121 @@ TEST(ShardTest, MutableStaticLocalIsFlagged) {
   EXPECT_EQ(find_rule(fs, "shard-static-local")->line, 2);
 }
 
+// --- Status discipline --------------------------------------------------
+
+TEST(SourceScanTest, StripPreservesOffsetsAndRemovesLiterals) {
+  // Status-shaped text in a comment or a string is not a declaration,
+  // and the lexer keeps line numbers exact past both.
+  auto fs = nodiscard_check(
+      "src/core/f.hpp",
+      lex("int a; // Status start();\n"
+          "const char* s = \"Status x();\";\n"
+          "Status real();\n"));
+  ASSERT_EQ(fs.size(), 1u) << format_findings(fs);
+  EXPECT_EQ(fs[0].rule, "missing-nodiscard");
+  EXPECT_EQ(fs[0].file, "src/core/f.hpp");
+  EXPECT_EQ(fs[0].line, 3);
+}
+
+// Regression: a line-based scanner that did not understand raw string
+// literals saw the `Status name();` inside R"(...)" and reported a
+// phantom missing-nodiscard finding.
+TEST(SourceScanTest, RawStringContentsAreBlanked) {
+  TokenStream ts = lex(
+      "const char* fixture = R\"xml(\n"
+      "  Status not_a_decl();\n"
+      ")xml\";\n"
+      "Status after();\n");
+  EXPECT_EQ(status_functions(ts), std::set<std::string>{"after"});
+  auto fs = nodiscard_check("src/common/f.hpp", ts);
+  ASSERT_EQ(fs.size(), 1u) << format_findings(fs);
+  EXPECT_EQ(fs[0].line, 4);
+}
+
+TEST(SourceScanTest, MissingNodiscardIsFlagged) {
+  auto fs = nodiscard_check("src/core/f.hpp",
+                            lex("struct S {\n"
+                                "  Status start();\n"
+                                "};\n"));
+  ASSERT_EQ(fs.size(), 1u) << format_findings(fs);
+  EXPECT_EQ(fs[0].rule, "missing-nodiscard");
+  EXPECT_EQ(fs[0].file, "src/core/f.hpp");
+  EXPECT_EQ(fs[0].line, 2);
+  EXPECT_NE(fs[0].message.find("'start'"), std::string::npos);
+}
+
+TEST(SourceScanTest, AnnotatedDeclarationsPass) {
+  auto fs = nodiscard_check(
+      "src/core/f.hpp",
+      lex("struct S {\n"
+          " public:\n"
+          "  [[nodiscard]] Status start();\n"
+          "  [[nodiscard]] Result<int> count() const;\n"
+          "  [[nodiscard]] Result<std::vector<int>> list();\n"
+          "  [[nodiscard]] virtual Status stop() = 0;\n"
+          "};\n"));
+  EXPECT_TRUE(fs.empty()) << format_findings(fs);
+}
+
+TEST(SourceScanTest, NonDeclarationsAreIgnored) {
+  auto fs = nodiscard_check(
+      "src/core/f.hpp",
+      lex("Status status_;\n"                       // member variable
+          "Status s;\n"                             // local
+          "void f(const Status& s);\n"              // parameter
+          "Status() = default;\n"                   // constructor
+          "const Status& last() const;\n"           // by-reference return
+          "using Fn = std::function<void(Result<int>)>;\n"
+          "int g() { return Status::ok().is_ok(); }\n"));
+  EXPECT_TRUE(fs.empty()) << format_findings(fs);
+}
+
+TEST(SourceScanTest, CollectFindsStatusReturningFunctions) {
+  auto fns = status_functions(
+      lex("struct S { [[nodiscard]] Status start(); };\n"
+          "[[nodiscard]] Result<int> parse(const std::string&);\n"
+          "void unrelated();\n"));
+  EXPECT_EQ(fns, (std::set<std::string>{"parse", "start"}));
+}
+
+TEST(SourceScanTest, DiscardedCallIsFlagged) {
+  auto fs = discarded_status_check("src/http/f.cpp",
+                                   lex("void f(Server& s) {\n"
+                                       "  s.start();\n"
+                                       "  ptr->inner.start();\n"
+                                       "}\n"),
+                                   {"start"});
+  ASSERT_EQ(count_rule(fs, "discarded-status"), 2) << format_findings(fs);
+  EXPECT_EQ(fs[0].file, "src/http/f.cpp");
+  EXPECT_EQ(fs[0].line, 2);
+  EXPECT_EQ(fs[1].line, 3);
+}
+
+TEST(SourceScanTest, HandledCallsAreNotFlagged) {
+  auto fs = discarded_status_check(
+      "src/http/f.cpp",
+      lex("void f(Server& s) {\n"
+          "  Status st = s.start();\n"
+          "  (void)s.start();\n"
+          "  if (s.start().is_ok()) {}\n"
+          "  return s.start();\n"
+          "  EXPECT_TRUE(s.start().is_ok());\n"
+          "  auto chained = s.start().to_string();\n"
+          "  Status t = ready ? Status::ok() : s.start();\n"
+          "  Status start();\n"
+          "}\n"),
+      {"start"});
+  EXPECT_TRUE(fs.empty()) << format_findings(fs);
+}
+
+TEST(SourceScanTest, CoverageIsCommonAndCoreHeaders) {
+  EXPECT_TRUE(status_decls_covered("src/common/status.hpp"));
+  EXPECT_TRUE(status_decls_covered("src/core/adapters/x10_adapter.hpp"));
+  EXPECT_FALSE(status_decls_covered("src/core/vsg.cpp"));
+  EXPECT_FALSE(status_decls_covered("src/http/server.hpp"));
+  EXPECT_FALSE(status_decls_covered("tools/hcm_lint/lint.hpp"));
+}
+
 // --- suppression machinery ----------------------------------------------
 
 TEST(SuppressionTest, AllowOnLineAboveSuppresses) {
@@ -620,6 +727,7 @@ TEST(AnalyzeJsonTest, SchemaRoundTrips) {
                              "startup-only \"config\" with\nquotes"});
 
   std::string json = report_to_json(report);
+  EXPECT_TRUE(json_parse(json).is_ok()) << json;
   Report parsed;
   std::string err;
   ASSERT_TRUE(report_from_json(json, &parsed, &err)) << err;

@@ -5,9 +5,6 @@
 #include <functional>
 #include <random>
 
-#include "common/block_pool.hpp"
-#include "common/block_stream.hpp"
-
 namespace hcm::xml {
 namespace {
 
@@ -269,26 +266,6 @@ TEST(XmlWriterTest, MatchesElementRenderingByteForByte) {
       .leaf("leaf", "")
       .end();
   EXPECT_EQ(out, e.to_string());
-}
-
-TEST(XmlWriterTest, BlockStreamFormMatchesStringFormAcrossSeams) {
-  // Enough text to cross several 16 KB block boundaries, with escapes
-  // sprinkled in so the escaped runs can straddle a seam too.
-  std::string big;
-  while (big.size() < 3 * BlockPool::kBlockCapacity) {
-    big += "a run of clean text & a <tagged> bit, ";
-  }
-  auto render = [&](auto& sink) {
-    Writer w(sink);
-    w.start("root").attr("k", "v<&").start("kid").text(big).end().leaf(
-        "leaf", big).end();
-  };
-  std::string flat;
-  render(flat);
-  BlockStream pooled;
-  render(pooled);
-  EXPECT_GT(pooled.size(), 2 * BlockPool::kBlockCapacity);
-  EXPECT_EQ(pooled.to_string(), flat);
 }
 
 TEST(XmlWriterTest, BufferReuseAppendsCleanly) {

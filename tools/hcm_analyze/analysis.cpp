@@ -1,9 +1,9 @@
 #include "hcm_analyze/analysis.hpp"
 
 #include <algorithm>
-#include <cctype>
-#include <cstdio>
 #include <sstream>
+
+#include "common/json.hpp"
 
 namespace hcm::analyze {
 
@@ -190,250 +190,62 @@ std::vector<BaselineEntry> baseline_from_findings(
 
 // --- JSON ---------------------------------------------------------------
 
-namespace {
-
-void json_escape(std::ostringstream& out, const std::string& s) {
-  out << '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': out << "\\\""; break;
-      case '\\': out << "\\\\"; break;
-      case '\n': out << "\\n"; break;
-      case '\t': out << "\\t"; break;
-      case '\r': out << "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out << buf;
-        } else {
-          out << c;
-        }
-    }
-  }
-  out << '"';
-}
-
-// Minimal recursive-descent parser for the subset report_to_json
-// emits: objects, arrays, strings, integers, booleans.
-struct JsonParser {
-  const std::string& s;
-  std::size_t i = 0;
-  std::string err;
-
-  void skip_ws() {
-    while (i < s.size() &&
-           std::isspace(static_cast<unsigned char>(s[i])) != 0) {
-      ++i;
-    }
-  }
-
-  bool fail(const std::string& what) {
-    if (err.empty()) err = what + " at offset " + std::to_string(i);
-    return false;
-  }
-
-  bool expect(char c) {
-    skip_ws();
-    if (i >= s.size() || s[i] != c) {
-      return fail(std::string("expected '") + c + "'");
-    }
-    ++i;
-    return true;
-  }
-
-  bool peek(char c) {
-    skip_ws();
-    return i < s.size() && s[i] == c;
-  }
-
-  bool parse_string(std::string* out) {
-    skip_ws();
-    if (i >= s.size() || s[i] != '"') return fail("expected string");
-    ++i;
-    out->clear();
-    while (i < s.size() && s[i] != '"') {
-      char c = s[i];
-      if (c == '\\' && i + 1 < s.size()) {
-        char e = s[i + 1];
-        i += 2;
-        switch (e) {
-          case 'n': out->push_back('\n'); break;
-          case 't': out->push_back('\t'); break;
-          case 'r': out->push_back('\r'); break;
-          case 'u':
-            if (i + 4 <= s.size()) {
-              out->push_back(static_cast<char>(
-                  std::stoi(s.substr(i, 4), nullptr, 16)));
-              i += 4;
-            }
-            break;
-          default: out->push_back(e);
-        }
-      } else {
-        out->push_back(c);
-        ++i;
-      }
-    }
-    if (i >= s.size()) return fail("unterminated string");
-    ++i;
-    return true;
-  }
-
-  bool parse_int(long long* out) {
-    skip_ws();
-    std::size_t begin = i;
-    if (i < s.size() && s[i] == '-') ++i;
-    while (i < s.size() && std::isdigit(static_cast<unsigned char>(s[i])))
-      ++i;
-    if (i == begin) return fail("expected number");
-    *out = std::stoll(s.substr(begin, i - begin));
-    return true;
-  }
-
-  bool parse_bool(bool* out) {
-    skip_ws();
-    if (s.compare(i, 4, "true") == 0) {
-      *out = true;
-      i += 4;
-      return true;
-    }
-    if (s.compare(i, 5, "false") == 0) {
-      *out = false;
-      i += 5;
-      return true;
-    }
-    return fail("expected bool");
-  }
-
-  // Skips any value (for unknown keys).
-  bool skip_value() {
-    skip_ws();
-    if (i >= s.size()) return fail("expected value");
-    char c = s[i];
-    if (c == '"') {
-      std::string tmp;
-      return parse_string(&tmp);
-    }
-    if (c == '{' || c == '[') {
-      char open = c;
-      char close = open == '{' ? '}' : ']';
-      int depth = 0;
-      bool in_str = false;
-      for (; i < s.size(); ++i) {
-        char x = s[i];
-        if (in_str) {
-          if (x == '\\') ++i;
-          else if (x == '"') in_str = false;
-        } else if (x == '"') {
-          in_str = true;
-        } else if (x == open) {
-          ++depth;
-        } else if (x == close && --depth == 0) {
-          ++i;
-          return true;
-        }
-      }
-      return fail("unterminated container");
-    }
-    while (i < s.size() && s[i] != ',' && s[i] != '}' && s[i] != ']') ++i;
-    return true;
-  }
-
-  bool parse_finding(Finding* f) {
-    if (!expect('{')) return false;
-    bool first = true;
-    while (!peek('}')) {
-      if (!first && !expect(',')) return false;
-      first = false;
-      std::string key;
-      if (!parse_string(&key) || !expect(':')) return false;
-      if (key == "rule") {
-        if (!parse_string(&f->rule)) return false;
-      } else if (key == "file") {
-        if (!parse_string(&f->file)) return false;
-      } else if (key == "line") {
-        long long n = 0;
-        if (!parse_int(&n)) return false;
-        f->line = static_cast<int>(n);
-      } else if (key == "message") {
-        if (!parse_string(&f->message)) return false;
-      } else if (key == "suppressed") {
-        if (!parse_bool(&f->suppressed)) return false;
-      } else if (key == "reason") {
-        if (!parse_string(&f->reason)) return false;
-      } else if (!skip_value()) {
-        return false;
-      }
-    }
-    return expect('}');
-  }
-};
-
-}  // namespace
-
 std::string report_to_json(const Report& report) {
-  std::ostringstream out;
-  out << "{\n  \"tool\": \"hcm_analyze\",\n";
-  out << "  \"files_scanned\": " << report.files_scanned << ",\n";
-  out << "  \"summary\": {\"total\": " << report.findings.size()
-      << ", \"unsuppressed\": " << report.unsuppressed()
-      << ", \"suppressed\": "
-      << (report.findings.size() - report.unsuppressed()) << "},\n";
-  out << "  \"findings\": [";
-  bool first = true;
+  ValueList findings;
   for (const Finding& f : report.findings) {
-    out << (first ? "\n" : ",\n") << "    {\"rule\": ";
-    json_escape(out, f.rule);
-    out << ", \"file\": ";
-    json_escape(out, f.file);
-    out << ", \"line\": " << f.line << ", \"message\": ";
-    json_escape(out, f.message);
-    out << ", \"suppressed\": " << (f.suppressed ? "true" : "false")
-        << ", \"reason\": ";
-    json_escape(out, f.reason);
-    out << "}";
-    first = false;
+    findings.emplace_back(ValueMap{{"rule", f.rule},
+                                   {"file", f.file},
+                                   {"line", f.line},
+                                   {"message", f.message},
+                                   {"suppressed", f.suppressed},
+                                   {"reason", f.reason}});
   }
-  out << (first ? "]\n}\n" : "\n  ]\n}\n");
-  return out.str();
+  const auto total = static_cast<std::int64_t>(report.findings.size());
+  const auto unsuppressed = static_cast<std::int64_t>(report.unsuppressed());
+  return json_write(ValueMap{
+             {"tool", "hcm_analyze"},
+             {"files_scanned",
+              static_cast<std::int64_t>(report.files_scanned)},
+             {"summary", ValueMap{{"total", total},
+                                  {"unsuppressed", unsuppressed},
+                                  {"suppressed", total - unsuppressed}}},
+             {"findings", std::move(findings)}}) +
+         "\n";
 }
 
 bool report_from_json(const std::string& json, Report* out,
                       std::string* err) {
-  JsonParser p{json, 0, {}};
   *out = Report{};
-  bool ok = [&] {
-    if (!p.expect('{')) return false;
-    bool first = true;
-    while (!p.peek('}')) {
-      if (!first && !p.expect(',')) return false;
-      first = false;
-      std::string key;
-      if (!p.parse_string(&key) || !p.expect(':')) return false;
-      if (key == "files_scanned") {
-        long long n = 0;
-        if (!p.parse_int(&n)) return false;
-        out->files_scanned = static_cast<std::size_t>(n);
-      } else if (key == "findings") {
-        if (!p.expect('[')) return false;
-        bool f_first = true;
-        while (!p.peek(']')) {
-          if (!f_first && !p.expect(',')) return false;
-          f_first = false;
-          Finding f;
-          if (!p.parse_finding(&f)) return false;
-          out->findings.push_back(std::move(f));
-        }
-        if (!p.expect(']')) return false;
-      } else if (!p.skip_value()) {
-        return false;
-      }
-    }
-    return p.expect('}');
-  }();
-  if (!ok && err != nullptr) *err = p.err;
-  return ok;
+  const auto fail = [err](std::string what) {
+    if (err != nullptr) *err = std::move(what);
+    return false;
+  };
+  auto doc = json_parse(json);
+  if (!doc.is_ok()) return fail(doc.status().message());
+  if (!doc.value().is_map()) return fail("report is not a JSON object");
+  if (const Value& n = doc.value().at("files_scanned"); n.is_int()) {
+    out->files_scanned = static_cast<std::size_t>(n.as_int());
+  }
+  const Value& findings = doc.value().at("findings");
+  if (findings.is_null()) return true;
+  if (!findings.is_list()) return fail("findings is not a list");
+  // Fields are read when present with the expected type; unknown keys
+  // are ignored so the schema can grow.
+  const auto text = [](const Value& obj, const char* key) {
+    const Value& v = obj.at(key);
+    return v.is_string() ? v.as_string() : std::string();
+  };
+  for (const Value& v : findings.as_list()) {
+    if (!v.is_map()) return fail("finding is not a JSON object");
+    const Value& line = v.at("line");
+    const Value& suppressed = v.at("suppressed");
+    out->findings.emplace_back(
+        text(v, "rule"), text(v, "file"),
+        line.is_int() ? static_cast<int>(line.as_int()) : 0,
+        text(v, "message"), suppressed.is_bool() && suppressed.as_bool(),
+        text(v, "reason"));
+  }
+  return true;
 }
 
 std::string format_findings(const Findings& findings) {

@@ -14,6 +14,9 @@
 //                     across src/; enforcing (unsuppressable) under
 //                     src/sim + src/core now the sharded kernel runs
 //                     that code on worker threads.
+//   5. status       — [[nodiscard]] on Status/Result-returning
+//                     declarations in src/common + src/core headers,
+//                     and no discarded calls to them anywhere in src/.
 // Suppression: inline `// hcm:allow(rule): reason` or a baseline
 // entry; stale suppressions of either kind fail the run, so the
 // baseline only shrinks. Exit 1 on any unsuppressed finding.
@@ -185,6 +188,22 @@ int main(int argc, char** argv) {
     }
   }
 
+  // --- pass 5: Status discipline ----------------------------------------
+  std::set<std::string> status_fns;
+  for (const SourceFile& f : files) {
+    if (status_decls_covered(f.rel)) {
+      append(report.findings, nodiscard_check(f.rel, f.stream));
+      std::set<std::string> fns = status_functions(f.stream);
+      status_fns.insert(fns.begin(), fns.end());
+    }
+  }
+  for (const SourceFile& f : files) {
+    if (f.rel.rfind("src/", 0) == 0) {
+      append(report.findings,
+             discarded_status_check(f.rel, f.stream, status_fns));
+    }
+  }
+
   // --- suppression ------------------------------------------------------
   std::map<std::string, std::vector<AllowNote>> allows;
   std::map<std::string, std::vector<std::string>> lines;
@@ -229,7 +248,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::printf(
-      "hcm_analyze: OK — %zu files, 4 passes, %zu finding(s) all "
+      "hcm_analyze: OK — %zu files, 5 passes, %zu finding(s) all "
       "suppressed with recorded justifications\n",
       report.files_scanned, report.findings.size());
   return 0;

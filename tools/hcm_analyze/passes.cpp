@@ -566,4 +566,140 @@ Findings shard_check(const std::string& rel_path, const TokenStream& ts) {
   return out;
 }
 
+// --- Status discipline --------------------------------------------------
+
+bool status_decls_covered(const std::string& rel_path) {
+  const bool header = rel_path.size() > 4 &&
+                      rel_path.compare(rel_path.size() - 4, 4, ".hpp") == 0;
+  return header && (rel_path.rfind("src/common/", 0) == 0 ||
+                    rel_path.rfind("src/core/", 0) == 0);
+}
+
+namespace {
+
+// Start of the statement holding token `i`: the walk back stops after
+// `;`, a brace or a preprocessor line and, for declarations, a lone `:`
+// (access specifier; `::` is its own token). Calls do not stop at `:`,
+// so a ternary's `?` stays visible in their prefix.
+std::size_t statement_begin(const std::vector<Token>& toks, std::size_t i,
+                            bool stop_at_colon) {
+  for (; i > 0; --i) {
+    const Token& t = toks[i - 1];
+    if (t.kind == TokKind::kDirective) break;
+    if (t.kind != TokKind::kPunct) continue;
+    if (t.text == ";" || t.text == "{" || t.text == "}" ||
+        (stop_at_colon && t.text == ":")) {
+      break;
+    }
+  }
+  return i;
+}
+
+// Calls fn(name, type_index, statement_begin) for every declaration of
+// a function returning Status or Result<...> by value. Member
+// variables, parameters, constructors, qualified uses and by-reference
+// returns are not `Type name (` and fall out; so do statements whose
+// prefix assigns, calls, templates or returns.
+template <typename Fn>
+void for_each_status_decl(const TokenStream& ts, Fn&& fn) {
+  const auto& toks = ts.tokens;
+  for (std::size_t i = 0; i < toks.size(); ++i) {
+    if (!is_ident(toks[i], "Status") && !is_ident(toks[i], "Result")) continue;
+    std::size_t name = i + 1;
+    if (toks[i].text == "Result") {
+      if (name >= toks.size() || !is_punct(toks[name], "<")) continue;
+      int depth = 0;
+      for (; name < toks.size(); ++name) {
+        if (is_punct(toks[name], "<")) ++depth;
+        if (is_punct(toks[name], ">")) --depth;
+        if (is_punct(toks[name], ">>")) depth -= 2;
+        if (depth <= 0) break;
+      }
+      ++name;
+    }
+    if (name + 1 >= toks.size() || toks[name].kind != TokKind::kIdent ||
+        toks[name].text == "operator" || !is_punct(toks[name + 1], "(")) {
+      continue;
+    }
+    const std::size_t b = statement_begin(toks, i, /*stop_at_colon=*/true);
+    bool decl = true;
+    for (std::size_t j = b; j < i && decl; ++j) {
+      const Token& t = toks[j];
+      if (t.kind == TokKind::kIdent) {
+        decl = t.text != "return" && t.text != "using" &&
+               t.text != "typedef" && t.text != "new";
+      } else if (t.kind == TokKind::kPunct) {
+        decl = t.text.find_first_of("=(<") == std::string::npos;
+      }
+    }
+    if (decl) fn(toks[name].text, i, b);
+  }
+}
+
+}  // namespace
+
+std::set<std::string> status_functions(const TokenStream& ts) {
+  std::set<std::string> out;
+  for_each_status_decl(ts, [&](const std::string& name, std::size_t,
+                               std::size_t) { out.insert(name); });
+  return out;
+}
+
+Findings nodiscard_check(const std::string& rel_path, const TokenStream& ts) {
+  Findings out;
+  for_each_status_decl(ts, [&](const std::string& name, std::size_t type,
+                               std::size_t b) {
+    if (head_has(ts, b, type, "nodiscard")) return;
+    out.push_back({"missing-nodiscard", rel_path, ts.tokens[type].line,
+                   "function '" + name +
+                       "' returns Status/Result but is not [[nodiscard]]"});
+  });
+  return out;
+}
+
+Findings discarded_status_check(const std::string& rel_path,
+                                const TokenStream& ts,
+                                const std::set<std::string>& fns) {
+  Findings out;
+  const auto& toks = ts.tokens;
+  for (std::size_t i = 0; i + 1 < toks.size(); ++i) {
+    if (toks[i].kind != TokKind::kIdent || fns.count(toks[i].text) == 0 ||
+        !is_punct(toks[i + 1], "(")) {
+      continue;
+    }
+    // The statement must be nothing but `receiver-chain fn(...)`: a
+    // literal, any operator other than `.`, `->` and `::`, or a
+    // return/throw/case keyword in the prefix means the result is used.
+    const std::size_t b = statement_begin(toks, i, /*stop_at_colon=*/false);
+    bool plain = true;
+    for (std::size_t j = b; j < i && plain; ++j) {
+      const Token& t = toks[j];
+      if (t.kind == TokKind::kIdent) {
+        plain = t.text != "return" && t.text != "throw" &&
+                t.text != "case" && t.text != "co_return";
+      } else if (t.kind == TokKind::kPunct) {
+        plain = t.text.find_first_not_of(".:->") == std::string::npos;
+      } else {
+        plain = t.kind == TokKind::kNumber;
+      }
+    }
+    // A receiver chain ends in punctuation; an identifier directly
+    // before the name makes this a declaration, not a call.
+    if (!plain || (i > b && toks[i - 1].kind != TokKind::kPunct)) continue;
+    // The call must end the statement: matching `)` followed by `;`.
+    int depth = 0;
+    std::size_t close = i + 1;
+    for (; close < toks.size(); ++close) {
+      if (is_punct(toks[close], "(")) ++depth;
+      if (is_punct(toks[close], ")") && --depth == 0) break;
+    }
+    if (close + 1 >= toks.size() || !is_punct(toks[close + 1], ";")) continue;
+    out.push_back({"discarded-status", rel_path, toks[i].line,
+                   "result of '" + toks[i].text +
+                       "' (returns Status/Result) is discarded; handle it "
+                       "or cast to (void) with a reason"});
+  }
+  return out;
+}
+
 }  // namespace hcm::analyze

@@ -1,4 +1,4 @@
-// The four analysis passes of hcm_analyze. Each exposes a text-level
+// The five analysis passes of hcm_analyze. Each exposes a text-level
 // entry point (driven against known-bad fixtures by
 // tests/tools/hcm_analyze_test.cpp) plus whatever whole-tree state it
 // needs; tree orchestration lives in main.cpp. Rule ids are stable —
@@ -13,9 +13,11 @@
 //                hotpath-std-function, hotpath-missing-file,
 //                hotpath-bytes-growth, obs-hotpath-lookup
 //   shard:       shard-mutable-global, shard-static-local
+//   status:      missing-nodiscard, discarded-status
 #pragma once
 
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -96,5 +98,29 @@ struct HotScope {
 // before the sharded sim kernel lands.
 [[nodiscard]] Findings shard_check(const std::string& rel_path,
                                    const TokenStream& ts);
+
+// --- Status discipline pass ---------------------------------------------
+// Closes the gap the compiler leaves open: every function returning
+// Status or Result<...> by value that is declared in a header under
+// src/common or src/core must be [[nodiscard]] (missing-nodiscard), and
+// no statement anywhere under src/ may call one of those functions and
+// drop the result (discarded-status) — the compiler enforces the latter
+// only where the attribute is present.
+
+// Whether the declaration half gates (and collects names from) this
+// repo-relative path: headers under src/common and src/core.
+[[nodiscard]] bool status_decls_covered(const std::string& rel_path);
+
+// Names of the functions declared in `ts` that return Status/Result by
+// value.
+[[nodiscard]] std::set<std::string> status_functions(const TokenStream& ts);
+
+[[nodiscard]] Findings nodiscard_check(const std::string& rel_path,
+                                       const TokenStream& ts);
+
+// Whole statements `receiver.fn(...);` / `fn(...);` with fn in `fns`.
+[[nodiscard]] Findings discarded_status_check(
+    const std::string& rel_path, const TokenStream& ts,
+    const std::set<std::string>& fns);
 
 }  // namespace hcm::analyze

@@ -250,70 +250,6 @@ TokenStream lex(std::string_view src) {
   return ts;
 }
 
-std::string blank_noncode(std::string_view src) {
-  std::string out(src);
-  enum class State { kCode, kLine, kBlock, kString, kChar };
-  State state = State::kCode;
-  for (std::size_t i = 0; i < src.size(); ++i) {
-    char c = src[i];
-    char next = i + 1 < src.size() ? src[i + 1] : '\0';
-    switch (state) {
-      case State::kCode:
-        if (c == '/' && next == '/') {
-          state = State::kLine;
-          out[i] = ' ';
-        } else if (c == '/' && next == '*') {
-          state = State::kBlock;
-          out[i] = ' ';
-        } else if (raw_string_at(src, i)) {
-          // Blank the entire raw literal (delimiters included) in one
-          // step — the escape-based states below would misparse it.
-          std::size_t end = raw_string_end(src, i);
-          for (std::size_t j = i; j < end; ++j) {
-            if (src[j] != '\n') out[j] = ' ';
-          }
-          i = end - 1;
-        } else if (c == '"') {
-          state = State::kString;
-        } else if (c == '\'') {
-          state = State::kChar;
-        }
-        break;
-      case State::kLine:
-        if (c == '\n') {
-          state = State::kCode;
-        } else {
-          out[i] = ' ';
-        }
-        break;
-      case State::kBlock:
-        if (c == '*' && next == '/') {
-          out[i] = ' ';
-          out[i + 1] = ' ';
-          ++i;
-          state = State::kCode;
-        } else if (c != '\n') {
-          out[i] = ' ';
-        }
-        break;
-      case State::kString:
-      case State::kChar: {
-        char quote = state == State::kString ? '"' : '\'';
-        if (c == '\\') {
-          out[i] = ' ';
-          if (i + 1 < src.size() && next != '\n') out[++i] = ' ';
-        } else if (c == quote) {
-          state = State::kCode;
-        } else if (c != '\n') {
-          out[i] = ' ';
-        }
-        break;
-      }
-    }
-  }
-  return out;
-}
-
 std::vector<IncludeRef> extract_includes(const TokenStream& ts) {
   std::vector<IncludeRef> out;
   for (const Token& t : ts.tokens) {

@@ -1,8 +1,7 @@
-// Lexing layer of hcm_analyze: a real C++ token stream over raw source
-// text that correctly skips comments, string/char literals and raw
-// strings — shared by every pass so no rule ever fires on text inside a
-// literal (the failure mode of the old ad-hoc scanning in
-// tools/hcm_lint/source_scan.cpp, now ported onto blank_noncode()).
+// Lexing layer of hcm_analyze: the repo's one C++ source lexer, a real
+// token stream over raw source text that correctly skips comments,
+// string/char literals and raw strings — shared by every pass so no
+// rule ever fires on text inside a literal.
 // Also extracts the `// hcm:allow(<rule>): <reason>` escape-hatch
 // annotations, `#include` targets, and (via a heuristic scope walker
 // pinned by tests/tools/hcm_analyze_test.cpp) function body ranges used
@@ -51,12 +50,6 @@ struct TokenStream {
 // Lexes `src`. Never fails: unterminated literals end at newline (or
 // EOF for raw strings / block comments), matching compiler recovery.
 [[nodiscard]] TokenStream lex(std::string_view src);
-
-// Comment- and literal-blanked copy of `src`: comment bodies and
-// string/char literal contents become spaces, newlines and byte offsets
-// are preserved. Raw-string-safe (R"(...)" is blanked in full),
-// unlike the old hcm_lint strip this replaces.
-[[nodiscard]] std::string blank_noncode(std::string_view src);
 
 struct IncludeRef {
   std::string path;  // as written between the delimiters

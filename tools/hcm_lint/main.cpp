@@ -1,15 +1,13 @@
-// hcm_lint driver. Three passes, any diagnostic fails (exit 1):
+// hcm_lint driver. Two passes, any diagnostic fails (exit 1):
 //   1. descriptor pass — every statically declared InterfaceDesc plus
 //      every service a live SmartHome's adapters enumerate is checked
 //      structurally and through the WSDL round-trip;
 //   2. VSR pass — after a full meta refresh, every registry entry must
 //      parse, resolve and match a live exposure on its origin island,
 //      and every wire op the live registry mounts must have a
-//      round-trip fixture that survives both value codecs;
-//   3. source pass — [[nodiscard]] presence on Status/Result APIs in
-//      src/common + src/core headers, and no discarded calls to them
-//      anywhere under src/ (run when --root <repo> is given, as the
-//      ctest registration does).
+//      round-trip fixture that survives both value codecs.
+// The [[nodiscard]] discipline on Status/Result APIs is a pass of
+// hcm_analyze, which owns the C++ source lexer.
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -17,7 +15,6 @@
 #include "core/adapters/x10_adapter.hpp"
 #include "havi/fcm_av.hpp"
 #include "hcm_lint/lint.hpp"
-#include "hcm_lint/source_scan.hpp"
 #include "testbed/home.hpp"
 
 using namespace hcm;
@@ -47,12 +44,7 @@ void append(lint::Diagnostics& all, lint::Diagnostics more) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  std::string root;
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::string(argv[i]) == "--root") root = argv[i + 1];
-  }
-
+int main() {
   lint::Diagnostics all;
 
   // --- pass 1a: statically declared descriptors ------------------------
@@ -168,19 +160,6 @@ int main(int argc, char** argv) {
            lint::check_vsg_op_metrics(*isl->vsg, obs::Registry::global()));
   }
 
-  // --- pass 3: source scan ---------------------------------------------
-  std::size_t files_scanned = 0;
-  if (!root.empty()) {
-    auto report = lint::scan_sources(root);
-    files_scanned = report.files_scanned + report.headers_scanned;
-    append(all, std::move(report.diags));
-    // A wrong --root must not silently degrade into a 0-file pass.
-    if (files_scanned == 0) {
-      all.push_back({"source-scan", root,
-                     "no sources found under <root>/src — bad --root?"});
-    }
-  }
-
   if (!all.empty()) {
     std::fprintf(stderr, "hcm_lint: %zu violation(s)\n%s", all.size(),
                  lint::format_diagnostics(all).c_str());
@@ -188,8 +167,7 @@ int main(int argc, char** argv) {
   }
   std::printf(
       "hcm_lint: OK — %zu interfaces, %zu VSR entries, %zu wire ops, "
-      "%zu instrumented vsg ops, %zu source files, 0 violations\n",
-      interfaces_checked, entries.size(), wire_ops.size(), ops_checked,
-      files_scanned);
+      "%zu instrumented vsg ops, 0 violations\n",
+      interfaces_checked, entries.size(), wire_ops.size(), ops_checked);
   return 0;
 }
