@@ -4,10 +4,8 @@
 // SmartHome and measures real nanoseconds per completed invocation:
 //
 //   disabled     obs::set_enabled(false), tracing off — every counter
-//                increment and histogram observe is a no-op branch.
-//                This is the conservative proxy for HCM_OBS_COMPILED_OUT
-//                (registry name lookups on the dispatch path remain, so
-//                a compiled-out build can only be cheaper).
+//                increment and histogram observe is a no-op branch
+//                (registry name lookups on the dispatch path remain).
 //   metrics      metrics on, tracing off — the process default.
 //   full         metrics + tracing on, spans recorded per hop.
 //

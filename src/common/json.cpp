@@ -7,6 +7,7 @@
 #include <cstring>
 
 #include "common/base64.hpp"
+#include "common/value_codec.hpp"
 
 namespace hcm {
 
@@ -122,7 +123,7 @@ struct Parser {
   }
 
   Value parse_value(int depth) {
-    if (depth > 256) {
+    if (depth > kMaxDocumentDepth) {
       fail("nesting too deep");
       return {};
     }

@@ -15,6 +15,12 @@ namespace hcm {
 // stack.
 inline constexpr int kMaxValueDepth = 64;
 
+// Deepest nesting the document parsers accept (JSON values, counted
+// from 0 at the top level like kMaxValueDepth; XML elements, counted
+// from 1 at the root). Bounds the JSON parser's recursion and the depth
+// of any xml::parse tree, whose destruction recurses per level.
+inline constexpr int kMaxDocumentDepth = 256;
+
 // One encoder over either sink, BufWriter or BlockStream (instantiated
 // for both in value_codec.cpp).
 template <typename Sink>

@@ -15,9 +15,6 @@ bool enabled() { return g_enabled.load(std::memory_order_relaxed); }
 void set_enabled(bool on) { g_enabled.store(on, std::memory_order_relaxed); }
 
 void Histogram::observe(std::int64_t v) {
-#ifdef HCM_OBS_COMPILED_OUT
-  (void)v;
-#else
   if (!enabled()) return;
   std::int64_t cur = min_.load(std::memory_order_relaxed);
   while (v < cur &&
@@ -32,7 +29,6 @@ void Histogram::observe(std::int64_t v) {
   std::size_t i = 0;
   while (i < kBounds.size() && v > kBounds[i]) ++i;
   buckets_[i].fetch_add(1, std::memory_order_relaxed);
-#endif
 }
 
 std::int64_t Histogram::percentile(double p) const {

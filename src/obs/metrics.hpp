@@ -13,10 +13,7 @@
 // introspection snapshot). Relaxed ordering is deliberate: values are
 // monotone telemetry, and cross-metric snapshots were never atomic even
 // single-threaded. Metric values can be disabled at runtime
-// (set_enabled) for overhead measurement, and the HCM_OBS_COMPILED_OUT
-// compile definition turns every mutation into a no-op for a truly
-// uninstrumented build (such a build still links — reads just return
-// zero).
+// (set_enabled) for overhead measurement.
 #pragma once
 
 #include <array>
@@ -40,18 +37,14 @@ void set_enabled(bool on);
 class Counter {
  public:
   void inc(std::uint64_t d = 1) {
-#ifndef HCM_OBS_COMPILED_OUT
     if (enabled()) v_.fetch_add(d, std::memory_order_relaxed);
-#else
-    (void)d;
-#endif
   }
   [[nodiscard]] std::uint64_t value() const {
     return v_.load(std::memory_order_relaxed);
   }
   void reset() { v_.store(0, std::memory_order_relaxed); }
   // Fold a quiesced source value in. Not an instrumentation site: it
-  // bypasses the enabled()/compiled-out gates because the source value
+  // bypasses the enabled() gate because the source value
   // was already gated when it was recorded.
   void merge_add(std::uint64_t d) { v_.fetch_add(d, std::memory_order_relaxed); }
 
@@ -62,18 +55,10 @@ class Counter {
 class Gauge {
  public:
   void set(std::int64_t v) {
-#ifndef HCM_OBS_COMPILED_OUT
     if (enabled()) v_.store(v, std::memory_order_relaxed);
-#else
-    (void)v;
-#endif
   }
   void add(std::int64_t d) {
-#ifndef HCM_OBS_COMPILED_OUT
     if (enabled()) v_.fetch_add(d, std::memory_order_relaxed);
-#else
-    (void)d;
-#endif
   }
   [[nodiscard]] std::int64_t value() const {
     return v_.load(std::memory_order_relaxed);

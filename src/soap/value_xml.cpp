@@ -61,55 +61,10 @@ bool is_xml_name(const std::string& s) {
 
 }  // namespace
 
-void value_to_xml(const std::string& name, const Value& v,
-                  xml::Element& parent) {
-  auto& elem = parent.add_child(name);
-  elem.set_attr("xsi:type", xsi_type_for(v.type()));
-  switch (v.type()) {
-    case ValueType::kNull:
-      elem.set_attr("xsi:nil", "true");
-      break;
-    case ValueType::kBool:
-      elem.set_text(v.as_bool() ? "true" : "false");
-      break;
-    case ValueType::kInt:
-      elem.set_text(std::to_string(v.as_int()));
-      break;
-    case ValueType::kDouble: {
-      char buf[64];
-      auto [end, ec] =
-          std::to_chars(buf, buf + sizeof(buf), v.as_double(),
-                        std::chars_format::general, 17);
-      elem.set_text(std::string(buf, end));
-      break;
-    }
-    case ValueType::kString:
-      elem.set_text(v.as_string());
-      break;
-    case ValueType::kBytes:
-      elem.set_text(base64_encode(v.as_bytes()));
-      break;
-    case ValueType::kList:
-      for (const auto& item : v.as_list()) value_to_xml("item", item, elem);
-      break;
-    case ValueType::kMap:
-      for (const auto& [k, item] : v.as_map()) {
-        if (is_xml_name(k)) {
-          value_to_xml(k, item, elem);
-        } else {
-          value_to_xml("entry", item, elem);
-          elem.children().back()->set_attr("key", k);
-        }
-      }
-      break;
-  }
-}
-
 namespace {
 
-// Shared with value_write below; `key` is the deferred key="..."
-// attribute of a map <entry> (attributes must precede content when
-// streaming, where the tree encoder could set it after the fact).
+// Shared with value_write below; `key` is the key="..." attribute of a
+// map <entry>, written after the typing attributes.
 void value_write_keyed(std::string_view name, const Value& v, xml::Writer& w,
                        const std::string* key) {
   w.start(name).attr("xsi:type", xsi_type_for(v.type()));
@@ -164,88 +119,6 @@ void value_write(std::string_view name, const Value& v, xml::Writer& w) {
   value_write_keyed(name, v, w, nullptr);
 }
 
-Result<Value> value_from_xml(const xml::Element& elem) {
-  if (const auto* nil = elem.attr_local("nil");
-      nil != nullptr && (*nil == "true" || *nil == "1")) {
-    return Value();
-  }
-  ValueType type = ValueType::kNull;
-  if (const auto* xsi = elem.attr_local("type")) {
-    type = value_type_for_xsi(*xsi);
-  }
-  if (type == ValueType::kNull) {
-    // Untyped: infer structure.
-    if (!elem.children().empty()) {
-      type = ValueType::kMap;
-    } else if (!elem.text().empty()) {
-      type = ValueType::kString;
-    } else {
-      return Value();
-    }
-  }
-  switch (type) {
-    case ValueType::kBool: {
-      const std::string text = elem.text();
-      auto t = trim(text);
-      if (t == "true" || t == "1") return Value(true);
-      if (t == "false" || t == "0") return Value(false);
-      return protocol_error("bad boolean: " + std::string(t));
-    }
-    case ValueType::kInt: {
-      const std::string text = elem.text();
-      auto t = trim(text);
-      std::int64_t out = 0;
-      auto [p, ec] = std::from_chars(t.data(), t.data() + t.size(), out);
-      if (ec != std::errc{} || p != t.data() + t.size()) {
-        return protocol_error("bad integer: " + std::string(t));
-      }
-      return Value(out);
-    }
-    case ValueType::kDouble: {
-      const std::string text = elem.text();
-      auto t = trim(text);
-      double out = 0;
-      auto [p, ec] = std::from_chars(t.data(), t.data() + t.size(), out);
-      if (ec != std::errc{} || p != t.data() + t.size()) {
-        return protocol_error("bad double: " + std::string(t));
-      }
-      return Value(out);
-    }
-    case ValueType::kString:
-      return Value(elem.text());
-    case ValueType::kBytes: {
-      auto bytes = base64_decode(elem.text());
-      if (!bytes.is_ok()) return bytes.status();
-      return Value(std::move(bytes).take());
-    }
-    case ValueType::kList: {
-      ValueList list;
-      for (const auto& c : elem.children()) {
-        auto item = value_from_xml(*c);
-        if (!item.is_ok()) return item.status();
-        list.push_back(std::move(item).take());
-      }
-      return Value(std::move(list));
-    }
-    case ValueType::kMap: {
-      ValueMap map;
-      for (const auto& c : elem.children()) {
-        auto item = value_from_xml(*c);
-        if (!item.is_ok()) return item.status();
-        std::string key(c->local_name());
-        if (key == "entry") {
-          if (const auto* k = c->attr("key")) key = *k;
-        }
-        map.emplace(std::move(key), std::move(item).take());
-      }
-      return Value(std::move(map));
-    }
-    case ValueType::kNull:
-      return Value();
-  }
-  return protocol_error("unhandled value type");
-}
-
 Result<Value> value_from_pull(xml::PullParser& p, int depth) {
   if (depth > kMaxValueDepth) return protocol_error("value nesting too deep");
   // Typing attributes must be captured before any event advances the
@@ -270,9 +143,9 @@ Result<Value> value_from_pull(xml::PullParser& p, int depth) {
       typed && type != ValueType::kList && type != ValueType::kMap;
 
   // Consume content up to the matching end tag: direct text runs
-  // accumulate (whitespace-only runs are formatting noise, as in the
-  // tree parser), child elements decode in order for lists/maps and are
-  // skipped for scalars (the tree decoder never descended into them).
+  // accumulate (whitespace-only runs are formatting noise, as in
+  // xml::parse), child elements decode in order for lists/maps and are
+  // skipped for scalars.
   std::string text;
   std::vector<std::pair<std::string, Value>> kids;
   while (true) {

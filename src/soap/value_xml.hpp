@@ -8,17 +8,13 @@
 
 namespace hcm::soap {
 
-// Appends a child element <name xsi:type=...>...</name> encoding v.
-void value_to_xml(const std::string& name, const Value& v, xml::Element& parent);
-
-// Decodes an encoded element produced by value_to_xml (or by any SOAP
-// peer using xsd/SOAP-ENC types).
-[[nodiscard]] Result<Value> value_from_xml(const xml::Element& elem);
-
-// Streaming forms for the wire hot path: byte-identical encoding
-// rendered straight into the writer's buffer, and decoding straight off
-// pull-parser events — no intermediate Element tree either way.
+// The one Value <-> XML codec: encoding rendered straight into the
+// writer's buffer, decoding straight off pull-parser events.
+//
+// Writes <name xsi:type=...>...</name> encoding v.
 void value_write(std::string_view name, const Value& v, xml::Writer& w);
+// Decodes an element written by value_write (or by any SOAP peer using
+// xsd/SOAP-ENC types).
 // Pre: the parser just produced kStart for the encoded element, which
 // sits `depth` levels below the top-level value. Post: the matching
 // kEnd has been consumed. Values nested past kMaxValueDepth are

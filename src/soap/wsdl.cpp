@@ -9,8 +9,6 @@
 
 namespace hcm::soap {
 
-const char* wsdl_type_for(ValueType t) { return xsi_type_for(t); }
-
 std::string wsdl_digest(std::string_view text) {
   // The durable store owns the single digest implementation (FNV-1a
   // 64-bit rendered as 16 hex chars): a registry and the store behind
@@ -19,84 +17,95 @@ std::string wsdl_digest(std::string_view text) {
   return store::content_digest(text);
 }
 
-ValueType value_type_for_wsdl(std::string_view name) {
-  return value_type_for_xsi(name);
-}
-
 std::string emit_wsdl(const InterfaceDesc& iface,
                       const std::string& service_name, const Uri& endpoint) {
   const std::string tns = "urn:hcm:" + iface.name;
-  xml::Element defs("wsdl:definitions");
-  defs.set_attr("name", iface.name);
-  defs.set_attr("targetNamespace", tns);
-  defs.set_attr("xmlns:wsdl", "http://schemas.xmlsoap.org/wsdl/");
-  defs.set_attr("xmlns:soap", "http://schemas.xmlsoap.org/wsdl/soap/");
-  defs.set_attr("xmlns:xsd", "http://www.w3.org/2001/XMLSchema");
-  defs.set_attr("xmlns:tns", tns);
+  std::string out;
+  xml::Writer w(out);
+  w.prolog()
+      .start("wsdl:definitions")
+      .attr("name", iface.name)
+      .attr("targetNamespace", tns)
+      .attr("xmlns:wsdl", "http://schemas.xmlsoap.org/wsdl/")
+      .attr("xmlns:soap", "http://schemas.xmlsoap.org/wsdl/soap/")
+      .attr("xmlns:xsd", "http://www.w3.org/2001/XMLSchema")
+      .attr("xmlns:tns", tns);
 
   // <message> pairs per operation (methods and events alike; events are
   // one-way so well-formed ones only ever emit an Input message).
-  auto emit_messages = [&defs](const MethodDesc& m) {
-    auto& input = defs.add_child("wsdl:message");
-    input.set_attr("name", m.name + "Input");
+  auto emit_messages = [&w](const MethodDesc& m) {
+    w.start("wsdl:message").attr("name", m.name + "Input");
     for (const auto& p : m.params) {
-      auto& part = input.add_child("wsdl:part");
-      part.set_attr("name", p.name);
-      part.set_attr("type", wsdl_type_for(p.type));
+      w.start("wsdl:part")
+          .attr("name", p.name)
+          .attr("type", xsi_type_for(p.type))
+          .end();
     }
+    w.end();
     if (!m.one_way) {
-      auto& output = defs.add_child("wsdl:message");
-      output.set_attr("name", m.name + "Output");
-      auto& part = output.add_child("wsdl:part");
-      part.set_attr("name", "return");
-      part.set_attr("type", wsdl_type_for(m.return_type));
+      w.start("wsdl:message")
+          .attr("name", m.name + "Output")
+          .start("wsdl:part")
+          .attr("name", "return")
+          .attr("type", xsi_type_for(m.return_type))
+          .end()
+          .end();
     }
   };
   for (const auto& m : iface.methods) emit_messages(m);
   for (const auto& e : iface.events) emit_messages(e);
 
-  auto emit_operation = [](xml::Element& port_type, const MethodDesc& m) {
-    auto& op = port_type.add_child("wsdl:operation");
-    op.set_attr("name", m.name);
-    op.add_child("wsdl:input").set_attr("message", "tns:" + m.name + "Input");
+  auto emit_operation = [&w](const MethodDesc& m) {
+    w.start("wsdl:operation")
+        .attr("name", m.name)
+        .start("wsdl:input")
+        .attr("message", "tns:" + m.name + "Input")
+        .end();
     if (!m.one_way) {
-      op.add_child("wsdl:output")
-          .set_attr("message", "tns:" + m.name + "Output");
+      w.start("wsdl:output").attr("message", "tns:" + m.name + "Output").end();
     }
+    w.end();
   };
 
   // <portType> with operations.
-  auto& port_type = defs.add_child("wsdl:portType");
-  port_type.set_attr("name", iface.name + "PortType");
-  for (const auto& m : iface.methods) emit_operation(port_type, m);
+  w.start("wsdl:portType").attr("name", iface.name + "PortType");
+  for (const auto& m : iface.methods) emit_operation(m);
+  w.end();
 
   // Events travel as a second portType of notification operations
   // (WSDL 1.1's one-way transmission primitive), named
   // <iface>EventsPortType so parse_wsdl can route them back into the
   // descriptor's events section.
   if (!iface.events.empty()) {
-    auto& events_port = defs.add_child("wsdl:portType");
-    events_port.set_attr("name", iface.name + "EventsPortType");
-    for (const auto& e : iface.events) emit_operation(events_port, e);
+    w.start("wsdl:portType").attr("name", iface.name + "EventsPortType");
+    for (const auto& e : iface.events) emit_operation(e);
+    w.end();
   }
 
   // <binding>: rpc/encoded over SOAP-HTTP.
-  auto& binding = defs.add_child("wsdl:binding");
-  binding.set_attr("name", iface.name + "Binding");
-  binding.set_attr("type", "tns:" + iface.name + "PortType");
-  auto& soap_binding = binding.add_child("soap:binding");
-  soap_binding.set_attr("style", "rpc");
-  soap_binding.set_attr("transport", "http://schemas.xmlsoap.org/soap/http");
+  w.start("wsdl:binding")
+      .attr("name", iface.name + "Binding")
+      .attr("type", "tns:" + iface.name + "PortType")
+      .start("soap:binding")
+      .attr("style", "rpc")
+      .attr("transport", "http://schemas.xmlsoap.org/soap/http")
+      .end()
+      .end();
 
   // <service> with the endpoint address.
-  auto& service = defs.add_child("wsdl:service");
-  service.set_attr("name", service_name);
-  auto& port = service.add_child("wsdl:port");
-  port.set_attr("name", iface.name + "Port");
-  port.set_attr("binding", "tns:" + iface.name + "Binding");
-  port.add_child("soap:address").set_attr("location", endpoint.to_string());
+  w.start("wsdl:service")
+      .attr("name", service_name)
+      .start("wsdl:port")
+      .attr("name", iface.name + "Port")
+      .attr("binding", "tns:" + iface.name + "Binding")
+      .start("soap:address")
+      .attr("location", endpoint.to_string())
+      .end()
+      .end()
+      .end();
 
-  return "<?xml version=\"1.0\" encoding=\"UTF-8\"?>" + defs.to_string();
+  w.end();  // wsdl:definitions
+  return out;
 }
 
 Result<WsdlDocument> parse_wsdl(std::string_view text) {
@@ -124,7 +133,7 @@ Result<WsdlDocument> parse_wsdl(std::string_view text) {
       if (const auto* pn = part->attr("name")) p.name = *pn;
       p.type = ValueType::kNull;
       if (const auto* pt = part->attr("type")) {
-        p.type = value_type_for_wsdl(*pt);
+        p.type = value_type_for_xsi(*pt);
       }
       parts.push_back(std::move(p));
     }

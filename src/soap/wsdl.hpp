@@ -26,10 +26,6 @@ struct WsdlDocument {
 // Parses a document produced by emit_wsdl (or a compatible subset).
 [[nodiscard]] Result<WsdlDocument> parse_wsdl(std::string_view text);
 
-// xsd type name for a ValueType, and back.
-[[nodiscard]] const char* wsdl_type_for(ValueType t);
-[[nodiscard]] ValueType value_type_for_wsdl(std::string_view name);
-
 // Stable content digest of a WSDL document (FNV-1a 64-bit, rendered as
 // 16 lowercase hex chars). The VSR delta-sync protocol keys description
 // caches and lease renewals on this, so two registries/clients agree on

@@ -10,6 +10,42 @@ namespace hcm::upnp {
 
 namespace {
 constexpr const char* kSearchMagic = "M-SEARCH * HTTP/1.1";
+
+// Reads a GENA propertyset body as post_event writes it: <event> and
+// <payload> decode through the SOAP value codec (depth-bounded); any
+// other child is skipped.
+Status parse_propertyset(std::string_view body, std::string& event,
+                         Value& payload) {
+  using Event = xml::PullParser::Event;
+  xml::PullParser p(body);
+  auto ev = p.next();
+  if (!ev.is_ok()) return ev.status();
+  while (true) {
+    ev = p.next();
+    if (!ev.is_ok()) return ev.status();
+    if (ev.value() == Event::kEnd || ev.value() == Event::kEof) break;
+    if (ev.value() != Event::kStart) continue;  // text between children
+    const std::string_view local = p.local_name();
+    if (local != "event" && local != "payload") {
+      if (auto s = p.skip_element(); !s.is_ok()) return s;
+      continue;
+    }
+    auto v = soap::value_from_pull(p);
+    if (!v.is_ok()) return v.status();
+    if (local == "payload") {
+      payload = std::move(v).take();
+    } else if (v.value().is_string()) {
+      event = v.value().as_string();
+    } else {
+      return protocol_error("event is not a string");
+    }
+  }
+  // Trailing garbage after the root is still malformed.
+  ev = p.next();
+  if (!ev.is_ok()) return ev.status();
+  return Status::ok();
+}
+
 // Atomic so device construction across future shard workers still
 // yields unique UDNs without a data race.
 std::atomic<std::uint64_t> g_udn_counter{0};
@@ -136,11 +172,12 @@ void UpnpDevice::post_event(const std::string& service_id,
                             const std::string& event, const Value& payload) {
   auto it = subscribers_.find(service_id);
   if (it == subscribers_.end() || it->second.empty()) return;
-  xml::Element root("propertyset");
-  soap::value_to_xml("service", Value(service_id), root);
-  soap::value_to_xml("event", Value(event), root);
-  soap::value_to_xml("payload", payload, root);
-  const std::string body = root.to_string();
+  std::string body;
+  xml::Writer w(body);
+  soap::value_write("service", Value(service_id), w.start("propertyset"));
+  soap::value_write("event", Value(event), w);
+  soap::value_write("payload", payload, w);
+  w.end();
   for (const auto& [sid, sub] : it->second) {
     http::Request req;
     req.method = "NOTIFY";
@@ -170,19 +207,23 @@ void UpnpDevice::on_ssdp(net::Endpoint from, const Bytes& data) {
 }
 
 std::string UpnpDevice::description_xml() const {
-  xml::Element root("root");
-  root.set_attr("xmlns", "urn:schemas-upnp-org:device-1-0");
-  auto& device = root.add_child("device");
-  device.add_child("friendlyName").set_text(friendly_name_);
-  device.add_child("UDN").set_text(udn_);
-  auto& list = device.add_child("serviceList");
+  std::string out = "<?xml version=\"1.0\"?>";
+  xml::Writer w(out);
+  w.start("root")
+      .attr("xmlns", "urn:schemas-upnp-org:device-1-0")
+      .start("device")
+      .leaf("friendlyName", friendly_name_)
+      .leaf("UDN", udn_)
+      .start("serviceList");
   for (const auto& [id, mounted] : services_) {
-    auto& svc = list.add_child("service");
-    svc.add_child("serviceId").set_text(id);
-    svc.add_child("controlURL").set_text("/control/" + id);
-    svc.add_child("SCPDURL").set_text("/scpd/" + id);
+    w.start("service")
+        .leaf("serviceId", id)
+        .leaf("controlURL", "/control/" + id)
+        .leaf("SCPDURL", "/scpd/" + id)
+        .end();
   }
-  return "<?xml version=\"1.0\"?>" + root.to_string();
+  w.end().end().end();  // serviceList, device, root
+  return out;
 }
 
 // --- Control point --------------------------------------------------------
@@ -327,20 +368,11 @@ Status ControlPoint::ensure_notify_server() {
       respond(http::Response::make(412, "Precondition Failed", ""));
       return;
     }
-    auto doc = xml::parse(req.body);
-    if (!doc.is_ok()) {
-      respond(http::Response::make(400, "Bad Request", "bad propertyset"));
-      return;
-    }
     std::string event;
     Value payload;
-    if (const auto* e = doc.value()->child("event")) {
-      auto v = soap::value_from_xml(*e);
-      if (v.is_ok() && v.value().is_string()) event = v.value().as_string();
-    }
-    if (const auto* p = doc.value()->child("payload")) {
-      auto v = soap::value_from_xml(*p);
-      if (v.is_ok()) payload = std::move(v).take();
+    if (!parse_propertyset(req.body, event, payload).is_ok()) {
+      respond(http::Response::make(400, "Bad Request", "bad propertyset"));
+      return;
     }
     // Copy: the handler may unsubscribe (and erase the map entry).
     auto handler = sub->second.on_event;

@@ -1,10 +1,12 @@
 #include "xml/xml.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cctype>
 #include <cstring>
 
 #include "common/strings.hpp"
+#include "common/value_codec.hpp"
 
 namespace hcm::xml {
 
@@ -67,17 +69,6 @@ std::string_view Element::local_name() const {
              : std::string_view(name_).substr(colon + 1);
 }
 
-Element& Element::set_attr(std::string name, std::string value) {
-  for (auto& a : attrs_) {
-    if (a.name == name) {
-      a.value = std::move(value);
-      return *this;
-    }
-  }
-  attrs_.push_back({std::move(name), std::move(value)});
-  return *this;
-}
-
 const std::string* Element::attr(std::string_view name) const {
   for (const auto& a : attrs_) {
     if (a.name == name) return &a.value;
@@ -95,35 +86,7 @@ const std::string* Element::attr_local(std::string_view name) const {
   return nullptr;
 }
 
-Element& Element::add_child(std::string name) {
-  children_.push_back(std::make_unique<Element>(std::move(name)));
-  return *children_.back();
-}
-
-Element& Element::add_child(ElementPtr child) {
-  children_.push_back(std::move(child));
-  return *children_.back();
-}
-
-Element& Element::add_text(std::string text) {
-  texts_.push_back(std::move(text));
-  return *this;
-}
-
-Element& Element::set_text(std::string text) {
-  texts_.clear();
-  texts_.push_back(std::move(text));
-  return *this;
-}
-
 const Element* Element::child(std::string_view local) const {
-  for (const auto& c : children_) {
-    if (c->local_name() == local) return c.get();
-  }
-  return nullptr;
-}
-
-Element* Element::child(std::string_view local) {
   for (const auto& c : children_) {
     if (c->local_name() == local) return c.get();
   }
@@ -143,14 +106,6 @@ std::string Element::text() const {
   std::string out;
   for (const auto& t : texts_) out += t;
   return out;
-}
-
-std::string_view Element::text_view(std::string& scratch) const {
-  if (texts_.empty()) return {};
-  if (texts_.size() == 1) return texts_.front();
-  scratch.clear();
-  for (const auto& t : texts_) scratch += t;
-  return scratch;
 }
 
 void append_escaped_text(std::string& out, std::string_view s) {
@@ -189,66 +144,6 @@ void append_escaped_attr(std::string& out, std::string_view s) {
     }
     start = i + 1;
   }
-}
-
-std::string escape_text(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  append_escaped_text(out, s);
-  return out;
-}
-
-std::string escape_attr(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  append_escaped_attr(out, s);
-  return out;
-}
-
-void Element::render(std::string& out, int indent) const {
-  auto pad = [&](int n) {
-    if (n >= 0) out.append(static_cast<std::size_t>(n) * 2, ' ');
-  };
-  pad(indent);
-  out += '<';
-  out += name_;
-  for (const auto& a : attrs_) {
-    out += ' ';
-    out += a.name;
-    out += "=\"";
-    append_escaped_attr(out, a.value);
-    out += '"';
-  }
-  if (texts_.empty() && children_.empty()) {
-    out += "/>";
-    if (indent >= 0) out += '\n';
-    return;
-  }
-  out += '>';
-  for (const auto& t : texts_) append_escaped_text(out, t);
-  if (!children_.empty()) {
-    if (indent >= 0) out += '\n';
-    for (const auto& c : children_) {
-      c->render(out, indent >= 0 ? indent + 1 : -1);
-    }
-    pad(indent);
-  }
-  out += "</";
-  out += name_;
-  out += '>';
-  if (indent >= 0) out += '\n';
-}
-
-std::string Element::to_string() const {
-  std::string out;
-  render(out, -1);
-  return out;
-}
-
-std::string Element::to_pretty_string() const {
-  std::string out;
-  render(out, 0);
-  return out;
 }
 
 // ---------------------------------------------------------------------
@@ -301,12 +196,6 @@ Writer& Writer::attr(std::string_view name, std::string_view value) {
 Writer& Writer::text(std::string_view s) {
   close_start_tag();
   append_escaped_text(out_, s);
-  return *this;
-}
-
-Writer& Writer::raw(std::string_view s) {
-  close_start_tag();
-  out_.append(s);
   return *this;
 }
 
@@ -395,11 +284,23 @@ Status decode_one_entity(std::string_view ent, std::string& out) {
   return Status::ok();
 }
 
-}  // namespace
-
-std::string_view PullParser::Attr::local_name() const {
-  return local_of(name);
+Status duplicate_attribute(std::string_view name) {
+  return protocol_error("duplicate attribute " + std::string(name));
 }
+
+// Sorting keeps a hostile tag with many attributes from costing a
+// quadratic scan.
+Status check_unique_spilled(
+    const InlineVec<PullParser::Attr, PullParser::kInlineAttrs>& attrs) {
+  std::vector<std::string_view> names;
+  names.reserve(attrs.size());
+  for (const auto& a : attrs) names.push_back(a.name);
+  std::sort(names.begin(), names.end());
+  const auto dup = std::adjacent_find(names.begin(), names.end());
+  return dup == names.end() ? Status::ok() : duplicate_attribute(*dup);
+}
+
+}  // namespace
 
 std::string_view PullParser::local_name() const { return local_of(name_); }
 
@@ -487,18 +388,30 @@ Result<PullParser::Event> PullParser::read_start_tag() {
   while (true) {
     skip_ws();
     if (eof()) return protocol_error("unterminated start tag");
-    if (lookahead("/>")) {
-      pos_ += 2;
-      pending_end_ = true;  // not pushed on open_: kEnd follows directly
-      return Event::kStart;
-    }
-    if (peek() == '>') {
-      ++pos_;
-      open_.push_back(name_);
+    const bool self_closing = lookahead("/>");
+    if (self_closing || peek() == '>') {
+      if (attrs_.size() > kInlineAttrs) {
+        if (auto s = check_unique_spilled(attrs_); !s.is_ok()) return s;
+      }
+      if (self_closing) {
+        pos_ += 2;
+        pending_end_ = true;  // not pushed on open_: kEnd follows directly
+      } else {
+        ++pos_;
+        open_.push_back(name_);
+      }
       return Event::kStart;
     }
     auto attr_name = read_name();
     if (!attr_name.is_ok()) return attr_name.status();
+    // XML 1.0 §3.1 (Unique Att Spec), so every reader — tree, SOAP,
+    // UPnP — sees one value per name. Within the inline capacity a scan
+    // of the attributes read so far is the cheapest check; past it, the
+    // whole set is checked once when the tag closes.
+    if (attrs_.size() < kInlineAttrs &&
+        find_attr(attr_name.value()) != nullptr) {
+      return duplicate_attribute(attr_name.value());
+    }
     skip_ws();
     if (eof() || peek() != '=') return protocol_error("expected '='");
     ++pos_;
@@ -631,18 +544,25 @@ Result<ElementPtr> parse(std::string_view input) {
     if (!ev.is_ok()) return ev.status();
     switch (ev.value()) {
       case PullParser::Event::kStart: {
-        auto elem = std::make_unique<Element>(std::string(p.name()));
+        // Checked before the push, so no tree deeper than the bound is
+        // ever built (children are destroyed recursively).
+        if (stack.size() >= static_cast<std::size_t>(kMaxDocumentDepth)) {
+          return protocol_error("document nesting too deep");
+        }
+        ElementPtr elem(new Element(std::string(p.name())));
+        elem->attrs_.reserve(p.attrs().size());
         for (const auto& a : p.attrs()) {
           scratch.clear();
           auto value = PullParser::decode(a.raw_value, scratch);
           if (!value.is_ok()) return value.status();
-          elem->set_attr(std::string(a.name), std::string(value.value()));
+          elem->attrs_.push_back(
+              {std::string(a.name), std::string(value.value())});
         }
         Element* raw = elem.get();
         if (stack.empty()) {
           root = std::move(elem);
         } else {
-          stack.back()->add_child(std::move(elem));
+          stack.back()->children_.push_back(std::move(elem));
         }
         stack.push_back(raw);
         break;
@@ -652,7 +572,7 @@ Result<ElementPtr> parse(std::string_view input) {
         break;
       case PullParser::Event::kText: {
         if (p.text_is_cdata()) {
-          stack.back()->add_text(std::string(p.raw_text()));
+          stack.back()->texts_.emplace_back(p.raw_text());
           break;
         }
         scratch.clear();
@@ -660,7 +580,7 @@ Result<ElementPtr> parse(std::string_view input) {
         if (!decoded.is_ok()) return decoded.status();
         // Drop pure-whitespace runs (formatting noise between elements).
         if (!trim(decoded.value()).empty()) {
-          stack.back()->add_text(std::string(decoded.value()));
+          stack.back()->texts_.emplace_back(decoded.value());
         }
         break;
       }

@@ -1,16 +1,15 @@
-// Minimal XML 1.0 document model, writer and non-validating parser —
-// enough for SOAP 1.1 envelopes, WSDL documents, the UDDI-like registry
-// and UPnP device descriptions. Supports elements, attributes, text,
-// comments (skipped), CDATA, numeric and the five predefined entities.
+// Minimal XML 1.0 layer — enough for SOAP 1.1 envelopes, WSDL
+// documents, the UDDI-like registry and UPnP device descriptions.
+// Supports elements, attributes, text, comments (skipped), CDATA,
+// numeric and the five predefined entities.
 //
-// Two codec tiers share one tokenizer:
-//   - the Element tree (build/inspect/serialize), for documents that
-//     are genuinely tree-shaped (WSDL, UPnP descriptions, registry
-//     records);
-//   - the zero-copy PullParser + streaming Writer pair, for the wire
-//     hot path (SOAP envelopes), where names and text stay
-//     string_views into the retained input and output renders into a
-//     caller-provided reusable buffer.
+// One tokenizer, one writer, and a read-only tree:
+//   - PullParser is the only tokenizer: names and text stay
+//     string_views into the retained input;
+//   - Writer is the only renderer: it streams into a caller-provided
+//     reusable buffer;
+//   - Element is the read-only tree that only parse() builds, for
+//     documents that are tree-shaped to read (WSDL, UPnP descriptions).
 #pragma once
 
 #include <cstdint>
@@ -31,80 +30,55 @@ struct Attribute {
   std::string value;
 };
 
-// An XML element. Children are either elements or text runs; text()
-// concatenates the direct text content.
+// A parsed XML element. Children are either elements or text runs;
+// text() concatenates the direct text content. Only parse() builds
+// one.
 class Element {
  public:
-  explicit Element(std::string name) : name_(std::move(name)) {}
-
   [[nodiscard]] const std::string& name() const { return name_; }
-  void set_name(std::string n) { name_ = std::move(n); }
 
   // Local part of a possibly prefixed name ("soap:Envelope" -> "Envelope").
   [[nodiscard]] std::string_view local_name() const;
 
   // --- attributes ----------------------------------------------------
-  Element& set_attr(std::string name, std::string value);
   [[nodiscard]] const std::string* attr(std::string_view name) const;
   // Matches by local name, ignoring namespace prefix.
   [[nodiscard]] const std::string* attr_local(std::string_view name) const;
   [[nodiscard]] const std::vector<Attribute>& attrs() const { return attrs_; }
 
   // --- children --------------------------------------------------------
-  Element& add_child(std::string name);      // returns the new child
-  Element& add_child(ElementPtr child);      // adopts
-  Element& add_text(std::string text);       // returns *this
-  Element& set_text(std::string text);       // clears children, sets text
-
   [[nodiscard]] const std::vector<ElementPtr>& children() const {
     return children_;
   }
   // First child element with the given local name (prefix-insensitive).
   [[nodiscard]] const Element* child(std::string_view local) const;
-  [[nodiscard]] Element* child(std::string_view local);
   // All child elements with the given local name.
   [[nodiscard]] std::vector<const Element*> children_named(
       std::string_view local) const;
   // Concatenated direct text content.
   [[nodiscard]] std::string text() const;
-  // Direct text content without concatenation when there is at most one
-  // run (the overwhelmingly common case); `scratch` backs the view only
-  // when several runs must be joined.
-  [[nodiscard]] std::string_view text_view(std::string& scratch) const;
-
-  // --- serialization ----------------------------------------------------
-  // Compact (no whitespace) rendering, suitable for the wire.
-  [[nodiscard]] std::string to_string() const;
-  // Compact rendering appended to a caller-provided (reusable) buffer.
-  void render_to(std::string& out) const { render(out, -1); }
-  // Indented rendering, for humans and docs.
-  [[nodiscard]] std::string to_pretty_string() const;
 
  private:
-  void render(std::string& out, int indent) const;  // indent<0 = compact
+  friend Result<ElementPtr> parse(std::string_view input);
 
-  // Mixed content is stored as text runs plus child elements; rendering
-  // emits text before children, which is lossless for the protocols we
-  // speak (SOAP/WSDL/UPnP never interleave text and elements).
+  explicit Element(std::string name) : name_(std::move(name)) {}
+
   std::string name_;
   std::vector<Attribute> attrs_;
   std::vector<ElementPtr> children_;
   std::vector<std::string> texts_;
 };
 
-// Escapes text content (& < >) and attribute values (also " ').
-[[nodiscard]] std::string escape_text(std::string_view s);
-[[nodiscard]] std::string escape_attr(std::string_view s);
-// Appending forms with a memcpy fast path: runs without special
-// characters are copied in one shot instead of byte-by-byte.
+// Escapes text content (& < >) and attribute values (also " '),
+// appending to `out`. Runs without special characters are copied in
+// one shot instead of byte-by-byte.
 void append_escaped_text(std::string& out, std::string_view s);
 void append_escaped_attr(std::string& out, std::string_view s);
 
-// Streaming serializer: renders into a caller-provided buffer with the
-// exact compact byte format Element::to_string produces, but with no
-// intermediate tree. Close-tag names are remembered as offsets into the
-// output buffer itself, so a writer performs no per-element
-// allocations.
+// Streaming serializer: renders compact XML (no added whitespace,
+// empty elements self-close) into a caller-provided buffer. Close-tag
+// names are remembered as offsets into the output buffer itself, so a
+// writer performs no per-element allocations.
 class Writer {
  public:
   // Appends to `out`; the caller clears/reuses the buffer between
@@ -115,14 +89,11 @@ class Writer {
   // Valid only between start() and the first content/end() call.
   Writer& attr(std::string_view name, std::string_view value);
   Writer& text(std::string_view s);      // escaped text content
-  Writer& raw(std::string_view s);       // pre-encoded content, no escaping
   Writer& end();                         // </name>, or /> when empty
   // Convenience: <name>text</name>.
   Writer& leaf(std::string_view name, std::string_view text_content);
   // <?xml version="1.0" encoding="UTF-8"?>
   Writer& prolog();
-
-  [[nodiscard]] int depth() const { return depth_; }
 
  private:
   struct Open {
@@ -209,8 +180,10 @@ class PullParser {
   struct Attr {
     std::string_view name;
     std::string_view raw_value;  // still entity-encoded
-    [[nodiscard]] std::string_view local_name() const;
   };
+
+  // Start tags with more attributes than this spill to the heap.
+  static constexpr std::size_t kInlineAttrs = 8;
 
   explicit PullParser(std::string_view in) : in_(in) {}
 
@@ -221,7 +194,9 @@ class PullParser {
   [[nodiscard]] std::string_view name() const { return name_; }
   [[nodiscard]] std::string_view local_name() const;
   // kStart only: attributes with raw (still-encoded) values.
-  [[nodiscard]] const InlineVec<Attr, 8>& attrs() const { return attrs_; }
+  [[nodiscard]] const InlineVec<Attr, kInlineAttrs>& attrs() const {
+    return attrs_;
+  }
   // Raw value of the attribute with this exact / local name, or empty
   // view when absent (found tells the cases apart).
   [[nodiscard]] const Attr* find_attr(std::string_view name) const;
@@ -267,12 +242,14 @@ class PullParser {
   std::string_view name_;
   std::string_view text_;
   bool cdata_ = false;
-  InlineVec<Attr, 8> attrs_;
+  InlineVec<Attr, kInlineAttrs> attrs_;
   InlineVec<std::string_view, 16> open_;  // enclosing element names
 };
 
 // Parses a document; returns the root element. Leading <?xml?> and
-// <!DOCTYPE> declarations and comments are skipped.
+// <!DOCTYPE> declarations and comments are skipped. Documents nested
+// deeper than kMaxDocumentDepth elements are rejected, so every tree
+// parse() returns can be destroyed without exhausting the stack.
 [[nodiscard]] Result<ElementPtr> parse(std::string_view input);
 
 }  // namespace hcm::xml

@@ -146,5 +146,19 @@ TEST(EnvelopeTest, HostileNestingIsRejectedWithoutCrashing) {
   EXPECT_EQ(env.status().code(), StatusCode::kProtocolError);
 }
 
+TEST(EnvelopeTest, DuplicatedXsiTypeIsRejected) {
+  // XML 1.0 forbids repeating an attribute; a peer must not be able to
+  // pick which of two types a reader honours.
+  const std::string wire =
+      "<SOAP-ENV:Envelope "
+      "xmlns:SOAP-ENV=\"http://schemas.xmlsoap.org/soap/envelope/\">"
+      "<SOAP-ENV:Body><m:m xmlns:m=\"urn:x\">"
+      "<p xsi:type=\"xsd:long\" xsi:type=\"xsd:string\">1</p>"
+      "</m:m></SOAP-ENV:Body></SOAP-ENV:Envelope>";
+  auto env = parse_envelope(wire);
+  ASSERT_FALSE(env.is_ok());
+  EXPECT_EQ(env.status().code(), StatusCode::kProtocolError);
+}
+
 }  // namespace
 }  // namespace hcm::soap

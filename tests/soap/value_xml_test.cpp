@@ -5,15 +5,29 @@
 namespace hcm::soap {
 namespace {
 
+// Decodes a document whose root element is an encoded value.
+Result<Value> decode(std::string_view doc) {
+  xml::PullParser p(doc);
+  auto ev = p.next();
+  if (!ev.is_ok()) return ev.status();
+  return value_from_pull(p);
+}
+
 Result<Value> round_trip(const Value& v) {
-  xml::Element parent("params");
-  value_to_xml("p", v, parent);
-  auto serialized = parent.to_string();
-  auto parsed = xml::parse(serialized);
-  if (!parsed.is_ok()) return parsed.status();
-  const auto* p = parsed.value()->child("p");
-  if (p == nullptr) return internal_error("lost element");
-  return value_from_xml(*p);
+  std::string serialized;
+  xml::Writer w(serialized);
+  w.start("params");
+  value_write("p", v, w);
+  w.end();
+  xml::PullParser p(serialized);
+  for (int i = 0; i < 2; ++i) {  // <params>, then <p>
+    auto ev = p.next();
+    if (!ev.is_ok()) return ev.status();
+    if (ev.value() != xml::PullParser::Event::kStart) {
+      return internal_error("lost element");
+    }
+  }
+  return value_from_pull(p);
 }
 
 class SoapValueRoundTrip : public ::testing::TestWithParam<Value> {};
@@ -53,34 +67,26 @@ TEST(SoapValueTest, XsiTypeStrings) {
 
 TEST(SoapValueTest, AcceptsForeignIntTypes) {
   // A peer using xsd:int (not our canonical xsd:long) must decode.
-  auto parsed = xml::parse("<p xsi:type=\"xsd:int\">42</p>");
-  ASSERT_TRUE(parsed.is_ok());
-  auto v = value_from_xml(*parsed.value());
+  auto v = decode("<p xsi:type=\"xsd:int\">42</p>");
   ASSERT_TRUE(v.is_ok());
   EXPECT_EQ(v.value(), Value(42));
 }
 
 TEST(SoapValueTest, UntypedElementWithChildrenBecomesMap) {
-  auto parsed = xml::parse("<p><x xsi:type=\"xsd:long\">1</x></p>");
-  ASSERT_TRUE(parsed.is_ok());
-  auto v = value_from_xml(*parsed.value());
+  auto v = decode("<p><x xsi:type=\"xsd:long\">1</x></p>");
   ASSERT_TRUE(v.is_ok());
   EXPECT_TRUE(v.value().is_map());
   EXPECT_EQ(v.value().at("x"), Value(1));
 }
 
 TEST(SoapValueTest, UntypedTextBecomesString) {
-  auto parsed = xml::parse("<p>words</p>");
-  ASSERT_TRUE(parsed.is_ok());
-  auto v = value_from_xml(*parsed.value());
+  auto v = decode("<p>words</p>");
   ASSERT_TRUE(v.is_ok());
   EXPECT_EQ(v.value(), Value("words"));
 }
 
 TEST(SoapValueTest, NilDecodesToNull) {
-  auto parsed = xml::parse("<p xsi:nil=\"true\" xsi:type=\"xsd:string\"/>");
-  ASSERT_TRUE(parsed.is_ok());
-  auto v = value_from_xml(*parsed.value());
+  auto v = decode("<p xsi:nil=\"true\" xsi:type=\"xsd:string\"/>");
   ASSERT_TRUE(v.is_ok());
   EXPECT_TRUE(v.value().is_null());
 }
@@ -91,9 +97,8 @@ TEST(SoapValueTest, MalformedScalarsRejected) {
         "<p xsi:type=\"xsd:boolean\">maybe</p>",
         "<p xsi:type=\"xsd:double\">1.2.3</p>",
         "<p xsi:type=\"xsd:base64Binary\">!!</p>"}) {
-    auto parsed = xml::parse(bad);
-    ASSERT_TRUE(parsed.is_ok()) << bad;
-    EXPECT_FALSE(value_from_xml(*parsed.value()).is_ok()) << bad;
+    ASSERT_TRUE(xml::parse(bad).is_ok()) << bad;
+    EXPECT_FALSE(decode(bad).is_ok()) << bad;
   }
 }
 

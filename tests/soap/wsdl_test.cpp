@@ -34,6 +34,24 @@ TEST(WsdlTest, EmitParseRoundTrip) {
   EXPECT_EQ(doc.value().endpoint, endpoint);
 }
 
+TEST(WsdlTest, EmittedBytesArePinned) {
+  // A method, a one-way method and an event, with a name that needs
+  // attribute escaping.
+  InterfaceDesc iface{
+      "Lamp & Co",
+      {MethodDesc{"setLevel",
+                  {{"level", ValueType::kInt}, {"label", ValueType::kString}},
+                  ValueType::kBool,
+                  false},
+       MethodDesc{"blink", {{"times", ValueType::kInt}}, ValueType::kNull,
+                  true}},
+      {MethodDesc{"levelChanged", {{"level", ValueType::kDouble}},
+                  ValueType::kNull, true}}};
+  EXPECT_EQ(
+      emit_wsdl(iface, "lamp-1", Uri{"http", "node-3", 8080, "/vsg/lamp-1"}),
+      R"xml(<?xml version="1.0" encoding="UTF-8"?><wsdl:definitions name="Lamp &amp; Co" targetNamespace="urn:hcm:Lamp &amp; Co" xmlns:wsdl="http://schemas.xmlsoap.org/wsdl/" xmlns:soap="http://schemas.xmlsoap.org/wsdl/soap/" xmlns:xsd="http://www.w3.org/2001/XMLSchema" xmlns:tns="urn:hcm:Lamp &amp; Co"><wsdl:message name="setLevelInput"><wsdl:part name="level" type="xsd:long"/><wsdl:part name="label" type="xsd:string"/></wsdl:message><wsdl:message name="setLevelOutput"><wsdl:part name="return" type="xsd:boolean"/></wsdl:message><wsdl:message name="blinkInput"><wsdl:part name="times" type="xsd:long"/></wsdl:message><wsdl:message name="levelChangedInput"><wsdl:part name="level" type="xsd:double"/></wsdl:message><wsdl:portType name="Lamp &amp; CoPortType"><wsdl:operation name="setLevel"><wsdl:input message="tns:setLevelInput"/><wsdl:output message="tns:setLevelOutput"/></wsdl:operation><wsdl:operation name="blink"><wsdl:input message="tns:blinkInput"/></wsdl:operation></wsdl:portType><wsdl:portType name="Lamp &amp; CoEventsPortType"><wsdl:operation name="levelChanged"><wsdl:input message="tns:levelChangedInput"/></wsdl:operation></wsdl:portType><wsdl:binding name="Lamp &amp; CoBinding" type="tns:Lamp &amp; CoPortType"><soap:binding style="rpc" transport="http://schemas.xmlsoap.org/soap/http"/></wsdl:binding><wsdl:service name="lamp-1"><wsdl:port name="Lamp &amp; CoPort" binding="tns:Lamp &amp; CoBinding"><soap:address location="http://node-3:8080/vsg/lamp-1"/></wsdl:port></wsdl:service></wsdl:definitions>)xml");
+}
+
 TEST(WsdlTest, OneWayOperationHasNoOutput) {
   auto text = emit_wsdl(vcr_interface(), "vcr-1",
                         Uri{"http", "h", 1, "/"});
@@ -116,6 +134,19 @@ TEST(WsdlTest, NoEventsPortTypeWhenInterfaceHasNoEvents) {
   auto doc = parse_wsdl(text);
   ASSERT_TRUE(doc.is_ok());
   EXPECT_TRUE(doc.value().interface.events.empty());
+}
+
+TEST(WsdlTest, HostileNestingIsRejectedWithoutCrashing) {
+  // A published WSDL nested a million elements deep (~7 MB): the parse
+  // tree must never reach that depth, or destroying it would overflow
+  // the stack.
+  constexpr int kDepth = 1'000'000;
+  std::string text = "<wsdl:definitions name=\"X\">";
+  text.reserve(static_cast<std::size_t>(kDepth) * 7 + 64);
+  for (int i = 0; i < kDepth; ++i) text += "<e>";
+  for (int i = 0; i < kDepth; ++i) text += "</e>";
+  text += "</wsdl:definitions>";
+  EXPECT_FALSE(parse_wsdl(text).is_ok());
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "http/client.hpp"
+#include "http/server.hpp"
 #include "xml/xml.hpp"
 
 namespace hcm::upnp {
@@ -140,6 +142,159 @@ TEST_F(UpnpTest, DescriptionIsValidXmlOverHttp) {
   auto doc = xml::parse(resp->value().body);
   ASSERT_TRUE(doc.is_ok());
   EXPECT_NE(doc.value()->child("device"), nullptr);
+}
+
+// A map payload whose keys cover every value shape, including one that
+// is not an XML name (it rides in an <entry key="..."> element).
+Value notify_payload() {
+  return Value(ValueMap{
+      {"level", Value(0.5)},
+      {"http.server#2 <x>", Value(ValueList{Value(7), Value("a&b"), Value()})},
+      {"raw", Value(Bytes{0, 1, 255})},
+      {"on", Value(true)},
+      {"empty", Value("")}});
+}
+
+TEST_F(UpnpTest, DescriptionBytesArePinned) {
+  net::Node& lamp_node = net.add_node("lamp");
+  net.attach(lamp_node, *net.segments()[0]);
+  UpnpDevice lamp(net, lamp_node.id(), "Lamp \"A\" & <B>");
+  auto handler = [](const std::string&, const ValueList&,
+                    InvokeResultFn done) { done(Value(true)); };
+  lamp.add_service("light-1", lamp_interface(), handler);
+  lamp.add_service("dimmer-2", lamp_interface(), handler);
+  ASSERT_TRUE(lamp.start().is_ok());
+
+  http::HttpClient http(net, cp_node->id());
+  std::optional<Result<http::Response>> resp;
+  http::Request req;
+  req.target = "/description.xml";
+  http.request(lamp.http_endpoint(), std::move(req),
+               [&](Result<http::Response> r) { resp = std::move(r); });
+  sched.run();
+  ASSERT_TRUE(resp.has_value() && resp->is_ok());
+  EXPECT_EQ(resp->value().body,
+            R"xml(<?xml version="1.0"?><root xmlns="urn:schemas-upnp-org:device-1-0"><device><friendlyName>Lamp "A" &amp; &lt;B&gt;</friendlyName><UDN>)xml" +
+                lamp.udn() +
+                R"xml(</UDN><serviceList><service><serviceId>dimmer-2</serviceId><controlURL>/control/dimmer-2</controlURL><SCPDURL>/scpd/dimmer-2</SCPDURL></service><service><serviceId>light-1</serviceId><controlURL>/control/light-1</controlURL><SCPDURL>/scpd/light-1</SCPDURL></service></serviceList></device></root>)xml");
+}
+
+TEST_F(UpnpTest, NotifyBodyBytesArePinned) {
+  // A bare HTTP sink stands in for the control point, so the test sees
+  // the GENA propertyset exactly as the device renders it.
+  http::HttpServer sink(net, cp_node->id(), 6000);
+  ASSERT_TRUE(sink.start().is_ok());
+  std::string body;
+  sink.route("/sink", [&](const http::Request& r, http::RespondFn respond) {
+    body = r.body;
+    respond(http::Response::make(200, "OK", ""));
+  });
+  http::HttpClient http(net, cp_node->id());
+  http::Request sub;
+  sub.method = "SUBSCRIBE";
+  sub.target = "/gena/plug-1";
+  sub.set_header("CALLBACK",
+                 "<http://node-" + std::to_string(cp_node->id()) + ":6000/sink>");
+  http.request(device->http_endpoint(), std::move(sub),
+               [](Result<http::Response>) {});
+  sched.run();
+  ASSERT_EQ(device->subscriber_count("plug-1"), 1u);
+
+  device->post_event("plug-1", "levelChanged", notify_payload());
+  sched.run();
+  EXPECT_EQ(
+      body,
+      R"xml(<propertyset><service xsi:type="xsd:string">plug-1</service><event xsi:type="xsd:string">levelChanged</event><payload xsi:type="xsd:struct"><empty xsi:type="xsd:string"></empty><entry xsi:type="SOAP-ENC:Array" key="http.server#2 &lt;x&gt;"><item xsi:type="xsd:long">7</item><item xsi:type="xsd:string">a&amp;b</item><item xsi:type="xsd:anyType" xsi:nil="true"/></entry><level xsi:type="xsd:double">0.5</level><on xsi:type="xsd:boolean">true</on><raw xsi:type="xsd:base64Binary">AAH/</raw></payload></propertyset>)xml");
+}
+
+class UpnpNotifyTest : public UpnpTest {
+ protected:
+  // Subscribes the control point to plug-1 and records what its event
+  // handler sees.
+  void subscribe() {
+    auto devices = discover();
+    ASSERT_EQ(devices.size(), 1u);
+    std::optional<Result<std::string>> sid;
+    cp->subscribe(
+        devices[0].services[0],
+        [this](const std::string& service, const std::string& event,
+               const Value& payload) {
+          ++events;
+          last_service = service;
+          last_event = event;
+          last_payload = payload;
+        },
+        [&](Result<std::string> r) { sid = std::move(r); });
+    sched.run();
+    ASSERT_TRUE(sid.has_value() && sid->is_ok());
+    sid_ = sid->value();
+  }
+
+  // Sends a raw NOTIFY to the control point's callback server.
+  int notify(std::string body) {
+    http::HttpClient http(net, device_node->id());
+    http::Request req;
+    req.method = "NOTIFY";
+    req.target = "/notify";
+    req.set_header("SID", sid_);
+    req.body = std::move(body);
+    std::optional<Result<http::Response>> resp;
+    // 5390 is the ControlPoint's GENA callback port.
+    http.request({cp_node->id(), 5390}, std::move(req),
+                 [&](Result<http::Response> r) { resp = std::move(r); });
+    sched.run();
+    EXPECT_TRUE(resp.has_value() && resp->is_ok());
+    return resp.has_value() && resp->is_ok() ? resp->value().status : -1;
+  }
+
+  std::string sid_;
+  int events = 0;
+  std::string last_service;
+  std::string last_event;
+  Value last_payload;
+};
+
+TEST_F(UpnpNotifyTest, PostedEventReachesTheHandler) {
+  ASSERT_NO_FATAL_FAILURE(subscribe());
+  device->post_event("plug-1", "levelChanged", notify_payload());
+  sched.run();
+  EXPECT_EQ(events, 1);
+  EXPECT_EQ(last_service, "plug-1");
+  EXPECT_EQ(last_event, "levelChanged");
+  EXPECT_EQ(last_payload, notify_payload());
+}
+
+TEST_F(UpnpNotifyTest, UnknownChildrenAreSkipped) {
+  ASSERT_NO_FATAL_FAILURE(subscribe());
+  EXPECT_EQ(notify("<propertyset><vendor><x>1</x></vendor>"
+                   "<event xsi:type=\"xsd:string\">e</event>"
+                   "<payload xsi:type=\"xsd:long\">4</payload></propertyset>"),
+            200);
+  EXPECT_EQ(events, 1);
+  EXPECT_EQ(last_event, "e");
+  EXPECT_EQ(last_payload, Value(4));
+}
+
+TEST_F(UpnpNotifyTest, MalformedScalarGets400AndNoEvent) {
+  ASSERT_NO_FATAL_FAILURE(subscribe());
+  EXPECT_EQ(notify("<propertyset><event xsi:type=\"xsd:string\">e</event>"
+                   "<payload xsi:type=\"xsd:long\">4x</payload></propertyset>"),
+            400);
+  EXPECT_EQ(events, 0);
+}
+
+TEST_F(UpnpNotifyTest, HostileNestingGets400WithoutCrashing) {
+  ASSERT_NO_FATAL_FAILURE(subscribe());
+  // ~700 KB: a payload nested 100,000 elements deep.
+  constexpr int kDepth = 100'000;
+  std::string body = "<propertyset><payload>";
+  body.reserve(kDepth * 7 + 64);
+  for (int i = 0; i < kDepth; ++i) body += "<a>";
+  body += "x";
+  for (int i = 0; i < kDepth; ++i) body += "</a>";
+  body += "</payload></propertyset>";
+  EXPECT_EQ(notify(std::move(body)), 400);
+  EXPECT_EQ(events, 0);
 }
 
 }  // namespace

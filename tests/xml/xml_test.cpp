@@ -9,66 +9,91 @@ namespace hcm::xml {
 namespace {
 
 TEST(XmlBuildTest, SimpleElement) {
-  Element e("root");
-  e.set_attr("id", "1");
-  e.add_child("child").set_text("hello");
-  EXPECT_EQ(e.to_string(), "<root id=\"1\"><child>hello</child></root>");
+  std::string out;
+  Writer(out).start("root").attr("id", "1").leaf("child", "hello").end();
+  EXPECT_EQ(out, "<root id=\"1\"><child>hello</child></root>");
+  auto r = parse(out);
+  ASSERT_TRUE(r.is_ok()) << r.status().to_string();
+  EXPECT_EQ(r.value()->name(), "root");
+  ASSERT_NE(r.value()->attr("id"), nullptr);
+  EXPECT_EQ(*r.value()->attr("id"), "1");
+  ASSERT_EQ(r.value()->children().size(), 1u);
+  EXPECT_EQ(r.value()->child("child")->text(), "hello");
 }
 
 TEST(XmlBuildTest, EmptyElementSelfCloses) {
-  Element e("empty");
-  EXPECT_EQ(e.to_string(), "<empty/>");
-}
-
-TEST(XmlBuildTest, AttrOverwrite) {
-  Element e("x");
-  e.set_attr("a", "1");
-  e.set_attr("a", "2");
-  ASSERT_NE(e.attr("a"), nullptr);
-  EXPECT_EQ(*e.attr("a"), "2");
-  EXPECT_EQ(e.attrs().size(), 1u);
+  std::string out;
+  Writer(out).start("empty").end();
+  EXPECT_EQ(out, "<empty/>");
+  auto r = parse(out);
+  ASSERT_TRUE(r.is_ok());
+  EXPECT_TRUE(r.value()->children().empty());
+  EXPECT_TRUE(r.value()->attrs().empty());
+  EXPECT_EQ(r.value()->text(), "");
 }
 
 TEST(XmlBuildTest, EscapingInTextAndAttrs) {
-  Element e("x");
-  e.set_attr("a", "q\"<>&'");
-  e.set_text("<tag> & text");
-  auto s = e.to_string();
+  std::string s;
+  Writer(s).start("x").attr("a", "q\"<>&'").text("<tag> & text").end();
   EXPECT_NE(s.find("&quot;"), std::string::npos);
   EXPECT_NE(s.find("&lt;tag&gt; &amp; text"), std::string::npos);
+  auto r = parse(s);
+  ASSERT_TRUE(r.is_ok()) << r.status().to_string();
+  EXPECT_EQ(*r.value()->attr("a"), "q\"<>&'");
+  EXPECT_EQ(r.value()->text(), "<tag> & text");
 }
 
 TEST(XmlBuildTest, LocalName) {
-  Element e("soap:Envelope");
-  EXPECT_EQ(e.local_name(), "Envelope");
-  Element plain("Body");
-  EXPECT_EQ(plain.local_name(), "Body");
+  auto e = parse("<soap:Envelope/>");
+  ASSERT_TRUE(e.is_ok());
+  EXPECT_EQ(e.value()->name(), "soap:Envelope");
+  EXPECT_EQ(e.value()->local_name(), "Envelope");
+  auto plain = parse("<Body/>");
+  ASSERT_TRUE(plain.is_ok());
+  EXPECT_EQ(plain.value()->local_name(), "Body");
 }
 
 TEST(XmlBuildTest, ChildLookupIsPrefixInsensitive) {
-  Element e("root");
-  e.add_child("ns:Inner").set_text("v");
-  ASSERT_NE(e.child("Inner"), nullptr);
-  EXPECT_EQ(e.child("Inner")->text(), "v");
-  EXPECT_EQ(e.child("Absent"), nullptr);
+  auto e = parse("<root><ns:Inner>v</ns:Inner></root>");
+  ASSERT_TRUE(e.is_ok());
+  ASSERT_NE(e.value()->child("Inner"), nullptr);
+  EXPECT_EQ(e.value()->child("Inner")->text(), "v");
+  EXPECT_EQ(e.value()->child("Absent"), nullptr);
 }
 
 TEST(XmlBuildTest, ChildrenNamed) {
-  Element e("list");
-  e.add_child("item").set_text("1");
-  e.add_child("item").set_text("2");
-  e.add_child("other");
-  EXPECT_EQ(e.children_named("item").size(), 2u);
+  auto e = parse("<list><item>1</item><item>2</item><other/></list>");
+  ASSERT_TRUE(e.is_ok());
+  const auto items = e.value()->children_named("item");
+  ASSERT_EQ(items.size(), 2u);
+  EXPECT_EQ(items[0]->text(), "1");
+  EXPECT_EQ(items[1]->text(), "2");
 }
 
 TEST(XmlParseTest, RoundTripSimple) {
-  Element e("root");
-  e.set_attr("version", "1.0");
-  e.add_child("a").set_text("alpha");
-  e.add_child("b").set_attr("k", "v");
-  auto parsed = parse(e.to_string());
+  std::string out;
+  Writer(out)
+      .start("root")
+      .attr("version", "1.0")
+      .leaf("a", "alpha")
+      .start("b")
+      .attr("k", "v")
+      .end()
+      .end();
+  EXPECT_EQ(out, "<root version=\"1.0\"><a>alpha</a><b k=\"v\"/></root>");
+  auto parsed = parse(out);
   ASSERT_TRUE(parsed.is_ok()) << parsed.status().to_string();
-  EXPECT_EQ(parsed.value()->to_string(), e.to_string());
+  const Element& root = *parsed.value();
+  EXPECT_EQ(root.name(), "root");
+  ASSERT_EQ(root.attrs().size(), 1u);
+  EXPECT_EQ(root.attrs()[0].name, "version");
+  EXPECT_EQ(root.attrs()[0].value, "1.0");
+  ASSERT_EQ(root.children().size(), 2u);
+  EXPECT_EQ(root.children()[0]->name(), "a");
+  EXPECT_EQ(root.children()[0]->text(), "alpha");
+  EXPECT_EQ(root.children()[1]->name(), "b");
+  EXPECT_EQ(*root.children()[1]->attr("k"), "v");
+  EXPECT_TRUE(root.children()[1]->children().empty());
 }
 
 TEST(XmlParseTest, SkipsPrologDoctypeComments) {
@@ -140,6 +165,52 @@ TEST(XmlParseTest, DeepNesting) {
   }
   EXPECT_EQ(depth, 200);
   EXPECT_EQ(cur->text(), "x");
+}
+
+std::string nested(int depth) {
+  std::string doc;
+  doc.reserve(static_cast<std::size_t>(depth) * 7 + 1);
+  for (int i = 0; i < depth; ++i) doc += "<e>";
+  doc += "x";
+  for (int i = 0; i < depth; ++i) doc += "</e>";
+  return doc;
+}
+
+TEST(XmlParseTest, NestingAtTheDepthLimitIsAccepted) {
+  auto r = parse(nested(256));
+  ASSERT_TRUE(r.is_ok()) << r.status().to_string();
+  const Element* cur = r.value().get();
+  int depth = 1;
+  while (cur->child("e") != nullptr) {
+    cur = cur->child("e");
+    ++depth;
+  }
+  EXPECT_EQ(depth, 256);
+  EXPECT_EQ(cur->text(), "x");
+}
+
+TEST(XmlParseTest, NestingPastTheDepthLimitIsRejected) {
+  auto r = parse(nested(257));
+  ASSERT_FALSE(r.is_ok());
+  EXPECT_NE(r.status().message().find("too deep"), std::string::npos);
+}
+
+TEST(XmlParseTest, HostileNestingIsRejectedWithoutCrashing) {
+  // ~7 MB of <e> a million deep: the tree must never get this deep, or
+  // destroying it would recurse a million frames.
+  EXPECT_FALSE(parse(nested(1'000'000)).is_ok());
+}
+
+TEST(XmlParseTest, DuplicateAttributeRejected) {
+  auto r = parse("<a x=\"1\" x=\"2\"/>");
+  ASSERT_FALSE(r.is_ok());
+  EXPECT_NE(r.status().message().find("duplicate attribute"),
+            std::string::npos);
+  EXPECT_FALSE(parse("<r><a x=\"1\" y=\"\" x='1'>t</a></r>").is_ok());
+  // Same local name under different prefixes is two attributes.
+  auto distinct = parse("<a x=\"1\" p:x=\"2\"/>");
+  ASSERT_TRUE(distinct.is_ok());
+  EXPECT_EQ(distinct.value()->attrs().size(), 2u);
 }
 
 TEST(XmlParseTest, AttrLocal) {
@@ -244,15 +315,27 @@ TEST(XmlPullTest, MismatchedCloseTagReported) {
             std::string::npos);
 }
 
-TEST(XmlWriterTest, MatchesElementRenderingByteForByte) {
-  Element e("root");
-  e.set_attr("a", "va<l&ue");
-  e.add_child("empty");
-  auto& kid = e.add_child("kid");
-  kid.set_attr("k", "\"q\"");
-  kid.set_text("text & <markup>");
-  e.add_child("leaf").set_text("");
+TEST(XmlPullTest, DuplicateAttributeRejected) {
+  PullParser p("<a x=\"1\" x=\"2\"/>");
+  auto ev = p.next();
+  ASSERT_FALSE(ev.is_ok());
+  EXPECT_NE(ev.status().message().find("duplicate attribute"),
+            std::string::npos);
+}
 
+TEST(XmlPullTest, DuplicateAttributeRejectedPastInlineCapacity) {
+  std::string doc = "<a";
+  for (int i = 0; i < 12; ++i) doc += " a" + std::to_string(i) + "=\"\"";
+  const std::string unique = doc + "/>";
+  PullParser ok(unique);
+  ASSERT_TRUE(ok.next().is_ok());
+  EXPECT_EQ(ok.attrs().size(), 12u);
+  const std::string repeated = doc + " a3=\"\"/>";
+  PullParser dup(repeated);
+  EXPECT_FALSE(dup.next().is_ok());
+}
+
+TEST(XmlWriterTest, MatchesElementRenderingByteForByte) {
   std::string out;
   Writer w(out);
   w.start("root")
@@ -265,7 +348,9 @@ TEST(XmlWriterTest, MatchesElementRenderingByteForByte) {
       .end()
       .leaf("leaf", "")
       .end();
-  EXPECT_EQ(out, e.to_string());
+  EXPECT_EQ(out,
+            "<root a=\"va&lt;l&amp;ue\"><empty/><kid k=\"&quot;q&quot;\">"
+            "text &amp; &lt;markup&gt;</kid><leaf></leaf></root>");
 }
 
 TEST(XmlWriterTest, BufferReuseAppendsCleanly) {
@@ -275,8 +360,39 @@ TEST(XmlWriterTest, BufferReuseAppendsCleanly) {
   EXPECT_EQ(out, "prefix:<x>1</x>");
 }
 
-// Randomized property: any tree we can build renders to a document that
-// parses back to the same tree (compared via canonical rendering).
+// Generator model for the randomized property below: what a tree
+// should look like after a render/parse round trip.
+struct Node {
+  std::string name;
+  std::vector<Attribute> attrs;
+  std::string text;
+  std::vector<Node> kids;
+};
+
+void render(const Node& n, Writer& w) {
+  w.start(n.name);
+  for (const auto& a : n.attrs) w.attr(a.name, a.value);
+  if (!n.text.empty()) w.text(n.text);
+  for (const auto& k : n.kids) render(k, w);
+  w.end();
+}
+
+void expect_matches(const Element& e, const Node& n, const std::string& path) {
+  EXPECT_EQ(e.name(), n.name) << path;
+  ASSERT_EQ(e.attrs().size(), n.attrs.size()) << path;
+  for (std::size_t i = 0; i < n.attrs.size(); ++i) {
+    EXPECT_EQ(e.attrs()[i].name, n.attrs[i].name) << path;
+    EXPECT_EQ(e.attrs()[i].value, n.attrs[i].value) << path;
+  }
+  EXPECT_EQ(e.text(), n.text) << path;
+  ASSERT_EQ(e.children().size(), n.kids.size()) << path;
+  for (std::size_t i = 0; i < n.kids.size(); ++i) {
+    expect_matches(*e.children()[i], n.kids[i], path + "/" + n.kids[i].name);
+  }
+}
+
+// Randomized property: any tree the writer renders parses back to the
+// tree it was generated from.
 TEST(XmlPropertyTest, RandomizedTreesRoundTrip) {
   std::mt19937_64 rng(0xA11CE);
   const std::string alphabet =
@@ -298,39 +414,34 @@ TEST(XmlPropertyTest, RandomizedTreesRoundTrip) {
     if (!non_ws) s += 'z';
     return s;
   };
-  std::function<void(Element&, int)> grow = [&](Element& e, int depth) {
+  std::function<void(Node&, int)> grow = [&](Node& e, int depth) {
     std::uniform_int_distribution<int> kids(0, depth >= 3 ? 0 : 3);
     std::uniform_int_distribution<int> coin(0, 1);
-    if (coin(rng) != 0) e.set_attr("a" + std::to_string(depth), rand_text(12));
+    if (coin(rng) != 0) {
+      e.attrs.push_back({"a" + std::to_string(depth), rand_text(12)});
+    }
     int n = kids(rng);
     if (n == 0) {
-      if (coin(rng) != 0) e.set_text(rand_text(20));
+      if (coin(rng) != 0) e.text = rand_text(20);
       return;
     }
     for (int i = 0; i < n; ++i) {
-      grow(e.add_child("c" + std::to_string(i)), depth + 1);
+      e.kids.push_back(Node{"c" + std::to_string(i), {}, {}, {}});
+      grow(e.kids.back(), depth + 1);
     }
   };
   for (int iter = 0; iter < 50; ++iter) {
-    Element tree("root");
+    Node tree{"root", {}, {}, {}};
     grow(tree, 0);
-    const std::string rendered = tree.to_string();
+    std::string rendered;
+    Writer w(rendered);
+    render(tree, w);
     auto parsed = parse(rendered);
     ASSERT_TRUE(parsed.is_ok())
         << "iter " << iter << ": " << parsed.status().to_string() << "\n"
         << rendered;
-    EXPECT_EQ(parsed.value()->to_string(), rendered) << "iter " << iter;
+    expect_matches(*parsed.value(), tree, "iter " + std::to_string(iter));
   }
-}
-
-TEST(XmlPrettyTest, IndentedOutputParsesBack) {
-  Element e("root");
-  e.add_child("a").add_child("b").set_text("deep");
-  auto pretty = e.to_pretty_string();
-  EXPECT_NE(pretty.find('\n'), std::string::npos);
-  auto r = parse(pretty);
-  ASSERT_TRUE(r.is_ok());
-  EXPECT_EQ(r.value()->child("a")->child("b")->text(), "deep");
 }
 
 }  // namespace

@@ -61,7 +61,7 @@ void check_value_type(ValueType t, const std::string& where,
                    where + ": ValueType " + to_string(t) +
                        " does not round-trip the binary codec"});
   }
-  if (soap::value_type_for_wsdl(soap::wsdl_type_for(t)) != t) {
+  if (soap::value_type_for_xsi(soap::xsi_type_for(t)) != t) {
     out.push_back({"unrepresentable-type", provenance,
                    where + ": ValueType " + to_string(t) +
                        " does not round-trip the WSDL type table"});
@@ -220,8 +220,9 @@ Diagnostics check_vsr_entries(const std::vector<soap::RegistryEntry>& entries,
 namespace {
 
 // Round-trips one value through both encodings that carry registry
-// traffic: the binary Value codec (VSG binary channel) and the XML
-// value encoding serialized + reparsed (the SOAP envelope path).
+// traffic: the binary Value codec (VSG binary channel) and the SOAP
+// value codec that envelopes run, rendered and re-read off the wire
+// bytes.
 void check_wire_value(const Value& v, const std::string& where,
                       const std::string& subject, Diagnostics& out) {
   auto decoded = decode_value(encode_value(v));
@@ -229,22 +230,20 @@ void check_wire_value(const Value& v, const std::string& where,
     out.push_back({"registry-wire-codec", subject,
                    where + " does not round-trip the binary value codec"});
   }
-  xml::Element probe("probe");
-  soap::value_to_xml("v", v, probe);
-  auto reparsed = xml::parse(probe.to_string());
-  if (!reparsed.is_ok()) {
+  std::string wire;
+  xml::Writer w(wire);
+  soap::value_write("v", v, w);
+  xml::PullParser p(wire);
+  auto start = p.next();
+  Result<Value> back =
+      !start.is_ok() ? Result<Value>(start.status()) : soap::value_from_pull(p);
+  if (!back.is_ok()) {
     out.push_back({"registry-wire-codec", subject,
-                   where + " does not re-parse as XML: " +
-                       reparsed.status().to_string()});
-    return;
-  }
-  const auto children = reparsed.value()->children_named("v");
-  Result<Value> back = children.empty()
-                           ? Result<Value>(internal_error("no encoded child"))
-                           : soap::value_from_xml(*children.front());
-  if (!back.is_ok() || !(back.value() == v)) {
+                   where + " does not decode from the SOAP value encoding: " +
+                       back.status().to_string()});
+  } else if (!(back.value() == v)) {
     out.push_back({"registry-wire-codec", subject,
-                   where + " does not round-trip the XML value encoding"});
+                   where + " does not round-trip the SOAP value encoding"});
   }
 }
 

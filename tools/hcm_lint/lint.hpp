@@ -76,8 +76,8 @@ struct WireFixture {
 // fixture ("registry-wire-uncovered" otherwise — adding an op without
 // extending the fixture set fails the lint run), every fixture names a
 // mounted op ("registry-wire-unknown-op"), and each fixture value
-// round-trips the binary Value codec and the XML value encoding
-// ("registry-wire-codec").
+// round-trips the binary Value codec and the SOAP value codec the
+// envelope path runs ("registry-wire-codec").
 [[nodiscard]] Diagnostics check_registry_wire(
     const std::vector<std::string>& wire_ops,
     const std::vector<WireFixture>& fixtures);
