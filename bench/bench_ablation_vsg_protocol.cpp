@@ -12,7 +12,7 @@
 
 #include "bench_util.hpp"
 #include "common/value_codec.hpp"
-#include "core/binary_channel.hpp"
+#include "net/binary_channel.hpp"
 #include "soap/envelope.hpp"
 #include "testbed/home.hpp"
 
@@ -86,7 +86,7 @@ void ablation_report() {
   soap::NamedValues params{{"channel", Value(7)}};
   auto soap_wire = soap::build_call("urn:hcm:Tuner", "setChannel", params);
   auto binary_wire =
-      core::encode_request(1, "tuner-1", "setChannel", {Value(7)});
+      net::encode_request(1, "tuner-1", "setChannel", {Value(7)});
   std::printf("\n  one setChannel(7) request: SOAP=%zu bytes, binary=%zu "
               "bytes (%.1fx)\n",
               soap_wire.size(), binary_wire.size(),

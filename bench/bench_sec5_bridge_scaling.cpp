@@ -28,7 +28,7 @@ struct Island {
   net::Node* lookup_host = nullptr;
   net::Node* appliance = nullptr;
   std::unique_ptr<jini::LookupService> lookup;
-  std::unique_ptr<jini::Exporter> exporter;
+  std::unique_ptr<net::BinaryRpcServer> jini_server;
   std::vector<std::unique_ptr<jini::Registrar>> registrars;
   core::JiniAdapter* adapter = nullptr;  // owned by meta (framework mode)
   std::unique_ptr<core::JiniAdapter> own_adapter;  // pairwise mode
@@ -52,12 +52,13 @@ std::vector<Island> build_islands(net::Network& net,
     island.lookup = std::make_unique<jini::LookupService>(
         net, island.lookup_host->id());
     (void)island.lookup->start();
-    island.exporter =
-        std::make_unique<jini::Exporter>(net, island.appliance->id(), 4170);
-    (void)island.exporter->start();
+    island.jini_server =
+        std::make_unique<net::BinaryRpcServer>(net, island.appliance->id(),
+                                               4170, "jini");
+    (void)island.jini_server->start();
     for (int s = 0; s < kServicesPerIsland; ++s) {
       std::string name = "svc-" + tag + "-" + std::to_string(s);
-      island.exporter->export_object(
+      island.jini_server->register_service(
           name, [](const std::string&, const ValueList&,
                    InvokeResultFn done) { done(Value(true)); });
       jini::ServiceItem item;
@@ -65,7 +66,7 @@ std::vector<Island> build_islands(net::Network& net,
       item.name = name;
       item.interface = InterfaceDesc{
           "Widget", {MethodDesc{"poke", {}, ValueType::kBool, false}}};
-      item.endpoint = island.exporter->endpoint();
+      item.endpoint = island.jini_server->endpoint();
       island.registrars.push_back(std::make_unique<jini::Registrar>(
           net, island.appliance->id(), island.lookup->endpoint(),
           std::move(item)));

@@ -64,9 +64,10 @@ int main() {
   mount_tv_guide(guide_http);
 
   // A Jini user-profile service: which genres this household records.
-  jini::Exporter profile_exporter(home.net, home.laserdisc_node->id(), 4280);
-  (void)profile_exporter.start();
-  profile_exporter.export_object(
+  net::BinaryRpcServer profile_server(home.net, home.laserdisc_node->id(), 4280,
+                                      "jini");
+  (void)profile_server.start();
+  profile_server.register_service(
       "profile-1", [](const std::string& method, const ValueList&,
                       InvokeResultFn done) {
         if (method == "genres") {
@@ -80,7 +81,7 @@ int main() {
   profile_item.name = "profile-1";
   profile_item.interface = InterfaceDesc{
       "UserProfile", {MethodDesc{"genres", {}, ValueType::kList, false}}};
-  profile_item.endpoint = profile_exporter.endpoint();
+  profile_item.endpoint = profile_server.endpoint();
   jini::Registrar profile_registrar(home.net, home.laserdisc_node->id(),
                                     home.lookup->endpoint(), profile_item);
   profile_registrar.join([](const Status&) {});

@@ -65,10 +65,10 @@ int main(int argc, char** argv) {
   jini::LookupService lookup(net, lookup_host.id());
   (void)lookup.start();
 
-  jini::Exporter exporter(net, appliance.id(), 4170);
-  (void)exporter.start();
+  net::BinaryRpcServer jini_server(net, appliance.id(), 4170, "jini");
+  (void)jini_server.start();
   bool sign_on = false;
-  exporter.export_object(
+  jini_server.register_service(
       "sign-1", [&sign_on](const std::string& method, const ValueList&,
                            InvokeResultFn done) {
         if (method == "turnOn" || method == "turnOff") {
@@ -85,7 +85,7 @@ int main(int argc, char** argv) {
       "Signboard",
       {MethodDesc{"turnOn", {}, ValueType::kBool, false},
        MethodDesc{"turnOff", {}, ValueType::kBool, false}}};
-  item.endpoint = exporter.endpoint();
+  item.endpoint = jini_server.endpoint();
   jini::Registrar registrar(net, appliance.id(), lookup.endpoint(), item);
   registrar.join([](const Status&) {});
 

@@ -1,6 +1,6 @@
 // Length-prefixed framing for byte streams: a u32 big-endian payload
-// length, then the payload. The one framer every framed protocol shares
-// (the Jini call protocol, the binary VSG channel).
+// length, then the payload. The one framer under the one framed RPC
+// (net/binary_channel.hpp), which the binary VSG and Jini both ride.
 #pragma once
 
 #include <string>
@@ -8,6 +8,7 @@
 #include "common/block_stream.hpp"
 #include "common/bytes.hpp"
 #include "common/status.hpp"
+#include "common/value_codec.hpp"
 
 namespace hcm {
 
@@ -26,31 +27,24 @@ template <typename Body>
   return out;
 }
 
-[[nodiscard]] inline BlockStream frame(ByteView payload) {
-  return build_frame([payload](BlockStream& out) { out.put_raw(payload); });
-}
-
 // Incremental deframer over pooled blocks: deliveries splice in, and
 // each complete frame is handed over as one contiguous view — zero-copy
 // when it lies inside a block, otherwise copied into a scratch buffer
 // reused across frames — before its blocks are released.
 class FrameReader {
  public:
-  // Largest payload a peer may announce. A longer length prefix is
-  // rejected as soon as its four bytes arrive, before any is buffered.
-  static constexpr std::uint32_t kMaxFrame = 16 * 1024 * 1024;
-
   // Splices `data` in and calls on_frame(ByteView) -> Status for each
   // complete frame in order; the view lives only for that call. Stops at
-  // an oversized length prefix or the first non-ok on_frame result, and
-  // returns it.
+  // the first non-ok on_frame result, and returns it, or at a length
+  // prefix over kMaxMessageBytes, rejected as soon as its four bytes
+  // arrive, before any payload is buffered.
   template <typename Fn>
   Status feed(BlockStream&& data, Fn&& on_frame) {
     buf_.splice(std::move(data));
     std::uint8_t prefix[4];
     while (buf_.copy_to(prefix, 0, 4) == 4) {
       const std::uint32_t len = BufReader(prefix, 4).u32().value();
-      if (len > kMaxFrame) {
+      if (len > kMaxMessageBytes) {
         return protocol_error("frame too large: " + std::to_string(len));
       }
       if (buf_.size() - 4 < len) break;

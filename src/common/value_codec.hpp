@@ -21,6 +21,12 @@ inline constexpr int kMaxValueDepth = 64;
 // of any xml::parse tree, whose destruction recurses per level.
 inline constexpr int kMaxDocumentDepth = 256;
 
+// Largest message a peer may announce: a length-prefixed frame's
+// payload (FrameReader) or an HTTP body's Content-Length
+// (http::MessageParser). Both reject a larger announcement before
+// buffering any of its bytes.
+inline constexpr std::uint32_t kMaxMessageBytes = 16 * 1024 * 1024;
+
 // One encoder over either sink, BufWriter or BlockStream (instantiated
 // for both in value_codec.cpp).
 template <typename Sink>

@@ -27,11 +27,11 @@ JiniAdapter::JiniAdapter(net::Network& net, net::NodeId gateway_node,
     : net_(net),
       node_(gateway_node),
       lookup_(net, gateway_node, lookup),
-      exporter_(net, gateway_node, export_port) {}
+      server_(net, gateway_node, export_port, "jini") {}
 
 JiniAdapter::~JiniAdapter() = default;
 
-Status JiniAdapter::start() { return exporter_.start(); }
+Status JiniAdapter::start() { return server_.start(); }
 
 void JiniAdapter::list_services(ServicesFn done) {
   lookup_.lookup("", {}, [this, done = std::move(done)](
@@ -163,13 +163,13 @@ Status JiniAdapter::export_service(const LocalService& service,
     };
   }
   exported.handler = handler;
-  exporter_.export_object(exported.service_id, std::move(handler));
+  server_.register_service(exported.service_id, std::move(handler));
 
   jini::ServiceItem item;
   item.service_id = exported.service_id;
   item.name = service.name;
   item.interface = std::move(iface);
-  item.endpoint = exporter_.endpoint();
+  item.endpoint = server_.endpoint();
   item.attributes = service.attributes;
   item.attributes["hcm.imported"] = Value(true);
   exported.registrar = std::make_unique<jini::Registrar>(
@@ -182,7 +182,7 @@ Status JiniAdapter::export_service(const LocalService& service,
 void JiniAdapter::unexport_service(const std::string& name) {
   auto it = exported_.find(name);
   if (it == exported_.end()) return;
-  exporter_.unexport_object(it->second.service_id);
+  server_.unregister_service(it->second.service_id);
   // Cancel the lease so the lookup service drops the item promptly.
   auto registrar = std::shared_ptr<jini::Registrar>(std::move(it->second.registrar));
   registrar->cancel([registrar](const Status&) {});
@@ -202,7 +202,7 @@ Status JiniAdapter::watch_events(const LocalService& service,
   }
   Watch watch;
   watch.listener_id = "evtl-" + std::to_string(next_watch_++);
-  exporter_.export_object(
+  server_.register_service(
       watch.listener_id,
       [name = service.name, on_event = std::move(on_event)](
           const std::string& method, const ValueList& args,
@@ -218,7 +218,7 @@ Status JiniAdapter::watch_events(const LocalService& service,
   proxy_for(it->second)
       ->invoke("notify",
                {Value(static_cast<std::int64_t>(node_)),
-                Value(static_cast<std::int64_t>(exporter_.endpoint().port)),
+                Value(static_cast<std::int64_t>(server_.endpoint().port)),
                 Value(watch.listener_id)},
                [this, name = service.name](Result<Value> r) {
                  auto watch = watches_.find(name);
@@ -234,7 +234,7 @@ Status JiniAdapter::watch_events(const LocalService& service,
 void JiniAdapter::unwatch_events(const std::string& service_name) {
   auto it = watches_.find(service_name);
   if (it == watches_.end()) return;
-  exporter_.unexport_object(it->second.listener_id);
+  server_.unregister_service(it->second.listener_id);
   auto known = known_.find(service_name);
   if (known != known_.end() &&
       known->second.interface.find_method("cancelNotify") != nullptr) {

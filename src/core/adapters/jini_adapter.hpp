@@ -6,8 +6,8 @@
 #include <memory>
 
 #include "core/adapter.hpp"
-#include "jini/exporter.hpp"
 #include "jini/registrar.hpp"
+#include "net/binary_channel.hpp"
 
 namespace hcm::core {
 
@@ -43,7 +43,7 @@ class JiniAdapter : public MiddlewareAdapter {
   net::Network& net_;
   net::NodeId node_;
   jini::LookupClient lookup_;
-  jini::Exporter exporter_;
+  net::BinaryRpcServer server_;
   // Known local services by deployed name (refreshed on list_services).
   std::map<std::string, jini::ServiceItem> known_;
   std::map<std::string, std::unique_ptr<jini::Proxy>> proxies_;

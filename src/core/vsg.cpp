@@ -31,8 +31,11 @@ VirtualServiceGateway::VirtualServiceGateway(net::Network& net,
       // latency term otherwise.
       soap_client_(net, gateway_node,
                    http::HttpClient::Options{.keep_alive = true}),
-      binary_server_(net, gateway_node, static_cast<std::uint16_t>(port + 1)),
-      binary_client_(net, gateway_node),
+      binary_server_(net, gateway_node, static_cast<std::uint16_t>(port + 1),
+                     "binary"),
+      // Binary calls time out like the SOAP client's HTTP requests.
+      binary_client_(net, gateway_node, "binary",
+                     http::HttpClient::Options{}.request_timeout),
       obs_scope_(
           obs::shard_registry().unique_scope("vsg." + island_name_)),
       remote_calls_(

@@ -12,9 +12,9 @@
 
 #include "common/service.hpp"
 #include "common/uri.hpp"
-#include "core/binary_channel.hpp"
 #include "core/naming.hpp"
 #include "http/server.hpp"
+#include "net/binary_channel.hpp"
 #include "obs/metrics.hpp"
 #include "soap/rpc.hpp"
 
@@ -103,8 +103,8 @@ class VirtualServiceGateway {
   VsgProtocol protocol_;
   http::HttpServer http_;
   soap::SoapClient soap_client_;
-  BinaryRpcServer binary_server_;
-  BinaryRpcClient binary_client_;
+  net::BinaryRpcServer binary_server_;
+  net::BinaryRpcClient binary_client_;
   std::map<std::string, Exposed> exposed_;
   // call_remote scratch, consumed synchronously by the wire client
   // before the frame returns (completions fire on later scheduler

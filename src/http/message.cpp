@@ -3,6 +3,7 @@
 #include <charconv>
 
 #include "common/strings.hpp"
+#include "common/value_codec.hpp"
 
 namespace hcm::http {
 
@@ -187,6 +188,9 @@ Status MessageParser::parse_head(std::string_view head) {
   if (const auto* cl = find_header(headers, "Content-Length")) {
     length = parse_uint(trim(*cl));
     if (length < 0) return protocol_error("bad Content-Length");
+    if (length > kMaxMessageBytes) {
+      return protocol_error("HTTP body too large");
+    }
   }
   body_needed_ = static_cast<std::size_t>(length);
 

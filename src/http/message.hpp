@@ -75,8 +75,9 @@ class MessageParser {
   explicit MessageParser(Mode mode) : mode_(mode) {}
 
   // Splices the delivered blocks into accumulation without copying.
-  // Returns a protocol error on malformed input; the connection should
-  // then be dropped.
+  // Returns a protocol error on malformed input, including a head whose
+  // Content-Length exceeds kMaxMessageBytes (rejected before any body
+  // byte is buffered); the connection should then be dropped.
   Status feed(BlockStream&& data);
 
   // Allocation-free draining, in arrival order: moves the oldest

@@ -18,20 +18,20 @@ InterfaceDesc listener_interface() {
 
 LookupService::LookupService(net::Network& net, net::NodeId node,
                              std::uint16_t port)
-    : net_(net), node_(node), exporter_(net, node, port) {}
+    : net_(net), node_(node), server_(net, node, port, "jini") {}
 
 LookupService::~LookupService() { stop(); }
 
 Status LookupService::start() {
-  auto status = exporter_.start();
+  auto status = server_.start();
   if (!status.is_ok()) return status;
-  exporter_.export_object(
+  server_.register_service(
       "lookup", [this](const std::string& method, const ValueList& args,
                        InvokeResultFn done) { handle(method, args, done); });
   return Status::ok();
 }
 
-void LookupService::stop() { exporter_.stop(); }
+void LookupService::stop() { server_.stop(); }
 
 void LookupService::handle(const std::string& method, const ValueList& args,
                            InvokeResultFn done) {

@@ -8,9 +8,9 @@
 #include <memory>
 #include <string>
 
-#include "jini/exporter.hpp"
 #include "jini/proxy.hpp"
 #include "jini/protocol.hpp"
+#include "net/binary_channel.hpp"
 #include "net/network.hpp"
 
 namespace hcm::jini {
@@ -30,7 +30,7 @@ class LookupService {
   Status start();
   void stop();
 
-  [[nodiscard]] net::Endpoint endpoint() const { return exporter_.endpoint(); }
+  [[nodiscard]] net::Endpoint endpoint() const { return server_.endpoint(); }
   [[nodiscard]] std::size_t service_count() const { return services_.size(); }
 
   // Default lease granted when the client asks for 0/overlong leases.
@@ -50,7 +50,7 @@ class LookupService {
 
   net::Network& net_;
   net::NodeId node_;
-  Exporter exporter_;
+  net::BinaryRpcServer server_;
 
   struct Registration {
     ServiceItem item;

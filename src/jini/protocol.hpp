@@ -1,19 +1,21 @@
 // The Jini-like middleware's wire protocol. Real Jini moves serialized
-// Java objects over JRMP; our stand-in moves length-framed binary Values
-// over reliable streams (framing: common/frame_reader.hpp), preserving
+// Java objects over JRMP; our stand-in rides the one framed RPC
+// (net/binary_channel.hpp, family "jini"): calls, replies and one-way
+// remote events are its request/ok/error/one-way frames, preserving
 // the call/reply, registration, lease and remote-event semantics (see
-// DESIGN.md substitution table).
+// DESIGN.md substitution table). What is Jini's own here is the
+// ServiceItem a lookup service stores and returns.
 #pragma once
 
 #include <cstdint>
 #include <string>
 
-#include "common/bytes.hpp"
 #include "common/interface_desc.hpp"
 #include "common/service.hpp"
 #include "common/status.hpp"
 #include "common/value.hpp"
 #include "net/address.hpp"
+#include "sim/scheduler.hpp"
 
 namespace hcm::jini {
 
@@ -22,8 +24,11 @@ constexpr std::uint16_t kLookupPort = 4160;
 constexpr std::uint16_t kDiscoveryPort = 4160;
 constexpr net::GroupId kDiscoveryGroup = 0x4A494E49;  // "JINI"
 
+// How long a Proxy call waits for its reply.
+constexpr sim::Duration kCallTimeout = sim::seconds(10);
+
 // A registered Jini service: identity, typed interface, and the
-// endpoint its exporter listens on.
+// endpoint of the jini BinaryRpcServer that hosts it.
 struct ServiceItem {
   std::string service_id;
   std::string name;
@@ -36,25 +41,5 @@ struct ServiceItem {
 
   friend bool operator==(const ServiceItem&, const ServiceItem&) = default;
 };
-
-// Remote call and reply messages.
-struct CallMessage {
-  std::uint64_t call_id = 0;
-  std::string service_id;
-  std::string method;
-  ValueList args;
-  bool one_way = false;
-};
-
-struct ReplyMessage {
-  std::uint64_t call_id = 0;
-  Status status;
-  Value value;
-};
-
-[[nodiscard]] Bytes encode_call(const CallMessage& m);
-[[nodiscard]] Result<CallMessage> decode_call(ByteView b);
-[[nodiscard]] Bytes encode_reply(const ReplyMessage& m);
-[[nodiscard]] Result<ReplyMessage> decode_reply(ByteView b);
 
 }  // namespace hcm::jini

@@ -1,33 +1,28 @@
 // Client-side stub for a remote Jini service object — the analogue of
-// the downloaded Jini proxy. Connects lazily and multiplexes calls on
-// one stream per remote endpoint.
+// the downloaded Jini proxy. Calls ride the jini family of the binary
+// channel: one lazy connection per proxy, calls multiplexed on it, each
+// timed out after kCallTimeout.
 #pragma once
 
-#include <deque>
-#include <map>
-#include <memory>
 #include <string>
 
 #include "common/service.hpp"
 #include "jini/protocol.hpp"
-#include "net/network.hpp"
+#include "net/binary_channel.hpp"
 
 namespace hcm::jini {
 
 class Proxy {
  public:
-  Proxy(net::Network& net, net::NodeId local_node, ServiceItem item)
-      : Proxy(net, local_node, std::move(item), sim::seconds(10)) {}
-  Proxy(net::Network& net, net::NodeId local_node, ServiceItem item,
-        sim::Duration call_timeout);
-  ~Proxy();
+  Proxy(net::Network& net, net::NodeId local_node, ServiceItem item);
   Proxy(const Proxy&) = delete;
   Proxy& operator=(const Proxy&) = delete;
 
   [[nodiscard]] const ServiceItem& item() const { return item_; }
 
   // Invokes a remote method. Arguments are checked against the proxy's
-  // interface before anything touches the wire.
+  // interface before anything touches the wire. A one_way method
+  // completes with Value() once its request is sent.
   void invoke(const std::string& method, const ValueList& args,
               InvokeResultFn done);
 
@@ -39,16 +34,8 @@ class Proxy {
   [[nodiscard]] ServiceHandler as_handler();
 
  private:
-  struct Shared;  // connection + pending-call state, shared with lambdas
-
-  void ensure_connected(std::function<void(const Status&)> then);
-  void send_call(CallMessage msg, InvokeResultFn done);
-
-  net::Network& net_;
-  net::NodeId local_node_;
   ServiceItem item_;
-  sim::Duration call_timeout_;
-  std::shared_ptr<Shared> shared_;
+  net::BinaryRpcClient client_;
 };
 
 }  // namespace hcm::jini

@@ -1,10 +1,10 @@
-#include "core/binary_channel.hpp"
+#include "net/binary_channel.hpp"
 
 #include <algorithm>
 
 #include "obs/slab.hpp"
 
-namespace hcm::core {
+namespace hcm::net {
 
 namespace {
 
@@ -12,6 +12,7 @@ namespace {
 constexpr std::uint8_t kRequest = 1;
 constexpr std::uint8_t kOk = 2;
 constexpr std::uint8_t kError = 3;
+constexpr std::uint8_t kOneWay = 4;
 constexpr std::uint8_t kTraced = 0x80;
 
 // A decoded frame header; the names borrow from the frame.
@@ -37,10 +38,11 @@ Result<Header> read_header(BufReader& r) {
   h.id = id.value();
   h.kind = kind.value() & ~kTraced;
   const bool traced = (kind.value() & kTraced) != 0;
-  if (h.kind < kRequest || h.kind > kError || (traced && h.kind != kRequest)) {
+  const bool request = h.kind == kRequest || h.kind == kOneWay;
+  if (h.kind < kRequest || h.kind > kOneWay || (traced && !request)) {
     return protocol_error("binary: unknown frame kind");
   }
-  if (h.kind == kRequest) {
+  if (request) {
     auto svc = read_name(r);
     if (!svc.is_ok()) return svc.status();
     auto method = read_name(r);
@@ -63,10 +65,11 @@ Result<Header> read_header(BufReader& r) {
 
 BlockStream encode_request(std::uint64_t id, std::string_view service,
                            std::string_view method, const ValueList& args,
-                           const obs::TraceContext& trace) {
+                           const obs::TraceContext& trace, bool one_way) {
   return build_frame([&](BlockStream& f) {
+    const std::uint8_t kind = one_way ? kOneWay : kRequest;
     f.put_u64(id);
-    f.put_u8(trace.valid() ? kRequest | kTraced : kRequest);
+    f.put_u8(trace.valid() ? kind | kTraced : kind);
     f.put_u16(static_cast<std::uint16_t>(service.size()));
     f.put_raw(service);
     f.put_u16(static_cast<std::uint16_t>(method.size()));
@@ -80,7 +83,7 @@ BlockStream encode_request(std::uint64_t id, std::string_view service,
 }
 
 struct BinaryRpcServer::Conn {
-  net::StreamPtr stream;
+  StreamPtr stream;
   FrameReader reader;
   // Decode scratch reused call over call: handlers consume the args
   // synchronously, as on the SOAP path (vsg.cpp).
@@ -88,12 +91,13 @@ struct BinaryRpcServer::Conn {
   ValueList args;
 };
 
-BinaryRpcServer::BinaryRpcServer(net::Network& net, net::NodeId node,
-                                 std::uint16_t port)
+BinaryRpcServer::BinaryRpcServer(Network& net, NodeId node,
+                                 std::uint16_t port, std::string_view family)
     : net_(net),
       node_(node),
       port_(port),
-      obs_scope_(obs::shard_registry().unique_scope("binary.server")),
+      family_(family),
+      obs_scope_(obs::shard_registry().unique_scope(family_ + ".server")),
       calls_served_(obs::shard_registry().counter(obs_scope_ + ".calls")),
       rejected_(obs::shard_registry().counter(obs_scope_ + ".rejected")),
       dispatch_latency_us_(
@@ -102,10 +106,9 @@ BinaryRpcServer::BinaryRpcServer(net::Network& net, net::NodeId node,
 BinaryRpcServer::~BinaryRpcServer() { stop(); }
 
 Status BinaryRpcServer::start() {
-  net::Node* n = net_.node(node_);
-  if (n == nullptr) return not_found("binary rpc: no such node");
-  auto status =
-      n->listen(port_, [this](net::StreamPtr s) { on_accept(s); });
+  Node* n = net_.node(node_);
+  if (n == nullptr) return not_found(family_ + " rpc: no such node");
+  auto status = n->listen(port_, [this](StreamPtr s) { on_accept(s); });
   if (!status.is_ok()) return status;
   listening_ = true;
   return Status::ok();
@@ -113,7 +116,7 @@ Status BinaryRpcServer::start() {
 
 void BinaryRpcServer::stop() {
   if (!listening_) return;
-  if (net::Node* n = net_.node(node_)) n->stop_listening(port_);
+  if (Node* n = net_.node(node_)) n->stop_listening(port_);
   listening_ = false;
   for (auto& weak : connections_) {
     if (auto conn = weak.lock(); conn && conn->stream) {
@@ -134,7 +137,7 @@ void BinaryRpcServer::unregister_service(const std::string& name) {
   services_.erase(name);
 }
 
-void BinaryRpcServer::on_accept(net::StreamPtr stream) {
+void BinaryRpcServer::on_accept(StreamPtr stream) {
   auto conn = std::make_shared<Conn>();
   conn->stream = stream;
   std::erase_if(connections_,
@@ -156,7 +159,9 @@ Status BinaryRpcServer::serve(const std::shared_ptr<Conn>& conn,
   auto header = read_header(r);
   if (!header.is_ok()) return header.status();
   const Header& h = header.value();
-  if (h.kind != kRequest) return protocol_error("binary: reply to server");
+  if (h.kind != kRequest && h.kind != kOneWay) {
+    return protocol_error("binary: reply to server");
+  }
   if (auto s = decode_value(r, conn->args); !s.is_ok()) return s;
   if (!r.at_end()) return protocol_error("binary: trailing bytes");
   conn->method.assign(h.method);
@@ -167,17 +172,18 @@ Status BinaryRpcServer::serve(const std::shared_ptr<Conn>& conn,
   auto& sched = net_.scheduler();
   obs::Tracer::Scope wire_scope(tracer, h.trace);
   const std::uint64_t span_id =
-      tracer.enabled() ? tracer.begin_span("binary.server:" + conn->method,
-                                           "binary.server", sched.now())
-                       : 0;
+      tracer.enabled()
+          ? tracer.begin_span(family_ + ".server:" + conn->method,
+                              family_ + ".server", sched.now())
+          : 0;
   obs::Tracer::Scope span_scope(tracer, tracer.context_of(span_id));
 
-  InvokeResultFn reply = [conn, id = h.id, &sched, span_id,
-                          &latency = dispatch_latency_us_,
+  InvokeResultFn reply = [conn, id = h.id, one_way = h.kind == kOneWay,
+                          &sched, span_id, &latency = dispatch_latency_us_,
                           start = sched.now()](Result<Value> result) {
     latency.observe(sched.now() - start);
     obs::Tracer::global().end_span(span_id, sched.now(), result.is_ok());
-    if (!conn->stream || !conn->stream->is_open()) return;
+    if (one_way || !conn->stream || !conn->stream->is_open()) return;
     conn->stream->send(build_frame([&](BlockStream& out) {
       out.put_u64(id);
       if (result.is_ok()) {
@@ -192,7 +198,7 @@ Status BinaryRpcServer::serve(const std::shared_ptr<Conn>& conn,
   };
   auto it = services_.find(h.svc);
   if (it == services_.end()) {
-    reply(not_found("no binary service: " + std::string(h.svc)));
+    reply(not_found("no " + family_ + " service: " + std::string(h.svc)));
   } else {
     it->second(conn->method, conn->args, std::move(reply));
   }
@@ -200,13 +206,20 @@ Status BinaryRpcServer::serve(const std::shared_ptr<Conn>& conn,
 }
 
 struct BinaryRpcClient::Conn {
-  // A call awaiting its reply, with the span and latency bookkeeping
-  // that complete it.
+  // A call awaiting its reply, with the timer, span and latency
+  // bookkeeping that complete it.
   struct Pending {
     std::uint64_t id;
     std::uint64_t span_id;
     sim::SimTime start;
+    sim::EventId timer;
     InvokeResultFn done;
+  };
+  // A request encoded while connecting. A one-way request completes
+  // `sent` once handed to the stream; a call waits in `pending`.
+  struct Unsent {
+    BlockStream frame;
+    InvokeResultFn sent;
   };
 
   Conn(sim::Scheduler& s, obs::Counter& e, obs::Histogram& l)
@@ -215,22 +228,40 @@ struct BinaryRpcClient::Conn {
   sim::Scheduler& sched;
   obs::Counter& errors;
   obs::Histogram& latency;
-  net::StreamPtr stream;
+  StreamPtr stream;
   FrameReader reader;
   bool connecting = false;
   std::uint64_t next_id = 1;
-  std::vector<Pending> pending;     // oldest first; capacity reused
-  std::vector<BlockStream> unsent;  // requests encoded while connecting
+  std::vector<Pending> pending;  // oldest first; capacity reused
+  std::vector<Unsent> unsent;
 
   void finish(Pending p, Result<Value> r) {
+    sched.cancel(p.timer);
     latency.observe(sched.now() - p.start);
     if (!r.is_ok()) errors.inc();
     obs::Tracer::global().end_span(p.span_id, sched.now(), r.is_ok());
     p.done(std::move(r));
   }
 
+  // Completes the pending call `id`, if it is still pending.
+  void complete(std::uint64_t id, Result<Value> r) {
+    auto it = std::find_if(pending.begin(), pending.end(),
+                           [id](const Pending& p) { return p.id == id; });
+    if (it == pending.end()) return;
+    Pending p = std::move(*it);
+    pending.erase(it);
+    finish(std::move(p), std::move(r));
+  }
+
   void fail_all(const Status& s) {
+    auto dropped = std::move(unsent);
     unsent.clear();
+    for (auto& u : dropped) {
+      if (u.sent) {
+        errors.inc();
+        u.sent(s);
+      }
+    }
     auto failed = std::move(pending);
     pending.clear();
     for (auto& p : failed) finish(std::move(p), s);
@@ -240,7 +271,6 @@ struct BinaryRpcClient::Conn {
     BufReader r(frame);
     auto header = read_header(r);
     if (!header.is_ok()) return header.status();
-    const std::uint64_t id = header.value().id;
     Result<Value> result = Value();
     if (header.value().kind == kOk) {
       result = decode_value(r);
@@ -258,15 +288,23 @@ struct BinaryRpcClient::Conn {
       return protocol_error("binary: request sent to client");
     }
     if (!r.at_end()) return protocol_error("binary: trailing bytes");
-    auto it = std::find_if(pending.begin(), pending.end(),
-                           [id](const Pending& p) { return p.id == id; });
-    if (it == pending.end()) return Status::ok();  // not ours: drop
-    Pending p = std::move(*it);
-    pending.erase(it);
-    finish(std::move(p), std::move(result));
+    complete(header.value().id, std::move(result));  // unknown ids drop
     return Status::ok();
   }
 };
+
+BinaryRpcClient::BinaryRpcClient(Network& net, NodeId node,
+                                 std::string_view family,
+                                 sim::Duration call_timeout)
+    : net_(net),
+      node_(node),
+      family_(family),
+      call_timeout_(call_timeout),
+      calls_(obs::shard_registry().counter(family_ + ".client.calls")),
+      errors_(obs::shard_registry().counter(family_ + ".client.errors")),
+      rejected_(obs::shard_registry().counter(family_ + ".client.rejected")),
+      latency_(
+          obs::shard_registry().histogram(family_ + ".client.latency_us")) {}
 
 BinaryRpcClient::~BinaryRpcClient() {
   for (auto& [dest, conn] : conns_) {
@@ -276,7 +314,7 @@ BinaryRpcClient::~BinaryRpcClient() {
 }
 
 std::shared_ptr<BinaryRpcClient::Conn> BinaryRpcClient::conn_for(
-    net::Endpoint dest) {
+    Endpoint dest) {
   auto it = conns_.find(dest);
   if (it != conns_.end()) return it->second;
   auto conn = std::make_shared<Conn>(net_.scheduler(), errors_, latency_);
@@ -284,9 +322,22 @@ std::shared_ptr<BinaryRpcClient::Conn> BinaryRpcClient::conn_for(
   return conn;
 }
 
-void BinaryRpcClient::call(net::Endpoint dest, const std::string& service,
+void BinaryRpcClient::call(Endpoint dest, const std::string& service,
                            const std::string& method, const ValueList& args,
                            InvokeResultFn done) {
+  send(dest, service, method, args, std::move(done), false);
+}
+
+void BinaryRpcClient::call_one_way(Endpoint dest, const std::string& service,
+                                   const std::string& method,
+                                   const ValueList& args,
+                                   InvokeResultFn done) {
+  send(dest, service, method, args, std::move(done), true);
+}
+
+void BinaryRpcClient::send(Endpoint dest, const std::string& service,
+                           const std::string& method, const ValueList& args,
+                           InvokeResultFn done, bool one_way) {
   calls_.inc();
   if (service.size() > 0xFFFF || method.size() > 0xFFFF) {
     errors_.inc();
@@ -294,26 +345,46 @@ void BinaryRpcClient::call(net::Endpoint dest, const std::string& service,
     return;
   }
   auto& tracer = obs::Tracer::global();
-  auto& sched = net_.scheduler();
-  const std::uint64_t span_id =
-      tracer.enabled() ? tracer.begin_span("binary.call:" + method,
-                                           "binary.client", sched.now())
-                       : 0;
-  const obs::TraceContext trace = tracer.context_of(span_id);
   auto conn = conn_for(dest);
   const std::uint64_t id = conn->next_id++;
-  conn->pending.push_back({id, span_id, sched.now(), std::move(done)});
-
-  BlockStream out = encode_request(id, service, method, args, trace);
-  if (conn->stream && conn->stream->is_open()) {
-    conn->stream->send(std::move(out));
-    return;
+  // A call is a client span; a one-way request carries the current
+  // context, so its server span still joins the caller's trace.
+  std::uint64_t span_id = 0;
+  if (!one_way && tracer.enabled()) {
+    span_id = tracer.begin_span(family_ + ".call:" + method,
+                                family_ + ".client", conn->sched.now());
   }
-  conn->unsent.push_back(std::move(out));
+  BlockStream out = encode_request(
+      id, service, method, args,
+      one_way ? tracer.current() : tracer.context_of(span_id), one_way);
+  const bool open = conn->stream && conn->stream->is_open();
+  if (one_way) {
+    if (open) {
+      conn->stream->send(std::move(out));
+      done(Value());
+      return;
+    }
+    conn->unsent.push_back({std::move(out), std::move(done)});
+  } else {
+    std::weak_ptr<Conn> wconn = conn;
+    const sim::EventId timer =
+        conn->sched.after(call_timeout_, [wconn, id] {
+          if (auto c = wconn.lock()) {
+            c->complete(id, timeout("binary: call timed out"));
+          }
+        });
+    conn->pending.push_back(
+        {id, span_id, conn->sched.now(), timer, std::move(done)});
+    if (open) {
+      conn->stream->send(std::move(out));
+      return;
+    }
+    conn->unsent.push_back({std::move(out), nullptr});
+  }
   if (conn->connecting) return;
   conn->connecting = true;
   net_.connect(node_, dest, [conn, &rejected = rejected_](
-                                Result<net::StreamPtr> r) {
+                                Result<StreamPtr> r) {
     conn->connecting = false;
     if (!r.is_ok()) {
       conn->fail_all(r.status());
@@ -340,9 +411,13 @@ void BinaryRpcClient::call(net::Endpoint dest, const std::string& service,
       conn->stream->close();
       conn->fail_all(unavailable("binary: rejected: " + status.message()));
     });
-    for (auto& out : conn->unsent) conn->stream->send(std::move(out));
+    auto unsent = std::move(conn->unsent);
     conn->unsent.clear();
+    for (auto& u : unsent) {
+      conn->stream->send(std::move(u.frame));
+      if (u.sent) u.sent(Value());
+    }
   });
 }
 
-}  // namespace hcm::core
+}  // namespace hcm::net

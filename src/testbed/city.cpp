@@ -12,21 +12,16 @@ constexpr const char* kSoapPath = "/vsg";
 constexpr const char* kSoapNs = "urn:hcm:city";
 }  // namespace
 
-City::City(sim::Scheduler& scheduler, const CityOptions& options)
-    : sched(scheduler), net(scheduler), options_(options) {
-  build(options);
-}
-
 City::City(sim::ShardedKernel& k, const CityOptions& options)
-    : kernel(&k), sched(k.shard(0)), net(sched), options_(options) {
-  net.set_kernel(kernel);
-  kernel->seed(options.seed);
+    : kernel(k), sched(k.shard(0)), net(sched), options_(options) {
+  net.set_kernel(&kernel);
+  kernel.seed(options.seed);
   build(options);
 }
 
 void City::build(const CityOptions& options) {
-  const sim::ShardId shards = kernel == nullptr ? 1 : kernel->shards();
-  on_shard(0, [&] {
+  const sim::ShardId shards = kernel.shards();
+  kernel.run_as(0, [&] {
     backbone_ = &net.add_ethernet("backbone", options.backbone_latency,
                                   100'000'000);
   });
@@ -37,7 +32,7 @@ void City::build(const CityOptions& options) {
     isl->index = i;
     isl->shard = static_cast<sim::ShardId>(i % shards);
     Island& island = *isl;
-    on_shard(island.shard, [&] {
+    kernel.run_as(island.shard, [&] {
       auto& lan = net.add_ethernet("lan-" + std::to_string(i),
                                    sim::microseconds(100), 100'000'000);
       island.gateway = &net.add_node("gw-" + std::to_string(i));
@@ -73,16 +68,14 @@ void City::build(const CityOptions& options) {
     islands_[i]->neighbor = {islands_[(i + 1) % n]->gateway->id(),
                              kGatewayHttpPort};
   }
-  if (kernel != nullptr) {
-    const sim::Duration min_latency = net.min_cross_shard_latency();
-    if (min_latency > 0) kernel->set_lookahead(min_latency);
-  }
+  const sim::Duration min_latency = net.min_cross_shard_latency();
+  if (min_latency > 0) kernel.set_lookahead(min_latency);
 }
 
 void City::start() {
   for (auto& isl : islands_) {
     Island& island = *isl;
-    on_shard(island.shard, [&] {
+    kernel.run_as(island.shard, [&] {
       auto& shard_sched = net.scheduler();
       for (std::size_t d = 0; d < island.devices.size(); ++d) {
         // Index-derived phases spread the fleet across the period

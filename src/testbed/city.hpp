@@ -34,9 +34,8 @@ struct CityOptions {
 
 class City {
  public:
-  // Legacy single-threaded city.
-  City(sim::Scheduler& sched, const CityOptions& options);
-  // Sharded city over a caller-owned (freshly constructed) kernel.
+  // A city over a caller-owned (freshly constructed) kernel; one shard
+  // runs it single-threaded.
   City(sim::ShardedKernel& kernel, const CityOptions& options);
   City(const City&) = delete;
   City& operator=(const City&) = delete;
@@ -51,7 +50,7 @@ class City {
   [[nodiscard]] std::uint64_t reports_received() const;
   [[nodiscard]] std::uint64_t ring_calls_ok() const;
 
-  sim::ShardedKernel* kernel = nullptr;  // null in legacy mode
+  sim::ShardedKernel& kernel;
   sim::Scheduler& sched;
   net::Network net;
 
@@ -73,14 +72,6 @@ class City {
   void build(const CityOptions& options);
   void tick_device(Island& isl, std::size_t dev, sim::Duration period);
   void ring_call(Island& isl, sim::Duration period);
-  template <typename Fn>
-  void on_shard(sim::ShardId s, Fn&& fn) {
-    if (kernel == nullptr) {
-      fn();
-    } else {
-      kernel->run_as(s, std::forward<Fn>(fn));
-    }
-  }
 
   CityOptions options_;
   std::size_t device_count_ = 0;

@@ -45,9 +45,9 @@ InterfaceDesc LaserdiscPlayer::describe_interface() {
 
 LaserdiscPlayer::LaserdiscPlayer(net::Network& net, net::NodeId node,
                                  net::Endpoint lookup_endpoint)
-    : net_(net), node_(node), exporter_(net, node, 4170) {
-  (void)exporter_.start();
-  exporter_.export_object(
+    : net_(net), node_(node), server_(net, node, 4170, "jini") {
+  (void)server_.start();
+  server_.register_service(
       "laserdisc-1",
       [this](const std::string& method, const ValueList& args,
              InvokeResultFn done) { handle(method, args, done); });
@@ -55,7 +55,7 @@ LaserdiscPlayer::LaserdiscPlayer(net::Network& net, net::NodeId node,
   item.service_id = "laserdisc-1";
   item.name = "laserdisc-1";
   item.interface = describe_interface();
-  item.endpoint = exporter_.endpoint();
+  item.endpoint = server_.endpoint();
   item.attributes = ValueMap{{"vendor", Value("pioneer")}};
   registrar_ = std::make_unique<jini::Registrar>(net, node, lookup_endpoint,
                                                  std::move(item));

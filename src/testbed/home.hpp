@@ -53,7 +53,7 @@ class LaserdiscPlayer {
 
   net::Network& net_;
   net::NodeId node_;
-  jini::Exporter exporter_;
+  net::BinaryRpcServer server_;
   std::unique_ptr<jini::Registrar> registrar_;
   bool powered_ = false;
   bool playing_ = false;

@@ -5,6 +5,11 @@
 namespace hcm {
 namespace {
 
+// `payload` behind its length prefix.
+BlockStream framed(const Bytes& payload) {
+  return build_frame([&](BlockStream& f) { f.put_raw(payload); });
+}
+
 // Feeds `wire` and collects every complete frame's payload.
 Status feed(FrameReader& reader, BlockStream wire, std::vector<Bytes>& out) {
   return reader.feed(std::move(wire), [&out](ByteView f) {
@@ -17,7 +22,7 @@ TEST(FrameReaderTest, SingleFrame) {
   FrameReader reader;
   std::vector<Bytes> out;
   Bytes payload = to_bytes("payload");
-  ASSERT_TRUE(feed(reader, frame(payload), out).is_ok());
+  ASSERT_TRUE(feed(reader, framed(payload), out).is_ok());
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0], payload);
 }
@@ -26,7 +31,7 @@ TEST(FrameReaderTest, SplitAcrossFeeds) {
   FrameReader reader;
   std::vector<Bytes> out;
   Bytes wire;
-  frame(to_bytes("split")).append_to(wire);
+  framed(to_bytes("split")).append_to(wire);
   for (auto b : wire) {
     BlockStream chunk;
     chunk.append(&b, 1);
@@ -39,8 +44,8 @@ TEST(FrameReaderTest, SplitAcrossFeeds) {
 TEST(FrameReaderTest, MultipleFramesInOneFeed) {
   FrameReader reader;
   std::vector<Bytes> out;
-  BlockStream stream = frame(to_bytes("a"));
-  stream.splice(frame(to_bytes("bb")));
+  BlockStream stream = framed(to_bytes("a"));
+  stream.splice(framed(to_bytes("bb")));
   ASSERT_TRUE(feed(reader, std::move(stream), out).is_ok());
   ASSERT_EQ(out.size(), 2u);
   EXPECT_EQ(to_string(out[0]), "a");
@@ -61,11 +66,11 @@ TEST(FrameReaderTest, BoundIsSixteenMebibytes) {
   std::vector<Bytes> out;
   FrameReader at_bound;
   BlockStream ok;
-  ok.put_u32(FrameReader::kMaxFrame);
+  ok.put_u32(kMaxMessageBytes);
   EXPECT_TRUE(feed(at_bound, std::move(ok), out).is_ok());
   FrameReader over;
   BlockStream bad;
-  bad.put_u32(FrameReader::kMaxFrame + 1);
+  bad.put_u32(kMaxMessageBytes + 1);
   EXPECT_EQ(feed(over, std::move(bad), out).code(),
             StatusCode::kProtocolError);
   EXPECT_TRUE(out.empty());
@@ -79,15 +84,15 @@ TEST(FrameReaderTest, FrameAcrossBlockSeamIsContiguous) {
   }
   FrameReader reader;
   std::vector<Bytes> out;
-  ASSERT_TRUE(feed(reader, frame(payload), out).is_ok());
+  ASSERT_TRUE(feed(reader, framed(payload), out).is_ok());
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0], payload);
 }
 
 TEST(FrameReaderTest, CallbackErrorStopsTheFeed) {
   FrameReader reader;
-  BlockStream stream = frame(to_bytes("a"));
-  stream.splice(frame(to_bytes("b")));
+  BlockStream stream = framed(to_bytes("a"));
+  stream.splice(framed(to_bytes("b")));
   int calls = 0;
   auto s = reader.feed(std::move(stream), [&calls](ByteView) {
     ++calls;

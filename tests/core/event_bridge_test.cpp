@@ -12,7 +12,7 @@
 
 #include "core/adapters/upnp_adapter.hpp"
 #include "core/event_router.hpp"
-#include "jini/exporter.hpp"
+#include "net/binary_channel.hpp"
 #include "jini/registrar.hpp"
 #include "testbed/home.hpp"
 #include "upnp/upnp.hpp"
@@ -124,10 +124,10 @@ TEST_F(EventBridgeTest, BridgedEventsReemitAsNativeJiniEvents) {
   // Jini event source.
   net::Node& client_node = home->net.add_node("jini-client");
   home->net.attach(client_node, *home->jini_lan);
-  jini::Exporter exporter(home->net, client_node.id(), 4180);
-  ASSERT_TRUE(exporter.start().is_ok());
+  net::BinaryRpcServer jini_server(home->net, client_node.id(), 4180, "jini");
+  ASSERT_TRUE(jini_server.start().is_ok());
   std::vector<std::string> native_events;
-  exporter.export_object(
+  jini_server.register_service(
       "test-listener",
       [&](const std::string& method, const ValueList& args,
           InvokeResultFn done) {

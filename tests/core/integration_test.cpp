@@ -201,12 +201,13 @@ TEST_F(SmartHomeTest, NewServiceAppearsAfterRefresh) {
   // Plug a new X10 appliance in by reconfiguring the island (X10 has
   // no discovery, so arrival = configuration + refresh)... exercised
   // instead with a second Jini service, which *does* self-announce.
-  jini::Exporter exporter(home->net, home->laserdisc_node->id(), 4270);
-  ASSERT_TRUE(exporter.start().is_ok());
-  exporter.export_object("cd-1", [](const std::string&, const ValueList&,
-                                    InvokeResultFn done) {
-    done(Value(true));
-  });
+  net::BinaryRpcServer jini_server(home->net, home->laserdisc_node->id(), 4270,
+                                   "jini");
+  ASSERT_TRUE(jini_server.start().is_ok());
+  jini_server.register_service(
+      "cd-1", [](const std::string&, const ValueList&, InvokeResultFn done) {
+        done(Value(true));
+      });
   jini::ServiceItem item;
   item.service_id = "cd-1";
   item.name = "cd-1";

@@ -37,12 +37,13 @@ TEST(MetaMiddlewareTest, AutoRefreshPropagatesNewServices) {
   home.meta->start_auto_refresh(sim::seconds(30));
 
   // A new Jini service appears after the initial sync...
-  jini::Exporter exporter(home.net, home.laserdisc_node->id(), 4290);
-  ASSERT_TRUE(exporter.start().is_ok());
-  exporter.export_object("md-1", [](const std::string&, const ValueList&,
-                                    InvokeResultFn done) {
-    done(Value(true));
-  });
+  net::BinaryRpcServer jini_server(home.net, home.laserdisc_node->id(), 4290,
+                                   "jini");
+  ASSERT_TRUE(jini_server.start().is_ok());
+  jini_server.register_service(
+      "md-1", [](const std::string&, const ValueList&, InvokeResultFn done) {
+        done(Value(true));
+      });
   jini::ServiceItem item;
   item.service_id = "md-1";
   item.name = "md-1";

@@ -146,6 +146,28 @@ TEST_P(VsgTest, GatewayDownSurfacesUnavailable) {
   EXPECT_FALSE(result->is_ok());
 }
 
+TEST_P(VsgTest, SilentPeerTimesOut) {
+  // The exposed handler never completes: the caller's gateway gives up
+  // after 30 s, on the binary channel exactly as on SOAP/HTTP.
+  auto uri = vsg_a->expose("calc-1", calc_interface(),
+                           [](const std::string&, const ValueList&,
+                              InvokeResultFn) { /* never replies */ });
+  ASSERT_TRUE(uri.is_ok());
+  std::optional<Result<Value>> result;
+  sim::SimTime done_at = 0;
+  const sim::SimTime start = sched.now();
+  vsg_b->call_remote(uri.value(), "calc-1", calc_interface(), "add",
+                     {Value(1), Value(2)}, [&](Result<Value> r) {
+                       result = std::move(r);
+                       done_at = sched.now();
+                     });
+  sched.run_for(sim::seconds(300));
+  ASSERT_TRUE(result.has_value());
+  EXPECT_EQ(result->status().code(), StatusCode::kTimeout);
+  EXPECT_GE(done_at - start, sim::seconds(30));
+  EXPECT_LT(done_at - start, sim::seconds(31));
+}
+
 TEST_P(VsgTest, ExposureUriMatchesProtocol) {
   auto uri = vsg_a->expose("calc-1", calc_interface(),
                            [](const std::string&, const ValueList&,

@@ -7,6 +7,7 @@
 
 #include "common/block_pool.hpp"
 #include "common/block_stream.hpp"
+#include "common/value_codec.hpp"
 #include "soap/envelope.hpp"
 
 namespace hcm::http {
@@ -139,6 +140,28 @@ TEST(HttpParserTest, BadContentLength) {
   EXPECT_FALSE(
       p.feed(raw_wire("GET / HTTP/1.1\r\nContent-Length: abc\r\n\r\n"))
           .is_ok());
+}
+
+std::string head_with_length(std::uint64_t n) {
+  return "POST /bulk HTTP/1.1\r\nContent-Length: " + std::to_string(n) +
+         "\r\n\r\n";
+}
+
+TEST(HttpParserTest, ContentLengthAtBoundWaitsForBody) {
+  MessageParser p(MessageParser::Mode::kRequest);
+  ASSERT_TRUE(p.feed(raw_wire(head_with_length(kMaxMessageBytes))).is_ok());
+  Request got;
+  EXPECT_FALSE(p.pop_request(got));  // still waiting for the body
+}
+
+TEST(HttpParserTest, ContentLengthOverBoundRejectedAtHead) {
+  for (std::uint64_t n : {std::uint64_t{kMaxMessageBytes} + 1,
+                          std::uint64_t{999'999'999'999}}) {
+    SCOPED_TRACE(n);
+    MessageParser p(MessageParser::Mode::kRequest);
+    EXPECT_EQ(p.feed(raw_wire(head_with_length(n))).code(),
+              StatusCode::kProtocolError);
+  }
 }
 
 TEST(HttpParserTest, BadStatusCode) {

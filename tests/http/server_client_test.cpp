@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "common/value_codec.hpp"
 #include "http/client.hpp"
 #include "http/server.hpp"
 
@@ -126,6 +127,31 @@ TEST_F(HttpEndToEndTest, RequestTimesOutWhenHandlerNeverResponds) {
   ASSERT_TRUE(result.has_value());
   ASSERT_FALSE(result->is_ok());
   EXPECT_EQ(result->status().code(), StatusCode::kTimeout);
+}
+
+TEST_F(HttpEndToEndTest, OversizedContentLengthClosesConnection) {
+  int served = 0;
+  server->route("/bulk", [&](const Request&, RespondFn respond) {
+    ++served;
+    respond(Response::make(200, "OK", "ok"));
+  });
+  net::StreamPtr s;
+  net.connect(client_node->id(), server->endpoint(),
+              [&s](Result<net::StreamPtr> r) { s = r.value(); });
+  sched.run();
+  ASSERT_TRUE(s);
+  bool closed = false;
+  Bytes answer;
+  s->set_on_data([&answer](BlockStream&& d) { d.append_to(answer); });
+  s->set_on_close([&closed] { closed = true; });
+  // 16 MiB + 1 announced: the server hangs up on the head alone.
+  s->send(to_bytes("POST /bulk HTTP/1.1\r\nContent-Length: " +
+                   std::to_string(std::uint64_t{kMaxMessageBytes} + 1) +
+                   "\r\n\r\n"));
+  sched.run();
+  EXPECT_TRUE(closed);
+  EXPECT_TRUE(answer.empty());
+  EXPECT_EQ(served, 0);
 }
 
 TEST_F(HttpEndToEndTest, KeepAliveReusesConnection) {

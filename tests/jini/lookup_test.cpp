@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "jini/registrar.hpp"
+#include "obs/metrics.hpp"
 
 namespace hcm::jini {
 namespace {
@@ -27,9 +28,10 @@ class JiniStackTest : public ::testing::Test {
     lookup = std::make_unique<LookupService>(net, lookup_node->id());
     ASSERT_TRUE(lookup->start().is_ok());
 
-    exporter = std::make_unique<Exporter>(net, service_node->id(), 4170);
-    ASSERT_TRUE(exporter->start().is_ok());
-    exporter->export_object(
+    server = std::make_unique<net::BinaryRpcServer>(net, service_node->id(),
+                                                    4170, "jini");
+    ASSERT_TRUE(server->start().is_ok());
+    server->register_service(
         "echo-1", [](const std::string& method, const ValueList& args,
                      InvokeResultFn done) {
           if (method == "echo") {
@@ -45,7 +47,7 @@ class JiniStackTest : public ::testing::Test {
     item.service_id = "echo-1";
     item.name = "echo";
     item.interface = echo_interface();
-    item.endpoint = exporter->endpoint();
+    item.endpoint = server->endpoint();
     return item;
   }
 
@@ -67,7 +69,7 @@ class JiniStackTest : public ::testing::Test {
   net::Node* client_node = nullptr;
   net::EthernetSegment* eth = nullptr;
   std::unique_ptr<LookupService> lookup;
-  std::unique_ptr<Exporter> exporter;
+  std::unique_ptr<net::BinaryRpcServer> server;
 };
 
 TEST_F(JiniStackTest, RegisterAndLookup) {
@@ -178,11 +180,11 @@ TEST_F(JiniStackTest, CancelRemovesService) {
 }
 
 TEST_F(JiniStackTest, ServiceEventsDelivered) {
-  // Export a listener object on the client node.
-  Exporter listener_exporter(net, client_node->id(), 4180);
-  ASSERT_TRUE(listener_exporter.start().is_ok());
+  // Serve a listener object on the client node.
+  net::BinaryRpcServer listener_server(net, client_node->id(), 4180, "jini");
+  ASSERT_TRUE(listener_server.start().is_ok());
   std::vector<std::string> events;
-  listener_exporter.export_object(
+  listener_server.register_service(
       "listener-1",
       [&](const std::string& method, const ValueList& args,
           InvokeResultFn done) {
@@ -235,21 +237,59 @@ TEST_F(JiniStackTest, CallToDeadServiceFails) {
 }
 
 TEST_F(JiniStackTest, CallTimesOutWhenHandlerSilent) {
-  exporter->export_object("silent-1",
-                          [](const std::string&, const ValueList&,
-                             InvokeResultFn) { /* never replies */ });
+  server->register_service("silent-1",
+                           [](const std::string&, const ValueList&,
+                              InvokeResultFn) { /* never replies */ });
   ServiceItem item;
   item.service_id = "silent-1";
   item.name = "silent";
   item.interface = echo_interface();
-  item.endpoint = exporter->endpoint();
-  Proxy proxy(net, client_node->id(), item, sim::seconds(5));
+  item.endpoint = server->endpoint();
+  Proxy proxy(net, client_node->id(), item);
   std::optional<Result<Value>> result;
+  const sim::SimTime start = sched.now();
   proxy.invoke("echo", {Value(1)}, [&](Result<Value> r) { result = r; });
   sim::run_until_done(sched, [&] { return result.has_value(); });
   ASSERT_TRUE(result.has_value());
   ASSERT_FALSE(result->is_ok());
   EXPECT_EQ(result->status().code(), StatusCode::kTimeout);
+  EXPECT_EQ(sched.now() - start, kCallTimeout);
+}
+
+TEST_F(JiniStackTest, ErrorReplyWithStatusCodeZeroIsRejected) {
+  // A raw peer answers the first call with an error reply whose status
+  // code is 0 (kOk): a success in disguise that must not reach the
+  // caller as a null result.
+  const Bytes reply = {
+      0x00, 0x00, 0x00, 0x0e,                          // length 14
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01,  // id 1
+      0x03,                                            // error reply
+      0x00,                                            // code 0
+      0x00, 0x00, 0x00, 0x00};                         // empty message
+  constexpr std::uint16_t kRawPort = 4190;
+  std::vector<net::StreamPtr> raw;
+  ASSERT_TRUE(service_node
+                  ->listen(kRawPort,
+                           [&](net::StreamPtr s) {
+                             net::Stream* peer = s.get();
+                             raw.push_back(s);
+                             s->set_on_data([peer, &reply](BlockStream&&) {
+                               peer->send(reply);
+                             });
+                           })
+                  .is_ok());
+  ServiceItem item = echo_item();
+  item.endpoint = {service_node->id(), kRawPort};
+  auto& rejected = obs::Registry::global().counter("jini.client.rejected");
+  const auto before = rejected.value();
+  Proxy proxy(net, client_node->id(), item);
+  std::optional<Result<Value>> result;
+  proxy.invoke("echo", {Value(1)}, [&](Result<Value> r) { result = r; });
+  sim::run_until_done(sched, [&] { return result.has_value(); });
+  ASSERT_TRUE(result.has_value());
+  EXPECT_FALSE(result->is_ok());
+  EXPECT_EQ(result->status().code(), StatusCode::kUnavailable);
+  EXPECT_EQ(rejected.value(), before + 1);
 }
 
 TEST_F(JiniStackTest, ReRegistrationReplacesItem) {

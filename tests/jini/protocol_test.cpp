@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/value_codec.hpp"
-
 namespace hcm::jini {
 namespace {
 
@@ -34,49 +32,6 @@ TEST(JiniProtocolTest, ServiceItemRejectsGarbage) {
   // Missing interface.
   EXPECT_FALSE(
       ServiceItem::from_value(Value(ValueMap{{"id", Value("x")}})).is_ok());
-}
-
-TEST(JiniProtocolTest, CallRoundTrip) {
-  CallMessage call;
-  call.call_id = 99;
-  call.service_id = "svc";
-  call.method = "doThing";
-  call.args = {Value(1), Value("two")};
-  call.one_way = true;
-  auto decoded = decode_call(encode_call(call));
-  ASSERT_TRUE(decoded.is_ok());
-  EXPECT_EQ(decoded.value().call_id, 99u);
-  EXPECT_EQ(decoded.value().service_id, "svc");
-  EXPECT_EQ(decoded.value().method, "doThing");
-  EXPECT_EQ(decoded.value().args, call.args);
-  EXPECT_TRUE(decoded.value().one_way);
-}
-
-TEST(JiniProtocolTest, ReplyOkRoundTrip) {
-  ReplyMessage reply;
-  reply.call_id = 7;
-  reply.value = Value(ValueMap{{"k", Value(3)}});
-  auto decoded = decode_reply(encode_reply(reply));
-  ASSERT_TRUE(decoded.is_ok());
-  EXPECT_TRUE(decoded.value().status.is_ok());
-  EXPECT_EQ(decoded.value().value, reply.value);
-}
-
-TEST(JiniProtocolTest, ReplyErrorRoundTrip) {
-  ReplyMessage reply;
-  reply.call_id = 8;
-  reply.status = timeout("too slow");
-  auto decoded = decode_reply(encode_reply(reply));
-  ASSERT_TRUE(decoded.is_ok());
-  EXPECT_EQ(decoded.value().status.code(), StatusCode::kTimeout);
-  EXPECT_EQ(decoded.value().status.message(), "too slow");
-}
-
-TEST(JiniProtocolTest, DecodeRejectsMalformed) {
-  EXPECT_FALSE(decode_call(Bytes{1, 2, 3}).is_ok());
-  EXPECT_FALSE(decode_reply(Bytes{}).is_ok());
-  // A valid Value that is not a call map.
-  EXPECT_FALSE(decode_call(encode_value(Value("nope"))).is_ok());
 }
 
 }  // namespace

@@ -1,14 +1,15 @@
-#include "core/binary_channel.hpp"
+#include "net/binary_channel.hpp"
 
 #include <gtest/gtest.h>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
-namespace hcm::core {
+namespace hcm::net {
 namespace {
 
 constexpr std::uint16_t kRawPort = 9100;
+constexpr sim::Duration kCallTimeout = sim::seconds(30);
 
 // Golden frames, length prefix included (layout: binary_channel.hpp).
 // call("echo", "m", {42}) as the first call on a connection.
@@ -32,6 +33,15 @@ const Bytes kTracedRequest = {
     0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01,  // span_id
     0x06, 0x00, 0x00, 0x00, 0x01,                    // list of 1
     0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x2a};  // int 42
+// A one-way request with the same call: kind 4, no reply expected.
+const Bytes kOneWayRequest = {
+    0x00, 0x00, 0x00, 0x20,                          // length 32
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01,  // id 1
+    0x04,                                            // one-way request
+    0x00, 0x04, 'e', 'c', 'h', 'o',                  // service
+    0x00, 0x01, 'm',                                 // method
+    0x06, 0x00, 0x00, 0x00, 0x01,                    // list of 1
+    0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x2a};  // int 42
 // The echo service's answer to kRequest.
 const Bytes kOkReply = {
     0x00, 0x00, 0x00, 0x12,                          // length 18
@@ -49,7 +59,7 @@ const Bytes kErrorReply = {
 // `payload` behind its true length prefix.
 Bytes framed(const Bytes& payload) {
   Bytes out;
-  frame(payload).append_to(out);
+  build_frame([&](BlockStream& f) { f.put_raw(payload); }).append_to(out);
   return out;
 }
 
@@ -67,10 +77,10 @@ std::vector<Bytes> hostile_frames(std::initializer_list<const Bytes*> goldens) {
     trailing.push_back(0);
     out.push_back(framed(trailing));
   }
-  for (std::uint8_t kind : {0x00, 0x04, 0x7f, 0x82, 0x83}) {
+  for (std::uint8_t kind : {0x00, 0x05, 0x7f, 0x82, 0x83}) {
     out.push_back(framed({0, 0, 0, 0, 0, 0, 0, 1, kind}));
   }
-  out.push_back({0x01, 0x00, 0x00, 0x01});  // FrameReader::kMaxFrame + 1
+  out.push_back({0x01, 0x00, 0x00, 0x01});  // kMaxMessageBytes + 1
   return out;
 }
 
@@ -82,9 +92,15 @@ class BinaryChannelTest : public ::testing::Test {
     auto& eth = net.add_ethernet("lan", sim::microseconds(200), 100'000'000);
     net.attach(*server_node, eth);
     net.attach(*client_node, eth);
-    server = std::make_unique<BinaryRpcServer>(net, server_node->id(), 9000);
+    server = std::make_unique<BinaryRpcServer>(net, server_node->id(), 9000,
+                                               "binary");
     ASSERT_TRUE(server->start().is_ok());
-    client = std::make_unique<BinaryRpcClient>(net, client_node->id());
+    client = new_client();
+  }
+
+  std::unique_ptr<BinaryRpcClient> new_client() {
+    return std::make_unique<BinaryRpcClient>(net, client_node->id(), "binary",
+                                             kCallTimeout);
   }
 
   Result<Value> call(const std::string& svc, const std::string& method,
@@ -265,6 +281,91 @@ TEST_F(BinaryChannelTest, GoldenTracedRequestFrame) {
   EXPECT_EQ(to_hex(raw_in), to_hex(kTracedRequest));
 }
 
+TEST_F(BinaryChannelTest, GoldenOneWayRequestFrame) {
+  raw_listen();
+  std::optional<Result<Value>> sent;
+  client->call_one_way({server_node->id(), kRawPort}, "echo", "m",
+                       {Value(42)},
+                       [&](Result<Value> r) { sent = std::move(r); });
+  sched.run();
+  EXPECT_EQ(to_hex(raw_in), to_hex(kOneWayRequest));
+  ASSERT_TRUE(sent.has_value());
+  EXPECT_TRUE(sent->is_ok());
+}
+
+TEST_F(BinaryChannelTest, OneWayRequestIsServedWithoutReply) {
+  std::vector<std::int64_t> seen;
+  server->register_service("echo", [&](const std::string&,
+                                       const ValueList& args,
+                                       InvokeResultFn done) {
+    seen.push_back(args[0].as_int());
+    done(args[0]);
+  });
+  auto s = raw_connect();
+  s->send(kOneWayRequest);
+  sched.run();
+  EXPECT_EQ(seen, std::vector<std::int64_t>{42});
+  EXPECT_TRUE(raw_in.empty());
+  EXPECT_FALSE(raw_closed);
+  EXPECT_EQ(server->rejected(), 0u);
+}
+
+TEST_F(BinaryChannelTest, OneWayToDeadPeerFailsWithConnectError) {
+  server_node->set_up(false);
+  std::optional<Result<Value>> sent;
+  client->call_one_way({server_node->id(), 9000}, "echo", "m", {Value(1)},
+                       [&](Result<Value> r) { sent = std::move(r); });
+  sched.run();
+  ASSERT_TRUE(sent.has_value());
+  EXPECT_FALSE(sent->is_ok());
+}
+
+TEST_F(BinaryChannelTest, SilentHandlerTimesOutAndLateReplyIsDropped) {
+  InvokeResultFn held;
+  server->register_service("slow", [&](const std::string&, const ValueList&,
+                                       InvokeResultFn done) {
+    held = std::move(done);
+  });
+  int completions = 0;
+  std::optional<Result<Value>> result;
+  sim::SimTime done_at = 0;
+  client->call({server_node->id(), 9000}, "slow", "m", {},
+               [&](Result<Value> r) {
+                 ++completions;
+                 result = std::move(r);
+                 done_at = sched.now();
+               });
+  sched.run_for(kCallTimeout - 1);
+  EXPECT_FALSE(result.has_value());
+  sched.run_for(1);
+  ASSERT_TRUE(result.has_value());
+  EXPECT_EQ(result->status().code(), StatusCode::kTimeout);
+  EXPECT_EQ(done_at, kCallTimeout);
+  // The reply arrives after the timeout: dropped like an unknown id, and
+  // the connection keeps serving.
+  ASSERT_TRUE(held);
+  held(Value(1));
+  sched.run();
+  EXPECT_EQ(completions, 1);
+  server->register_service("echo", [](const std::string&,
+                                      const ValueList& args,
+                                      InvokeResultFn done) {
+    done(args[0]);
+  });
+  EXPECT_EQ(call("echo", "m", {Value(3)}).value(), Value(3));
+}
+
+TEST_F(BinaryChannelTest, ReplyCancelsTheTimer) {
+  server->register_service("echo", [](const std::string&,
+                                      const ValueList& args,
+                                      InvokeResultFn done) {
+    done(args[0]);
+  });
+  ASSERT_TRUE(call("echo", "m", {Value(1)}).is_ok());
+  // sched.run() returned: no timer outlived the reply.
+  EXPECT_LT(sched.now(), kCallTimeout);
+}
+
 TEST_F(BinaryChannelTest, GoldenOkReplyFrame) {
   server->register_service("echo", [](const std::string&,
                                       const ValueList& args,
@@ -294,7 +395,7 @@ TEST_F(BinaryChannelTest, GoldenRepliesDecodeOnTheClient) {
   auto ok = call_raw();
   ASSERT_TRUE(ok.is_ok());
   EXPECT_EQ(ok.value(), Value(42));
-  client = std::make_unique<BinaryRpcClient>(net, client_node->id());
+  client = new_client();
   raw_answer = kErrorReply;
   auto err = call_raw();
   EXPECT_EQ(err.status().code(), StatusCode::kUnavailable);
@@ -325,7 +426,7 @@ TEST_F(BinaryChannelTest, ServerRejectsHostileFrames) {
                                       InvokeResultFn done) {
     done(args[0]);
   });
-  auto cases = hostile_frames({&kRequest, &kTracedRequest});
+  auto cases = hostile_frames({&kRequest, &kTracedRequest, &kOneWayRequest});
   // Names that run past the frame, and replies sent to a server.
   cases.push_back(framed({0, 0, 0, 0, 0, 0, 0, 1, 0x01, 0x00, 0xff, 'e'}));
   cases.push_back(framed(
@@ -359,12 +460,13 @@ TEST_F(BinaryChannelTest, ClientRejectsHostileFramesAndFailsPendingCalls) {
     bad_code[13] = code;
     cases.push_back(bad_code);
   }
-  cases.push_back(kRequest);  // a request sent to a client
+  cases.push_back(kRequest);  // requests sent to a client
+  cases.push_back(kOneWayRequest);
   for (bool by_byte : {false, true}) {
     bytewise = by_byte;
     for (const Bytes& wire : cases) {
       SCOPED_TRACE(to_hex(wire) + (by_byte ? " byte by byte" : ""));
-      client = std::make_unique<BinaryRpcClient>(net, client_node->id());
+      client = new_client();
       const auto before = rejected.value();
       raw_answer = wire;
       auto r = call_raw();
@@ -375,4 +477,4 @@ TEST_F(BinaryChannelTest, ClientRejectsHostileFramesAndFailsPendingCalls) {
 }
 
 }  // namespace
-}  // namespace hcm::core
+}  // namespace hcm::net
