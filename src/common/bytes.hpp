@@ -70,6 +70,9 @@ class BufWriter : public BigEndianWriter<BufWriter> {
     const auto* p = static_cast<const std::uint8_t*>(data);
     buf_.insert(buf_.end(), p, p + n);
   }
+  // Sizes the buffer once for a message of about n bytes, so the puts
+  // that follow do not regrow it.
+  void reserve(std::size_t n) { buf_.reserve(n); }
 
   [[nodiscard]] const Bytes& data() const { return buf_; }
   [[nodiscard]] Bytes take() { return std::move(buf_); }

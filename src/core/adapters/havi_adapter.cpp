@@ -1,7 +1,5 @@
 #include "core/adapters/havi_adapter.hpp"
 
-#include "obs/instrument.hpp"
-
 namespace hcm::core {
 
 HaviAdapter::HaviAdapter(havi::MessagingSystem& ms, havi::Seid registry)
@@ -75,8 +73,8 @@ void HaviAdapter::list_services(ServicesFn done) {
 void HaviAdapter::invoke(const std::string& service_name,
                          const std::string& method, const ValueList& args,
                          InvokeResultFn done) {
-  obs::ScopedInvoke obs_invoke(ms_.network().scheduler(), "havi", service_name,
-                               method);
+  obs::ScopedInvoke obs_invoke(ms_.network().scheduler(), invoke_metrics_,
+                               service_name, method);
   done = obs_invoke.wrap(std::move(done));
   // Server proxies exported by this adapter dispatch directly (their
   // registry record may still be in flight).

@@ -7,6 +7,7 @@
 #include "core/adapter.hpp"
 #include "havi/event_manager.hpp"
 #include "havi/registry.hpp"
+#include "obs/instrument.hpp"
 
 namespace hcm::core {
 
@@ -39,6 +40,7 @@ class HaviAdapter : public MiddlewareAdapter {
                    InvokeResultFn done);
 
   havi::MessagingSystem& ms_;
+  obs::InvokeMetrics invoke_metrics_{"havi"};
   havi::Seid self_;  // the adapter's own SE (source of its messages)
   havi::RegistryClient registry_;
   havi::Seid em_seid_;  // Event Manager (same FAV node as the Registry)

@@ -1,7 +1,5 @@
 #include "core/adapters/jini_adapter.hpp"
 
-#include "obs/instrument.hpp"
-
 namespace hcm::core {
 
 namespace {
@@ -71,7 +69,8 @@ jini::Proxy* JiniAdapter::proxy_for(const jini::ServiceItem& item) {
 void JiniAdapter::invoke(const std::string& service_name,
                          const std::string& method, const ValueList& args,
                          InvokeResultFn done) {
-  obs::ScopedInvoke obs_invoke(net_.scheduler(), "jini", service_name, method);
+  obs::ScopedInvoke obs_invoke(net_.scheduler(), invoke_metrics_,
+                               service_name, method);
   done = obs_invoke.wrap(std::move(done));
   // Server proxies exported by this adapter dispatch directly: lookup
   // registration is asynchronous (lease join in flight), but the proxy

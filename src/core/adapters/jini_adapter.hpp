@@ -8,6 +8,7 @@
 #include "core/adapter.hpp"
 #include "jini/registrar.hpp"
 #include "net/binary_channel.hpp"
+#include "obs/instrument.hpp"
 
 namespace hcm::core {
 
@@ -43,6 +44,7 @@ class JiniAdapter : public MiddlewareAdapter {
   net::Network& net_;
   net::NodeId node_;
   jini::LookupClient lookup_;
+  obs::InvokeMetrics invoke_metrics_{"jini"};
   net::BinaryRpcServer server_;
   // Known local services by deployed name (refreshed on list_services).
   std::map<std::string, jini::ServiceItem> known_;

@@ -1,7 +1,5 @@
 #include "core/adapters/mail_adapter.hpp"
 
-#include "obs/instrument.hpp"
-
 #include <charconv>
 
 #include "common/strings.hpp"
@@ -48,7 +46,8 @@ void MailAdapter::list_services(ServicesFn done) {
 void MailAdapter::invoke(const std::string& service_name,
                          const std::string& method, const ValueList& args,
                          InvokeResultFn done) {
-  obs::ScopedInvoke obs_invoke(net_.scheduler(), "mail", service_name, method);
+  obs::ScopedInvoke obs_invoke(net_.scheduler(), invoke_metrics_,
+                               service_name, method);
   done = obs_invoke.wrap(std::move(done));
   // Imported services dispatch through their server proxy directly
   // (programmatic equivalent of mailing the service mailbox, minus the

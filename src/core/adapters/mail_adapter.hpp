@@ -14,6 +14,7 @@
 
 #include "core/adapter.hpp"
 #include "mail/mail.hpp"
+#include "obs/instrument.hpp"
 
 namespace hcm::core {
 
@@ -57,6 +58,7 @@ class MailAdapter : public MiddlewareAdapter {
   std::string account_;
   sim::Duration poll_interval_;
   mail::MailClient sender_;
+  obs::InvokeMetrics invoke_metrics_{"mail"};
   struct Exported {
     ServiceHandler handler;
     std::unique_ptr<mail::MailClient> watcher;

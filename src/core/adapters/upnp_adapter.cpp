@@ -1,7 +1,5 @@
 #include "core/adapters/upnp_adapter.hpp"
 
-#include "obs/instrument.hpp"
-
 namespace hcm::core {
 
 UpnpAdapter::UpnpAdapter(net::Network& net, net::NodeId gateway_node,
@@ -41,7 +39,8 @@ void UpnpAdapter::list_services(ServicesFn done) {
 void UpnpAdapter::invoke(const std::string& service_name,
                          const std::string& method, const ValueList& args,
                          InvokeResultFn done) {
-  obs::ScopedInvoke obs_invoke(net_.scheduler(), "upnp", service_name, method);
+  obs::ScopedInvoke obs_invoke(net_.scheduler(), invoke_metrics_,
+                               service_name, method);
   done = obs_invoke.wrap(std::move(done));
   // Server proxies hosted on the gateway device dispatch directly.
   if (auto exported = exported_.find(service_name);

@@ -7,6 +7,7 @@
 #include <memory>
 
 #include "core/adapter.hpp"
+#include "obs/instrument.hpp"
 #include "upnp/upnp.hpp"
 
 namespace hcm::core {
@@ -39,6 +40,7 @@ class UpnpAdapter : public MiddlewareAdapter {
   net::Network& net_;
   net::NodeId node_;
   sim::Duration search_wait_;
+  obs::InvokeMetrics invoke_metrics_{"upnp"};
   upnp::ControlPoint control_point_;
   // Gateway-hosted device carrying the exported server proxies.
   upnp::UpnpDevice gateway_device_;

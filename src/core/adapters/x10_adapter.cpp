@@ -1,7 +1,5 @@
 #include "core/adapters/x10_adapter.hpp"
 
-#include "obs/instrument.hpp"
-
 #include <span>
 
 #include "common/logging.hpp"
@@ -62,7 +60,8 @@ void X10Adapter::list_services(ServicesFn done) {
 void X10Adapter::invoke(const std::string& service_name,
                         const std::string& method, const ValueList& args,
                         InvokeResultFn done) {
-  obs::ScopedInvoke obs_invoke(net_.scheduler(), "x10", service_name, method);
+  obs::ScopedInvoke obs_invoke(net_.scheduler(), invoke_metrics_,
+                               service_name, method);
   done = obs_invoke.wrap(std::move(done));
   // Imported services bound to virtual units dispatch through their
   // server-proxy handler (programmatic equivalent of the powerline

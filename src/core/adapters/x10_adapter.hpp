@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "core/adapter.hpp"
+#include "obs/instrument.hpp"
 #include "x10/cm11a.hpp"
 
 namespace hcm::core {
@@ -71,6 +72,7 @@ class X10Adapter : public MiddlewareAdapter {
 
   net::Network& net_;
   x10::Cm11aController& cm11a_;
+  obs::InvokeMetrics invoke_metrics_{"x10"};
   std::map<std::string, X10DeviceConfig> devices_;
   x10::HouseCode export_house_;
   std::map<std::string, Binding> bindings_;   // by service name

@@ -1,8 +1,110 @@
 #include "havi/messaging.hpp"
 
-#include "common/logging.hpp"
+#include <algorithm>
+
+#include "obs/slab.hpp"
 
 namespace hcm::havi {
+
+namespace {
+
+// kind + id + two SEIDs.
+constexpr std::size_t kHeaderBytes = 1 + 8 + 2 * (4 + 4);
+// Room reserved for the args or reply value; a larger body regrows.
+constexpr std::size_t kBodyReserve = 128;
+
+void write_header(BufWriter& w, MessageKind kind, std::uint64_t id,
+                  const Seid& src, const Seid& dst) {
+  w.put_u8(static_cast<std::uint8_t>(kind));
+  w.put_u64(id);
+  w.put_u32(src.node);
+  w.put_u32(src.handle);
+  w.put_u32(dst.node);
+  w.put_u32(dst.handle);
+}
+
+Bytes encode_request(MessageKind kind, std::uint64_t id, const Seid& src,
+                     const Seid& dst, const std::string& op,
+                     const ValueList& args) {
+  BufWriter w;
+  w.reserve(kHeaderBytes + 2 + op.size() + kBodyReserve);
+  write_header(w, kind, id, src, dst);
+  w.put_u16(static_cast<std::uint16_t>(op.size()));
+  w.put_raw(op);
+  encode_value(args, w);
+  return w.take();
+}
+
+Bytes encode_reply(const Message& msg) {
+  BufWriter w;
+  w.reserve(kHeaderBytes + kBodyReserve);
+  write_header(w, msg.kind, msg.id, msg.src, msg.dst);
+  if (msg.reply.is_ok()) {
+    encode_value(msg.reply.value(), w);
+  } else {
+    w.put_u8(static_cast<std::uint8_t>(msg.reply.status().code()));
+    w.put_string(msg.reply.status().message());
+  }
+  return w.take();
+}
+
+Result<Seid> read_seid(BufReader& r) {
+  auto node = r.u32();
+  auto handle = r.u32();
+  if (!node.is_ok() || !handle.is_ok()) return protocol_error("havi: short");
+  return Seid{node.value(), handle.value()};
+}
+
+// Decodes one datagram into `msg`, reusing its op and args capacity.
+Status decode_message(ByteView data, Message& msg) {
+  BufReader r(data);
+  auto kind = r.u8();
+  auto id = r.u64();
+  if (!kind.is_ok() || !id.is_ok()) return protocol_error("havi: short");
+  auto src = read_seid(r);
+  if (!src.is_ok()) return src.status();
+  auto dst = read_seid(r);
+  if (!dst.is_ok()) return dst.status();
+  if (kind.value() < static_cast<std::uint8_t>(MessageKind::kRequest) ||
+      kind.value() > static_cast<std::uint8_t>(MessageKind::kReplyError)) {
+    return protocol_error("havi: unknown message kind");
+  }
+  msg.kind = static_cast<MessageKind>(kind.value());
+  msg.id = id.value();
+  msg.src = src.value();
+  msg.dst = dst.value();
+  switch (msg.kind) {
+    case MessageKind::kRequest:
+    case MessageKind::kNotification: {
+      auto n = r.u16();
+      if (!n.is_ok()) return n.status();
+      auto op = r.view(n.value());
+      if (!op.is_ok()) return op.status();
+      msg.op.assign(op.value());
+      if (auto s = decode_value(r, msg.args); !s.is_ok()) return s;
+      break;
+    }
+    case MessageKind::kReplyOk:
+      msg.reply = decode_value(r);
+      if (!msg.reply.is_ok()) return msg.reply.status();
+      break;
+    case MessageKind::kReplyError: {
+      auto code = r.u8();
+      auto text = r.string();
+      if (!code.is_ok() || !text.is_ok() || code.value() == 0 ||
+          code.value() > static_cast<int>(StatusCode::kResourceExhausted)) {
+        return protocol_error("havi: bad error reply");
+      }
+      msg.reply = Status(static_cast<StatusCode>(code.value()),
+                         std::move(text).take());
+      break;
+    }
+  }
+  if (!r.at_end()) return protocol_error("havi: trailing bytes");
+  return Status::ok();
+}
+
+}  // namespace
 
 Value Seid::to_value() const {
   return Value(ValueMap{
@@ -21,7 +123,9 @@ Result<Seid> Seid::from_value(const Value& v) {
 }
 
 MessagingSystem::MessagingSystem(net::Network& net, net::NodeId node)
-    : net_(net), node_(node) {}
+    : net_(net),
+      node_(node),
+      rejected_(obs::shard_registry().counter("havi.msg.rejected")) {}
 
 MessagingSystem::~MessagingSystem() { stop(); }
 
@@ -65,138 +169,97 @@ void MessagingSystem::unregister_element(const Seid& seid) {
 void MessagingSystem::send_request(const Seid& from, const Seid& to,
                                    const std::string& op,
                                    const ValueList& args, InvokeResultFn done) {
-  const std::uint64_t id = next_msg_++;
-  Pending pending;
-  pending.done = std::move(done);
-  pending.timeout_event =
-      net_.scheduler().after(kReplyTimeout, [this, id] {
-        auto it = pending_.find(id);
-        if (it == pending_.end()) return;
-        auto p = std::move(it->second);
-        pending_.erase(it);
-        p.done(timeout("HAVi message timed out"));
-      });
-  pending_.emplace(id, std::move(pending));
-
-  Value msg(ValueMap{
-      {"id", Value(static_cast<std::int64_t>(id))},
-      {"src", from.to_value()},
-      {"dst", to.to_value()},
-      {"op", Value(op)},
-      {"args", Value(args)},
-      {"reply", Value(false)},
-  });
-  ++messages_sent_;
-  if (to.node == node_) {
-    // Local delivery still goes through the scheduler (one event tick)
-    // so ordering matches remote behaviour.
-    net_.scheduler().after(sim::microseconds(10),
-                           [this, msg] { deliver_request(msg); });
-  } else {
-    net_.send_datagram({node_, kMessagingPort}, {to.node, kMessagingPort},
-                       encode_value(msg));
+  if (op.size() > 0xFFFF) {
+    done(invalid_argument("HAVi op name too long"));
+    return;
   }
+  const std::uint64_t id = next_msg_++;
+  const sim::EventId timer =
+      net_.scheduler().after(kReplyTimeout, [this, id] {
+        auto it = std::find_if(pending_.begin(), pending_.end(),
+                               [id](const Pending& p) { return p.id == id; });
+        if (it == pending_.end()) return;
+        auto done = std::move(it->done);
+        pending_.erase(it);
+        done(timeout("HAVi message timed out"));
+      });
+  pending_.push_back({id, timer, std::move(done)});
+  send(MessageKind::kRequest, id, from, to, op, args);
 }
 
 void MessagingSystem::send_notification(const Seid& from, const Seid& to,
                                         const std::string& op,
                                         const ValueList& args) {
-  Value msg(ValueMap{
-      {"id", Value(0)},
-      {"src", from.to_value()},
-      {"dst", to.to_value()},
-      {"op", Value(op)},
-      {"args", Value(args)},
-      {"reply", Value(false)},
-      {"notify", Value(true)},
-  });
+  if (op.size() > 0xFFFF) return;
+  send(MessageKind::kNotification, 0, from, to, op, args);
+}
+
+void MessagingSystem::send(MessageKind kind, std::uint64_t id,
+                           const Seid& from, const Seid& to,
+                           const std::string& op, const ValueList& args) {
   ++messages_sent_;
   if (to.node == node_) {
-    net_.scheduler().after(sim::microseconds(10),
-                           [this, msg] { deliver_request(msg); });
+    deliver_later(Message{kind, id, from, to, op, args});
   } else {
     net_.send_datagram({node_, kMessagingPort}, {to.node, kMessagingPort},
-                       encode_value(msg));
+                       encode_request(kind, id, from, to, op, args));
   }
+}
+
+void MessagingSystem::deliver_later(Message&& msg) {
+  net_.scheduler().after(sim::microseconds(10),
+                         [this, m = std::move(msg)]() mutable { deliver(m); });
 }
 
 void MessagingSystem::on_datagram(net::Endpoint, const Bytes& data) {
-  auto msg = decode_value(data);
-  if (!msg.is_ok()) {
-    log_warn("havi.msg", "undecodable message: ", msg.status().to_string());
+  if (!decode_message(data, rx_).is_ok()) {
+    rejected_.inc();
     return;
   }
-  const Value& m = msg.value();
-  if (m.at("reply").is_bool() && m.at("reply").as_bool()) {
-    deliver_reply(m);
+  deliver(rx_);
+}
+
+void MessagingSystem::deliver(Message& msg) {
+  if (msg.kind == MessageKind::kReplyOk ||
+      msg.kind == MessageKind::kReplyError) {
+    deliver_reply(msg);
   } else {
-    deliver_request(m);
+    deliver_request(msg);
   }
 }
 
-void MessagingSystem::deliver_request(const Value& msg) {
-  auto dst = Seid::from_value(msg.at("dst"));
-  auto src = Seid::from_value(msg.at("src"));
-  if (!dst.is_ok() || !src.is_ok()) return;
-  const bool is_notification =
-      msg.at("notify").is_bool() && msg.at("notify").as_bool();
-  auto id = msg.at("id").to_int().value_or(0);
-  const std::string op =
-      msg.at("op").is_string() ? msg.at("op").as_string() : "";
-  ValueList args =
-      msg.at("args").is_list() ? msg.at("args").as_list() : ValueList{};
-
-  auto reply_to = src.value();
-  auto send_reply = [this, id, reply_to, dst = dst.value(),
-                     is_notification](Result<Value> result) {
-    if (is_notification || id == 0) return;
-    ValueMap m{
-        {"id", Value(id)},
-        {"src", dst.to_value()},
-        {"dst", reply_to.to_value()},
-        {"reply", Value(true)},
-        {"ok", Value(result.is_ok())},
-    };
-    if (result.is_ok()) {
-      m["value"] = std::move(result).take();
-    } else {
-      m["code"] = Value(static_cast<std::int64_t>(result.status().code()));
-      m["msg"] = Value(result.status().message());
-    }
-    Value reply(std::move(m));
+void MessagingSystem::deliver_request(Message& msg) {
+  auto send_reply = [this, id = msg.id, reply_to = msg.src, self = msg.dst,
+                     wants_reply = msg.kind == MessageKind::kRequest](
+                        Result<Value> result) {
+    if (!wants_reply) return;
+    const MessageKind kind =
+        result.is_ok() ? MessageKind::kReplyOk : MessageKind::kReplyError;
+    Message reply{kind, id, self, reply_to, {}, {}, std::move(result)};
     if (reply_to.node == node_) {
-      net_.scheduler().after(sim::microseconds(10),
-                             [this, reply] { deliver_reply(reply); });
+      deliver_later(std::move(reply));
     } else {
       net_.send_datagram({node_, kMessagingPort},
-                         {reply_to.node, kMessagingPort}, encode_value(reply));
+                         {reply_to.node, kMessagingPort}, encode_reply(reply));
     }
   };
 
-  auto it = elements_.find(dst.value().handle);
+  auto it = elements_.find(msg.dst.handle);
   if (it == elements_.end()) {
-    send_reply(not_found("no software element " + dst.value().to_string()));
+    send_reply(not_found("no software element " + msg.dst.to_string()));
     return;
   }
-  it->second(op, args, send_reply);
+  it->second(msg.op, msg.args, std::move(send_reply));
 }
 
-void MessagingSystem::deliver_reply(const Value& msg) {
-  auto id = msg.at("id").to_int();
-  if (!id.is_ok()) return;
-  auto it = pending_.find(static_cast<std::uint64_t>(id.value()));
+void MessagingSystem::deliver_reply(Message& msg) {
+  auto it = std::find_if(pending_.begin(), pending_.end(),
+                         [&msg](const Pending& p) { return p.id == msg.id; });
   if (it == pending_.end()) return;  // late reply after timeout
-  auto p = std::move(it->second);
+  Pending p = std::move(*it);
   pending_.erase(it);
-  if (p.timeout_event != 0) net_.scheduler().cancel(p.timeout_event);
-  if (msg.at("ok").is_bool() && msg.at("ok").as_bool()) {
-    p.done(msg.at("value"));
-  } else {
-    auto code = msg.at("code").to_int().value_or(
-        static_cast<std::int64_t>(StatusCode::kInternal));
-    p.done(Status(static_cast<StatusCode>(code),
-                  msg.at("msg").is_string() ? msg.at("msg").as_string() : ""));
-  }
+  net_.scheduler().cancel(p.timeout_event);
+  p.done(std::move(msg.reply));
 }
 
 }  // namespace hcm::havi

@@ -9,10 +9,12 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "common/service.hpp"
 #include "common/value_codec.hpp"
 #include "net/network.hpp"
+#include "obs/metrics.hpp"
 
 namespace hcm::havi {
 
@@ -42,6 +44,40 @@ constexpr std::uint32_t kRegistryHandle = 1;
 constexpr std::uint32_t kEventManagerHandle = 2;
 constexpr std::uint32_t kStreamManagerHandle = 3;
 constexpr std::uint32_t kFirstUserHandle = 16;
+
+// HAVi message kinds, the first byte of every message on the wire.
+enum class MessageKind : std::uint8_t {
+  kRequest = 1,
+  kNotification = 2,
+  kReplyOk = 3,
+  kReplyError = 4,
+};
+
+// One HAVi message, decoded from a datagram or built for local
+// delivery. Wire layout, integers big-endian:
+//
+//   u8  kind        a MessageKind
+//   u64 id          request id, echoed by its reply (0 on notifications)
+//   u32 node, u32 handle   source SEID
+//   u32 node, u32 handle   destination SEID
+//   request, notification: u16 length + op name, then the args as
+//                          encode_value(ValueList)
+//   reply-ok:              encode_value(result)
+//   reply-error:           u8 StatusCode (1..kResourceExhausted), then
+//                          u32 length + message
+//
+// A datagram that does not decode exactly (short, an unknown kind, an
+// error code out of range, args nested past kMaxValueDepth, trailing
+// bytes) is dropped and counted in havi.msg.rejected.
+struct Message {
+  MessageKind kind = MessageKind::kRequest;
+  std::uint64_t id = 0;
+  Seid src;
+  Seid dst;
+  std::string op;                 // request, notification
+  ValueList args;                 // request, notification
+  Result<Value> reply = Value();  // reply-ok, reply-error
+};
 
 // One messaging system per 1394 node. Registers local software
 // elements, sends messages, and correlates replies.
@@ -78,9 +114,15 @@ class MessagingSystem {
   static constexpr sim::Duration kReplyTimeout = sim::seconds(5);
 
  private:
+  void send(MessageKind kind, std::uint64_t id, const Seid& from,
+            const Seid& to, const std::string& op, const ValueList& args);
   void on_datagram(net::Endpoint from, const Bytes& data);
-  void deliver_request(const Value& msg);
-  void deliver_reply(const Value& msg);
+  // Local delivery: the message moves into one 10 µs scheduler tick
+  // (no encode), so ordering matches remote delivery.
+  void deliver_later(Message&& msg);
+  void deliver(Message& msg);
+  void deliver_request(Message& msg);
+  void deliver_reply(Message& msg);
 
   net::Network& net_;
   net::NodeId node_;
@@ -88,12 +130,17 @@ class MessagingSystem {
   std::uint32_t next_handle_ = kFirstUserHandle;
   std::map<std::uint32_t, ServiceHandler> elements_;
   struct Pending {
+    std::uint64_t id;
+    sim::EventId timeout_event;
     InvokeResultFn done;
-    sim::EventId timeout_event = 0;
   };
   std::uint64_t next_msg_ = 1;
-  std::map<std::uint64_t, Pending> pending_;
+  std::vector<Pending> pending_;  // oldest first; capacity reused
+  // Decode scratch reused datagram over datagram: handlers consume the
+  // args synchronously.
+  Message rx_;
   std::uint64_t messages_sent_ = 0;
+  obs::Counter& rejected_;  // havi.msg.rejected
 };
 
 }  // namespace hcm::havi

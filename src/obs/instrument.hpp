@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <utility>
 
 #include "common/service.hpp"
@@ -32,36 +33,61 @@ inline InvokeResultFn observe_completion(sim::Scheduler& sched,
   };
 }
 
+// The "adapter.<mw>.*" metric handles and span labels of one adapter,
+// resolved once when the adapter is built so an invoke neither builds
+// metric names nor looks them up.
+struct InvokeMetrics {
+  explicit InvokeMetrics(const std::string& mw)
+      : span_prefix(mw + ".invoke:"),
+        component("adapter." + mw),
+        invokes(shard_registry().counter(component + ".invokes")),
+        errors(shard_registry().counter(component + ".errors")),
+        latency(shard_registry().histogram(component + ".invoke_us")) {}
+
+  std::string span_prefix;  // "<mw>.invoke:"
+  std::string component;    // "adapter.<mw>"
+  Counter& invokes;
+  Counter& errors;
+  Histogram& latency;
+};
+
 // One native adapter invoke. Construction counts
-// "adapter.<mw>.invokes" and opens an "<mw>.invoke:service.method"
-// span that stays current for the constructor's enclosing scope (so
-// synchronous downstream dispatch — server proxies, VSG calls — nests
-// under it); wrap() returns a completion that observes
-// "adapter.<mw>.invoke_us", counts ".errors", and closes the span.
+// "adapter.<mw>.invokes" and, when tracing is on, opens an
+// "<mw>.invoke:service.method" span that stays current for the
+// constructor's enclosing scope (so synchronous downstream dispatch —
+// server proxies, VSG calls — nests under it); wrap() returns a
+// completion that observes "adapter.<mw>.invoke_us", counts ".errors",
+// and closes the span.
 class ScopedInvoke {
  public:
-  ScopedInvoke(sim::Scheduler& sched, const std::string& mw,
+  ScopedInvoke(sim::Scheduler& sched, InvokeMetrics& metrics,
                const std::string& service, const std::string& method)
       : sched_(sched),
-        latency_(
-            shard_registry().histogram("adapter." + mw + ".invoke_us")),
-        errors_(shard_registry().counter("adapter." + mw + ".errors")),
-        span_id_(Tracer::global().begin_span(
-            mw + ".invoke:" + service + "." + method, "adapter." + mw,
-            sched.now())),
+        metrics_(metrics),
+        span_id_(begin_span(sched, metrics, service, method)),
         scope_(Tracer::global(), Tracer::global().context_of(span_id_)) {
-    shard_registry().counter("adapter." + mw + ".invokes").inc();
+    metrics_.invokes.inc();
   }
 
   [[nodiscard]] InvokeResultFn wrap(InvokeResultFn done) {
-    return observe_completion(sched_, latency_, &errors_, span_id_,
-                              std::move(done));
+    return observe_completion(sched_, metrics_.latency, &metrics_.errors,
+                              span_id_, std::move(done));
   }
 
  private:
+  static std::uint64_t begin_span(sim::Scheduler& sched,
+                                  const InvokeMetrics& metrics,
+                                  const std::string& service,
+                                  const std::string& method) {
+    Tracer& tracer = Tracer::global();
+    if (!tracer.enabled()) return 0;
+    return tracer.begin_span(
+        metrics.span_prefix + service + "." + method, metrics.component,
+        sched.now());
+  }
+
   sim::Scheduler& sched_;
-  Histogram& latency_;
-  Counter& errors_;
+  InvokeMetrics& metrics_;
   std::uint64_t span_id_;
   Tracer::Scope scope_;
 };

@@ -26,10 +26,18 @@ std::string slurp(const std::string& path) {
   return os.str();
 }
 
+// Each case writes its own file, named after the test: ctest runs the
+// cases as concurrent processes, so a shared path would let one case's
+// write or TearDown remove land in the middle of another.
 class JsonReportTest : public ::testing::Test {
  protected:
+  void SetUp() override {
+    path_ = ::testing::TempDir() + "bench_util_test." +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+            ".json";
+  }
   void TearDown() override { std::remove(path_.c_str()); }
-  std::string path_ = ::testing::TempDir() + "bench_util_test.json";
+  std::string path_;
 };
 
 TEST_F(JsonReportTest, EscapesControlCharactersInStrings) {
