@@ -27,7 +27,9 @@
 #      (archives BENCH_store_recovery.json), then `hcm_store fsck` +
 #      `stats` over the store it leaves behind — the on-disk formats
 #      must verify end to end with the standalone tool, not just
-#      through the library that wrote them;
+#      through the library that wrote them — and over the checked-in
+#      cyclic pack (tests/store/fixtures/cyclic), where both must
+#      report the corruption with exit status 1, not die on a signal;
 #  11. shard-scaling sweep + the 1,000-island/100k-device smoke
 #      scenario, archiving BENCH_shard_scaling.json — the bench itself
 #      fails on a non-repeatable trace digest or a lookahead-contract
@@ -128,6 +130,19 @@ grep -q '"compression_ratio"' BENCH_store_recovery.json
 ./build/tools/hcm_store/hcm_store fsck "${store_smoke_dir}"
 ./build/tools/hcm_store/hcm_store stats "${store_smoke_dir}"
 rm -rf "$(dirname "${store_smoke_dir}")"
+# A pack whose two entries are deltas on each other: the bounded chain
+# walk must turn it into a reported error. Capture the status explicitly
+# (set -e would abort on it), and require exactly 1: a crash is >128.
+for cmd in fsck stats; do
+  status=0
+  ./build/tools/hcm_store/hcm_store "${cmd}" tests/store/fixtures/cyclic \
+    || status=$?
+  if [ "${status}" -ne 1 ]; then
+    echo "hcm_store ${cmd} on the cyclic pack exited ${status}, want 1" >&2
+    exit 1
+  fi
+done
+echo "cyclic-pack check OK (fsck and stats exit 1)"
 
 echo "=== [11/12] shard-scaling bench + 100k-device smoke (archives BENCH_shard_scaling.json, SERIES_smoke.json) ==="
 ./build/bench/bench_ext_shard_scaling --smoke --json BENCH_shard_scaling.json \

@@ -82,12 +82,17 @@ class BufWriter : public BigEndianWriter<BufWriter> {
   Bytes buf_;
 };
 
-// Bounds-checked big-endian reader over a borrowed buffer.
+// Bounds-checked big-endian reader over a borrowed buffer. Every check
+// is `remaining() >= n`, which cannot overflow; the durable store's
+// little-endian and varint reads (store/codec.hpp) sit on top of it.
 class BufReader {
  public:
   BufReader(const std::uint8_t* data, std::size_t size)
       : data_(data), size_(size) {}
   explicit BufReader(ByteView buf) : BufReader(buf.data(), buf.size()) {}
+  explicit BufReader(std::string_view buf)
+      : BufReader(reinterpret_cast<const std::uint8_t*>(buf.data()),
+                  buf.size()) {}
 
   [[nodiscard]] Result<std::uint8_t> u8() { return be<std::uint8_t>(); }
   [[nodiscard]] Result<std::uint16_t> u16() { return be<std::uint16_t>(); }

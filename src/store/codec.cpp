@@ -1,6 +1,11 @@
 #include "store/codec.hpp"
 
+#include <unistd.h>
+
 #include <array>
+#include <cerrno>
+#include <cstring>
+#include <fstream>
 
 namespace hcm::store {
 
@@ -57,79 +62,76 @@ void put_string(std::string& out, std::string_view s) {
   out.append(s.data(), s.size());
 }
 
-void put_u32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
+namespace {
+
+template <typename T>
+void put_le(std::string& out, T v) {
+  for (std::size_t i = 0; i < sizeof(T); ++i) {
     out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
   }
 }
 
-void put_u64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+template <typename T>
+bool get_le(BufReader& r, T& out) {
+  auto bytes = r.view(sizeof(T));
+  if (!bytes.is_ok()) return false;
+  out = 0;
+  for (std::size_t i = 0; i < sizeof(T); ++i) {
+    out |= static_cast<T>(static_cast<unsigned char>(bytes.value()[i]))
+           << (8 * i);
   }
+  return true;
 }
 
-std::uint8_t Cursor::u8() {
-  if (pos + 1 > data.size()) {
-    ok = false;
-    return 0;
+}  // namespace
+
+void put_u32(std::string& out, std::uint32_t v) { put_le(out, v); }
+void put_u64(std::string& out, std::uint64_t v) { put_le(out, v); }
+bool get_u32(BufReader& r, std::uint32_t& out) { return get_le(r, out); }
+bool get_u64(BufReader& r, std::uint64_t& out) { return get_le(r, out); }
+
+bool get_varint(BufReader& r, std::uint64_t& out) {
+  out = 0;
+  for (int shift = 0; shift <= 63; shift += 7) {
+    auto b = r.u8();
+    if (!b.is_ok()) return false;
+    out |= static_cast<std::uint64_t>(b.value() & 0x7f) << shift;
+    if ((b.value() & 0x80) == 0) return true;
   }
-  return static_cast<std::uint8_t>(data[pos++]);
+  return false;  // more than ten bytes: not a 64-bit varint
 }
 
-std::uint32_t Cursor::u32() {
-  if (pos + 4 > data.size()) {
-    ok = false;
-    return 0;
-  }
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(static_cast<unsigned char>(data[pos + i]))
-         << (8 * i);
-  }
-  pos += 4;
-  return v;
+bool get_string(BufReader& r, std::string_view& out) {
+  std::uint64_t n = 0;
+  if (!get_varint(r, n)) return false;
+  auto bytes = r.view(n);
+  if (bytes.is_ok()) out = bytes.value();
+  return bytes.is_ok();
 }
 
-std::uint64_t Cursor::u64() {
-  if (pos + 8 > data.size()) {
-    ok = false;
-    return 0;
+Result<std::string> read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
+  if (!in) return not_found(path + " is unreadable");
+  const auto size = static_cast<std::streamsize>(in.tellg());
+  std::string data(static_cast<std::size_t>(size), '\0');
+  if (!in.seekg(0).read(data.data(), size)) {
+    return internal_error("read " + path + " failed");
   }
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(static_cast<unsigned char>(data[pos + i]))
-         << (8 * i);
-  }
-  pos += 8;
-  return v;
+  return data;
 }
 
-std::uint64_t Cursor::varint() {
-  std::uint64_t v = 0;
-  int shift = 0;
-  while (true) {
-    if (pos >= data.size() || shift > 63) {
-      ok = false;
-      return 0;
+Status write_all(int fd, std::string_view bytes, const char* kind,
+                 const std::string& path) {
+  while (!bytes.empty()) {
+    const ssize_t n = ::write(fd, bytes.data(), bytes.size());
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return internal_error(std::string("write ") + kind + " " + path + ": " +
+                            std::strerror(errno));
     }
-    const auto b = static_cast<unsigned char>(data[pos++]);
-    v |= static_cast<std::uint64_t>(b & 0x7f) << shift;
-    if ((b & 0x80) == 0) break;
-    shift += 7;
+    bytes.remove_prefix(static_cast<std::size_t>(n));
   }
-  return v;
-}
-
-std::string Cursor::str() {
-  const std::uint64_t n = varint();
-  if (!ok || pos + n > data.size()) {
-    ok = false;
-    return {};
-  }
-  std::string s(data.substr(pos, n));
-  pos += n;
-  return s;
+  return Status::ok();
 }
 
 std::vector<RecordType> all_record_types() {
@@ -171,15 +173,82 @@ void encode_upsert_fields(std::string& out, const UpsertRecord& u) {
   put_varint(out, zigzag(u.expires_at));
 }
 
-UpsertRecord decode_upsert_fields(Cursor& c) {
-  UpsertRecord u;
-  u.seq = c.varint();
-  u.name = c.str();
-  u.category = c.str();
-  u.origin = c.str();
-  u.digest = c.str();
-  u.expires_at = unzigzag(c.varint());
-  return u;
+// Smallest encodings, for checking a declared count against the bytes
+// that remain: an upsert is six one-byte fields (seq, four empty
+// strings, expiry), a journal entry four (seq, flag, two empty strings).
+constexpr std::size_t kMinUpsertBytes = 6;
+constexpr std::size_t kMinJournalBytes = 4;
+
+// Field reads for the decoder below, each false once the payload is
+// short or malformed. The int64 fields are the zig-zag expiries.
+bool read_field(BufReader& r, std::int64_t& out) {
+  std::uint64_t v = 0;
+  if (!get_varint(r, v)) return false;
+  out = unzigzag(v);
+  return true;
+}
+
+bool read_field(BufReader& r, bool& out) {
+  auto v = r.u8();
+  if (v.is_ok()) out = v.value() != 0;
+  return v.is_ok();
+}
+
+bool read_field(BufReader& r, std::string& out) {
+  std::string_view v;
+  if (!get_string(r, v)) return false;
+  out.assign(v);
+  return true;
+}
+
+bool read_field(BufReader& r, UpsertRecord& u) {
+  return get_varint(r, u.seq) && read_field(r, u.name) &&
+         read_field(r, u.category) && read_field(r, u.origin) &&
+         read_field(r, u.digest) && read_field(r, u.expires_at);
+}
+
+bool read_field(BufReader& r, JournalEntry& j) {
+  return get_varint(r, j.seq) && read_field(r, j.remove) &&
+         read_field(r, j.name) && read_field(r, j.digest);
+}
+
+bool read_field(BufReader& r, CheckpointRecord& cp) {
+  std::uint64_t n = 0;
+  if (!(get_varint(r, cp.epoch) && get_varint(r, cp.seq) &&
+        get_varint(r, cp.compacted_through) && get_varint(r, n)) ||
+      n > r.remaining() / kMinUpsertBytes) {
+    return false;
+  }
+  cp.entries.resize(n);
+  for (UpsertRecord& e : cp.entries) {
+    if (!read_field(r, e)) return false;
+  }
+  if (!get_varint(r, n) || n > r.remaining() / kMinJournalBytes) {
+    return false;
+  }
+  cp.journal.resize(n);
+  for (JournalEntry& j : cp.journal) {
+    if (!read_field(r, j)) return false;
+  }
+  return true;
+}
+
+// The fields after the type byte.
+bool read_field(BufReader& r, Record& rec) {
+  switch (rec.type) {
+    case RecordType::kEpoch: return get_varint(r, rec.epoch.epoch);
+    case RecordType::kBody:
+      return read_field(r, rec.body.digest) && read_field(r, rec.body.body);
+    case RecordType::kUpsert: return read_field(r, rec.upsert);
+    case RecordType::kRemove:
+      return get_varint(r, rec.remove.seq) && read_field(r, rec.remove.name) &&
+             read_field(r, rec.remove.digest);
+    case RecordType::kTouch:
+      return read_field(r, rec.touch.name) &&
+             read_field(r, rec.touch.expires_at);
+    case RecordType::kCheckpoint: return read_field(r, rec.checkpoint);
+  }
+  return false;
 }
 
 }  // namespace
@@ -229,64 +298,21 @@ std::string encode_record(const Record& r) {
 }
 
 Result<Record> decode_record(std::string_view payload) {
-  Cursor c{payload};
-  Record r;
-  const std::uint8_t type = c.u8();
-  if (!c.ok) return protocol_error("store record: empty payload");
-  switch (static_cast<RecordType>(type)) {
-    case RecordType::kEpoch:
-      r.type = RecordType::kEpoch;
-      r.epoch.epoch = c.varint();
-      break;
-    case RecordType::kBody:
-      r.type = RecordType::kBody;
-      r.body.digest = c.str();
-      r.body.body = c.str();
-      break;
-    case RecordType::kUpsert:
-      r.type = RecordType::kUpsert;
-      r.upsert = decode_upsert_fields(c);
-      break;
-    case RecordType::kRemove:
-      r.type = RecordType::kRemove;
-      r.remove.seq = c.varint();
-      r.remove.name = c.str();
-      r.remove.digest = c.str();
-      break;
-    case RecordType::kTouch:
-      r.type = RecordType::kTouch;
-      r.touch.name = c.str();
-      r.touch.expires_at = unzigzag(c.varint());
-      break;
-    case RecordType::kCheckpoint: {
-      r.type = RecordType::kCheckpoint;
-      r.checkpoint.epoch = c.varint();
-      r.checkpoint.seq = c.varint();
-      r.checkpoint.compacted_through = c.varint();
-      const std::uint64_t entries = c.varint();
-      for (std::uint64_t i = 0; c.ok && i < entries; ++i) {
-        r.checkpoint.entries.push_back(decode_upsert_fields(c));
-      }
-      const std::uint64_t journal = c.varint();
-      for (std::uint64_t i = 0; c.ok && i < journal; ++i) {
-        JournalEntry j;
-        j.seq = c.varint();
-        j.remove = c.u8() != 0;
-        j.name = c.str();
-        j.digest = c.str();
-        r.checkpoint.journal.push_back(std::move(j));
-      }
-      break;
-    }
-    default:
-      return protocol_error("store record: unknown type " +
-                            std::to_string(type));
+  BufReader r(payload);
+  auto type = r.u8();
+  if (!type.is_ok()) return protocol_error("store record: empty payload");
+  if (type.value() < static_cast<std::uint8_t>(RecordType::kEpoch) ||
+      type.value() > static_cast<std::uint8_t>(RecordType::kCheckpoint)) {
+    return protocol_error("store record: unknown type " +
+                          std::to_string(type.value()));
   }
-  if (!c.ok || !c.done()) {
+  Record rec;
+  rec.type = static_cast<RecordType>(type.value());
+  if (!read_field(r, rec) || !r.at_end()) {
     return protocol_error(std::string("store record: malformed ") +
-                          record_type_name(r.type) + " payload");
+                          record_type_name(rec.type) + " payload");
   }
-  return r;
+  return rec;
 }
 
 }  // namespace hcm::store

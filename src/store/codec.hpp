@@ -16,6 +16,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/bytes.hpp"
 #include "common/fnv.hpp"
 #include "common/status.hpp"
 
@@ -38,26 +39,25 @@ inline constexpr std::uint64_t kChainGenesis = kFnv1aOffset;
 
 // --- primitive encoding -------------------------------------------------
 // LEB128-style varints and length-prefixed strings; fixed-width u32/u64
-// are little-endian (frame headers, pack index).
+// are little-endian (frame headers, pack index). Writers append to the
+// caller's buffer. Each get_* is the matching read over the one bounded
+// reader: false on underrun or an overlong varint, never a read past
+// the end, so a decoder can chain reads with && and check once.
 void put_varint(std::string& out, std::uint64_t v);
 void put_string(std::string& out, std::string_view s);
 void put_u32(std::string& out, std::uint32_t v);
 void put_u64(std::string& out, std::uint64_t v);
+[[nodiscard]] bool get_varint(BufReader& r, std::uint64_t& out);
+[[nodiscard]] bool get_string(BufReader& r, std::string_view& out);
+[[nodiscard]] bool get_u32(BufReader& r, std::uint32_t& out);
+[[nodiscard]] bool get_u64(BufReader& r, std::uint64_t& out);
 
-// Decode cursor. All reads clamp and latch `ok=false` on underrun or
-// malformed input; callers check once at the end.
-struct Cursor {
-  std::string_view data;
-  std::size_t pos = 0;
-  bool ok = true;
-
-  [[nodiscard]] std::uint8_t u8();
-  [[nodiscard]] std::uint32_t u32();
-  [[nodiscard]] std::uint64_t u64();
-  [[nodiscard]] std::uint64_t varint();
-  [[nodiscard]] std::string str();
-  [[nodiscard]] bool done() const { return pos == data.size(); }
-};
+// --- store files ---------------------------------------------------------
+// Whole-file read, and a full write retried on EINTR whose errors read
+// "write <kind> <path>: ..."; fsync stays with the caller.
+[[nodiscard]] Result<std::string> read_file(const std::string& path);
+[[nodiscard]] Status write_all(int fd, std::string_view bytes,
+                               const char* kind, const std::string& path);
 
 // --- record types -------------------------------------------------------
 

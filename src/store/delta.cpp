@@ -1,5 +1,6 @@
 #include "store/delta.hpp"
 
+#include <algorithm>
 #include <map>
 #include <vector>
 
@@ -90,36 +91,48 @@ std::string delta_encode(std::string_view base, std::string_view target) {
 
 Result<std::string> delta_apply(std::string_view base,
                                 std::string_view delta) {
-  Cursor c{delta};
-  const std::uint64_t base_size = c.varint();
-  const std::uint64_t target_size = c.varint();
-  if (!c.ok) return protocol_error("delta: truncated header");
+  BufReader r(delta);
+  std::uint64_t base_size = 0;
+  std::uint64_t target = 0;
+  if (!get_varint(r, base_size) || !get_varint(r, target)) {
+    return protocol_error("delta: truncated header");
+  }
   if (base_size != base.size()) {
     return protocol_error("delta: base size mismatch (delta built against " +
                           std::to_string(base_size) + " bytes, applied to " +
                           std::to_string(base.size()) + ")");
   }
+  // The declared size is a claim, not a budget: reserve no more than
+  // the inputs hold, and refuse any op that outgrows the claim.
   std::string out;
-  out.reserve(target_size);
-  while (!c.done()) {
-    const std::uint8_t op = c.u8();
+  out.reserve(std::min<std::uint64_t>(target, base.size() + delta.size()));
+  while (!r.at_end()) {
+    const std::uint8_t op = r.u8().value_or(0xff);
+    std::string_view piece;
+    std::uint64_t off = 0;
+    std::uint64_t len = 0;
     if (op == 0x00) {
-      out += c.str();
+      if (!get_string(r, piece)) return protocol_error("delta: truncated op");
     } else if (op == 0x01) {
-      const std::uint64_t off = c.varint();
-      const std::uint64_t len = c.varint();
-      if (!c.ok || off + len > base.size()) {
+      if (!get_varint(r, off) || !get_varint(r, len)) {
+        return protocol_error("delta: truncated op");
+      }
+      if (off > base.size() || len > base.size() - off) {
         return protocol_error("delta: copy op out of base range");
       }
-      out.append(base.substr(off, len));
+      piece = base.substr(off, len);
     } else {
       return protocol_error("delta: unknown op " + std::to_string(op));
     }
-    if (!c.ok) return protocol_error("delta: truncated op");
+    if (piece.size() > target - out.size()) {
+      return protocol_error("delta: ops overrun the declared size " +
+                            std::to_string(target));
+    }
+    out.append(piece);
   }
-  if (out.size() != target_size) {
+  if (out.size() != target) {
     return protocol_error("delta: applied size " + std::to_string(out.size()) +
-                          " != declared " + std::to_string(target_size));
+                          " != declared " + std::to_string(target));
   }
   return out;
 }

@@ -8,7 +8,8 @@
 //   0x00 varint(len) <len literal bytes>       insert
 //   0x01 varint(offset) varint(len)            copy from base
 // Application verifies base/target sizes, so a delta applied to the
-// wrong base fails loudly instead of producing silent garbage.
+// wrong base fails loudly instead of producing silent garbage. The
+// declared target size caps the output; it is never reserved up front.
 #pragma once
 
 #include <string>

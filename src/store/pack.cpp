@@ -6,10 +6,9 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 
 #include "store/codec.hpp"
+#include "store/delta.hpp"
 
 namespace hcm::store {
 
@@ -19,6 +18,9 @@ constexpr char kMagic[] = "HCMPACK1";
 constexpr char kFooterMagic[] = "HCMPKIX1";
 constexpr std::size_t kMagicLen = 8;
 constexpr std::size_t kFooterLen = 8 + 4 + kMagicLen;
+// An index entry is at least an empty digest (one length byte) and a
+// u64 offset.
+constexpr std::size_t kMinIndexEntryBytes = 1 + 8;
 
 }  // namespace
 
@@ -64,37 +66,21 @@ Status PackWriter::write(const std::string& path) const {
   if (fd < 0) {
     return internal_error("open pack " + path + ": " + std::strerror(errno));
   }
-  std::size_t off = 0;
-  while (off < out.size()) {
-    const ssize_t n = ::write(fd, out.data() + off, out.size() - off);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      const Status st =
-          internal_error("write pack " + path + ": " + std::strerror(errno));
-      ::close(fd);
-      return st;
-    }
-    off += static_cast<std::size_t>(n);
-  }
-  if (::fsync(fd) != 0) {
-    const Status st =
-        internal_error("fsync pack " + path + ": " + std::strerror(errno));
-    ::close(fd);
-    return st;
+  Status st = write_all(fd, out, "pack", path);
+  if (st.is_ok() && ::fsync(fd) != 0) {
+    st = internal_error("fsync pack " + path + ": " + std::strerror(errno));
   }
   ::close(fd);
-  return Status::ok();
+  return st;
 }
 
 Status PackReader::open(const std::string& path) {
   path_ = path;
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return not_found("pack " + path + " is unreadable");
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  data_ = ss.str();
   digests_.clear();
   offsets_.clear();
+  auto data = read_file(path);
+  if (!data.is_ok()) return data.status();
+  data_ = std::move(data).take();
 
   if (data_.size() < kMagicLen + kFooterLen ||
       data_.compare(0, kMagicLen, kMagic, kMagicLen) != 0) {
@@ -104,10 +90,11 @@ Status PackReader::open(const std::string& path) {
                     kMagicLen) != 0) {
     return protocol_error("pack " + path + ": bad footer magic");
   }
-  Cursor footer{std::string_view(data_).substr(data_.size() - kFooterLen)};
-  const std::uint64_t index_offset = footer.u64();
-  const std::uint32_t index_crc = footer.u32();
-  if (index_offset >= data_.size() - kFooterLen) {
+  BufReader footer(std::string_view(data_).substr(data_.size() - kFooterLen));
+  std::uint64_t index_offset = 0;
+  std::uint32_t index_crc = 0;
+  if (!get_u64(footer, index_offset) || !get_u32(footer, index_crc) ||
+      index_offset >= data_.size() - kFooterLen) {
     return protocol_error("pack " + path + ": index offset out of range");
   }
   const std::string_view index_bytes = std::string_view(data_).substr(
@@ -115,21 +102,25 @@ Status PackReader::open(const std::string& path) {
   if (crc32(index_bytes) != index_crc) {
     return protocol_error("pack " + path + ": index crc mismatch");
   }
-  Cursor c{index_bytes};
-  const std::uint32_t count = c.u32();
+  BufReader r(index_bytes);
+  std::uint32_t count = 0;
+  if (!get_u32(r, count) || count > r.remaining() / kMinIndexEntryBytes) {
+    return protocol_error("pack " + path + ": malformed index count");
+  }
   for (std::uint32_t i = 0; i < count; ++i) {
-    std::string digest = c.str();
-    const std::uint64_t offset = c.u64();
-    if (!c.ok || offset >= index_offset) {
+    std::string_view digest;
+    std::uint64_t offset = 0;
+    if (!get_string(r, digest) || !get_u64(r, offset) ||
+        offset >= index_offset) {
       return protocol_error("pack " + path + ": malformed index entry");
     }
     if (!digests_.empty() && digest <= digests_.back()) {
       return protocol_error("pack " + path + ": index is not strictly sorted");
     }
-    digests_.push_back(std::move(digest));
+    digests_.emplace_back(digest);
     offsets_.push_back(offset);
   }
-  if (!c.ok || !c.done()) {
+  if (!r.at_end()) {
     return protocol_error("pack " + path + ": trailing index bytes");
   }
   return Status::ok();
@@ -149,30 +140,68 @@ Result<PackEntry> PackReader::read(const std::string& digest) const {
 }
 
 Result<PackEntry> PackReader::read_at(std::uint64_t offset) const {
-  Cursor c{std::string_view(data_).substr(offset)};
-  PackEntry e;
-  const std::uint8_t kind = c.u8();
-  e.digest = c.str();
-  if (kind == 1) e.base_digest = c.str();
-  const std::uint32_t len = c.u32();
-  if (!c.ok || kind > 1) {
+  // offset < index offset < data_.size(): open() checked both.
+  const std::string_view entry = std::string_view(data_).substr(offset);
+  BufReader r(entry);
+  const std::uint8_t kind = r.u8().value_or(0xff);
+  std::string_view digest;
+  std::string_view base;
+  std::uint32_t len = 0;
+  if (kind > 1 || !get_string(r, digest) ||
+      (kind == 1 && !get_string(r, base)) || !get_u32(r, len)) {
     return protocol_error("pack " + path_ + ": malformed entry at offset " +
                           std::to_string(offset));
   }
-  const std::size_t data_begin = offset + c.pos;
-  if (data_begin + len + 4 > data_.size()) {
+  const std::size_t framed = r.pos() + len;
+  auto data = r.view(len);
+  std::uint32_t crc = 0;
+  if (!data.is_ok() || !get_u32(r, crc)) {
     return protocol_error("pack " + path_ + ": entry data out of range");
   }
-  e.data = data_.substr(data_begin, len);
-  Cursor crc_cur{std::string_view(data_).substr(data_begin + len, 4)};
-  const std::uint32_t want = crc_cur.u32();
-  const std::string_view framed =
-      std::string_view(data_).substr(offset, c.pos + len);
-  if (crc32(framed) != want) {
+  if (crc32(entry.substr(0, framed)) != crc) {
     return protocol_error("pack " + path_ + ": entry crc mismatch for " +
-                          e.digest);
+                          std::string(digest));
   }
-  return e;
+  return PackEntry{std::string(digest), std::string(base),
+                   std::string(data.value())};
+}
+
+Result<Materialized> materialize(const PackSet& packs,
+                                 const std::string& digest) {
+  // Each digest resolves to one entry (its newest pack), so an acyclic
+  // chain has fewer deltas than the set has entries; reaching that many
+  // means a digest repeated. Stores written before compaction capped
+  // same-batch chains hold chains past kMaxDeltaChain, and stay readable.
+  std::size_t entries = 0;
+  for (const PackReader& p : packs) entries += p.entry_count();
+  std::vector<std::string> deltas;  // tip first
+  std::string cur = digest;
+  PackEntry e;
+  for (;;) {
+    const auto holder =
+        std::find_if(packs.rbegin(), packs.rend(),
+                     [&](const PackReader& p) { return p.contains(cur); });
+    if (holder == packs.rend()) {
+      return not_found("no pack holds digest " + cur);
+    }
+    auto entry = holder->read(cur);
+    if (!entry.is_ok()) return entry.status();
+    e = std::move(entry).take();
+    if (e.base_digest.empty()) break;
+    if (deltas.size() == entries) {
+      return protocol_error("delta chain for " + digest + " repeats digest " +
+                            cur + " (cycle)");
+    }
+    deltas.push_back(std::move(e.data));
+    cur = std::move(e.base_digest);
+  }
+  Materialized out{std::move(e.data), deltas.size(), std::move(cur)};
+  for (auto d = deltas.rbegin(); d != deltas.rend(); ++d) {
+    auto next = delta_apply(out.body, *d);
+    if (!next.is_ok()) return next.status();
+    out.body = std::move(next).take();
+  }
+  return out;
 }
 
 }  // namespace hcm::store

@@ -17,6 +17,7 @@
 // during compaction never leaves a half-written pack visible.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -67,5 +68,26 @@ class PackReader {
   std::vector<std::string> digests_;       // sorted
   std::vector<std::uint64_t> offsets_;     // parallel to digests_
 };
+
+// The packs of one store directory, oldest first.
+using PackSet = std::vector<PackReader>;
+
+// Longest delta chain compaction writes. Reads accept any acyclic
+// chain, since older stores hold longer ones.
+inline constexpr std::size_t kMaxDeltaChain = 16;
+
+struct Materialized {
+  std::string body;
+  std::size_t depth = 0;  // deltas applied to reach `body`
+  std::string root;       // digest of the whole body the chain ends at
+};
+
+// The one delta-chain walk (body_for, compaction, fsck, stats): finds
+// `digest` in the newest pack holding it and follows its bases down to
+// a whole body, then applies the deltas back up. A missing or corrupt
+// link or a cycle is a non-OK Status; the walk is iterative and stops
+// after as many links as the set has entries.
+[[nodiscard]] Result<Materialized> materialize(const PackSet& packs,
+                                               const std::string& digest);
 
 }  // namespace hcm::store

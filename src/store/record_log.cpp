@@ -5,23 +5,12 @@
 
 #include <cerrno>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 
 #include "store/codec.hpp"
 
 namespace hcm::store {
 
 namespace {
-
-constexpr std::size_t kFrameHeader = 4 + 4 + 8;
-
-std::string read_whole_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
-}
 
 Status errno_status(const std::string& what, const std::string& path) {
   return internal_error(what + " " + path + ": " + std::strerror(errno));
@@ -34,38 +23,37 @@ RecordLog::~RecordLog() { close(); }
 Result<RecordLog::Scan> RecordLog::scan_file(const std::string& path) {
   Scan scan;
   scan.chain = kChainGenesis;
-  const std::string data = read_whole_file(path);
+  // A missing (or unreadable) log scans as empty; open() creates it.
+  auto file = read_file(path);
+  const std::string data = file.is_ok() ? std::move(file).take() : "";
   scan.file_bytes = data.size();
-  std::size_t pos = 0;
-  while (pos < data.size()) {
-    Cursor c{std::string_view(data).substr(pos, kFrameHeader)};
-    const std::uint32_t len = c.u32();
-    const std::uint32_t crc = c.u32();
-    const std::uint64_t chain = c.u64();
-    if (!c.ok || pos + kFrameHeader + len > data.size()) {
+  BufReader r(data);
+  while (!r.at_end()) {
+    const std::size_t pos = r.pos();
+    std::uint32_t len = 0;
+    std::uint32_t crc = 0;
+    std::uint64_t chain = 0;
+    if (!(get_u32(r, len) && get_u32(r, crc) && get_u64(r, chain)) ||
+        r.remaining() < len) {
       scan.clean = false;
       scan.tail_error = "torn frame at offset " + std::to_string(pos) +
                         " (header or payload cut short)";
       break;
     }
-    const std::string_view payload =
-        std::string_view(data).substr(pos + kFrameHeader, len);
+    const std::string_view payload = r.view(len).value();
     if (crc32(payload) != crc) {
       scan.clean = false;
-      scan.tail_error =
-          "crc mismatch at offset " + std::to_string(pos);
+      scan.tail_error = "crc mismatch at offset " + std::to_string(pos);
       break;
     }
     if (chain_hash(scan.chain, payload) != chain) {
       scan.clean = false;
-      scan.tail_error =
-          "hash chain break at offset " + std::to_string(pos);
+      scan.tail_error = "hash chain break at offset " + std::to_string(pos);
       break;
     }
     scan.chain = chain;
     scan.frames.push_back(Frame{std::string(payload), pos});
-    pos += kFrameHeader + len;
-    scan.valid_bytes = pos;
+    scan.valid_bytes = r.pos();
   }
   return scan;
 }
@@ -145,16 +133,8 @@ void RecordLog::append(std::string_view payload) {
 
 Status RecordLog::commit() {
   if (pending_.empty()) return Status::ok();
-  std::size_t off = 0;
-  while (off < pending_.size()) {
-    const ssize_t n =
-        ::write(fd_, pending_.data() + off, pending_.size() - off);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return errno_status("write log", path_);
-    }
-    off += static_cast<std::size_t>(n);
-  }
+  Status st = write_all(fd_, pending_, "log", path_);
+  if (!st.is_ok()) return st;
   if (policy_ == FsyncPolicy::kCommit) {
     if (::fsync(fd_) != 0) return errno_status("fsync log", path_);
     ++fsyncs_;

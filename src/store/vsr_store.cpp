@@ -8,7 +8,6 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <functional>
 
 #include "store/delta.hpp"
 
@@ -35,20 +34,31 @@ Status fsync_dir(const std::string& dir) {
   return Status::ok();
 }
 
-// Pack file names in a directory, ascending (pack numbers are
-// zero-padded, so lexicographic = numeric order).
-std::vector<std::string> pack_files(const std::string& dir) {
-  std::vector<std::string> out;
+// Opens the packs of `dir`, oldest first (pack numbers are zero-padded,
+// so name order is pack order). A pack that fails to open is left out
+// and its Status appended to `bad`.
+PackSet open_packs(const std::string& dir, std::vector<Status>& bad) {
+  std::vector<std::string> paths;
   std::error_code ec;
   for (const auto& e : fs::directory_iterator(dir, ec)) {
     const std::string name = e.path().filename().string();
     if (name.rfind("pack-", 0) == 0 && name.size() > 10 &&
         name.compare(name.size() - 5, 5, ".pack") == 0) {
-      out.push_back(e.path().string());
+      paths.push_back(e.path().string());
     }
   }
-  std::sort(out.begin(), out.end());
-  return out;
+  std::sort(paths.begin(), paths.end());
+  PackSet packs;
+  for (const std::string& path : paths) {
+    PackReader reader;
+    Status st = reader.open(path);
+    if (!st.is_ok()) {
+      bad.push_back(std::move(st));
+      continue;
+    }
+    packs.push_back(std::move(reader));
+  }
+  return packs;
 }
 
 // A delta smaller than 3/4 of the full body pays for its chain-walk
@@ -121,15 +131,10 @@ Status VsrStore::open() {
                           ec.message());
   }
 
-  packs_.clear();
-  next_pack_ = 1;
-  for (const std::string& path : pack_files(options_.dir)) {
-    auto reader = std::make_unique<PackReader>();
-    Status st = reader->open(path);
-    if (!st.is_ok()) return st;  // a corrupt pack is an fsck matter
-    packs_.push_back(std::move(reader));
-    ++next_pack_;
-  }
+  std::vector<Status> bad;
+  packs_ = open_packs(options_.dir, bad);
+  if (!bad.empty()) return bad.front();  // a corrupt pack is an fsck matter
+  next_pack_ = packs_.size() + 1;
 
   mirror_ = LogMirror{};
   mirror_.journal_capacity = options_.journal_capacity;
@@ -166,42 +171,9 @@ Status VsrStore::open() {
 Result<std::string> VsrStore::body_for(const std::string& digest) const {
   auto it = mirror_.bodies.find(digest);
   if (it != mirror_.bodies.end()) return it->second;
-  return pack_body_for(digest);
-}
-
-Result<std::string> VsrStore::pack_body_for(const std::string& digest) const {
-  // Newest pack first; delta chains resolve recursively (bases always
-  // live in the same or an older pack).
-  for (auto pack = packs_.rbegin(); pack != packs_.rend(); ++pack) {
-    if (!(*pack)->contains(digest)) continue;
-    auto entry = (*pack)->read(digest);
-    if (!entry.is_ok()) return entry.status();
-    if (entry.value().base_digest.empty()) return entry.value().data;
-    auto base = pack_body_for(entry.value().base_digest);
-    if (!base.is_ok()) return base.status();
-    return delta_apply(base.value(), entry.value().data);
-  }
-  return not_found("store holds no body for digest " + digest);
-}
-
-int VsrStore::chain_depth(const std::string& digest) const {
-  int depth = 0;
-  std::string cur = digest;
-  while (depth <= options_.max_delta_chain) {
-    const PackReader* holder = nullptr;
-    for (auto pack = packs_.rbegin(); pack != packs_.rend(); ++pack) {
-      if ((*pack)->contains(cur)) {
-        holder = pack->get();
-        break;
-      }
-    }
-    if (holder == nullptr) return depth;
-    auto entry = holder->read(cur);
-    if (!entry.is_ok() || entry.value().base_digest.empty()) return depth;
-    cur = entry.value().base_digest;
-    ++depth;
-  }
-  return depth;
+  auto packed = materialize(packs_, digest);
+  if (!packed.is_ok()) return packed.status();
+  return std::move(packed).take().body;
 }
 
 void VsrStore::record_epoch(std::uint64_t epoch) {
@@ -215,21 +187,16 @@ void VsrStore::record_upsert(const UpsertRecord& rec,
                              const std::string& body) {
   // One body per digest, ever: re-publishing known content (a digest
   // already in the log or any pack) costs no body bytes.
-  if (mirror_.bodies.count(rec.digest) == 0) {
-    bool packed = false;
-    for (const auto& pack : packs_) {
-      if (pack->contains(rec.digest)) {
-        packed = true;
-        break;
-      }
-    }
-    if (!packed) {
-      Record b;
-      b.type = RecordType::kBody;
-      b.body.digest = rec.digest;
-      b.body.body = body;
-      stage(b);
-    }
+  const auto holds = [&](const PackReader& p) {
+    return p.contains(rec.digest);
+  };
+  if (mirror_.bodies.count(rec.digest) == 0 &&
+      std::none_of(packs_.begin(), packs_.end(), holds)) {
+    Record b;
+    b.type = RecordType::kBody;
+    b.body.digest = rec.digest;
+    b.body.body = body;
+    stage(b);
   }
   Record r;
   r.type = RecordType::kUpsert;
@@ -278,34 +245,37 @@ Status VsrStore::compact() {
 
   if (!mirror_.body_order.empty()) {
     PackWriter writer;
+    // Depth and root digest of each chain written to this pack.
+    std::map<std::string, std::pair<std::size_t, std::string>> written;
+    auto base_for = [&](const std::string& d) -> Result<Materialized> {
+      auto w = written.find(d);
+      if (w == written.end()) return materialize(packs_, d);
+      return Materialized{mirror_.bodies[d], w->second.first, w->second.second};
+    };
     for (const std::string& digest : mirror_.body_order) {
       const std::string& body = mirror_.bodies[digest];
-      bool wrote_delta = false;
-      auto hint = mirror_.delta_hint.find(digest);
-      if (hint != mirror_.delta_hint.end()) {
-        // Base body: earlier revision in this same batch, or any pack.
-        const std::string* base = nullptr;
-        std::string packed_base;
-        auto in_log = mirror_.bodies.find(hint->second);
-        if (in_log != mirror_.bodies.end()) {
-          base = &in_log->second;
-        } else {
-          auto from_pack = pack_body_for(hint->second);
-          if (from_pack.is_ok()) {
-            packed_base = std::move(from_pack).take();
-            base = &packed_base;
-          }
-        }
-        if (base != nullptr &&
-            chain_depth(hint->second) < options_.max_delta_chain) {
-          const std::string delta = delta_encode(*base, body);
-          if (delta_worthwhile(delta.size(), body.size())) {
-            writer.add_delta(digest, hint->second, delta);
-            wrote_delta = true;
-          }
+      // Base: the prior revision, from this batch or any pack; past
+      // kMaxDeltaChain deep, its chain's whole root (the chain restarts).
+      Result<Materialized> base = not_found("no prior revision");
+      std::string base_digest;
+      if (auto hint = mirror_.delta_hint.find(digest);
+          hint != mirror_.delta_hint.end()) {
+        base_digest = hint->second;
+        base = base_for(base_digest);
+        if (base.is_ok() && base.value().depth >= kMaxDeltaChain) {
+          base_digest = base.value().root;
+          base = base_for(base_digest);
         }
       }
-      if (!wrote_delta) writer.add_full(digest, body);
+      std::string delta;
+      if (base.is_ok()) delta = delta_encode(base.value().body, body);
+      if (base.is_ok() && delta_worthwhile(delta.size(), body.size())) {
+        writer.add_delta(digest, base_digest, delta);
+        written[digest] = {base.value().depth + 1, base.value().root};
+      } else {
+        writer.add_full(digest, body);
+        written[digest] = {0, digest};
+      }
     }
     const std::string tmp = options_.dir + "/pack.tmp";
     st = writer.write(tmp);
@@ -318,8 +288,8 @@ Status VsrStore::compact() {
     }
     st = fsync_dir(options_.dir);
     if (!st.is_ok()) return st;
-    auto reader = std::make_unique<PackReader>();
-    st = reader->open(final_path);
+    PackReader reader;
+    st = reader.open(final_path);
     if (!st.is_ok()) return st;
     packs_.push_back(std::move(reader));
     ++next_pack_;
@@ -379,7 +349,7 @@ Status VsrStore::rewrite_log_checkpoint() {
 
 std::uint64_t VsrStore::pack_bytes() const {
   std::uint64_t total = 0;
-  for (const auto& pack : packs_) total += pack->size_bytes();
+  for (const PackReader& pack : packs_) total += pack.size_bytes();
   return total;
 }
 
@@ -395,46 +365,20 @@ VsrStore::FsckReport VsrStore::fsck(const std::string& dir) {
   // Packs: structural open (magic, footer, index crc, sort order), then
   // every entry must decode, materialize through its delta chain, and
   // hash back to its own digest.
-  std::vector<std::unique_ptr<PackReader>> packs;
-  for (const std::string& path : pack_files(dir)) {
-    auto reader = std::make_unique<PackReader>();
-    Status st = reader->open(path);
-    if (!st.is_ok()) {
-      fail(st.message());
-      continue;
-    }
-    packs.push_back(std::move(reader));
-  }
+  std::vector<Status> bad;
+  const PackSet packs = open_packs(dir, bad);
+  for (const Status& st : bad) fail(st.message());
   report.packs = packs.size();
 
-  // Materializer over the verified pack set (newest first).
-  std::function<Result<std::string>(const std::string&, int)> materialize =
-      [&](const std::string& digest, int depth) -> Result<std::string> {
-    if (depth > 64) {
-      return protocol_error("delta chain for " + digest +
-                            " exceeds depth 64 (cycle?)");
-    }
-    for (auto pack = packs.rbegin(); pack != packs.rend(); ++pack) {
-      if (!(*pack)->contains(digest)) continue;
-      auto entry = (*pack)->read(digest);
-      if (!entry.is_ok()) return entry.status();
-      if (entry.value().base_digest.empty()) return entry.value().data;
-      auto base = materialize(entry.value().base_digest, depth + 1);
-      if (!base.is_ok()) return base.status();
-      return delta_apply(base.value(), entry.value().data);
-    }
-    return not_found("no pack holds digest " + digest);
-  };
-
-  for (const auto& pack : packs) {
-    for (const std::string& digest : pack->digests()) {
+  for (const PackReader& pack : packs) {
+    for (const std::string& digest : pack.digests()) {
       ++report.pack_entries;
-      auto body = materialize(digest, 0);
+      auto body = materialize(packs, digest);
       if (!body.is_ok()) {
         fail("pack entry " + digest + ": " + body.status().message());
         continue;
       }
-      if (content_digest(body.value()) != digest) {
+      if (content_digest(body.value().body) != digest) {
         fail("pack entry " + digest +
              ": materialized body hashes to a different digest (bit rot "
              "inside a delta chain)");
@@ -485,12 +429,12 @@ VsrStore::FsckReport VsrStore::fsck(const std::string& dir) {
     if (in_log != mirror.bodies.end()) {
       body = in_log->second;
     } else {
-      auto packed = materialize(entry.digest, 0);
+      auto packed = materialize(packs, entry.digest);
       if (!packed.is_ok()) {
         fail("live entry '" + name + "': " + packed.status().message());
         continue;
       }
-      body = std::move(packed).take();
+      body = std::move(packed).take().body;
     }
     if (content_digest(body) != entry.digest) {
       fail("live entry '" + name + "': body does not hash to its digest");
@@ -521,39 +465,21 @@ Result<VsrStore::StatsReport> VsrStore::stats(const std::string& dir) {
   report.epoch = mirror.epoch;
   report.last_seq = mirror.seq;
 
-  std::vector<std::unique_ptr<PackReader>> packs;
-  for (const std::string& path : pack_files(dir)) {
-    auto reader = std::make_unique<PackReader>();
-    Status st = reader->open(path);
-    if (!st.is_ok()) return st;
-    report.pack_bytes += reader->size_bytes();
-    packs.push_back(std::move(reader));
-  }
+  std::vector<Status> bad;
+  const PackSet packs = open_packs(dir, bad);
+  if (!bad.empty()) return bad.front();
   report.packs = packs.size();
-
-  std::function<Result<std::string>(const std::string&)> materialize =
-      [&](const std::string& digest) -> Result<std::string> {
-    for (auto pack = packs.rbegin(); pack != packs.rend(); ++pack) {
-      if (!(*pack)->contains(digest)) continue;
-      auto entry = (*pack)->read(digest);
-      if (!entry.is_ok()) return entry.status();
-      if (entry.value().base_digest.empty()) return entry.value().data;
-      auto base = materialize(entry.value().base_digest);
-      if (!base.is_ok()) return base.status();
-      return delta_apply(base.value(), entry.value().data);
-    }
-    return not_found("no pack holds digest " + digest);
-  };
-  for (const auto& pack : packs) {
-    for (const std::string& digest : pack->digests()) {
-      auto entry = pack->read(digest);
+  for (const PackReader& pack : packs) {
+    report.pack_bytes += pack.size_bytes();
+    for (const std::string& digest : pack.digests()) {
+      auto entry = pack.read(digest);
       if (!entry.is_ok()) return entry.status();
       ++report.pack_entries;
       if (!entry.value().base_digest.empty()) ++report.delta_entries;
       report.stored_body_bytes += entry.value().data.size();
-      auto body = materialize(digest);
+      auto body = materialize(packs, digest);
       if (!body.is_ok()) return body.status();
-      report.expanded_body_bytes += body.value().size();
+      report.expanded_body_bytes += body.value().body.size();
     }
   }
   return report;

@@ -22,7 +22,6 @@
 
 #include <deque>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -41,9 +40,6 @@ struct VsrStoreOptions {
   // Mirror of the registry's journal capacity: how many resync-window
   // entries checkpoints retain.
   std::size_t journal_capacity = 128;
-  // Bound on pack delta chains; revision N of a service is stored whole
-  // when materializing it would walk more than this many deltas.
-  int max_delta_chain = 16;
 };
 
 // What replay found. `fresh` means the directory held no epoch yet
@@ -87,7 +83,7 @@ class VsrStore {
   [[nodiscard]] const std::string& dir() const { return options_.dir; }
 
   // Resolves a digest to its document, from the un-packed log bodies or
-  // any pack (newest first), materializing delta chains.
+  // the packs (materialize(): newest first, cycles refused).
   [[nodiscard]] Result<std::string> body_for(const std::string& digest) const;
 
   // --- write-through (staged; durable at the next commit()) -----------
@@ -145,15 +141,12 @@ class VsrStore {
 
  private:
   void stage(const Record& r);
-  [[nodiscard]] Result<std::string> pack_body_for(
-      const std::string& digest) const;
-  [[nodiscard]] int chain_depth(const std::string& digest) const;
   [[nodiscard]] Status rewrite_log_checkpoint();
   [[nodiscard]] std::string pack_path(std::uint64_t n) const;
 
   VsrStoreOptions options_;
   RecordLog log_;
-  std::vector<std::unique_ptr<PackReader>> packs_;  // oldest .. newest
+  PackSet packs_;
   std::uint64_t next_pack_ = 1;
   RecoveredState recovered_;
   // Mirror of the registry state the log describes, maintained on both

@@ -5,12 +5,15 @@
 // crashing or serving rolled-back state silently.
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <optional>
 #include <string>
 
 #include "soap/uddi.hpp"
+#include "store/delta.hpp"
+#include "store/pack.hpp"
 #include "store/vsr_store.hpp"
 #include "tests/store/temp_dir.hpp"
 
@@ -216,6 +219,75 @@ TEST_F(UddiStoreTest, WriteThroughSurvivesUnpublishAndRepublish) {
   sched.run();
   ASSERT_TRUE(looked.has_value());
   EXPECT_TRUE(looked->is_ok());
+}
+
+TEST_F(UddiStoreTest, LiveEntryInCyclicPackIsDroppedAndBumpsEpoch) {
+  ASSERT_TRUE(publish("vcr-1", "VcrControl").is_ok());
+  ASSERT_TRUE(sync().is_ok());
+  const std::uint64_t epoch_before = registry->epoch();
+  const std::uint64_t seq_before = registry->latest_seq();
+  registry.reset();
+  store.reset();
+
+  // Plant a pack whose two entries are deltas on each other, and a
+  // committed live entry whose digest points into it.
+  const std::string store_dir = dir.file("store");
+  store::PackWriter pack;
+  pack.add_delta("aaaa", "bbbb", store::delta_encode("bbbb", "aaaa"));
+  pack.add_delta("bbbb", "aaaa", store::delta_encode("aaaa", "bbbb"));
+  ASSERT_TRUE(pack.write(store_dir + "/pack-000001.pack").is_ok());
+  {
+    store::VsrStoreOptions opts;
+    opts.dir = store_dir;
+    opts.fsync = store::RecordLog::FsyncPolicy::kNone;
+    store::VsrStore planted(opts);
+    ASSERT_TRUE(planted.open().is_ok());
+    // The digest is already packed, so no body record is staged.
+    planted.record_upsert(store::UpsertRecord{seq_before + 1, "loop-1",
+                                              "Switchable", "jini-island",
+                                              "aaaa", 0},
+                          "");
+    ASSERT_TRUE(planted.commit().is_ok());
+  }
+  start_registry();
+
+  // The unresolvable entry is lost state: dropped, and the epoch bumps
+  // so warm cursors resync.
+  EXPECT_EQ(registry->epoch(), epoch_before + 1);
+  EXPECT_EQ(registry->size(), 1u);
+  EXPECT_EQ(registry->store_recovered_entries(), 1u);
+  auto delta = sync();
+  ASSERT_TRUE(delta.is_ok()) << delta.status().to_string();
+  EXPECT_TRUE(delta.value().full);
+}
+
+TEST_F(UddiStoreTest, DeepChainFromUncappedCompactionKeepsItsEntry) {
+  // A store written before compaction capped same-batch chains: vcr-1
+  // published 50 times, its body at the end of a 49-delta chain
+  // (tests/store/fixtures/deep-chain). A restart adopts it as is.
+  registry.reset();
+  store.reset();
+  const std::string store_dir = dir.file("store");
+  std::filesystem::remove_all(store_dir);
+  std::filesystem::copy(
+      std::string(HCM_SOURCE_DIR) + "/tests/store/fixtures/deep-chain",
+      store_dir);
+  start_registry();
+
+  EXPECT_EQ(registry->epoch(), 1u);
+  EXPECT_EQ(registry->latest_seq(), 50u);
+  EXPECT_EQ(registry->size(), 1u);
+  EXPECT_EQ(registry->store_recovered_entries(), 1u);
+  std::optional<Result<RegistryEntry>> looked;
+  client->lookup("vcr-1", [&](Result<RegistryEntry> r) {
+    looked = std::move(r);
+  });
+  sched.run();
+  ASSERT_TRUE(looked.has_value());
+  ASSERT_TRUE(looked->is_ok()) << looked->status().to_string();
+  EXPECT_NE(looked->value().wsdl.find("http://fav:8000/r49"),
+            std::string::npos);
+  EXPECT_EQ(looked->value().digest, wsdl_digest(looked->value().wsdl));
 }
 
 }  // namespace

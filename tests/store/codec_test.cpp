@@ -54,23 +54,48 @@ TEST(StoreCodecTest, VarintRoundTripsBoundaryValues) {
         std::uint64_t{0xffffffffULL}, ~std::uint64_t{0}}) {
     std::string buf;
     put_varint(buf, v);
-    Cursor c{buf};
-    EXPECT_EQ(c.varint(), v);
-    EXPECT_TRUE(c.ok);
-    EXPECT_TRUE(c.done());
+    BufReader r(buf);
+    std::uint64_t back = 0;
+    EXPECT_TRUE(get_varint(r, back));
+    EXPECT_EQ(back, v);
+    EXPECT_TRUE(r.at_end());
   }
+  // Ten continuation bytes carry more than 64 bits: not a varint.
+  const std::string overlong = std::string(10, '\xff') + '\x01';
+  BufReader r(overlong);
+  std::uint64_t v = 0;
+  EXPECT_FALSE(get_varint(r, v));
 }
 
-TEST(StoreCodecTest, CursorLatchesOnUnderrun) {
+TEST(StoreCodecTest, ReadsFailOnUnderrunWithoutReadingPastTheEnd) {
   std::string buf;
   put_u32(buf, 7);
-  Cursor c{std::string_view(buf).substr(0, 2)};  // cut mid-field
-  (void)c.u32();
-  EXPECT_FALSE(c.ok);
-  // Latched: later reads stay failed and return zero values.
-  EXPECT_EQ(c.u64(), 0u);
-  EXPECT_EQ(c.str(), "");
-  EXPECT_FALSE(c.ok);
+  put_string(buf, "lamp-1");
+  std::uint32_t n = 0;
+  std::uint64_t wide = 0;
+  std::string_view s;
+  {
+    BufReader r(std::string_view(buf).substr(0, 2));  // cut mid-field
+    EXPECT_FALSE(get_u32(r, n));
+    EXPECT_FALSE(get_u64(r, wide));
+    EXPECT_EQ(r.remaining(), 2u);  // a failed fixed read consumes nothing
+  }
+  // A string whose declared length outruns the buffer, including a
+  // length near 2^64 that a `pos + n` bounds check would wrap.
+  std::string huge;
+  put_varint(huge, ~std::uint64_t{0} - 14);
+  huge += "short";
+  for (std::string_view cut :
+       {std::string_view(buf).substr(4, 4), std::string_view(huge)}) {
+    BufReader r(cut);
+    EXPECT_FALSE(get_string(r, s));
+    EXPECT_LE(r.pos(), cut.size());
+  }
+  BufReader r(buf);
+  ASSERT_TRUE(get_u32(r, n) && get_string(r, s));
+  EXPECT_EQ(n, 7u);
+  EXPECT_EQ(s, "lamp-1");
+  EXPECT_TRUE(r.at_end());
 }
 
 TEST(StoreCodecTest, AllRecordTypesAreEnumeratedAndNamed) {

@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "store/pack.hpp"
 #include "tests/store/temp_dir.hpp"
 
 namespace hcm::store {
@@ -201,6 +202,45 @@ TEST(VsrStoreTest, ChurnCompressesAtLeastTenfold) {
   EXPECT_GE(stats.value().delta_ratio(), 10.0)
       << "stored " << stats.value().stored_body_bytes << "B for "
       << stats.value().expanded_body_bytes << "B of bodies";
+}
+
+TEST(VsrStoreTest, CompactionCapsSameBatchChains) {
+  // Forty revisions of one service between compactions: each deltas on
+  // the last, so without a cap the pack would hold a 39-delta chain,
+  // past the kMaxDeltaChain that compaction promises.
+  test::TempDir dir;
+  const auto opts = test_options(dir);
+  std::vector<std::string> bodies;
+  {
+    VsrStore store(opts);
+    ASSERT_TRUE(store.open().is_ok());
+    store.record_epoch(1);
+    for (int rev = 0; rev < 40; ++rev) {
+      bodies.push_back(body_rev("vcr-1", rev));
+      store.record_upsert(upsert_for(rev + 1, "vcr-1", bodies.back()),
+                          bodies.back());
+    }
+    ASSERT_TRUE(store.compact().is_ok());
+  }
+  VsrStore store(opts);
+  ASSERT_TRUE(store.open().is_ok());
+  for (const std::string& body : bodies) {
+    auto back = store.body_for(content_digest(body));
+    ASSERT_TRUE(back.is_ok()) << back.status().to_string();
+    EXPECT_EQ(back.value(), body);
+  }
+  auto stats = VsrStore::stats(opts.dir);
+  ASSERT_TRUE(stats.is_ok()) << stats.status().to_string();
+  EXPECT_EQ(stats.value().delta_entries, bodies.size() - 1)
+      << "a capped chain restarts as a delta on its root, not whole";
+  PackSet packs(1);
+  ASSERT_TRUE(packs[0].open(opts.dir + "/pack-000001.pack").is_ok());
+  for (const std::string& body : bodies) {
+    auto m = materialize(packs, content_digest(body));
+    ASSERT_TRUE(m.is_ok()) << m.status().to_string();
+    EXPECT_LE(m.value().depth, kMaxDeltaChain);
+  }
+  EXPECT_TRUE(VsrStore::fsck(opts.dir).ok);
 }
 
 TEST(VsrStoreTest, FsckCleanOnHealthyStore) {
