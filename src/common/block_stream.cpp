@@ -66,9 +66,13 @@ void BlockStream::splice(BlockStream&& other) {
     other.clear();  // may still hold a fully consumed chain
     return;
   }
-  if (other.front_off_ != 0) {
-    // Partially consumed head: relinking would resurrect the consumed
-    // prefix, so fall back to a chunk copy of what remains.
+  // Copy instead of relinking when the chain fits in the tail block's
+  // spare room, so a trickle of small deliveries fills one block rather
+  // than pinning a 16 KB block per segment; and when its head is
+  // partially consumed, since relinking would resurrect that prefix.
+  const bool fits = tail_ != nullptr &&
+                    other.size_ <= BlockPool::kBlockCapacity - tail_->used;
+  if (fits || other.front_off_ != 0) {
     other.for_each_chunk(
         [this](Chunk c) { append(c.data, c.size); });
     other.clear();

@@ -65,8 +65,8 @@ class BlockStream : public BigEndianWriter<BlockStream> {
   void patch(std::size_t pos, const void* data, std::size_t n);
 
   // Splices `other`'s chain onto this stream's tail: O(1) relink when
-  // possible, chunk-copy otherwise (partially consumed head). Either
-  // way `other` is left empty.
+  // possible, chunk-copy when it fits in the tail block's spare room or
+  // its head is partially consumed. Either way `other` is left empty.
   void splice(BlockStream&& other);
 
   // --- reading ----------------------------------------------------------

@@ -75,7 +75,7 @@ void MailAdapter::invoke(const std::string& service_name,
   m.to = args[0].as_string();
   m.subject = args[1].as_string();
   m.body = args[2].as_string();
-  sender_.send(m, [done = std::move(done)](const Status& s) {
+  sender_.send(std::move(m), [done = std::move(done)](const Status& s) {
     if (s.is_ok()) {
       done(Value(true));
     } else {
@@ -151,7 +151,7 @@ void MailAdapter::emit_event(const std::string& service_name,
   m.to = "evt-" + account_;
   m.subject = service_name + "." + event;
   m.body = payload.to_string();
-  sender_.send(m, [](const Status&) {});
+  sender_.send(std::move(m), [](const Status&) {});
 }
 
 void MailAdapter::on_service_mail(const std::string& service_name,
@@ -175,7 +175,7 @@ void MailAdapter::on_service_mail(const std::string& service_name,
         reply.subject = "Re: " + method;
         reply.body = result.is_ok() ? result.value().to_string()
                                     : "ERROR " + result.status().to_string();
-        sender_.send(reply, [](const Status&) {});
+        sender_.send(std::move(reply), [](const Status&) {});
       });
 }
 

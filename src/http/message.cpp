@@ -106,13 +106,17 @@ Status MessageParser::feed(BlockStream&& data) {
 Status MessageParser::try_parse() {
   while (true) {
     if (!in_body_) {
-      auto head_end = buf_.find("\r\n\r\n");
+      auto head_end = buf_.find("\r\n\r\n", head_scan_);
       if (head_end == BlockStream::npos) {
         if (buf_.size() > 64 * 1024) {
           return protocol_error("HTTP header section too large");
         }
+        // Resume here next feed: only the last three bytes can start a
+        // terminator that the next delivery completes.
+        head_scan_ = buf_.size() > 3 ? buf_.size() - 3 : 0;
         return Status::ok();  // need more data
       }
+      head_scan_ = 0;
       auto status = parse_head(buf_.view(0, head_end, head_scratch_));
       if (!status.is_ok()) return status;
       buf_.consume(head_end + 4);

@@ -91,6 +91,7 @@ class MessageParser {
 
   Mode mode_;
   BlockStream buf_;
+  std::size_t head_scan_ = 0;  // where the head-terminator search resumes
   std::string head_scratch_;  // backs heads spanning a block seam
   // Parsing state: when a head has been parsed we know the body length.
   bool in_body_ = false;

@@ -1,58 +1,201 @@
 #include "mail/mail.hpp"
 
+#include <algorithm>
+#include <charconv>
+
 #include "common/strings.hpp"
+#include "common/value_codec.hpp"
 
 namespace hcm::mail {
 
 namespace {
-// Line-based session plumbing shared by both protocols.
-struct LineBuffer {
-  std::string buf;
-  // Appends data; returns complete lines (without CRLF).
-  std::vector<std::string> feed(const BlockStream& data) {
-    data.append_to(buf);
-    std::vector<std::string> lines;
-    std::size_t pos;
-    while ((pos = buf.find("\r\n")) != std::string::npos) {
-      lines.push_back(buf.substr(0, pos));
-      buf.erase(0, pos + 2);
-    }
-    return lines;
+
+// One CRLF line reader for all four roles (SMTP and POP, client and
+// server), in the idiom of http::MessageParser: each delivery is
+// spliced into a BlockStream, the CRLF search resumes where the last
+// one stopped (so a line trickled in over many segments is scanned
+// once), command lines are read as views and body lines are copied
+// straight into the message.
+class LineReader {
+ public:
+  void feed(BlockStream&& data) { buf_.splice(std::move(data)); }
+
+  // Length of the next complete line, CRLF excluded, or npos.
+  [[nodiscard]] std::size_t next_line() {
+    const std::size_t eol = buf_.find("\r\n", scan_);
+    // A CR at the very end may still pair with the next LF.
+    if (eol == BlockStream::npos) scan_ = buf_.empty() ? 0 : buf_.size() - 1;
+    return eol;
   }
+  // next_line() for a command or reply line, or kTooLong once that
+  // line, CRLF included, cannot fit in kMaxLineBytes.
+  static constexpr std::size_t kTooLong = BlockStream::npos - 1;
+  [[nodiscard]] std::size_t next_command() {
+    const std::size_t len = next_line();
+    const bool too_long = len == BlockStream::npos
+                              ? buf_.size() >= kMaxLineBytes
+                              : len + 2 > kMaxLineBytes;
+    return too_long ? kTooLong : len;
+  }
+  [[nodiscard]] std::size_t buffered() const { return buf_.size(); }
+  // The first `len` bytes; valid until the next consume_line().
+  [[nodiscard]] std::string_view view(std::size_t len) {
+    return buf_.view(0, len, scratch_);
+  }
+  // Appends bytes [from, len) of the next line to `out`.
+  void copy_to(std::string& out, std::size_t from, std::size_t len) const {
+    const std::size_t at = out.size();
+    out.resize(at + len - from);
+    buf_.copy_to(out.data() + at, from, len - from);
+  }
+  // Drops a line of `len` bytes and its CRLF.
+  void consume_line(std::size_t len) {
+    buf_.consume(len + 2);
+    scan_ = 0;
+  }
+
+ private:
+  BlockStream buf_;
+  std::size_t scan_ = 0;
+  std::string scratch_;  // backs a line spanning a block seam
 };
 
-void reply(const net::StreamPtr& stream, const std::string& line) {
-  if (stream && stream->is_open()) stream->send(to_bytes(line + "\r\n"));
+// Progress through the data lines of a DATA section or RETR message.
+struct DataState {
+  bool in_headers = true;
+  bool first_body_line = true;
+  std::size_t bytes = 0;  // data lines consumed, CRLFs included
+};
+
+enum class DataStep { kMore, kDone, kTooLarge };
+
+bool has_prefix_ci(std::string_view s, std::string_view prefix) {
+  return s.size() >= prefix.size() &&
+         iequals(s.substr(0, prefix.size()), prefix);
 }
 
-std::string local_part(const std::string& addr) {
-  auto lt = addr.find('<');
-  std::string a = lt == std::string::npos
-                      ? addr
-                      : addr.substr(lt + 1, addr.find('>') - lt - 1);
-  auto at = a.find('@');
-  return at == std::string::npos ? a : a.substr(0, at);
+bool has_line_break(std::string_view s) {
+  return s.find_first_of("\r\n") != std::string_view::npos;
 }
+
+// A RETR message may exceed the DATA bound by the "From:" line the
+// server prepends (at most a MAIL FROM line), so every message SMTP
+// accepted can be fetched.
+constexpr std::size_t kMaxRetrBytes = kMaxMessageBytes + kMaxLineBytes;
+
+// Reads data lines into `m` up to the terminating "." line (RFC 5321
+// §4.5.2): a leading '.' is un-stuffed, the header block sets the
+// subject (and, in a RETR message, the sender), and body lines are
+// joined with CRLF, so exactly the CRLF before the terminator is
+// dropped.
+DataStep read_data(LineReader& in, DataState& st, Message& m, bool retr) {
+  const std::size_t limit = retr ? kMaxRetrBytes : kMaxMessageBytes;
+  while (true) {
+    const std::size_t len = in.next_line();
+    if (len == BlockStream::npos) {
+      return st.bytes + in.buffered() > limit ? DataStep::kTooLarge
+                                              : DataStep::kMore;
+    }
+    const std::string_view lead = in.view(std::min<std::size_t>(len, 1));
+    const std::size_t skip = lead == "." ? 1 : 0;
+    if (skip == 1 && len == 1) {
+      in.consume_line(len);
+      return DataStep::kDone;
+    }
+    st.bytes += len + 2;
+    if (st.bytes > limit) return DataStep::kTooLarge;
+    if (st.in_headers) {
+      const std::string_view line = in.view(len).substr(skip);
+      if (line.empty()) {
+        st.in_headers = false;
+      } else if (has_prefix_ci(line, "subject:")) {
+        m.subject.assign(trim(line.substr(8)));
+      } else if (retr && has_prefix_ci(line, "from:")) {
+        m.from.assign(trim(line.substr(5)));
+      }
+    } else {
+      if (!st.first_body_line) m.body.append("\r\n");
+      st.first_body_line = false;
+      in.copy_to(m.body, skip, len);
+    }
+    in.consume_line(len);
+  }
+}
+
+// Appends `body` dot-stuffed: a '.' opening the body or following a
+// CRLF is doubled, so no body line can read as the terminator.
+void append_stuffed(BlockStream& out, std::string_view body) {
+  if (!body.empty() && body.front() == '.') out.put('.');
+  std::size_t from = 0;
+  for (std::size_t at = body.find("\r\n."); at != std::string_view::npos;
+       at = body.find("\r\n.", from)) {
+    out.append(body.substr(from, at + 3 - from));
+    out.put('.');
+    from = at + 3;
+  }
+  out.append(body.substr(from));
+}
+
+// The SMTP DATA section: header block, stuffed body, terminator.
+void render_data(BlockStream& out, const Message& m) {
+  out.append("Subject: ");
+  out.append(m.subject);
+  out.append("\r\n\r\n");
+  append_stuffed(out, m.body);
+  out.append("\r\n.\r\n");
+}
+
+// One send of `prefix` + `value` + CRLF; replies are single sends.
+void send_line(const net::StreamPtr& stream, std::string_view prefix,
+               std::string_view value = {}) {
+  if (!stream || !stream->is_open()) return;
+  BlockStream out;
+  out.append(prefix);
+  out.append(value);
+  out.append("\r\n");
+  stream->send(std::move(out));
+}
+
+void send_uint_line(net::Stream& s, std::string_view prefix,
+                    std::uint64_t n) {
+  char digits[24];
+  auto [end, ec] = std::to_chars(digits, digits + sizeof(digits), n);
+  BlockStream out;
+  out.append(prefix);
+  out.append(digits, static_cast<std::size_t>(end - digits));
+  out.append("\r\n");
+  s.send(std::move(out));
+}
+
+std::string local_part(std::string_view addr) {
+  const auto lt = addr.find('<');
+  if (lt != std::string_view::npos) {
+    addr = addr.substr(lt + 1, addr.find('>') - lt - 1);
+  }
+  return std::string(addr.substr(0, addr.find('@')));
+}
+
 }  // namespace
 
 struct MailServer::SmtpSession {
   net::StreamPtr stream;
-  LineBuffer lines;
+  LineReader in;
   Message pending;
   bool in_data = false;
-  std::string data_buf;
-  bool have_subject = false;
+  DataState data;
 };
 
 struct MailServer::PopSession {
   net::StreamPtr stream;
-  LineBuffer lines;
+  LineReader in;
   std::string mailbox;
   std::vector<std::int64_t> deleted;
 };
 
 MailServer::MailServer(net::Network& net, net::NodeId node)
-    : net_(net), node_(node) {}
+    : net_(net),
+      node_(node),
+      rejected_(obs::shard_registry().counter("mail.rejected")) {}
 
 MailServer::~MailServer() { stop(); }
 
@@ -104,6 +247,12 @@ void MailServer::deliver(Message m) {
   mailboxes_[m.to].push_back(std::move(m));
 }
 
+void MailServer::reject(const net::StreamPtr& stream, std::string_view reply) {
+  rejected_.inc();
+  send_line(stream, reply);
+  if (stream) stream->close();
+}
+
 void MailServer::on_smtp_accept(net::StreamPtr stream) {
   auto session = std::make_shared<SmtpSession>();
   session->stream = stream;
@@ -111,77 +260,62 @@ void MailServer::on_smtp_accept(net::StreamPtr stream) {
     return w.expired();
   });
   smtp_sessions_.push_back(session);
-  reply(stream, "220 hcm-mail ready");
+  send_line(stream, "220 hcm-mail ready");
   stream->set_on_close([session] { session->stream = nullptr; });
   stream->set_on_data([this, session](BlockStream&& data) {
-    for (const auto& line : session->lines.feed(data)) {
-      smtp_line(session, line);
-    }
+    on_smtp_data(*session, std::move(data));
   });
 }
 
-void MailServer::smtp_line(const std::shared_ptr<SmtpSession>& s,
-                           const std::string& line) {
-  if (s->in_data) {
-    if (line == ".") {
-      // Parse optional "Subject:" header from the data section.
-      Message m = s->pending;
-      std::string body;
-      bool in_headers = true;
-      auto lines = split(s->data_buf, '\n');
-      // data_buf ends with '\n', so split leaves one empty tail entry.
-      if (!lines.empty() && lines.back().empty()) lines.pop_back();
-      for (const auto& l : lines) {
-        if (in_headers) {
-          if (l.empty()) {
-            in_headers = false;
-            continue;
-          }
-          if (starts_with(to_lower(l), "subject:")) {
-            m.subject = std::string(trim(l.substr(8)));
-            continue;
-          }
-          continue;
-        }
-        body += l;
-        body += '\n';
+void MailServer::on_smtp_data(SmtpSession& s, BlockStream&& data) {
+  s.in.feed(std::move(data));
+  while (s.stream && s.stream->is_open()) {
+    if (s.in_data) {
+      const DataStep step = read_data(s.in, s.data, s.pending, false);
+      if (step == DataStep::kMore) return;
+      if (step == DataStep::kTooLarge) {
+        reject(s.stream, "552 message too large");
+        return;
       }
-      if (!body.empty()) body.pop_back();
-      m.body = std::move(body);
-      deliver(std::move(m));
-      s->in_data = false;
-      s->data_buf.clear();
-      s->pending = Message{};
-      reply(s->stream, "250 OK message accepted");
+      deliver(std::move(s.pending));
+      s.pending = Message{};
+      s.in_data = false;
+      send_line(s.stream, "250 OK message accepted");
+      continue;
+    }
+    const std::size_t len = s.in.next_command();
+    if (len == LineReader::kTooLong) {
+      reject(s.stream, "500 line too long");
       return;
     }
-    s->data_buf += line;
-    s->data_buf += '\n';
-    return;
+    if (len == BlockStream::npos) return;
+    smtp_line(s, s.in.view(len));
+    s.in.consume_line(len);
   }
-  auto upper_starts = [&](const char* prefix) {
-    return starts_with(to_lower(line), to_lower(prefix));
-  };
-  if (upper_starts("HELO") || upper_starts("EHLO")) {
-    reply(s->stream, "250 hello");
-  } else if (upper_starts("MAIL FROM:")) {
-    s->pending.from = local_part(line.substr(10));
-    reply(s->stream, "250 sender OK");
-  } else if (upper_starts("RCPT TO:")) {
-    s->pending.to = local_part(line.substr(8));
-    reply(s->stream, "250 recipient OK");
-  } else if (upper_starts("DATA")) {
-    if (s->pending.to.empty()) {
-      reply(s->stream, "503 need RCPT first");
+}
+
+void MailServer::smtp_line(SmtpSession& s, std::string_view line) {
+  if (has_prefix_ci(line, "HELO") || has_prefix_ci(line, "EHLO")) {
+    send_line(s.stream, "250 hello");
+  } else if (has_prefix_ci(line, "MAIL FROM:")) {
+    s.pending.from = local_part(line.substr(10));
+    send_line(s.stream, "250 sender OK");
+  } else if (has_prefix_ci(line, "RCPT TO:")) {
+    s.pending.to = local_part(line.substr(8));
+    send_line(s.stream, "250 recipient OK");
+  } else if (has_prefix_ci(line, "DATA")) {
+    if (s.pending.to.empty()) {
+      send_line(s.stream, "503 need RCPT first");
       return;
     }
-    s->in_data = true;
-    reply(s->stream, "354 end with .");
-  } else if (upper_starts("QUIT")) {
-    reply(s->stream, "221 bye");
-    if (s->stream) s->stream->close();
+    s.in_data = true;
+    s.data = DataState{};
+    send_line(s.stream, "354 end with .");
+  } else if (has_prefix_ci(line, "QUIT")) {
+    send_line(s.stream, "221 bye");
+    if (s.stream) s.stream->close();
   } else {
-    reply(s->stream, "500 unrecognized command");
+    send_line(s.stream, "500 unrecognized command");
   }
 }
 
@@ -192,66 +326,123 @@ void MailServer::on_pop_accept(net::StreamPtr stream) {
     return w.expired();
   });
   pop_sessions_.push_back(session);
-  reply(stream, "+OK hcm-pop ready");
+  send_line(stream, "+OK hcm-pop ready");
   stream->set_on_close([session] { session->stream = nullptr; });
   stream->set_on_data([this, session](BlockStream&& data) {
-    for (const auto& line : session->lines.feed(data)) {
-      pop_line(session, line);
-    }
+    on_pop_data(*session, std::move(data));
   });
 }
 
-void MailServer::pop_line(const std::shared_ptr<PopSession>& s,
-                          const std::string& line) {
-  auto upper_starts = [&](const char* prefix) {
-    return starts_with(to_lower(line), to_lower(prefix));
-  };
-  if (upper_starts("USER ")) {
-    s->mailbox = std::string(trim(line.substr(5)));
-    reply(s->stream, "+OK mailbox selected");
-    return;
-  }
-  if (s->mailbox.empty()) {
-    reply(s->stream, "-ERR USER first");
-    return;
-  }
-  auto& box = mailboxes_[s->mailbox];
-  if (upper_starts("STAT")) {
-    reply(s->stream, "+OK " + std::to_string(box.size()));
-  } else if (upper_starts("RETR ")) {
-    auto idx = parse_uint(trim(line.substr(5)));
-    if (idx < 1 || static_cast<std::size_t>(idx) > box.size()) {
-      reply(s->stream, "-ERR no such message");
+void MailServer::on_pop_data(PopSession& s, BlockStream&& data) {
+  s.in.feed(std::move(data));
+  while (s.stream && s.stream->is_open()) {
+    const std::size_t len = s.in.next_command();
+    if (len == LineReader::kTooLong) {
+      reject(s.stream, "-ERR line too long");
       return;
     }
+    if (len == BlockStream::npos) return;
+    pop_line(s, s.in.view(len));
+    s.in.consume_line(len);
+  }
+}
+
+void MailServer::pop_line(PopSession& s, std::string_view line) {
+  if (has_prefix_ci(line, "USER ")) {
+    s.mailbox.assign(trim(line.substr(5)));
+    send_line(s.stream, "+OK mailbox selected");
+    return;
+  }
+  if (s.mailbox.empty()) {
+    send_line(s.stream, "-ERR USER first");
+    return;
+  }
+  auto& box = mailboxes_[s.mailbox];
+  if (has_prefix_ci(line, "STAT")) {
+    send_uint_line(*s.stream, "+OK ", box.size());
+  } else if (has_prefix_ci(line, "RETR ")) {
+    auto idx = parse_uint(trim(line.substr(5)));
+    if (idx < 1 || static_cast<std::size_t>(idx) > box.size()) {
+      send_line(s.stream, "-ERR no such message");
+      return;
+    }
+    // One send per header line, the stuffed body and the terminator:
+    // the segment boundaries peers (and the backbone) have always seen.
     const Message& m = box[static_cast<std::size_t>(idx - 1)];
-    reply(s->stream, "+OK message follows");
-    reply(s->stream, "From: " + m.from);
-    reply(s->stream, "Subject: " + m.subject);
-    reply(s->stream, "");
-    for (const auto& l : split(m.body, '\n')) reply(s->stream, l);
-    reply(s->stream, ".");
-  } else if (upper_starts("DELE ")) {
+    send_line(s.stream, "+OK message follows");
+    send_line(s.stream, "From: ", m.from);
+    send_line(s.stream, "Subject: ", m.subject);
+    send_line(s.stream, "");
+    BlockStream body;
+    append_stuffed(body, m.body);
+    body.append("\r\n");
+    s.stream->send(std::move(body));
+    send_line(s.stream, ".");
+  } else if (has_prefix_ci(line, "DELE ")) {
     auto idx = parse_uint(trim(line.substr(5)));
     if (idx < 1 || static_cast<std::size_t>(idx) > box.size()) {
-      reply(s->stream, "-ERR no such message");
+      send_line(s.stream, "-ERR no such message");
       return;
     }
-    s->deleted.push_back(box[static_cast<std::size_t>(idx - 1)].id);
-    reply(s->stream, "+OK marked");
-  } else if (upper_starts("QUIT")) {
+    s.deleted.push_back(box[static_cast<std::size_t>(idx - 1)].id);
+    send_line(s.stream, "+OK marked");
+  } else if (has_prefix_ci(line, "QUIT")) {
     // Commit deletions.
-    for (auto id : s->deleted) {
+    for (auto id : s.deleted) {
       std::erase_if(box, [id](const Message& m) { return m.id == id; });
     }
-    reply(s->stream, "+OK bye");
-    if (s->stream) s->stream->close();
+    send_line(s.stream, "+OK bye");
+    s.stream->close();
   } else {
-    reply(s->stream, "-ERR unrecognized command");
+    send_line(s.stream, "-ERR unrecognized command");
   }
 }
 
 // --- Client -------------------------------------------------------------
+
+// One SMTP submission: the moved message, the stage reached and the
+// completion, shared by the dialogue's connect/data/close callbacks.
+struct MailClient::SmtpDialogue {
+  Message m;
+  DoneFn done;
+  LineReader in;
+  int stage = 0;
+  bool finished = false;
+
+  void finish(const Status& s) {
+    if (finished) return;
+    finished = true;
+    done(s);
+  }
+};
+
+// One POP retrieval: every message is read into `msg` and moved out.
+struct MailClient::PopDialogue {
+  std::string mailbox;
+  MessagesFn done;
+  LineReader in;
+  int stage = 0;
+  long long total = 0;
+  long long current = 0;
+  bool in_message = false;
+  DataState data;
+  Message msg;
+  std::vector<Message> out;
+  bool finished = false;
+
+  void finish(Result<std::vector<Message>> r) {
+    if (finished) return;
+    finished = true;
+    done(std::move(r));
+  }
+};
+
+MailClient::MailClient(net::Network& net, net::NodeId node,
+                       net::NodeId server)
+    : net_(net),
+      node_(node),
+      server_(server),
+      rejected_(obs::shard_registry().counter("mail.rejected")) {}
 
 MailClient::~MailClient() {
   unwatch();
@@ -259,208 +450,209 @@ MailClient::~MailClient() {
   active_.clear();
 }
 
-void MailClient::track(net::StreamPtr stream) {
-  active_[stream.get()] = std::move(stream);
+net::Stream* MailClient::track(net::StreamPtr stream) {
+  net::Stream* raw = stream.get();
+  active_[raw] = std::move(stream);
+  return raw;
 }
 
 void MailClient::untrack(net::Stream* stream) { active_.erase(stream); }
 
-void MailClient::send(const Message& m, DoneFn done) {
-  net_.connect(node_, {server_, kSmtpPort},
-               [this, alive = std::weak_ptr<bool>(alive_), m,
-                done = std::move(done)](Result<net::StreamPtr> r) {
+void MailClient::hang_up(net::Stream& s, bool rejected) {
+  if (rejected) rejected_.inc();
+  s.close();
+  untrack(&s);
+}
+
+template <typename Dialogue>
+void MailClient::dial(std::uint16_t port, std::shared_ptr<Dialogue> d,
+                      void (MailClient::*on_replies)(Dialogue&, net::Stream&),
+                      const char* closed_early) {
+  net_.connect(node_, {server_, port},
+               [this, alive = std::weak_ptr<bool>(alive_), d, on_replies,
+                closed_early](Result<net::StreamPtr> r) {
     if (alive.expired()) {  // client destroyed while connecting
       if (r.is_ok()) r.value()->close();
       return;
     }
     if (!r.is_ok()) {
-      done(r.status());
+      d->finish(r.status());
       return;
     }
-    auto stream = r.value();
-    net::Stream* raw = stream.get();  // owned by active_ via track()
-    track(std::move(stream));
-    auto lines = std::make_shared<LineBuffer>();
-    auto stage = std::make_shared<int>(0);
-    auto finished = std::make_shared<bool>(false);
-    auto done_shared = std::make_shared<DoneFn>(std::move(done));
-
-    raw->set_on_close([this, finished, done_shared, raw] {
-      if (!*finished) {
-        (*done_shared)(unavailable("SMTP connection closed early"));
-        *finished = true;
-      }
+    net::Stream* raw = track(r.value());  // owned by active_
+    raw->set_on_close([this, d, raw, closed_early] {
+      d->finish(unavailable(closed_early));
       untrack(raw);
     });
-    raw->set_on_data([this, m, raw, lines, stage, finished,
-                      done_shared](BlockStream&& data) {
-      for (const auto& line : lines->feed(data)) {
-        const bool ok = starts_with(line, "2") || starts_with(line, "3");
-        if (!ok) {
-          if (!*finished) {
-            (*done_shared)(protocol_error("SMTP rejected: " + line));
-            *finished = true;
-          }
-          raw->close();
-          untrack(raw);
-          return;
-        }
-        switch ((*stage)++) {
-          case 0:  // greeting
-            raw->send(to_bytes("HELO hcm\r\n"));
-            break;
-          case 1:
-            raw->send(to_bytes("MAIL FROM:<" + m.from + ">\r\n"));
-            break;
-          case 2:
-            raw->send(to_bytes("RCPT TO:<" + m.to + ">\r\n"));
-            break;
-          case 3:
-            raw->send(to_bytes("DATA\r\n"));
-            break;
-          case 4:
-            raw->send(to_bytes("Subject: " + m.subject + "\r\n\r\n" +
-                               m.body + "\r\n.\r\n"));
-            break;
-          case 5:
-            raw->send(to_bytes("QUIT\r\n"));
-            if (!*finished) {
-              (*done_shared)(Status::ok());
-              *finished = true;
-            }
-            break;
-          default:
-            raw->close();
-            untrack(raw);
-            return;
-        }
-      }
+    raw->set_on_data([this, d, raw, on_replies](BlockStream&& data) {
+      d->in.feed(std::move(data));
+      (this->*on_replies)(*d, *raw);
     });
   });
 }
 
-void MailClient::fetch(const std::string& mailbox, MessagesFn done) {
-  net_.connect(node_, {server_, kPopPort},
-               [this, alive = std::weak_ptr<bool>(alive_), mailbox,
-                done = std::move(done)](Result<net::StreamPtr> r) {
-    if (alive.expired()) {  // client destroyed while connecting
-      if (r.is_ok()) r.value()->close();
-      return;
-    }
-    if (!r.is_ok()) {
-      done(r.status());
-      return;
-    }
-    auto stream = r.value();
-    net::Stream* raw = stream.get();  // owned by active_ via track()
-    track(std::move(stream));
-    auto lines = std::make_shared<LineBuffer>();
-    struct FetchState {
-      int stage = 0;
-      int total = 0;
-      int current = 0;
-      bool in_message = false;
-      bool past_headers = false;
-      Message msg;
-      std::vector<Message> out;
-      bool finished = false;
-    };
-    auto st = std::make_shared<FetchState>();
-    auto done_shared = std::make_shared<MessagesFn>(std::move(done));
+void MailClient::send(Message m, DoneFn done) {
+  if (has_line_break(m.from) || has_line_break(m.to) ||
+      has_line_break(m.subject)) {
+    net_.scheduler().after(0, [done = std::move(done)] {
+      done(invalid_argument("mail: CR or LF in from, to or subject"));
+    });
+    return;
+  }
+  auto d = std::make_shared<SmtpDialogue>();
+  d->m = std::move(m);
+  d->done = std::move(done);
+  dial(kSmtpPort, std::move(d), &MailClient::smtp_replies,
+       "SMTP connection closed early");
+}
 
-    raw->set_on_close([this, st, done_shared, raw] {
-      if (!st->finished) {
-        st->finished = true;
-        (*done_shared)(unavailable("POP connection closed early"));
-      }
-      untrack(raw);
+void MailClient::smtp_replies(SmtpDialogue& d, net::Stream& s) {
+  while (s.is_open()) {
+    const std::size_t len = d.in.next_command();
+    if (len == LineReader::kTooLong) {
+      d.finish(protocol_error("SMTP reply line too long"));
+      hang_up(s, true);
+      return;
+    }
+    if (len == BlockStream::npos) return;
+    const std::string_view line = d.in.view(len);
+    if (line.empty() || (line[0] != '2' && line[0] != '3')) {
+      d.finish(protocol_error("SMTP rejected: " + std::string(line)));
+      hang_up(s, false);
+      return;
+    }
+    d.in.consume_line(len);
+    BlockStream out;
+    switch (d.stage++) {
+      case 0:  // greeting
+        out.append("HELO hcm\r\n");
+        break;
+      case 1:
+        out.append("MAIL FROM:<");
+        out.append(d.m.from);
+        out.append(">\r\n");
+        break;
+      case 2:
+        out.append("RCPT TO:<");
+        out.append(d.m.to);
+        out.append(">\r\n");
+        break;
+      case 3:
+        out.append("DATA\r\n");
+        break;
+      case 4:
+        render_data(out, d.m);
+        break;
+      case 5:
+        out.append("QUIT\r\n");
+        s.send(std::move(out));
+        d.finish(Status::ok());
+        continue;
+      default:
+        hang_up(s, false);
+        return;
+    }
+    s.send(std::move(out));
+  }
+}
+
+void MailClient::fetch(const std::string& mailbox, MessagesFn done) {
+  if (has_line_break(mailbox)) {
+    net_.scheduler().after(0, [done = std::move(done)] {
+      done(invalid_argument("mail: CR or LF in mailbox"));
     });
-    raw->set_on_data([this, mailbox, raw, lines, st,
-                      done_shared](BlockStream&& data) {
-      for (const auto& line : lines->feed(data)) {
-        if (st->in_message) {
-          if (line == ".") {
-            if (!st->msg.body.empty()) st->msg.body.pop_back();  // trailing \n
-            st->out.push_back(st->msg);
-            st->in_message = false;
-            st->stage = 4;
-            raw->send(to_bytes("DELE " + std::to_string(st->current) +
-                                  "\r\n"));
-          } else if (!st->past_headers) {
-            if (line.empty()) {
-              st->past_headers = true;
-            } else if (starts_with(to_lower(line), "from:")) {
-              st->msg.from = std::string(trim(line.substr(5)));
-            } else if (starts_with(to_lower(line), "subject:")) {
-              st->msg.subject = std::string(trim(line.substr(8)));
-            }
-          } else {
-            st->msg.body += line;
-            st->msg.body += '\n';
-          }
-          continue;
-        }
-        if (!starts_with(line, "+OK")) {
-          if (!st->finished) {
-            st->finished = true;
-            (*done_shared)(protocol_error("POP error: " + line));
-          }
-          raw->close();
-          untrack(raw);
-          return;
-        }
-        switch (st->stage) {
-          case 0:  // greeting
-            st->stage = 1;
-            raw->send(to_bytes("USER " + mailbox + "\r\n"));
-            break;
-          case 1:  // USER ok
-            st->stage = 2;
-            raw->send(to_bytes("STAT\r\n"));
-            break;
-          case 2: {  // STAT reply: "+OK n"
-            st->total = static_cast<int>(parse_uint(trim(line.substr(4))));
-            if (st->total <= 0) {
-              st->stage = 5;
-              raw->send(to_bytes("QUIT\r\n"));
-            } else {
-              st->current = 1;
-              st->stage = 3;
-              raw->send(to_bytes("RETR 1\r\n"));
-            }
-            break;
-          }
-          case 3:  // RETR ok: message lines follow until "."
-            st->in_message = true;
-            st->past_headers = false;
-            st->msg = Message{};
-            st->msg.to = mailbox;
-            break;
-          case 4:  // DELE ok -> next message or quit
-            if (st->current < st->total) {
-              ++st->current;
-              st->stage = 3;
-              raw->send(to_bytes("RETR " + std::to_string(st->current) +
-                                    "\r\n"));
-            } else {
-              st->stage = 5;
-              raw->send(to_bytes("QUIT\r\n"));
-            }
-            break;
-          case 5:  // QUIT ok
-            if (!st->finished) {
-              st->finished = true;
-              (*done_shared)(std::move(st->out));
-            }
-            raw->close();
-            untrack(raw);
-            return;
-          default:
-            break;
-        }
+    return;
+  }
+  auto d = std::make_shared<PopDialogue>();
+  d->mailbox = mailbox;
+  d->done = std::move(done);
+  dial(kPopPort, std::move(d), &MailClient::pop_replies,
+       "POP connection closed early");
+}
+
+void MailClient::pop_replies(PopDialogue& d, net::Stream& s) {
+  while (s.is_open()) {
+    if (d.in_message) {
+      const DataStep step = read_data(d.in, d.data, d.msg, true);
+      if (step == DataStep::kMore) return;
+      if (step == DataStep::kTooLarge) {
+        d.finish(protocol_error("POP message too large"));
+        hang_up(s, true);
+        return;
       }
-    });
-  });
+      d.out.push_back(std::move(d.msg));
+      d.in_message = false;
+      d.stage = 4;
+      send_uint_line(s, "DELE ", static_cast<std::uint64_t>(d.current));
+      continue;
+    }
+    const std::size_t len = d.in.next_command();
+    if (len == LineReader::kTooLong) {
+      d.finish(protocol_error("POP reply line too long"));
+      hang_up(s, true);
+      return;
+    }
+    if (len == BlockStream::npos) return;
+    const std::string_view line = d.in.view(len);
+    if (!starts_with(line, "+OK")) {
+      d.finish(protocol_error("POP error: " + std::string(line)));
+      hang_up(s, false);
+      return;
+    }
+    // The STAT count, read before the line is consumed.
+    const long long count = parse_uint(trim(line.substr(3)));
+    d.in.consume_line(len);
+    BlockStream out;
+    switch (d.stage) {
+      case 0:  // greeting
+        d.stage = 1;
+        out.append("USER ");
+        out.append(d.mailbox);
+        out.append("\r\n");
+        s.send(std::move(out));
+        break;
+      case 1:  // USER ok
+        d.stage = 2;
+        out.append("STAT\r\n");
+        s.send(std::move(out));
+        break;
+      case 2:  // STAT reply: "+OK n"
+        d.total = count;
+        if (d.total <= 0) {
+          d.stage = 5;
+          out.append("QUIT\r\n");
+          s.send(std::move(out));
+        } else {
+          d.current = 1;
+          d.stage = 3;
+          send_uint_line(s, "RETR ", 1);
+        }
+        break;
+      case 3:  // RETR ok: message lines follow until "."
+        d.in_message = true;
+        d.data = DataState{};
+        d.msg = Message{};
+        d.msg.to = d.mailbox;
+        break;
+      case 4:  // DELE ok -> next message or quit
+        if (d.current < d.total) {
+          ++d.current;
+          d.stage = 3;
+          send_uint_line(s, "RETR ", static_cast<std::uint64_t>(d.current));
+        } else {
+          d.stage = 5;
+          out.append("QUIT\r\n");
+          s.send(std::move(out));
+        }
+        break;
+      case 5:  // QUIT ok
+        d.finish(std::move(d.out));
+        hang_up(s, false);
+        return;
+      default:
+        break;
+    }
+  }
 }
 
 void MailClient::watch(const std::string& mailbox, sim::Duration interval,

@@ -4,12 +4,6 @@
 
 namespace hcm::net {
 
-void Stream::send(Bytes data) {
-  BlockStream wrapped;
-  wrapped.append(data.data(), data.size());
-  send(std::move(wrapped));
-}
-
 void Stream::send(BlockStream data) {
   if (!open_ || data.empty()) return;
   bytes_sent_ += data.size();

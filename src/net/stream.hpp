@@ -41,10 +41,8 @@ class Stream : public std::enable_shared_from_this<Stream> {
   // Sends bytes to the peer; delivered in FIFO order after the route's
   // transit time. Silently dropped if the stream is closed. If the
   // route has failed, the connection is reset (both ends see close).
-  // The BlockStream form is the wire path: the block chain itself moves
-  // to the peer. The Bytes form wraps into blocks for convenience.
+  // The block chain itself moves to the peer.
   void send(BlockStream data);
-  void send(Bytes data);
 
   // Graceful close: the peer's close handler fires after transit time.
   void close();

@@ -84,17 +84,35 @@ TEST(BlockStreamTest, SpliceRelinksWithoutCopy) {
   BlockPool pool({.max_blocks = 16, .lanes = 1});
   BlockStream a(&pool);
   BlockStream b(&pool);
-  a.append("hello ");
+  // a's tail has 3 bytes of room, too few for b: the chain relinks.
+  const std::string head = patterned(BlockPool::kBlockCapacity - 3);
+  a.append(head);
   b.append("world");
   const auto fresh_before = pool.stats().fresh_blocks;
   a.splice(std::move(b));
   EXPECT_EQ(pool.stats().fresh_blocks, fresh_before);  // no new blocks
   EXPECT_TRUE(b.empty());  // NOLINT(bugprone-use-after-move)
-  EXPECT_EQ(a.to_string(), "hello world");
+  EXPECT_EQ(a.to_string(), head + "world");
   // Appending after a splice continues in the spliced tail block.
   a.append("!");
-  EXPECT_EQ(a.to_string(), "hello world!");
+  EXPECT_EQ(a.to_string(), head + "world!");
   EXPECT_EQ(pool.stats().blocks_in_use, 2u);
+}
+
+TEST(BlockStreamTest, SpliceCopiesIntoTailRoom) {
+  BlockPool pool({.max_blocks = 16, .lanes = 1});
+  BlockStream a(&pool);
+  a.append("hello ");
+  // A trickle of one-byte deliveries fills the tail block instead of
+  // linking a block per delivery.
+  for (char c : std::string("world")) {
+    BlockStream b(&pool);
+    b.put(c);
+    a.splice(std::move(b));
+    EXPECT_TRUE(b.empty());  // NOLINT(bugprone-use-after-move)
+  }
+  EXPECT_EQ(a.to_string(), "hello world");
+  EXPECT_EQ(pool.stats().blocks_in_use, 1u);
 }
 
 TEST(BlockStreamTest, SplicePartiallyConsumedFallsBackToCopy) {

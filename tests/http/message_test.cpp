@@ -176,6 +176,47 @@ TEST(HttpParserTest, OversizedHeadersRejected) {
   EXPECT_FALSE(p.feed(raw_wire(big)).is_ok());
 }
 
+// A head trickled in one byte per delivery: each delivery is copied
+// into the tail block's spare room and the terminator search resumes
+// where it stopped, so pool use stays at the head's own size and the
+// parse is linear.
+TEST(HttpParserTest, HeadTrickledOneBytePerSegmentStaysBounded) {
+  BlockPool pool({.max_blocks = 64, .lanes = 1});
+  BlockPool* const previous = bind_thread_block_pool(&pool);
+  std::string head = "GET /trickle HTTP/1.1\r\n";
+  std::size_t pads = 0;
+  while (head.size() + 64 < 64 * 1024) {
+    head += "X-Pad-" + std::to_string(pads++) + ": " + std::string(40, 'p') +
+            "\r\n";
+  }
+  head += "X-Last: " + std::string(64 * 1024 - head.size() - 12, 'l') +
+          "\r\n\r\n";
+  ASSERT_EQ(head.size(), 64u * 1024);
+  {
+    MessageParser p(MessageParser::Mode::kRequest);
+    for (char c : head) {
+      ASSERT_TRUE(p.feed(raw_wire(std::string_view(&c, 1))).is_ok());
+    }
+    Request got;
+    ASSERT_TRUE(p.pop_request(got));
+    EXPECT_EQ(got.target, "/trickle");
+    EXPECT_EQ(got.headers.size(), pads + 1);
+  }
+  {  // One byte past the head bound without a terminator is rejected.
+    MessageParser p(MessageParser::Mode::kRequest);
+    const std::string endless = head.substr(0, head.size() - 4) + "xxxxx";
+    std::size_t fed = 0;
+    for (char c : endless) {
+      ++fed;
+      if (!p.feed(raw_wire(std::string_view(&c, 1))).is_ok()) break;
+    }
+    EXPECT_EQ(fed, 64u * 1024 + 1);
+  }
+  EXPECT_LE(pool.stats().high_water, 6u);  // 64 KB in 16 KB blocks
+  EXPECT_EQ(pool.stats().heap_fallbacks, 0u);
+  bind_thread_block_pool(previous);
+}
+
 TEST(HttpParserTest, HeaderWhitespaceTrimmed) {
   MessageParser p(MessageParser::Mode::kRequest);
   ASSERT_TRUE(

@@ -145,9 +145,11 @@ TEST_F(HttpEndToEndTest, OversizedContentLengthClosesConnection) {
   s->set_on_data([&answer](BlockStream&& d) { d.append_to(answer); });
   s->set_on_close([&closed] { closed = true; });
   // 16 MiB + 1 announced: the server hangs up on the head alone.
-  s->send(to_bytes("POST /bulk HTTP/1.1\r\nContent-Length: " +
-                   std::to_string(std::uint64_t{kMaxMessageBytes} + 1) +
-                   "\r\n\r\n"));
+  BlockStream head;
+  head.append("POST /bulk HTTP/1.1\r\nContent-Length: " +
+              std::to_string(std::uint64_t{kMaxMessageBytes} + 1) +
+              "\r\n\r\n");
+  s->send(std::move(head));
   sched.run();
   EXPECT_TRUE(closed);
   EXPECT_TRUE(answer.empty());

@@ -274,7 +274,9 @@ TEST_F(JiniStackTest, ErrorReplyWithStatusCodeZeroIsRejected) {
                              net::Stream* peer = s.get();
                              raw.push_back(s);
                              s->set_on_data([peer, &reply](BlockStream&&) {
-                               peer->send(reply);
+                               BlockStream out;
+                               out.append(reply);
+                               peer->send(std::move(out));
                              });
                            })
                   .is_ok());

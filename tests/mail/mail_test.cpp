@@ -2,8 +2,35 @@
 
 #include <gtest/gtest.h>
 
+#include "common/value_codec.hpp"
+#include "mail_peer.hpp"
+#include "obs/metrics.hpp"
+
 namespace hcm::mail {
 namespace {
+
+using mailtest::ScriptedClient;
+using mailtest::ScriptedServer;
+
+std::uint64_t rejected_count() {
+  const obs::Counter* c = obs::Registry::global().find_counter("mail.rejected");
+  return c == nullptr ? 0 : c->value();
+}
+
+// The golden dialogues of golden_test.cpp as one byte stream each.
+const std::string kSmtpDialogue =
+    "HELO hcm\r\nMAIL FROM:<tester>\r\nRCPT TO:<home>\r\nDATA\r\n"
+    "Subject: hello\r\n\r\nbody text\r\n.\r\nQUIT\r\n";
+const std::string kSmtpReplies =
+    "220 hcm-mail ready\r\n250 hello\r\n250 sender OK\r\n"
+    "250 recipient OK\r\n354 end with .\r\n250 OK message accepted\r\n"
+    "221 bye\r\n";
+const std::string kPopDialogue =
+    "USER home\r\nSTAT\r\nRETR 1\r\nDELE 1\r\nQUIT\r\n";
+const std::string kPopReplies =
+    "+OK hcm-pop ready\r\n+OK mailbox selected\r\n+OK 1\r\n"
+    "+OK message follows\r\nFrom: tester\r\nSubject: hello\r\n\r\n"
+    "body text\r\n.\r\n+OK marked\r\n+OK bye\r\n";
 
 class MailTest : public ::testing::Test {
  protected:
@@ -42,6 +69,17 @@ class MailTest : public ::testing::Test {
     return result.has_value() ? std::move(*result)
                               : Result<std::vector<Message>>(
                                     internal_error("no completion"));
+  }
+
+  // The single message in `mailbox`, fetched over POP.
+  std::string fetch_one_body(const std::string& mailbox) {
+    auto got = fetch(mailbox);
+    EXPECT_TRUE(got.is_ok()) << got.status().to_string();
+    if (!got.is_ok() || got.value().size() != 1) {
+      ADD_FAILURE() << "expected exactly one message";
+      return {};
+    }
+    return got.value()[0].body;
   }
 
   sim::Scheduler sched;
@@ -179,6 +217,297 @@ TEST_F(MailTest, DirectDeliverBypassesSmtp) {
   m.subject = "direct";
   server->deliver(m);
   EXPECT_EQ(server->mailbox_size("box"), 1u);
+}
+
+// --- Transparency (RFC 5321 §4.5.2) ---------------------------------------
+
+TEST_F(MailTest, DotLineInBodyCannotInjectAMessage) {
+  const std::string body =
+      "hello\r\n.\r\nRCPT TO:<victim>\r\nDATA\r\nSubject: injected\r\n"
+      "\r\nevil";
+  ASSERT_TRUE(send("home", "s", body).is_ok());
+  EXPECT_EQ(server->messages_accepted(), 1u);
+  EXPECT_EQ(server->mailbox_size("victim"), 0u);
+  EXPECT_EQ(fetch_one_body("home"), body);
+}
+
+TEST_F(MailTest, AnyBodyRoundTripsByteExactly) {
+  const std::vector<std::string> bodies = {
+      "",           ".",       "..",         "a\r\n.\r\nb",
+      "a\n.\nb",     "x\r\n",   "\r\n",       "\r\n\r\n",
+      ".\r\n.",      "a\r",     "\r\n.x",     "..\r\n..\r\n.",
+      "line1\r\nline2", std::string(48 * 1024, 'z')};
+  for (const auto& body : bodies) {
+    SCOPED_TRACE(::testing::PrintToString(body.substr(0, 16)));
+    ASSERT_TRUE(send("home", "s", body).is_ok());
+    EXPECT_EQ(fetch_one_body("home"), body);
+  }
+}
+
+TEST_F(MailTest, StoredDotLineAfterBareLfDoesNotWedgeTheMailbox) {
+  Message m;
+  m.from = "internal";
+  m.to = "home";
+  m.subject = "s";
+  m.body = "a\n.\nb";
+  server->deliver(m);
+  EXPECT_EQ(fetch_one_body("home"), "a\n.\nb");
+  EXPECT_EQ(server->mailbox_size("home"), 0u);
+}
+
+TEST_F(MailTest, LineBreaksInHeaderFieldsAreRejectedBeforeConnecting) {
+  server->stop();
+  ScriptedServer probe(net, *server_node, kSmtpPort, "220 ready\r\n", {});
+  for (std::string Message::*field :
+       {&Message::from, &Message::to, &Message::subject}) {
+    for (const char* bad : {"a\rb", "a\nb", "a\r\nRCPT TO:<victim>"}) {
+      Message m;
+      m.from = "tester";
+      m.to = "home";
+      m.subject = "s";
+      m.*field = bad;
+      std::optional<Status> result;
+      client->send(m, [&](const Status& s) { result = s; });
+      sched.run();
+      ASSERT_TRUE(result.has_value());
+      EXPECT_EQ(result->code(), StatusCode::kInvalidArgument);
+    }
+  }
+  std::optional<Result<std::vector<Message>>> fetched;
+  client->fetch("home\r\nDELE 1", [&](auto r) { fetched = std::move(r); });
+  sched.run();
+  ASSERT_TRUE(fetched.has_value());
+  EXPECT_EQ(fetched->status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(probe.stream, nullptr);  // nothing ever connected
+}
+
+// --- Bounded input ----------------------------------------------------------
+
+TEST_F(MailTest, SmtpCommandWithoutCrlfIsCutOffAtTheLineCap) {
+  const auto before = rejected_count();
+  ScriptedClient peer(net, client_node->id(), {server_node->id(), kSmtpPort},
+                      {{1, std::string(kMaxLineBytes, 'A')}});
+  sched.run();
+  EXPECT_EQ(peer.text(), "220 hcm-mail ready\r\n500 line too long\r\n");
+  EXPECT_TRUE(peer.closed);
+  EXPECT_EQ(rejected_count(), before + 1);
+}
+
+TEST_F(MailTest, SmtpCommandAtTheLineCapIsServed) {
+  const auto before = rejected_count();
+  // 510 octets + CRLF is the longest legal line; one more is rejected.
+  ScriptedClient peer(
+      net, client_node->id(), {server_node->id(), kSmtpPort},
+      {{1, "NOOP" + std::string(kMaxLineBytes - 6, 'x') + "\r\n"},
+       {2, "NOOP" + std::string(kMaxLineBytes - 5, 'x') + "\r\n"}});
+  sched.run();
+  EXPECT_EQ(peer.text(),
+            "220 hcm-mail ready\r\n500 unrecognized command\r\n"
+            "500 line too long\r\n");
+  EXPECT_TRUE(peer.closed);
+  EXPECT_EQ(rejected_count(), before + 1);
+}
+
+TEST_F(MailTest, PopCommandWithoutCrlfIsCutOffAtTheLineCap) {
+  const auto before = rejected_count();
+  ScriptedClient peer(net, client_node->id(), {server_node->id(), kPopPort},
+                      {{1, std::string(4 * kMaxLineBytes, 'U')}});
+  sched.run();
+  EXPECT_EQ(peer.text(), "+OK hcm-pop ready\r\n-ERR line too long\r\n");
+  EXPECT_TRUE(peer.closed);
+  EXPECT_EQ(rejected_count(), before + 1);
+}
+
+TEST_F(MailTest, DataSectionIsCappedAtMaxMessageBytes) {
+  const std::string head = "Subject: big\r\n\r\n";
+  // Data lines, CRLFs included, exactly at the cap.
+  const std::size_t at_cap = kMaxMessageBytes - head.size() - 2;
+  const auto open_data = [&] {
+    return std::map<std::size_t, std::string>{{1, "HELO hcm\r\n"},
+                                              {2, "MAIL FROM:<t>\r\n"},
+                                              {3, "RCPT TO:<home>\r\n"},
+                                              {4, "DATA\r\n"}};
+  };
+  const std::string opened =
+      "220 hcm-mail ready\r\n250 hello\r\n250 sender OK\r\n"
+      "250 recipient OK\r\n354 end with .\r\n";
+  const auto before = rejected_count();
+  {  // One byte over, terminated.
+    auto script = open_data();
+    script[5] = head + std::string(at_cap + 1, 'b') + "\r\n.\r\n";
+    ScriptedClient peer(net, client_node->id(),
+                        {server_node->id(), kSmtpPort}, script);
+    sched.run();
+    EXPECT_EQ(peer.text(), opened + "552 message too large\r\n");
+    EXPECT_TRUE(peer.closed);
+  }
+  {  // Past the cap with no CRLF at all.
+    auto script = open_data();
+    script[5] = std::string(kMaxMessageBytes + 1, 'c');
+    ScriptedClient peer(net, client_node->id(),
+                        {server_node->id(), kSmtpPort}, script);
+    sched.run();
+    EXPECT_EQ(peer.text(), opened + "552 message too large\r\n");
+    EXPECT_TRUE(peer.closed);
+  }
+  EXPECT_EQ(rejected_count(), before + 2);
+  EXPECT_EQ(server->messages_accepted(), 0u);
+  {  // Exactly at the cap: accepted, and fetched back whole.
+    auto script = open_data();
+    script[5] = head + std::string(at_cap, 'a') + "\r\n.\r\n";
+    script[6] = "QUIT\r\n";
+    ScriptedClient peer(net, client_node->id(),
+                        {server_node->id(), kSmtpPort}, script);
+    sched.run();
+    EXPECT_EQ(peer.text(),
+              opened + "250 OK message accepted\r\n221 bye\r\n");
+  }
+  EXPECT_EQ(fetch_one_body("home").size(), at_cap);
+  EXPECT_EQ(rejected_count(), before + 2);
+}
+
+TEST_F(MailTest, OverlongReplyLineFailsTheSend) {
+  server->stop();
+  const auto before = rejected_count();
+  ScriptedServer peer(net, *server_node, kSmtpPort,
+                      std::string(kMaxLineBytes, '2'), {});
+  std::optional<Status> result;
+  Message m;
+  m.to = "home";
+  client->send(m, [&](const Status& s) { result = s; });
+  sched.run();
+  ASSERT_TRUE(result.has_value());
+  EXPECT_EQ(result->code(), StatusCode::kProtocolError);
+  EXPECT_TRUE(peer.closed);
+  EXPECT_EQ(rejected_count(), before + 1);
+}
+
+TEST_F(MailTest, OversizedRetrMessageFailsTheFetch) {
+  server->stop();
+  const auto before = rejected_count();
+  ScriptedServer peer(
+      net, *server_node, kPopPort, "+OK ready\r\n",
+      {{"+OK\r\n"},
+       {"+OK 1\r\n"},
+       {"+OK message follows\r\n",
+        "From: x\r\n\r\n" +
+            std::string(kMaxMessageBytes + kMaxLineBytes, 'y')}});
+  auto got = fetch("home");
+  EXPECT_EQ(got.status().code(), StatusCode::kProtocolError);
+  EXPECT_TRUE(peer.closed);
+  EXPECT_EQ(rejected_count(), before + 1);
+}
+
+TEST_F(MailTest, PopStatWithoutCountEndsTheFetch) {
+  server->stop();
+  ScriptedServer peer(net, *server_node, kPopPort, "+OK\r\n",
+                      {{"+OK\r\n"}, {"+OK\r\n"}, {"+OK bye\r\n"}});
+  auto got = fetch("home");
+  ASSERT_TRUE(got.is_ok()) << got.status().to_string();
+  EXPECT_TRUE(got.value().empty());
+}
+
+TEST_F(MailTest, FourMiBBodyTrickledInOneKiBSegments) {
+  ScriptedClient peer(net, client_node->id(), {server_node->id(), kSmtpPort},
+                      {{1, "HELO hcm\r\n"},
+                       {2, "MAIL FROM:<t>\r\n"},
+                       {3, "RCPT TO:<home>\r\n"},
+                       {4, "DATA\r\n"}});
+  sched.run();
+  peer.send("Subject: big\r\n\r\n");
+  const std::string chunk(1024, 'k');
+  for (int i = 0; i < 4096; ++i) peer.send(chunk);
+  peer.send("\r\n.\r\nQUIT\r\n");
+  sched.run();
+  EXPECT_TRUE(peer.closed);
+  EXPECT_EQ(fetch_one_body("home"), std::string(4u << 20, 'k'));
+}
+
+TEST_F(MailTest, SmtpDialogueSplitByteByByte) {
+  ScriptedClient peer(net, client_node->id(), {server_node->id(), kSmtpPort},
+                      {});
+  sched.run();
+  for (char c : kSmtpDialogue) peer.send(std::string_view(&c, 1));
+  sched.run();
+  EXPECT_EQ(peer.text(), kSmtpReplies);
+  EXPECT_EQ(fetch_one_body("home"), "body text");
+}
+
+TEST_F(MailTest, DialoguesPipelinedInOneSegment) {
+  ScriptedClient smtp(net, client_node->id(), {server_node->id(), kSmtpPort},
+                      {{0, kSmtpDialogue}});
+  sched.run();
+  EXPECT_EQ(smtp.text(), kSmtpReplies);
+  ScriptedClient pop(net, client_node->id(), {server_node->id(), kPopPort},
+                     {{0, kPopDialogue}});
+  sched.run();
+  EXPECT_EQ(pop.text(), kPopReplies);
+  EXPECT_EQ(server->mailbox_size("home"), 0u);
+}
+
+TEST_F(MailTest, TruncatedSmtpDialogueNeverDeliversPartMail) {
+  const std::size_t complete = kSmtpDialogue.find("\r\n.\r\n") + 5;
+  std::uint64_t expected = 0;
+  for (std::size_t k = 0; k <= kSmtpDialogue.size(); ++k) {
+    SCOPED_TRACE(k);
+    ScriptedClient peer(net, client_node->id(),
+                        {server_node->id(), kSmtpPort},
+                        {{0, kSmtpDialogue.substr(0, k)}});
+    sched.run();
+    if (peer.stream) peer.stream->close();
+    sched.run();
+    if (k >= complete) ++expected;
+    EXPECT_EQ(server->messages_accepted(), expected);
+  }
+  EXPECT_EQ(server->mailbox_size("home"), expected);
+}
+
+TEST_F(MailTest, TruncatedSmtpRepliesFailTheSendOnce) {
+  server->stop();
+  const std::string accepted = "250 OK message accepted\r\n";
+  const std::size_t ok_from = kSmtpReplies.find(accepted) + accepted.size();
+  for (std::size_t k = 0; k <= kSmtpReplies.size(); ++k) {
+    SCOPED_TRACE(k);
+    ScriptedServer peer(net, *server_node, kSmtpPort,
+                        kSmtpReplies.substr(0, k), {});
+    peer.hang_up_after_greeting = true;
+    int calls = 0;
+    Status last;
+    Message m;
+    m.to = "home";
+    client->send(m, [&](const Status& s) {
+      ++calls;
+      last = s;
+    });
+    sched.run();
+    EXPECT_EQ(calls, 1);
+    EXPECT_EQ(last.is_ok(), k >= ok_from);
+    server_node->stop_listening(kSmtpPort);
+  }
+}
+
+TEST_F(MailTest, TruncatedPopRepliesFailTheFetchOnce) {
+  server->stop();
+  for (std::size_t k = 0; k <= kPopReplies.size(); ++k) {
+    SCOPED_TRACE(k);
+    ScriptedServer peer(net, *server_node, kPopPort,
+                        kPopReplies.substr(0, k), {});
+    peer.hang_up_after_greeting = true;
+    int calls = 0;
+    bool ok = false;
+    client->fetch("home", [&](Result<std::vector<Message>> r) {
+      ++calls;
+      ok = r.is_ok();
+      if (ok) {
+        ASSERT_EQ(r.value().size(), 1u);
+        EXPECT_EQ(r.value()[0].body, "body text");
+      }
+    });
+    sched.run();
+    EXPECT_EQ(calls, 1);
+    EXPECT_EQ(ok, k == kPopReplies.size());
+    server_node->stop_listening(kPopPort);
+  }
 }
 
 }  // namespace

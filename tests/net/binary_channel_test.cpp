@@ -146,10 +146,16 @@ class BinaryChannelTest : public ::testing::Test {
 
   void send(net::Stream& s, const Bytes& wire) {
     if (!bytewise) {
-      if (!wire.empty()) s.send(wire);
+      BlockStream out;
+      out.append(wire);
+      s.send(std::move(out));
       return;
     }
-    for (std::uint8_t b : wire) s.send(Bytes{b});
+    for (std::uint8_t b : wire) {
+      BlockStream out;
+      out.put(static_cast<char>(b));
+      s.send(std::move(out));
+    }
   }
 
   // One call to the raw peer (answering with raw_answer).
@@ -302,7 +308,7 @@ TEST_F(BinaryChannelTest, OneWayRequestIsServedWithoutReply) {
     done(args[0]);
   });
   auto s = raw_connect();
-  s->send(kOneWayRequest);
+  send(*s, kOneWayRequest);
   sched.run();
   EXPECT_EQ(seen, std::vector<std::int64_t>{42});
   EXPECT_TRUE(raw_in.empty());
@@ -373,7 +379,7 @@ TEST_F(BinaryChannelTest, GoldenOkReplyFrame) {
     done(args[0]);
   });
   auto s = raw_connect();
-  s->send(kRequest);
+  send(*s, kRequest);
   sched.run();
   EXPECT_EQ(to_hex(raw_in), to_hex(kOkReply));
 }
@@ -384,7 +390,7 @@ TEST_F(BinaryChannelTest, GoldenErrorReplyFrame) {
     done(unavailable("nope"));
   });
   auto s = raw_connect();
-  s->send(kRequest);
+  send(*s, kRequest);
   sched.run();
   EXPECT_EQ(to_hex(raw_in), to_hex(kErrorReply));
 }

@@ -7,6 +7,12 @@
 namespace hcm::net {
 namespace {
 
+BlockStream blocks(std::string_view bytes) {
+  BlockStream out;
+  out.append(bytes);
+  return out;
+}
+
 class StreamTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -43,10 +49,10 @@ TEST_F(StreamTest, ConnectAndExchange) {
   std::string server_got, client_got;
   server->set_on_data([&](BlockStream&& d) {
     server_got += d.to_string();
-    server->send(to_bytes("pong"));
+    server->send(blocks("pong"));
   });
   client->set_on_data([&](BlockStream&& d) { client_got += d.to_string(); });
-  client->send(to_bytes("ping"));
+  client->send(blocks("ping"));
   sched.run();
   EXPECT_EQ(server_got, "ping");
   EXPECT_EQ(client_got, "pong");
@@ -82,10 +88,10 @@ TEST_F(StreamTest, FifoOrderingPreserved) {
   server->set_on_data([&](BlockStream&& d) { got += d.to_string(); });
   // Mixed sizes: a large message takes longer on the wire, but must not
   // overtake order.
-  client->send(to_bytes(std::string(50000, 'A')));
-  client->send(to_bytes("B"));
-  client->send(to_bytes(std::string(10000, 'C')));
-  client->send(to_bytes("D"));
+  client->send(blocks(std::string(50000, 'A')));
+  client->send(blocks("B"));
+  client->send(blocks(std::string(10000, 'C')));
+  client->send(blocks("D"));
   sched.run();
   ASSERT_EQ(got.size(), 50000u + 1 + 10000 + 1);
   EXPECT_EQ(got[50000], 'B');
@@ -94,7 +100,7 @@ TEST_F(StreamTest, FifoOrderingPreserved) {
 
 TEST_F(StreamTest, DataBeforeHandlerIsBuffered) {
   auto [client, server] = make_pair_on_port(80);
-  client->send(to_bytes("early"));
+  client->send(blocks("early"));
   sched.run();
   std::string got;
   server->set_on_data([&](BlockStream&& d) { got = d.to_string(); });
@@ -126,7 +132,7 @@ TEST_F(StreamTest, SendAfterCloseIsDropped) {
   int got = 0;
   server->set_on_data([&](BlockStream&&) { ++got; });
   client->close();
-  client->send(to_bytes("late"));
+  client->send(blocks("late"));
   sched.run();
   EXPECT_EQ(got, 0);
 }
@@ -137,7 +143,7 @@ TEST_F(StreamTest, SegmentFailureResetsConnection) {
   client->set_on_close([&] { client_closed = true; });
   server->set_on_close([&] { server_closed = true; });
   eth->set_up(false);
-  client->send(to_bytes("doomed"));
+  client->send(blocks("doomed"));
   sched.run();
   EXPECT_TRUE(client_closed);
   EXPECT_TRUE(server_closed);
@@ -146,7 +152,7 @@ TEST_F(StreamTest, SegmentFailureResetsConnection) {
 TEST_F(StreamTest, ByteCounters) {
   auto [client, server] = make_pair_on_port(80);
   server->set_on_data([](BlockStream&&) {});
-  client->send(Bytes(128));
+  client->send(blocks(std::string(128, '\0')));
   sched.run();
   EXPECT_EQ(client->bytes_sent(), 128u);
   EXPECT_EQ(server->bytes_received(), 128u);
@@ -157,7 +163,7 @@ TEST_F(StreamTest, LatencyIsRealistic) {
   sim::SimTime sent_at = sched.now();
   sim::SimTime got_at = 0;
   server->set_on_data([&](BlockStream&&) { got_at = sched.now(); });
-  client->send(Bytes(1000));
+  client->send(blocks(std::string(1000, '\0')));
   sched.run();
   // One segment crossing: at least base latency (200us).
   EXPECT_GE(got_at - sent_at, sim::microseconds(200));
@@ -179,7 +185,7 @@ TEST_F(StreamTest, ManyConcurrentConnections) {
       auto stream = r.value();
       held.push_back(stream);
       stream->set_on_data([&replies](BlockStream&&) { ++replies; });
-      stream->send(to_bytes("echo"));
+      stream->send(blocks("echo"));
     });
   }
   sched.run();
