@@ -137,9 +137,8 @@ void BM_EventBatchCodec(benchmark::State& state) {
   ValueList batch;
   for (int i = 0; i < 16; ++i) {
     batch.push_back(Value(ValueMap{
+        {"sub", Value(std::string("havi-island/esub-1"))},
         {"seq", Value(std::int64_t{i})},
-        {"service", Value(std::string("vcr-1"))},
-        {"event", Value(std::string("transportChanged"))},
         {"payload", Value(ValueMap{{"state", Value(std::string("playing"))}})},
     }));
   }

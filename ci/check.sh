@@ -14,7 +14,8 @@
 #      §"Static analysis") must report zero unsuppressed findings and no
 #      more suppressed ones than the committed ANALYZE_report.json;
 #      archives the fresh report there, next to the BENCH_*.json files;
-#   6. smoke-run of the event-bridge fan-out bench;
+#   6. smoke-run of the event-bridge fan-out bench and of the §4.2
+#      polling-vs-push bench (exits 1 when an arm misses an event);
 #   7. smoke-run of the VSR sync bench, archiving BENCH_vsr_sync.json;
 #   8. observability overhead bench, archiving BENCH_obs_overhead.json,
 #      plus a trace-export smoke check: the bench records one 3-island
@@ -81,8 +82,9 @@ sys.exit(0 if fresh <= committed else "inline hcm:allow suppressions grew")
 PY
 mv "${analyze_report}" ANALYZE_report.json
 
-echo "=== [6/12] event-bridge bench smoke run ==="
+echo "=== [6/12] event-bridge bench smoke runs ==="
 ./build/bench/bench_ext_event_bridge --benchmark_min_time=0.01
+./build/bench/bench_sec42_async_limits
 
 echo "=== [7/12] VSR sync bench smoke run (archives BENCH_vsr_sync.json) ==="
 ./build/bench/bench_ext_vsr_sync --benchmark_min_time=0.01 \

@@ -8,15 +8,15 @@
 // This example shows both halves:
 //   (a) the polling workaround over the HTTP-based framework (a watcher
 //       polls the CM11A for motion, with latency = poll interval), and
-//   (b) the paper's future-work answer (§6): the event gateway
-//       extension pushes the same event at datagram latency.
+//   (b) the paper's future-work answer (§6): the event bridge pushes
+//       the same event from the X10 island to a HAVi-island lease,
+//       over the binary VSG, so no HTTP and no polling.
 // Both trigger the same reaction: start the HAVi camera and stream it
 // to the display over an isochronous channel.
 //
 // Run: ./build/examples/event_multimedia
 #include <cstdio>
 
-#include "core/stream_gateway.hpp"
 #include "testbed/home.hpp"
 
 using namespace hcm;
@@ -45,7 +45,9 @@ void start_surveillance(testbed::SmartHome& home) {
 
 int main() {
   sim::Scheduler sched;
-  testbed::SmartHome home(sched);
+  testbed::SmartHomeOptions options;
+  options.protocol = core::VsgProtocol::kBinary;
+  testbed::SmartHome home(sched, options);
   (void)home.refresh();
 
   std::printf("=== (a) HTTP-era polling integration ===\n");
@@ -96,33 +98,35 @@ int main() {
     home.cm11a->set_observer(nullptr);
   }
 
-  std::printf("\n=== (b) event-gateway extension (future work, §6) ===\n");
+  std::printf(
+      "\n=== (b) event bridge over the binary VSG (future work, §6) ===\n");
   {
-    // Event gateways on the X10 and HAVi gateways, meshed directly.
-    core::EventGateway x10_events(home.net, home.x10_gw->id());
-    core::EventGateway havi_events(home.net, home.havi_gw->id());
-    (void)x10_events.start();
-    (void)havi_events.start();
-    x10_events.add_peer({home.havi_gw->id(), core::kEventGatewayPort});
-    havi_events.add_peer({home.x10_gw->id(), core::kEventGatewayPort});
-
-    // The X10 gateway publishes motion as an event...
-    home.cm11a->set_observer([&](const x10::ObservedCommand& cmd) {
-      if (cmd.function == x10::FunctionCode::kOn) {
-        x10_events.publish("motion",
-                           Value(x10::format_address(cmd.house, cmd.unit)));
-      }
-    });
-    // ...and the HAVi side reacts the moment it arrives.
+    // The X10 island exposes the motion sensor as a service with a
+    // `motion` event...
+    if (auto s = testbed::expose_motion_events(home); !s.is_ok()) {
+      std::printf("  motion service: %s\n", s.to_string().c_str());
+      return 1;
+    }
+    // ...and the HAVi island leases it and reacts the moment it arrives.
     std::optional<sim::SimTime> motion_at, reacted_at;
-    havi_events.subscribe("motion", [&](const std::string&, const Value& v) {
-      if (!reacted_at) {
-        reacted_at = sched.now();
-        std::printf("  motion event from %s\n", v.to_string().c_str());
-        home.havi_adapter->invoke("camera-1", "zoom", {Value(3)},
-                                  [](Result<Value>) {});
-      }
-    });
+    home.meta->island("havi-island")
+        ->events->subscribe(
+            testbed::kMotionService, "motion",
+            [&](const std::string& service, const std::string&,
+                const Value& v) {
+              if (reacted_at) return;
+              reacted_at = sched.now();
+              std::printf("  motion event from %s at %s\n", service.c_str(),
+                          v.at("address").to_string().c_str());
+              home.havi_adapter->invoke("camera-1", "zoom", {Value(3)},
+                                        [](Result<Value>) {});
+            },
+            [](Result<std::string> lease) {
+              if (!lease.is_ok()) {
+                std::printf("  subscribe failed: %s\n",
+                            lease.status().to_string().c_str());
+              }
+            });
 
     sched.after(sim::seconds(2), [&] {
       motion_at = sched.now();

@@ -30,13 +30,11 @@ const InterfaceDesc& EventRouter::bridge_interface() {
 }
 
 EventRouter::EventRouter(net::Network& net, VirtualServiceGateway& vsg,
-                         MiddlewareAdapter& adapter, net::Endpoint vsr,
-                         EventRouterOptions options)
+                         MiddlewareAdapter& adapter, net::Endpoint vsr)
     : net_(net),
       vsg_(vsg),
       adapter_(adapter),
       vsr_(net, vsg.node(), vsr),
-      options_(options),
       obs_scope_(obs::shard_registry().unique_scope("events." +
                                                       vsg.island_name())),
       events_routed_(
@@ -347,16 +345,14 @@ void EventRouter::handle_deliver(const ValueList& args, InvokeResultFn done) {
       continue;
     }
     if (seq != 0) it->second.last_seq = seq;
-    const std::string service = item.at("service").is_string()
-                                    ? item.at("service").as_string()
-                                    : it->second.service;
-    const std::string event = item.at("event").is_string()
-                                  ? item.at("event").as_string()
-                                  : it->second.event;
+    // Service and event come from the lease, never from the item: a
+    // peer holding one lease id must not speak for another service.
+    // Copy them with the handler: it may unsubscribe and invalidate `it`.
+    const std::string service = it->second.service;
+    const std::string event = it->second.event;
+    auto handler = it->second.handler;
     const Value payload = item.at("payload");
     events_delivered_.inc();
-    // Copy the handler: it may unsubscribe and invalidate `it`.
-    auto handler = it->second.handler;
     adapter_.emit_event(service, event, payload);
     if (handler) handler(service, event, payload);
   }
@@ -368,9 +364,8 @@ void EventRouter::on_native_event(const std::string& service,
                                   const Value& payload) {
   for (auto& [id, sub] : subs_) {
     if (sub.service != service || sub.event != event) continue;
-    sub.queue.push_back({sub.next_seq++, service, event, payload});
-    if (sub.queue.size() > options_.max_queue &&
-        sub.queue.size() > sub.inflight) {
+    sub.queue.push_back({sub.next_seq++, payload});
+    if (sub.queue.size() > kMaxQueue && sub.queue.size() > sub.inflight) {
       // Bounded queue: drop the oldest *unsent* event. Entries before
       // `inflight` are on the wire awaiting ack and must survive for
       // at-least-once delivery.
@@ -443,7 +438,7 @@ void EventRouter::schedule_flush(Subscription& sub) {
   // While a batch is on the wire or a retry timer is pending, new
   // events just queue; the ack/retry path continues the drain.
   if (sub.sending || sub.retry_event != 0) return;
-  if (sub.queue.size() >= options_.max_batch) {
+  if (sub.queue.size() >= kMaxBatch) {
     if (sub.flush_event != 0) {
       net_.scheduler().cancel(sub.flush_event);
       sub.flush_event = 0;
@@ -454,7 +449,7 @@ void EventRouter::schedule_flush(Subscription& sub) {
   if (sub.flush_event == 0) {
     // Batch window: coalesce a burst into one deliver() call.
     sub.flush_event =
-        net_.scheduler().after(options_.batch_window, [this, id = sub.id] {
+        net_.scheduler().after(kBatchWindow, [this, id = sub.id] {
           auto it = subs_.find(id);
           if (it == subs_.end()) return;
           it->second.flush_event = 0;
@@ -468,7 +463,7 @@ void EventRouter::flush(const std::string& id) {
   if (it == subs_.end()) return;
   auto& sub = it->second;
   if (sub.sending || sub.queue.empty()) return;
-  const std::size_t n = std::min(sub.queue.size(), options_.max_batch);
+  const std::size_t n = std::min(sub.queue.size(), kMaxBatch);
   sub.inflight = n;
   sub.sending = true;
   ValueList batch;
@@ -477,8 +472,6 @@ void EventRouter::flush(const std::string& id) {
     batch.push_back(Value(ValueMap{
         {"sub", Value(sub.id)},
         {"seq", Value(static_cast<std::int64_t>(q.seq))},
-        {"service", Value(q.service)},
-        {"event", Value(q.event)},
         {"payload", q.payload},
     }));
   }
@@ -506,8 +499,8 @@ void EventRouter::flush(const std::string& id) {
         // (at-least-once) and is retried with exponential backoff.
         delivery_retries_.inc();
         sub.backoff = sub.backoff == 0
-                          ? options_.retry_base
-                          : std::min(sub.backoff * 2, options_.retry_max);
+                          ? kRetryBase
+                          : std::min(sub.backoff * 2, kRetryMax);
         sub.retry_event = net_.scheduler().after(sub.backoff, [this, id] {
           auto it = subs_.find(id);
           if (it == subs_.end()) return;
@@ -517,9 +510,9 @@ void EventRouter::flush(const std::string& id) {
       });
 }
 
-sim::Duration EventRouter::clamp_lease(sim::Duration lease) const {
-  if (lease <= 0) return options_.default_lease;
-  return std::min(lease, options_.max_lease);
+sim::Duration EventRouter::clamp_lease(sim::Duration lease) {
+  if (lease <= 0) return kDefaultLease;
+  return std::min(lease, kMaxLease);
 }
 
 Uri EventRouter::bridge_uri_for(const Uri& service_endpoint) {

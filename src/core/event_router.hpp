@@ -22,16 +22,6 @@
 
 namespace hcm::core {
 
-struct EventRouterOptions {
-  std::size_t max_queue = 64;   // bounded per-subscriber queue (backpressure)
-  std::size_t max_batch = 16;   // events coalesced into one deliver() call
-  sim::Duration batch_window = sim::milliseconds(10);
-  sim::Duration default_lease = sim::seconds(60);
-  sim::Duration max_lease = sim::seconds(300);
-  sim::Duration retry_base = sim::milliseconds(100);  // first backoff step
-  sim::Duration retry_max = sim::seconds(5);          // backoff ceiling
-};
-
 class EventRouter {
  public:
   // The bridge is exposed as a VSG service under this name. It is
@@ -39,9 +29,17 @@ class EventRouter {
   // native middleware — it is framework plumbing, not a home service.
   static constexpr const char* kBridgeService = "__events__";
 
+  // Queueing, batching, lease and retry policy (docs/EVENTS.md).
+  static constexpr std::size_t kMaxQueue = 64;  // per-subscriber bound
+  static constexpr std::size_t kMaxBatch = 16;  // events per deliver() call
+  static constexpr sim::Duration kBatchWindow = sim::milliseconds(10);
+  static constexpr sim::Duration kDefaultLease = sim::seconds(60);
+  static constexpr sim::Duration kMaxLease = sim::seconds(300);
+  static constexpr sim::Duration kRetryBase = sim::milliseconds(100);
+  static constexpr sim::Duration kRetryMax = sim::seconds(5);
+
   EventRouter(net::Network& net, VirtualServiceGateway& vsg,
-              MiddlewareAdapter& adapter, net::Endpoint vsr,
-              EventRouterOptions options = {});
+              MiddlewareAdapter& adapter, net::Endpoint vsr);
   ~EventRouter();
   EventRouter(const EventRouter&) = delete;
   EventRouter& operator=(const EventRouter&) = delete;
@@ -109,16 +107,14 @@ class EventRouter {
     return duplicates_dropped_.value();
   }
 
-  [[nodiscard]] const EventRouterOptions& options() const { return options_; }
-
   // Wire interface of the bridge (subscribe/renew/unsubscribe/deliver).
+  // A deliver batch item is {sub, seq, payload}: the lease fixes the
+  // service and event, so the item does not repeat them.
   [[nodiscard]] static const InterfaceDesc& bridge_interface();
 
  private:
   struct QueuedEvent {
     std::uint64_t seq = 0;
-    std::string service;
-    std::string event;
     Value payload;
   };
 
@@ -183,14 +179,13 @@ class EventRouter {
   void flush(const std::string& id);
 
   void arm_renew(const std::string& id);
-  [[nodiscard]] sim::Duration clamp_lease(sim::Duration lease) const;
+  [[nodiscard]] static sim::Duration clamp_lease(sim::Duration lease);
   [[nodiscard]] static Uri bridge_uri_for(const Uri& service_endpoint);
 
   net::Network& net_;
   VirtualServiceGateway& vsg_;
   MiddlewareAdapter& adapter_;
   VsrClient vsr_;
-  EventRouterOptions options_;
 
   std::map<std::string, Subscription> subs_;     // origin side, by lease id
   std::map<std::string, LocalSub> local_subs_;   // subscriber side, by id

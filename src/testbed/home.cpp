@@ -1,8 +1,14 @@
 #include "testbed/home.hpp"
 
+#include "soap/wsdl.hpp"
+
 namespace hcm::testbed {
 
 namespace {
+// X10 address of the home's motion sensor.
+constexpr x10::HouseCode kSensorHouse = x10::HouseCode::kA;
+constexpr int kSensorUnit = 5;
+
 // The interface remote event listeners export (mirrors jini::LookupService).
 InterfaceDesc listener_interface() {
   return InterfaceDesc{
@@ -264,7 +270,7 @@ void SmartHome::build(const SmartHomeOptions& options) {
     fan = std::make_unique<x10::ApplianceModule>(
         net, fan_node->id(), *powerline, x10::HouseCode::kA, 2);
     motion_sensor = std::make_unique<x10::MotionSensor>(
-        net, sensor_node->id(), *powerline, x10::HouseCode::kA, 5);
+        net, sensor_node->id(), *powerline, kSensorHouse, kSensorUnit);
     remote = std::make_unique<x10::RemoteControl>(
         net, remote_node->id(), *powerline, x10::HouseCode::kP);
   });
@@ -345,6 +351,47 @@ Status SmartHome::refresh() {
     sim::run_until_done(sched, [&] { return result.has_value(); });
   }
   return result.value_or(internal_error("refresh did not complete"));
+}
+
+Status expose_motion_events(SmartHome& home) {
+  auto* island = home.meta->island("x10-island");
+  if (island == nullptr) return not_found("no x10-island");
+  InterfaceDesc iface{"MotionSensor", {}};
+  iface.events.push_back(MethodDesc{
+      "motion", {{"address", ValueType::kString}}, ValueType::kNull, true});
+  auto uri = island->vsg->expose(
+      kMotionService, iface,
+      [](const std::string& method, const ValueList&, InvokeResultFn done) {
+        done(unimplemented("motion sensor has no method " + method));
+      });
+  if (!uri.is_ok()) return uri.status();
+
+  core::VsrEntry entry;
+  entry.name = kMotionService;
+  entry.category = iface.name;
+  entry.origin = island->name;
+  entry.wsdl = soap::emit_wsdl(iface, kMotionService, uri.value());
+  core::VsrClient vsr(home.net, island->vsg->node(), home.vsr->endpoint());
+  std::optional<Status> published;
+  vsr.publish(entry, core::Pcm::kPublishTtl,
+              [&](const Status& s) { published = s; });
+  sim::run_until_done(home.sched, [&] { return published.has_value(); });
+  if (!published.has_value() || !published->is_ok()) {
+    return published.value_or(internal_error("publish did not complete"));
+  }
+
+  home.cm11a->set_observer(
+      [events = island->events.get()](const x10::ObservedCommand& cmd) {
+        if (cmd.house != kSensorHouse || cmd.unit != kSensorUnit ||
+            cmd.function != x10::FunctionCode::kOn) {
+          return;
+        }
+        events->on_native_event(
+            kMotionService, "motion",
+            Value(ValueMap{{"address", Value(x10::format_address(
+                                           cmd.house, cmd.unit))}}));
+      });
+  return Status::ok();
 }
 
 }  // namespace hcm::testbed

@@ -3,8 +3,10 @@
 // declares, and events flow native-source -> adapter watch -> origin
 // VSG -> subscriber VSG -> handler + native re-emission. Covers three
 // island pairs (HAVi->Jini, Jini->UPnP, X10->mail), lease expiry and
-// renewal, idempotent unsubscribe, drop-oldest backpressure and
-// retry/backoff over a fault-injected dead link.
+// renewal, idempotent unsubscribe, drop-oldest backpressure,
+// retry/backoff over a fault-injected dead link, and deliver items that
+// name a service their lease is not for. Every test runs over both VSG
+// protocols (SOAP and the binary channel).
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -26,10 +28,12 @@ struct ReceivedEvent {
   Value payload;
 };
 
-class EventBridgeTest : public ::testing::Test {
+class EventBridgeTest : public ::testing::TestWithParam<core::VsgProtocol> {
  protected:
   void SetUp() override {
-    home = std::make_unique<SmartHome>(sched);
+    SmartHomeOptions options;
+    options.protocol = GetParam();
+    home = std::make_unique<SmartHome>(sched, options);
     ASSERT_TRUE(home->refresh().is_ok());
   }
 
@@ -87,7 +91,7 @@ class EventBridgeTest : public ::testing::Test {
 
 // --- HAVi -> Jini --------------------------------------------------------
 
-TEST_F(EventBridgeTest, HaviVcrEventsReachJiniIsland) {
+TEST_P(EventBridgeTest, HaviVcrEventsReachJiniIsland) {
   std::vector<ReceivedEvent> received;
   auto lease = subscribe("jini-island", "vcr-1", "transportChanged",
                          &received);
@@ -113,7 +117,7 @@ TEST_F(EventBridgeTest, HaviVcrEventsReachJiniIsland) {
   EXPECT_GE(router("jini-island").events_delivered(), 2u);
 }
 
-TEST_F(EventBridgeTest, BridgedEventsReemitAsNativeJiniEvents) {
+TEST_P(EventBridgeTest, BridgedEventsReemitAsNativeJiniEvents) {
   std::vector<ReceivedEvent> received;
   ASSERT_FALSE(subscribe("jini-island", "vcr-1", "transportChanged",
                          &received)
@@ -181,7 +185,7 @@ class EventBridgeUpnpTest : public EventBridgeTest {
         std::make_unique<core::UpnpAdapter>(home->net, upnp_gw->id());
     upnp_adapter = adapter.get();
     auto island = home->meta->add_island("upnp-island", upnp_gw->id(),
-                                         std::move(adapter));
+                                         std::move(adapter), GetParam());
     ASSERT_TRUE(island.is_ok()) << island.status().to_string();
     ASSERT_TRUE(home->refresh().is_ok());
   }
@@ -192,7 +196,7 @@ class EventBridgeUpnpTest : public EventBridgeTest {
   core::UpnpAdapter* upnp_adapter = nullptr;
 };
 
-TEST_F(EventBridgeUpnpTest, JiniLaserdiscEventsReachUpnpIsland) {
+TEST_P(EventBridgeUpnpTest, JiniLaserdiscEventsReachUpnpIsland) {
   std::vector<ReceivedEvent> received;
   ASSERT_FALSE(subscribe("upnp-island", "laserdisc-1", "statusChanged",
                          &received)
@@ -211,7 +215,7 @@ TEST_F(EventBridgeUpnpTest, JiniLaserdiscEventsReachUpnpIsland) {
   EXPECT_TRUE(received.front().payload.at("powered").as_bool());
 }
 
-TEST_F(EventBridgeUpnpTest, BridgedEventsReemitAsGenaNotifications) {
+TEST_P(EventBridgeUpnpTest, BridgedEventsReemitAsGenaNotifications) {
   std::vector<ReceivedEvent> received;
   ASSERT_FALSE(subscribe("upnp-island", "laserdisc-1", "statusChanged",
                          &received)
@@ -256,7 +260,7 @@ TEST_F(EventBridgeUpnpTest, BridgedEventsReemitAsGenaNotifications) {
 
 // --- X10 -> mail ---------------------------------------------------------
 
-TEST_F(EventBridgeTest, X10StateChangesReachMailIsland) {
+TEST_P(EventBridgeTest, X10StateChangesReachMailIsland) {
   std::vector<ReceivedEvent> received;
   ASSERT_FALSE(subscribe("mail-island", "desk-lamp", "stateChanged",
                          &received)
@@ -280,9 +284,32 @@ TEST_F(EventBridgeTest, X10StateChangesReachMailIsland) {
   EXPECT_GE(home->mail_server->mailbox_size("evt-home"), 1u);
 }
 
+TEST_P(EventBridgeTest, LeaseReceivesOnlyItsOwnService) {
+  std::vector<ReceivedEvent> received;
+  ASSERT_FALSE(subscribe("jini-island", "desk-lamp", "stateChanged",
+                         &received)
+                   .empty());
+
+  net::Node& extra_node = home->net.add_node("x10-remote-a");
+  home->net.attach(extra_node, *home->powerline);
+  x10::RemoteControl remote_a(home->net, extra_node.id(), *home->powerline,
+                              x10::HouseCode::kA);
+  // The ceiling fan (A2) changes: the desk-lamp lease hears nothing.
+  remote_a.press(2, x10::FunctionCode::kOn);
+  sched.run_for(sim::seconds(5));
+  EXPECT_TRUE(received.empty());
+  EXPECT_EQ(router("x10-island").events_routed(), 0u);
+
+  // The lamp (A1) changes: exactly that event arrives.
+  remote_a.press(1, x10::FunctionCode::kOn);
+  sched.run_for(sim::seconds(5));
+  ASSERT_EQ(received.size(), 1u);
+  EXPECT_EQ(received.front().service, "desk-lamp");
+}
+
 // --- Lease semantics -----------------------------------------------------
 
-TEST_F(EventBridgeTest, LeaseExpiryRemovesSubscriptionAndStopsDelivery) {
+TEST_P(EventBridgeTest, LeaseExpiryRemovesSubscriptionAndStopsDelivery) {
   std::vector<ReceivedEvent> received;
   core::EventRouter::SubscribeOptions opts;
   opts.lease = sim::seconds(2);
@@ -312,7 +339,7 @@ TEST_F(EventBridgeTest, LeaseExpiryRemovesSubscriptionAndStopsDelivery) {
   EXPECT_EQ(router("havi-island").events_routed(), 0u);
 }
 
-TEST_F(EventBridgeTest, AutoRenewalExtendsLeaseAcrossPeriods) {
+TEST_P(EventBridgeTest, AutoRenewalExtendsLeaseAcrossPeriods) {
   std::vector<ReceivedEvent> received;
   core::EventRouter::SubscribeOptions opts;
   opts.lease = sim::seconds(2);
@@ -333,7 +360,7 @@ TEST_F(EventBridgeTest, AutoRenewalExtendsLeaseAcrossPeriods) {
   EXPECT_GE(received.size(), 1u);
 }
 
-TEST_F(EventBridgeTest, DoubleUnsubscribeIsIdempotent) {
+TEST_P(EventBridgeTest, DoubleUnsubscribeIsIdempotent) {
   std::vector<ReceivedEvent> received;
   auto lease = subscribe("jini-island", "vcr-1", "transportChanged",
                          &received);
@@ -347,15 +374,32 @@ TEST_F(EventBridgeTest, DoubleUnsubscribeIsIdempotent) {
   EXPECT_TRUE(unsubscribe("jini-island", lease).is_ok());
 }
 
+TEST_P(EventBridgeTest, UnsubscribeStopsDelivery) {
+  std::vector<ReceivedEvent> received;
+  auto lease = subscribe("jini-island", "vcr-1", "transportChanged",
+                         &received);
+  ASSERT_FALSE(lease.empty());
+  ASSERT_TRUE(unsubscribe("jini-island", lease).is_ok());
+  sched.run_for(sim::seconds(1));
+
+  auto r = via(*home->havi_adapter, "vcr-1", "record",
+               {Value(std::int64_t{1})});
+  ASSERT_TRUE(r.is_ok()) << r.status().to_string();
+  sched.run_for(sim::seconds(2));
+  EXPECT_TRUE(received.empty());
+  EXPECT_EQ(router("havi-island").events_routed(), 0u);
+  EXPECT_EQ(router("jini-island").events_delivered(), 0u);
+}
+
 // --- Backpressure --------------------------------------------------------
 
-TEST_F(EventBridgeTest, BurstBeyondQueueBoundDropsOldest) {
+TEST_P(EventBridgeTest, BurstBeyondQueueBoundDropsOldest) {
   std::vector<ReceivedEvent> received;
   ASSERT_FALSE(subscribe("jini-island", "vcr-1", "transportChanged",
                          &received)
                    .empty());
   auto& origin = router("havi-island");
-  const std::size_t burst = origin.options().max_queue * 3;
+  const std::size_t burst = core::EventRouter::kMaxQueue * 3;
 
   // Inject a burst with no scheduler progress in between: the bounded
   // queue must shed oldest-unsent events instead of growing.
@@ -375,9 +419,48 @@ TEST_F(EventBridgeTest, BurstBeyondQueueBoundDropsOldest) {
   EXPECT_EQ(received.size(), origin.events_routed());
 }
 
+// --- Deliver items -------------------------------------------------------
+
+// A deliver item carries {sub, seq, payload}; the subscriber takes the
+// service and event from the lease. A peer that names another service
+// in the item must neither reach the handler as that service nor drive
+// its native re-emission (here: an X10 command for a bound unit).
+TEST_P(EventBridgeTest, DeliverTakesServiceAndEventFromTheLease) {
+  std::vector<ReceivedEvent> received;
+  auto lease = subscribe("x10-island", "vcr-1", "transportChanged",
+                         &received);
+  ASSERT_FALSE(lease.empty());
+  sched.run_for(sim::seconds(1));
+  const std::uint64_t commands_before = home->cm11a->commands_sent();
+
+  auto& x10_vsg = *home->meta->island("x10-island")->vsg;
+  const ValueList batch{Value(ValueMap{
+      {"sub", Value(lease)},
+      {"seq", Value(std::int64_t{1})},
+      {"service", Value(std::string("camera-1"))},
+      {"event", Value(std::string("stateChanged"))},
+      {"payload", Value(ValueMap{{"on", Value(true)}})},
+  })};
+  std::optional<Result<Value>> ack;
+  home->meta->island("havi-island")
+      ->vsg->call_remote(
+          x10_vsg.exposure_uri(core::EventRouter::kBridgeService),
+          core::EventRouter::kBridgeService,
+          core::EventRouter::bridge_interface(), "deliver",
+          {Value(batch)}, [&](Result<Value> r) { ack = std::move(r); });
+  sim::run_until_done(sched, [&] { return ack.has_value(); });
+  ASSERT_TRUE(ack.has_value() && ack->is_ok());
+  sched.run_for(sim::seconds(5));
+
+  ASSERT_EQ(received.size(), 1u);
+  EXPECT_EQ(received.front().service, "vcr-1");
+  EXPECT_EQ(received.front().event, "transportChanged");
+  EXPECT_EQ(home->cm11a->commands_sent(), commands_before);
+}
+
 // --- Fault injection: dead VSG link --------------------------------------
 
-TEST_F(EventBridgeTest, RetryWithBackoffSurvivesDeadLink) {
+TEST_P(EventBridgeTest, RetryWithBackoffSurvivesDeadLink) {
   std::vector<ReceivedEvent> received;
   ASSERT_FALSE(subscribe("jini-island", "vcr-1", "transportChanged",
                          &received)
@@ -400,6 +483,20 @@ TEST_F(EventBridgeTest, RetryWithBackoffSurvivesDeadLink) {
   EXPECT_EQ(received.front().payload.at("state").as_string(), "PLAY");
   EXPECT_GE(origin.events_routed(), 1u);
 }
+
+std::string protocol_name(
+    const ::testing::TestParamInfo<core::VsgProtocol>& info) {
+  return info.param == core::VsgProtocol::kSoap ? "Soap" : "Binary";
+}
+
+INSTANTIATE_TEST_SUITE_P(BothProtocols, EventBridgeTest,
+                         ::testing::Values(core::VsgProtocol::kSoap,
+                                           core::VsgProtocol::kBinary),
+                         protocol_name);
+INSTANTIATE_TEST_SUITE_P(BothProtocols, EventBridgeUpnpTest,
+                         ::testing::Values(core::VsgProtocol::kSoap,
+                                           core::VsgProtocol::kBinary),
+                         protocol_name);
 
 }  // namespace
 }  // namespace hcm::testbed
