@@ -9,6 +9,13 @@
 // its latency and bytes grow linearly with S. Under churn the delta arm
 // pays O(changed entries) — WSDL bodies move only for descriptions a
 // client has never seen.
+//
+// Host-side cost rides along: allocs_per_round and heap_bytes_per_round
+// count the heap traffic of the measured refresh rounds (bench_util's
+// HCM_BENCH_ALLOC_HOOK counting hook), excluding the churn edits.
+#define HCM_BENCH_ALLOC_HOOK 1
+#include "bench_util.hpp"
+
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -18,7 +25,6 @@
 #include <string>
 #include <vector>
 
-#include "bench_util.hpp"
 #include "core/pcm.hpp"
 #include "core/vsg.hpp"
 #include "core/vsr.hpp"
@@ -154,6 +160,8 @@ constexpr int kMeasuredRounds = 6;
 struct RunResult {
   double latency_ms = 0;     // mean virtual-time latency per round
   double bytes_per_round = 0;  // mean backbone bytes per round
+  double allocs_per_round = 0;      // mean heap allocations per round
+  double heap_bytes_per_round = 0;  // mean heap bytes requested per round
   std::uint64_t bodies_sent = 0;
   std::uint64_t bodies_elided = 0;
   std::uint64_t delta_syncs = 0;
@@ -170,6 +178,8 @@ RunResult run_config(std::size_t n_islands, std::size_t services,
 
   std::vector<double> latency;
   std::vector<double> bytes;
+  std::uint64_t allocs = 0;
+  std::uint64_t heap_bytes = 0;
   std::size_t next_svc = services;  // churned-in names keep counting up
   for (int round = 0; round < kMeasuredRounds; ++round) {
     // Churn on island 0: retire the oldest `churn` services, add as
@@ -184,7 +194,10 @@ RunResult run_config(std::size_t n_islands, std::size_t services,
 
     const auto bytes0 = mesh.backbone->bytes_carried();
     const auto t0 = mesh.sched.now();
+    bench::AllocDelta heap;
     (void)mesh.refresh_round();
+    allocs += heap.allocs();
+    heap_bytes += heap.bytes();
     latency.push_back(bench::to_ms(mesh.sched.now() - t0));
     bytes.push_back(
         static_cast<double>(mesh.backbone->bytes_carried() - bytes0));
@@ -193,6 +206,8 @@ RunResult run_config(std::size_t n_islands, std::size_t services,
   RunResult out;
   out.latency_ms = bench::stats_of(latency).mean;
   out.bytes_per_round = bench::stats_of(bytes).mean;
+  out.allocs_per_round = static_cast<double>(allocs) / kMeasuredRounds;
+  out.heap_bytes_per_round = static_cast<double>(heap_bytes) / kMeasuredRounds;
   out.bodies_sent = mesh.vsr->registry().wsdl_bodies_sent();
   out.bodies_elided = mesh.vsr->registry().wsdl_bodies_elided();
   out.delta_syncs = mesh.vsr->registry().delta_syncs();
@@ -212,7 +227,8 @@ void sweep_report(const std::string& json_path) {
       "  steady-state rounds measured after convergence; churn = services\n"
       "  replaced on island-0 before each round\n\n");
   std::printf(
-      "  mode      isl  svc/isl  churn   latency/round   backbone B/round\n");
+      "  mode      isl  svc/isl  churn   latency/round   backbone B/round"
+      "   allocs/round   heap B/round\n");
 
   bench::JsonReport report("bench_ext_vsr_sync");
   const std::size_t island_counts[] = {2, 4};
@@ -224,9 +240,10 @@ void sweep_report(const std::string& json_path) {
         for (auto mode : {core::Pcm::SyncMode::kSnapshot,
                           core::Pcm::SyncMode::kDelta}) {
           RunResult r = run_config(islands, services, churn, mode);
-          std::printf("  %-8s  %3zu  %7zu  %5zu  %11.2f ms  %14.0f\n",
-                      mode_name(mode), islands, services, churn, r.latency_ms,
-                      r.bytes_per_round);
+          std::printf(
+              "  %-8s  %3zu  %7zu  %5zu  %11.2f ms  %14.0f  %13.0f  %13.0f\n",
+              mode_name(mode), islands, services, churn, r.latency_ms,
+              r.bytes_per_round, r.allocs_per_round, r.heap_bytes_per_round);
           report.row()
               .str("mode", mode_name(mode))
               .num("islands", islands)
@@ -234,6 +251,8 @@ void sweep_report(const std::string& json_path) {
               .num("churn", churn)
               .num("latency_ms", r.latency_ms)
               .num("backbone_bytes_per_round", r.bytes_per_round)
+              .num("allocs_per_round", r.allocs_per_round)
+              .num("heap_bytes_per_round", r.heap_bytes_per_round)
               .num("wsdl_bodies_sent", r.bodies_sent)
               .num("wsdl_bodies_elided", r.bodies_elided)
               .num("registry_delta_syncs", r.delta_syncs)

@@ -10,7 +10,7 @@
 #      audit at 2/4 shards, the City testbed) plus the scheduler,
 #      event bridge and net/stream/channel stacks;
 #   4. standalone hcm_lint run for a readable summary;
-#   5. hcm_analyze: the five static-analysis passes (docs/CORRECTNESS.md
+#   5. hcm_analyze: the six static-analysis passes (docs/CORRECTNESS.md
 #      §"Static analysis") must report zero unsuppressed findings and no
 #      more suppressed ones than the committed ANALYZE_report.json;
 #      archives the fresh report there, next to the BENCH_*.json files;

@@ -5,31 +5,34 @@ namespace hcm {
 namespace {
 Value method_to_value(const MethodDesc& m) {
   ValueList params;
+  params.reserve(m.params.size());
   for (const auto& p : m.params) {
-    params.push_back(Value(ValueMap{
-        {"name", Value(p.name)},
-        {"type", Value(static_cast<std::int64_t>(p.type))},
-    }));
+    ValueMap param;
+    param.emplace("name", p.name);
+    param.emplace("type", static_cast<std::int64_t>(p.type));
+    params.emplace_back(std::move(param));
   }
-  return Value(ValueMap{
-      {"name", Value(m.name)},
-      {"params", Value(std::move(params))},
-      {"return", Value(static_cast<std::int64_t>(m.return_type))},
-      {"oneWay", Value(m.one_way)},
-  });
+  ValueMap out;
+  out.emplace("name", m.name);
+  out.emplace("params", std::move(params));
+  out.emplace("return", static_cast<std::int64_t>(m.return_type));
+  out.emplace("oneWay", m.one_way);
+  return Value(std::move(out));
 }
 }  // namespace
 
 Value interface_to_value(const InterfaceDesc& iface) {
   ValueList methods;
+  methods.reserve(iface.methods.size());
   for (const auto& m : iface.methods) methods.push_back(method_to_value(m));
   ValueList events;
+  events.reserve(iface.events.size());
   for (const auto& e : iface.events) events.push_back(method_to_value(e));
-  return Value(ValueMap{
-      {"name", Value(iface.name)},
-      {"methods", Value(std::move(methods))},
-      {"events", Value(std::move(events))},
-  });
+  ValueMap out;
+  out.emplace("name", iface.name);
+  out.emplace("methods", std::move(methods));
+  out.emplace("events", std::move(events));
+  return Value(std::move(out));
 }
 
 namespace {

@@ -1,10 +1,15 @@
 #include "common/value_codec.hpp"
 
+#include <algorithm>
+
 #include "common/block_stream.hpp"
 
 namespace hcm {
 
 namespace {
+
+// Largest up-front reservation of a decoded list (see decode_list).
+constexpr std::size_t kMaxListReserve = 1024;
 
 Result<Value> decode_rec(BufReader& r, int depth);
 
@@ -22,7 +27,11 @@ Status decode_list(BufReader& r, int depth, ValueList& out) {
     return protocol_error("list length exceeds buffer");
   }
   out.clear();
-  out.reserve(n.value());
+  // The count is checked against the bytes left, not the nesting: a
+  // frame of nested lists each claiming the rest of the buffer would
+  // reserve that much per level. Reserve at most kMaxListReserve before
+  // any element has been decoded and let push_back grow past it.
+  out.reserve(std::min<std::size_t>(n.value(), kMaxListReserve));
   for (std::uint32_t i = 0; i < n.value(); ++i) {
     auto e = decode_rec(r, depth + 1);
     if (!e.is_ok()) return e.status();

@@ -53,17 +53,17 @@ void HaviAdapter::list_services(ServicesFn done) {
           }
           auto iface = interface_from_value(iface_it->second);
           if (!iface.is_ok()) continue;
-          const std::string name = name_it->second.as_string();
-          known_[name] = record;
+          std::string name = name_it->second.as_string();
+          known_[name] = record.seid;
           auto imported = record.attributes.find("hcm.imported");
           if (imported != record.attributes.end() &&
               imported->second == Value(true)) {
             continue;
           }
           LocalService service;
-          service.name = name;
+          service.name = std::move(name);
           service.interface = std::move(iface).take();
-          service.attributes = record.attributes;
+          service.attributes = std::move(record.attributes);
           services.push_back(std::move(service));
         }
         done(std::move(services));
@@ -85,7 +85,7 @@ void HaviAdapter::invoke(const std::string& service_name,
   }
   auto it = known_.find(service_name);
   if (it != known_.end()) {
-    ms_.send_request(self_, it->second.seid, method, args, std::move(done));
+    ms_.send_request(self_, it->second, method, args, std::move(done));
     return;
   }
   // Refresh from the registry, then retry once.
@@ -100,7 +100,7 @@ void HaviAdapter::invoke(const std::string& service_name,
       done(not_found("no HAVi FCM: " + service_name));
       return;
     }
-    ms_.send_request(self_, found->second.seid, method, args, std::move(done));
+    ms_.send_request(self_, found->second, method, args, std::move(done));
   });
 }
 

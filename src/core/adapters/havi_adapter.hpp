@@ -44,7 +44,8 @@ class HaviAdapter : public MiddlewareAdapter {
   havi::Seid self_;  // the adapter's own SE (source of its messages)
   havi::RegistryClient registry_;
   havi::Seid em_seid_;  // Event Manager (same FAV node as the Registry)
-  std::map<std::string, havi::RegistryRecord> known_;
+  // Known FCMs by deployed name (refreshed on list_services).
+  std::map<std::string, havi::Seid> known_;
   struct Exported {
     havi::Seid seid;
     ServiceHandler handler;  // direct dispatch while registration settles

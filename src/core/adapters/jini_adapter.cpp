@@ -44,14 +44,15 @@ void JiniAdapter::list_services(ServicesFn done) {
       auto imported = item.attributes.find("hcm.imported");
       const bool is_imported =
           imported != item.attributes.end() && imported->second == Value(true);
-      const std::string name = item.name.empty() ? item.service_id : item.name;
-      known_[name] = item;
-      if (is_imported) continue;
-      LocalService service;
-      service.name = name;
-      service.interface = item.interface;
-      service.attributes = item.attributes;
-      services.push_back(std::move(service));
+      std::string name = item.name.empty() ? item.service_id : item.name;
+      if (!is_imported) {
+        LocalService service;
+        service.name = name;
+        service.interface = item.interface;
+        service.attributes = item.attributes;
+        services.push_back(std::move(service));
+      }
+      known_[std::move(name)] = std::move(item);
     }
     done(std::move(services));
   });
@@ -95,9 +96,8 @@ void JiniAdapter::invoke(const std::string& service_name,
           return;
         }
         for (auto& item : items.value()) {
-          const std::string name =
-              item.name.empty() ? item.service_id : item.name;
-          known_[name] = item;
+          std::string name = item.name.empty() ? item.service_id : item.name;
+          known_[std::move(name)] = std::move(item);
         }
         auto found = known_.find(service_name);
         if (found == known_.end()) {

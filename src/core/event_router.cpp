@@ -348,10 +348,12 @@ void EventRouter::handle_deliver(const ValueList& args, InvokeResultFn done) {
     // Service and event come from the lease, never from the item: a
     // peer holding one lease id must not speak for another service.
     // Copy them with the handler: it may unsubscribe and invalidate `it`.
+    // The payload is borrowed from the caller's args, not the lease, so
+    // it outlives an unsubscribe.
     const std::string service = it->second.service;
     const std::string event = it->second.event;
     auto handler = it->second.handler;
-    const Value payload = item.at("payload");
+    const Value& payload = item.at("payload");
     events_delivered_.inc();
     adapter_.emit_event(service, event, payload);
     if (handler) handler(service, event, payload);
@@ -466,18 +468,21 @@ void EventRouter::flush(const std::string& id) {
   const std::size_t n = std::min(sub.queue.size(), kMaxBatch);
   sub.inflight = n;
   sub.sending = true;
+  // Payloads are copied: the queue keeps them until the ack arrives.
   ValueList batch;
+  batch.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     const auto& q = sub.queue[i];
-    batch.push_back(Value(ValueMap{
-        {"sub", Value(sub.id)},
-        {"seq", Value(static_cast<std::int64_t>(q.seq))},
-        {"payload", q.payload},
-    }));
+    ValueMap item;
+    item.emplace("sub", sub.id);
+    item.emplace("seq", static_cast<std::int64_t>(q.seq));
+    item.emplace("payload", q.payload);
+    batch.emplace_back(std::move(item));
   }
+  ValueList args;
+  args.emplace_back(std::move(batch));
   vsg_.call_remote(
-      sub.sink, kBridgeService, bridge_interface(), "deliver",
-      {Value(std::move(batch))},
+      sub.sink, kBridgeService, bridge_interface(), "deliver", args,
       [this, id, n, start = net_.scheduler().now()](Result<Value> r) {
         delivery_latency_us_.observe(net_.scheduler().now() - start);
         auto it = subs_.find(id);

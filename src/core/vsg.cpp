@@ -127,11 +127,11 @@ Result<Uri> VirtualServiceGateway::expose(const std::string& name,
           // and nested re-entry is impossible within a frame (loopback
           // delivery is scheduled, never inline).
           [dispatch, handler = exposed.handler, method = m.name,
-           args = ValueList{}](const soap::NamedValues& params,
+           args = ValueList{}](soap::NamedValues& params,
                                soap::CallResultFn done) mutable {
             args.clear();
             args.reserve(params.size());
-            for (const auto& [k, v] : params) args.push_back(v);
+            for (auto& [k, v] : params) args.push_back(std::move(v));
             dispatch(handler, method, args, std::move(done));
           });
     }

@@ -9,11 +9,11 @@ Dcm::Dcm(MessagingSystem& ms, std::string huid, std::string name)
         if (op == "getDeviceInfo") {
           ValueList fcm_seids;
           for (const auto& fcm : fcms_) fcm_seids.push_back(fcm->seid().to_value());
-          done(Value(ValueMap{
-              {"huid", Value(huid_)},
-              {"name", Value(name_)},
-              {"fcms", Value(std::move(fcm_seids))},
-          }));
+          ValueMap info;
+          info.emplace("huid", huid_);
+          info.emplace("name", name_);
+          info.emplace("fcms", std::move(fcm_seids));
+          done(Value(std::move(info)));
           return;
         }
         done(not_found("DCM has no op " + op));

@@ -107,10 +107,10 @@ Status decode_message(ByteView data, Message& msg) {
 }  // namespace
 
 Value Seid::to_value() const {
-  return Value(ValueMap{
-      {"node", Value(static_cast<std::int64_t>(node))},
-      {"handle", Value(static_cast<std::int64_t>(handle))},
-  });
+  ValueMap out;
+  out.emplace("node", static_cast<std::int64_t>(node));
+  out.emplace("handle", static_cast<std::int64_t>(handle));
+  return Value(std::move(out));
 }
 
 Result<Seid> Seid::from_value(const Value& v) {

@@ -6,18 +6,22 @@ namespace hcm::havi {
 
 namespace {
 Value record_to_value(const RegistryRecord& r) {
-  return Value(ValueMap{
-      {"seid", r.seid.to_value()},
-      {"attrs", Value(r.attributes)},
-  });
+  ValueMap out;
+  out.emplace("seid", r.seid.to_value());
+  out.emplace("attrs", r.attributes);
+  return Value(std::move(out));
 }
 
-Result<RegistryRecord> record_from_value(const Value& v) {
+// Moves the attributes out of `v` (a getElement reply entry).
+Result<RegistryRecord> record_from_value(Value& v) {
   auto seid = Seid::from_value(v.at("seid"));
-  if (!seid.is_ok()) return seid.status();
+  if (!seid.is_ok()) return seid.status();  // also rejects a non-map `v`
   RegistryRecord r;
   r.seid = seid.value();
-  if (v.at("attrs").is_map()) r.attributes = v.at("attrs").as_map();
+  auto attrs = v.as_map().find("attrs");
+  if (attrs != v.as_map().end() && attrs->second.is_map()) {
+    r.attributes = std::move(attrs->second.as_map());
+  }
   return r;
 }
 }  // namespace
@@ -59,7 +63,8 @@ void Registry::handle(const std::string& op, const ValueList& args,
   }
   if (op == "getElement") {
     if (args.size() != 1) return done(invalid_argument("getElement(query)"));
-    const ValueMap query = args[0].is_map() ? args[0].as_map() : ValueMap{};
+    const ValueMap none;
+    const ValueMap& query = args[0].is_map() ? args[0].as_map() : none;
     ValueList out;
     for (const auto& [seid, rec] : records_) {
       bool match = true;
@@ -118,7 +123,7 @@ void RegistryClient::get_elements(const ValueMap& query, RecordsFn done) {
           return;
         }
         std::vector<RegistryRecord> records;
-        for (const auto& v : r.value().as_list()) {
+        for (auto& v : r.value().as_list()) {
           auto rec = record_from_value(v);
           if (!rec.is_ok()) {
             done(rec.status());

@@ -107,7 +107,8 @@ Result<Value> LookupService::do_lookup(const ValueList& args) {
   if (args.size() != 2) return invalid_argument("lookup(iface, attrs)");
   const std::string iface =
       args[0].is_string() ? args[0].as_string() : "";
-  const ValueMap attrs = args[1].is_map() ? args[1].as_map() : ValueMap{};
+  const ValueMap none;
+  const ValueMap& attrs = args[1].is_map() ? args[1].as_map() : none;
   ValueList matches;
   for (const auto& [id, reg] : services_) {
     if (!iface.empty() && reg.item.interface.name != iface) continue;

@@ -3,17 +3,19 @@
 namespace hcm::jini {
 
 Value ServiceItem::to_value() const {
-  return Value(ValueMap{
-      {"id", Value(service_id)},
-      {"name", Value(name)},
-      {"iface", interface_to_value(interface)},
-      {"node", Value(static_cast<std::int64_t>(endpoint.node))},
-      {"port", Value(static_cast<std::int64_t>(endpoint.port))},
-      {"attrs", Value(attributes)},
-  });
+  ValueMap out;
+  out.emplace("id", service_id);
+  out.emplace("name", name);
+  out.emplace("iface", interface_to_value(interface));
+  out.emplace("node", static_cast<std::int64_t>(endpoint.node));
+  out.emplace("port", static_cast<std::int64_t>(endpoint.port));
+  out.emplace("attrs", attributes);
+  return Value(std::move(out));
 }
 
-Result<ServiceItem> ServiceItem::from_value(const Value& v) {
+namespace {
+// Everything but the attributes, which the two overloads copy or move.
+Result<ServiceItem> item_from_value(const Value& v) {
   if (!v.is_map()) return protocol_error("service item is not a map");
   ServiceItem item;
   if (!v.at("id").is_string()) return protocol_error("service item id");
@@ -29,7 +31,25 @@ Result<ServiceItem> ServiceItem::from_value(const Value& v) {
   }
   item.endpoint = {static_cast<net::NodeId>(node.value()),
                    static_cast<std::uint16_t>(port.value())};
-  if (v.at("attrs").is_map()) item.attributes = v.at("attrs").as_map();
+  return item;
+}
+}  // namespace
+
+Result<ServiceItem> ServiceItem::from_value(const Value& v) {
+  auto item = item_from_value(v);
+  if (item.is_ok() && v.at("attrs").is_map()) {
+    item.value().attributes = v.at("attrs").as_map();
+  }
+  return item;
+}
+
+Result<ServiceItem> ServiceItem::from_value(Value&& v) {
+  auto item = item_from_value(v);
+  if (!item.is_ok()) return item;
+  auto attrs = v.as_map().find("attrs");
+  if (attrs != v.as_map().end() && attrs->second.is_map()) {
+    item.value().attributes = std::move(attrs->second.as_map());
+  }
   return item;
 }
 

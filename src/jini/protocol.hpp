@@ -38,6 +38,8 @@ struct ServiceItem {
 
   [[nodiscard]] Value to_value() const;
   static Result<ServiceItem> from_value(const Value& v);
+  // Same, moving the attributes out of `v`.
+  static Result<ServiceItem> from_value(Value&& v);
 
   friend bool operator==(const ServiceItem&, const ServiceItem&) = default;
 };

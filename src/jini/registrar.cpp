@@ -54,8 +54,8 @@ void LookupClient::lookup(const std::string& iface, const ValueMap& attrs,
                      return;
                    }
                    std::vector<ServiceItem> items;
-                   for (const auto& v : r.value().as_list()) {
-                     auto item = ServiceItem::from_value(v);
+                   for (auto& v : r.value().as_list()) {
+                     auto item = ServiceItem::from_value(std::move(v));
                      if (!item.is_ok()) {
                        done(item.status());
                        return;

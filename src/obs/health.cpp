@@ -344,12 +344,12 @@ Value HealthMonitor::to_value() const {
   for (const HealthTransition& tr : recent_) {
     recent.push_back(tr.to_value());
   }
-  return Value(ValueMap{
-      {"state", Value(std::string(to_string(overall())))},
-      {"transitions", Value(static_cast<std::int64_t>(transitions_n_))},
-      {"rules", Value(std::move(rules))},
-      {"recent", Value(std::move(recent))},
-  });
+  ValueMap out;
+  out.emplace("state", std::string(to_string(overall())));
+  out.emplace("transitions", static_cast<std::int64_t>(transitions_n_));
+  out.emplace("rules", std::move(rules));
+  out.emplace("recent", std::move(recent));
+  return Value(std::move(out));
 }
 
 }  // namespace hcm::obs

@@ -322,16 +322,16 @@ Value TimeSeriesRecorder::to_value(const std::string& prefix,
     for (std::uint64_t k = k0; k < r.end_idx; ++k) {
       values.emplace_back(*r.at(k, options_.tiers[tier].capacity));
     }
-    series[name] = Value(ValueMap{
-        {"t0_us", Value(static_cast<std::int64_t>(k0 + 1) * p)},
-        {"values", Value(std::move(values))},
-    });
+    ValueMap entry;
+    entry.emplace("t0_us", static_cast<std::int64_t>(k0 + 1) * p);
+    entry.emplace("values", std::move(values));
+    series[name] = Value(std::move(entry));
   }
-  return Value(ValueMap{
-      {"now_us", Value(last_time_)},
-      {"period_us", Value(p)},
-      {"series", Value(std::move(series))},
-  });
+  ValueMap out;
+  out.emplace("now_us", last_time_);
+  out.emplace("period_us", p);
+  out.emplace("series", std::move(series));
+  return Value(std::move(out));
 }
 
 Value TimeSeriesRecorder::dump() const {
@@ -357,12 +357,12 @@ Value TimeSeriesRecorder::dump() const {
         for (std::uint64_t k = r.first_idx(); k < r.end_idx; ++k) {
           values.emplace_back(*r.at(k, options_.tiers[t].capacity));
         }
-        per_tier.emplace_back(ValueMap{
-            {"period_us", Value(p)},
-            {"t0_us",
-             Value(static_cast<std::int64_t>(r.first_idx() + 1) * p)},
-            {"values", Value(std::move(values))},
-        });
+        ValueMap entry;
+        entry.emplace("period_us", p);
+        entry.emplace("t0_us",
+                      static_cast<std::int64_t>(r.first_idx() + 1) * p);
+        entry.emplace("values", std::move(values));
+        per_tier.emplace_back(std::move(entry));
       }
       if (!per_tier.empty()) series[name] = Value(std::move(per_tier));
     }

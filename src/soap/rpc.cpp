@@ -97,7 +97,7 @@ void SoapService::handle(const http::Request& req, http::RespondFn respond) {
     return;
   }
   calls_handled_.inc();
-  const auto& call = *env;
+  auto& call = *env;
   auto it = methods_.find(call.method);
   if (it == methods_.end()) {
     faults_sent_.inc();

@@ -21,9 +21,12 @@ namespace hcm::soap {
 // Same type as hcm::InvokeResultFn (the VSG moves completions across
 // the soap boundary without re-wrapping).
 using CallResultFn = SmallFn<void(Result<Value>), 192>;
-// A method handler: receives named params, answers asynchronously.
+// A method handler: receives named params, answers asynchronously. The
+// params are borrowed from the request envelope for the handler's frame;
+// a handler may move values out of them (the envelope is reparsed on
+// reuse). Handlers taking `const NamedValues&` bind as well.
 using MethodHandler =
-    std::function<void(const NamedValues& params, CallResultFn done)>;
+    std::function<void(NamedValues& params, CallResultFn done)>;
 
 // Dispatch service mounted at a path on an HttpServer. Multiple
 // SoapServices can share one HttpServer (one per mounted path).

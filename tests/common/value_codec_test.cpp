@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "bench/bench_util.hpp"
+
 namespace hcm {
 namespace {
 
@@ -57,6 +59,39 @@ TEST(ValueCodecTest, HostileListLengthRejected) {
   Bytes bad{static_cast<std::uint8_t>(ValueType::kList), 0xFF, 0xFF, 0xFF,
             0xFF};
   EXPECT_FALSE(decode_value(bad).is_ok());
+}
+
+TEST(ValueCodecTest, NestedListCountsDoNotReservePerLevel) {
+  // 8 nested lists in 1 MiB, each declaring as many elements as bytes
+  // remain after its count, then bytes that are no valid tag. Every
+  // count passes the remaining-bytes check, so an uncapped reserve(n)
+  // per level would request 8 x 1 MiB x sizeof(Value) before the first
+  // element fails to decode.
+  Bytes bad(std::size_t{1} << 20, 0xFF);
+  std::size_t off = 0;
+  for (int level = 0; level < 8; ++level) {
+    bad[off++] = static_cast<std::uint8_t>(ValueType::kList);
+    const auto n = static_cast<std::uint32_t>(bad.size() - off - 4);
+    for (int shift = 24; shift >= 0; shift -= 8) {
+      bad[off++] = static_cast<std::uint8_t>(n >> shift);
+    }
+  }
+  ASSERT_TRUE(bench::alloc_hook_installed());
+  bench::AllocDelta delta;
+  auto r = decode_value(bad);
+  const std::uint64_t requested = delta.bytes();
+  ASSERT_FALSE(r.is_ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kProtocolError);
+  EXPECT_LT(requested, 8u << 20) << "bytes requested: " << requested;
+}
+
+TEST(ValueCodecTest, ListLongerThanTheReservationCapRoundTrips) {
+  ValueList list;
+  for (int i = 0; i < 3000; ++i) list.emplace_back(i);
+  const Value v(std::move(list));
+  auto r = decode_value(encode_value(v));
+  ASSERT_TRUE(r.is_ok());
+  EXPECT_EQ(r.value(), v);
 }
 
 TEST(ValueCodecTest, DeepNestingRejected) {

@@ -2,6 +2,8 @@
 // already covered by the whole-home integration tests).
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "core/adapters/mail_adapter.hpp"
 #include "core/adapters/x10_adapter.hpp"
 #include "testbed/home.hpp"
@@ -171,6 +173,166 @@ TEST_F(X10MappingTest, UnitsAreDistinct) {
   ASSERT_TRUE(u1.is_ok());
   ASSERT_TRUE(u2.is_ok());
   EXPECT_NE(u1.value(), u2.value());
+}
+
+// --- HAVi and Jini list_services: what the PCM refresh reads ---------
+
+std::vector<LocalService> list_now(sim::Scheduler& sched,
+                                   MiddlewareAdapter& adapter) {
+  std::optional<Result<std::vector<LocalService>>> got;
+  adapter.list_services(
+      [&](Result<std::vector<LocalService>> r) { got = std::move(r); });
+  sim::run_until_done(sched, [&] { return got.has_value(); });
+  EXPECT_TRUE(got.has_value() && got->is_ok());
+  if (!got.has_value() || !got->is_ok()) return {};
+  return std::move(*got).take();
+}
+
+const LocalService* find_service(const std::vector<LocalService>& services,
+                                 const std::string& name) {
+  for (const auto& s : services) {
+    if (s.name == name) return &s;
+  }
+  return nullptr;
+}
+
+bool is_imported(const ValueMap& attrs) {
+  auto it = attrs.find("hcm.imported");
+  return it != attrs.end() && it->second == Value(true);
+}
+
+class AdapterListingTest : public ::testing::Test {
+ protected:
+  void SetUp() override { ASSERT_TRUE(home.refresh().is_ok()); }
+
+  // Names of the server proxies `records` carry (hcm.imported set).
+  static std::vector<std::string> imported_names(
+      const std::vector<havi::RegistryRecord>& records) {
+    std::vector<std::string> out;
+    for (const auto& r : records) {
+      if (is_imported(r.attributes)) {
+        out.push_back(r.attributes.at(havi::kAttrName).as_string());
+      }
+    }
+    return out;
+  }
+
+  sim::Scheduler sched;
+  testbed::SmartHome home{sched};
+};
+
+TEST_F(AdapterListingTest, HaviListsNativeFcmsWithTheirRegisteredDescription) {
+  auto services = list_now(sched, *home.havi_adapter);
+  for (const havi::Fcm* fcm : std::vector<const havi::Fcm*>{
+           home.vcr, home.camera, home.display, home.tuner}) {
+    const LocalService* s = find_service(services, fcm->name());
+    ASSERT_NE(s, nullptr) << fcm->name();
+    EXPECT_EQ(s->interface, fcm->interface()) << fcm->name();
+    EXPECT_EQ(s->attributes, fcm->attributes()) << fcm->name();
+  }
+}
+
+TEST_F(AdapterListingTest, HaviSkipsServerProxiesItExported) {
+  // The refresh exported the other islands' services into HAVi; the
+  // registry holds them, the listing must not.
+  auto& ms = home.fav->messaging;
+  const havi::Seid self = ms.register_element(
+      [](const std::string&, const ValueList&, InvokeResultFn done) {
+        done(Value());
+      });
+  havi::RegistryClient registry(ms, self, home.fav->registry.seid());
+  std::optional<Result<std::vector<havi::RegistryRecord>>> records;
+  registry.get_elements(
+      ValueMap{{havi::kAttrSeType, Value("FCM")}},
+      [&](Result<std::vector<havi::RegistryRecord>> r) {
+        records = std::move(r);
+      });
+  sim::run_until_done(sched, [&] { return records.has_value(); });
+  ms.unregister_element(self);
+  ASSERT_TRUE(records.has_value() && records->is_ok());
+  const auto imported = imported_names(records->value());
+  ASSERT_FALSE(imported.empty());
+
+  auto services = list_now(sched, *home.havi_adapter);
+  for (const auto& name : imported) {
+    EXPECT_EQ(find_service(services, name), nullptr) << name;
+  }
+  for (const auto& s : services) EXPECT_FALSE(is_imported(s.attributes));
+}
+
+TEST_F(AdapterListingTest, HaviFcmFromAListingIsInvocable) {
+  // A fresh adapter learns the VCR only from its own listing, which
+  // keeps just the SEID per name.
+  HaviAdapter adapter(home.fav->messaging, home.fav->registry.seid());
+  ASSERT_NE(find_service(list_now(sched, adapter), "vcr-1"), nullptr);
+  std::optional<Result<Value>> recording;
+  adapter.invoke("vcr-1", "record", {Value(1)},
+                 [&](Result<Value> r) { recording = std::move(r); });
+  sim::run_until_done(sched, [&] { return recording.has_value(); });
+  ASSERT_TRUE(recording.has_value() && recording->is_ok());
+  EXPECT_EQ(recording->value(), Value(true));
+  std::optional<Result<Value>> state;
+  adapter.invoke("vcr-1", "getTransportState", {},
+                 [&](Result<Value> r) { state = std::move(r); });
+  sim::run_until_done(sched, [&] { return state.has_value(); });
+  ASSERT_TRUE(state.has_value() && state->is_ok());
+  EXPECT_EQ(state->value(), Value("RECORD"));
+}
+
+TEST_F(AdapterListingTest, JiniListsNativeServicesAndSkipsServerProxies) {
+  auto services = list_now(sched, *home.jini_adapter);
+  const LocalService* laserdisc = find_service(services, "laserdisc-1");
+  ASSERT_NE(laserdisc, nullptr);
+  EXPECT_EQ(laserdisc->interface,
+            testbed::LaserdiscPlayer::describe_interface());
+  EXPECT_EQ(laserdisc->attributes,
+            (ValueMap{{"vendor", Value("pioneer")}}));
+
+  // Server proxies the refresh registered with the LUS stay out.
+  jini::LookupClient lookup(home.net, home.jini_gw->id(),
+                            home.lookup->endpoint());
+  std::optional<Result<std::vector<jini::ServiceItem>>> proxies;
+  lookup.lookup("", ValueMap{{"hcm.imported", Value(true)}},
+                [&](Result<std::vector<jini::ServiceItem>> r) {
+                  proxies = std::move(r);
+                });
+  sim::run_until_done(sched, [&] { return proxies.has_value(); });
+  ASSERT_TRUE(proxies.has_value() && proxies->is_ok());
+  ASSERT_FALSE(proxies->value().empty());
+  for (const auto& item : proxies->value()) {
+    EXPECT_EQ(find_service(services, item.name), nullptr) << item.name;
+  }
+  for (const auto& s : services) EXPECT_FALSE(is_imported(s.attributes));
+}
+
+TEST_F(AdapterListingTest, JiniServiceRemovedFromTheLusDropsOut) {
+  jini::ServiceItem item;
+  item.service_id = "clock-1";
+  item.name = "clock-1";
+  item.interface = InterfaceDesc{
+      "Clock", {MethodDesc{"now", {}, ValueType::kInt, false}}};
+  item.endpoint = {home.laserdisc_node->id(), 4170};
+  item.attributes = ValueMap{{"room", Value("den")}};
+  jini::Registrar registrar(home.net, home.laserdisc_node->id(),
+                            home.lookup->endpoint(), item);
+  std::optional<Status> joined;
+  registrar.join([&](const Status& s) { joined = s; });
+  sim::run_until_done(sched, [&] { return joined.has_value(); });
+  ASSERT_TRUE(joined.has_value() && joined->is_ok());
+
+  auto before = list_now(sched, *home.jini_adapter);
+  const LocalService* clock = find_service(before, "clock-1");
+  ASSERT_NE(clock, nullptr);
+  EXPECT_EQ(clock->interface, item.interface);
+  EXPECT_EQ(clock->attributes, item.attributes);
+
+  std::optional<Status> cancelled;
+  registrar.cancel([&](const Status& s) { cancelled = s; });
+  sim::run_until_done(sched, [&] { return cancelled.has_value(); });
+  ASSERT_TRUE(cancelled.has_value() && cancelled->is_ok());
+  auto after = list_now(sched, *home.jini_adapter);
+  EXPECT_EQ(find_service(after, "clock-1"), nullptr);
+  EXPECT_NE(find_service(after, "laserdisc-1"), nullptr);
 }
 
 // --- Mail island end-to-end with custom poll interval -------------------

@@ -583,6 +583,42 @@ TEST(SourceScanTest, CoverageIsCommonAndCoreHeaders) {
   EXPECT_FALSE(status_decls_covered("tools/hcm_lint/lint.hpp"));
 }
 
+// --- Value building -------------------------------------------------------
+
+TEST(InitListMoveTest, MoveInsideBracedValueListIsFlagged) {
+  auto fs = init_list_move_check(
+      "src/common/f.cpp",
+      lex("Value f(ValueList params, ValueMap attrs, Value v) {\n"
+          "  ValueMap out{{\"attrs\", Value(attrs)}};\n"
+          "  Value keep(attrs);\n"
+          "  return Value(ValueMap{\n"
+          "      {\"params\", Value(std::move(params))},\n"
+          "      {\"nested\", Value(ValueList{std::move(v)})},\n"
+          "  });\n"
+          "}\n"
+          "NamedValues named{{\"a\", std::move(v)}};\n"));
+  ASSERT_EQ(count_rule(fs, "init-list-move"), 3) << format_findings(fs);
+  EXPECT_EQ(fs[0].file, "src/common/f.cpp");
+  EXPECT_EQ(fs[0].line, 5);
+  EXPECT_EQ(fs[1].line, 6);
+  EXPECT_EQ(fs[2].line, 9);
+}
+
+TEST(InitListMoveTest, EmplaceFormPasses) {
+  auto fs = init_list_move_check(
+      "src/common/f.cpp",
+      lex("Value f(ValueList params, const std::string& name) {\n"
+          "  ValueMap out;\n"
+          "  out.emplace(\"name\", name);\n"
+          "  out.emplace(\"params\", std::move(params));\n"
+          "  ValueList list;\n"
+          "  list.emplace_back(std::move(out));\n"
+          "  ValueMap copy{{\"name\", Value(name)}};\n"
+          "  return Value(std::move(list));\n"
+          "}\n"));
+  EXPECT_TRUE(fs.empty()) << format_findings(fs);
+}
+
 // --- suppression machinery ----------------------------------------------
 
 TEST(SuppressionTest, AllowOnLineAboveSuppresses) {

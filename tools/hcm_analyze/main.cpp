@@ -17,6 +17,8 @@
 //   5. status       — [[nodiscard]] on Status/Result-returning
 //                     declarations in src/common + src/core headers,
 //                     and no discarded calls to them anywhere in src/.
+//   6. value build  — no std::move inside a braced ValueMap/ValueList/
+//                     NamedValues initializer list in src/ (it copies).
 // Suppression: inline `// hcm:allow(rule): reason` or a baseline
 // entry; stale suppressions of either kind fail the run, so the
 // baseline only shrinks. Exit 1 on any unsuppressed finding.
@@ -204,6 +206,13 @@ int main(int argc, char** argv) {
     }
   }
 
+  // --- pass 6: Value building -------------------------------------------
+  for (const SourceFile& f : files) {
+    if (f.rel.rfind("src/", 0) == 0) {
+      append(report.findings, init_list_move_check(f.rel, f.stream));
+    }
+  }
+
   // --- suppression ------------------------------------------------------
   std::map<std::string, std::vector<AllowNote>> allows;
   std::map<std::string, std::vector<std::string>> lines;
@@ -248,7 +257,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::printf(
-      "hcm_analyze: OK — %zu files, 5 passes, %zu finding(s) all "
+      "hcm_analyze: OK — %zu files, 6 passes, %zu finding(s) all "
       "suppressed with recorded justifications\n",
       report.files_scanned, report.findings.size());
   return 0;

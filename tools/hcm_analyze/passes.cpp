@@ -702,4 +702,41 @@ Findings discarded_status_check(const std::string& rel_path,
   return out;
 }
 
+// --- Value building ------------------------------------------------------
+
+Findings init_list_move_check(const std::string& rel_path,
+                              const TokenStream& ts) {
+  Findings out;
+  const auto& toks = ts.tokens;
+  for (std::size_t i = 0; i < toks.size(); ++i) {
+    if (!is_ident(toks[i], "ValueMap") && !is_ident(toks[i], "ValueList") &&
+        !is_ident(toks[i], "NamedValues")) {
+      continue;
+    }
+    std::size_t open = i + 1;
+    if (open < toks.size() && toks[open].kind == TokKind::kIdent) ++open;
+    if (open >= toks.size() || !is_punct(toks[open], "{")) continue;
+    // Scan to the matching brace; nested lists are covered by this
+    // scan, so resume after it (one finding per move).
+    int depth = 0;
+    std::size_t j = open;
+    for (; j < toks.size(); ++j) {
+      if (is_punct(toks[j], "{")) ++depth;
+      if (is_punct(toks[j], "}") && --depth == 0) break;
+      if (is_ident(toks[j], "std") && j + 3 < toks.size() &&
+          is_punct(toks[j + 1], "::") && is_ident(toks[j + 2], "move") &&
+          is_punct(toks[j + 3], "(")) {
+        out.push_back(
+            {"init-list-move", rel_path, toks[j].line,
+             "std::move inside a braced " + toks[i].text +
+                 " list copies: initializer_list elements are const, so "
+                 "the moved tree is deep-copied — build the container "
+                 "with emplace/emplace_back"});
+      }
+    }
+    i = j;
+  }
+  return out;
+}
+
 }  // namespace hcm::analyze

@@ -1,4 +1,4 @@
-// The five analysis passes of hcm_analyze. Each exposes a text-level
+// The six analysis passes of hcm_analyze. Each exposes a text-level
 // entry point (driven against known-bad fixtures by
 // tests/tools/hcm_analyze_test.cpp) plus whatever whole-tree state it
 // needs; tree orchestration lives in main.cpp. Rule ids are stable —
@@ -14,6 +14,7 @@
 //                hotpath-bytes-growth, obs-hotpath-lookup
 //   shard:       shard-mutable-global, shard-static-local
 //   status:      missing-nodiscard, discarded-status
+//   value build: init-list-move
 #pragma once
 
 #include <map>
@@ -122,5 +123,13 @@ struct HotScope {
 [[nodiscard]] Findings discarded_status_check(
     const std::string& rel_path, const TokenStream& ts,
     const std::set<std::string>& fns);
+
+// --- Value building pass ------------------------------------------------
+// The elements of an initializer list are const, so a `std::move(`
+// inside `ValueMap{...}`, `ValueList{...}` or `NamedValues{...}` (also
+// `ValueMap name{...}`) compiles to a deep copy of the moved tree.
+// Build such containers with emplace/emplace_back instead.
+[[nodiscard]] Findings init_list_move_check(const std::string& rel_path,
+                                            const TokenStream& ts);
 
 }  // namespace hcm::analyze
