@@ -231,6 +231,7 @@ void sweep_report(const std::string& json_path) {
       "   allocs/round   heap B/round\n");
 
   bench::JsonReport report("bench_ext_vsr_sync");
+  report.stamp_provenance();
   const std::size_t island_counts[] = {2, 4};
   const std::size_t service_counts[] = {5, 20, 50};
   const std::size_t churn_counts[] = {0, 2};

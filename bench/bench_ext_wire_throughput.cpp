@@ -286,6 +286,7 @@ void throughput_report(const std::string& json_path, std::size_t calls,
   const Arm arms[] = {{"soap", core::VsgProtocol::kSoap},
                       {"binary", core::VsgProtocol::kBinary}};
   bench::JsonReport report("bench_ext_wire_throughput");
+  report.stamp_provenance();
   std::printf("  %-8s %12s %14s %14s %12s\n", "path", "calls/sec",
               "allocs/call", "bytes/call", "sim-us/call");
   for (const Arm& arm : arms) {

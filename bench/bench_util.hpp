@@ -10,6 +10,7 @@
 #include <cstdlib>
 #include <new>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -83,6 +84,25 @@ class JsonReport {
     return rows_.back();
   }
 
+  // Adds a "provenance" object naming the configure preset, the host's
+  // hardware threads and the commit the bench was built from (the
+  // bench targets' HCM_BENCH_PRESET and HCM_BENCH_COMMIT, "unknown"
+  // when built elsewhere), so a committed row can be compared with a
+  // fresh one on like terms.
+  void stamp_provenance() {
+#if defined(HCM_BENCH_PRESET) && defined(HCM_BENCH_COMMIT)
+    const std::string preset = HCM_BENCH_PRESET;
+    const std::string commit = HCM_BENCH_COMMIT;
+#else
+    const std::string preset = "unknown";
+    const std::string commit = "unknown";
+#endif
+    provenance_.emplace("preset", preset);
+    provenance_.emplace(
+        "nproc", static_cast<std::int64_t>(std::thread::hardware_concurrency()));
+    provenance_.emplace("commit", commit);
+  }
+
   // Writes the report; returns false (after a warning) on I/O failure
   // so benches keep printing their tables even with a bad --json path.
   // With append=true the report object is added as a new line instead
@@ -96,8 +116,11 @@ class JsonReport {
     }
     ValueList rows;
     for (const Row& r : rows_) rows.emplace_back(r.fields_);
-    const std::string json =
-        json_write(ValueMap{{"bench", bench_}, {"rows", std::move(rows)}});
+    ValueMap doc;
+    doc.emplace("bench", bench_);
+    doc.emplace("rows", std::move(rows));
+    if (!provenance_.empty()) doc.emplace("provenance", provenance_);
+    const std::string json = json_write(Value(std::move(doc)));
     std::fprintf(f, "%s\n", json.c_str());
     std::fclose(f);
     return true;
@@ -105,6 +128,7 @@ class JsonReport {
 
  private:
   std::string bench_;
+  ValueMap provenance_;
   std::vector<Row> rows_;
 };
 

@@ -266,11 +266,17 @@ struct Parser {
     }
   }
 
+  // Members go in document order and are sorted once at the end; the
+  // last of a repeated key wins, as it would by assignment.
   Value parse_map(int depth) {
-    ValueMap out;
+    std::vector<ValueMap::value_type> out;
+    const auto done = [&out] {
+      return Value(ValueMap::from_unsorted(std::move(out),
+                                           ValueMap::Duplicates::kKeepLast));
+    };
     consume('{');
     skip_ws();
-    if (consume('}')) return Value(std::move(out));
+    if (consume('}')) return done();
     for (;;) {
       skip_ws();
       std::string key = parse_string();
@@ -280,10 +286,10 @@ struct Parser {
         fail("expected ':'");
         return {};
       }
-      out[std::move(key)] = parse_value(depth + 1);
+      out.emplace_back(std::move(key), parse_value(depth + 1));
       if (failed()) return {};
       skip_ws();
-      if (consume('}')) return Value(std::move(out));
+      if (consume('}')) return done();
       if (!consume(',')) {
         fail("expected ',' or '}'");
         return {};

@@ -8,11 +8,13 @@ Value method_to_value(const MethodDesc& m) {
   params.reserve(m.params.size());
   for (const auto& p : m.params) {
     ValueMap param;
+    param.reserve(2);
     param.emplace("name", p.name);
     param.emplace("type", static_cast<std::int64_t>(p.type));
     params.emplace_back(std::move(param));
   }
   ValueMap out;
+  out.reserve(4);
   out.emplace("name", m.name);
   out.emplace("params", std::move(params));
   out.emplace("return", static_cast<std::int64_t>(m.return_type));
@@ -29,6 +31,7 @@ Value interface_to_value(const InterfaceDesc& iface) {
   events.reserve(iface.events.size());
   for (const auto& e : iface.events) events.push_back(method_to_value(e));
   ValueMap out;
+  out.reserve(3);
   out.emplace("name", iface.name);
   out.emplace("methods", std::move(methods));
   out.emplace("events", std::move(events));

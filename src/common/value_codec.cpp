@@ -8,16 +8,24 @@ namespace hcm {
 
 namespace {
 
-// Largest up-front reservation of a decoded list (see decode_list).
+// Largest up-front reservation of a decoded list or map (see
+// decode_list).
 constexpr std::size_t kMaxListReserve = 1024;
 
 Result<Value> decode_rec(BufReader& r, int depth);
 
+// GCC 12 warns (-Wfree-nonheap-object) when the moved-from Value
+// temporary here is destroyed: it follows the variant's Bytes branch
+// with the moved string's inline buffer as the vector's pointer, a path
+// the variant's index rules out.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wfree-nonheap-object"
 template <typename T>
 Result<Value> as_value(Result<T> r) {
   if (!r.is_ok()) return r.status();
   return Value(std::move(r).take());
 }
+#pragma GCC diagnostic pop
 
 // Body of a list at `depth` (its tag already read) into `out`.
 Status decode_list(BufReader& r, int depth, ValueList& out) {
@@ -71,15 +79,19 @@ Result<Value> decode_rec(BufReader& r, int depth) {
       if (n.value() > r.remaining()) {
         return protocol_error("map length exceeds buffer");
       }
-      ValueMap map;
+      // Entries go in wire order and are sorted once at the end; the
+      // first of a repeated key wins, as it would by emplace.
+      std::vector<ValueMap::value_type> entries;
+      entries.reserve(std::min<std::size_t>(n.value(), kMaxListReserve));
       for (std::uint32_t i = 0; i < n.value(); ++i) {
         auto k = r.string();
         if (!k.is_ok()) return k.status();
         auto e = decode_rec(r, depth + 1);
         if (!e.is_ok()) return e.status();
-        map.emplace(std::move(k).take(), std::move(e).take());
+        entries.emplace_back(std::move(k).take(), std::move(e).take());
       }
-      return Value(std::move(map));
+      return Value(ValueMap::from_unsorted(std::move(entries),
+                                           ValueMap::Duplicates::kKeepFirst));
     }
   }
   return protocol_error("unknown value tag " + std::to_string(tag.value()));

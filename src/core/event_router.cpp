@@ -474,6 +474,7 @@ void EventRouter::flush(const std::string& id) {
   for (std::size_t i = 0; i < n; ++i) {
     const auto& q = sub.queue[i];
     ValueMap item;
+    item.reserve(3);
     item.emplace("sub", sub.id);
     item.emplace("seq", static_cast<std::int64_t>(q.seq));
     item.emplace("payload", q.payload);

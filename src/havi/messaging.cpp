@@ -108,6 +108,7 @@ Status decode_message(ByteView data, Message& msg) {
 
 Value Seid::to_value() const {
   ValueMap out;
+  out.reserve(2);
   out.emplace("node", static_cast<std::int64_t>(node));
   out.emplace("handle", static_cast<std::int64_t>(handle));
   return Value(std::move(out));

@@ -7,6 +7,7 @@ namespace hcm::havi {
 namespace {
 Value record_to_value(const RegistryRecord& r) {
   ValueMap out;
+  out.reserve(2);
   out.emplace("seid", r.seid.to_value());
   out.emplace("attrs", r.attributes);
   return Value(std::move(out));

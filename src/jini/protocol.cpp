@@ -4,6 +4,7 @@ namespace hcm::jini {
 
 Value ServiceItem::to_value() const {
   ValueMap out;
+  out.reserve(6);
   out.emplace("id", service_id);
   out.emplace("name", name);
   out.emplace("iface", interface_to_value(interface));

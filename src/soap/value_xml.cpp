@@ -233,13 +233,10 @@ Result<Value> value_from_pull(xml::PullParser& p, int depth) {
       for (auto& [key, item] : kids) list.push_back(std::move(item));
       return Value(std::move(list));
     }
-    case ValueType::kMap: {
-      ValueMap map;
-      for (auto& [key, item] : kids) {
-        map.emplace(std::move(key), std::move(item));
-      }
-      return Value(std::move(map));
-    }
+    case ValueType::kMap:
+      // The first of a repeated key wins.
+      return Value(ValueMap::from_unsorted(std::move(kids),
+                                           ValueMap::Duplicates::kKeepFirst));
     case ValueType::kNull:
       return Value();
   }

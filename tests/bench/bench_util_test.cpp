@@ -77,6 +77,27 @@ TEST_F(JsonReportTest, PlainWriteReplacesExistingContent) {
   EXPECT_NE(json.find("fresh"), std::string::npos);
 }
 
+TEST_F(JsonReportTest, ProvenanceIsWrittenOnlyWhenStamped) {
+  JsonReport plain("plain");
+  plain.row().num("n", std::uint64_t{1});
+  ASSERT_TRUE(plain.write(path_));
+  auto doc = json_parse(slurp(path_));
+  ASSERT_TRUE(doc.is_ok());
+  EXPECT_TRUE(doc.value().at("provenance").is_null());
+
+  JsonReport stamped("stamped");
+  stamped.stamp_provenance();
+  stamped.row().num("n", std::uint64_t{1});
+  ASSERT_TRUE(stamped.write(path_));
+  doc = json_parse(slurp(path_));
+  ASSERT_TRUE(doc.is_ok());
+  const Value& p = doc.value().at("provenance");
+  EXPECT_TRUE(p.at("preset").is_string());
+  EXPECT_TRUE(p.at("commit").is_string());
+  EXPECT_TRUE(p.at("nproc").is_int());
+  EXPECT_EQ(doc.value().at("rows").as_list().size(), 1u);
+}
+
 TEST(AllocCounterTest, HookInstalledAndDeltaCountsHeapTraffic) {
   // gtest itself allocates long before this test runs, so the hook has
   // already observed traffic by now.

@@ -6,7 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstdint>
+#include <cstdio>
 
 namespace hcm {
 namespace {
@@ -68,6 +71,47 @@ TEST(JsonParseTest, RejectsMalformedInput) {
   EXPECT_FALSE(json_parse("nul").is_ok());
   EXPECT_FALSE(json_parse("1 2").is_ok());  // trailing content
   EXPECT_FALSE(json_parse("\"unterminated").is_ok());
+}
+
+TEST(JsonParseTest, DescendingKeyMapDecodesInLogLinearTime) {
+  // 80,000 distinct keys, highest first (see the value codec's test of
+  // the same name).
+  constexpr int kKeys = 80000;
+  std::string doc = "{";
+  char member[32];
+  for (int i = kKeys - 1; i >= 0; --i) {
+    std::snprintf(member, sizeof member, "%s\"k%05d\":%d",
+                  i == kKeys - 1 ? "" : ",", i, i);
+    doc += member;
+  }
+  doc += '}';
+  const auto start = std::chrono::steady_clock::now();
+  auto r = json_parse(doc);
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  ASSERT_TRUE(r.is_ok()) << r.status().to_string();
+  EXPECT_LT(elapsed, std::chrono::seconds(2));
+  const ValueMap& m = r.value().as_map();
+  ASSERT_EQ(m.size(), static_cast<std::size_t>(kKeys));
+  EXPECT_TRUE(std::adjacent_find(m.begin(), m.end(), [](const auto& a,
+                                                        const auto& b) {
+                return !(a.first < b.first);
+              }) == m.end());
+  EXPECT_EQ(r.value().at("k04711"), Value(std::int64_t{4711}));
+}
+
+TEST(JsonParseTest, DuplicateKeysKeepTheLastValue) {
+  auto r = json_parse("{\"a\": 1, \"a\": 2}");
+  ASSERT_TRUE(r.is_ok()) << r.status().to_string();
+  EXPECT_EQ(r.value(), Value(ValueMap{{"a", Value(std::int64_t{2})}}));
+}
+
+TEST(JsonParseTest, UnorderedMapWithDuplicatesParsesSorted) {
+  auto r = json_parse("{\"c\": 1, \"a\": 2, \"c\": 3, \"b\": 4, \"a\": 5}");
+  ASSERT_TRUE(r.is_ok()) << r.status().to_string();
+  EXPECT_EQ(r.value(), Value(ValueMap{{"a", Value(std::int64_t{5})},
+                                      {"b", Value(std::int64_t{4})},
+                                      {"c", Value(std::int64_t{3})}}));
+  EXPECT_EQ(json_write(r.value()), "{\"a\":5,\"b\":4,\"c\":3}");
 }
 
 TEST(JsonRoundTripTest, WriteParseWriteIsIdentity) {

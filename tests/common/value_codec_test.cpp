@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
+#include <cstdio>
+
 #include "bench/bench_util.hpp"
 
 namespace hcm {
@@ -121,6 +125,69 @@ TEST(ValueCodecTest, StreamingMultipleValues) {
   EXPECT_EQ(decode_value(r).value(), Value(1));
   EXPECT_EQ(decode_value(r).value(), Value("two"));
   EXPECT_TRUE(r.at_end());
+}
+
+// A map frame written by hand, entries in the given order, so keys can
+// arrive unsorted or repeated as a peer may send them.
+Bytes map_frame(const std::vector<std::pair<std::string, Value>>& entries) {
+  BufWriter w;
+  w.put_u8(static_cast<std::uint8_t>(ValueType::kMap));
+  w.put_u32(static_cast<std::uint32_t>(entries.size()));
+  for (const auto& [k, v] : entries) {
+    w.put_string(k);
+    encode_value(v, w);
+  }
+  return w.take();
+}
+
+bool keys_ascend(const ValueMap& m) {
+  return std::adjacent_find(m.begin(), m.end(), [](const auto& a,
+                                                   const auto& b) {
+           return !(a.first < b.first);
+         }) == m.end();
+}
+
+TEST(ValueCodecTest, DescendingKeyMapDecodesInLogLinearTime) {
+  // 80,000 distinct keys, highest first: sorted insertion key by key
+  // would move every entry already decoded, ~3.2e9 entry moves in all.
+  constexpr int kKeys = 80000;
+  std::vector<std::pair<std::string, Value>> entries;
+  entries.reserve(kKeys);
+  char key[16];
+  for (int i = kKeys - 1; i >= 0; --i) {
+    std::snprintf(key, sizeof key, "k%05d", i);
+    entries.emplace_back(key, Value(i));
+  }
+  const Bytes frame = map_frame(entries);
+  const auto start = std::chrono::steady_clock::now();
+  auto r = decode_value(frame);
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  ASSERT_TRUE(r.is_ok()) << r.status().to_string();
+  EXPECT_LT(elapsed, std::chrono::seconds(2));
+  const ValueMap& m = r.value().as_map();
+  ASSERT_EQ(m.size(), static_cast<std::size_t>(kKeys));
+  EXPECT_TRUE(keys_ascend(m));
+  EXPECT_EQ(m.begin()->first, "k00000");
+  EXPECT_EQ(r.value().at("k04711"), Value(4711));
+}
+
+TEST(ValueCodecTest, DuplicateKeysKeepTheFirstValue) {
+  auto r = decode_value(map_frame({{"a", Value(1)}, {"a", Value(2)}}));
+  ASSERT_TRUE(r.is_ok()) << r.status().to_string();
+  EXPECT_EQ(r.value(), Value(ValueMap{{"a", Value(1)}}));
+}
+
+TEST(ValueCodecTest, UnorderedMapWithDuplicatesDecodesSorted) {
+  auto r = decode_value(map_frame({{"c", Value(1)},
+                                   {"a", Value(2)},
+                                   {"c", Value(3)},
+                                   {"b", Value(4)},
+                                   {"a", Value(5)}}));
+  ASSERT_TRUE(r.is_ok()) << r.status().to_string();
+  EXPECT_EQ(r.value(), Value(ValueMap{{"a", Value(2)},
+                                      {"b", Value(4)},
+                                      {"c", Value(1)}}));
+  EXPECT_TRUE(keys_ascend(r.value().as_map()));
 }
 
 }  // namespace

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
+#include <cstdio>
+
 namespace hcm::soap {
 namespace {
 
@@ -100,6 +104,51 @@ TEST(SoapValueTest, MalformedScalarsRejected) {
     ASSERT_TRUE(xml::parse(bad).is_ok()) << bad;
     EXPECT_FALSE(decode(bad).is_ok()) << bad;
   }
+}
+
+TEST(SoapValueTest, DescendingKeyMapDecodesInLogLinearTime) {
+  // 80,000 distinct keys, highest first (see the value codec's test of
+  // the same name).
+  constexpr int kKeys = 80000;
+  std::string doc = "<p xsi:type=\"xsd:struct\">";
+  char member[64];
+  for (int i = kKeys - 1; i >= 0; --i) {
+    // Untyped members decode as strings; short ones keep the parse
+    // itself well inside the budget under the sanitizers.
+    std::snprintf(member, sizeof member, "<k%05d>%d</k%05d>", i, i, i);
+    doc += member;
+  }
+  doc += "</p>";
+  const auto start = std::chrono::steady_clock::now();
+  auto r = decode(doc);
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  ASSERT_TRUE(r.is_ok()) << r.status().to_string();
+  EXPECT_LT(elapsed, std::chrono::seconds(2));
+  const ValueMap& m = r.value().as_map();
+  ASSERT_EQ(m.size(), static_cast<std::size_t>(kKeys));
+  EXPECT_TRUE(std::adjacent_find(m.begin(), m.end(), [](const auto& a,
+                                                        const auto& b) {
+                return !(a.first < b.first);
+              }) == m.end());
+  EXPECT_EQ(r.value().at("k04711"), Value("4711"));
+}
+
+TEST(SoapValueTest, DuplicateKeysKeepTheFirstValue) {
+  auto r = decode("<p><a xsi:type=\"xsd:long\">1</a>"
+                  "<a xsi:type=\"xsd:long\">2</a></p>");
+  ASSERT_TRUE(r.is_ok()) << r.status().to_string();
+  EXPECT_EQ(r.value(), Value(ValueMap{{"a", Value(1)}}));
+}
+
+TEST(SoapValueTest, UnorderedMapWithDuplicatesDecodesSorted) {
+  auto r = decode(
+      "<p><c xsi:type=\"xsd:long\">1</c><a xsi:type=\"xsd:long\">2</a>"
+      "<c xsi:type=\"xsd:long\">3</c><b xsi:type=\"xsd:long\">4</b>"
+      "<a xsi:type=\"xsd:long\">5</a></p>");
+  ASSERT_TRUE(r.is_ok()) << r.status().to_string();
+  EXPECT_EQ(r.value(), Value(ValueMap{{"a", Value(2)},
+                                      {"b", Value(4)},
+                                      {"c", Value(1)}}));
 }
 
 }  // namespace
