@@ -102,6 +102,7 @@ void overhead_report(const std::string& json_path) {
   std::printf("  -> acceptance: metrics arm within 5%% of disabled\n");
 
   bench::JsonReport report("bench_ext_obs_overhead");
+  report.stamp_provenance();
   report.row()
       .str("arm", "disabled")
       .num("ns_per_call", disabled)

@@ -164,6 +164,7 @@ int main(int argc, char** argv) {
   const sim::Duration virtual_time = sim::seconds(30);
 
   bench::JsonReport report("shard_scaling");
+  report.stamp_provenance();
   bench::print_header(
       "bench_ext_shard_scaling: conservative-window kernel, City workload");
   std::printf("  islands=%zu devices=%zu virtual=%llds\n", copts.islands,

@@ -133,6 +133,7 @@ void sweep_report(const std::string& json_path, const std::string& keep_dir) {
       "   open(pack)\n");
 
   bench::JsonReport report("bench_ext_store_recovery");
+  report.stamp_provenance();
   const std::string scratch =
       (std::filesystem::temp_directory_path() / "hcm_bench_store").string();
   struct Config { int services; int revisions; };

@@ -17,8 +17,9 @@ inline constexpr int kMaxValueDepth = 64;
 
 // Deepest nesting the document parsers accept (JSON values, counted
 // from 0 at the top level like kMaxValueDepth; XML elements, counted
-// from 1 at the root). Bounds the JSON parser's recursion and the depth
-// of any xml::parse tree, whose destruction recurses per level.
+// from 1 at the root). Bounds the JSON parser's recursion and the
+// open-element stack of xml::PullParser, which every XML reader walks
+// (skip_element over an unknown subtree included).
 inline constexpr int kMaxDocumentDepth = 256;
 
 // Largest message a peer may announce: a length-prefixed frame's

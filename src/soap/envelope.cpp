@@ -17,8 +17,7 @@ constexpr const char* kXsiNs = "http://www.w3.org/2001/XMLSchema-instance";
 
 // Clears `out` (keeping its capacity) and opens a writer on it with the
 // prolog + <SOAP-ENV:Envelope> and the standard namespace set already
-// written; the writer streams straight into the string, no Element tree
-// on the encode path.
+// written; the writer streams straight into the string.
 xml::Writer open_envelope(std::string& out) {
   out.clear();
   if (out.capacity() < 512) out.reserve(512);
@@ -144,152 +143,71 @@ void build_fault_into(std::string& out, const Fault& fault) {
 
 namespace {
 
-using Event = xml::PullParser::Event;
-
-// Decoded value of the attribute named `name` on the current start tag,
-// written into `out`. False when absent; decode errors surface through
-// `err`.
-bool decoded_attr(xml::PullParser& p, std::string_view name, std::string& out,
-                  Status& err) {
-  const auto* a = p.find_attr(name);
-  if (a == nullptr) return false;
-  std::string scratch;
-  auto v = xml::PullParser::decode(a->raw_value, scratch);
-  if (!v.is_ok()) {
-    err = v.status();
-    return false;
-  }
-  out.assign(v.value());
-  return true;
-}
-
-// Concatenated direct text of the current element (the tree parser's
-// Element::text() semantics: whitespace-only runs dropped, CDATA kept
-// verbatim, nested elements skipped). Consumes through the matching
-// end tag.
-Status collect_text(xml::PullParser& p, std::string& out) {
-  out.clear();
-  while (true) {
-    auto ev = p.next();
-    if (!ev.is_ok()) return ev.status();
-    if (ev.value() == Event::kEnd) return Status::ok();
-    if (ev.value() == Event::kStart) {
-      if (auto s = p.skip_element(); !s.is_ok()) return s;
-      continue;
-    }
-    if (ev.value() == Event::kEof) {
-      return protocol_error("unexpected end of document");
-    }
-    if (p.text_is_cdata()) {
-      out.append(p.raw_text());
-    } else if (!p.text_is_ws()) {
-      std::string scratch;
-      auto t = p.text(scratch);
-      if (!t.is_ok()) return t.status();
-      out.append(t.value());
-    }
-  }
-}
-
 // <SOAP-ENV:Header>: the first <Trace> child carries the propagated
 // trace context. Consumes through the header's end tag.
 Status parse_header(xml::PullParser& p, Envelope& env) {
   bool saw_trace = false;
-  while (true) {
-    auto ev = p.next();
-    if (!ev.is_ok()) return ev.status();
-    if (ev.value() == Event::kEnd) return Status::ok();
-    if (ev.value() != Event::kStart) {
-      if (ev.value() == Event::kEof) {
-        return protocol_error("unexpected end of document");
-      }
-      continue;
-    }
+  return p.for_each_child([&] {
     if (!saw_trace && p.local_name() == "Trace") {
       saw_trace = true;
-      Status err = Status::ok();
       std::string v;
-      if (decoded_attr(p, "traceId", v, err)) {
+      if (p.decoded_attr("traceId", v)) {
         env.trace.trace_id = std::strtoull(v.c_str(), nullptr, 10);
       }
-      if (!err.is_ok()) return err;
-      if (decoded_attr(p, "spanId", v, err)) {
+      if (p.decoded_attr("spanId", v)) {
         env.trace.span_id = std::strtoull(v.c_str(), nullptr, 10);
       }
-      if (!err.is_ok()) return err;
     }
-    if (auto s = p.skip_element(); !s.is_ok()) return s;
-  }
+    return p.skip_element();
+  });
+}
+
+// <SOAP-ENV:Fault>: the first faultcode, faultstring and detail.
+Status parse_fault(xml::PullParser& p, Envelope& env) {
+  env.is_fault = true;
+  env.params.clear();
+  bool saw_code = false;
+  bool saw_string = false;
+  bool saw_detail = false;
+  return p.for_each_child([&] {
+    auto local = p.local_name();
+    if (!saw_code && local == "faultcode") {
+      saw_code = true;
+      return p.collect_text(env.fault.code);
+    }
+    if (!saw_string && local == "faultstring") {
+      saw_string = true;
+      return p.collect_text(env.fault.string);
+    }
+    if (!saw_detail && local == "detail") {
+      saw_detail = true;
+      return p.collect_text(env.fault.detail);
+    }
+    return p.skip_element();
+  });
 }
 
 // The first Body child is the operation element; the parser is
 // positioned just past its start tag. Consumes through the operation's
 // end tag.
 Status parse_operation(xml::PullParser& p, Envelope& env) {
-  if (p.local_name() == "Fault") {
-    env.is_fault = true;
-    env.params.clear();
-    bool saw_code = false;
-    bool saw_string = false;
-    bool saw_detail = false;
-    std::string text;
-    while (true) {
-      auto ev = p.next();
-      if (!ev.is_ok()) return ev.status();
-      if (ev.value() == Event::kEnd) return Status::ok();
-      if (ev.value() != Event::kStart) {
-        if (ev.value() == Event::kEof) {
-          return protocol_error("unexpected end of document");
-        }
-        continue;
-      }
-      auto local = p.local_name();
-      if (!saw_code && local == "faultcode") {
-        saw_code = true;
-        if (auto s = collect_text(p, env.fault.code); !s.is_ok()) return s;
-      } else if (!saw_string && local == "faultstring") {
-        saw_string = true;
-        if (auto s = collect_text(p, env.fault.string); !s.is_ok()) return s;
-      } else if (!saw_detail && local == "detail") {
-        saw_detail = true;
-        if (auto s = collect_text(p, env.fault.detail); !s.is_ok()) return s;
-      } else {
-        if (auto s = p.skip_element(); !s.is_ok()) return s;
-      }
-    }
-  }
+  if (p.local_name() == "Fault") return parse_fault(p, env);
 
   env.method.assign(p.local_name());
   // Namespace: the xmlns:<prefix> attribute matching the element prefix,
   // or default xmlns.
-  Status err = Status::ok();
-  auto colon = p.name().find(':');
-  if (colon != std::string_view::npos) {
-    std::string xmlns = "xmlns:";
+  std::string xmlns = "xmlns";
+  if (auto colon = p.name().find(':'); colon != std::string_view::npos) {
+    xmlns += ':';
     xmlns += p.name().substr(0, colon);
-    decoded_attr(p, xmlns, env.method_ns, err);
-  } else {
-    decoded_attr(p, "xmlns", env.method_ns, err);
   }
-  if (!err.is_ok()) return err;
+  p.decoded_attr(xmlns, env.method_ns);
 
   // Param entries are reused by index (like MessageParser's header
   // slots): names assign into retained string capacity, the vector only
   // grows when a call carries more params than any before it.
   std::size_t n_params = 0;
-  while (true) {
-    auto ev = p.next();
-    if (!ev.is_ok()) return ev.status();
-    if (ev.value() == Event::kEnd) {
-      env.params.resize(n_params);
-      return Status::ok();
-    }
-    if (ev.value() != Event::kStart) {
-      if (ev.value() == Event::kEof) {
-        return protocol_error("unexpected end of document");
-      }
-      continue;
-    }
+  auto s = p.for_each_child([&]() -> Status {
     auto name = p.local_name();  // view into the input; stays valid
     auto value = value_from_pull(p);
     if (!value.is_ok()) return value.status();
@@ -300,7 +218,10 @@ Status parse_operation(xml::PullParser& p, Envelope& env) {
       env.params.emplace_back(std::string(name), std::move(value).take());
     }
     ++n_params;
-  }
+    return Status::ok();
+  });
+  env.params.resize(n_params);
+  return s;
 }
 
 }  // namespace
@@ -322,54 +243,34 @@ Status parse_envelope_into(std::string_view body_text, Envelope& env) {
   // env.params is reconciled entry-by-entry in parse_operation.
 
   xml::PullParser p(body_text);
-  auto ev = p.next();
-  if (!ev.is_ok()) return ev.status();
-  if (p.local_name() != "Envelope") {
-    return protocol_error("not a SOAP envelope: " + std::string(p.name()));
-  }
-
   bool saw_header = false;
   bool saw_body = false;
   bool saw_op = false;
-  while (true) {
-    ev = p.next();
-    if (!ev.is_ok()) return ev.status();
-    if (ev.value() == Event::kEnd || ev.value() == Event::kEof) break;
-    if (ev.value() != Event::kStart) continue;
+  // The first Body child is the operation; later ones are ignored.
+  auto body_child = [&] {
+    if (saw_op) return p.skip_element();
+    saw_op = true;
+    return parse_operation(p, env);
+  };
+  auto envelope_child = [&] {
     auto local = p.local_name();
     if (!saw_header && local == "Header") {
       saw_header = true;
-      if (auto s = parse_header(p, env); !s.is_ok()) return s;
-    } else if (!saw_body && local == "Body") {
-      saw_body = true;
-      // Children of Body: the first element is the operation, the rest
-      // are ignored (matching the tree decoder, which took front()).
-      while (true) {
-        ev = p.next();
-        if (!ev.is_ok()) return ev.status();
-        if (ev.value() == Event::kEnd) break;
-        if (ev.value() != Event::kStart) {
-          if (ev.value() == Event::kEof) {
-            return protocol_error("unexpected end of document");
-          }
-          continue;
-        }
-        if (saw_op) {
-          if (auto s = p.skip_element(); !s.is_ok()) return s;
-          continue;
-        }
-        saw_op = true;
-        if (auto s = parse_operation(p, env); !s.is_ok()) return s;
-      }
-    } else {
-      if (auto s = p.skip_element(); !s.is_ok()) return s;
+      return parse_header(p, env);
     }
-  }
-  // Drain to EOF so trailing-garbage errors still surface, as they did
-  // when the whole document was tree-parsed up front.
-  while (ev.is_ok() && ev.value() != Event::kEof) ev = p.next();
-  if (!ev.is_ok()) return ev.status();
-
+    if (!saw_body && local == "Body") {
+      saw_body = true;
+      return p.for_each_child(body_child);
+    }
+    return p.skip_element();
+  };
+  auto s = p.for_each_child([&] {
+    if (p.local_name() != "Envelope") {
+      return protocol_error("not a SOAP envelope: " + std::string(p.name()));
+    }
+    return p.for_each_child(envelope_child);
+  });
+  if (!s.is_ok()) return s;
   if (!saw_body) return protocol_error("SOAP envelope without Body");
   if (!saw_op) return protocol_error("SOAP Body is empty");
   return Status::ok();

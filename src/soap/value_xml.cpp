@@ -144,8 +144,8 @@ Result<Value> value_from_pull(xml::PullParser& p, int depth) {
 
   // Consume content up to the matching end tag: direct text runs
   // accumulate (whitespace-only runs are formatting noise, as in
-  // xml::parse), child elements decode in order for lists/maps and are
-  // skipped for scalars.
+  // PullParser::collect_text), child elements decode in order for
+  // lists/maps and are skipped for scalars.
   std::string text;
   std::vector<std::pair<std::string, Value>> kids;
   while (true) {
@@ -154,12 +154,10 @@ Result<Value> value_from_pull(xml::PullParser& p, int depth) {
     using Event = xml::PullParser::Event;
     if (ev.value() == Event::kEnd) break;
     if (ev.value() == Event::kText) {
-      if (p.text_is_cdata()) {
-        text.append(p.raw_text());
-      } else if (!p.text_is_ws()) {
-        scratch.clear();
-        auto t = p.text(scratch);
-        if (!t.is_ok()) return t.status();
+      scratch.clear();
+      auto t = p.text(scratch);
+      if (!t.is_ok()) return t.status();
+      if (p.text_is_cdata() || !trim(t.value()).empty()) {
         text.append(t.value());
       }
       continue;

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 
 #include "soap/value_xml.hpp"
 #include "store/codec.hpp"
@@ -108,89 +109,166 @@ std::string emit_wsdl(const InterfaceDesc& iface,
   return out;
 }
 
+namespace {
+
+// A <message>'s parts, and whether an <input> or <output> has claimed
+// them.
+struct Message {
+  std::vector<ParamDesc> parts;
+  bool claimed = false;
+};
+
+// An operation and the messages its <input> and <output> name (prefix
+// stripped), resolved once every <message> is known: messages may
+// follow the portTypes.
+struct Operation {
+  MethodDesc method;
+  bool is_event = false;
+  std::optional<std::string> input;
+  std::optional<std::string> output;
+};
+
+Status read_message(xml::PullParser& p,
+                    std::map<std::string, Message>& messages) {
+  std::string name;
+  const bool named = p.decoded_attr("name", name);
+  Message msg;
+  auto s = p.for_each_child([&] {
+    if (p.local_name() == "part") {
+      ParamDesc& part = msg.parts.emplace_back();
+      p.decoded_attr("name", part.name);
+      std::string type;
+      p.decoded_attr("type", type);
+      part.type = value_type_for_xsi(type);
+    }
+    return p.skip_element();
+  });
+  if (!s.is_ok() || !named) return s;  // an unnamed message is unreachable
+  if (!messages.try_emplace(name, std::move(msg)).second) {
+    return protocol_error("WSDL message defined twice: " + name);
+  }
+  return Status::ok();
+}
+
+Status read_operation(xml::PullParser& p, Operation& op) {
+  p.decoded_attr("name", op.method.name);
+  op.method.one_way = true;
+  bool saw_input = false;
+  return p.for_each_child([&] {
+    const auto local = p.local_name();
+    std::optional<std::string>* ref = nullptr;
+    if (!saw_input && local == "input") {
+      saw_input = true;
+      ref = &op.input;
+    } else if (op.method.one_way && local == "output") {
+      op.method.one_way = false;
+      ref = &op.output;
+    }
+    std::string qname;
+    if (ref != nullptr && p.decoded_attr("message", qname)) {
+      const auto colon = qname.find(':');
+      *ref = colon == std::string::npos ? qname : qname.substr(colon + 1);
+    }
+    return p.skip_element();
+  });
+}
+
+// The service's name, and its first <port>'s first <address location>.
+Status read_service(xml::PullParser& p, WsdlDocument& out,
+                    std::optional<std::string>& location) {
+  p.decoded_attr("name", out.service_name);
+  bool saw_port = false;
+  return p.for_each_child([&] {
+    if (saw_port || p.local_name() != "port") return p.skip_element();
+    saw_port = true;
+    bool saw_address = false;
+    return p.for_each_child([&] {
+      std::string loc;
+      if (!saw_address && p.local_name() == "address") {
+        saw_address = true;
+        if (p.decoded_attr("location", loc)) location = std::move(loc);
+      }
+      return p.skip_element();
+    });
+  });
+}
+
+}  // namespace
+
 Result<WsdlDocument> parse_wsdl(std::string_view text) {
-  auto doc = xml::parse(text);
-  if (!doc.is_ok()) return doc.status();
-  const xml::Element& defs = *doc.value();
-  if (defs.local_name() != "definitions") {
-    return protocol_error("not a WSDL document: " + defs.name());
-  }
+  // One pass over the direct children of <definitions>; deeper elements
+  // are skipped, so a nested decoy never counts.
+  xml::PullParser p(text);
   WsdlDocument out;
-  if (const auto* name = defs.attr("name")) out.interface.name = *name;
-
-  // Collect messages: name -> parts.
-  struct Part {
-    std::string name;
-    ValueType type;
-  };
-  std::map<std::string, std::vector<Part>> messages;
-  for (const auto* msg : defs.children_named("message")) {
-    const auto* mname = msg->attr("name");
-    if (mname == nullptr) continue;
-    auto& parts = messages[*mname];
-    for (const auto* part : msg->children_named("part")) {
-      Part p;
-      if (const auto* pn = part->attr("name")) p.name = *pn;
-      p.type = ValueType::kNull;
-      if (const auto* pt = part->attr("type")) {
-        p.type = value_type_for_xsi(*pt);
-      }
-      parts.push_back(std::move(p));
+  std::map<std::string, Message> messages;
+  std::vector<Operation> operations;
+  std::size_t port_types = 0;
+  bool saw_service = false;
+  std::optional<std::string> location;
+  auto definitions_child = [&] {
+    const auto local = p.local_name();
+    if (local == "message") return read_message(p, messages);
+    if (local == "portType") {
+      // The main portType is named <iface>PortType;
+      // <iface>EventsPortType carries the events section.
+      ++port_types;
+      std::string name;
+      p.decoded_attr("name", name);
+      const bool is_event = name == out.interface.name + "EventsPortType";
+      return p.for_each_child([&] {
+        if (p.local_name() != "operation") return p.skip_element();
+        operations.push_back({{}, is_event, {}, {}});
+        return read_operation(p, operations.back());
+      });
     }
+    if (!saw_service && local == "service") {
+      saw_service = true;
+      return read_service(p, out, location);
+    }
+    return p.skip_element();
+  };
+  auto s = p.for_each_child([&] {
+    if (p.local_name() != "definitions") {
+      return protocol_error("not a WSDL document: " + std::string(p.name()));
+    }
+    p.decoded_attr("name", out.interface.name);
+    return p.for_each_child(definitions_child);
+  });
+  if (!s.is_ok()) return s;
+  if (port_types == 0) return protocol_error("WSDL without portType");
+
+  // Each message fills at most one input or output, so the interface
+  // holds at most one param per <part>: a document that shares one
+  // message among many operations cannot multiply its size.
+  auto claim = [&messages](const std::optional<std::string>& ref)
+      -> Result<Message*> {
+    auto it = ref ? messages.find(*ref) : messages.end();
+    if (it == messages.end()) return static_cast<Message*>(nullptr);
+    if (it->second.claimed) {
+      return protocol_error("WSDL message referenced twice: " + *ref);
+    }
+    it->second.claimed = true;
+    return &it->second;
+  };
+  for (auto& op : operations) {
+    auto input = claim(op.input);
+    if (!input.is_ok()) return input.status();
+    if (input.value() != nullptr) {
+      op.method.params = std::move(input.value()->parts);
+    }
+    auto output = claim(op.output);
+    if (!output.is_ok()) return output.status();
+    if (output.value() != nullptr && !output.value()->parts.empty()) {
+      op.method.return_type = output.value()->parts.front().type;
+    }
+    (op.is_event ? out.interface.events : out.interface.methods)
+        .push_back(std::move(op.method));
   }
 
-  auto strip_tns = [](const std::string& s) {
-    auto colon = s.find(':');
-    return colon == std::string::npos ? s : s.substr(colon + 1);
-  };
-
-  // Port types -> methods and events. The main portType is named
-  // <iface>PortType; <iface>EventsPortType carries the events section.
-  const auto port_types = defs.children_named("portType");
-  if (port_types.empty()) return protocol_error("WSDL without portType");
-  for (const auto* port_type : port_types) {
-    const auto* ptname = port_type->attr("name");
-    const bool is_events =
-        ptname != nullptr && *ptname == out.interface.name + "EventsPortType";
-    for (const auto* op : port_type->children_named("operation")) {
-      MethodDesc method;
-      if (const auto* oname = op->attr("name")) method.name = *oname;
-      const auto* input = op->child("input");
-      if (input != nullptr) {
-        if (const auto* msg_ref = input->attr("message")) {
-          for (const auto& part : messages[strip_tns(*msg_ref)]) {
-            method.params.push_back({part.name, part.type});
-          }
-        }
-      }
-      const auto* output = op->child("output");
-      if (output == nullptr) {
-        method.one_way = true;
-      } else if (const auto* msg_ref = output->attr("message")) {
-        const auto& parts = messages[strip_tns(*msg_ref)];
-        if (!parts.empty()) method.return_type = parts.front().type;
-      }
-      if (is_events) {
-        out.interface.events.push_back(std::move(method));
-      } else {
-        out.interface.methods.push_back(std::move(method));
-      }
-    }
-  }
-
-  // Service / endpoint.
-  const auto* service = defs.child("service");
-  if (service != nullptr) {
-    if (const auto* sname = service->attr("name")) out.service_name = *sname;
-    if (const auto* port = service->child("port")) {
-      if (const auto* addr = port->child("address")) {
-        if (const auto* loc = addr->attr("location")) {
-          auto uri = parse_uri(*loc);
-          if (!uri.is_ok()) return uri.status();
-          out.endpoint = uri.value();
-        }
-      }
-    }
+  if (location) {
+    auto uri = parse_uri(*location);
+    if (!uri.is_ok()) return uri.status();
+    out.endpoint = uri.value();
   }
   if (out.interface.name.empty()) {
     return protocol_error("WSDL definitions missing name");

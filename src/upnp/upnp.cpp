@@ -1,6 +1,7 @@
 #include "upnp/upnp.hpp"
 
 #include <atomic>
+#include <optional>
 
 #include "common/strings.hpp"
 #include "soap/value_xml.hpp"
@@ -16,40 +17,91 @@ constexpr const char* kSearchMagic = "M-SEARCH * HTTP/1.1";
 // other child is skipped.
 Status parse_propertyset(std::string_view body, std::string& event,
                          Value& payload) {
-  using Event = xml::PullParser::Event;
   xml::PullParser p(body);
-  auto ev = p.next();
-  if (!ev.is_ok()) return ev.status();
-  while (true) {
-    ev = p.next();
-    if (!ev.is_ok()) return ev.status();
-    if (ev.value() == Event::kEnd || ev.value() == Event::kEof) break;
-    if (ev.value() != Event::kStart) continue;  // text between children
-    const std::string_view local = p.local_name();
-    if (local != "event" && local != "payload") {
-      if (auto s = p.skip_element(); !s.is_ok()) return s;
-      continue;
-    }
-    auto v = soap::value_from_pull(p);
-    if (!v.is_ok()) return v.status();
-    if (local == "payload") {
-      payload = std::move(v).take();
-    } else if (v.value().is_string()) {
-      event = v.value().as_string();
-    } else {
-      return protocol_error("event is not a string");
-    }
-  }
-  // Trailing garbage after the root is still malformed.
-  ev = p.next();
-  if (!ev.is_ok()) return ev.status();
-  return Status::ok();
+  return p.for_each_child([&] {
+    return p.for_each_child([&]() -> Status {
+      const std::string_view local = p.local_name();
+      if (local != "event" && local != "payload") return p.skip_element();
+      auto v = soap::value_from_pull(p);
+      if (!v.is_ok()) return v.status();
+      if (local == "payload") {
+        payload = std::move(v).take();
+      } else if (v.value().is_string()) {
+        event = v.value().as_string();
+      } else {
+        return protocol_error("event is not a string");
+      }
+      return Status::ok();
+    });
+  });
 }
 
 // Atomic so device construction across future shard workers still
 // yields unique UDNs without a data race.
 std::atomic<std::uint64_t> g_udn_counter{0};
+
+// One <service> of the <serviceList>: its first serviceId and SCPDURL.
+Status read_service(xml::PullParser& p, DescriptionDocument& out) {
+  std::optional<std::string> id;
+  std::optional<std::string> scpd;
+  auto s = p.for_each_child([&] {
+    const auto local = p.local_name();
+    std::optional<std::string>* field = local == "serviceId" ? &id
+                                        : local == "SCPDURL" ? &scpd
+                                                             : nullptr;
+    if (field == nullptr || field->has_value()) return p.skip_element();
+    return p.collect_text(field->emplace());
+  });
+  if (s.is_ok() && id && scpd) {
+    out.scpds.emplace_back(std::move(*id), std::move(*scpd));
+  }
+  return s;
+}
+
+// <device>: its first friendlyName, UDN and serviceList.
+Status read_device(xml::PullParser& p, DescriptionDocument& out) {
+  bool saw_name = false;
+  bool saw_udn = false;
+  bool saw_list = false;
+  return p.for_each_child([&] {
+    const auto local = p.local_name();
+    if (!saw_name && local == "friendlyName") {
+      saw_name = true;
+      return p.collect_text(out.friendly_name);
+    }
+    if (!saw_udn && local == "UDN") {
+      saw_udn = true;
+      return p.collect_text(out.udn);
+    }
+    if (!saw_list && local == "serviceList") {
+      saw_list = true;
+      return p.for_each_child([&] {
+        if (p.local_name() != "service") return p.skip_element();
+        return read_service(p, out);
+      });
+    }
+    return p.skip_element();
+  });
+}
+
 }  // namespace
+
+Result<DescriptionDocument> parse_device_description(
+    std::string_view xml_text) {
+  xml::PullParser p(xml_text);
+  DescriptionDocument out;
+  bool saw_device = false;
+  auto s = p.for_each_child([&] {  // the root, whatever its name
+    return p.for_each_child([&] {
+      if (saw_device || p.local_name() != "device") return p.skip_element();
+      saw_device = true;
+      return read_device(p, out);
+    });
+  });
+  if (!s.is_ok()) return s;
+  if (!saw_device) return protocol_error("description without device");
+  return out;
+}
 
 UpnpDevice::UpnpDevice(net::Network& net, net::NodeId node,
                        std::string friendly_name, std::uint16_t http_port)
@@ -292,33 +344,16 @@ void ControlPoint::fetch_description(
       done(r.status());
       return;
     }
-    auto doc = xml::parse(r.value().body);
-    if (!doc.is_ok()) {
-      done(doc.status());
-      return;
-    }
-    const auto* device = doc.value()->child("device");
-    if (device == nullptr) {
-      done(protocol_error("description without device"));
+    auto parsed = parse_device_description(r.value().body);
+    if (!parsed.is_ok()) {
+      done(parsed.status());
       return;
     }
     auto desc = std::make_shared<DeviceDescription>();
-    if (const auto* fn = device->child("friendlyName")) {
-      desc->friendly_name = fn->text();
-    }
-    if (const auto* udn = device->child("UDN")) desc->udn = udn->text();
-
+    desc->friendly_name = std::move(parsed.value().friendly_name);
+    desc->udn = std::move(parsed.value().udn);
     // Fetch each service's SCPD (WSDL) to learn its interface.
-    std::vector<std::pair<std::string, std::string>> scpds;  // id, path
-    if (const auto* list = device->child("serviceList")) {
-      for (const auto* svc : list->children_named("service")) {
-        const auto* id = svc->child("serviceId");
-        const auto* scpd = svc->child("SCPDURL");
-        if (id != nullptr && scpd != nullptr) {
-          scpds.emplace_back(id->text(), scpd->text());
-        }
-      }
-    }
+    const auto& scpds = parsed.value().scpds;
     auto remaining = std::make_shared<std::size_t>(scpds.size());
     auto done_shared =
         std::make_shared<std::function<void(Result<DeviceDescription>)>>(

@@ -35,6 +35,22 @@ struct DeviceDescription {
   std::vector<ServiceDescription> services;
 };
 
+// A device description document as a control point reads it. The
+// interface of each service comes from its SCPD, fetched separately.
+struct DescriptionDocument {
+  std::string friendly_name;
+  std::string udn;
+  std::vector<std::pair<std::string, std::string>> scpds;  // serviceId, SCPDURL
+};
+
+// Reads a device description: the first <device> child of the root
+// (whose own name is not checked), its first <friendlyName> and <UDN>,
+// and each <service> of its first <serviceList> that names both a
+// <serviceId> and an <SCPDURL>. Text is the element's direct text runs
+// concatenated, without trimming.
+[[nodiscard]] Result<DescriptionDocument> parse_device_description(
+    std::string_view xml_text);
+
 // A device: announces itself over SSDP and serves its description,
 // per-service WSDL-style SCPD documents, and SOAP control endpoints.
 class UpnpDevice {

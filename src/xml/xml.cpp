@@ -62,52 +62,6 @@ constexpr std::array<std::uint8_t, 256> kCharClass = make_char_class();
 
 }  // namespace
 
-std::string_view Element::local_name() const {
-  auto colon = name_.find(':');
-  return colon == std::string::npos
-             ? std::string_view(name_)
-             : std::string_view(name_).substr(colon + 1);
-}
-
-const std::string* Element::attr(std::string_view name) const {
-  for (const auto& a : attrs_) {
-    if (a.name == name) return &a.value;
-  }
-  return nullptr;
-}
-
-const std::string* Element::attr_local(std::string_view name) const {
-  for (const auto& a : attrs_) {
-    std::string_view n = a.name;
-    auto colon = n.find(':');
-    if (colon != std::string_view::npos) n = n.substr(colon + 1);
-    if (n == name) return &a.value;
-  }
-  return nullptr;
-}
-
-const Element* Element::child(std::string_view local) const {
-  for (const auto& c : children_) {
-    if (c->local_name() == local) return c.get();
-  }
-  return nullptr;
-}
-
-std::vector<const Element*> Element::children_named(
-    std::string_view local) const {
-  std::vector<const Element*> out;
-  for (const auto& c : children_) {
-    if (c->local_name() == local) out.push_back(c.get());
-  }
-  return out;
-}
-
-std::string Element::text() const {
-  std::string out;
-  for (const auto& t : texts_) out += t;
-  return out;
-}
-
 void append_escaped_text(std::string& out, std::string_view s) {
   std::size_t start = 0;
   while (true) {
@@ -284,6 +238,27 @@ Status decode_one_entity(std::string_view ent, std::string& out) {
   return Status::ok();
 }
 
+// Checks that every entity reference in `raw` decodes, without
+// decoding the run: one decoded reference is at most 4 bytes, so the
+// scratch never leaves its inline buffer.
+Status check_entities(std::string_view raw) {
+  std::string one;
+  for (auto amp = raw.find('&'); amp != std::string_view::npos;
+       amp = raw.find('&', amp + 1)) {
+    const auto semi = raw.find(';', amp);
+    if (semi == std::string_view::npos) {
+      return protocol_error("unterminated entity");
+    }
+    one.clear();
+    if (auto s = decode_one_entity(raw.substr(amp + 1, semi - amp - 1), one);
+        !s.is_ok()) {
+      return s;
+    }
+    amp = semi;
+  }
+  return Status::ok();
+}
+
 Status duplicate_attribute(std::string_view name) {
   return protocol_error("duplicate attribute " + std::string(name));
 }
@@ -380,6 +355,9 @@ Result<std::string_view> PullParser::read_name() {
 }
 
 Result<PullParser::Event> PullParser::read_start_tag() {
+  if (open_.size() >= static_cast<std::size_t>(kMaxDocumentDepth)) {
+    return protocol_error("document nesting too deep");
+  }
   ++pos_;  // past '<'
   auto name = read_name();
   if (!name.is_ok()) return name.status();
@@ -425,7 +403,9 @@ Result<PullParser::Event> PullParser::read_start_tag() {
     if (end == std::string_view::npos) {
       return protocol_error("unterminated attribute value");
     }
-    attrs_.push_back({attr_name.value(), in_.substr(pos_, end - pos_)});
+    const auto value = in_.substr(pos_, end - pos_);
+    if (auto s = check_entities(value); !s.is_ok()) return s;
+    attrs_.push_back({attr_name.value(), value});
     pos_ = end + 1;
   }
 }
@@ -493,6 +473,7 @@ Result<PullParser::Event> PullParser::next() {
       return protocol_error("unterminated element content");
     }
     text_ = in_.substr(pos_, end - pos_);
+    if (auto s = check_entities(text_); !s.is_ok()) return s;
     cdata_ = false;
     pos_ = end;
     return Event::kText;
@@ -504,16 +485,13 @@ Result<std::string_view> PullParser::text(std::string& scratch) const {
   return decode(text_, scratch);
 }
 
-bool PullParser::text_is_ws() const {
-  if (cdata_) return false;  // CDATA runs are content by definition
-  if (text_.find('&') == std::string_view::npos) {
-    return trim(text_).empty();
-  }
+bool PullParser::decoded_attr(std::string_view name, std::string& out) const {
+  const Attr* a = find_attr(name);
+  if (a == nullptr) return false;
+  // read_start_tag checked every reference, so decoding cannot fail.
   std::string scratch;
-  auto decoded = decode(text_, scratch);
-  // A malformed run is not droppable noise; the error surfaces when the
-  // consumer decodes it.
-  return decoded.is_ok() && trim(decoded.value()).empty();
+  out.assign(decode(a->raw_value, scratch).value());
+  return true;
 }
 
 Status PullParser::skip_element() {
@@ -530,62 +508,28 @@ Status PullParser::skip_element() {
   return Status::ok();
 }
 
-// ---------------------------------------------------------------------
-// Tree parser (PullParser-backed)
-// ---------------------------------------------------------------------
-
-Result<ElementPtr> parse(std::string_view input) {
-  PullParser p(input);
-  ElementPtr root;
-  std::vector<Element*> stack;
+Status PullParser::collect_text(std::string& out) {
+  out.clear();
   std::string scratch;
   while (true) {
-    auto ev = p.next();
+    auto ev = next();
     if (!ev.is_ok()) return ev.status();
     switch (ev.value()) {
-      case PullParser::Event::kStart: {
-        // Checked before the push, so no tree deeper than the bound is
-        // ever built (children are destroyed recursively).
-        if (stack.size() >= static_cast<std::size_t>(kMaxDocumentDepth)) {
-          return protocol_error("document nesting too deep");
-        }
-        ElementPtr elem(new Element(std::string(p.name())));
-        elem->attrs_.reserve(p.attrs().size());
-        for (const auto& a : p.attrs()) {
-          scratch.clear();
-          auto value = PullParser::decode(a.raw_value, scratch);
-          if (!value.is_ok()) return value.status();
-          elem->attrs_.push_back(
-              {std::string(a.name), std::string(value.value())});
-        }
-        Element* raw = elem.get();
-        if (stack.empty()) {
-          root = std::move(elem);
-        } else {
-          stack.back()->children_.push_back(std::move(elem));
-        }
-        stack.push_back(raw);
+      case Event::kStart:
+        if (auto s = skip_element(); !s.is_ok()) return s;
         break;
-      }
-      case PullParser::Event::kEnd:
-        stack.pop_back();
-        break;
-      case PullParser::Event::kText: {
-        if (p.text_is_cdata()) {
-          stack.back()->texts_.emplace_back(p.raw_text());
-          break;
-        }
+      case Event::kText: {
         scratch.clear();
-        auto decoded = p.text(scratch);
-        if (!decoded.is_ok()) return decoded.status();
-        // Drop pure-whitespace runs (formatting noise between elements).
-        if (!trim(decoded.value()).empty()) {
-          stack.back()->texts_.emplace_back(decoded.value());
-        }
+        auto t = text(scratch);
+        if (!t.is_ok()) return t.status();
+        // Whitespace-only runs are formatting noise; CDATA is content.
+        if (cdata_ || !trim(t.value()).empty()) out.append(t.value());
         break;
       }
-      case PullParser::Event::kEof:
-        return root;
+      case Event::kEnd:
+        return Status::ok();
+      case Event::kEof:
+        return protocol_error("unexpected end of document");
     }
   }
 }

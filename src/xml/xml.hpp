@@ -3,17 +3,15 @@
 // Supports elements, attributes, text, comments (skipped), CDATA,
 // numeric and the five predefined entities.
 //
-// One tokenizer, one writer, and a read-only tree:
-//   - PullParser is the only tokenizer: names and text stay
-//     string_views into the retained input;
+// One tokenizer, one writer:
+//   - PullParser is the only reader: names and text stay string_views
+//     into the retained input, and every consumer (SOAP envelopes,
+//     WSDL, UPnP descriptions and NOTIFY bodies) walks its events;
 //   - Writer is the only renderer: it streams into a caller-provided
-//     reusable buffer;
-//   - Element is the read-only tree that only parse() builds, for
-//     documents that are tree-shaped to read (WSDL, UPnP descriptions).
+//     reusable buffer.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -21,53 +19,6 @@
 #include "common/status.hpp"
 
 namespace hcm::xml {
-
-class Element;
-using ElementPtr = std::unique_ptr<Element>;
-
-struct Attribute {
-  std::string name;
-  std::string value;
-};
-
-// A parsed XML element. Children are either elements or text runs;
-// text() concatenates the direct text content. Only parse() builds
-// one.
-class Element {
- public:
-  [[nodiscard]] const std::string& name() const { return name_; }
-
-  // Local part of a possibly prefixed name ("soap:Envelope" -> "Envelope").
-  [[nodiscard]] std::string_view local_name() const;
-
-  // --- attributes ----------------------------------------------------
-  [[nodiscard]] const std::string* attr(std::string_view name) const;
-  // Matches by local name, ignoring namespace prefix.
-  [[nodiscard]] const std::string* attr_local(std::string_view name) const;
-  [[nodiscard]] const std::vector<Attribute>& attrs() const { return attrs_; }
-
-  // --- children --------------------------------------------------------
-  [[nodiscard]] const std::vector<ElementPtr>& children() const {
-    return children_;
-  }
-  // First child element with the given local name (prefix-insensitive).
-  [[nodiscard]] const Element* child(std::string_view local) const;
-  // All child elements with the given local name.
-  [[nodiscard]] std::vector<const Element*> children_named(
-      std::string_view local) const;
-  // Concatenated direct text content.
-  [[nodiscard]] std::string text() const;
-
- private:
-  friend Result<ElementPtr> parse(std::string_view input);
-
-  explicit Element(std::string name) : name_(std::move(name)) {}
-
-  std::string name_;
-  std::vector<Attribute> attrs_;
-  std::vector<ElementPtr> children_;
-  std::vector<std::string> texts_;
-};
 
 // Escapes text content (& < >) and attribute values (also " '),
 // appending to `out`. Runs without special characters are copied in
@@ -172,7 +123,11 @@ class InlineVec {
 // whose names and raw values are string_views into the input buffer,
 // which the caller keeps alive for the parser's lifetime. Leading
 // <?xml?>, <!DOCTYPE> and comments are skipped; a self-closing element
-// produces kStart immediately followed by kEnd.
+// produces kStart immediately followed by kEnd. The tokenizer itself
+// rejects what a full decode would, whatever a reader skips: entity
+// references that do not decode (in attribute values and text), and
+// elements nested deeper than kMaxDocumentDepth (the root is depth 1),
+// so the open-element stack stays bounded.
 class PullParser {
  public:
   enum class Event { kStart, kEnd, kText, kEof };
@@ -197,24 +152,49 @@ class PullParser {
   [[nodiscard]] const InlineVec<Attr, kInlineAttrs>& attrs() const {
     return attrs_;
   }
-  // Raw value of the attribute with this exact / local name, or empty
-  // view when absent (found tells the cases apart).
+  // The attribute with this exact / local name, or null when absent.
   [[nodiscard]] const Attr* find_attr(std::string_view name) const;
   [[nodiscard]] const Attr* find_attr_local(std::string_view local) const;
 
-  // kText: the raw (still-encoded) run; CDATA is already unwrapped and
-  // is never entity-decoded.
-  [[nodiscard]] std::string_view raw_text() const { return text_; }
+  // kText: whether the run was CDATA, which is already unwrapped and is
+  // never entity-decoded.
   [[nodiscard]] bool text_is_cdata() const { return cdata_; }
   // Decoded text of the current run. Points into the input when no
   // decoding is needed; otherwise `scratch` backs it.
   [[nodiscard]] Result<std::string_view> text(std::string& scratch) const;
-  // True when the decoded run is whitespace only (formatting noise).
-  [[nodiscard]] bool text_is_ws() const;
+
+  // kStart: assigns the entity-decoded value of the attribute with this
+  // exact name to `out`. False, with `out` untouched, when absent.
+  bool decoded_attr(std::string_view name, std::string& out) const;
+
+  // Walks the direct children of the current element, passing over
+  // text, until its end tag has been consumed. `on_child()` runs at
+  // each child's start tag; it returns a Status and must consume through
+  // the child's end tag (skip_element, collect_text or a nested walk).
+  // Called before the first event, it visits the root and then requires
+  // the end of input.
+  template <typename OnChild>
+  [[nodiscard]] Status for_each_child(OnChild&& on_child) {
+    while (true) {
+      auto ev = next();
+      if (!ev.is_ok()) return ev.status();
+      if (ev.value() == Event::kEnd || ev.value() == Event::kEof) {
+        return Status::ok();
+      }
+      if (ev.value() != Event::kStart) continue;
+      if (auto s = on_child(); !s.is_ok()) return s;
+    }
+  }
 
   // Consumes events until the end tag matching the most recent kStart
   // has been consumed. Call right after a kStart event.
   [[nodiscard]] Status skip_element();
+
+  // Call right after a kStart event: consumes through the matching end
+  // tag and replaces `out` with the element's direct text. Text runs
+  // are concatenated untrimmed, whitespace-only runs are dropped, CDATA
+  // is kept verbatim and nested elements are skipped.
+  [[nodiscard]] Status collect_text(std::string& out);
 
   // Decodes entity references. Returns `raw` itself when it contains no
   // '&' (the fast path); otherwise appends the decoded form to scratch
@@ -245,11 +225,5 @@ class PullParser {
   InlineVec<Attr, kInlineAttrs> attrs_;
   InlineVec<std::string_view, 16> open_;  // enclosing element names
 };
-
-// Parses a document; returns the root element. Leading <?xml?> and
-// <!DOCTYPE> declarations and comments are skipped. Documents nested
-// deeper than kMaxDocumentDepth elements are rejected, so every tree
-// parse() returns can be destroyed without exhausting the stack.
-[[nodiscard]] Result<ElementPtr> parse(std::string_view input);
 
 }  // namespace hcm::xml

@@ -105,6 +105,25 @@ TEST(EnvelopeTest, RejectsEmptyBody) {
   EXPECT_FALSE(parse_envelope(wire).is_ok());
 }
 
+TEST(EnvelopeTest, BadEntityInASkippedElementIsRejected) {
+  // The decoder skips unknown header entries and Body children after
+  // the first; the tokenizer still rejects what it passes over.
+  const std::string call = build_call("urn:x", "m", {{"a", Value(1)}});
+  const std::string head = "<SOAP-ENV:Body>";
+  for (const char* junk :
+       {"<x:Extra a=\"&bogus;\"/>", "<x:Extra>&bogus;</x:Extra>"}) {
+    std::string header = call;
+    header.insert(header.find(head),
+                  std::string("<SOAP-ENV:Header>") + junk +
+                      "</SOAP-ENV:Header>");
+    EXPECT_FALSE(parse_envelope(header).is_ok()) << header;
+    std::string trailing = call;
+    trailing.insert(trailing.find("</SOAP-ENV:Body>"), junk);
+    EXPECT_FALSE(parse_envelope(trailing).is_ok()) << trailing;
+  }
+  EXPECT_TRUE(parse_envelope(call).is_ok());
+}
+
 TEST(EnvelopeTest, WireSizeIsSubstantial) {
   // The SOAP/XML overhead the paper accepts for simplicity: a one-int
   // call costs several hundred bytes on the wire. The binary-codec

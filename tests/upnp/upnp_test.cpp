@@ -4,7 +4,7 @@
 
 #include "http/client.hpp"
 #include "http/server.hpp"
-#include "xml/xml.hpp"
+#include "tests/xml/xml_drain.hpp"
 
 namespace hcm::upnp {
 namespace {
@@ -139,9 +139,10 @@ TEST_F(UpnpTest, DescriptionIsValidXmlOverHttp) {
                [&](Result<http::Response> r) { resp = std::move(r); });
   sched.run();
   ASSERT_TRUE(resp.has_value() && resp->is_ok());
-  auto doc = xml::parse(resp->value().body);
-  ASSERT_TRUE(doc.is_ok());
-  EXPECT_NE(doc.value()->child("device"), nullptr);
+  EXPECT_TRUE(xml::xmltest::drain(resp->value().body).is_ok());
+  auto doc = parse_device_description(resp->value().body);
+  ASSERT_TRUE(doc.is_ok()) << doc.status().to_string();
+  EXPECT_EQ(doc.value().friendly_name, "Smart Plug");
 }
 
 // A map payload whose keys cover every value shape, including one that
@@ -295,6 +296,82 @@ TEST_F(UpnpNotifyTest, HostileNestingGets400WithoutCrashing) {
   body += "</payload></propertyset>";
   EXPECT_EQ(notify(std::move(body)), 400);
   EXPECT_EQ(events, 0);
+}
+
+// --- parse_device_description ---------------------------------------
+// Expectations captured from the tree-based reader the pull-parser walk
+// replaced.
+
+TEST(UpnpDescriptionTest, PinnedBytesDecode) {
+  // The document UpnpTest.DescriptionBytesArePinned pins.
+  auto d = parse_device_description(
+      R"xml(<?xml version="1.0"?><root xmlns="urn:schemas-upnp-org:device-1-0"><device><friendlyName>Lamp "A" &amp; &lt;B&gt;</friendlyName><UDN>uuid:hcm-7</UDN><serviceList><service><serviceId>dimmer-2</serviceId><controlURL>/control/dimmer-2</controlURL><SCPDURL>/scpd/dimmer-2</SCPDURL></service><service><serviceId>light-1</serviceId><controlURL>/control/light-1</controlURL><SCPDURL>/scpd/light-1</SCPDURL></service></serviceList></device></root>)xml");
+  ASSERT_TRUE(d.is_ok()) << d.status().to_string();
+  EXPECT_EQ(d.value().friendly_name, "Lamp \"A\" & <B>");
+  EXPECT_EQ(d.value().udn, "uuid:hcm-7");
+  const std::vector<std::pair<std::string, std::string>> want{
+      {"dimmer-2", "/scpd/dimmer-2"}, {"light-1", "/scpd/light-1"}};
+  EXPECT_EQ(d.value().scpds, want);
+}
+
+TEST(UpnpDescriptionTest, ForeignFormKeepsTreeTextSemantics) {
+  auto d = parse_device_description(
+      "<?xml version=\"1.0\"?>\n<!-- vendor -->\n"
+      "<u:desc xmlns:u=\"urn:x\">\n"
+      "  <u:device>\n"
+      "    <u:friendlyName>  Padded <b>bold</b>name  </u:friendlyName>\n"
+      "    <u:friendlyName>second</u:friendlyName>\n"
+      "    <UDN><![CDATA[ uuid:a&b ]]>  <![CDATA[  ]]>x</UDN>\n"
+      "    <extra><serviceList><service><serviceId>decoy</serviceId>"
+      "<SCPDURL>/decoy</SCPDURL></service></serviceList></extra>\n"
+      "    <u:serviceList>\n"
+      "      <u:service><u:serviceId>svc&#45;1</u:serviceId><unknown/>"
+      "<u:SCPDURL>/scpd/1</u:SCPDURL><u:SCPDURL>/ignored</u:SCPDURL>"
+      "</u:service>\n"
+      "      <u:service><u:serviceId>no-scpd</u:serviceId></u:service>\n"
+      "      <other><u:service><u:serviceId>deep</u:serviceId>"
+      "<u:SCPDURL>/deep</u:SCPDURL></u:service></other>\n"
+      "      <u:service><u:SCPDURL>/s2</u:SCPDURL>"
+      "<u:serviceId>svc-2</u:serviceId></u:service>\n"
+      "    </u:serviceList>\n"
+      "    <serviceList><service><serviceId>second-list</serviceId>"
+      "<SCPDURL>/2</SCPDURL></service></serviceList>\n"
+      "  </u:device>\n"
+      "</u:desc>\n");
+  ASSERT_TRUE(d.is_ok()) << d.status().to_string();
+  EXPECT_EQ(d.value().friendly_name, "  Padded name  ");
+  EXPECT_EQ(d.value().udn, " uuid:a&b   x");
+  const std::vector<std::pair<std::string, std::string>> want{
+      {"svc-1", "/scpd/1"}, {"svc-2", "/s2"}};
+  EXPECT_EQ(d.value().scpds, want);
+}
+
+TEST(UpnpDescriptionTest, MissingPartsAndBadInput) {
+  auto bare = parse_device_description("<root><device/></root>");
+  ASSERT_TRUE(bare.is_ok()) << bare.status().to_string();
+  EXPECT_EQ(bare.value().friendly_name, "");
+  EXPECT_TRUE(bare.value().scpds.empty());
+  for (const char* bad : {
+           "<root><x><device/></x></root>",  // no direct <device> child
+           "<root/>",
+           "",
+           "<root><device/></root><x/>",
+           // A bad entity anywhere is rejected, used or not.
+           "<root><device><icon a=\"&bad;\"/></device></root>",
+           "<root><device/><note>&bad;</note></root>",
+       }) {
+    EXPECT_FALSE(parse_device_description(bad).is_ok()) << bad;
+  }
+}
+
+TEST(UpnpDescriptionTest, HostileNestingIsRejectedWithoutCrashing) {
+  constexpr int kDepth = 1'000'000;
+  std::string doc = "<root><device><serviceList>";
+  doc.reserve(static_cast<std::size_t>(kDepth) * 7 + 64);
+  for (int i = 0; i < kDepth; ++i) doc += "<s>";
+  for (int i = 0; i < kDepth; ++i) doc += "</s>";
+  doc += "</serviceList></device></root>";
+  EXPECT_FALSE(parse_device_description(doc).is_ok());
 }
 
 }  // namespace

@@ -2,34 +2,88 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <random>
 
+#include "xml_drain.hpp"
+
 namespace hcm::xml {
 namespace {
+
+using xmltest::drain;
+
+using Event = PullParser::Event;
+
+// Positions a parser on the root's start tag.
+void open_root(PullParser& p) {
+  auto root = p.next();
+  ASSERT_TRUE(root.is_ok()) << root.status().to_string();
+  ASSERT_EQ(root.value(), Event::kStart);
+}
+
+// Asserts that only the end of input is left.
+void expect_eof(PullParser& p) {
+  auto ev = p.next();
+  ASSERT_TRUE(ev.is_ok()) << ev.status().to_string();
+  EXPECT_EQ(ev.value(), Event::kEof);
+}
+
+// The root's collected text, after which the document must end.
+Result<std::string> root_text(std::string_view doc) {
+  PullParser p(doc);
+  auto root = p.next();
+  if (!root.is_ok()) return root.status();
+  std::string text;
+  if (auto s = p.collect_text(text); !s.is_ok()) return s;
+  auto eof = p.next();
+  if (!eof.is_ok()) return eof.status();
+  if (eof.value() != Event::kEof) return internal_error("not at the end");
+  return text;
+}
+
+// The decoded attribute `name` of the root, or an error.
+Result<std::string> root_attr(std::string_view doc, std::string_view name) {
+  PullParser p(doc);
+  auto root = p.next();
+  if (!root.is_ok()) return root.status();
+  std::string value;
+  if (!p.decoded_attr(name, value)) return not_found(std::string(name));
+  return value;
+}
 
 TEST(XmlBuildTest, SimpleElement) {
   std::string out;
   Writer(out).start("root").attr("id", "1").leaf("child", "hello").end();
   EXPECT_EQ(out, "<root id=\"1\"><child>hello</child></root>");
-  auto r = parse(out);
-  ASSERT_TRUE(r.is_ok()) << r.status().to_string();
-  EXPECT_EQ(r.value()->name(), "root");
-  ASSERT_NE(r.value()->attr("id"), nullptr);
-  EXPECT_EQ(*r.value()->attr("id"), "1");
-  ASSERT_EQ(r.value()->children().size(), 1u);
-  EXPECT_EQ(r.value()->child("child")->text(), "hello");
+  PullParser p(out);
+  ASSERT_NO_FATAL_FAILURE(open_root(p));
+  EXPECT_EQ(p.name(), "root");
+  std::string id;
+  ASSERT_TRUE(p.decoded_attr("id", id));
+  EXPECT_EQ(id, "1");
+  std::vector<std::string> kids;
+  ASSERT_TRUE(p.for_each_child([&] {
+                 kids.emplace_back(p.name());
+                 std::string text;
+                 auto s = p.collect_text(text);
+                 kids.back() += "=" + text;
+                 return s;
+               }).is_ok());
+  EXPECT_EQ(kids, std::vector<std::string>{"child=hello"});
 }
 
 TEST(XmlBuildTest, EmptyElementSelfCloses) {
   std::string out;
   Writer(out).start("empty").end();
   EXPECT_EQ(out, "<empty/>");
-  auto r = parse(out);
-  ASSERT_TRUE(r.is_ok());
-  EXPECT_TRUE(r.value()->children().empty());
-  EXPECT_TRUE(r.value()->attrs().empty());
-  EXPECT_EQ(r.value()->text(), "");
+  PullParser p(out);
+  ASSERT_NO_FATAL_FAILURE(open_root(p));
+  EXPECT_TRUE(p.attrs().empty());
+  std::string text = "stale";
+  ASSERT_TRUE(p.collect_text(text).is_ok());
+  EXPECT_EQ(text, "");
+  expect_eof(p);
 }
 
 TEST(XmlBuildTest, EscapingInTextAndAttrs) {
@@ -37,40 +91,39 @@ TEST(XmlBuildTest, EscapingInTextAndAttrs) {
   Writer(s).start("x").attr("a", "q\"<>&'").text("<tag> & text").end();
   EXPECT_NE(s.find("&quot;"), std::string::npos);
   EXPECT_NE(s.find("&lt;tag&gt; &amp; text"), std::string::npos);
-  auto r = parse(s);
-  ASSERT_TRUE(r.is_ok()) << r.status().to_string();
-  EXPECT_EQ(*r.value()->attr("a"), "q\"<>&'");
-  EXPECT_EQ(r.value()->text(), "<tag> & text");
+  EXPECT_EQ(root_attr(s, "a").value(), "q\"<>&'");
+  EXPECT_EQ(root_text(s).value(), "<tag> & text");
 }
 
-TEST(XmlBuildTest, LocalName) {
-  auto e = parse("<soap:Envelope/>");
-  ASSERT_TRUE(e.is_ok());
-  EXPECT_EQ(e.value()->name(), "soap:Envelope");
-  EXPECT_EQ(e.value()->local_name(), "Envelope");
-  auto plain = parse("<Body/>");
-  ASSERT_TRUE(plain.is_ok());
-  EXPECT_EQ(plain.value()->local_name(), "Body");
+TEST(XmlPullTest, LocalName) {
+  PullParser e("<soap:Envelope/>");
+  ASSERT_NO_FATAL_FAILURE(open_root(e));
+  EXPECT_EQ(e.name(), "soap:Envelope");
+  EXPECT_EQ(e.local_name(), "Envelope");
+  PullParser plain("<Body/>");
+  ASSERT_NO_FATAL_FAILURE(open_root(plain));
+  EXPECT_EQ(plain.local_name(), "Body");
 }
 
-TEST(XmlBuildTest, ChildLookupIsPrefixInsensitive) {
-  auto e = parse("<root><ns:Inner>v</ns:Inner></root>");
-  ASSERT_TRUE(e.is_ok());
-  ASSERT_NE(e.value()->child("Inner"), nullptr);
-  EXPECT_EQ(e.value()->child("Inner")->text(), "v");
-  EXPECT_EQ(e.value()->child("Absent"), nullptr);
+TEST(XmlPullTest, ForEachChildVisitsDirectChildrenOnly) {
+  PullParser p(
+      "<list>\n  <item>1</item><ns:item>2<item>nested</item></ns:item>"
+      "<other><item>3</item></other>\n</list>");
+  ASSERT_NO_FATAL_FAILURE(open_root(p));
+  std::vector<std::string> seen;
+  ASSERT_TRUE(p.for_each_child([&] {
+                 std::string text;
+                 auto s = p.collect_text(text);
+                 seen.push_back(std::string(p.local_name()) + "=" + text);
+                 return s;
+               }).is_ok());
+  // collect_text leaves the parser on the child's end tag.
+  EXPECT_EQ(seen,
+            (std::vector<std::string>{"item=1", "item=2", "other="}));
+  expect_eof(p);
 }
 
-TEST(XmlBuildTest, ChildrenNamed) {
-  auto e = parse("<list><item>1</item><item>2</item><other/></list>");
-  ASSERT_TRUE(e.is_ok());
-  const auto items = e.value()->children_named("item");
-  ASSERT_EQ(items.size(), 2u);
-  EXPECT_EQ(items[0]->text(), "1");
-  EXPECT_EQ(items[1]->text(), "2");
-}
-
-TEST(XmlParseTest, RoundTripSimple) {
+TEST(XmlPullTest, RoundTripSimple) {
   std::string out;
   Writer(out)
       .start("root")
@@ -81,90 +134,86 @@ TEST(XmlParseTest, RoundTripSimple) {
       .end()
       .end();
   EXPECT_EQ(out, "<root version=\"1.0\"><a>alpha</a><b k=\"v\"/></root>");
-  auto parsed = parse(out);
-  ASSERT_TRUE(parsed.is_ok()) << parsed.status().to_string();
-  const Element& root = *parsed.value();
-  EXPECT_EQ(root.name(), "root");
-  ASSERT_EQ(root.attrs().size(), 1u);
-  EXPECT_EQ(root.attrs()[0].name, "version");
-  EXPECT_EQ(root.attrs()[0].value, "1.0");
-  ASSERT_EQ(root.children().size(), 2u);
-  EXPECT_EQ(root.children()[0]->name(), "a");
-  EXPECT_EQ(root.children()[0]->text(), "alpha");
-  EXPECT_EQ(root.children()[1]->name(), "b");
-  EXPECT_EQ(*root.children()[1]->attr("k"), "v");
-  EXPECT_TRUE(root.children()[1]->children().empty());
+  PullParser p(out);
+  ASSERT_NO_FATAL_FAILURE(open_root(p));
+  ASSERT_EQ(p.attrs().size(), 1u);
+  EXPECT_EQ(p.attrs()[0].name, "version");
+  EXPECT_EQ(p.attrs()[0].raw_value, "1.0");
+  ASSERT_EQ(p.next().value(), Event::kStart);
+  EXPECT_EQ(p.name(), "a");
+  std::string text;
+  ASSERT_TRUE(p.collect_text(text).is_ok());
+  EXPECT_EQ(text, "alpha");
+  ASSERT_EQ(p.next().value(), Event::kStart);
+  EXPECT_EQ(p.name(), "b");
+  std::string k;
+  ASSERT_TRUE(p.decoded_attr("k", k));
+  EXPECT_EQ(k, "v");
+  ASSERT_EQ(p.next().value(), Event::kEnd);  // implied </b>
+  ASSERT_EQ(p.next().value(), Event::kEnd);  // </root>
+  expect_eof(p);
 }
 
-TEST(XmlParseTest, SkipsPrologDoctypeComments) {
-  auto r = parse(
+TEST(XmlPullTest, SkipsPrologDoctypeComments) {
+  PullParser p(
       "<?xml version=\"1.0\"?>\n"
       "<!DOCTYPE html>\n"
       "<!-- top comment -->\n"
       "<root><!-- inner --><a>x</a></root>");
-  ASSERT_TRUE(r.is_ok());
-  EXPECT_EQ(r.value()->child("a")->text(), "x");
+  ASSERT_NO_FATAL_FAILURE(open_root(p));
+  EXPECT_EQ(p.name(), "root");
+  ASSERT_EQ(p.next().value(), Event::kStart);  // <a>, past the comment
+  std::string text;
+  ASSERT_TRUE(p.collect_text(text).is_ok());
+  EXPECT_EQ(text, "x");
 }
 
-TEST(XmlParseTest, DecodesEntities) {
-  auto r = parse("<x>&lt;&gt;&amp;&quot;&apos;&#65;&#x42;</x>");
-  ASSERT_TRUE(r.is_ok());
-  EXPECT_EQ(r.value()->text(), "<>&\"'AB");
+TEST(XmlPullTest, CollectTextDecodesEntities) {
+  EXPECT_EQ(root_text("<x>&lt;&gt;&amp;&quot;&apos;&#65;&#x42;</x>").value(),
+            "<>&\"'AB");
 }
 
-TEST(XmlParseTest, EntityInAttribute) {
-  auto r = parse("<x a=\"1 &amp; 2\"/>");
-  ASSERT_TRUE(r.is_ok());
-  EXPECT_EQ(*r.value()->attr("a"), "1 & 2");
+TEST(XmlPullTest, CollectTextKeepsCdataVerbatim) {
+  EXPECT_EQ(root_text("<x><![CDATA[<raw> & stuff]]></x>").value(),
+            "<raw> & stuff");
+  // CDATA content is neither entity-decoded nor treated as markup.
+  EXPECT_EQ(
+      root_text("<x><![CDATA[<not-a-tag> &amp; \"raw\" ]]&gt;-ish]]></x>")
+          .value(),
+      "<not-a-tag> &amp; \"raw\" ]]&gt;-ish");
 }
 
-TEST(XmlParseTest, Cdata) {
-  auto r = parse("<x><![CDATA[<raw> & stuff]]></x>");
-  ASSERT_TRUE(r.is_ok());
-  EXPECT_EQ(r.value()->text(), "<raw> & stuff");
+TEST(XmlPullTest, WhitespaceOnlyCdataIsKept) {
+  // Regular whitespace-only runs are formatting noise and dropped;
+  // CDATA says "this is content" explicitly.
+  EXPECT_EQ(root_text("<x><![CDATA[   ]]></x>").value(), "   ");
 }
 
-TEST(XmlParseTest, WhitespaceBetweenElementsIgnored) {
-  auto r = parse("<root>\n  <a>1</a>\n  <b>2</b>\n</root>");
-  ASSERT_TRUE(r.is_ok());
-  EXPECT_EQ(r.value()->children().size(), 2u);
-  EXPECT_EQ(r.value()->text(), "");
+TEST(XmlPullTest, CollectTextDropsWhitespaceRunsAndSkipsChildren) {
+  EXPECT_EQ(root_text("<root>\n  <a>1</a>\n  <b>2</b>\n</root>").value(), "");
+  // Runs around children concatenate untrimmed; a run of spaces that
+  // decodes from references is still whitespace only.
+  EXPECT_EQ(root_text("<r> a <k>no</k>b &#32; <k/> c</r>").value(),
+            " a b    c");
+  EXPECT_EQ(root_text("<r>x<k/>&#32;&#9;</r>").value(), "x");
+  EXPECT_FALSE(root_text("<r>x<k>&bad;</k></r>").is_ok());
 }
 
-TEST(XmlParseTest, SingleQuotedAttributes) {
-  auto r = parse("<x a='v1' b=\"v2\"/>");
-  ASSERT_TRUE(r.is_ok());
-  EXPECT_EQ(*r.value()->attr("a"), "v1");
-  EXPECT_EQ(*r.value()->attr("b"), "v2");
+TEST(XmlPullTest, SingleQuotedAttributes) {
+  EXPECT_EQ(root_attr("<x a='v1' b=\"v2\"/>", "a").value(), "v1");
+  EXPECT_EQ(root_attr("<x a='v1' b=\"v2\"/>", "b").value(), "v2");
 }
 
-TEST(XmlParseTest, MalformedInputs) {
-  EXPECT_FALSE(parse("").is_ok());
-  EXPECT_FALSE(parse("<a>").is_ok());                 // unterminated
-  EXPECT_FALSE(parse("<a></b>").is_ok());             // mismatched
-  EXPECT_FALSE(parse("<a><b></a></b>").is_ok());      // crossed
-  EXPECT_FALSE(parse("<a x=1/>").is_ok());            // unquoted attr
-  EXPECT_FALSE(parse("<a>&unknown;</a>").is_ok());    // bad entity
-  EXPECT_FALSE(parse("<a/><b/>").is_ok());            // two roots
-  EXPECT_FALSE(parse("just text").is_ok());
-}
-
-TEST(XmlParseTest, DeepNesting) {
-  std::string open, close;
-  for (int i = 0; i < 200; ++i) {
-    open += "<e>";
-    close = "</e>" + close;
-  }
-  auto r = parse(open + "x" + close);
-  ASSERT_TRUE(r.is_ok());
-  const Element* cur = r.value().get();
-  int depth = 1;
-  while (cur->child("e") != nullptr) {
-    cur = cur->child("e");
-    ++depth;
-  }
-  EXPECT_EQ(depth, 200);
-  EXPECT_EQ(cur->text(), "x");
+TEST(XmlPullTest, MalformedInputs) {
+  EXPECT_FALSE(drain("").is_ok());
+  EXPECT_FALSE(drain("<a>").is_ok());                 // unterminated
+  EXPECT_FALSE(drain("<a></b>").is_ok());             // mismatched
+  EXPECT_FALSE(drain("<a><b></a></b>").is_ok());      // crossed
+  EXPECT_FALSE(drain("<a x=1/>").is_ok());            // unquoted attr
+  EXPECT_FALSE(drain("<a>&unknown;</a>").is_ok());    // bad entity
+  EXPECT_FALSE(drain("<a/><b/>").is_ok());            // two roots
+  EXPECT_FALSE(drain("just text").is_ok());
+  EXPECT_TRUE(drain("<a><b>&amp;</b><!-- c --></a>\n<!-- t -->").is_ok());
 }
 
 std::string nested(int depth) {
@@ -176,77 +225,86 @@ std::string nested(int depth) {
   return doc;
 }
 
-TEST(XmlParseTest, NestingAtTheDepthLimitIsAccepted) {
-  auto r = parse(nested(256));
-  ASSERT_TRUE(r.is_ok()) << r.status().to_string();
-  const Element* cur = r.value().get();
-  int depth = 1;
-  while (cur->child("e") != nullptr) {
-    cur = cur->child("e");
-    ++depth;
+TEST(XmlPullTest, NestingAtTheDepthLimitIsAccepted) {
+  const std::string doc = nested(256);
+  PullParser p(doc);
+  int depth = 0;
+  int max_depth = 0;
+  while (true) {
+    auto ev = p.next();
+    ASSERT_TRUE(ev.is_ok()) << ev.status().to_string();
+    if (ev.value() == Event::kEof) break;
+    if (ev.value() == Event::kStart) {
+      max_depth = std::max(max_depth, ++depth);
+    } else if (ev.value() == Event::kEnd) {
+      --depth;
+    }
   }
-  EXPECT_EQ(depth, 256);
-  EXPECT_EQ(cur->text(), "x");
+  EXPECT_EQ(max_depth, 256);
+  EXPECT_TRUE(drain(doc).is_ok());
+  // A self-closing element at depth 256 is inside the bound as well.
+  EXPECT_TRUE(drain(nested(255).insert(255 * 3, "<e/>")).is_ok());
 }
 
-TEST(XmlParseTest, NestingPastTheDepthLimitIsRejected) {
-  auto r = parse(nested(257));
+TEST(XmlPullTest, NestingPastTheDepthLimitIsRejected) {
+  auto r = drain(nested(257));
   ASSERT_FALSE(r.is_ok());
-  EXPECT_NE(r.status().message().find("too deep"), std::string::npos);
+  EXPECT_NE(r.message().find("too deep"), std::string::npos);
+  EXPECT_FALSE(drain(nested(256).insert(256 * 3, "<e/>")).is_ok());
 }
 
-TEST(XmlParseTest, HostileNestingIsRejectedWithoutCrashing) {
-  // ~7 MB of <e> a million deep: the tree must never get this deep, or
-  // destroying it would recurse a million frames.
-  EXPECT_FALSE(parse(nested(1'000'000)).is_ok());
+TEST(XmlPullTest, HostileNestingIsRejectedWithoutCrashing) {
+  // ~7 MB of <e> a million deep, skipped from the root: the open-name
+  // stack must stop at the bound instead of growing with the input.
+  const std::string doc = nested(1'000'000);
+  EXPECT_FALSE(drain(doc).is_ok());
+  PullParser p(doc);
+  ASSERT_NO_FATAL_FAILURE(open_root(p));
+  EXPECT_FALSE(p.skip_element().is_ok());
 }
 
-TEST(XmlParseTest, DuplicateAttributeRejected) {
-  auto r = parse("<a x=\"1\" x=\"2\"/>");
-  ASSERT_FALSE(r.is_ok());
-  EXPECT_NE(r.status().message().find("duplicate attribute"),
-            std::string::npos);
-  EXPECT_FALSE(parse("<r><a x=\"1\" y=\"\" x='1'>t</a></r>").is_ok());
-  // Same local name under different prefixes is two attributes.
-  auto distinct = parse("<a x=\"1\" p:x=\"2\"/>");
-  ASSERT_TRUE(distinct.is_ok());
-  EXPECT_EQ(distinct.value()->attrs().size(), 2u);
+TEST(XmlPullTest, SameLocalNameUnderTwoPrefixesIsTwoAttributes) {
+  EXPECT_FALSE(drain("<r><a x=\"1\" y=\"\" x='1'>t</a></r>").is_ok());
+  PullParser p("<a x=\"1\" p:x=\"2\"/>");
+  ASSERT_NO_FATAL_FAILURE(open_root(p));
+  EXPECT_EQ(p.attrs().size(), 2u);
 }
 
-TEST(XmlParseTest, AttrLocal) {
-  auto r = parse("<x xsi:type=\"xsd:int\">4</x>");
-  ASSERT_TRUE(r.is_ok());
-  ASSERT_NE(r.value()->attr_local("type"), nullptr);
-  EXPECT_EQ(*r.value()->attr_local("type"), "xsd:int");
+TEST(XmlPullTest, FindAttrLocal) {
+  PullParser p("<x xsi:type=\"xsd:int\">4</x>");
+  ASSERT_NO_FATAL_FAILURE(open_root(p));
+  ASSERT_NE(p.find_attr_local("type"), nullptr);
+  EXPECT_EQ(p.find_attr_local("type")->raw_value, "xsd:int");
+  EXPECT_EQ(p.find_attr("type"), nullptr);  // exact names only
 }
 
-TEST(XmlParseTest, CdataPreservesMarkupAndEntitiesVerbatim) {
-  auto r = parse("<x><![CDATA[<not-a-tag> &amp; \"raw\" ]]&gt;-ish]]></x>");
-  ASSERT_TRUE(r.is_ok()) << r.status().to_string();
-  // CDATA content is neither entity-decoded nor treated as markup.
-  EXPECT_EQ(r.value()->text(), "<not-a-tag> &amp; \"raw\" ]]&gt;-ish");
+TEST(XmlPullTest, DecodedAttrDecodesEntities) {
+  const char* doc =
+      "<x a=\"&lt;&amp;&gt;\" b=\"&#65;&#x42;\" c=\"say &quot;hi&apos;\" "
+      "d=\"1 &amp; 2\"/>";
+  EXPECT_EQ(root_attr(doc, "a").value(), "<&>");
+  EXPECT_EQ(root_attr(doc, "b").value(), "AB");
+  EXPECT_EQ(root_attr(doc, "c").value(), "say \"hi'");
+  EXPECT_EQ(root_attr(doc, "d").value(), "1 & 2");
+  PullParser p(doc);
+  ASSERT_NO_FATAL_FAILURE(open_root(p));
+  std::string out = "untouched";
+  EXPECT_FALSE(p.decoded_attr("e", out));
+  EXPECT_EQ(out, "untouched");
 }
 
-TEST(XmlParseTest, WhitespaceOnlyCdataIsKept) {
-  // Regular whitespace-only runs are formatting noise and dropped;
-  // CDATA says "this is content" explicitly.
-  auto r = parse("<x><![CDATA[   ]]></x>");
-  ASSERT_TRUE(r.is_ok());
-  EXPECT_EQ(r.value()->text(), "   ");
-}
-
-TEST(XmlParseTest, NumericAndNamedEntitiesInAttributeValues) {
-  auto r = parse(
-      "<x a=\"&lt;&amp;&gt;\" b=\"&#65;&#x42;\" c=\"say &quot;hi&apos;\"/>");
-  ASSERT_TRUE(r.is_ok()) << r.status().to_string();
-  EXPECT_EQ(*r.value()->attr("a"), "<&>");
-  EXPECT_EQ(*r.value()->attr("b"), "AB");
-  EXPECT_EQ(*r.value()->attr("c"), "say \"hi'");
-}
-
-TEST(XmlParseTest, AttrEntityErrorsSurface) {
-  EXPECT_FALSE(parse("<x a=\"&bogus;\"/>").is_ok());
-  EXPECT_FALSE(parse("<x a=\"&#xZZ;\"/>").is_ok());
+TEST(XmlPullTest, AttrEntityErrorsSurface) {
+  EXPECT_FALSE(drain("<x a=\"&bogus;\"/>").is_ok());
+  EXPECT_FALSE(drain("<x a=\"&#xZZ;\"/>").is_ok());
+  EXPECT_FALSE(drain("<x a=\"&amp\"/>").is_ok());
+  // The tokenizer rejects them itself, so a reader that skips the
+  // attribute, the text run or the whole subtree still sees the error.
+  PullParser p("<x a=\"&bogus;\"/>");
+  EXPECT_FALSE(p.next().is_ok());
+  EXPECT_FALSE(drain("<r><k><x a=\"&bogus;\"/></k></r>").is_ok());
+  EXPECT_FALSE(drain("<r><k>&bogus;</k></r>").is_ok());
+  EXPECT_FALSE(drain("<r>&bogus;<k/></r>").is_ok());
+  EXPECT_TRUE(drain("<r><![CDATA[&bogus;]]><k/></r>").is_ok());
 }
 
 TEST(XmlPullTest, EventSequenceWithZeroCopyViews) {
@@ -360,11 +418,15 @@ TEST(XmlWriterTest, BufferReuseAppendsCleanly) {
   EXPECT_EQ(out, "prefix:<x>1</x>");
 }
 
-// Generator model for the randomized property below: what a tree
-// should look like after a render/parse round trip.
+// Generator model for the randomized property below: what the pull
+// parser should report for a rendered tree.
 struct Node {
+  struct Attr {
+    std::string name;
+    std::string value;
+  };
   std::string name;
-  std::vector<Attribute> attrs;
+  std::vector<Attr> attrs;
   std::string text;
   std::vector<Node> kids;
 };
@@ -377,22 +439,36 @@ void render(const Node& n, Writer& w) {
   w.end();
 }
 
-void expect_matches(const Element& e, const Node& n, const std::string& path) {
-  EXPECT_EQ(e.name(), n.name) << path;
-  ASSERT_EQ(e.attrs().size(), n.attrs.size()) << path;
+// The parser is on n's start tag; consumes through its end tag.
+void expect_matches(PullParser& p, const Node& n, const std::string& path) {
+  EXPECT_EQ(p.name(), n.name) << path;
+  ASSERT_EQ(p.attrs().size(), n.attrs.size()) << path;
   for (std::size_t i = 0; i < n.attrs.size(); ++i) {
-    EXPECT_EQ(e.attrs()[i].name, n.attrs[i].name) << path;
-    EXPECT_EQ(e.attrs()[i].value, n.attrs[i].value) << path;
+    EXPECT_EQ(p.attrs()[i].name, n.attrs[i].name) << path;
+    std::string value;
+    ASSERT_TRUE(p.decoded_attr(n.attrs[i].name, value)) << path;
+    EXPECT_EQ(value, n.attrs[i].value) << path;
   }
-  EXPECT_EQ(e.text(), n.text) << path;
-  ASSERT_EQ(e.children().size(), n.kids.size()) << path;
-  for (std::size_t i = 0; i < n.kids.size(); ++i) {
-    expect_matches(*e.children()[i], n.kids[i], path + "/" + n.kids[i].name);
+  if (n.kids.empty()) {
+    std::string text;
+    ASSERT_TRUE(p.collect_text(text).is_ok()) << path;
+    EXPECT_EQ(text, n.text) << path;
+    return;
   }
+  std::size_t i = 0;
+  ASSERT_TRUE(p.for_each_child([&] {
+                 if (i == n.kids.size()) return p.skip_element();
+                 const Node& kid = n.kids[i++];
+                 expect_matches(p, kid, path + "/" + kid.name);
+                 return Status::ok();
+               }).is_ok())
+      << path;
+  EXPECT_EQ(i, n.kids.size()) << path;
 }
 
-// Randomized property: any tree the writer renders parses back to the
-// tree it was generated from.
+// Randomized property: for any tree the writer renders, the pull parser
+// reports the names, decoded attributes and collected text it was
+// generated from.
 TEST(XmlPropertyTest, RandomizedTreesRoundTrip) {
   std::mt19937_64 rng(0xA11CE);
   const std::string alphabet =
@@ -436,11 +512,12 @@ TEST(XmlPropertyTest, RandomizedTreesRoundTrip) {
     std::string rendered;
     Writer w(rendered);
     render(tree, w);
-    auto parsed = parse(rendered);
-    ASSERT_TRUE(parsed.is_ok())
-        << "iter " << iter << ": " << parsed.status().to_string() << "\n"
-        << rendered;
-    expect_matches(*parsed.value(), tree, "iter " + std::to_string(iter));
+    ASSERT_TRUE(drain(rendered).is_ok()) << "iter " << iter << "\n"
+                                         << rendered;
+    PullParser p(rendered);
+    ASSERT_NO_FATAL_FAILURE(open_root(p));
+    expect_matches(p, tree, "iter " + std::to_string(iter));
+    expect_eof(p);
   }
 }
 
