@@ -13,6 +13,13 @@
 // Host-side cost rides along: allocs_per_round and heap_bytes_per_round
 // count the heap traffic of the measured refresh rounds (bench_util's
 // HCM_BENCH_ALLOC_HOOK counting hook), excluding the churn edits.
+//
+// The native arm swaps the synthetic adapters for real Jini islands: a
+// lookup service, S native services joined to it, and a JiniAdapter
+// under a delta-mode PCM. Its zero-churn rounds count the native side:
+// lookups the LUSes served and frames on the island LANs. The adapter
+// answers list_services from its change feed, so both stay at zero
+// whatever S, where a re-list per round grows with islands x services.
 #define HCM_BENCH_ALLOC_HOOK 1
 #include "bench_util.hpp"
 
@@ -25,9 +32,11 @@
 #include <string>
 #include <vector>
 
+#include "core/adapters/jini_adapter.hpp"
 #include "core/pcm.hpp"
 #include "core/vsg.hpp"
 #include "core/vsr.hpp"
+#include "jini/registrar.hpp"
 
 using namespace hcm;
 
@@ -215,6 +224,155 @@ RunResult run_config(std::size_t n_islands, std::size_t services,
   return out;
 }
 
+// Real Jini islands on one backbone registry.
+struct JiniMesh {
+  struct Island {
+    net::EthernetSegment* lan = nullptr;
+    std::unique_ptr<jini::LookupService> lus;
+    std::vector<std::unique_ptr<jini::Registrar>> natives;
+    std::unique_ptr<core::VirtualServiceGateway> vsg;
+    std::unique_ptr<core::Pcm> pcm;  // owns the JiniAdapter
+  };
+
+  sim::Scheduler sched;
+  net::Network net{sched};
+  std::unique_ptr<core::VsrServer> vsr;
+  std::vector<std::unique_ptr<Island>> islands;
+
+  JiniMesh(std::size_t n_islands, std::size_t services) {
+    auto& backbone =
+        net.add_ethernet("backbone", sim::milliseconds(5), 10'000'000);
+    auto& vsr_node = net.add_node("vsr-host");
+    net.attach(vsr_node, backbone);
+    vsr = std::make_unique<core::VsrServer>(net, vsr_node.id());
+    (void)vsr->start();
+    for (std::size_t i = 0; i < n_islands; ++i) {
+      const std::string name = "island-" + std::to_string(i);
+      auto island = std::make_unique<Island>();
+      island->lan = &net.add_ethernet(name + "-lan", sim::microseconds(200),
+                                      100'000'000);
+      auto& gw = net.add_node(name + "-gw");
+      auto& lus_node = net.add_node(name + "-lus");
+      auto& host = net.add_node(name + "-host");
+      net.attach(gw, backbone);
+      net.attach(gw, *island->lan);
+      net.attach(lus_node, *island->lan);
+      net.attach(host, *island->lan);
+      island->lus = std::make_unique<jini::LookupService>(net, lus_node.id());
+      (void)island->lus->start();
+      for (std::size_t k = 0; k < services; ++k) {
+        jini::ServiceItem item;
+        item.service_id = name + "-svc-" + std::to_string(k);
+        item.name = item.service_id;
+        item.interface = device_interface();
+        item.endpoint = {host.id(), 4170};
+        island->natives.push_back(std::make_unique<jini::Registrar>(
+            net, host.id(), island->lus->endpoint(), std::move(item)));
+        island->natives.back()->join([](const Status&) {});
+      }
+      island->vsg =
+          std::make_unique<core::VirtualServiceGateway>(net, gw.id(), name);
+      (void)island->vsg->start();
+      auto adapter = std::make_unique<core::JiniAdapter>(
+          net, gw.id(), island->lus->endpoint());
+      (void)adapter->start();
+      island->pcm = std::make_unique<core::Pcm>(net, *island->vsg,
+                                                vsr->endpoint(),
+                                                std::move(adapter));
+      islands.push_back(std::move(island));
+    }
+    sched.run_for(sim::milliseconds(100));  // the native joins land
+  }
+
+  Status refresh_round() {
+    std::size_t remaining = islands.size();
+    Status first_error;
+    for (auto& island : islands) {
+      island->pcm->refresh([&](const Status& s) {
+        if (!s.is_ok() && first_error.is_ok()) first_error = s;
+        --remaining;
+      });
+    }
+    sim::run_until_done(sched, [&] { return remaining == 0; });
+    return first_error;
+  }
+
+  [[nodiscard]] std::uint64_t lookups_served() const {
+    std::uint64_t n = 0;
+    for (const auto& island : islands) n += island->lus->lookups_served();
+    return n;
+  }
+  [[nodiscard]] std::uint64_t lan_frames() const {
+    std::uint64_t n = 0;
+    for (const auto& island : islands) n += island->lan->frames_carried();
+    return n;
+  }
+};
+
+struct NativeResult {
+  double lookups_per_round = 0;
+  double lan_frames_per_round = 0;
+  double allocs_per_round = 0;
+  double latency_ms = 0;
+  std::size_t lus_items = 0;  // per LUS: natives + imported server proxies
+};
+
+NativeResult run_native(std::size_t n_islands, std::size_t services) {
+  JiniMesh mesh(n_islands, services);
+  (void)mesh.refresh_round();
+  (void)mesh.refresh_round();
+  mesh.sched.run_for(sim::milliseconds(100));  // server proxy joins land
+  const auto lookups0 = mesh.lookups_served();
+  const auto frames0 = mesh.lan_frames();
+  const auto t0 = mesh.sched.now();
+  std::uint64_t allocs = 0;
+  for (int round = 0; round < kMeasuredRounds; ++round) {
+    bench::AllocDelta heap;
+    (void)mesh.refresh_round();
+    allocs += heap.allocs();
+  }
+  NativeResult out;
+  out.lookups_per_round =
+      static_cast<double>(mesh.lookups_served() - lookups0) / kMeasuredRounds;
+  out.lan_frames_per_round =
+      static_cast<double>(mesh.lan_frames() - frames0) / kMeasuredRounds;
+  out.allocs_per_round = static_cast<double>(allocs) / kMeasuredRounds;
+  out.latency_ms = bench::to_ms(mesh.sched.now() - t0) / kMeasuredRounds;
+  out.lus_items = mesh.islands[0]->lus->service_count();
+  return out;
+}
+
+void native_report(bench::JsonReport& report) {
+  std::printf(
+      "\n  native arm: real Jini islands (LUS + S native services + "
+      "JiniAdapter),\n  zero-churn rounds after convergence\n\n");
+  std::printf(
+      "   isl  svc/isl  LUS items  lookups/round  LAN frames/round"
+      "   allocs/round  latency/round\n");
+  for (std::size_t islands : {std::size_t{2}, std::size_t{8}, std::size_t{32}}) {
+    for (std::size_t services :
+         {std::size_t{5}, std::size_t{20}, std::size_t{50}}) {
+      NativeResult r = run_native(islands, services);
+      std::printf("  %4zu  %7zu  %9zu  %13.1f  %16.1f  %13.0f  %10.2f ms\n",
+                  islands, services, r.lus_items, r.lookups_per_round,
+                  r.lan_frames_per_round, r.allocs_per_round, r.latency_ms);
+      report.row()
+          .str("mode", "native")
+          .num("islands", islands)
+          .num("services_per_island", services)
+          .num("churn", std::size_t{0})
+          .num("lus_items", r.lus_items)
+          .num("lus_lookups_per_round", r.lookups_per_round)
+          .num("lan_frames_per_round", r.lan_frames_per_round)
+          .num("allocs_per_round", r.allocs_per_round)
+          .num("latency_ms", r.latency_ms);
+    }
+  }
+  std::printf(
+      "\n  -> the change feed keeps the native side of a zero-change round\n"
+      "     at zero lookups and zero LAN frames, flat in S.\n");
+}
+
 const char* mode_name(core::Pcm::SyncMode m) {
   return m == core::Pcm::SyncMode::kDelta ? "delta" : "snapshot";
 }
@@ -289,6 +447,8 @@ void sweep_report(const std::string& json_path) {
   std::printf(
       "\n  -> delta keeps steady-state refresh O(1) per island: bytes and\n"
       "     latency flat in S, while snapshot grows linearly with S.\n");
+
+  native_report(report);
 
   if (!json_path.empty() && report.write(json_path)) {
     std::printf("  (json written to %s)\n", json_path.c_str());

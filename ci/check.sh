@@ -2,8 +2,9 @@
 # Full PR gate (docs/CORRECTNESS.md §6):
 #   1. tier-1: default preset (-Werror) build + full ctest, which
 #      includes the hcm_lint contract check and the determinism audit;
-#   2. the same suite under ASan+UBSan (asan preset), with an explicit
-#      event-bridge pass (leases, backpressure, retry paths exercise
+#   2. the same suite under ASan+UBSan (asan preset), with explicit
+#      event-bridge and native-feed passes (leases, backpressure, retry
+#      paths, listener leases and adapter teardown mid-event exercise
 #      the trickiest object lifetimes in the tree);
 #   3. races: tsan preset over the concurrency-sensitive suites —
 #      the sharded kernel (SPSC channels, window barrier, the fig. 4
@@ -55,6 +56,7 @@ echo "=== [2/12] sanitizers: asan preset (ASan + UBSan) ==="
 cmake --preset asan
 cmake --build --preset asan -j "${JOBS}"
 ctest --preset asan -j "${JOBS}" -R 'EventBridge'
+ctest --preset asan -j "${JOBS}" -R 'NativeFeed'
 # The kill -9 store-recovery harness must hold under ASan specifically:
 # replaying torn on-disk state is where stale-pointer/oob bugs hide.
 ctest --preset asan -j "${JOBS}" -R 'StoreCrashRecovery'

@@ -2,6 +2,13 @@
 
 namespace hcm::core {
 
+namespace {
+// The Registry topics the feed subscribes to.
+constexpr const char* kFeedTopics[] = {havi::kEventNewSoftwareElement,
+                                       havi::kEventGoneSoftwareElement,
+                                       havi::kEventNetworkReset};
+}  // namespace
+
 HaviAdapter::HaviAdapter(havi::MessagingSystem& ms, havi::Seid registry)
     : ms_(ms),
       self_(ms.register_element([this](const std::string& op,
@@ -12,16 +19,30 @@ HaviAdapter::HaviAdapter(havi::MessagingSystem& ms, havi::Seid registry)
       registry_(ms, self_, registry),
       em_seid_(havi::Seid{registry.node, havi::kEventManagerHandle}) {}
 
-HaviAdapter::~HaviAdapter() { ms_.unregister_element(self_); }
+HaviAdapter::~HaviAdapter() {
+  alive_.reset();
+  if (subscribed_ || !feed_.down()) {  // subscribed, or subscribing
+    havi::EventClient events(ms_, self_, em_seid_);
+    for (const char* topic : kFeedTopics) {
+      events.unsubscribe(topic, [](const Status&) {});
+    }
+  }
+  ms_.unregister_element(self_);
+}
 
 void HaviAdapter::handle_self(const std::string& op, const ValueList& args,
                               InvokeResultFn done) {
   // Event Manager notifications arrive as op "event" with
-  // args ["<service>.<event>", payload].
+  // args [topic, payload]: the feed's Registry topics, or
+  // "<service>.<event>" for watched services.
   if (op == "event" && args.size() == 2 && args[0].is_string()) {
     const std::string& topic = args[0].as_string();
-    auto dot = topic.find('.');
-    if (dot != std::string::npos) {
+    if (topic == havi::kEventNewSoftwareElement ||
+        topic == havi::kEventGoneSoftwareElement) {
+      on_registry_event(args);
+    } else if (topic == havi::kEventNetworkReset) {
+      feed_gap();  // the bus re-enumerated: re-list on the next listing
+    } else if (auto dot = topic.find('.'); dot != std::string::npos) {
       auto it = watches_.find(topic.substr(0, dot));
       if (it != watches_.end() && it->second.fn) {
         it->second.fn(topic.substr(0, dot), topic.substr(dot + 1), args[1]);
@@ -34,40 +55,167 @@ void HaviAdapter::handle_self(const std::string& op, const ValueList& args,
 }
 
 void HaviAdapter::list_services(ServicesFn done) {
+  if (feed_.live()) {
+    answer(std::move(done));
+    check_feed();
+  } else if (feed_.wait(std::move(done))) {
+    resync();
+  }
+}
+
+// Registry events cross the bus one-way, and a lost one with no later
+// one behind it shows no gap. At most once per kCheckPeriod a listing
+// also asks the Registry for its change number; a number ahead of the
+// set marks a gap, and the next listing re-lists.
+void HaviAdapter::check_feed() {
+  const sim::SimTime now = ms_.network().scheduler().now();
+  if (now < next_check_) return;
+  next_check_ = now + ChangeFeed::kCheckPeriod;
+  registry_.change_number([this, alive = std::weak_ptr<bool>(alive_)](
+                              Result<std::uint64_t> seq) {
+    if (alive.expired() || !seq.is_ok()) return;
+    if (feed_.behind(seq.value())) feed_gap();
+  });
+}
+
+void HaviAdapter::answer(ServicesFn done) {
+  std::vector<LocalService> services;
+  services.reserve(fcms_.size());
+  for (const auto& [seid, fcm] : fcms_) {
+    if (!fcm.imported) services.push_back(fcm.service);
+  }
+  ms_.network().scheduler().after(0, [services = std::move(services),
+                                      done = std::move(done)]() mutable {
+    done(std::move(services));
+  });
+}
+
+void HaviAdapter::resync() {
+  const std::uint64_t gen = feed_.begin_sync();
+  if (subscribed_) {
+    relist(gen);
+    return;
+  }
+  // First contact: subscribe to the Registry's changes, then list.
+  auto pending = std::make_shared<std::size_t>(std::size(kFeedTopics));
+  auto failed = std::make_shared<Status>();
+  havi::EventClient events(ms_, self_, em_seid_);
+  for (const char* topic : kFeedTopics) {
+    events.subscribe(topic, [this, gen, pending, failed,
+                             alive = std::weak_ptr<bool>(alive_)](
+                                const Status& s) {
+      if (!s.is_ok() && failed->is_ok()) *failed = s;
+      if (--*pending != 0 || alive.expired() || feed_.stale(gen)) return;
+      if (!failed->is_ok()) {
+        fail_sync(*failed);
+        return;
+      }
+      subscribed_ = true;
+      relist(gen);
+    });
+  }
+}
+
+void HaviAdapter::relist(std::uint64_t gen) {
+  ++relists_;
   registry_.get_elements(
       ValueMap{{havi::kAttrSeType, Value("FCM")}},
-      [this, done = std::move(done)](
-          Result<std::vector<havi::RegistryRecord>> records) {
-        if (!records.is_ok()) {
-          done(records.status());
+      [this, gen, alive = std::weak_ptr<bool>(alive_)](
+          Result<havi::RegistryListing> listing) {
+        if (alive.expired() || feed_.stale(gen)) return;
+        if (!listing.is_ok()) {
+          fail_sync(listing.status());
           return;
         }
-        std::vector<LocalService> services;
-        for (auto& record : records.value()) {
-          auto name_it = record.attributes.find(havi::kAttrName);
-          auto iface_it = record.attributes.find(havi::kAttrInterface);
-          if (name_it == record.attributes.end() ||
-              iface_it == record.attributes.end() ||
-              !name_it->second.is_string()) {
-            continue;  // FCM without framework-usable description
-          }
-          auto iface = interface_from_value(iface_it->second);
-          if (!iface.is_ok()) continue;
-          std::string name = name_it->second.as_string();
-          known_[name] = record.seid;
-          auto imported = record.attributes.find("hcm.imported");
-          if (imported != record.attributes.end() &&
-              imported->second == Value(true)) {
-            continue;
-          }
-          LocalService service;
-          service.name = std::move(name);
-          service.interface = std::move(iface).take();
-          service.attributes = std::move(record.attributes);
-          services.push_back(std::move(service));
+        fcms_.clear();
+        known_.clear();
+        for (auto& record : listing.value().records) {
+          add_fcm(record.seid, std::move(record.attributes));
         }
-        done(std::move(services));
+        next_check_ =
+            ms_.network().scheduler().now() + ChangeFeed::kCheckPeriod;
+        for (const auto& args : feed_.go_live(listing.value().seq)) {
+          on_registry_event(args);
+        }
+        for (auto& done : feed_.take_waiting()) answer(std::move(done));
       });
+}
+
+void HaviAdapter::fail_sync(const Status& status) {
+  (void)feed_.gap();
+  for (auto& done : feed_.take_waiting()) done(status);
+}
+
+// args: [NewSoftwareElement {seq, seid, attrs} | GoneSoftwareElement
+// {seq, seid}].
+void HaviAdapter::on_registry_event(const ValueList& args) {
+  const Value& change = args[1];
+  if (!change.at("seq").is_int()) return;
+  switch (feed_.admit(static_cast<std::uint64_t>(change.at("seq").as_int()),
+                      args)) {
+    case ChangeFeed::Verdict::kApply:
+      break;
+    case ChangeFeed::Verdict::kGap:
+      feed_gap();  // a change went missing
+      return;
+    default:
+      return;
+  }
+  auto seid = havi::Seid::from_value(change.at("seid"));
+  if (!seid.is_ok()) {
+    feed_gap();
+    return;
+  }
+  remove_fcm(seid.value());
+  const Value& attrs = change.at("attrs");
+  if (args[0].as_string() != havi::kEventNewSoftwareElement ||
+      !attrs.is_map()) {
+    return;
+  }
+  auto type = attrs.as_map().find(havi::kAttrSeType);
+  if (type != attrs.as_map().end() && type->second == Value("FCM")) {
+    add_fcm(seid.value(), attrs.as_map());
+  }
+}
+
+void HaviAdapter::add_fcm(const havi::Seid& seid, ValueMap attrs) {
+  auto name_it = attrs.find(havi::kAttrName);
+  auto iface_it = attrs.find(havi::kAttrInterface);
+  if (name_it == attrs.end() || iface_it == attrs.end() ||
+      !name_it->second.is_string()) {
+    return;  // FCM without framework-usable description
+  }
+  Fcm fcm;
+  fcm.service.name = name_it->second.as_string();
+  // Server proxies are skipped before their interface is decoded.
+  auto imported = attrs.find("hcm.imported");
+  fcm.imported = imported != attrs.end() && imported->second == Value(true);
+  if (!fcm.imported) {
+    auto iface = interface_from_value(iface_it->second);
+    if (!iface.is_ok()) return;
+    fcm.service.interface = std::move(iface).take();
+    fcm.service.attributes = std::move(attrs);
+  }
+  auto [pos, inserted] = known_.emplace(fcm.service.name, seid);
+  if (!inserted && pos->second < seid) pos->second = seid;
+  fcms_.insert_or_assign(seid, std::move(fcm));
+}
+
+void HaviAdapter::remove_fcm(const havi::Seid& seid) {
+  auto it = fcms_.find(seid);
+  if (it == fcms_.end()) return;
+  const std::string name = std::move(it->second.service.name);
+  fcms_.erase(it);
+  auto pos = known_.find(name);
+  if (pos == known_.end() || !(pos->second == seid)) return;
+  known_.erase(pos);
+  for (const auto& [other, fcm] : fcms_) {
+    if (fcm.service.name == name) known_[name] = other;
+  }
+}
+
+void HaviAdapter::feed_gap() {
+  if (feed_.gap()) resync();  // listings in flight start over
 }
 
 void HaviAdapter::invoke(const std::string& service_name,
@@ -88,20 +236,7 @@ void HaviAdapter::invoke(const std::string& service_name,
     ms_.send_request(self_, it->second, method, args, std::move(done));
     return;
   }
-  // Refresh from the registry, then retry once.
-  list_services([this, service_name, method, args, done = std::move(done)](
-                    Result<std::vector<LocalService>> r) {
-    if (!r.is_ok()) {
-      done(r.status());
-      return;
-    }
-    auto found = known_.find(service_name);
-    if (found == known_.end()) {
-      done(not_found("no HAVi FCM: " + service_name));
-      return;
-    }
-    ms_.send_request(self_, found->second, method, args, std::move(done));
-  });
+  done(not_found("no HAVi FCM: " + service_name));
 }
 
 Status HaviAdapter::export_service(const LocalService& service,

@@ -1,5 +1,7 @@
 #include "core/pcm.hpp"
 
+#include <algorithm>
+
 #include "common/logging.hpp"
 #include "obs/slab.hpp"
 
@@ -71,10 +73,12 @@ void Pcm::publish_locals(DoneFn done) {
 
     // Retire client proxies for services that left the middleware, so
     // the VSR never advertises a dead endpoint.
-    std::set<std::string> current;
-    for (const auto& service : services.value()) current.insert(service.name);
+    std::vector<std::string_view> current;
+    current.reserve(services.value().size());
+    for (const auto& service : services.value()) current.push_back(service.name);
+    std::sort(current.begin(), current.end());
     for (auto it = published_.begin(); it != published_.end();) {
-      if (current.count(it->first) == 0) {
+      if (!std::binary_search(current.begin(), current.end(), it->first)) {
         vsg_.unexpose(it->first);
         ++*remaining;
         vsr_.unpublish(it->first, step);
@@ -122,10 +126,10 @@ void Pcm::publish_locals(DoneFn done) {
 }
 
 void Pcm::renew_origin_lease(DoneFn done) {
-  std::map<std::string, std::string> digest_by_name;
-  for (const auto& [name, rec] : published_) digest_by_name[name] = rec.digest;
+  soap::FingerprintHasher fingerprint;
+  for (const auto& [name, rec] : published_) fingerprint.add(name, rec.digest);
   vsr_.renew_origin(
-      vsg_.island_name(), soap::registry_fingerprint(digest_by_name),
+      vsg_.island_name(), fingerprint.finish(),
       kPublishTtl, [this, done = std::move(done)](const Status& s) mutable {
         if (s.is_ok()) {
           done(Status::ok());

@@ -38,6 +38,12 @@ class VsrServer {
     return registry_;
   }
 
+  // Client connections accepted since start(): VSR clients pool theirs,
+  // so this stays at one per client across refreshes.
+  [[nodiscard]] std::uint64_t connections_accepted() const {
+    return http_.connections_accepted();
+  }
+
   [[nodiscard]] const store::VsrStore* store() const { return store_.get(); }
   [[nodiscard]] bool store_open_failed() const { return store_open_failed_; }
 

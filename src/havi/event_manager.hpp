@@ -1,8 +1,9 @@
 // HAVi Event Manager: bus-wide publish/subscribe. System events
-// (NetworkReset, NewSoftwareElement) and application events (e.g. a
-// VCR's transport state change) are posted here and fanned out to
-// subscribed software elements as notification messages with op
-// "event" and args [event_name, payload].
+// (NetworkReset, and the Registry's NewSoftwareElement and
+// GoneSoftwareElement) and application events (e.g. a VCR's transport
+// state change) are posted here and fanned out to subscribed software
+// elements as notification messages with op "event" and args
+// [event_name, payload].
 #pragma once
 
 #include <map>
@@ -15,7 +16,9 @@
 namespace hcm::havi {
 
 inline constexpr const char* kEventNetworkReset = "NetworkReset";
+// Registry changes (see havi::Registry).
 inline constexpr const char* kEventNewSoftwareElement = "NewSoftwareElement";
+inline constexpr const char* kEventGoneSoftwareElement = "GoneSoftwareElement";
 
 class EventManager {
  public:

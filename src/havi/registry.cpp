@@ -1,6 +1,7 @@
 #include "havi/registry.hpp"
 
 #include "common/logging.hpp"
+#include "havi/event_manager.hpp"
 
 namespace hcm::havi {
 
@@ -48,10 +49,10 @@ void Registry::handle(const std::string& op, const ValueList& args,
     }
     auto seid = Seid::from_value(args[0]);
     if (!seid.is_ok()) return done(seid.status());
-    RegistryRecord rec;
+    RegistryRecord& rec = records_[seid.value()];
     rec.seid = seid.value();
-    if (args[1].is_map()) rec.attributes = args[1].as_map();
-    records_[rec.seid] = std::move(rec);
+    rec.attributes = args[1].is_map() ? args[1].as_map() : ValueMap{};
+    post_change(rec.seid, &rec.attributes);
     return done(Value(true));
   }
   if (op == "unregisterElement") {
@@ -60,10 +61,13 @@ void Registry::handle(const std::string& op, const ValueList& args,
     }
     auto seid = Seid::from_value(args[0]);
     if (!seid.is_ok()) return done(seid.status());
-    return done(Value(records_.erase(seid.value()) > 0));
+    const bool removed = records_.erase(seid.value()) > 0;
+    if (removed) post_change(seid.value(), nullptr);
+    return done(Value(removed));
   }
   if (op == "getElement") {
     if (args.size() != 1) return done(invalid_argument("getElement(query)"));
+    ++queries_served_;
     const ValueMap none;
     const ValueMap& query = args[0].is_map() ? args[0].as_map() : none;
     ValueList out;
@@ -78,16 +82,43 @@ void Registry::handle(const std::string& op, const ValueList& args,
       }
       if (match) out.push_back(record_to_value(rec));
     }
-    return done(Value(std::move(out)));
+    ValueMap reply;
+    reply.reserve(2);
+    reply.emplace("records", std::move(out));
+    reply.emplace("seq", static_cast<std::int64_t>(seq_));
+    return done(Value(std::move(reply)));
+  }
+  if (op == "getChangeNumber") {
+    // The number alone: a subscriber's O(1) check that its event feed
+    // missed nothing.
+    return done(Value(static_cast<std::int64_t>(seq_)));
   }
   done(not_found("registry has no op " + op));
+}
+
+void Registry::post_change(const Seid& seid, const ValueMap* attrs) {
+  ++seq_;
+  ValueMap change;
+  change.reserve(3);
+  change.emplace("seq", static_cast<std::int64_t>(seq_));
+  change.emplace("seid", seid.to_value());
+  if (attrs != nullptr) change.emplace("attrs", *attrs);
+  ValueList args;
+  args.reserve(2);
+  args.emplace_back(attrs != nullptr ? kEventNewSoftwareElement
+                                     : kEventGoneSoftwareElement);
+  args.emplace_back(std::move(change));
+  ms_.send_notification(seid_, Seid{ms_.node(), kEventManagerHandle},
+                        "postEvent", args);
 }
 
 void Registry::purge_dead_nodes() {
   for (auto it = records_.begin(); it != records_.end();) {
     if (!bus_.has_node(it->first.node)) {
       log_debug("havi.registry", "purging ", it->first.to_string());
+      const Seid gone = it->first;
       it = records_.erase(it);
+      post_change(gone, nullptr);
     } else {
       ++it;
     }
@@ -111,7 +142,7 @@ void RegistryClient::unregister_element(
                    });
 }
 
-void RegistryClient::get_elements(const ValueMap& query, RecordsFn done) {
+void RegistryClient::get_elements(const ValueMap& query, ListingFn done) {
   ms_.send_request(
       self_, registry_, "getElement", {Value(query)},
       [done = std::move(done)](Result<Value> r) {
@@ -119,21 +150,42 @@ void RegistryClient::get_elements(const ValueMap& query, RecordsFn done) {
           done(r.status());
           return;
         }
-        if (!r.value().is_list()) {
-          done(protocol_error("getElement reply is not a list"));
+        auto seq = r.value().at("seq").to_int();
+        if (!seq.is_ok() || !r.value().at("records").is_list()) {
+          done(protocol_error("getElement reply is not a listing"));
           return;
         }
-        std::vector<RegistryRecord> records;
-        for (auto& v : r.value().as_list()) {
+        RegistryListing listing;
+        listing.seq = static_cast<std::uint64_t>(seq.value());
+        auto& records = r.value().as_map().find("records")->second.as_list();
+        listing.records.reserve(records.size());
+        for (auto& v : records) {
           auto rec = record_from_value(v);
           if (!rec.is_ok()) {
             done(rec.status());
             return;
           }
-          records.push_back(std::move(rec).take());
+          listing.records.push_back(std::move(rec).take());
         }
-        done(std::move(records));
+        done(std::move(listing));
       });
+}
+
+void RegistryClient::change_number(
+    std::function<void(Result<std::uint64_t>)> done) {
+  ms_.send_request(self_, registry_, "getChangeNumber", {},
+                   [done = std::move(done)](Result<Value> r) {
+                     if (!r.is_ok()) {
+                       done(r.status());
+                       return;
+                     }
+                     auto seq = r.value().to_int();
+                     if (!seq.is_ok()) {
+                       done(protocol_error("bad getChangeNumber reply"));
+                       return;
+                     }
+                     done(static_cast<std::uint64_t>(seq.value()));
+                   });
 }
 
 }  // namespace hcm::havi

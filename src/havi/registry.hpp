@@ -5,6 +5,7 @@
 #pragma once
 
 #include <map>
+#include <vector>
 
 #include "havi/messaging.hpp"
 #include "net/ieee1394.hpp"
@@ -23,6 +24,14 @@ struct RegistryRecord {
   ValueMap attributes;
 };
 
+// Every change to the Registry (a record added, replaced or removed,
+// including a purge after a bus reset) takes the next change number
+// and is posted through the Event Manager on the same node:
+// NewSoftwareElement with {seq, seid, attrs} or GoneSoftwareElement
+// with {seq, seid}. getElement replies carry the number too, so a
+// subscriber can tell which events a listing already holds, and
+// getChangeNumber answers it alone, so a subscriber can tell that an
+// event went missing on the bus.
 class Registry {
  public:
   // Mounts the registry at kRegistryHandle on `ms`; watches `bus` for
@@ -31,16 +40,29 @@ class Registry {
 
   [[nodiscard]] Seid seid() const { return seid_; }
   [[nodiscard]] std::size_t size() const { return records_.size(); }
+  // getElement queries answered.
+  [[nodiscard]] std::uint64_t queries_served() const { return queries_served_; }
 
  private:
   void handle(const std::string& op, const ValueList& args,
               InvokeResultFn done);
   void purge_dead_nodes();
+  // Numbers a change and posts it; `attrs` is null for a removal.
+  void post_change(const Seid& seid, const ValueMap* attrs);
 
   MessagingSystem& ms_;
   net::Ieee1394Bus& bus_;
   Seid seid_;
   std::map<Seid, RegistryRecord> records_;
+  std::uint64_t seq_ = 0;
+  std::uint64_t queries_served_ = 0;
+};
+
+// A getElement reply: the matching records, and the Registry's change
+// number when it answered.
+struct RegistryListing {
+  std::uint64_t seq = 0;
+  std::vector<RegistryRecord> records;
 };
 
 // Typed client for any SE that wants to talk to the registry.
@@ -49,14 +71,16 @@ class RegistryClient {
   RegistryClient(MessagingSystem& ms, Seid self, Seid registry)
       : ms_(ms), self_(self), registry_(registry) {}
 
-  using RecordsFn = std::function<void(Result<std::vector<RegistryRecord>>)>;
+  using ListingFn = std::function<void(Result<RegistryListing>)>;
 
   void register_element(const Seid& seid, const ValueMap& attrs,
                         std::function<void(const Status&)> done);
   void unregister_element(const Seid& seid,
                           std::function<void(const Status&)> done);
   // Returns records whose attributes contain all of `query`.
-  void get_elements(const ValueMap& query, RecordsFn done);
+  void get_elements(const ValueMap& query, ListingFn done);
+  // The Registry's current change number.
+  void change_number(std::function<void(Result<std::uint64_t>)> done);
 
  private:
   MessagingSystem& ms_;

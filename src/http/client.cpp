@@ -1,5 +1,8 @@
 #include "http/client.hpp"
 
+#include <algorithm>
+#include <vector>
+
 namespace hcm::http {
 
 // One live connection. Requests are serialized (at most one in flight)
@@ -23,6 +26,16 @@ struct HttpClient::PooledConn {
   Response scratch_resp;
   sim::EventId timeout_event = 0;
   bool keep_alive = false;
+  // Pooled and still connecting: requests queue here instead of
+  // opening connections of their own.
+  bool connecting = false;
+  std::weak_ptr<Pool> pool;  // its siblings, when pooled
+};
+
+// The pooled connections to one destination. Shared so that a close
+// handler, which may run after the client is gone, reaches the siblings.
+struct HttpClient::Pool {
+  std::vector<std::shared_ptr<PooledConn>> conns;
 };
 
 // Latency/error accounting happens at the point a callback is
@@ -44,33 +57,64 @@ void HttpClient::request(net::Endpoint dest, Request req, ResponseCallback cb) {
   std::string& host = header_slot(req.headers, "Host");
   host.clear();
   dest.append_to(host);
+  std::shared_ptr<PooledConn> pooled;
   if (options_.keep_alive) {
-    auto it = pool_.find(dest);
-    if (it != pool_.end()) {
-      if (it->second->stream && it->second->stream->is_open()) {
-        send_on(it->second, std::move(req), std::move(cb), start);
-        return;
+    auto& pool = pool_[dest];
+    if (!pool) pool = std::make_shared<Pool>();
+    auto& conns = pool->conns;
+    // Forget connections closed behind our back.
+    std::erase_if(conns, [](const std::shared_ptr<PooledConn>& c) {
+      return !c->connecting && !(c->stream && c->stream->is_open());
+    });
+    const auto load = [](const std::shared_ptr<PooledConn>& c) {
+      return c->queue.size() + (c->inflight || c->connecting ? 1 : 0);
+    };
+    auto least = std::min_element(
+        conns.begin(), conns.end(),
+        [&](const auto& a, const auto& b) { return load(a) < load(b); });
+    // An idle connection takes the request; when every one is busy, a
+    // new one opens while the pool has room, else the request queues
+    // behind the least loaded.
+    if (least != conns.end() &&
+        (load(*least) == 0 || conns.size() >= options_.max_connections)) {
+      if ((*least)->connecting) {
+        (*least)->queue.push_back({std::move(req), std::move(cb), start});
+      } else {
+        send_on(*least, std::move(req), std::move(cb), start);
       }
-      pool_.erase(it);  // closed behind our back; reconnect below
+      return;
     }
+    pooled = std::make_shared<PooledConn>();
+    pooled->dest = dest;
+    pooled->keep_alive = true;
+    pooled->connecting = true;
+    pooled->pool = pool;
+    conns.push_back(pooled);
   }
   net_.connect(node_, dest,
-               [this, dest, start, req = std::move(req),
+               [this, dest, start, pooled, req = std::move(req),
                 cb = std::move(cb)](Result<net::StreamPtr> stream) mutable {
                  if (!stream.is_ok()) {
+                   // Out of the pool first: a callback may retry at once.
+                   if (pooled) std::erase(pool_[dest]->conns, pooled);
                    Result<Response> r(stream.status());
                    finish(std::move(cb), start, r);
+                   // Requests that queued on the failed connect fail too.
+                   if (pooled) {
+                     fail_queued(*pooled, net_.scheduler(), latency_us_,
+                                 errors_, stream.status());
+                   }
                    return;
                  }
-                 auto conn = make_conn(stream.value(), dest);
-                 if (options_.keep_alive) pool_[dest] = conn;
+                 auto conn = pooled ? pooled : std::make_shared<PooledConn>();
+                 conn->connecting = false;
+                 attach(conn, stream.value(), dest);
                  send_on(conn, std::move(req), std::move(cb), start);
                });
 }
 
-std::shared_ptr<HttpClient::PooledConn> HttpClient::make_conn(
-    net::StreamPtr stream, net::Endpoint dest) {
-  auto conn = std::make_shared<PooledConn>();
+void HttpClient::attach(const std::shared_ptr<PooledConn>& conn,
+                        net::StreamPtr stream, net::Endpoint dest) {
   conn->stream = std::move(stream);
   conn->dest = dest;
   conn->keep_alive = options_.keep_alive;
@@ -89,6 +133,20 @@ std::shared_ptr<HttpClient::PooledConn> HttpClient::make_conn(
     auto conn = weak.lock();
     if (!conn) return;
     if (conn->timeout_event != 0) sched.cancel(conn->timeout_event);
+    // The peer closed a pooled connection: its idle siblings most likely
+    // went with it (a server restart), their close still on the way.
+    // Drop them before the callbacks below issue requests that would
+    // pick one.
+    if (auto pool = conn->pool.lock()) {
+      for (auto& other : pool->conns) {
+        if (other == conn || !other->stream || other->inflight ||
+            !other->queue.empty()) {
+          continue;
+        }
+        other->stream->close();
+        other->stream = nullptr;
+      }
+    }
     if (conn->inflight) {
       auto cb = std::move(conn->inflight);
       conn->inflight = nullptr;
@@ -97,13 +155,7 @@ std::shared_ptr<HttpClient::PooledConn> HttpClient::make_conn(
       Result<Response> r(unavailable("connection closed before response"));
       cb(r);
     }
-    for (auto& q : conn->queue) {
-      lat.observe(sched.now() - q.start);
-      errs.inc();
-      Result<Response> r(unavailable("connection closed"));
-      q.cb(r);
-    }
-    conn->queue.clear();
+    fail_queued(*conn, sched, lat, errs, unavailable("connection closed"));
     conn->stream = nullptr;
   });
 
@@ -146,7 +198,6 @@ std::shared_ptr<HttpClient::PooledConn> HttpClient::make_conn(
       }
     }
   });
-  return conn;
 }
 
 void HttpClient::send_on(const std::shared_ptr<PooledConn>& conn, Request req,
@@ -181,8 +232,25 @@ void HttpClient::send_on(const std::shared_ptr<PooledConn>& conn, Request req,
           Result<Response> r(timeout("HTTP request timed out"));
           pending(r);
           if (conn->stream) conn->stream->close();
+          // Closing our end fires no on_close here: requests queued
+          // behind the timed-out one fail now instead of waiting forever.
+          fail_queued(*conn, sched, lat, errs,
+                      unavailable("connection closed"));
         }
       });
+}
+
+void HttpClient::fail_queued(PooledConn& conn, sim::Scheduler& sched,
+                             obs::Histogram& lat, obs::Counter& errs,
+                             const Status& status) {
+  auto queued = std::move(conn.queue);
+  conn.queue.clear();
+  for (auto& q : queued) {
+    lat.observe(sched.now() - q.start);
+    errs.inc();
+    Result<Response> r(status);
+    q.cb(r);
+  }
 }
 
 }  // namespace hcm::http

@@ -1,6 +1,10 @@
 // HTTP client with optional keep-alive connection pooling. The paper's
-// prototype (Apache SOAP era) opened a connection per call; pooling is
-// the knob the bench_ablation_vsg_protocol experiment flips.
+// prototype (Apache SOAP era) opened a connection per call. The
+// framework's own clients pool: the VSG backbone client keeps one
+// connection per peer gateway, and every VSR client (soap::UddiClient)
+// keeps a small pool to the registry, one connection while its requests
+// come one at a time. Without keep_alive, each request opens and closes
+// its own connection.
 #pragma once
 
 #include <functional>
@@ -26,7 +30,11 @@ using ResponseCallback = SmallFn<void(Result<Response>&), 240>;
 class HttpClient {
  public:
   struct Options {
-    bool keep_alive = false;  // pool one connection per destination
+    bool keep_alive = false;  // pool connections per destination
+    // Pooled connections per destination. A request takes an idle one;
+    // when all are busy it opens another up to this cap, then queues
+    // behind the least loaded (each carries one request at a time).
+    std::size_t max_connections = 1;
     sim::Duration request_timeout = sim::seconds(30);
   };
 
@@ -64,12 +72,20 @@ class HttpClient {
 
  private:
   struct PooledConn;
+  struct Pool;
 
   void send_on(const std::shared_ptr<PooledConn>& conn, Request req,
                ResponseCallback cb, sim::SimTime start);
   void finish(ResponseCallback cb, sim::SimTime start, Result<Response>& r);
-  std::shared_ptr<PooledConn> make_conn(net::StreamPtr stream,
-                                        net::Endpoint dest);
+  // Gives a connected stream to `conn` and wires its callbacks.
+  void attach(const std::shared_ptr<PooledConn>& conn, net::StreamPtr stream,
+              net::Endpoint dest);
+  // Fails the requests queued on a connection that failed to connect,
+  // closed or timed out. Static: close and timeout handlers may run
+  // after the client is gone.
+  static void fail_queued(PooledConn& conn, sim::Scheduler& sched,
+                          obs::Histogram& lat, obs::Counter& errs,
+                          const Status& status);
 
   net::Network& net_;
   net::NodeId node_;
@@ -81,7 +97,7 @@ class HttpClient {
   // Owns idle keep-alive connections. The stream's callbacks hold only
   // weak_ptrs back to the connection, so this map (plus any pending
   // request timeout) is what keeps a connection alive.
-  std::map<net::Endpoint, std::shared_ptr<PooledConn>> pool_;
+  std::map<net::Endpoint, std::shared_ptr<Pool>> pool_;
 };
 
 }  // namespace hcm::http

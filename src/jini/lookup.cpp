@@ -10,9 +10,29 @@ InterfaceDesc listener_interface() {
   return InterfaceDesc{
       "RemoteEventListener",
       {MethodDesc{"serviceEvent",
-                  {{"type", ValueType::kString}, {"item", ValueType::kMap}},
+                  {{"type", ValueType::kString},
+                   {"item", ValueType::kMap},
+                   {"seq", ValueType::kInt}},
                   ValueType::kNull,
                   true}}};
+}
+
+// A requested lease in µs, clamped to (0, kMaxLease].
+Result<sim::Duration> granted_lease(const Value& requested) {
+  auto lease = requested.to_int();
+  if (!lease.is_ok()) return invalid_argument("bad lease duration");
+  if (lease.value() <= 0 || lease.value() > LookupService::kMaxLease) {
+    return LookupService::kMaxLease;
+  }
+  return lease.value();
+}
+
+Value lease_grant(const std::string& lease_id, sim::Duration lease) {
+  ValueMap grant;
+  grant.reserve(2);
+  grant.emplace("duration", static_cast<std::int64_t>(lease));
+  grant.emplace("lease", lease_id);
+  return Value(std::move(grant));
 }
 }  // namespace
 
@@ -25,13 +45,26 @@ LookupService::~LookupService() { stop(); }
 Status LookupService::start() {
   auto status = server_.start();
   if (!status.is_ok()) return status;
+  // The start instant tells incarnations apart; a restart within the
+  // same instant still moves on.
+  epoch_ = std::max(epoch_ + 1,
+                    static_cast<std::uint64_t>(net_.scheduler().now()) + 1);
+  next_lease_ = 1;
+  seq_ = 0;
   server_.register_service(
       "lookup", [this](const std::string& method, const ValueList& args,
                        InvokeResultFn done) { handle(method, args, done); });
   return Status::ok();
 }
 
-void LookupService::stop() { server_.stop(); }
+void LookupService::stop() {
+  server_.stop();
+  for (auto& [id, reg] : services_) net_.scheduler().cancel(reg.expiry_event);
+  for (auto& [id, l] : listeners_) net_.scheduler().cancel(l.expiry_event);
+  services_.clear();
+  leases_.clear();
+  listeners_.clear();
+}
 
 void LookupService::handle(const std::string& method, const ValueList& args,
                            InvokeResultFn done) {
@@ -43,15 +76,25 @@ void LookupService::handle(const std::string& method, const ValueList& args,
   done(not_found("lookup service has no method " + method));
 }
 
+std::string LookupService::next_lease_id() {
+  return "lease-" + std::to_string(epoch_) + "-" +
+         std::to_string(next_lease_++);
+}
+
+sim::EventId LookupService::schedule_expiry(const std::string& lease_id,
+                                            sim::Duration lease) {
+  // Init-capture: a plain copy of the const& would be a const string,
+  // which does not move, and the closure would leave the inline slot.
+  return net_.scheduler().after(
+      lease, [this, id = lease_id] { expire_lease(id); });
+}
+
 Result<Value> LookupService::do_register(const ValueList& args) {
   if (args.size() != 2) return invalid_argument("register(item, lease_us)");
   auto item = ServiceItem::from_value(args[0]);
   if (!item.is_ok()) return item.status();
-  auto requested = args[1].to_int();
-  if (!requested.is_ok()) return invalid_argument("bad lease duration");
-
-  sim::Duration lease = requested.value();
-  if (lease <= 0 || lease > kMaxLease) lease = kMaxLease;
+  auto lease = granted_lease(args[1]);
+  if (!lease.is_ok()) return lease.status();
 
   const std::string service_id = item.value().service_id;
   // Re-registration replaces the item and its lease (Jini semantics).
@@ -63,48 +106,63 @@ Result<Value> LookupService::do_register(const ValueList& args) {
 
   Registration reg;
   reg.item = std::move(item).take();
-  reg.lease_id = "lease-" + std::to_string(next_lease_++);
-  reg.expiry_event = net_.scheduler().after(
-      lease, [this, lease_id = reg.lease_id] { expire_lease(lease_id); });
+  reg.lease_id = next_lease_id();
+  reg.expiry_event = schedule_expiry(reg.lease_id, lease.value());
   leases_[reg.lease_id] = service_id;
   fire_event(kEventRegistered, reg.item);
   auto lease_id = reg.lease_id;
   services_[service_id] = std::move(reg);
-  return Value(ValueMap{
-      {"lease", Value(lease_id)},
-      {"duration", Value(static_cast<std::int64_t>(lease))},
-  });
+  return lease_grant(lease_id, lease.value());
 }
 
 Result<Value> LookupService::do_renew(const ValueList& args) {
   if (args.size() != 2) return invalid_argument("renew(lease, duration_us)");
   if (!args[0].is_string()) return invalid_argument("bad lease id");
-  auto it = leases_.find(args[0].as_string());
-  if (it == leases_.end()) return not_found("unknown lease (expired?)");
-  auto requested = args[1].to_int();
-  if (!requested.is_ok()) return invalid_argument("bad lease duration");
-  sim::Duration lease = requested.value();
-  if (lease <= 0 || lease > kMaxLease) lease = kMaxLease;
-
-  auto& reg = services_.at(it->second);
-  net_.scheduler().cancel(reg.expiry_event);
-  reg.expiry_event = net_.scheduler().after(
-      lease, [this, lease_id = reg.lease_id] { expire_lease(lease_id); });
-  return Value(static_cast<std::int64_t>(lease));
+  const std::string& lease_id = args[0].as_string();
+  sim::EventId* expiry = nullptr;
+  bool event_registration = false;
+  if (auto it = leases_.find(lease_id); it != leases_.end()) {
+    expiry = &services_.at(it->second).expiry_event;
+  } else if (auto l = listeners_.find(lease_id); l != listeners_.end()) {
+    expiry = &l->second.expiry_event;
+    event_registration = true;
+  } else {
+    return not_found("unknown lease (expired?)");
+  }
+  auto lease = granted_lease(args[1]);
+  if (!lease.is_ok()) return lease.status();
+  net_.scheduler().cancel(*expiry);
+  *expiry = schedule_expiry(lease_id, lease.value());
+  if (!event_registration) return Value(static_cast<std::int64_t>(lease.value()));
+  // An event registration's renewal also reports the change number: a
+  // listener behind it lost an event.
+  ValueMap renewal;
+  renewal.reserve(2);
+  renewal.emplace("duration", static_cast<std::int64_t>(lease.value()));
+  renewal.emplace("seq", static_cast<std::int64_t>(seq_));
+  return Value(std::move(renewal));
 }
 
 Result<Value> LookupService::do_cancel(const ValueList& args) {
   if (args.size() != 1 || !args[0].is_string()) {
     return invalid_argument("cancel(lease)");
   }
-  auto it = leases_.find(args[0].as_string());
-  if (it == leases_.end()) return Value(false);
-  remove_service(it->second);
-  return Value(true);
+  const std::string& lease_id = args[0].as_string();
+  if (auto it = leases_.find(lease_id); it != leases_.end()) {
+    remove_service(it->second);
+    return Value(true);
+  }
+  if (auto l = listeners_.find(lease_id); l != listeners_.end()) {
+    net_.scheduler().cancel(l->second.expiry_event);
+    listeners_.erase(l);
+    return Value(true);
+  }
+  return Value(false);
 }
 
 Result<Value> LookupService::do_lookup(const ValueList& args) {
   if (args.size() != 2) return invalid_argument("lookup(iface, attrs)");
+  ++lookups_served_;
   const std::string iface =
       args[0].is_string() ? args[0].as_string() : "";
   const ValueMap none;
@@ -122,18 +180,25 @@ Result<Value> LookupService::do_lookup(const ValueList& args) {
     }
     if (ok) matches.push_back(reg.item.to_value());
   }
-  return Value(std::move(matches));
+  // ServiceMatches: the items, and the change number they reflect.
+  ValueMap reply;
+  reply.reserve(2);
+  reply.emplace("items", std::move(matches));
+  reply.emplace("seq", static_cast<std::int64_t>(seq_));
+  return Value(std::move(reply));
 }
 
 Result<Value> LookupService::do_notify(const ValueList& args) {
-  if (args.size() != 3) {
-    return invalid_argument("notify(node, port, listener_id)");
+  if (args.size() != 4) {
+    return invalid_argument("notify(node, port, listener_id, lease_us)");
   }
   auto node = args[0].to_int();
   auto port = args[1].to_int();
   if (!node.is_ok() || !port.is_ok() || !args[2].is_string()) {
     return invalid_argument("bad listener endpoint");
   }
+  auto lease = granted_lease(args[3]);
+  if (!lease.is_ok()) return lease.status();
   ServiceItem listener_item;
   listener_item.service_id = args[2].as_string();
   listener_item.name = "listener";
@@ -142,16 +207,21 @@ Result<Value> LookupService::do_notify(const ValueList& args) {
                             static_cast<std::uint16_t>(port.value())};
   Listener l;
   l.proxy = std::make_unique<Proxy>(net_, node_, std::move(listener_item));
-  auto id = next_listener_++;
-  listeners_.emplace(id, std::move(l));
-  return Value(id);
+  const std::string lease_id = next_lease_id();
+  l.expiry_event = schedule_expiry(lease_id, lease.value());
+  listeners_.emplace(lease_id, std::move(l));
+  return lease_grant(lease_id, lease.value());
 }
 
 void LookupService::expire_lease(const std::string& lease_id) {
-  auto it = leases_.find(lease_id);
-  if (it == leases_.end()) return;
-  log_debug("jini.lookup", "lease expired: ", lease_id);
-  remove_service(it->second);
+  if (auto it = leases_.find(lease_id); it != leases_.end()) {
+    log_debug("jini.lookup", "lease expired: ", lease_id);
+    remove_service(it->second);
+    return;
+  }
+  if (listeners_.erase(lease_id) > 0) {
+    log_debug("jini.lookup", "event registration expired: ", lease_id);
+  }
 }
 
 void LookupService::remove_service(const std::string& service_id) {
@@ -165,10 +235,17 @@ void LookupService::remove_service(const std::string& service_id) {
 }
 
 void LookupService::fire_event(const char* type, const ServiceItem& item) {
+  ++seq_;
   ++events_fired_;
-  for (auto& [id, listener] : listeners_) {
-    listener.proxy->invoke_one_way(
-        "serviceEvent", {Value(std::string(type)), item.to_value()});
+  if (listeners_.empty()) return;
+  // One payload per event, sent to every listener.
+  ValueList args;
+  args.reserve(3);
+  args.emplace_back(std::string(type));
+  args.push_back(item.to_value());
+  args.emplace_back(static_cast<std::int64_t>(seq_));
+  for (auto& [lease_id, listener] : listeners_) {
+    (void)listener.proxy->invoke_one_way("serviceEvent", args);
   }
 }
 

@@ -5,6 +5,7 @@
 
 #include <memory>
 #include <optional>
+#include <vector>
 
 #include "jini/lookup.hpp"
 #include "jini/proxy.hpp"
@@ -18,25 +19,63 @@ namespace hcm::jini {
                                                   net::NodeId node,
                                                   net::Endpoint endpoint);
 
+// A lookup reply (Jini's ServiceMatches): the matching items, and the
+// lookup service's change number when it answered. Events numbered at
+// or below `seq` are already reflected in `items`.
+struct ServiceMatches {
+  std::uint64_t seq = 0;
+  std::vector<ServiceItem> items;
+};
+
+// A lease the lookup service granted, on a service registration or an
+// event registration.
+struct LeaseGrant {
+  std::string id;
+  sim::Duration duration = 0;
+
+  static Result<LeaseGrant> from_value(const Value& v);
+};
+
+// A renewed lease. Renewing an event registration also reports the
+// lookup service's change number; for a service lease `seq` is 0.
+struct LeaseRenewal {
+  sim::Duration duration = 0;
+  std::uint64_t seq = 0;
+};
+
 class LookupClient {
  public:
   LookupClient(net::Network& net, net::NodeId node, net::Endpoint lookup)
       : proxy_(lookup_proxy(net, node, lookup)) {}
 
-  using ItemsFn = std::function<void(Result<std::vector<ServiceItem>>)>;
+  using MatchesFn = std::function<void(Result<ServiceMatches>)>;
+  // Renewals recur for as long as a lease lives: inline, never a heap cell.
+  using RenewFn = SmallFn<void(Result<LeaseRenewal>), 64>;
+  using LeaseFn = std::function<void(Result<LeaseGrant>)>;
+  using DoneFn = std::function<void(const Status&)>;
 
   // Finds services by interface name ("" = all) and attribute filter.
-  void lookup(const std::string& iface, const ValueMap& attrs, ItemsFn done);
+  void lookup(const std::string& iface, const ValueMap& attrs,
+              MatchesFn done);
 
-  // Registers a remote event listener (already exported at node/port
-  // under listener_id); callback gets the registration id.
+  // Registers a remote event listener (already exported at `listener`
+  // under listener_id) for `lease`. The listener gets
+  // serviceEvent(type, item, seq) for every change until the lease
+  // lapses or is cancelled.
   void notify(net::Endpoint listener, const std::string& listener_id,
-              std::function<void(Result<std::int64_t>)> done);
+              sim::Duration lease, LeaseFn done);
+
+  // Renews or cancels a lease of either kind. renew fails kNotFound
+  // once the lease is gone (lapsed, cancelled, or granted by an
+  // earlier incarnation of the lookup service).
+  void renew(const std::string& lease_id, sim::Duration lease, RenewFn done);
+  void cancel(const std::string& lease_id, DoneFn done);
 
   [[nodiscard]] Proxy& proxy() { return *proxy_; }
 
  private:
   std::unique_ptr<Proxy> proxy_;
+  ValueList renew_args_;  // reused by every renew()
 };
 
 // Registers a service and auto-renews its lease at half-life until
@@ -62,7 +101,7 @@ class Registrar {
   void renew();
 
   net::Network& net_;
-  std::unique_ptr<Proxy> proxy_;
+  LookupClient client_;
   ServiceItem item_;
   sim::Duration lease_;
   std::optional<std::string> lease_id_;

@@ -3,7 +3,7 @@
 namespace hcm::net {
 
 void Ieee1394Bus::subscribe_reset(NodeId node, BusResetHandler handler) {
-  reset_handlers_[node] = std::move(handler);
+  reset_handlers_[node].push_back(std::move(handler));
 }
 
 void Ieee1394Bus::reset_bus() {
@@ -11,10 +11,12 @@ void Ieee1394Bus::reset_bus() {
   const std::uint32_t gen = generation_;
   // Reset completes after ~2 ms of bus arbitration, then every node's
   // reset handler runs (HAVi re-enumerates the bus from these).
-  for (auto& [node, handler] : reset_handlers_) {
-    if (!handler) continue;
-    auto h = handler;  // copy: handler map may change during delivery
-    sched_.after(sim::milliseconds(2), [h, gen] { h(gen); });
+  for (auto& [node, handlers] : reset_handlers_) {
+    for (const auto& handler : handlers) {
+      if (!handler) continue;
+      auto h = handler;  // copy: handler map may change during delivery
+      sched_.after(sim::milliseconds(2), [h, gen] { h(gen); });
+    }
   }
 }
 

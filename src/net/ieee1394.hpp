@@ -8,6 +8,7 @@
 #include <functional>
 #include <map>
 #include <optional>
+#include <vector>
 
 #include "common/bytes.hpp"
 #include "common/status.hpp"
@@ -73,7 +74,9 @@ class Ieee1394Bus : public Segment {
 
   sim::Scheduler& sched_;
   std::uint32_t generation_ = 0;
-  std::map<NodeId, BusResetHandler> reset_handlers_;
+  // Several elements of one node may watch resets (the FAV's Registry
+  // and Event Manager); each handler runs, in subscription order.
+  std::map<NodeId, std::vector<BusResetHandler>> reset_handlers_;
   std::map<IsoChannel, ChannelState> channels_;
   IsoListenerId next_listener_ = 1;
   std::uint64_t iso_packets_ = 0;

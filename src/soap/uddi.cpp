@@ -37,20 +37,18 @@ const char* kind_name(RegistryChange::Kind k) {
 }
 }  // namespace
 
-std::string registry_fingerprint(
-    const std::map<std::string, std::string>& digest_by_name) {
-  // FNV-1a over the sorted (name, digest) pairs with NUL separators —
-  // the map iteration order is already sorted, so registry and client
-  // fold identical byte streams for identical sets.
-  std::uint64_t h = kFnv1aOffset;
-  for (const auto& [name, digest] : digest_by_name) {
-    h = fnv1a_byte(fnv1a(h, name), 0);
-    h = fnv1a_byte(fnv1a(h, digest), 0);
-  }
+// FNV-1a over the sorted (name, digest) pairs with NUL separators, so
+// registry and client fold identical byte streams for identical sets.
+void FingerprintHasher::add(std::string_view name, std::string_view digest) {
+  h_ = fnv1a_byte(fnv1a(h_, name), 0);
+  h_ = fnv1a_byte(fnv1a(h_, digest), 0);
+}
+
+std::string FingerprintHasher::finish() const {
   char buf[17];
   static const char* hex = "0123456789abcdef";
   for (int i = 0; i < 16; ++i) {
-    buf[i] = hex[(h >> ((15 - i) * 4)) & 0xf];
+    buf[i] = hex[(h_ >> ((15 - i) * 4)) & 0xf];
   }
   buf[16] = '\0';
   return std::string(buf);
@@ -172,15 +170,18 @@ UddiRegistry::UddiRegistry(http::HttpServer& http_server,
           done(invalid_argument("renewOrigin requires origin and fingerprint"));
           return;
         }
-        std::map<std::string, std::string> digest_by_name;
+        FingerprintHasher expected;
+        std::size_t held = 0;
         for (const auto& [name, e] : entries_) {
-          if (e.origin == origin.as_string()) digest_by_name[name] = e.digest;
+          if (e.origin != origin.as_string()) continue;
+          expected.add(name, e.digest);
+          ++held;
         }
-        if (digest_by_name.empty()) {
+        if (held == 0) {
           done(not_found("origin has no entries: " + origin.as_string()));
           return;
         }
-        if (registry_fingerprint(digest_by_name) != fp.as_string()) {
+        if (expected.finish() != fp.as_string()) {
           done(invalid_argument("fingerprint mismatch for origin " +
                                 origin.as_string() +
                                 " — republish the changed entries"));
@@ -196,8 +197,8 @@ UddiRegistry::UddiRegistry(http::HttpServer& http_server,
           }
         }
         store_commit();
-        renewals_ += digest_by_name.size();
-        done(Value(static_cast<std::int64_t>(digest_by_name.size())));
+        renewals_ += held;
+        done(Value(static_cast<std::int64_t>(held)));
       });
 
   service_.register_method(

@@ -241,16 +241,14 @@ TEST_F(AdapterListingTest, HaviSkipsServerProxiesItExported) {
         done(Value());
       });
   havi::RegistryClient registry(ms, self, home.fav->registry.seid());
-  std::optional<Result<std::vector<havi::RegistryRecord>>> records;
+  std::optional<Result<havi::RegistryListing>> listing;
   registry.get_elements(
       ValueMap{{havi::kAttrSeType, Value("FCM")}},
-      [&](Result<std::vector<havi::RegistryRecord>> r) {
-        records = std::move(r);
-      });
-  sim::run_until_done(sched, [&] { return records.has_value(); });
+      [&](Result<havi::RegistryListing> r) { listing = std::move(r); });
+  sim::run_until_done(sched, [&] { return listing.has_value(); });
   ms.unregister_element(self);
-  ASSERT_TRUE(records.has_value() && records->is_ok());
-  const auto imported = imported_names(records->value());
+  ASSERT_TRUE(listing.has_value() && listing->is_ok());
+  const auto imported = imported_names(listing->value().records);
   ASSERT_FALSE(imported.empty());
 
   auto services = list_now(sched, *home.havi_adapter);
@@ -291,15 +289,13 @@ TEST_F(AdapterListingTest, JiniListsNativeServicesAndSkipsServerProxies) {
   // Server proxies the refresh registered with the LUS stay out.
   jini::LookupClient lookup(home.net, home.jini_gw->id(),
                             home.lookup->endpoint());
-  std::optional<Result<std::vector<jini::ServiceItem>>> proxies;
+  std::optional<Result<jini::ServiceMatches>> proxies;
   lookup.lookup("", ValueMap{{"hcm.imported", Value(true)}},
-                [&](Result<std::vector<jini::ServiceItem>> r) {
-                  proxies = std::move(r);
-                });
+                [&](Result<jini::ServiceMatches> r) { proxies = std::move(r); });
   sim::run_until_done(sched, [&] { return proxies.has_value(); });
   ASSERT_TRUE(proxies.has_value() && proxies->is_ok());
-  ASSERT_FALSE(proxies->value().empty());
-  for (const auto& item : proxies->value()) {
+  ASSERT_FALSE(proxies->value().items.empty());
+  for (const auto& item : proxies->value().items) {
     EXPECT_EQ(find_service(services, item.name), nullptr) << item.name;
   }
   for (const auto& s : services) EXPECT_FALSE(is_imported(s.attributes));
@@ -319,6 +315,13 @@ TEST_F(AdapterListingTest, JiniServiceRemovedFromTheLusDropsOut) {
   registrar.join([&](const Status& s) { joined = s; });
   sim::run_until_done(sched, [&] { return joined.has_value(); });
   ASSERT_TRUE(joined.has_value() && joined->is_ok());
+  // The listing answers from the adapter's change feed, and the LUS's
+  // REGISTERED event may still be on its way when the join reply is in.
+  const auto feed_caught_up = [&] {
+    return home.jini_adapter->feed_seq() == home.lookup->seq();
+  };
+  sim::run_until_done(sched, feed_caught_up, 10'000);
+  ASSERT_TRUE(feed_caught_up());
 
   auto before = list_now(sched, *home.jini_adapter);
   const LocalService* clock = find_service(before, "clock-1");
@@ -330,6 +333,8 @@ TEST_F(AdapterListingTest, JiniServiceRemovedFromTheLusDropsOut) {
   registrar.cancel([&](const Status& s) { cancelled = s; });
   sim::run_until_done(sched, [&] { return cancelled.has_value(); });
   ASSERT_TRUE(cancelled.has_value() && cancelled->is_ok());
+  sim::run_until_done(sched, feed_caught_up, 10'000);  // the REMOVED event
+  ASSERT_TRUE(feed_caught_up());
   auto after = list_now(sched, *home.jini_adapter);
   EXPECT_EQ(find_service(after, "clock-1"), nullptr);
   EXPECT_NE(find_service(after, "laserdisc-1"), nullptr);

@@ -143,13 +143,13 @@ TEST_P(EventBridgeTest, BridgedEventsReemitAsNativeJiniEvents) {
 
   jini::LookupClient lookup(home->net, client_node.id(),
                             home->lookup->endpoint());
-  std::optional<Result<std::vector<jini::ServiceItem>>> items;
+  std::optional<Result<jini::ServiceMatches>> items;
   lookup.lookup("VcrControl", {}, [&](auto r) { items = std::move(r); });
   sim::run_until_done(sched, [&] { return items.has_value(); });
   ASSERT_TRUE(items.has_value() && items->is_ok());
-  ASSERT_EQ(items->value().size(), 1u);
+  ASSERT_EQ(items->value().items.size(), 1u);
 
-  jini::Proxy vcr_proxy(home->net, client_node.id(), items->value()[0]);
+  jini::Proxy vcr_proxy(home->net, client_node.id(), items->value().items[0]);
   std::optional<Result<Value>> reg;
   vcr_proxy.invoke("notify",
                    {Value(static_cast<std::int64_t>(client_node.id())),

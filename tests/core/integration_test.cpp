@@ -40,7 +40,11 @@ TEST_F(SmartHomeTest, RefreshPopulatesVsr) {
 
 TEST_F(SmartHomeTest, ForeignServicesAppearInJiniLookup) {
   // Native laserdisc + 7 imported server proxies (all foreign services
-  // map into Jini — it is the most expressive island).
+  // map into Jini — it is the most expressive island). Each export joins
+  // the LUS with its own lease request, which may still be in flight
+  // when the refresh completes: wait for the count, within a bound.
+  sim::run_until_done(
+      sched, [&] { return home->lookup->service_count() >= 8u; }, 10'000);
   EXPECT_EQ(home->lookup->service_count(), 8u);
 }
 
@@ -52,10 +56,10 @@ TEST_F(SmartHomeTest, JiniClientTurnsOnX10Lamp) {
   std::optional<Result<Value>> result;
   std::shared_ptr<jini::Proxy> proxy;
   client.lookup("X10Switchable", {},
-                [&](Result<std::vector<jini::ServiceItem>> items) {
+                [&](Result<jini::ServiceMatches> items) {
                   ASSERT_TRUE(items.is_ok());
                   const jini::ServiceItem* lamp_item = nullptr;
-                  for (const auto& item : items.value()) {
+                  for (const auto& item : items.value().items) {
                     if (item.name == "desk-lamp") lamp_item = &item;
                   }
                   ASSERT_NE(lamp_item, nullptr);

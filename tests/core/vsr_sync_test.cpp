@@ -181,6 +181,36 @@ TEST(VsrSyncTest, DeltaConvergesToSnapshotState) {
   EXPECT_EQ(delta_state, snapshot_mesh.proxy_state());
 }
 
+TEST(VsrSyncTest, RefreshRoundsReuseThePooledVsrConnections) {
+  SyncMesh mesh;
+  ASSERT_TRUE(mesh.build(3, 2, Pcm::SyncMode::kDelta).is_ok());
+  ASSERT_TRUE(mesh.refresh_round().is_ok());
+  // The first round publishes each island's two services together, on
+  // two connections per PCM.
+  EXPECT_EQ(mesh.vsr->connections_accepted(), 6u);
+  for (int round = 0; round < 20; ++round) {
+    ASSERT_TRUE(mesh.refresh_round().is_ok());
+  }
+  // renewOrigin and changesSince, one at a time, ride the pooled ones.
+  EXPECT_EQ(mesh.vsr->connections_accepted(), 6u);
+}
+
+TEST(VsrSyncTest, SnapshotRepublicationsSpreadOverABoundedPool) {
+  SyncMesh mesh;
+  constexpr std::size_t kCap = soap::UddiClient::kMaxConnections;
+  ASSERT_TRUE(mesh.build(2, kCap + 8, Pcm::SyncMode::kSnapshot).is_ok());
+  ASSERT_TRUE(mesh.refresh_round().is_ok());
+  // Each round republishes every entry of a PCM at once: they spread
+  // over kMaxConnections per PCM (the rest queue), which later rounds
+  // reuse.
+  const auto opened = mesh.vsr->connections_accepted();
+  EXPECT_EQ(opened, 2 * kCap);
+  for (int round = 0; round < 5; ++round) {
+    ASSERT_TRUE(mesh.refresh_round().is_ok());
+  }
+  EXPECT_EQ(mesh.vsr->connections_accepted(), opened);
+}
+
 TEST(VsrSyncTest, PublishedWsdlIsCachedNotRegenerated) {
   SyncMesh mesh;
   ASSERT_TRUE(mesh.build(2, 3, Pcm::SyncMode::kDelta).is_ok());

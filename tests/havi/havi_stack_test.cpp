@@ -90,27 +90,27 @@ TEST_F(HaviStackTest, QueryByDeviceClass) {
   RegistryClient rc(fav->messaging,
                     fav->messaging.register_element(nullptr),
                     fav->registry.seid());
-  std::optional<Result<std::vector<RegistryRecord>>> found;
+  std::optional<Result<RegistryListing>> found;
   rc.get_elements(ValueMap{{kAttrDeviceClass, Value("VCR")}},
                   [&](auto r) { found = std::move(r); });
   sched.run();
   ASSERT_TRUE(found->is_ok());
-  ASSERT_EQ(found->value().size(), 1u);
-  EXPECT_EQ(found->value()[0].seid, vcr_fcm->seid());
+  ASSERT_EQ(found->value().records.size(), 1u);
+  EXPECT_EQ(found->value().records[0].seid, vcr_fcm->seid());
 }
 
 TEST_F(HaviStackTest, FcmInterfaceIsInRegistry) {
   RegistryClient rc(fav->messaging,
                     fav->messaging.register_element(nullptr),
                     fav->registry.seid());
-  std::optional<Result<std::vector<RegistryRecord>>> found;
+  std::optional<Result<RegistryListing>> found;
   rc.get_elements(ValueMap{{kAttrDeviceClass, Value("CAMERA")}},
                   [&](auto r) { found = std::move(r); });
   sched.run();
   ASSERT_TRUE(found->is_ok());
-  ASSERT_EQ(found->value().size(), 1u);
+  ASSERT_EQ(found->value().records.size(), 1u);
   auto iface = interface_from_value(
-      found->value()[0].attributes.at(kAttrInterface));
+      found->value().records[0].attributes.at(kAttrInterface));
   ASSERT_TRUE(iface.is_ok());
   EXPECT_EQ(iface.value(), DvCameraFcm::describe_interface());
 }

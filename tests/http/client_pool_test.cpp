@@ -145,6 +145,78 @@ TEST_F(ClientPoolTest, TimeoutFailsQueuedRequestsToo) {
   EXPECT_EQ(failures, 3);
 }
 
+TEST_F(ClientPoolTest, BusyPoolOpensConnectionsUpToItsCap) {
+  server->route("/slow", [this](const Request&, RespondFn respond) {
+    sched.after(sim::milliseconds(10), [respond] {
+      respond(Response::make(200, "OK", "done"));
+    });
+  });
+  HttpClient::Options opts;
+  opts.keep_alive = true;
+  opts.max_connections = 3;
+  HttpClient client(net, client_node->id(), opts);
+  int ok = 0;
+  auto send = [&] {
+    Request req;
+    req.target = "/slow";
+    client.request(server->endpoint(), std::move(req),
+                   [&](Result<Response> r) { ok += r.is_ok() ? 1 : 0; });
+  };
+  // Five at once: three connections, two requests queue behind them.
+  for (int i = 0; i < 5; ++i) send();
+  sched.run();
+  EXPECT_EQ(ok, 5);
+  EXPECT_EQ(server->connections_accepted(), 3u);
+  // One at a time: an idle pooled connection takes each.
+  for (int i = 0; i < 4; ++i) {
+    send();
+    sched.run();
+  }
+  EXPECT_EQ(ok, 9);
+  EXPECT_EQ(server->connections_accepted(), 3u);
+}
+
+TEST_F(ClientPoolTest, PeerCloseDropsIdleSiblingsBeforeTheyAreReused) {
+  auto route = [this] {
+    server->route("/x", [](const Request&, RespondFn respond) {
+      respond(Response::make(200, "OK", "ok"));
+    });
+  };
+  route();
+  HttpClient::Options opts;
+  opts.keep_alive = true;
+  opts.max_connections = 2;
+  HttpClient client(net, client_node->id(), opts);
+  auto send = [&](auto on_done) {
+    Request req;
+    req.target = "/x";
+    client.request(server->endpoint(), std::move(req), std::move(on_done));
+  };
+  int ok = 0;
+  for (int i = 0; i < 2; ++i) {
+    send([&](Result<Response> r) { ok += r.is_ok() ? 1 : 0; });
+  }
+  sched.run();
+  ASSERT_EQ(ok, 2);  // two idle pooled connections
+
+  // The server restarts; both connections close, and the client hears
+  // of it one connection at a time. A request sent on the first close
+  // must not pick the second, still closing, connection.
+  server->stop();
+  server = std::make_unique<HttpServer>(net, server_node->id(), 80);
+  ASSERT_TRUE(server->start().is_ok());
+  route();
+  std::optional<Result<Response>> first, retried;
+  send([&](Result<Response> r) {
+    first = std::move(r);
+    send([&](Result<Response> r2) { retried = std::move(r2); });
+  });
+  sched.run();
+  ASSERT_TRUE(first.has_value() && retried.has_value());
+  EXPECT_FALSE(first->is_ok());  // sent on a connection the server closed
+  EXPECT_TRUE(retried->is_ok()) << retried->status().to_string();
+}
+
 TEST_F(ClientPoolTest, SeparateDestinationsGetSeparateConnections) {
   HttpServer second(net, server_node->id(), 8080);
   ASSERT_TRUE(second.start().is_ok());

@@ -77,23 +77,23 @@ TEST_F(JiniStackTest, RegisterAndLookup) {
   EXPECT_EQ(lookup->service_count(), 1u);
 
   LookupClient client(net, client_node->id(), lookup->endpoint());
-  std::optional<Result<std::vector<ServiceItem>>> found;
+  std::optional<Result<ServiceMatches>> found;
   client.lookup("Echo", {}, [&](auto r) { found = std::move(r); });
   sim::run_until_done(sched, [&] { return found.has_value(); });
   ASSERT_TRUE(found.has_value());
   ASSERT_TRUE(found->is_ok());
-  ASSERT_EQ(found->value().size(), 1u);
-  EXPECT_EQ(found->value()[0].name, "echo");
+  ASSERT_EQ(found->value().items.size(), 1u);
+  EXPECT_EQ(found->value().items[0].name, "echo");
 }
 
 TEST_F(JiniStackTest, LookupByWrongInterfaceReturnsEmpty) {
   auto registrar = join_echo();
   LookupClient client(net, client_node->id(), lookup->endpoint());
-  std::optional<Result<std::vector<ServiceItem>>> found;
+  std::optional<Result<ServiceMatches>> found;
   client.lookup("Tuner", {}, [&](auto r) { found = std::move(r); });
   sim::run_until_done(sched, [&] { return found.has_value(); });
   ASSERT_TRUE(found->is_ok());
-  EXPECT_TRUE(found->value().empty());
+  EXPECT_TRUE(found->value().items.empty());
 }
 
 TEST_F(JiniStackTest, AttributeFiltering) {
@@ -105,27 +105,27 @@ TEST_F(JiniStackTest, AttributeFiltering) {
   sim::run_until_done(sched, [&] { return joined.has_value(); });
 
   LookupClient client(net, client_node->id(), lookup->endpoint());
-  std::optional<Result<std::vector<ServiceItem>>> kitchen, bedroom;
+  std::optional<Result<ServiceMatches>> kitchen, bedroom;
   client.lookup("Echo", {{"room", Value("kitchen")}},
                 [&](auto r) { kitchen = std::move(r); });
   client.lookup("Echo", {{"room", Value("bedroom")}},
                 [&](auto r) { bedroom = std::move(r); });
   sim::run_until_done(
       sched, [&] { return kitchen.has_value() && bedroom.has_value(); });
-  EXPECT_EQ(kitchen->value().size(), 1u);
-  EXPECT_TRUE(bedroom->value().empty());
+  EXPECT_EQ(kitchen->value().items.size(), 1u);
+  EXPECT_TRUE(bedroom->value().items.empty());
 }
 
 TEST_F(JiniStackTest, EndToEndInvocation) {
   auto registrar = join_echo();
   LookupClient client(net, client_node->id(), lookup->endpoint());
   std::optional<Result<Value>> result;
-  client.lookup("Echo", {}, [&](Result<std::vector<ServiceItem>> items) {
+  client.lookup("Echo", {}, [&](Result<ServiceMatches> items) {
     ASSERT_TRUE(items.is_ok());
-    ASSERT_EQ(items.value().size(), 1u);
+    ASSERT_EQ(items.value().items.size(), 1u);
     // Proxy must outlive the call: heap-allocate and clean up in the cb.
     auto proxy = std::make_shared<Proxy>(net, client_node->id(),
-                                         items.value()[0]);
+                                         items.value().items[0]);
     proxy->invoke("echo", {Value("ping")}, [&result, proxy](Result<Value> r) {
       result = std::move(r);
     });
@@ -196,11 +196,12 @@ TEST_F(JiniStackTest, ServiceEventsDelivered) {
       });
 
   LookupClient client(net, client_node->id(), lookup->endpoint());
-  std::optional<Result<std::int64_t>> reg_id;
+  std::optional<Result<LeaseGrant>> reg;
   client.notify({client_node->id(), 4180}, "listener-1",
-                [&](Result<std::int64_t> r) { reg_id = std::move(r); });
-  sim::run_until_done(sched, [&] { return reg_id.has_value(); });
-  ASSERT_TRUE(reg_id.has_value() && reg_id->is_ok());
+                LookupService::kMaxLease,
+                [&](Result<LeaseGrant> r) { reg = std::move(r); });
+  sim::run_until_done(sched, [&] { return reg.has_value(); });
+  ASSERT_TRUE(reg.has_value() && reg->is_ok());
 
   auto registrar = join_echo();
   std::optional<Status> cancelled;
@@ -210,6 +211,158 @@ TEST_F(JiniStackTest, ServiceEventsDelivered) {
   ASSERT_EQ(events.size(), 2u);
   EXPECT_EQ(events[0], kEventRegistered);
   EXPECT_EQ(events[1], kEventRemoved);
+}
+
+// A listener object on the client node that records every
+// serviceEvent's arguments.
+struct RecordingListener {
+  RecordingListener(net::Network& net, net::NodeId node, std::uint16_t port,
+                    const std::string& id)
+      : server(net, node, port, "jini") {
+    EXPECT_TRUE(server.start().is_ok());
+    server.register_service(
+        id, [this](const std::string& method, const ValueList& args,
+                   InvokeResultFn done) {
+          if (method == "serviceEvent") events.push_back(args);
+          done(Value());
+        });
+  }
+  net::BinaryRpcServer server;
+  std::vector<ValueList> events;
+};
+
+TEST_F(JiniStackTest, LapsedEventRegistrationStopsReceivingEvents) {
+  RecordingListener listener(net, client_node->id(), 4180, "listener-1");
+  LookupClient client(net, client_node->id(), lookup->endpoint());
+  std::optional<Result<LeaseGrant>> reg;
+  client.notify({client_node->id(), 4180}, "listener-1", sim::seconds(2),
+                [&](Result<LeaseGrant> r) { reg = std::move(r); });
+  sim::run_until_done(sched, [&] { return reg.has_value(); });
+  ASSERT_TRUE(reg.has_value() && reg->is_ok());
+  EXPECT_EQ(reg->value().duration, sim::seconds(2));
+  EXPECT_EQ(lookup->listener_count(), 1u);
+
+  auto registrar = join_echo();
+  sched.run_for(sim::seconds(1));
+  ASSERT_EQ(listener.events.size(), 1u);
+
+  sched.run_for(sim::seconds(2));  // past the lease: the listener is gone
+  EXPECT_EQ(lookup->listener_count(), 0u);
+  std::optional<Status> cancelled;
+  registrar->cancel([&](const Status& s) { cancelled = s; });
+  sim::run_until_done(sched, [&] { return cancelled.has_value(); });
+  sched.run_for(sim::seconds(1));
+  EXPECT_EQ(listener.events.size(), 1u);
+
+  std::optional<Result<LeaseRenewal>> renewed;
+  client.renew(reg->value().id, sim::seconds(2),
+               [&](Result<LeaseRenewal> r) { renewed = std::move(r); });
+  sim::run_until_done(sched, [&] { return renewed.has_value(); });
+  ASSERT_TRUE(renewed.has_value());
+  EXPECT_EQ(renewed->status().code(), StatusCode::kNotFound);
+}
+
+TEST_F(JiniStackTest, RenewedEventRegistrationOutlivesItsFirstLease) {
+  RecordingListener listener(net, client_node->id(), 4180, "listener-1");
+  LookupClient client(net, client_node->id(), lookup->endpoint());
+  std::optional<Result<LeaseGrant>> reg;
+  client.notify({client_node->id(), 4180}, "listener-1", sim::seconds(2),
+                [&](Result<LeaseGrant> r) { reg = std::move(r); });
+  sim::run_until_done(sched, [&] { return reg.has_value(); });
+  ASSERT_TRUE(reg.has_value() && reg->is_ok());
+  sched.run_for(sim::seconds(1));
+  std::optional<Result<LeaseRenewal>> renewed;
+  client.renew(reg->value().id, sim::seconds(2),
+               [&](Result<LeaseRenewal> r) { renewed = std::move(r); });
+  sim::run_until_done(sched, [&] { return renewed.has_value(); });
+  ASSERT_TRUE(renewed.has_value() && renewed->is_ok());
+  EXPECT_EQ(renewed->value().duration, sim::seconds(2));
+  EXPECT_EQ(renewed->value().seq, lookup->seq());
+  sched.run_for(sim::milliseconds(1500));  // past the first lease
+  EXPECT_EQ(lookup->listener_count(), 1u);
+  auto registrar = join_echo();
+  sched.run_for(sim::milliseconds(100));
+  EXPECT_EQ(listener.events.size(), 1u);
+
+  // The renewal reports the change number the join took.
+  renewed.reset();
+  client.renew(reg->value().id, sim::seconds(2),
+               [&](Result<LeaseRenewal> r) { renewed = std::move(r); });
+  sim::run_until_done(sched, [&] { return renewed.has_value(); });
+  ASSERT_TRUE(renewed.has_value() && renewed->is_ok());
+  EXPECT_EQ(renewed->value().seq, lookup->seq());
+  EXPECT_GT(lookup->seq(), 0u);
+}
+
+TEST_F(JiniStackTest, CancelledEventRegistrationStopsReceivingEvents) {
+  RecordingListener listener(net, client_node->id(), 4180, "listener-1");
+  LookupClient client(net, client_node->id(), lookup->endpoint());
+  std::optional<Result<LeaseGrant>> reg;
+  client.notify({client_node->id(), 4180}, "listener-1",
+                LookupService::kMaxLease,
+                [&](Result<LeaseGrant> r) { reg = std::move(r); });
+  sim::run_until_done(sched, [&] { return reg.has_value(); });
+  ASSERT_TRUE(reg.has_value() && reg->is_ok());
+  // A request past the cap is granted the cap.
+  EXPECT_EQ(reg->value().duration, LookupService::kMaxLease);
+
+  std::optional<Status> cancelled;
+  client.cancel(reg->value().id, [&](const Status& s) { cancelled = s; });
+  sim::run_until_done(sched, [&] { return cancelled.has_value(); });
+  ASSERT_TRUE(cancelled.has_value() && cancelled->is_ok());
+  EXPECT_EQ(lookup->listener_count(), 0u);
+
+  auto registrar = join_echo();
+  sched.run_for(sim::seconds(1));
+  EXPECT_TRUE(listener.events.empty());
+}
+
+TEST_F(JiniStackTest, ListenersGetIdenticalNumberedPayloads) {
+  RecordingListener first(net, client_node->id(), 4180, "listener-1");
+  RecordingListener second(net, client_node->id(), 4181, "listener-2");
+  LookupClient client(net, client_node->id(), lookup->endpoint());
+  int granted = 0;
+  client.notify({client_node->id(), 4180}, "listener-1",
+                LookupService::kMaxLease,
+                [&](Result<LeaseGrant> r) { granted += r.is_ok() ? 1 : 0; });
+  client.notify({client_node->id(), 4181}, "listener-2",
+                LookupService::kMaxLease,
+                [&](Result<LeaseGrant> r) { granted += r.is_ok() ? 1 : 0; });
+  sim::run_until_done(sched, [&] { return granted == 2; });
+
+  auto registrar = join_echo();
+  std::optional<Status> cancelled;
+  registrar->cancel([&](const Status& s) { cancelled = s; });
+  sim::run_until_done(sched, [&] { return cancelled.has_value(); });
+  sched.run_for(sim::seconds(1));
+  ASSERT_EQ(first.events.size(), 2u);
+  EXPECT_EQ(first.events, second.events);
+  EXPECT_EQ(first.events[0][0], Value(kEventRegistered));
+  EXPECT_EQ(first.events[0][2], Value(1));
+  EXPECT_EQ(first.events[1][0], Value(kEventRemoved));
+  EXPECT_EQ(first.events[1][2], Value(2));
+  EXPECT_EQ(lookup->seq(), 2u);
+
+  // A lookup reports the change number its items reflect.
+  std::optional<Result<ServiceMatches>> found;
+  client.lookup("", {}, [&](auto r) { found = std::move(r); });
+  sim::run_until_done(sched, [&] { return found.has_value(); });
+  ASSERT_TRUE(found.has_value() && found->is_ok());
+  EXPECT_EQ(found->value().seq, 2u);
+  EXPECT_TRUE(found->value().items.empty());
+}
+
+TEST_F(JiniStackTest, RestartForgetsLeasesOfTheEarlierIncarnation) {
+  auto registrar = join_echo();
+  lookup->stop();
+  ASSERT_TRUE(lookup->start().is_ok());
+  EXPECT_EQ(lookup->service_count(), 0u);
+  EXPECT_EQ(lookup->seq(), 0u);
+  // The registrar's renewal is refused, and it joins the new
+  // incarnation under a lease id the old one never granted.
+  sched.run_for(sim::seconds(16));
+  EXPECT_EQ(lookup->service_count(), 1u);
+  EXPECT_TRUE(registrar->joined());
 }
 
 TEST_F(JiniStackTest, MulticastDiscoveryFindsLookup) {
@@ -305,11 +458,11 @@ TEST_F(JiniStackTest, ReRegistrationReplacesItem) {
   EXPECT_EQ(lookup->service_count(), 1u);
 
   LookupClient client(net, client_node->id(), lookup->endpoint());
-  std::optional<Result<std::vector<ServiceItem>>> found;
+  std::optional<Result<ServiceMatches>> found;
   client.lookup("Echo", {}, [&](auto r) { found = std::move(r); });
   sim::run_until_done(sched, [&] { return found.has_value(); });
-  ASSERT_EQ(found->value().size(), 1u);
-  EXPECT_EQ(found->value()[0].attributes.at("version"), Value(2));
+  ASSERT_EQ(found->value().items.size(), 1u);
+  EXPECT_EQ(found->value().items[0].attributes.at("version"), Value(2));
 }
 
 }  // namespace

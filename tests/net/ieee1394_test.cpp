@@ -48,6 +48,16 @@ TEST_F(Ieee1394Test, BusResetBumpsGenerationAndNotifies) {
   EXPECT_EQ(resets, 2);
 }
 
+TEST_F(Ieee1394Test, EveryResetHandlerOfANodeRuns) {
+  // A FAV node's Registry and Event Manager both watch resets.
+  std::vector<std::string> ran;
+  bus->subscribe_reset(a->id(), [&](std::uint32_t) { ran.push_back("registry"); });
+  bus->subscribe_reset(a->id(), [&](std::uint32_t) { ran.push_back("events"); });
+  bus->reset_bus();
+  sched.run();
+  EXPECT_EQ(ran, (std::vector<std::string>{"registry", "events"}));
+}
+
 TEST_F(Ieee1394Test, IsoChannelAllocation) {
   auto ch1 = bus->allocate_channel(1024);
   auto ch2 = bus->allocate_channel(1024);

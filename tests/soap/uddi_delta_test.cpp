@@ -10,6 +10,13 @@
 namespace hcm::soap {
 namespace {
 
+// The origin fingerprint over (name, digest) pairs, in name order.
+std::string fingerprint(const std::map<std::string, std::string>& digests) {
+  FingerprintHasher hasher;
+  for (const auto& [name, digest] : digests) hasher.add(name, digest);
+  return hasher.finish();
+}
+
 class UddiDeltaTest : public ::testing::Test {
  protected:
   static constexpr std::size_t kJournalCapacity = 4;
@@ -182,7 +189,7 @@ TEST_F(UddiDeltaTest, RenewOriginBulkRenewsWithMatchingFingerprint) {
       {"lamp-1", wsdl_digest(wsdl_for("Switchable"))}};
 
   std::optional<Status> renewed;
-  client->renew_origin("jini-island", registry_fingerprint(digests),
+  client->renew_origin("jini-island", fingerprint(digests),
                        sim::seconds(30),
                        [&](const Status& s) { renewed = s; });
   sched.run();
@@ -196,14 +203,14 @@ TEST_F(UddiDeltaTest, RenewOriginBulkRenewsWithMatchingFingerprint) {
   // not found (both make the PCM fall back to a full republish).
   digests.erase("lamp-1");
   std::optional<Status> stale;
-  client->renew_origin("jini-island", registry_fingerprint(digests),
+  client->renew_origin("jini-island", fingerprint(digests),
                        sim::seconds(30), [&](const Status& s) { stale = s; });
   sched.run();
   ASSERT_TRUE(stale.has_value());
   EXPECT_EQ(stale->code(), StatusCode::kInvalidArgument);
 
   std::optional<Status> ghost;
-  client->renew_origin("atlantis", registry_fingerprint(digests),
+  client->renew_origin("atlantis", fingerprint(digests),
                        sim::seconds(30), [&](const Status& s) { ghost = s; });
   sched.run();
   ASSERT_TRUE(ghost.has_value());
