@@ -5,7 +5,10 @@
 #   2. the same suite under ASan+UBSan (asan preset), with explicit
 #      event-bridge and native-feed passes (leases, backpressure, retry
 #      paths, listener leases and adapter teardown mid-event exercise
-#      the trickiest object lifetimes in the tree);
+#      the trickiest object lifetimes in the tree), and a pass over the
+#      observability and VSR sync suites (an island's PCM hosts the
+#      observability exposure, whose handler belongs to MetaMiddleware,
+#      so the teardown order of the islands and that handler matters);
 #   3. races: tsan preset over the concurrency-sensitive suites —
 #      the sharded kernel (SPSC channels, window barrier, the fig. 4
 #      audit at 2/4 shards, the City testbed) plus the scheduler,
@@ -57,6 +60,7 @@ cmake --preset asan
 cmake --build --preset asan -j "${JOBS}"
 ctest --preset asan -j "${JOBS}" -R 'EventBridge'
 ctest --preset asan -j "${JOBS}" -R 'NativeFeed'
+ctest --preset asan -j "${JOBS}" -R 'ObsTrace|VsrSync'
 # The kill -9 store-recovery harness must hold under ASan specifically:
 # replaying torn on-disk state is where stale-pointer/oob bugs hide.
 ctest --preset asan -j "${JOBS}" -R 'StoreCrashRecovery'

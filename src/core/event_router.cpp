@@ -217,7 +217,7 @@ void EventRouter::handle_subscribe(const ValueList& args,
   }
   adapter_.list_services(
       [this, service = args[0].as_string(), event = args[1].as_string(),
-       subscriber = args[2].as_string(), sink = std::move(sink).take(),
+       sink = std::move(sink).take(),
        lease = clamp_lease(args[4].as_int()),
        done = std::move(done)](Result<std::vector<LocalService>> r) mutable {
         if (!r.is_ok()) {
@@ -246,7 +246,7 @@ void EventRouter::handle_subscribe(const ValueList& args,
                            event));
             return;
           }
-          finish_subscribe(service, event, subscriber, sink, lease, nullptr,
+          finish_subscribe(service, event, sink, lease, nullptr,
                            std::move(done));
           return;
         }
@@ -255,14 +255,12 @@ void EventRouter::handle_subscribe(const ValueList& args,
                          event));
           return;
         }
-        finish_subscribe(service, event, subscriber, sink, lease, found,
-                         std::move(done));
+        finish_subscribe(service, event, sink, lease, found, std::move(done));
       });
 }
 
 void EventRouter::finish_subscribe(const std::string& service,
                                    const std::string& event,
-                                   const std::string& subscriber,
                                    const Uri& sink, sim::Duration lease,
                                    const LocalService* native,
                                    InvokeResultFn done) {
@@ -277,17 +275,11 @@ void EventRouter::finish_subscribe(const std::string& service,
   sub.id = vsg_.island_name() + "/esub-" + std::to_string(next_sub_++);
   sub.service = service;
   sub.event = event;
-  sub.subscriber = subscriber;
   sub.sink = sink;
   sub.lease = lease;
   const std::string id = sub.id;
   auto [it, inserted] = subs_.emplace(id, std::move(sub));
   arm_expiry(it->second);
-  // Record the lease in the VSR (system of record; delivery state
-  // stays here). Best-effort: routing works even if the VSR is
-  // briefly unreachable.
-  vsr_.put_subscription({id, service, event, subscriber, 0}, lease,
-                        [](const Status&) {});
   done(Value(ValueMap{
       {"lease", Value(id)},
       {"duration", Value(static_cast<std::int64_t>(lease))},
@@ -306,7 +298,6 @@ void EventRouter::handle_renew(const ValueList& args, InvokeResultFn done) {
   }
   it->second.lease = clamp_lease(args[1].as_int());
   arm_expiry(it->second);
-  vsr_.renew_subscription(it->first, it->second.lease, [](const Status&) {});
   done(Value(static_cast<std::int64_t>(it->second.lease)));
 }
 
@@ -405,7 +396,6 @@ void EventRouter::drop_subscription(const std::string& id) {
   const std::string service = sub.service;
   subs_.erase(it);
   release_watch(service);
-  vsr_.remove_subscription(id, [](const Status&) {});
 }
 
 Status EventRouter::ensure_watch(const LocalService& service) {

@@ -5,8 +5,9 @@
 // its adapter and forwards events VSG-to-VSG with leases, bounded
 // per-subscriber queues, burst batching, drop-oldest backpressure and
 // at-least-once delivery (retry with exponential backoff on transient
-// transport failure). The VSR keeps the subscription table as the
-// system of record; delivery state lives at the origin.
+// transport failure). The origin's router is the only record of who is
+// subscribed: it holds every lease and its delivery state. The VSR is
+// only read, to resolve an event source's bridge endpoint.
 #pragma once
 
 #include <cstdint>
@@ -123,7 +124,6 @@ class EventRouter {
     std::string id;
     std::string service;
     std::string event;
-    std::string subscriber;  // island name (diagnostics / VSR record)
     Uri sink;                // subscriber's bridge exposure
     sim::Duration lease = 0;
     sim::EventId expiry_event = 0;
@@ -157,14 +157,13 @@ class EventRouter {
   // Wire handlers (origin side unless noted).
   void handle_subscribe(const ValueList& args, InvokeResultFn done);
   // Tail of handle_subscribe once the event's origin is validated:
-  // registers the lease, arms expiry, records it in the VSR. `native`
-  // is the adapter-side service to hook a watch on, or nullptr for
+  // registers the lease and arms its expiry. `native` is the
+  // adapter-side service to hook a watch on, or nullptr for
   // framework-origin services (VSG exposures like observability) whose
   // events are injected via on_native_event directly.
   void finish_subscribe(const std::string& service, const std::string& event,
-                        const std::string& subscriber, const Uri& sink,
-                        sim::Duration lease, const LocalService* native,
-                        InvokeResultFn done);
+                        const Uri& sink, sim::Duration lease,
+                        const LocalService* native, InvokeResultFn done);
   void handle_renew(const ValueList& args, InvokeResultFn done);
   void handle_unsubscribe(const ValueList& args, InvokeResultFn done);
   void handle_deliver(const ValueList& args, InvokeResultFn done);  // sub side

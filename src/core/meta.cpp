@@ -1,7 +1,6 @@
 #include "core/meta.hpp"
 
 #include "core/shard_channel.hpp"
-#include "soap/wsdl.hpp"
 
 namespace hcm::core {
 
@@ -20,18 +19,12 @@ Result<MetaMiddleware::Island*> MetaMiddleware::add_island(
   if (!status.is_ok()) return status;
   island.pcm =
       std::make_unique<Pcm>(net_, *island.vsg, vsr_, std::move(adapter));
-  island.pcm->set_sync_mode(sync_mode_);
   island.events = std::make_unique<EventRouter>(
       net_, *island.vsg, island.pcm->adapter(), vsr_);
   status = island.events->start();
   if (!status.is_ok()) return status;
   auto [it, inserted] = islands_.emplace(name, std::move(island));
   return &it->second;
-}
-
-void MetaMiddleware::set_sync_mode(Pcm::SyncMode mode) {
-  sync_mode_ = mode;
-  for (auto& [name, island] : islands_) island.pcm->set_sync_mode(mode);
 }
 
 MetaMiddleware::Island* MetaMiddleware::island(const std::string& name) {
@@ -72,22 +65,12 @@ void MetaMiddleware::refresh_all(DoneFn done) {
           });
     }
   };
-  // After both rounds, renew the observability publications so an
-  // enabled island's introspection entry keeps its lease exactly like
-  // the PCM-published services.
-  auto finish = [this, done = std::move(done)](const Status& s) mutable {
+  run_round([run_round, done = std::move(done)](const Status& s) mutable {
     if (!s.is_ok()) {
       done(s);
       return;
     }
-    republish_observability(std::move(done));
-  };
-  run_round([run_round, finish = std::move(finish)](const Status& s) mutable {
-    if (!s.is_ok()) {
-      finish(s);
-      return;
-    }
-    run_round(std::move(finish));
+    run_round(std::move(done));
   });
 }
 
@@ -103,28 +86,13 @@ Status MetaMiddleware::enable_observability(const std::string& island_name) {
     obs_service_->set_recorder(recorder_);
     obs_service_->set_health(health_);
   }
-  ObsExport exp;
-  exp.service_name =
+  std::string service =
       std::string(obs::ObservabilityService::kServiceName) + "-" + island_name;
-  const InterfaceDesc iface = obs::ObservabilityService::describe_interface();
-  auto uri = isl->vsg->expose(exp.service_name, iface, obs_service_->handler());
-  if (!uri.is_ok()) return uri.status();
-  exp.wsdl = soap::emit_wsdl(iface, exp.service_name, uri.value());
-  exp.node = isl->vsg->node();
-  exp.vsr = std::make_unique<VsrClient>(net_, exp.node, vsr_);
-
-  VsrEntry entry;
-  entry.name = exp.service_name;
-  entry.category = iface.name;
-  entry.origin = island_name;
-  entry.wsdl = exp.wsdl;
-  // Initiate from the gateway's shard so the client's events live
-  // where its node does.
-  ShardChannel::run_on_node(
-      net_, exp.node, [vsr = exp.vsr.get(), entry = std::move(entry)] {
-        vsr->publish(entry, Pcm::kPublishTtl, [](const Status&) {});
-      });
-  obs_exports_.emplace(island_name, std::move(exp));
+  auto status = isl->pcm->host_service(
+      service, obs::ObservabilityService::describe_interface(),
+      obs_service_->handler(), [](const Status&) {});
+  if (!status.is_ok()) return status;
+  obs_exports_.emplace(island_name, std::move(service));
   return Status::ok();
 }
 
@@ -144,53 +112,16 @@ void MetaMiddleware::attach_telemetry(obs::TimeSeriesRecorder* recorder,
     // exposure, from that island's own shard, so cross-island
     // subscribers receive healthChanged like any adapter event.
     const Value payload = tr.to_value();
-    for (const auto& [island_name, exp] : obs_exports_) {
+    for (const auto& [island_name, service] : obs_exports_) {
       Island* isl = island(island_name);
       if (isl == nullptr || isl->events == nullptr) continue;
       ShardChannel::run_on_node(
-          net_, exp.node,
-          [events = isl->events.get(), service = exp.service_name, payload] {
+          net_, isl->vsg->node(),
+          [events = isl->events.get(), service, payload] {
             events->on_native_event(service, "healthChanged", payload);
           });
     }
   });
-}
-
-void MetaMiddleware::republish_observability(DoneFn done) {
-  auto remaining = std::make_shared<std::size_t>(obs_exports_.size());
-  if (*remaining == 0) {
-    done(Status::ok());
-    return;
-  }
-  const sim::ShardId origin = ShardChannel::current_shard(net_);
-  auto first_error = std::make_shared<Status>();
-  auto done_shared = std::make_shared<DoneFn>(std::move(done));
-  for (auto& [island_name, exp] : obs_exports_) {
-    VsrEntry entry;
-    entry.name = exp.service_name;
-    entry.category = "Observability";
-    entry.origin = island_name;
-    entry.wsdl = exp.wsdl;
-    // Same shard discipline as refresh_all: publish from the gateway's
-    // shard, collect on the caller's.
-    ShardChannel::run_on_node(
-        net_, exp.node,
-        [this, origin, vsr = exp.vsr.get(), entry = std::move(entry),
-         remaining, first_error, done_shared] {
-          vsr->publish(entry, Pcm::kPublishTtl,
-                       [this, origin, remaining, first_error,
-                        done_shared](const Status& s) {
-                         ShardChannel::run_on_shard(
-                             net_, origin,
-                             [s, remaining, first_error, done_shared] {
-                               if (!s.is_ok() && first_error->is_ok())
-                                 *first_error = s;
-                               if (--*remaining == 0)
-                                 (*done_shared)(*first_error);
-                             });
-                       });
-        });
-  }
 }
 
 void MetaMiddleware::start_auto_refresh(sim::Duration period) {

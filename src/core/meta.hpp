@@ -45,12 +45,6 @@ class MetaMiddleware {
   [[nodiscard]] Island* island(const std::string& name);
   [[nodiscard]] std::size_t island_count() const { return islands_.size(); }
 
-  // Synchronization strategy for every PCM, current and future. Delta
-  // (the default) makes refresh_all O(changes); snapshot is the
-  // original full-transfer behaviour, kept as the bench baseline.
-  void set_sync_mode(Pcm::SyncMode mode);
-  [[nodiscard]] Pcm::SyncMode sync_mode() const { return sync_mode_; }
-
   using DoneFn = std::function<void(const Status&)>;
   // Two-phase synchronization across all islands: every PCM publishes
   // its locals, then every PCM imports, so ordering between islands
@@ -62,12 +56,12 @@ class MetaMiddleware {
   void start_auto_refresh(sim::Duration period);
   void stop_auto_refresh();
 
-  // Mounts the introspection service ("observability-<island>") on the
-  // island's VSG and publishes its WSDL to the VSR, so any connected
-  // middleware can call getMetrics/getTrace through the framework
-  // itself. Opt-in: it adds a VSR entry, which applications counting
-  // deployed services would otherwise see. refresh_all renews the
-  // publication's lease alongside the PCMs'.
+  // Hosts the introspection service ("observability-<island>") on the
+  // island's PCM (Pcm::host_service), which exposes it on the VSG and
+  // publishes its WSDL to the VSR, so any connected middleware can call
+  // getMetrics/getTrace through the framework itself. Opt-in: it adds a
+  // VSR entry, which applications counting deployed services would
+  // otherwise see. The PCM leases it with the island's other entries.
   [[nodiscard]] Status enable_observability(const std::string& island_name);
   [[nodiscard]] bool observability_enabled(
       const std::string& island_name) const {
@@ -85,21 +79,14 @@ class MetaMiddleware {
                         obs::HealthMonitor* health);
 
  private:
-  struct ObsExport {
-    std::string service_name;  // "observability-<island>"
-    std::string wsdl;
-    net::NodeId node = 0;  // the island gateway — the export's home shard
-    std::unique_ptr<VsrClient> vsr;
-  };
-
-  void republish_observability(DoneFn done);
-
   net::Network& net_;
   net::Endpoint vsr_;
-  Pcm::SyncMode sync_mode_ = Pcm::SyncMode::kDelta;
-  std::map<std::string, Island> islands_;
-  std::map<std::string, ObsExport> obs_exports_;
+  // Declared before islands_: the islands' VSGs hold its handler, so it
+  // must outlive them.
   std::unique_ptr<obs::ObservabilityService> obs_service_;
+  std::map<std::string, Island> islands_;
+  // Island name -> its observability service ("observability-<island>").
+  std::map<std::string, std::string> obs_exports_;
   obs::TimeSeriesRecorder* recorder_ = nullptr;
   obs::HealthMonitor* health_ = nullptr;
   sim::EventId refresh_event_ = 0;

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/logging.hpp"
+#include "core/shard_channel.hpp"
 #include "obs/slab.hpp"
 
 namespace hcm::core {
@@ -42,6 +43,29 @@ void Pcm::refresh(DoneFn done) {
       });
 }
 
+Status Pcm::host_service(const std::string& name, const InterfaceDesc& iface,
+                         ServiceHandler handler, DoneFn published) {
+  if (published_.count(name) != 0) {
+    return already_exists("service already published: " + name);
+  }
+  auto uri = vsg_.expose(name, iface, std::move(handler));
+  if (!uri.is_ok()) return uri.status();
+  PublishedRecord rec;
+  rec.wsdl = soap::emit_wsdl(iface, name, uri.value());
+  rec.digest = soap::wsdl_digest(rec.wsdl);
+  rec.category = iface.name;
+  rec.hosted = true;
+  wsdl_generations_.inc();
+  published_.emplace(name, std::move(rec));
+  // Initiate from the gateway's shard so the client's events live where
+  // its node does.
+  ShardChannel::run_on_node(
+      net_, vsg_.node(), [this, name, published = std::move(published)] {
+        publish_record(name, published_.at(name), published);
+      });
+  return Status::ok();
+}
+
 void Pcm::publish_locals(DoneFn done) {
   adapter_->list_services([this, done = std::move(done)](
                               Result<std::vector<LocalService>> services) {
@@ -72,13 +96,15 @@ void Pcm::publish_locals(DoneFn done) {
     };
 
     // Retire client proxies for services that left the middleware, so
-    // the VSR never advertises a dead endpoint.
+    // the VSR never advertises a dead endpoint. Hosted services are not
+    // in the native listing and stay.
     std::vector<std::string_view> current;
     current.reserve(services.value().size());
     for (const auto& service : services.value()) current.push_back(service.name);
     std::sort(current.begin(), current.end());
     for (auto it = published_.begin(); it != published_.end();) {
-      if (!std::binary_search(current.begin(), current.end(), it->first)) {
+      if (!it->second.hosted &&
+          !std::binary_search(current.begin(), current.end(), it->first)) {
         vsg_.unexpose(it->first);
         ++*remaining;
         vsr_.unpublish(it->first, step);
@@ -103,6 +129,7 @@ void Pcm::publish_locals(DoneFn done) {
         PublishedRecord rec;
         rec.wsdl = std::move(generated).take();
         rec.digest = soap::wsdl_digest(rec.wsdl);
+        rec.category = service.interface.name;
         wsdl_generations_.inc();
         pub = published_.emplace(service.name, std::move(rec)).first;
       } else if (sync_mode_ == SyncMode::kDelta) {
@@ -113,16 +140,29 @@ void Pcm::publish_locals(DoneFn done) {
       // New service (either mode), or snapshot mode's per-refresh
       // republish of everything — the cached document means no
       // re-emission either way.
-      VsrEntry entry;
-      entry.name = service.name;
-      entry.category = service.interface.name;
-      entry.origin = vsg_.island_name();
-      entry.wsdl = pub->second.wsdl;
       ++*remaining;
-      vsr_.publish(entry, kPublishTtl, step);
+      publish_record(pub->first, pub->second, step);
+    }
+    if (sync_mode_ == SyncMode::kSnapshot) {
+      // The listing above does not name hosted services.
+      for (const auto& [name, rec] : published_) {
+        if (!rec.hosted) continue;
+        ++*remaining;
+        publish_record(name, rec, step);
+      }
     }
     step(Status::ok());  // releases the initial hold
   });
+}
+
+void Pcm::publish_record(const std::string& name, const PublishedRecord& rec,
+                         DoneFn done) {
+  VsrEntry entry;
+  entry.name = name;
+  entry.category = rec.category;
+  entry.origin = vsg_.island_name();
+  entry.wsdl = rec.wsdl;
+  vsr_.publish(entry, kPublishTtl, std::move(done));
 }
 
 void Pcm::renew_origin_lease(DoneFn done) {
@@ -147,32 +187,18 @@ void Pcm::renew_origin_lease(DoneFn done) {
 }
 
 void Pcm::republish_all(DoneFn done) {
-  adapter_->list_services([this, done = std::move(done)](
-                              Result<std::vector<LocalService>> services) {
-    if (!services.is_ok()) {
-      done(services.status());
-      return;
-    }
-    auto remaining = std::make_shared<std::size_t>(1);
-    auto first_error = std::make_shared<Status>();
-    auto done_shared = std::make_shared<DoneFn>(std::move(done));
-    auto step = [remaining, first_error, done_shared](const Status& s) {
-      if (!s.is_ok() && first_error->is_ok()) *first_error = s;
-      if (--*remaining == 0) (*done_shared)(*first_error);
-    };
-    for (const auto& service : services.value()) {
-      auto pub = published_.find(service.name);
-      if (pub == published_.end()) continue;
-      VsrEntry entry;
-      entry.name = service.name;
-      entry.category = service.interface.name;
-      entry.origin = vsg_.island_name();
-      entry.wsdl = pub->second.wsdl;
-      ++*remaining;
-      vsr_.publish(entry, kPublishTtl, step);
-    }
-    step(Status::ok());
-  });
+  auto remaining = std::make_shared<std::size_t>(1);
+  auto first_error = std::make_shared<Status>();
+  auto done_shared = std::make_shared<DoneFn>(std::move(done));
+  auto step = [remaining, first_error, done_shared](const Status& s) {
+    if (!s.is_ok() && first_error->is_ok()) *first_error = s;
+    if (--*remaining == 0) (*done_shared)(*first_error);
+  };
+  for (const auto& [name, rec] : published_) {
+    ++*remaining;
+    publish_record(name, rec, step);
+  }
+  step(Status::ok());
 }
 
 void Pcm::import_remotes(DoneFn done) {
@@ -226,6 +252,26 @@ void Pcm::retire_import(const std::string& name) {
   imported_.erase(it);
 }
 
+template <typename Entry>
+void Pcm::converge_imports(const std::vector<Entry>& entries) {
+  std::set<std::string> seen_foreign;
+  for (const auto& entry : entries) {
+    if (entry.origin == vsg_.island_name()) continue;
+    seen_foreign.insert(entry.name);
+    apply_upsert(entry.name, entry.origin, entry.digest, entry.wsdl);
+  }
+  // Retire server proxies whose VSR entry is gone (stale services must
+  // not linger — the VSR lookup invariant).
+  for (auto it = imported_.begin(); it != imported_.end();) {
+    if (seen_foreign.count(it->first) == 0) {
+      adapter_->unexport_service(it->first);
+      it = imported_.erase(it);
+    } else {
+      ++it;
+    }
+  }
+}
+
 void Pcm::import_snapshot(DoneFn done) {
   vsr_.list_all([this, done = std::move(done)](
                     Result<std::vector<VsrEntry>> entries) {
@@ -233,22 +279,7 @@ void Pcm::import_snapshot(DoneFn done) {
       done(entries.status());
       return;
     }
-    std::set<std::string> seen_foreign;
-    for (const auto& entry : entries.value()) {
-      if (entry.origin == vsg_.island_name()) continue;
-      seen_foreign.insert(entry.name);
-      apply_upsert(entry.name, entry.origin, entry.digest, entry.wsdl);
-    }
-    // Retire server proxies whose VSR entry is gone (stale services
-    // must not linger — the VSR lookup invariant).
-    for (auto it = imported_.begin(); it != imported_.end();) {
-      if (seen_foreign.count(it->first) == 0) {
-        adapter_->unexport_service(it->first);
-        it = imported_.erase(it);
-      } else {
-        ++it;
-      }
-    }
+    converge_imports(entries.value());
     done(Status::ok());
   });
 }
@@ -263,21 +294,7 @@ void Pcm::import_delta(DoneFn done) {
     if (delta.full) {
       // Authoritative snapshot (first sync, or resync after journal
       // compaction / registry restart): converge to exactly this set.
-      std::set<std::string> seen_foreign;
-      for (const auto& c : delta.changes) {
-        if (c.kind != VsrChange::Kind::kUpsert) continue;
-        if (c.origin == vsg_.island_name()) continue;
-        seen_foreign.insert(c.name);
-        apply_upsert(c.name, c.origin, c.digest, c.wsdl);
-      }
-      for (auto it = imported_.begin(); it != imported_.end();) {
-        if (seen_foreign.count(it->first) == 0) {
-          adapter_->unexport_service(it->first);
-          it = imported_.erase(it);
-        } else {
-          ++it;
-        }
-      }
+      converge_imports(delta.changes);
     } else {
       // O(Δ): only the touched names are parsed / (un)exported.
       for (const auto& c : delta.changes) {

@@ -5,6 +5,12 @@
 //   VSR entry as a generated Server Proxy exported into the local
 //   middleware. Services that disappear from the VSR are unexported.
 //
+// The PCM is the only writer of its island's VSR entries: framework
+// services with no native middleware behind them (observability, the
+// testbed's motion sensor) are published through host_service(), so
+// every entry of origin X is in X's published set and one renewOrigin
+// call covers them all.
+//
 // Synchronization is incremental by default (SyncMode::kDelta): the PCM
 // keeps a per-registry cursor and only parses / generates proxies for
 // entries that actually changed, and steady-state lease renewal is one
@@ -38,6 +44,15 @@ class Pcm {
 
   void set_sync_mode(SyncMode mode) { sync_mode_ = mode; }
   [[nodiscard]] SyncMode sync_mode() const { return sync_mode_; }
+
+  // Hosts a framework service on this island: exposes `handler` on the
+  // VSG, emits its WSDL once and publishes it, initiated from the
+  // gateway's shard; `published` receives the outcome. The service then
+  // rides the island's lease renewal like a native one, and refresh()
+  // never retires it.
+  [[nodiscard]] Status host_service(const std::string& name,
+                                    const InterfaceDesc& iface,
+                                    ServiceHandler handler, DoneFn published);
 
   [[nodiscard]] MiddlewareAdapter& adapter() { return *adapter_; }
   [[nodiscard]] VirtualServiceGateway& vsg() { return vsg_; }
@@ -76,16 +91,25 @@ class Pcm {
 
  private:
   struct PublishedRecord {
-    std::string wsdl;    // document as last emitted (cached)
-    std::string digest;  // soap::wsdl_digest(wsdl)
+    std::string wsdl;      // document as last emitted (cached)
+    std::string digest;    // soap::wsdl_digest(wsdl)
+    std::string category;  // interface name, the entry's VSR category
+    bool hosted = false;   // host_service(): no native listing behind it
   };
 
   void publish_locals(DoneFn done);
+  void publish_record(const std::string& name, const PublishedRecord& rec,
+                      DoneFn done);
   void renew_origin_lease(DoneFn done);  // delta steady state: one call
   void republish_all(DoneFn done);       // fallback when renewal refused
   void import_remotes(DoneFn done);
   void import_snapshot(DoneFn done);
   void import_delta(DoneFn done);
+  // Converges the imports to an authoritative set of entries (a snapshot
+  // listing, or a full changesSince reply): upserts every foreign entry
+  // and retires each import the set does not name.
+  template <typename Entry>
+  void converge_imports(const std::vector<Entry>& entries);
   // Imports/updates one foreign entry; returns false on the non-fatal
   // conversion failures (bad WSDL, impossible export).
   bool apply_upsert(const std::string& name, const std::string& origin,
@@ -98,7 +122,8 @@ class Pcm {
   std::unique_ptr<MiddlewareAdapter> adapter_;
   ProxyGenerator proxygen_;
   SyncMode sync_mode_ = SyncMode::kDelta;
-  // Names this island put in the VSR, with their cached documents.
+  // Names this island put in the VSR, with their cached documents:
+  // native services and hosted ones alike.
   std::map<std::string, PublishedRecord> published_;
   // Foreign names exported locally -> digest of the imported document.
   std::map<std::string, std::string> imported_;

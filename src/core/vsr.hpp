@@ -62,7 +62,6 @@ class VsrServer {
 // the degenerate-but-equivalent deployment we default to, and tests
 // exercise gateway failure separately.)
 using VsrEntry = soap::RegistryEntry;
-using VsrEventSubscription = soap::EventSubscription;
 using VsrClient = soap::UddiClient;
 using VsrDelta = soap::RegistryDelta;
 using VsrChange = soap::RegistryChange;

@@ -131,36 +131,6 @@ UddiRegistry::UddiRegistry(http::HttpServer& http_server,
       });
 
   service_.register_method(
-      "renew", [this](const NamedValues& params, CallResultFn done) {
-        prune();
-        const auto& name = param(params, "name");
-        const auto& digest = param(params, "digest");
-        if (!name.is_string() || !digest.is_string()) {
-          done(invalid_argument("renew requires name and digest"));
-          return;
-        }
-        auto it = entries_.find(name.as_string());
-        if (it == entries_.end()) {
-          done(not_found("no registry entry: " + name.as_string()));
-          return;
-        }
-        if (it->second.digest != digest.as_string()) {
-          // The caller's document differs from what the registry holds;
-          // a body-less renewal would advertise stale content.
-          done(invalid_argument("digest mismatch for " + name.as_string() +
-                                " — republish the full entry"));
-          return;
-        }
-        auto ttl = param(params, "ttl");
-        it->second.expires_at =
-            ttl.is_int() && ttl.as_int() > 0 ? sched_.now() + ttl.as_int() : 0;
-        ++renewals_;
-        store_touch(it->first, it->second.expires_at);
-        store_commit();
-        done(Value(true));
-      });
-
-  service_.register_method(
       "renewOrigin", [this](const NamedValues& params, CallResultFn done) {
         prune();
         const auto& origin = param(params, "origin");
@@ -207,21 +177,6 @@ UddiRegistry::UddiRegistry(http::HttpServer& http_server,
       });
 
   service_.register_method(
-      "find", [this](const NamedValues& params, CallResultFn done) {
-        prune();
-        const auto& category = param(params, "category");
-        ValueList out;
-        for (const auto& [name, e] : entries_) {
-          if (category.is_string() && !category.as_string().empty() &&
-              e.category != category.as_string()) {
-            continue;
-          }
-          out.push_back(entry_to_value(e));
-        }
-        done(Value(std::move(out)));
-      });
-
-  service_.register_method(
       "lookup", [this](const NamedValues& params, CallResultFn done) {
         prune();
         const auto& name = param(params, "name");
@@ -242,70 +197,6 @@ UddiRegistry::UddiRegistry(http::HttpServer& http_server,
         prune();
         ValueList out;
         for (const auto& [name, e] : entries_) out.push_back(entry_to_value(e));
-        done(Value(std::move(out)));
-      });
-
-  service_.register_method(
-      "subscribeEvent", [this](const NamedValues& params, CallResultFn done) {
-        const auto& id = param(params, "id");
-        const auto& service = param(params, "service");
-        if (!id.is_string() || id.as_string().empty() || !service.is_string()) {
-          done(invalid_argument("subscribeEvent requires id and service"));
-          return;
-        }
-        EventSubscription s;
-        s.id = id.as_string();
-        s.service = service.as_string();
-        s.event = param(params, "event").is_string()
-                      ? param(params, "event").as_string()
-                      : "";
-        s.subscriber = param(params, "subscriber").is_string()
-                           ? param(params, "subscriber").as_string()
-                           : "";
-        auto ttl = param(params, "ttl");
-        s.expires_at =
-            ttl.is_int() && ttl.as_int() > 0 ? sched_.now() + ttl.as_int() : 0;
-        subscriptions_[s.id] = std::move(s);
-        done(Value(true));
-      });
-
-  service_.register_method(
-      "renewEventSub", [this](const NamedValues& params, CallResultFn done) {
-        prune_subscriptions();
-        const auto& id = param(params, "id");
-        if (!id.is_string()) {
-          done(invalid_argument("renewEventSub requires id"));
-          return;
-        }
-        auto it = subscriptions_.find(id.as_string());
-        if (it == subscriptions_.end()) {
-          done(not_found("no event subscription: " + id.as_string()));
-          return;
-        }
-        auto ttl = param(params, "ttl");
-        it->second.expires_at =
-            ttl.is_int() && ttl.as_int() > 0 ? sched_.now() + ttl.as_int() : 0;
-        done(Value(true));
-      });
-
-  service_.register_method(
-      "unsubscribeEvent",
-      [this](const NamedValues& params, CallResultFn done) {
-        const auto& id = param(params, "id");
-        if (!id.is_string()) {
-          done(invalid_argument("unsubscribeEvent requires id"));
-          return;
-        }
-        done(Value(subscriptions_.erase(id.as_string()) > 0));
-      });
-
-  service_.register_method(
-      "listEventSubs", [this](const NamedValues&, CallResultFn done) {
-        prune_subscriptions();
-        ValueList out;
-        for (const auto& [id, s] : subscriptions_) {
-          out.push_back(subscription_to_value(s));
-        }
         done(Value(std::move(out)));
       });
 }
@@ -486,28 +377,10 @@ void UddiRegistry::prune() {
   store_commit();
 }
 
-void UddiRegistry::prune_subscriptions() {
-  for (auto it = subscriptions_.begin(); it != subscriptions_.end();) {
-    if (it->second.expires_at != 0 && it->second.expires_at <= sched_.now()) {
-      it = subscriptions_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-}
-
 std::size_t UddiRegistry::size() const {
   std::size_t n = 0;
   for (const auto& [name, e] : entries_) {
     if (e.expires_at == 0 || e.expires_at > sched_.now()) ++n;
-  }
-  return n;
-}
-
-std::size_t UddiRegistry::subscription_count() const {
-  std::size_t n = 0;
-  for (const auto& [id, s] : subscriptions_) {
-    if (s.expires_at == 0 || s.expires_at > sched_.now()) ++n;
   }
   return n;
 }
@@ -540,15 +413,6 @@ Value UddiRegistry::change_to_value(const RegistryEntry& e,
   return Value(std::move(m));
 }
 
-Value UddiRegistry::subscription_to_value(const EventSubscription& s) const {
-  ValueMap m;
-  m["id"] = s.id;
-  m["service"] = s.service;
-  m["event"] = s.event;
-  m["subscriber"] = s.subscriber;
-  return Value(std::move(m));
-}
-
 Result<RegistryEntry> UddiClient::entry_from_value(const Value& v) {
   if (!v.is_map()) return protocol_error("registry entry is not a struct");
   RegistryEntry e;
@@ -576,17 +440,6 @@ void UddiClient::publish(const RegistryEntry& entry, sim::Duration ttl,
 
 void UddiClient::unpublish(const std::string& name, DoneFn done) {
   client_.call(registry_, path_, kNs, "unpublish", {{"name", Value(name)}},
-               [done = std::move(done)](Result<Value> r) {
-                 done(r.is_ok() ? Status::ok() : r.status());
-               });
-}
-
-void UddiClient::renew(const std::string& name, const std::string& digest,
-                       sim::Duration ttl, DoneFn done) {
-  client_.call(registry_, path_, kNs, "renew",
-               {{"name", Value(name)},
-                {"digest", Value(digest)},
-                {"ttl", Value(static_cast<std::int64_t>(ttl))}},
                [done = std::move(done)](Result<Value> r) {
                  done(r.is_ok() ? Status::ok() : r.status());
                });
@@ -631,6 +484,10 @@ Result<RegistryDelta> UddiClient::delta_from_value(const Value& v) {
     }
     c.name = item.at("name").is_string() ? item.at("name").as_string() : "";
     if (c.name.empty()) return protocol_error("registry change missing name");
+    if (delta.full && c.kind == RegistryChange::Kind::kRemove) {
+      // A full reply is the live set itself; it cannot list a removal.
+      return protocol_error("snapshot lists a removal: " + c.name);
+    }
     c.category =
         item.at("category").is_string() ? item.at("category").as_string() : "";
     c.origin =
@@ -727,32 +584,6 @@ void UddiClient::request_changes(bool snapshot, DeltaFn done) {
       });
 }
 
-void UddiClient::find_by_category(const std::string& category,
-                                  EntriesFn done) {
-  client_.call(registry_, path_, kNs, "find",
-               {{"category", Value(category)}},
-               [done = std::move(done)](Result<Value> r) {
-                 if (!r.is_ok()) {
-                   done(r.status());
-                   return;
-                 }
-                 if (!r.value().is_list()) {
-                   done(protocol_error("find result is not an array"));
-                   return;
-                 }
-                 std::vector<RegistryEntry> out;
-                 for (const auto& item : r.value().as_list()) {
-                   auto e = entry_from_value(item);
-                   if (!e.is_ok()) {
-                     done(e.status());
-                     return;
-                   }
-                   out.push_back(std::move(e).take());
-                 }
-                 done(std::move(out));
-               });
-}
-
 void UddiClient::lookup(const std::string& name, EntryFn done) {
   client_.call(registry_, path_, kNs, "lookup", {{"name", Value(name)}},
                [done = std::move(done)](Result<Value> r) {
@@ -764,70 +595,25 @@ void UddiClient::lookup(const std::string& name, EntryFn done) {
                });
 }
 
-void UddiClient::list_all(EntriesFn done) { find_by_category("", std::move(done)); }
-
-Result<EventSubscription> UddiClient::subscription_from_value(const Value& v) {
-  if (!v.is_map()) return protocol_error("event subscription is not a struct");
-  EventSubscription s;
-  s.id = v.at("id").is_string() ? v.at("id").as_string() : "";
-  s.service = v.at("service").is_string() ? v.at("service").as_string() : "";
-  s.event = v.at("event").is_string() ? v.at("event").as_string() : "";
-  s.subscriber =
-      v.at("subscriber").is_string() ? v.at("subscriber").as_string() : "";
-  if (s.id.empty()) return protocol_error("event subscription missing id");
-  return s;
-}
-
-void UddiClient::put_subscription(const EventSubscription& sub,
-                                  sim::Duration ttl, DoneFn done) {
-  NamedValues params{{"id", Value(sub.id)},
-                     {"service", Value(sub.service)},
-                     {"event", Value(sub.event)},
-                     {"subscriber", Value(sub.subscriber)},
-                     {"ttl", Value(static_cast<std::int64_t>(ttl))}};
-  client_.call(registry_, path_, kNs, "subscribeEvent", params,
-               [done = std::move(done)](Result<Value> r) {
-                 done(r.is_ok() ? Status::ok() : r.status());
-               });
-}
-
-void UddiClient::renew_subscription(const std::string& id, sim::Duration ttl,
-                                    DoneFn done) {
-  client_.call(registry_, path_, kNs, "renewEventSub",
-               {{"id", Value(id)},
-                {"ttl", Value(static_cast<std::int64_t>(ttl))}},
-               [done = std::move(done)](Result<Value> r) {
-                 done(r.is_ok() ? Status::ok() : r.status());
-               });
-}
-
-void UddiClient::remove_subscription(const std::string& id, DoneFn done) {
-  client_.call(registry_, path_, kNs, "unsubscribeEvent",
-               {{"id", Value(id)}},
-               [done = std::move(done)](Result<Value> r) {
-                 done(r.is_ok() ? Status::ok() : r.status());
-               });
-}
-
-void UddiClient::list_subscriptions(SubscriptionsFn done) {
-  client_.call(registry_, path_, kNs, "listEventSubs", {},
+void UddiClient::list_all(EntriesFn done) {
+  client_.call(registry_, path_, kNs, "list", {},
                [done = std::move(done)](Result<Value> r) {
                  if (!r.is_ok()) {
                    done(r.status());
                    return;
                  }
                  if (!r.value().is_list()) {
-                   done(protocol_error("listEventSubs result is not an array"));
+                   done(protocol_error("list result is not an array"));
                    return;
                  }
-                 std::vector<EventSubscription> out;
+                 std::vector<RegistryEntry> out;
                  for (const auto& item : r.value().as_list()) {
-                   auto s = subscription_from_value(item);
-                   if (!s.is_ok()) {
-                     done(s.status());
+                   auto e = entry_from_value(item);
+                   if (!e.is_ok()) {
+                     done(e.status());
                      return;
                    }
-                   out.push_back(std::move(s).take());
+                   out.push_back(std::move(e).take());
                  }
                  done(std::move(out));
                });

@@ -76,22 +76,11 @@ class FingerprintHasher {
   std::uint64_t h_ = kFnv1aOffset;
 };
 
-// A leased event subscription recorded in the VSR (event bridge). The
-// VSR is the system of record for who listens to what; the origin
-// island's EventRouter holds the delivery state.
-struct EventSubscription {
-  std::string id;          // origin-router lease id ("esub-N")
-  std::string service;     // event source (deployed-service name)
-  std::string event;       // event name within the service interface
-  std::string subscriber;  // subscribing island
-  sim::SimTime expires_at = 0;  // 0 = no lease
-};
-
-// Server side: mounts "publish"/"unpublish"/"find"/"lookup"/"list"
-// methods on a SoapService at `path` of an HttpServer, plus the delta
-// sync ops ("changesSince"/"renew"/"renewOrigin") and the event-
-// subscription table ("subscribeEvent"/"renewEventSub"/
-// "unsubscribeEvent"/"listEventSubs").
+// Server side: mounts six ops on a SoapService at `path` of an
+// HttpServer. Each island's PCM is the only writer of the entries of its
+// origin ("publish"/"unpublish", and "renewOrigin" for its leases);
+// PCMs synchronize through "changesSince", and "lookup"/"list" serve
+// readers (the event bridge resolves a source with "lookup").
 class UddiRegistry {
  public:
   // The journal is bounded: once more than `journal_capacity` records
@@ -114,7 +103,6 @@ class UddiRegistry {
 
   [[nodiscard]] std::size_t size() const;
   [[nodiscard]] std::uint64_t publishes() const { return publishes_; }
-  [[nodiscard]] std::size_t subscription_count() const;
 
   // --- delta-sync observability (tests, benches) ----------------------
   [[nodiscard]] std::uint64_t epoch() const { return epoch_; }
@@ -161,7 +149,6 @@ class UddiRegistry {
   };
 
   void prune();
-  void prune_subscriptions();
   void journal_append(RegistryChange::Kind kind, const std::string& name,
                       const std::string& digest);
   void adopt_store_state();
@@ -173,13 +160,11 @@ class UddiRegistry {
   Value change_to_value(const RegistryEntry& e,
                         const std::set<std::string>& known,
                         bool allow_elide);
-  Value subscription_to_value(const EventSubscription& s) const;
   void handle_changes_since(const NamedValues& params, CallResultFn done);
 
   sim::Scheduler& sched_;
   SoapService service_;
   std::map<std::string, RegistryEntry> entries_;
-  std::map<std::string, EventSubscription> subscriptions_;  // by id
   std::uint64_t publishes_ = 0;
 
   // --- change journal --------------------------------------------------
@@ -228,14 +213,11 @@ class UddiClient {
   using EntriesFn = std::function<void(Result<std::vector<RegistryEntry>>)>;
   using EntryFn = std::function<void(Result<RegistryEntry>)>;
   using DeltaFn = std::function<void(Result<RegistryDelta>)>;
-  using SubscriptionsFn =
-      std::function<void(Result<std::vector<EventSubscription>>)>;
 
   // ttl of 0 means no expiry; otherwise the entry lapses unless
   // republished (lease-style, mirroring Jini's lease discipline).
   void publish(const RegistryEntry& entry, sim::Duration ttl, DoneFn done);
   void unpublish(const std::string& name, DoneFn done);
-  void find_by_category(const std::string& category, EntriesFn done);
   void lookup(const std::string& name, EntryFn done);
   void list_all(EntriesFn done);
 
@@ -252,13 +234,8 @@ class UddiClient {
   // across registry restarts.
   void reset_cursor() { cursor_ = 0; epoch_ = 0; }
 
-  // Renews the lease of one entry without re-uploading its WSDL; fails
-  // kNotFound when the registry no longer holds this (name, digest), in
-  // which case the caller must publish() the full entry again.
-  void renew(const std::string& name, const std::string& digest,
-             sim::Duration ttl, DoneFn done);
   // Renews every lease `origin` holds in one O(1) call, guarded by the
-  // set fingerprint (FingerprintHasher). kFailedPrecondition on
+  // set fingerprint (FingerprintHasher). kInvalidArgument on
   // fingerprint mismatch, kNotFound when the origin has no entries.
   void renew_origin(const std::string& origin, const std::string& fingerprint,
                     sim::Duration ttl, DoneFn done);
@@ -271,17 +248,8 @@ class UddiClient {
   [[nodiscard]] std::uint64_t full_syncs() const { return full_syncs_; }
   [[nodiscard]] std::uint64_t delta_syncs() const { return delta_syncs_; }
 
-  // Event-subscription table (same lease discipline as publish).
-  void put_subscription(const EventSubscription& sub, sim::Duration ttl,
-                        DoneFn done);
-  void renew_subscription(const std::string& id, sim::Duration ttl,
-                          DoneFn done);
-  void remove_subscription(const std::string& id, DoneFn done);
-  void list_subscriptions(SubscriptionsFn done);
-
  private:
   static Result<RegistryEntry> entry_from_value(const Value& v);
-  static Result<EventSubscription> subscription_from_value(const Value& v);
   void request_changes(bool snapshot, DeltaFn done);
   Result<RegistryDelta> delta_from_value(const Value& v);
 

@@ -1,7 +1,5 @@
 #include "testbed/home.hpp"
 
-#include "soap/wsdl.hpp"
-
 namespace hcm::testbed {
 
 namespace {
@@ -359,25 +357,17 @@ Status expose_motion_events(SmartHome& home) {
   InterfaceDesc iface{"MotionSensor", {}};
   iface.events.push_back(MethodDesc{
       "motion", {{"address", ValueType::kString}}, ValueType::kNull, true});
-  auto uri = island->vsg->expose(
+  auto published = std::make_shared<std::optional<Status>>();
+  auto status = island->pcm->host_service(
       kMotionService, iface,
       [](const std::string& method, const ValueList&, InvokeResultFn done) {
         done(unimplemented("motion sensor has no method " + method));
-      });
-  if (!uri.is_ok()) return uri.status();
-
-  core::VsrEntry entry;
-  entry.name = kMotionService;
-  entry.category = iface.name;
-  entry.origin = island->name;
-  entry.wsdl = soap::emit_wsdl(iface, kMotionService, uri.value());
-  core::VsrClient vsr(home.net, island->vsg->node(), home.vsr->endpoint());
-  std::optional<Status> published;
-  vsr.publish(entry, core::Pcm::kPublishTtl,
-              [&](const Status& s) { published = s; });
-  sim::run_until_done(home.sched, [&] { return published.has_value(); });
-  if (!published.has_value() || !published->is_ok()) {
-    return published.value_or(internal_error("publish did not complete"));
+      },
+      [published](const Status& s) { *published = s; });
+  if (!status.is_ok()) return status;
+  sim::run_until_done(home.sched, [&] { return published->has_value(); });
+  if (!published->has_value() || !(*published)->is_ok()) {
+    return published->value_or(internal_error("publish did not complete"));
   }
 
   home.cm11a->set_observer(

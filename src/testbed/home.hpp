@@ -182,10 +182,11 @@ class SmartHome {
 };
 
 // The motion sensor as an event source, for the §4.2 experiment
-// (bench_sec42_async_limits, examples/event_multimedia). Exposes
-// kMotionService on the X10 island's VSG as a framework service whose
-// interface declares one `motion` event, publishes its WSDL to the VSR,
-// and takes over the CM11A observer so every ON frame from the sensor
+// (bench_sec42_async_limits, examples/event_multimedia). Hosts
+// kMotionService on the X10 island's PCM as a framework service whose
+// interface declares one `motion` event (the PCM exposes it, publishes
+// its WSDL and keeps it leased), waits for the publication, and takes
+// over the CM11A observer so every ON frame from the sensor
 // reaches the island's event bridge as `motion` {address}. Subscribe
 // through any island's `events`. Needs a single-scheduler home; the
 // canonical home does not carry this service.

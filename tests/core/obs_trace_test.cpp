@@ -216,6 +216,21 @@ TEST_F(ObsTraceTest, ObservabilityServiceReachableFromForeignIsland) {
             std::string::npos);
 }
 
+TEST_F(ObsTraceTest, ObservabilityExportKeepsOriginRenewalOnTheFastPath) {
+  // The introspection entry is one of jini-island's VSR entries, so the
+  // island's renewOrigin fingerprint must cover it: each refresh renews
+  // the whole set in one call instead of republishing it.
+  sim::Scheduler sched;
+  SmartHome home(sched);
+  ASSERT_TRUE(home.meta->enable_observability("jini-island").is_ok());
+  for (int round = 0; round < 3; ++round) {
+    ASSERT_TRUE(home.refresh().is_ok());
+    sched.run_for(sim::seconds(40));
+  }
+  EXPECT_EQ(home.meta->island("jini-island")->pcm->renew_fallbacks(), 0u);
+  EXPECT_EQ(home.vsr->registry().size(), 9u);
+}
+
 TEST_F(ObsTraceTest, EnableObservabilityValidatesIsland) {
   sim::Scheduler sched;
   SmartHome home(sched);
@@ -234,7 +249,7 @@ TEST_F(ObsTraceTest, RefreshRenewsObservabilityLease) {
   ASSERT_TRUE(home.refresh().is_ok());
   EXPECT_EQ(home.vsr->registry().size(), 9u);
   // Two publish TTLs later, with refreshes in between, the entry must
-  // still be leased (refresh_all republishes it).
+  // still be leased (the PCM renews it with the island's set).
   sched.run_for(core::Pcm::kPublishTtl / 2);
   ASSERT_TRUE(home.refresh().is_ok());
   sched.run_for(core::Pcm::kPublishTtl / 2);

@@ -1,11 +1,13 @@
 // PCM-level VSR synchronization: delta refresh converging to the same
 // proxy populations as snapshot refresh, cached WSDL publication (no
 // per-refresh regeneration), O(1) origin lease renewal with fallback
-// after registry loss, and full-resync convergence after journal
-// compaction and registry restarts.
+// after registry loss, full-resync convergence after journal
+// compaction and registry restarts, and services hosted on a PCM with
+// no native listing leased and republished like native ones.
 #include <gtest/gtest.h>
 
 #include <map>
+#include <optional>
 #include <set>
 
 #include "core/pcm.hpp"
@@ -280,6 +282,44 @@ TEST(VsrSyncTest, RegistryRestartConvergesToFreshBootState) {
   const auto fallbacks = mesh.islands_[0].pcm->renew_fallbacks();
   ASSERT_TRUE(mesh.refresh_round().is_ok());
   EXPECT_EQ(mesh.islands_[0].pcm->renew_fallbacks(), fallbacks);
+}
+
+TEST(VsrSyncTest, HostedServiceIsLeasedAndRepublishedInBothModes) {
+  for (const auto mode : {Pcm::SyncMode::kDelta, Pcm::SyncMode::kSnapshot}) {
+    SyncMesh mesh;
+    ASSERT_TRUE(mesh.build(2, 1, mode).is_ok());
+    std::optional<Status> published;
+    ASSERT_TRUE(mesh.islands_[0]
+                    .pcm
+                    ->host_service(
+                        "island-0-hosted", switch_interface(),
+                        [](const std::string&, const ValueList&,
+                           InvokeResultFn done) { done(Value(true)); },
+                        [&](const Status& s) { published = s; })
+                    .is_ok());
+    ASSERT_TRUE(mesh.converge().is_ok());
+    ASSERT_TRUE(published.has_value() && published->is_ok());
+    EXPECT_TRUE(mesh.islands_[1].pcm->has_imported("island-0-hosted"));
+
+    // No native listing names it, yet refreshes keep its lease and never
+    // retire it; in delta mode it rides the one renewOrigin call.
+    for (int round = 0; round < 4; ++round) {
+      mesh.sched.run_for(Pcm::kPublishTtl / 2);
+      ASSERT_TRUE(mesh.refresh_round().is_ok());
+    }
+    EXPECT_EQ(mesh.vsr->registry().size(), 3u);
+    EXPECT_EQ(mesh.islands_[0].pcm->renew_fallbacks(), 0u);
+
+    // A registry that lost everything refuses the delta-mode renewal,
+    // and the fallback republishes the hosted entry with the native one.
+    if (mode == Pcm::SyncMode::kDelta) {
+      ASSERT_TRUE(mesh.restart_vsr().is_ok());
+      ASSERT_TRUE(mesh.converge().is_ok());
+      EXPECT_GT(mesh.islands_[0].pcm->renew_fallbacks(), 0u);
+      EXPECT_EQ(mesh.vsr->registry().size(), 3u);
+      EXPECT_TRUE(mesh.islands_[1].pcm->has_imported("island-0-hosted"));
+    }
+  }
 }
 
 TEST(VsrSyncTest, JournalCompactionResyncConverges) {

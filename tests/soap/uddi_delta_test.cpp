@@ -155,30 +155,27 @@ TEST_F(UddiDeltaTest, UnchangedRepublishIsRenewalNotChange) {
   EXPECT_EQ(registry->size(), 1u);
 }
 
-TEST_F(UddiDeltaTest, RenewByDigestKeepsEntryAliveWithoutBody) {
-  ASSERT_TRUE(publish("vcr-1", "VcrControl", sim::seconds(10)).is_ok());
-  const std::string digest = wsdl_digest(wsdl_for("VcrControl"));
-
-  sched.run_for(sim::seconds(5));
-  std::optional<Status> renewed;
-  client->renew("vcr-1", digest, sim::seconds(10),
-                [&](const Status& s) { renewed = s; });
+TEST_F(UddiDeltaTest, SnapshotListingARemovalIsRejected) {
+  // A full reply is the registry's live set, which the PCM converges to;
+  // a removal inside one is a malformed reply.
+  SoapService fake(*http_server, "/fake");
+  fake.register_method(
+      "changesSince", [](const NamedValues&, CallResultFn done) {
+        const Value removal(ValueMap{{"kind", Value(std::string("remove"))},
+                                     {"name", Value(std::string("vcr-1"))}});
+        done(Value(ValueMap{{"epoch", Value(std::int64_t{1})},
+                            {"cursor", Value(std::int64_t{1})},
+                            {"full", Value(true)},
+                            {"resync", Value(false)},
+                            {"changes", Value(ValueList{removal})}}));
+      });
+  UddiClient peer(net, island_node->id(),
+                  net::Endpoint{registry_node->id(), 80}, "/fake");
+  std::optional<Result<RegistryDelta>> out;
+  peer.changes_since([&](Result<RegistryDelta> r) { out = std::move(r); });
   sched.run();
-  ASSERT_TRUE(renewed.has_value());
-  EXPECT_TRUE(renewed->is_ok()) << renewed->to_string();
-
-  sched.run_for(sim::seconds(8));  // past the original expiry
-  EXPECT_EQ(registry->size(), 1u);
-}
-
-TEST_F(UddiDeltaTest, RenewWithStaleDigestIsRefused) {
-  ASSERT_TRUE(publish("vcr-1", "VcrControl", sim::seconds(10)).is_ok());
-  std::optional<Status> renewed;
-  client->renew("vcr-1", wsdl_digest("<other/>"), sim::seconds(10),
-                [&](const Status& s) { renewed = s; });
-  sched.run();
-  ASSERT_TRUE(renewed.has_value());
-  EXPECT_EQ(renewed->code(), StatusCode::kInvalidArgument);
+  ASSERT_TRUE(out.has_value());
+  EXPECT_EQ(out->status().code(), StatusCode::kProtocolError);
 }
 
 TEST_F(UddiDeltaTest, RenewOriginBulkRenewsWithMatchingFingerprint) {

@@ -68,18 +68,10 @@ TEST_F(UddiTest, LookupMissingIsNotFound) {
   EXPECT_EQ(found->status().code(), StatusCode::kNotFound);
 }
 
-TEST_F(UddiTest, FindByCategory) {
-  publish("vcr-1", "VcrControl");
-  publish("vcr-2", "VcrControl");
-  publish("lamp-1", "Switchable");
-  std::optional<Result<std::vector<RegistryEntry>>> found;
-  client->find_by_category(
-      "VcrControl",
-      [&](Result<std::vector<RegistryEntry>> r) { found = std::move(r); });
-  sched.run();
-  ASSERT_TRUE(found.has_value());
-  ASSERT_TRUE(found->is_ok());
-  EXPECT_EQ(found->value().size(), 2u);
+TEST_F(UddiTest, MountsOnlyTheOpsClientsSend) {
+  EXPECT_EQ(registry->wire_ops(),
+            (std::vector<std::string>{"changesSince", "list", "lookup",
+                                      "publish", "renewOrigin", "unpublish"}));
 }
 
 TEST_F(UddiTest, ListAllReturnsEverything) {

@@ -290,11 +290,6 @@ std::vector<WireFixture> registry_wire_fixtures() {
                               {"origin", Value(std::string("x10-island"))},
                               {"digest", digest},
                               {"wsdl", wsdl}});
-  const Value subscription(
-      ValueMap{{"id", Value(std::string("esub-1"))},
-               {"service", Value(std::string("vcr-1"))},
-               {"event", Value(std::string("transportChanged"))},
-               {"subscriber", Value(std::string("jini-island"))}});
   return {
       {"publish",
        {{"name", Value(std::string("lamp-1"))},
@@ -304,11 +299,6 @@ std::vector<WireFixture> registry_wire_fixtures() {
         {"ttl", Value(std::int64_t{120000000})}},
        Value(true)},
       {"unpublish", {{"name", Value(std::string("lamp-1"))}}, Value(true)},
-      {"renew",
-       {{"name", Value(std::string("lamp-1"))},
-        {"digest", digest},
-        {"ttl", Value(std::int64_t{120000000})}},
-       Value(true)},
       {"renewOrigin",
        {{"origin", Value(std::string("x10-island"))},
         {"fingerprint", digest},
@@ -324,24 +314,8 @@ std::vector<WireFixture> registry_wire_fixtures() {
                       {"full", Value(false)},
                       {"resync", Value(false)},
                       {"changes", Value(ValueList{upsert})}})},
-      {"find",
-       {{"category", Value(std::string("Switchable"))}},
-       Value(ValueList{entry})},
       {"lookup", {{"name", Value(std::string("lamp-1"))}}, entry},
       {"list", {}, Value(ValueList{entry})},
-      {"subscribeEvent",
-       {{"id", Value(std::string("esub-1"))},
-        {"service", Value(std::string("vcr-1"))},
-        {"event", Value(std::string("transportChanged"))},
-        {"subscriber", Value(std::string("jini-island"))},
-        {"ttl", Value(std::int64_t{30000000})}},
-       Value(true)},
-      {"renewEventSub",
-       {{"id", Value(std::string("esub-1"))},
-        {"ttl", Value(std::int64_t{30000000})}},
-       Value(true)},
-      {"unsubscribeEvent", {{"id", Value(std::string("esub-1"))}}, Value(true)},
-      {"listEventSubs", {}, Value(ValueList{subscription})},
   };
 }
 
