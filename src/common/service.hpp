@@ -14,10 +14,12 @@
 
 namespace hcm {
 
-// Completion callbacks ride the wire hot path: every RPC hop captures
-// the previous hop's callback, so the inline budget is sized to hold a
-// whole dispatch chain without touching the heap (measured by
-// bench_ext_wire_throughput's allocs/call).
+// Completion callbacks ride the wire hot path. A hop that only observes
+// a completion decorates it in place (SmallFn::decorate, see
+// obs::observe_completion); a closure that captures one can never fit
+// this same alias and takes a heap cell. The inline budget holds the
+// callables a call starts from plus the observers its hops add
+// (measured by bench_ext_wire_throughput's allocs/call).
 using InvokeResultFn = SmallFn<void(Result<Value>), 192>;
 
 // Invoke `method` with positional args; completion is asynchronous.

@@ -15,7 +15,6 @@ const InterfaceDesc& EventRouter::bridge_interface() {
           {"subscribe",
            {{"service", ValueType::kString},
             {"event", ValueType::kString},
-            {"subscriber", ValueType::kString},
             {"sink", ValueType::kString},
             {"lease", ValueType::kInt}},
            ValueType::kMap},
@@ -118,7 +117,7 @@ void EventRouter::subscribe(const std::string& service,
     const Uri origin = bridge_uri_for(doc.value().endpoint);
     const sim::Duration lease = clamp_lease(opts.lease);
     const ValueList args{
-        Value(service), Value(event), Value(vsg_.island_name()),
+        Value(service), Value(event),
         Value(vsg_.exposure_uri(kBridgeService).to_string()),
         Value(static_cast<std::int64_t>(lease))};
     vsg_.call_remote(
@@ -204,13 +203,12 @@ void EventRouter::arm_renew(const std::string& id) {
 
 void EventRouter::handle_subscribe(const ValueList& args,
                                    InvokeResultFn done) {
-  if (args.size() != 5 || !args[0].is_string() || !args[1].is_string() ||
-      !args[2].is_string() || !args[3].is_string() || !args[4].is_int()) {
-    done(invalid_argument(
-        "subscribe(service, event, subscriber, sink, lease)"));
+  if (args.size() != 4 || !args[0].is_string() || !args[1].is_string() ||
+      !args[2].is_string() || !args[3].is_int()) {
+    done(invalid_argument("subscribe(service, event, sink, lease)"));
     return;
   }
-  auto sink = parse_uri(args[3].as_string());
+  auto sink = parse_uri(args[2].as_string());
   if (!sink.is_ok()) {
     done(sink.status());
     return;
@@ -218,7 +216,7 @@ void EventRouter::handle_subscribe(const ValueList& args,
   adapter_.list_services(
       [this, service = args[0].as_string(), event = args[1].as_string(),
        sink = std::move(sink).take(),
-       lease = clamp_lease(args[4].as_int()),
+       lease = clamp_lease(args[3].as_int()),
        done = std::move(done)](Result<std::vector<LocalService>> r) mutable {
         if (!r.is_ok()) {
           done(r.status());

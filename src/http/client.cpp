@@ -5,6 +5,16 @@
 
 namespace hcm::http {
 
+namespace {
+constexpr std::string_view kStaleConnection =
+    "keep-alive connection closed before response";
+Status stale_connection() { return unavailable(std::string(kStaleConnection)); }
+}  // namespace
+
+bool is_stale_connection(const Status& s) {
+  return s.code() == StatusCode::kUnavailable && s.message() == kStaleConnection;
+}
+
 // One live connection. Requests are serialized (at most one in flight)
 // because asynchronous server handlers may finish out of order, and
 // HTTP/1.1 responses carry no request correlation.
@@ -26,6 +36,9 @@ struct HttpClient::PooledConn {
   Response scratch_resp;
   sim::EventId timeout_event = 0;
   bool keep_alive = false;
+  // Has delivered a response: a close that drops requests after this
+  // is a stale keep-alive connection (see is_stale_connection).
+  bool answered = false;
   // Pooled and still connecting: requests queue here instead of
   // opening connections of their own.
   bool connecting = false;
@@ -137,7 +150,8 @@ void HttpClient::attach(const std::shared_ptr<PooledConn>& conn,
     // went with it (a server restart), their close still on the way.
     // Drop them before the callbacks below issue requests that would
     // pick one.
-    if (auto pool = conn->pool.lock()) {
+    const auto pool = conn->pool.lock();
+    if (pool) {
       for (auto& other : pool->conns) {
         if (other == conn || !other->stream || other->inflight ||
             !other->queue.empty()) {
@@ -147,15 +161,21 @@ void HttpClient::attach(const std::shared_ptr<PooledConn>& conn,
         other->stream = nullptr;
       }
     }
+    // Stale only while the client lives (it owns the pool): a caller
+    // that sees the status may resend through it.
+    const bool stale = conn->answered && pool != nullptr;
     if (conn->inflight) {
       auto cb = std::move(conn->inflight);
       conn->inflight = nullptr;
       lat.observe(sched.now() - conn->inflight_start);
       errs.inc();
-      Result<Response> r(unavailable("connection closed before response"));
+      Result<Response> r(stale
+                             ? stale_connection()
+                             : unavailable("connection closed before response"));
       cb(r);
     }
-    fail_queued(*conn, sched, lat, errs, unavailable("connection closed"));
+    fail_queued(*conn, sched, lat, errs,
+                stale ? stale_connection() : unavailable("connection closed"));
     conn->stream = nullptr;
   });
 
@@ -178,6 +198,7 @@ void HttpClient::attach(const std::shared_ptr<PooledConn>& conn,
         net_.scheduler().cancel(conn->timeout_event);
         conn->timeout_event = 0;
       }
+      conn->answered = true;
       if (conn->inflight) {
         auto cb = std::move(conn->inflight);
         conn->inflight = nullptr;

@@ -19,13 +19,22 @@
 
 namespace hcm::http {
 
-// Sized to hold the SOAP client's completion lambda (which captures a
-// 200-byte CallResultFn) inline — the deepest callback layer on the
-// wire path. The result is passed by lvalue reference: the client
-// retains ownership of the delivered Response so its string/header
-// storage can be recycled into the parser after the callback returns
-// (callbacks that want to keep the Response move or copy it out).
+// Sized to hold the SOAP client's completion lambda (a 208-byte
+// CallResultFn plus three words: 232 bytes) inline — the deepest
+// callback layer on the wire path. The result is passed by lvalue
+// reference: the client retains ownership of the delivered Response so
+// its string/header storage can be recycled into the parser after the
+// callback returns (callbacks that want to keep the Response move or
+// copy it out).
 using ResponseCallback = SmallFn<void(Result<Response>&), 240>;
+
+// True for the failure of a request that a keep-alive connection
+// dropped unanswered after it had already carried a response: the
+// server went away behind the pool (a restart), so the request most
+// likely never reached a live server. Resending it once is the
+// caller's call, safe only for idempotent requests (soap::UddiClient
+// resends; the VSG backbone, whose calls act on devices, does not).
+[[nodiscard]] bool is_stale_connection(const Status& s);
 
 class HttpClient {
  public:

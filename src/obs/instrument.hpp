@@ -1,5 +1,5 @@
-// Glue for instrumenting the framework's async callback style: wrap an
-// InvokeResultFn so that completion (whenever it fires, on whatever
+// Glue for instrumenting the framework's async callback style: decorate
+// an InvokeResultFn so that completion (whenever it fires, on whatever
 // virtual-time tick) records the operation's latency, counts errors,
 // and closes the hop's span.
 #pragma once
@@ -16,21 +16,35 @@
 
 namespace hcm::obs {
 
-// Returns a completion that: observes (now - start) into `latency`,
-// increments `errors` on a failed result (if non-null), ends `span_id`
-// on the global tracer (no-op when 0), then forwards to `done`.
+// What observe_completion puts in front of a completion: 40 trivially
+// copyable bytes, small enough to ride in the spare room of the
+// completion's own buffer (SmallFn::decorate), so observing a hop costs
+// no heap cell.
+struct CompletionObserver {
+  sim::Scheduler* sched;
+  Histogram* latency;
+  Counter* errors;
+  std::uint64_t span_id;
+  sim::SimTime start;
+
+  void operator()(const Result<Value>& r) const {
+    latency->observe(sched->now() - start);
+    if (!r.is_ok() && errors != nullptr) errors->inc();
+    Tracer::global().end_span(span_id, sched->now(), r.is_ok());
+  }
+};
+
+// Returns `done` decorated so that completion: observes (now - start)
+// into `latency`, increments `errors` on a failed result (if non-null),
+// ends `span_id` on the global tracer (no-op when 0), then runs what
+// `done` ran.
 inline InvokeResultFn observe_completion(sim::Scheduler& sched,
                                          Histogram& latency, Counter* errors,
                                          std::uint64_t span_id,
                                          InvokeResultFn done) {
-  const sim::SimTime start = sched.now();
-  return [&sched, &latency, errors, span_id, start,
-          done = std::move(done)](Result<Value> r) {
-    latency.observe(sched.now() - start);
-    if (!r.is_ok() && errors != nullptr) errors->inc();
-    Tracer::global().end_span(span_id, sched.now(), r.is_ok());
-    done(std::move(r));
-  };
+  done.decorate(
+      CompletionObserver{&sched, &latency, errors, span_id, sched.now()});
+  return done;
 }
 
 // The "adapter.<mw>.*" metric handles and span labels of one adapter,

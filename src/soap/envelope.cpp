@@ -97,7 +97,7 @@ std::string build_fault(const Fault& fault) {
 }
 
 void build_call_into(std::string& out, const std::string& ns,
-                     const std::string& method, const NamedValues& params,
+                     const std::string& method, NamedValuesView params,
                      const obs::TraceContext& trace) {
   xml::Writer w = open_envelope(out);
   if (trace.valid()) {

@@ -2,6 +2,7 @@
 // encoding) — the control half of the VSG wire protocol.
 #pragma once
 
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -22,6 +23,8 @@ struct Fault {
 };
 
 using NamedValues = std::vector<std::pair<std::string, Value>>;
+// Borrowed named values, for renderers (a NamedValues converts).
+using NamedValuesView = std::span<const NamedValues::value_type>;
 
 // A parsed RPC envelope: either a call/response body or a fault.
 struct Envelope {
@@ -54,7 +57,7 @@ struct Envelope {
 // caller-owned string (cleared first, capacity kept), so steady-state
 // RPC loops rebuild bodies without reallocating.
 void build_call_into(std::string& out, const std::string& ns,
-                     const std::string& method, const NamedValues& params,
+                     const std::string& method, NamedValuesView params,
                      const obs::TraceContext& trace);
 void build_response_into(std::string& out, const std::string& ns,
                          const std::string& method, const Value& result);

@@ -145,7 +145,7 @@ void SoapService::handle(const http::Request& req, http::RespondFn respond) {
 
 void SoapClient::call(net::Endpoint dest, const std::string& path,
                       const std::string& ns, const std::string& method,
-                      const NamedValues& params, CallResultFn done) {
+                      NamedValuesView params, CallResultFn done) {
   calls_sent_.inc();
   // The wire header carries this client span's context, so the remote
   // dispatch span parents to it and the trace stays connected across
@@ -183,28 +183,35 @@ void SoapClient::call(net::Endpoint dest, const std::string& path,
   // The result is borrowed (Result<Response>&): the HTTP client keeps
   // the Response and recycles its storage after this returns. Parsing
   // lands in env_scratch_, and the result Value is moved out before
-  // `done` runs so a nested call from the completion can reuse it.
+  // `done` runs so a nested call from the completion can reuse it. The
+  // closure (232 bytes) fits ResponseCallback's buffer; the tracer is
+  // reached through Tracer::global(). A transport failure does not
+  // touch `this`: a closed connection may fail its request after the
+  // client is gone.
   http_.request(dest, std::move(req),
-                [this, done = std::move(done), &tracer, &sched,
+                [done = std::move(done), this, &sched,
                  span_id](Result<http::Response>& resp) {
+                  auto end_span = [&](bool ok) {
+                    obs::Tracer::global().end_span(span_id, sched.now(), ok);
+                  };
                   if (!resp.is_ok()) {
-                    tracer.end_span(span_id, sched.now(), false);
+                    end_span(false);
                     done(resp.status());
                     return;
                   }
                   auto parsed =
                       parse_envelope_into(resp.value().body, env_scratch_);
                   if (!parsed.is_ok()) {
-                    tracer.end_span(span_id, sched.now(), false);
+                    end_span(false);
                     done(parsed);
                     return;
                   }
                   if (env_scratch_.is_fault) {
-                    tracer.end_span(span_id, sched.now(), false);
+                    end_span(false);
                     done(env_scratch_.fault.to_status());
                     return;
                   }
-                  tracer.end_span(span_id, sched.now(), true);
+                  end_span(true);
                   // RPC convention: single <return> child (or first param).
                   if (env_scratch_.params.empty()) {
                     done(Value());

@@ -87,7 +87,7 @@ class SoapClient {
   // decoded return value or the fault converted back to a Status.
   void call(net::Endpoint dest, const std::string& path,
             const std::string& ns, const std::string& method,
-            const NamedValues& params, CallResultFn done);
+            NamedValuesView params, CallResultFn done);
 
   [[nodiscard]] std::uint64_t calls_sent() const { return calls_sent_.value(); }
 

@@ -425,36 +425,68 @@ Result<RegistryEntry> UddiClient::entry_from_value(const Value& v) {
   return e;
 }
 
+template <typename F>
+struct UddiClient::Attempt {
+  UddiClient* client;
+  const char* method;
+  NamedValues params;
+  F on_result;
+  bool resent = false;
+
+  void operator()(Result<Value> r) {
+    if (!resent && !r.is_ok() && http::is_stale_connection(r.status())) {
+      resent = true;
+      client->send(std::move(*this));
+      return;
+    }
+    on_result(std::move(r));
+  }
+};
+
+template <typename F>
+void UddiClient::call(const char* method, NamedValues params, F on_result) {
+  send(Attempt<F>{this, method, std::move(params), std::move(on_result)});
+}
+
+template <typename F>
+void UddiClient::send(Attempt<F> attempt) {
+  // The view stays valid while the attempt moves into the completion:
+  // a moved vector keeps its elements where they are.
+  const NamedValuesView params(attempt.params);
+  const char* method = attempt.method;
+  client_.call(registry_, path_, kNs, method, params, std::move(attempt));
+}
+
 void UddiClient::publish(const RegistryEntry& entry, sim::Duration ttl,
                          DoneFn done) {
-  NamedValues params{{"name", Value(entry.name)},
-                     {"category", Value(entry.category)},
-                     {"origin", Value(entry.origin)},
-                     {"wsdl", Value(entry.wsdl)},
-                     {"ttl", Value(static_cast<std::int64_t>(ttl))}};
-  client_.call(registry_, path_, kNs, "publish", params,
-               [done = std::move(done)](Result<Value> r) {
-                 done(r.is_ok() ? Status::ok() : r.status());
-               });
+  call("publish",
+       {{"name", Value(entry.name)},
+        {"category", Value(entry.category)},
+        {"origin", Value(entry.origin)},
+        {"wsdl", Value(entry.wsdl)},
+        {"ttl", Value(static_cast<std::int64_t>(ttl))}},
+       [done = std::move(done)](Result<Value> r) {
+         done(r.is_ok() ? Status::ok() : r.status());
+       });
 }
 
 void UddiClient::unpublish(const std::string& name, DoneFn done) {
-  client_.call(registry_, path_, kNs, "unpublish", {{"name", Value(name)}},
-               [done = std::move(done)](Result<Value> r) {
-                 done(r.is_ok() ? Status::ok() : r.status());
-               });
+  call("unpublish", {{"name", Value(name)}},
+       [done = std::move(done)](Result<Value> r) {
+         done(r.is_ok() ? Status::ok() : r.status());
+       });
 }
 
 void UddiClient::renew_origin(const std::string& origin,
                               const std::string& fingerprint,
                               sim::Duration ttl, DoneFn done) {
-  client_.call(registry_, path_, kNs, "renewOrigin",
-               {{"origin", Value(origin)},
-                {"fingerprint", Value(fingerprint)},
-                {"ttl", Value(static_cast<std::int64_t>(ttl))}},
-               [done = std::move(done)](Result<Value> r) {
-                 done(r.is_ok() ? Status::ok() : r.status());
-               });
+  call("renewOrigin",
+       {{"origin", Value(origin)},
+        {"fingerprint", Value(fingerprint)},
+        {"ttl", Value(static_cast<std::int64_t>(ttl))}},
+       [done = std::move(done)](Result<Value> r) {
+         done(r.is_ok() ? Status::ok() : r.status());
+       });
 }
 
 Result<RegistryDelta> UddiClient::delta_from_value(const Value& v) {
@@ -524,8 +556,8 @@ void UddiClient::request_changes(bool snapshot, DeltaFn done) {
     }
     params.push_back({"known", Value(std::move(known))});
   }
-  client_.call(
-      registry_, path_, kNs, "changesSince", params,
+  call(
+      "changesSince", std::move(params),
       [this, snapshot, done = std::move(done)](Result<Value> r) mutable {
         if (!r.is_ok()) {
           done(r.status());
@@ -585,38 +617,37 @@ void UddiClient::request_changes(bool snapshot, DeltaFn done) {
 }
 
 void UddiClient::lookup(const std::string& name, EntryFn done) {
-  client_.call(registry_, path_, kNs, "lookup", {{"name", Value(name)}},
-               [done = std::move(done)](Result<Value> r) {
-                 if (!r.is_ok()) {
-                   done(r.status());
-                   return;
-                 }
-                 done(entry_from_value(r.value()));
-               });
+  call("lookup", {{"name", Value(name)}},
+       [done = std::move(done)](Result<Value> r) {
+         if (!r.is_ok()) {
+           done(r.status());
+           return;
+         }
+         done(entry_from_value(r.value()));
+       });
 }
 
 void UddiClient::list_all(EntriesFn done) {
-  client_.call(registry_, path_, kNs, "list", {},
-               [done = std::move(done)](Result<Value> r) {
-                 if (!r.is_ok()) {
-                   done(r.status());
-                   return;
-                 }
-                 if (!r.value().is_list()) {
-                   done(protocol_error("list result is not an array"));
-                   return;
-                 }
-                 std::vector<RegistryEntry> out;
-                 for (const auto& item : r.value().as_list()) {
-                   auto e = entry_from_value(item);
-                   if (!e.is_ok()) {
-                     done(e.status());
-                     return;
-                   }
-                   out.push_back(std::move(e).take());
-                 }
-                 done(std::move(out));
-               });
+  call("list", {}, [done = std::move(done)](Result<Value> r) {
+    if (!r.is_ok()) {
+      done(r.status());
+      return;
+    }
+    if (!r.value().is_list()) {
+      done(protocol_error("list result is not an array"));
+      return;
+    }
+    std::vector<RegistryEntry> out;
+    for (const auto& item : r.value().as_list()) {
+      auto e = entry_from_value(item);
+      if (!e.is_ok()) {
+        done(e.status());
+        return;
+      }
+      out.push_back(std::move(e).take());
+    }
+    done(std::move(out));
+  });
 }
 
 }  // namespace hcm::soap

@@ -199,7 +199,8 @@ class UddiClient {
   // republishes everything at once, and with 32 its rounds stay at
   // least as fast as one connection per request was (bench_ext_vsr_sync,
   // up to 50 services per island). A registry restart closes them, and the
-  // next request reconnects.
+  // next request reconnects; a request one of them drops unanswered is
+  // resent once, on a fresh connection (see Attempt).
   static constexpr std::size_t kMaxConnections = 32;
   UddiClient(net::Network& net, net::NodeId node, net::Endpoint registry,
              std::string path = "/uddi")
@@ -249,6 +250,19 @@ class UddiClient {
   [[nodiscard]] std::uint64_t delta_syncs() const { return delta_syncs_; }
 
  private:
+  // One registry request and its completion. Every registry op is
+  // idempotent (republishing an identical document renews it; the others
+  // read or renew), so a request that a stale pooled connection dropped
+  // (http::is_stale_connection: the registry restarted behind the pool)
+  // is resent once, on a fresh connection. The attempt owns its params
+  // until the reply, at no extra allocation.
+  template <typename F>
+  struct Attempt;
+  template <typename F>
+  void call(const char* method, NamedValues params, F on_result);
+  template <typename F>
+  void send(Attempt<F> attempt);
+
   static Result<RegistryEntry> entry_from_value(const Value& v);
   void request_changes(bool snapshot, DeltaFn done);
   Result<RegistryDelta> delta_from_value(const Value& v);

@@ -106,8 +106,9 @@ void City::tick_device(Island& isl, std::size_t dev, sim::Duration period) {
 }
 
 void City::ring_call(Island& isl, sim::Duration period) {
-  isl.client->call(isl.neighbor, kSoapPath, kSoapNs, "report",
-                   {{"island", Value(static_cast<std::int64_t>(isl.index))}},
+  const soap::NamedValues params{
+      {"island", Value(static_cast<std::int64_t>(isl.index))}};
+  isl.client->call(isl.neighbor, kSoapPath, kSoapNs, "report", params,
                    [&isl](Result<Value> r) {
                      if (r.is_ok()) ++isl.ring_ok;
                    });

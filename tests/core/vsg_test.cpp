@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "bench/bench_util.hpp"
+
 namespace hcm::core {
 namespace {
 
@@ -180,6 +182,55 @@ TEST_P(VsgTest, ExposureUriMatchesProtocol) {
     EXPECT_EQ(uri.value().scheme, "hcmb");
   }
   EXPECT_EQ(uri.value().host, "gw-a");
+}
+
+TEST_P(VsgTest, WarmCallAllocationsStayPinned) {
+  // Steady state of one cross-gateway call with one int argument. The
+  // caller's call_remote and the callee's dispatch glue each observe
+  // the completion they are handed; those observations ride inside the
+  // completion (SmallFn::decorate) instead of a heap cell per hop, and
+  // the SOAP client's response closure fits its ResponseCallback. What
+  // remains on SOAP is the server's per-call closure in
+  // SoapService::handle.
+  const InterfaceDesc iface{
+      "Echo",
+      {MethodDesc{"echo", {{"x", ValueType::kInt}}, ValueType::kInt, false}}};
+  auto uri = vsg_a->expose("echo-1", iface,
+                           [](const std::string&, const ValueList& args,
+                              InvokeResultFn done) {
+                             done(Value(args[0].as_int()));
+                           });
+  ASSERT_TRUE(uri.is_ok()) << uri.status().to_string();
+  const ValueList args{Value(7)};
+  std::int64_t sum = 0;
+  int failures = 0;
+  auto call_once = [&] {
+    vsg_b->call_remote(uri.value(), "echo-1", iface, "echo", args,
+                       [&](Result<Value> r) {
+                         if (r.is_ok()) {
+                           sum += r.value().as_int();
+                         } else {
+                           ++failures;
+                         }
+                       });
+    sched.run();
+  };
+  // Warm-up: the backbone connection, pooled blocks and scratch buffers.
+  const int kWarm = 10;
+  for (int i = 0; i < kWarm; ++i) call_once();
+  ASSERT_TRUE(bench::alloc_hook_installed());
+  const int kCalls = 100;
+  bench::AllocDelta delta;
+  for (int i = 0; i < kCalls; ++i) call_once();
+  const std::uint64_t allocs = delta.allocs();
+  const double per_call = static_cast<double>(allocs) / kCalls;
+  EXPECT_EQ(failures, 0);
+  EXPECT_EQ(sum, 7 * (kWarm + kCalls));
+  if (GetParam() == VsgProtocol::kBinary) {
+    EXPECT_LT(per_call, 0.5) << allocs << " allocations";
+  } else {
+    EXPECT_LE(per_call, 1.1) << allocs << " allocations";
+  }
 }
 
 TEST(VsgKeepAliveTest, BackboneConnectionReusedAcrossCalls) {

@@ -262,26 +262,36 @@ TEST(VsrSyncTest, ServiceRemovalPropagates) {
 }
 
 TEST(VsrSyncTest, RegistryRestartConvergesToFreshBootState) {
-  SyncMesh mesh;
-  ASSERT_TRUE(mesh.build(2, 2, Pcm::SyncMode::kDelta).is_ok());
-  ASSERT_TRUE(mesh.converge().is_ok());
-  const auto before = mesh.proxy_state();
-  ASSERT_FALSE(before.at("island-0").empty());
+  for (const auto mode : {Pcm::SyncMode::kDelta, Pcm::SyncMode::kSnapshot}) {
+    SCOPED_TRACE(mode == Pcm::SyncMode::kDelta ? "delta" : "snapshot");
+    SyncMesh mesh;
+    ASSERT_TRUE(mesh.build(2, 2, mode).is_ok());
+    ASSERT_TRUE(mesh.converge().is_ok());
+    const auto before = mesh.proxy_state();
+    ASSERT_FALSE(before.at("island-0").empty());
 
-  ASSERT_TRUE(mesh.restart_vsr().is_ok());
-  ASSERT_TRUE(mesh.converge().is_ok());
+    // The first round after the restart already succeeds: requests the
+    // pooled connections to the old registry drop are resent once on a
+    // fresh connection (every registry op is idempotent).
+    ASSERT_TRUE(mesh.restart_vsr().is_ok());
+    const Status first = mesh.refresh_round();
+    ASSERT_TRUE(first.is_ok()) << first.to_string();
+    ASSERT_TRUE(mesh.refresh_round().is_ok());
 
-  // The O(1) renewal was refused by the empty registry (fallback to a
-  // full republish), imports resynchronized from a fresh epoch, and the
-  // proxy populations match the pre-restart (= fresh boot) state.
-  EXPECT_GT(mesh.islands_[0].pcm->renew_fallbacks(), 0u);
-  EXPECT_EQ(mesh.proxy_state(), before);
-  EXPECT_EQ(mesh.vsr->registry().size(), 4u);
+    // Imports resynchronized from a fresh epoch, and the proxy
+    // populations match the pre-restart (= fresh boot) state.
+    EXPECT_EQ(mesh.proxy_state(), before);
+    EXPECT_EQ(mesh.vsr->registry().size(), 4u);
 
-  // Back on the cheap path afterwards.
-  const auto fallbacks = mesh.islands_[0].pcm->renew_fallbacks();
-  ASSERT_TRUE(mesh.refresh_round().is_ok());
-  EXPECT_EQ(mesh.islands_[0].pcm->renew_fallbacks(), fallbacks);
+    if (mode == Pcm::SyncMode::kDelta) {
+      // The O(1) renewal was refused by the empty registry (fallback to
+      // a full republish); back on the cheap path afterwards.
+      EXPECT_GT(mesh.islands_[0].pcm->renew_fallbacks(), 0u);
+      const auto fallbacks = mesh.islands_[0].pcm->renew_fallbacks();
+      ASSERT_TRUE(mesh.refresh_round().is_ok());
+      EXPECT_EQ(mesh.islands_[0].pcm->renew_fallbacks(), fallbacks);
+    }
+  }
 }
 
 TEST(VsrSyncTest, HostedServiceIsLeasedAndRepublishedInBothModes) {
@@ -310,15 +320,16 @@ TEST(VsrSyncTest, HostedServiceIsLeasedAndRepublishedInBothModes) {
     EXPECT_EQ(mesh.vsr->registry().size(), 3u);
     EXPECT_EQ(mesh.islands_[0].pcm->renew_fallbacks(), 0u);
 
-    // A registry that lost everything refuses the delta-mode renewal,
-    // and the fallback republishes the hosted entry with the native one.
+    // A registry that lost everything gets the hosted entry back with
+    // the native one: in delta mode the refused renewal falls back to a
+    // full republish, in snapshot mode every round republishes.
+    ASSERT_TRUE(mesh.restart_vsr().is_ok());
+    ASSERT_TRUE(mesh.converge().is_ok());
     if (mode == Pcm::SyncMode::kDelta) {
-      ASSERT_TRUE(mesh.restart_vsr().is_ok());
-      ASSERT_TRUE(mesh.converge().is_ok());
       EXPECT_GT(mesh.islands_[0].pcm->renew_fallbacks(), 0u);
-      EXPECT_EQ(mesh.vsr->registry().size(), 3u);
-      EXPECT_TRUE(mesh.islands_[1].pcm->has_imported("island-0-hosted"));
     }
+    EXPECT_EQ(mesh.vsr->registry().size(), 3u);
+    EXPECT_TRUE(mesh.islands_[1].pcm->has_imported("island-0-hosted"));
   }
 }
 

@@ -101,6 +101,41 @@ TEST_F(ClientPoolTest, ReconnectsAfterServerRestart) {
   EXPECT_EQ(served, 2);
 }
 
+TEST_F(ClientPoolTest, RequestDroppedByARestartedServerIsReportedStale) {
+  auto serve_ok = [](const Request&, RespondFn respond) {
+    respond(Response::make(200, "OK", "ok"));
+  };
+  server->route("/x", serve_ok);
+  HttpClient::Options opts;
+  opts.keep_alive = true;
+  HttpClient client(net, client_node->id(), opts);
+  auto one_request = [&]() -> Result<Response> {
+    std::optional<Result<Response>> result;
+    Request req;
+    req.target = "/x";
+    client.request(server->endpoint(), std::move(req),
+                   [&](Result<Response> r) { result = std::move(r); });
+    sched.run();
+    EXPECT_TRUE(result.has_value());
+    return result.value_or(internal_error("no response"));
+  };
+  ASSERT_TRUE(one_request().is_ok());
+
+  // The server restarts in the same instant: the pooled connection
+  // that already carried a response takes the next request, and the
+  // old server's close drops it unanswered.
+  server = std::make_unique<HttpServer>(net, server_node->id(), 80);
+  ASSERT_TRUE(server->start().is_ok());
+  server->route("/x", serve_ok);
+  const auto dropped = one_request();
+  ASSERT_FALSE(dropped.is_ok());
+  EXPECT_TRUE(is_stale_connection(dropped.status()))
+      << dropped.status().to_string();
+
+  // A resend dials the new server.
+  EXPECT_TRUE(one_request().is_ok());
+}
+
 TEST_F(ClientPoolTest, MidRequestServerDeathFailsThatRequest) {
   server->route("/slow", [this](const Request&, RespondFn respond) {
     sched.after(sim::seconds(2), [respond] {
@@ -122,6 +157,8 @@ TEST_F(ClientPoolTest, MidRequestServerDeathFailsThatRequest) {
   sched.run();
   ASSERT_TRUE(result.has_value());
   EXPECT_FALSE(result->is_ok());
+  // The connection never carried a response: not a stale one.
+  EXPECT_FALSE(is_stale_connection(result->status()));
 }
 
 TEST_F(ClientPoolTest, TimeoutFailsQueuedRequestsToo) {
