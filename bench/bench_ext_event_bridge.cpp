@@ -33,6 +33,7 @@ struct FanoutRun {
   std::uint64_t delivered = 0;
   std::uint64_t batches = 0;
   std::uint64_t dropped = 0;
+  std::size_t refused = 0;  // subscriptions the bridge did not grant
   std::uint64_t backbone_bytes = 0;
   double deliveries_per_s = 0;  // virtual-time throughput over the burst
 };
@@ -51,6 +52,7 @@ FanoutRun run_fanout(std::size_t subscribers) {
   sim::SimTime last_delivery = 0;
 
   std::size_t ready = 0;
+  std::size_t answered = 0;
   for (std::size_t i = 0; i < subscribers; ++i) {
     home.meta->island(islands[i % 3])
         ->events->subscribe(
@@ -62,10 +64,16 @@ FanoutRun run_fanout(std::size_t subscribers) {
               last_delivery = sched.now();
             },
             [&](Result<std::string> r) {
-              if (r.is_ok()) ++ready;
+              ++answered;
+              if (r.is_ok()) {
+                ++ready;
+              } else {
+                std::fprintf(stderr, "  subscribe refused: %s\n",
+                             r.status().to_string().c_str());
+              }
             });
   }
-  sim::run_until_done(sched, [&] { return ready == subscribers; });
+  sim::run_until_done(sched, [&] { return answered == subscribers; });
 
   auto& origin = *home.meta->island("havi-island")->events;
   const auto bytes0 = home.backbone->bytes_carried();
@@ -98,6 +106,7 @@ FanoutRun run_fanout(std::size_t subscribers) {
   }();
   out.batches = origin.batches_sent();
   out.dropped = origin.events_dropped();
+  out.refused = subscribers - ready;  // refused, or never answered
   out.backbone_bytes = home.backbone->bytes_carried() - bytes0;
   if (last_delivery > burst_start) {
     out.deliveries_per_s = static_cast<double>(latency.size()) /
@@ -106,7 +115,10 @@ FanoutRun run_fanout(std::size_t subscribers) {
   return out;
 }
 
-void fanout_report() {
+// Returns false when a row lost a subscription or an event: every
+// subscriber must receive all kEvents.
+bool fanout_report() {
+  bool ok = true;
   bench::print_header(
       "Event bridge  fan-out: one origin, N cross-island subscribers");
   std::printf("  %d events injected %.0f ms apart at the HAVi origin\n\n",
@@ -125,10 +137,18 @@ void fanout_report() {
       std::printf("        (%llu dropped by backpressure)\n",
                   static_cast<unsigned long long>(r.dropped));
     }
+    if (r.refused > 0 || r.latency.n < kEvents * n) {
+      std::fprintf(stderr,
+                   "  FAIL: %zu subscribers: %zu refused, %zu of %zu "
+                   "deliveries\n",
+                   n, r.refused, r.latency.n, kEvents * n);
+      ok = false;
+    }
   }
   std::printf(
       "\n  -> per-delivery latency is flat in N; traffic and throughput\n"
       "     scale linearly — fan-out costs bandwidth, not latency.\n");
+  return ok;
 }
 
 // CPU side: encoding/decoding one deliver() batch payload, the codec
@@ -154,8 +174,8 @@ BENCHMARK(BM_EventBatchCodec);
 }  // namespace
 
 int main(int argc, char** argv) {
-  fanout_report();
+  const bool ok = fanout_report();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return ok ? 0 : 1;
 }

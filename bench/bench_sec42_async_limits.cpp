@@ -133,6 +133,11 @@ bool sec42_report() {
       std::fprintf(stderr, "  motion service: %s\n", s.to_string().c_str());
       return false;
     }
+    // The HAVi island resolves the sensor through its PCM's imports.
+    if (auto s = home.refresh(); !s.is_ok()) {
+      std::fprintf(stderr, "  refresh: %s\n", s.to_string().c_str());
+      return false;
+    }
     std::optional<sim::SimTime> noticed_at;
     std::optional<Result<std::string>> lease;
     home.meta->island("havi-island")

@@ -107,6 +107,11 @@ int main() {
       std::printf("  motion service: %s\n", s.to_string().c_str());
       return 1;
     }
+    // ...the HAVi island's PCM imports it on the next refresh...
+    if (auto s = home.refresh(); !s.is_ok()) {
+      std::printf("  refresh: %s\n", s.to_string().c_str());
+      return 1;
+    }
     // ...and the HAVi island leases it and reacts the moment it arrives.
     std::optional<sim::SimTime> motion_at, reacted_at;
     home.meta->island("havi-island")

@@ -28,14 +28,13 @@ const InterfaceDesc& EventRouter::bridge_interface() {
   return iface;
 }
 
-EventRouter::EventRouter(net::Network& net, VirtualServiceGateway& vsg,
-                         MiddlewareAdapter& adapter, net::Endpoint vsr)
+EventRouter::EventRouter(net::Network& net, Pcm& pcm)
     : net_(net),
-      vsg_(vsg),
-      adapter_(adapter),
-      vsr_(net, vsg.node(), vsr),
+      pcm_(pcm),
+      vsg_(pcm.vsg()),
+      adapter_(pcm.adapter()),
       obs_scope_(obs::shard_registry().unique_scope("events." +
-                                                      vsg.island_name())),
+                                                      vsg_.island_name())),
       events_routed_(
           obs::shard_registry().counter(obs_scope_ + ".routed")),
       events_dropped_(
@@ -98,56 +97,49 @@ void EventRouter::subscribe(const std::string& service,
                             const std::string& event,
                             const SubscribeOptions& opts, EventFn handler,
                             SubscribeDoneFn done) {
-  vsr_.lookup(service, [this, service, event, opts,
-                        handler = std::move(handler),
-                        done = std::move(done)](Result<VsrEntry> r) mutable {
-    if (!r.is_ok()) {
-      done(r.status());
-      return;
-    }
-    auto doc = soap::parse_wsdl(r.value().wsdl);
-    if (!doc.is_ok()) {
-      done(doc.status());
-      return;
-    }
-    if (doc.value().interface.find_event(event) == nullptr) {
-      done(not_found("service " + service + " declares no event " + event));
-      return;
-    }
-    const Uri origin = bridge_uri_for(doc.value().endpoint);
-    const sim::Duration lease = clamp_lease(opts.lease);
-    const ValueList args{
-        Value(service), Value(event),
-        Value(vsg_.exposure_uri(kBridgeService).to_string()),
-        Value(static_cast<std::int64_t>(lease))};
-    vsg_.call_remote(
-        origin, kBridgeService, bridge_interface(), "subscribe", args,
-        [this, service, event, origin, opts, handler = std::move(handler),
-         done = std::move(done)](Result<Value> reply) mutable {
-          if (!reply.is_ok()) {
-            done(reply.status());
-            return;
-          }
-          const Value& v = reply.value();
-          if (!v.is_map() || !v.at("lease").is_string() ||
-              !v.at("duration").is_int()) {
-            done(protocol_error("bad subscribe reply from origin bridge"));
-            return;
-          }
-          LocalSub ls;
-          ls.id = v.at("lease").as_string();
-          ls.service = service;
-          ls.event = event;
-          ls.handler = std::move(handler);
-          ls.origin = origin;
-          ls.lease = v.at("duration").as_int();
-          ls.auto_renew = opts.auto_renew;
-          const std::string id = ls.id;
-          local_subs_[id] = std::move(ls);
-          if (opts.auto_renew) arm_renew(id);
-          done(id);
-        });
-  });
+  const Pcm::ForeignRecord* source = pcm_.find_foreign(service);
+  if (source == nullptr) {
+    done(not_found("service " + service + " is not imported on " +
+                   vsg_.island_name()));
+    return;
+  }
+  if (source->service.interface.find_event(event) == nullptr) {
+    done(not_found("service " + service + " declares no event " + event));
+    return;
+  }
+  const Uri origin = bridge_uri_for(source->endpoint);
+  const sim::Duration lease = clamp_lease(opts.lease);
+  const ValueList args{
+      Value(service), Value(event),
+      Value(vsg_.exposure_uri(kBridgeService).to_string()),
+      Value(static_cast<std::int64_t>(lease))};
+  vsg_.call_remote(
+      origin, kBridgeService, bridge_interface(), "subscribe", args,
+      [this, service, event, origin, opts, handler = std::move(handler),
+       done = std::move(done)](Result<Value> reply) mutable {
+        if (!reply.is_ok()) {
+          done(reply.status());
+          return;
+        }
+        const Value& v = reply.value();
+        if (!v.is_map() || !v.at("lease").is_string() ||
+            !v.at("duration").is_int()) {
+          done(protocol_error("bad subscribe reply from origin bridge"));
+          return;
+        }
+        LocalSub ls;
+        ls.id = v.at("lease").as_string();
+        ls.service = service;
+        ls.event = event;
+        ls.handler = std::move(handler);
+        ls.origin = origin;
+        ls.lease = v.at("duration").as_int();
+        ls.auto_renew = opts.auto_renew;
+        const std::string id = ls.id;
+        local_subs_[id] = std::move(ls);
+        if (opts.auto_renew) arm_renew(id);
+        done(id);
+      });
 }
 
 void EventRouter::unsubscribe(const std::string& lease_id, DoneFn done) {
@@ -213,57 +205,24 @@ void EventRouter::handle_subscribe(const ValueList& args,
     done(sink.status());
     return;
   }
-  adapter_.list_services(
-      [this, service = args[0].as_string(), event = args[1].as_string(),
-       sink = std::move(sink).take(),
-       lease = clamp_lease(args[3].as_int()),
-       done = std::move(done)](Result<std::vector<LocalService>> r) mutable {
-        if (!r.is_ok()) {
-          done(r.status());
-          return;
-        }
-        const LocalService* found = nullptr;
-        for (const auto& s : r.value()) {
-          if (s.name == service) {
-            found = &s;
-            break;
-          }
-        }
-        if (found == nullptr) {
-          // Framework-origin services (observability and friends) are
-          // exposed straight on the VSG without a native adapter entry;
-          // their events are injected via on_native_event, so the
-          // subscription needs no adapter watch.
-          const InterfaceDesc* exposed = vsg_.exposed_interface(service);
-          if (exposed == nullptr) {
-            done(not_found("no local service: " + service));
-            return;
-          }
-          if (exposed->find_event(event) == nullptr) {
-            done(not_found("service " + service + " declares no event " +
-                           event));
-            return;
-          }
-          finish_subscribe(service, event, sink, lease, nullptr,
-                           std::move(done));
-          return;
-        }
-        if (found->interface.find_event(event) == nullptr) {
-          done(not_found("service " + service + " declares no event " +
-                         event));
-          return;
-        }
-        finish_subscribe(service, event, sink, lease, found, std::move(done));
-      });
-}
-
-void EventRouter::finish_subscribe(const std::string& service,
-                                   const std::string& event,
-                                   const Uri& sink, sim::Duration lease,
-                                   const LocalService* native,
-                                   InvokeResultFn done) {
-  if (native != nullptr) {
-    auto watch = ensure_watch(*native);
+  const std::string& service = args[0].as_string();
+  const std::string& event = args[1].as_string();
+  // Native and framework-hosted services alike are in the PCM's
+  // published set, and the VSG holds the interface they were exposed
+  // with. Hosted services (observability and friends) have no native
+  // source: their events arrive through on_native_event directly.
+  const Pcm::PublishedRecord* published = pcm_.find_published(service);
+  const InterfaceDesc* iface = vsg_.exposed_interface(service);
+  if (published == nullptr || iface == nullptr) {
+    done(not_found("no local service: " + service));
+    return;
+  }
+  if (iface->find_event(event) == nullptr) {
+    done(not_found("service " + service + " declares no event " + event));
+    return;
+  }
+  if (!published->hosted) {
+    auto watch = ensure_watch(service, *iface);
     if (!watch.is_ok()) {
       done(watch);
       return;
@@ -273,14 +232,14 @@ void EventRouter::finish_subscribe(const std::string& service,
   sub.id = vsg_.island_name() + "/esub-" + std::to_string(next_sub_++);
   sub.service = service;
   sub.event = event;
-  sub.sink = sink;
-  sub.lease = lease;
+  sub.sink = std::move(sink).take();
+  sub.lease = clamp_lease(args[3].as_int());
   const std::string id = sub.id;
   auto [it, inserted] = subs_.emplace(id, std::move(sub));
   arm_expiry(it->second);
   done(Value(ValueMap{
       {"lease", Value(id)},
-      {"duration", Value(static_cast<std::int64_t>(lease))},
+      {"duration", Value(static_cast<std::int64_t>(it->second.lease))},
   }));
 }
 
@@ -396,16 +355,16 @@ void EventRouter::drop_subscription(const std::string& id) {
   release_watch(service);
 }
 
-Status EventRouter::ensure_watch(const LocalService& service) {
-  auto& watch = watches_[service.name];
+Status EventRouter::ensure_watch(const std::string& service,
+                                 const InterfaceDesc& iface) {
+  auto& watch = watches_[service];
   if (!watch.active) {
     auto status = adapter_.watch_events(
-        service, [this](const std::string& svc, const std::string& ev,
-                        const Value& payload) {
-          on_native_event(svc, ev, payload);
-        });
+        LocalService{service, iface, {}},
+        [this](const std::string& svc, const std::string& ev,
+               const Value& payload) { on_native_event(svc, ev, payload); });
     if (!status.is_ok()) {
-      if (watch.refs == 0) watches_.erase(service.name);
+      if (watch.refs == 0) watches_.erase(service);
       return status;
     }
     watch.active = true;

@@ -6,8 +6,11 @@
 // per-subscriber queues, burst batching, drop-oldest backpressure and
 // at-least-once delivery (retry with exponential backoff on transient
 // transport failure). The origin's router is the only record of who is
-// subscribed: it holds every lease and its delivery state. The VSR is
-// only read, to resolve an event source's bridge endpoint.
+// subscribed: it holds every lease and its delivery state. Both sides
+// resolve a service through their island's PCM: the subscriber takes
+// the event list and the origin's bridge endpoint from the document the
+// PCM imported, and the origin checks the service against the PCM's
+// published set. Neither side asks the VSR.
 #pragma once
 
 #include <cstdint>
@@ -16,9 +19,7 @@
 #include <memory>
 #include <string>
 
-#include "core/adapter.hpp"
-#include "core/vsg.hpp"
-#include "core/vsr.hpp"
+#include "core/pcm.hpp"
 #include "obs/metrics.hpp"
 
 namespace hcm::core {
@@ -39,8 +40,8 @@ class EventRouter {
   static constexpr sim::Duration kRetryBase = sim::milliseconds(100);
   static constexpr sim::Duration kRetryMax = sim::seconds(5);
 
-  EventRouter(net::Network& net, VirtualServiceGateway& vsg,
-              MiddlewareAdapter& adapter, net::Endpoint vsr);
+  // `pcm` is the island's; it must outlive the router.
+  EventRouter(net::Network& net, Pcm& pcm);
   ~EventRouter();
   EventRouter(const EventRouter&) = delete;
   EventRouter& operator=(const EventRouter&) = delete;
@@ -60,10 +61,11 @@ class EventRouter {
     bool auto_renew = true;   // renew at half-lease until unsubscribed
   };
 
-  // Subscribes this island to `event` of remote service `service`
-  // (looked up in the VSR). On success `done` receives the lease id;
-  // events then reach `handler` and are re-emitted natively through
-  // the adapter's emit_event.
+  // Subscribes this island to `event` of remote service `service`,
+  // which the island's PCM must have imported (kNotFound until then).
+  // On success `done` receives the lease id; events then reach
+  // `handler` and are re-emitted natively through the adapter's
+  // emit_event.
   void subscribe(const std::string& service, const std::string& event,
                  EventFn handler, SubscribeDoneFn done);
   void subscribe(const std::string& service, const std::string& event,
@@ -156,14 +158,6 @@ class EventRouter {
 
   // Wire handlers (origin side unless noted).
   void handle_subscribe(const ValueList& args, InvokeResultFn done);
-  // Tail of handle_subscribe once the event's origin is validated:
-  // registers the lease and arms its expiry. `native` is the
-  // adapter-side service to hook a watch on, or nullptr for
-  // framework-origin services (VSG exposures like observability) whose
-  // events are injected via on_native_event directly.
-  void finish_subscribe(const std::string& service, const std::string& event,
-                        const Uri& sink, sim::Duration lease,
-                        const LocalService* native, InvokeResultFn done);
   void handle_renew(const ValueList& args, InvokeResultFn done);
   void handle_unsubscribe(const ValueList& args, InvokeResultFn done);
   void handle_deliver(const ValueList& args, InvokeResultFn done);  // sub side
@@ -171,7 +165,8 @@ class EventRouter {
   void arm_expiry(Subscription& sub);
   void expire(const std::string& id);
   void drop_subscription(const std::string& id);
-  [[nodiscard]] Status ensure_watch(const LocalService& service);
+  [[nodiscard]] Status ensure_watch(const std::string& service,
+                                    const InterfaceDesc& iface);
   void release_watch(const std::string& service);
 
   void schedule_flush(Subscription& sub);
@@ -182,9 +177,9 @@ class EventRouter {
   [[nodiscard]] static Uri bridge_uri_for(const Uri& service_endpoint);
 
   net::Network& net_;
+  Pcm& pcm_;
   VirtualServiceGateway& vsg_;
   MiddlewareAdapter& adapter_;
-  VsrClient vsr_;
 
   std::map<std::string, Subscription> subs_;     // origin side, by lease id
   std::map<std::string, LocalSub> local_subs_;   // subscriber side, by id

@@ -19,8 +19,7 @@ Result<MetaMiddleware::Island*> MetaMiddleware::add_island(
   if (!status.is_ok()) return status;
   island.pcm =
       std::make_unique<Pcm>(net_, *island.vsg, vsr_, std::move(adapter));
-  island.events = std::make_unique<EventRouter>(
-      net_, *island.vsg, island.pcm->adapter(), vsr_);
+  island.events = std::make_unique<EventRouter>(net_, *island.pcm);
   status = island.events->start();
   if (!status.is_ok()) return status;
   auto [it, inserted] = islands_.emplace(name, std::move(island));

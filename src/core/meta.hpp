@@ -29,8 +29,9 @@ class MetaMiddleware {
     std::string name;
     std::unique_ptr<VirtualServiceGateway> vsg;
     std::unique_ptr<Pcm> pcm;
-    // Declared after pcm: the router is destroyed first, so the
-    // adapter it watches events through always outlives it.
+    // Declared after pcm: the router is destroyed first, so the PCM it
+    // resolves services through, and the adapter it watches events
+    // through, always outlive it.
     std::unique_ptr<EventRouter> events;
   };
 

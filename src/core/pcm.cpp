@@ -117,7 +117,7 @@ void Pcm::publish_locals(DoneFn done) {
     for (const auto& service : services.value()) {
       // Never republish a service this PCM itself imported — that would
       // bounce services between islands forever.
-      if (imported_.count(service.name) != 0) continue;
+      if (has_imported(service.name)) continue;
 
       auto pub = published_.find(service.name);
       if (pub == published_.end()) {
@@ -209,30 +209,51 @@ void Pcm::import_remotes(DoneFn done) {
   }
 }
 
+std::size_t Pcm::imported_count() const {
+  return static_cast<std::size_t>(
+      std::count_if(foreign_.begin(), foreign_.end(),
+                    [](const auto& entry) { return entry.second.exported; }));
+}
+
 bool Pcm::apply_upsert(const std::string& name, const std::string& origin,
                        const std::string& digest, const std::string& wsdl) {
-  auto it = imported_.find(name);
-  if (it != imported_.end()) {
-    if (it->second == digest) return true;  // unchanged — nothing to do
+  auto it = foreign_.find(name);
+  if (it != foreign_.end() && it->second.digest != digest) {
     // Description changed under the same name: regenerate the server
     // proxy from the new document.
-    adapter_->unexport_service(name);
-    imported_.erase(it);
+    retire_import(name);
+    it = foreign_.end();
   }
-  auto doc = soap::parse_wsdl(wsdl);
-  if (!doc.is_ok()) {
-    // Non-fatal: one island publishing a malformed description must
-    // not block the rest of the mesh.
-    log_warn("pcm", "bad WSDL for ", name, ": ", doc.status().to_string());
-    return false;
+  ServiceHandler handler;
+  if (it == foreign_.end()) {
+    auto doc = soap::parse_wsdl(wsdl);
+    if (!doc.is_ok()) {
+      // Non-fatal: one island publishing a malformed description must
+      // not block the rest of the mesh.
+      log_warn("pcm", "bad WSDL for ", name, ": ", doc.status().to_string());
+      return false;
+    }
+    // The proxy copies from `doc` before the record moves out of it.
+    handler = proxygen_.generate_server_proxy(doc.value());
+    ForeignRecord rec;
+    rec.digest = digest;
+    rec.service.name = name;
+    rec.service.interface = std::move(doc.value().interface);
+    rec.service.attributes.reserve(2);
+    rec.service.attributes["hcm.origin"] = Value(origin);
+    rec.service.attributes["hcm.imported"] = Value(true);
+    rec.endpoint = std::move(doc.value().endpoint);
+    it = foreign_.emplace(name, std::move(rec)).first;
+  } else if (it->second.exported) {
+    return true;  // unchanged — nothing to do
+  } else {
+    // The middleware refused this export before; offer it again.
+    const ForeignRecord& rec = it->second;
+    handler = proxygen_.generate_server_proxy(
+        {rec.service.interface, name, rec.endpoint});
   }
-  LocalService service;
-  service.name = name;
-  service.interface = doc.value().interface;
-  service.attributes["hcm.origin"] = Value(origin);
-  service.attributes["hcm.imported"] = Value(true);
-  auto handler = proxygen_.generate_server_proxy(doc.value());
-  auto status = adapter_->export_service(service, std::move(handler));
+  auto status =
+      adapter_->export_service(it->second.service, std::move(handler));
   if (!status.is_ok()) {
     // Also non-fatal: some conversions are inherently impossible
     // (e.g. a 3-argument mail method has no X10 ON/OFF mapping —
@@ -241,15 +262,15 @@ bool Pcm::apply_upsert(const std::string& name, const std::string& origin,
               adapter_->middleware_name(), ": ", status.to_string());
     return false;
   }
-  imported_[name] = digest;
+  it->second.exported = true;
   return true;
 }
 
 void Pcm::retire_import(const std::string& name) {
-  auto it = imported_.find(name);
-  if (it == imported_.end()) return;
-  adapter_->unexport_service(name);
-  imported_.erase(it);
+  auto it = foreign_.find(name);
+  if (it == foreign_.end()) return;
+  if (it->second.exported) adapter_->unexport_service(name);
+  foreign_.erase(it);
 }
 
 template <typename Entry>
@@ -260,12 +281,12 @@ void Pcm::converge_imports(const std::vector<Entry>& entries) {
     seen_foreign.insert(entry.name);
     apply_upsert(entry.name, entry.origin, entry.digest, entry.wsdl);
   }
-  // Retire server proxies whose VSR entry is gone (stale services must
-  // not linger — the VSR lookup invariant).
-  for (auto it = imported_.begin(); it != imported_.end();) {
+  // Retire imports whose VSR entry is gone (stale services must not
+  // linger, as server proxies or as subscription targets).
+  for (auto it = foreign_.begin(); it != foreign_.end();) {
     if (seen_foreign.count(it->first) == 0) {
-      adapter_->unexport_service(it->first);
-      it = imported_.erase(it);
+      if (it->second.exported) adapter_->unexport_service(it->first);
+      it = foreign_.erase(it);
     } else {
       ++it;
     }

@@ -11,6 +11,12 @@
 // every entry of origin X is in X's published set and one renewOrigin
 // call covers them all.
 //
+// The PCM also keeps the parsed description of every foreign entry it
+// imported, whether or not the local middleware accepted the export,
+// and the record of every service it published. The island's event
+// bridge resolves subscriptions there, on both sides, without asking
+// the VSR or the adapter.
+//
 // Synchronization is incremental by default (SyncMode::kDelta): the PCM
 // keeps a per-registry cursor and only parses / generates proxies for
 // entries that actually changed, and steady-state lease renewal is one
@@ -43,7 +49,6 @@ class Pcm {
   void refresh(DoneFn done);
 
   void set_sync_mode(SyncMode mode) { sync_mode_ = mode; }
-  [[nodiscard]] SyncMode sync_mode() const { return sync_mode_; }
 
   // Hosts a framework service on this island: exposes `handler` on the
   // VSG, emits its WSDL once and publishes it, initiated from the
@@ -57,21 +62,50 @@ class Pcm {
   [[nodiscard]] MiddlewareAdapter& adapter() { return *adapter_; }
   [[nodiscard]] VirtualServiceGateway& vsg() { return vsg_; }
   [[nodiscard]] ProxyGenerator& proxygen() { return proxygen_; }
-  // Sync cursor / digest-cache observability (tests, benches).
-  [[nodiscard]] const VsrClient& vsr_client() const { return vsr_; }
+
+  struct PublishedRecord {
+    std::string wsdl;      // document as last emitted (cached)
+    std::string digest;    // soap::wsdl_digest(wsdl)
+    std::string category;  // interface name, the entry's VSR category
+    bool hosted = false;   // host_service(): no native listing behind it
+  };
 
   [[nodiscard]] std::size_t published_count() const {
     return published_.size();
   }
-  [[nodiscard]] std::size_t imported_count() const { return imported_.size(); }
+  // A service this island published, or nullptr.
+  [[nodiscard]] const PublishedRecord* find_published(
+      const std::string& name) const {
+    auto it = published_.find(name);
+    return it == published_.end() ? nullptr : &it->second;
+  }
+  // A foreign entry this island imported, parsed from its WSDL. It is
+  // kept whether or not the local middleware accepted the export.
+  struct ForeignRecord {
+    std::string digest;     // of the entry's WSDL
+    LocalService service;   // as offered to the adapter for export
+    Uri endpoint;           // the origin VSG's exposure of the service
+    bool exported = false;  // a Server Proxy is live in the middleware
+  };
+  // The record of a foreign entry, or nullptr. A retired entry has none.
+  [[nodiscard]] const ForeignRecord* find_foreign(
+      const std::string& name) const {
+    auto it = foreign_.find(name);
+    return it == foreign_.end() ? nullptr : &it->second;
+  }
+
+  // The three below count exported Server Proxies only.
+  [[nodiscard]] std::size_t imported_count() const;
   [[nodiscard]] bool has_imported(const std::string& name) const {
-    return imported_.count(name) != 0;
+    auto it = foreign_.find(name);
+    return it != foreign_.end() && it->second.exported;
   }
   // Digest of an imported entry ("" when not imported) — lets tests
   // assert convergence by diffing (name, digest) maps across PCMs.
   [[nodiscard]] std::string imported_digest(const std::string& name) const {
-    auto it = imported_.find(name);
-    return it == imported_.end() ? "" : it->second;
+    auto it = foreign_.find(name);
+    return it == foreign_.end() || !it->second.exported ? ""
+                                                        : it->second.digest;
   }
 
   // How many times a WSDL document was generated for a local service.
@@ -90,13 +124,6 @@ class Pcm {
   static constexpr sim::Duration kPublishTtl = sim::seconds(120);
 
  private:
-  struct PublishedRecord {
-    std::string wsdl;      // document as last emitted (cached)
-    std::string digest;    // soap::wsdl_digest(wsdl)
-    std::string category;  // interface name, the entry's VSR category
-    bool hosted = false;   // host_service(): no native listing behind it
-  };
-
   void publish_locals(DoneFn done);
   void publish_record(const std::string& name, const PublishedRecord& rec,
                       DoneFn done);
@@ -111,7 +138,8 @@ class Pcm {
   template <typename Entry>
   void converge_imports(const std::vector<Entry>& entries);
   // Imports/updates one foreign entry; returns false on the non-fatal
-  // conversion failures (bad WSDL, impossible export).
+  // conversion failures (bad WSDL, impossible export). A refused export
+  // keeps the record and is retried the next time the entry is applied.
   bool apply_upsert(const std::string& name, const std::string& origin,
                     const std::string& digest, const std::string& wsdl);
   void retire_import(const std::string& name);
@@ -125,8 +153,8 @@ class Pcm {
   // Names this island put in the VSR, with their cached documents:
   // native services and hosted ones alike.
   std::map<std::string, PublishedRecord> published_;
-  // Foreign names exported locally -> digest of the imported document.
-  std::map<std::string, std::string> imported_;
+  // Foreign entries, by name.
+  std::map<std::string, ForeignRecord> foreign_;
   std::string obs_scope_;
   obs::Counter& wsdl_generations_;
   obs::Counter& renew_fallbacks_;

@@ -177,22 +177,6 @@ UddiRegistry::UddiRegistry(http::HttpServer& http_server,
       });
 
   service_.register_method(
-      "lookup", [this](const NamedValues& params, CallResultFn done) {
-        prune();
-        const auto& name = param(params, "name");
-        if (!name.is_string()) {
-          done(invalid_argument("lookup requires name"));
-          return;
-        }
-        auto it = entries_.find(name.as_string());
-        if (it == entries_.end()) {
-          done(not_found("no registry entry: " + name.as_string()));
-          return;
-        }
-        done(entry_to_value(it->second));
-      });
-
-  service_.register_method(
       "list", [this](const NamedValues&, CallResultFn done) {
         prune();
         ValueList out;
@@ -614,17 +598,6 @@ void UddiClient::request_changes(bool snapshot, DeltaFn done) {
         cursor_ = delta.cursor;
         done(std::move(delta));
       });
-}
-
-void UddiClient::lookup(const std::string& name, EntryFn done) {
-  call("lookup", {{"name", Value(name)}},
-       [done = std::move(done)](Result<Value> r) {
-         if (!r.is_ok()) {
-           done(r.status());
-           return;
-         }
-         done(entry_from_value(r.value()));
-       });
 }
 
 void UddiClient::list_all(EntriesFn done) {

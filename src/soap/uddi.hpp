@@ -76,11 +76,12 @@ class FingerprintHasher {
   std::uint64_t h_ = kFnv1aOffset;
 };
 
-// Server side: mounts six ops on a SoapService at `path` of an
+// Server side: mounts five ops on a SoapService at `path` of an
 // HttpServer. Each island's PCM is the only writer of the entries of its
-// origin ("publish"/"unpublish", and "renewOrigin" for its leases);
-// PCMs synchronize through "changesSince", and "lookup"/"list" serve
-// readers (the event bridge resolves a source with "lookup").
+// origin ("publish"/"unpublish", and "renewOrigin" for its leases), and
+// reads the registry through "changesSince", or "list" in snapshot mode.
+// The event bridge resolves sources through its island's PCM and never
+// asks the registry.
 class UddiRegistry {
  public:
   // The journal is bounded: once more than `journal_capacity` records
@@ -212,14 +213,12 @@ class UddiClient {
 
   using DoneFn = std::function<void(const Status&)>;
   using EntriesFn = std::function<void(Result<std::vector<RegistryEntry>>)>;
-  using EntryFn = std::function<void(Result<RegistryEntry>)>;
   using DeltaFn = std::function<void(Result<RegistryDelta>)>;
 
   // ttl of 0 means no expiry; otherwise the entry lapses unless
   // republished (lease-style, mirroring Jini's lease discipline).
   void publish(const RegistryEntry& entry, sim::Duration ttl, DoneFn done);
   void unpublish(const std::string& name, DoneFn done);
-  void lookup(const std::string& name, EntryFn done);
   void list_all(EntriesFn done);
 
   // --- delta synchronization -------------------------------------------

@@ -188,7 +188,8 @@ class SmartHome {
 // its WSDL and keeps it leased), waits for the publication, and takes
 // over the CM11A observer so every ON frame from the sensor
 // reaches the island's event bridge as `motion` {address}. Subscribe
-// through any island's `events`. Needs a single-scheduler home; the
+// through another island's `events` after that island's next refresh,
+// which imports the service. Needs a single-scheduler home; the
 // canonical home does not carry this service.
 inline constexpr const char* kMotionService = "motion-sensor";
 [[nodiscard]] Status expose_motion_events(SmartHome& home);

@@ -4,9 +4,11 @@
 // VSG -> subscriber VSG -> handler + native re-emission. Covers three
 // island pairs (HAVi->Jini, Jini->UPnP, X10->mail), lease expiry and
 // renewal, idempotent unsubscribe, drop-oldest backpressure,
-// retry/backoff over a fault-injected dead link, and deliver items that
-// name a service their lease is not for. Every test runs over both VSG
-// protocols (SOAP and the binary channel).
+// retry/backoff over a fault-injected dead link, deliver items that
+// name a service their lease is not for or repeat a seq, and resolution
+// through the subscriber's PCM (no VSR traffic, refused exports, fresh
+// services). Every test runs over both VSG protocols (SOAP and the
+// binary channel).
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -17,6 +19,7 @@
 #include "net/binary_channel.hpp"
 #include "jini/registrar.hpp"
 #include "testbed/home.hpp"
+#include "tests/soap/registry_find.hpp"
 #include "upnp/upnp.hpp"
 
 namespace hcm::testbed {
@@ -43,11 +46,11 @@ class EventBridgeTest : public ::testing::TestWithParam<core::VsgProtocol> {
     return *is->events;
   }
 
-  // Subscribes and drains the scheduler until the lease id arrives.
-  std::string subscribe(const std::string& island, const std::string& service,
-                        const std::string& event,
-                        std::vector<ReceivedEvent>* received,
-                        core::EventRouter::SubscribeOptions opts = {}) {
+  // Subscribes and drains the scheduler until the outcome arrives.
+  Result<std::string> try_subscribe(
+      const std::string& island, const std::string& service,
+      const std::string& event, std::vector<ReceivedEvent>* received,
+      core::EventRouter::SubscribeOptions opts = {}) {
     std::optional<Result<std::string>> r;
     router(island).subscribe(
         service, event, opts,
@@ -57,13 +60,20 @@ class EventBridgeTest : public ::testing::TestWithParam<core::VsgProtocol> {
         },
         [&](Result<std::string> res) { r = std::move(res); });
     sim::run_until_done(sched, [&] { return r.has_value(); });
-    EXPECT_TRUE(r.has_value());
-    if (!r.has_value() || !r->is_ok()) {
-      ADD_FAILURE() << "subscribe failed: "
-                    << (r.has_value() ? r->status().to_string() : "no result");
+    return r.value_or(internal_error("subscribe did not complete"));
+  }
+
+  // try_subscribe that must succeed: the lease id, or "" on failure.
+  std::string subscribe(const std::string& island, const std::string& service,
+                        const std::string& event,
+                        std::vector<ReceivedEvent>* received,
+                        core::EventRouter::SubscribeOptions opts = {}) {
+    auto r = try_subscribe(island, service, event, received, opts);
+    if (!r.is_ok()) {
+      ADD_FAILURE() << "subscribe failed: " << r.status().to_string();
       return "";
     }
-    return r->value();
+    return r.value();
   }
 
   Status unsubscribe(const std::string& island, const std::string& lease) {
@@ -321,10 +331,7 @@ TEST_P(EventBridgeTest, HostedMotionSensorStaysLeasedAcrossRefreshes) {
   }
 
   core::VsrClient vsr(home->net, home->havi_gw->id(), home->vsr->endpoint());
-  std::optional<Result<core::VsrEntry>> entry;
-  vsr.lookup(kMotionService,
-             [&](Result<core::VsrEntry> r) { entry = std::move(r); });
-  sim::run_until_done(sched, [&] { return entry.has_value(); });
+  auto entry = soap::find_entry(vsr, sched, kMotionService);
   ASSERT_TRUE(entry.has_value());
   EXPECT_TRUE(entry->is_ok()) << entry->status().to_string();
 
@@ -332,6 +339,72 @@ TEST_P(EventBridgeTest, HostedMotionSensorStaysLeasedAcrossRefreshes) {
   EXPECT_FALSE(
       subscribe("havi-island", kMotionService, "motion", &received).empty());
   EXPECT_EQ(home->meta->island("x10-island")->pcm->renew_fallbacks(), 0u);
+}
+
+// A service hosted after the subscriber's last refresh is not yet
+// imported there: the subscription is refused until the next refresh,
+// like every other use of a foreign service.
+TEST_P(EventBridgeTest, FreshlyHostedServiceResolvesAfterTheNextRefresh) {
+  ASSERT_TRUE(expose_motion_events(*home).is_ok());  // in the VSR now
+  std::vector<ReceivedEvent> received;
+  auto early = try_subscribe("havi-island", kMotionService, "motion",
+                             &received);
+  ASSERT_FALSE(early.is_ok());
+  EXPECT_EQ(early.status().code(), StatusCode::kNotFound);
+
+  ASSERT_TRUE(home->refresh().is_ok());
+  EXPECT_FALSE(
+      subscribe("havi-island", kMotionService, "motion", &received).empty());
+  EXPECT_EQ(router("x10-island").active_subscriptions(), 1u);
+}
+
+// --- Resolution through the island's PCM --------------------------------
+
+// The subscriber resolves the source from its PCM's imports, so a
+// subscription sends nothing to the VSR: it opens no connection there,
+// and works while the VSR is down.
+TEST_P(EventBridgeTest, SubscribeOpensNoVsrConnection) {
+  const std::uint64_t before = home->vsr->connections_accepted();
+  std::vector<ReceivedEvent> received;
+  ASSERT_FALSE(subscribe("jini-island", "vcr-1", "transportChanged",
+                         &received)
+                   .empty());
+  EXPECT_EQ(home->vsr->connections_accepted(), before);
+}
+
+TEST_P(EventBridgeTest, SubscribesAndDeliversWhileTheVsrIsDown) {
+  home->vsr_node->set_up(false);
+  std::vector<ReceivedEvent> received;
+  ASSERT_FALSE(subscribe("jini-island", "vcr-1", "transportChanged",
+                         &received)
+                   .empty());
+  auto r = via(*home->havi_adapter, "vcr-1", "record",
+               {Value(std::int64_t{1})});
+  ASSERT_TRUE(r.is_ok()) << r.status().to_string();
+  sched.run_for(sim::seconds(2));
+  ASSERT_GE(received.size(), 1u);
+  EXPECT_EQ(received.front().service, "vcr-1");
+  EXPECT_EQ(received.front().event, "transportChanged");
+}
+
+// X10 cannot express mail-home's methods, so the X10 island refuses to
+// export it. The island's PCM still imported its description, and the
+// event bridge resolves it from there.
+TEST_P(EventBridgeTest, RefusedExportStaysSubscribable) {
+  auto& x10_pcm = *home->meta->island("x10-island")->pcm;
+  EXPECT_FALSE(x10_pcm.has_imported("mail-home"));
+  EXPECT_NE(x10_pcm.find_foreign("mail-home"), nullptr);
+
+  std::vector<ReceivedEvent> received;
+  ASSERT_FALSE(
+      subscribe("x10-island", "mail-home", "messageArrived", &received)
+          .empty());
+  home->mail_server->deliver({0, "alice@example.org", "home", "hello", "hi"});
+  sched.run_for(sim::seconds(15));
+  ASSERT_GE(received.size(), 1u);
+  EXPECT_EQ(received.front().service, "mail-home");
+  EXPECT_EQ(received.front().event, "messageArrived");
+  EXPECT_EQ(received.front().payload.at("subject").as_string(), "hello");
 }
 
 // --- Lease semantics -----------------------------------------------------
@@ -478,6 +551,40 @@ TEST_P(EventBridgeTest, DeliverTakesServiceAndEventFromTheLease) {
   EXPECT_EQ(received.front().service, "vcr-1");
   EXPECT_EQ(received.front().event, "transportChanged");
   EXPECT_EQ(home->cm11a->commands_sent(), commands_before);
+}
+
+// At-least-once delivery re-sends a batch whose ack was lost; the
+// subscriber drops items at or below the last seq it handled.
+TEST_P(EventBridgeTest, ResentDeliverItemFiresTheHandlerOnce) {
+  std::vector<ReceivedEvent> received;
+  auto lease = subscribe("x10-island", "vcr-1", "transportChanged",
+                         &received);
+  ASSERT_FALSE(lease.empty());
+  sched.run_for(sim::seconds(1));
+
+  auto& x10_vsg = *home->meta->island("x10-island")->vsg;
+  const ValueList batch{Value(ValueMap{
+      {"sub", Value(lease)},
+      {"seq", Value(std::int64_t{1})},
+      {"payload", Value(ValueMap{{"state", Value(std::string("PLAY"))}})},
+  })};
+  for (int i = 0; i < 2; ++i) {
+    std::optional<Result<Value>> ack;
+    home->meta->island("havi-island")
+        ->vsg->call_remote(
+            x10_vsg.exposure_uri(core::EventRouter::kBridgeService),
+            core::EventRouter::kBridgeService,
+            core::EventRouter::bridge_interface(), "deliver",
+            {Value(batch)}, [&](Result<Value> r) { ack = std::move(r); });
+    sim::run_until_done(sched, [&] { return ack.has_value(); });
+    ASSERT_TRUE(ack.has_value() && ack->is_ok());
+    EXPECT_EQ(ack->value().as_int(), 1);  // both copies are acked
+  }
+
+  ASSERT_EQ(received.size(), 1u);
+  EXPECT_EQ(received.front().payload.at("state").as_string(), "PLAY");
+  EXPECT_EQ(router("x10-island").duplicates_dropped(), 1u);
+  EXPECT_EQ(router("x10-island").events_delivered(), 1u);
 }
 
 // --- Fault injection: dead VSG link --------------------------------------

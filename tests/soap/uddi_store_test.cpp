@@ -15,6 +15,7 @@
 #include "store/delta.hpp"
 #include "store/pack.hpp"
 #include "store/vsr_store.hpp"
+#include "tests/soap/registry_find.hpp"
 #include "tests/store/temp_dir.hpp"
 
 namespace hcm::soap {
@@ -130,12 +131,8 @@ TEST_F(UddiStoreTest, StoreBackedRestartResumesEpochWithZeroFallbacks) {
   EXPECT_EQ(client->full_syncs(), 1u);
   EXPECT_EQ(client->delta_syncs(), 1u);
 
-  // And the recovered entries kept their bodies: lookups resolve.
-  std::optional<Result<RegistryEntry>> looked;
-  client->lookup("vcr-1", [&](Result<RegistryEntry> r) {
-    looked = std::move(r);
-  });
-  sched.run();
+  // And the recovered entries kept their bodies.
+  auto looked = find_entry(*client, sched, "vcr-1");
   ASSERT_TRUE(looked.has_value());
   ASSERT_TRUE(looked->is_ok());
   EXPECT_EQ(looked->value().digest, wsdl_digest(looked->value().wsdl));
@@ -212,11 +209,7 @@ TEST_F(UddiStoreTest, WriteThroughSurvivesUnpublishAndRepublish) {
   EXPECT_EQ(registry->size(), 1u);
   EXPECT_EQ(registry->store_recovered_entries(), 1u);
   EXPECT_EQ(registry->store_errors(), 0u);
-  std::optional<Result<RegistryEntry>> looked;
-  client->lookup("lamp-1", [&](Result<RegistryEntry> r) {
-    looked = std::move(r);
-  });
-  sched.run();
+  auto looked = find_entry(*client, sched, "lamp-1");
   ASSERT_TRUE(looked.has_value());
   EXPECT_TRUE(looked->is_ok());
 }
@@ -278,11 +271,7 @@ TEST_F(UddiStoreTest, DeepChainFromUncappedCompactionKeepsItsEntry) {
   EXPECT_EQ(registry->latest_seq(), 50u);
   EXPECT_EQ(registry->size(), 1u);
   EXPECT_EQ(registry->store_recovered_entries(), 1u);
-  std::optional<Result<RegistryEntry>> looked;
-  client->lookup("vcr-1", [&](Result<RegistryEntry> r) {
-    looked = std::move(r);
-  });
-  sched.run();
+  auto looked = find_entry(*client, sched, "vcr-1");
   ASSERT_TRUE(looked.has_value());
   ASSERT_TRUE(looked->is_ok()) << looked->status().to_string();
   EXPECT_NE(looked->value().wsdl.find("http://fav:8000/r49"),

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "tests/soap/registry_find.hpp"
+
 namespace hcm::soap {
 namespace {
 
@@ -49,10 +51,7 @@ TEST_F(UddiTest, PublishAndLookup) {
   ASSERT_TRUE(publish("laserdisc-1", "MediaPlayer").is_ok());
   EXPECT_EQ(registry->size(), 1u);
 
-  std::optional<Result<RegistryEntry>> found;
-  client->lookup("laserdisc-1",
-                 [&](Result<RegistryEntry> r) { found = std::move(r); });
-  sched.run();
+  auto found = find_entry(*client, sched, "laserdisc-1");
   ASSERT_TRUE(found.has_value());
   ASSERT_TRUE(found->is_ok());
   EXPECT_EQ(found->value().category, "MediaPlayer");
@@ -60,9 +59,7 @@ TEST_F(UddiTest, PublishAndLookup) {
 }
 
 TEST_F(UddiTest, LookupMissingIsNotFound) {
-  std::optional<Result<RegistryEntry>> found;
-  client->lookup("ghost", [&](Result<RegistryEntry> r) { found = std::move(r); });
-  sched.run();
+  auto found = find_entry(*client, sched, "ghost");
   ASSERT_TRUE(found.has_value());
   ASSERT_FALSE(found->is_ok());
   EXPECT_EQ(found->status().code(), StatusCode::kNotFound);
@@ -70,8 +67,8 @@ TEST_F(UddiTest, LookupMissingIsNotFound) {
 
 TEST_F(UddiTest, MountsOnlyTheOpsClientsSend) {
   EXPECT_EQ(registry->wire_ops(),
-            (std::vector<std::string>{"changesSince", "list", "lookup",
-                                      "publish", "renewOrigin", "unpublish"}));
+            (std::vector<std::string>{"changesSince", "list", "publish",
+                                      "renewOrigin", "unpublish"}));
 }
 
 TEST_F(UddiTest, ListAllReturnsEverything) {
@@ -89,9 +86,7 @@ TEST_F(UddiTest, RepublishOverwrites) {
   publish("svc", "CatA");
   publish("svc", "CatB");
   EXPECT_EQ(registry->size(), 1u);
-  std::optional<Result<RegistryEntry>> found;
-  client->lookup("svc", [&](Result<RegistryEntry> r) { found = std::move(r); });
-  sched.run();
+  auto found = find_entry(*client, sched, "svc");
   EXPECT_EQ(found->value().category, "CatB");
 }
 
@@ -108,12 +103,9 @@ TEST_F(UddiTest, LeaseExpiry) {
   publish("ephemeral", "Cat", sim::seconds(10));
   EXPECT_EQ(registry->size(), 1u);
   sched.run_until(sched.now() + sim::seconds(11));
-  // Entry has lapsed: lookup must fail (stale endpoints are never
+  // Entry has lapsed: it must not be listed (stale endpoints are never
   // returned — a VSR invariant from DESIGN.md).
-  std::optional<Result<RegistryEntry>> found;
-  client->lookup("ephemeral",
-                 [&](Result<RegistryEntry> r) { found = std::move(r); });
-  sched.run();
+  auto found = find_entry(*client, sched, "ephemeral");
   ASSERT_TRUE(found.has_value());
   EXPECT_FALSE(found->is_ok());
   EXPECT_EQ(registry->size(), 0u);
@@ -124,9 +116,7 @@ TEST_F(UddiTest, RepublishRenewsLease) {
   sched.run_until(sched.now() + sim::seconds(8));
   publish("svc", "Cat", sim::seconds(10));  // renew before expiry
   sched.run_until(sched.now() + sim::seconds(8));
-  std::optional<Result<RegistryEntry>> found;
-  client->lookup("svc", [&](Result<RegistryEntry> r) { found = std::move(r); });
-  sched.run();
+  auto found = find_entry(*client, sched, "svc");
   EXPECT_TRUE(found->is_ok());
 }
 
@@ -151,10 +141,7 @@ TEST_F(UddiTest, WsdlSurvivesRegistryTransit) {
   sched.run();
   ASSERT_TRUE(pub->is_ok());
 
-  std::optional<Result<RegistryEntry>> found;
-  client->lookup("probe-1",
-                 [&](Result<RegistryEntry> r) { found = std::move(r); });
-  sched.run();
+  auto found = find_entry(*client, sched, "probe-1");
   ASSERT_TRUE(found->is_ok());
   auto doc = parse_wsdl(found->value().wsdl);
   ASSERT_TRUE(doc.is_ok()) << doc.status().to_string();

@@ -314,7 +314,6 @@ std::vector<WireFixture> registry_wire_fixtures() {
                       {"full", Value(false)},
                       {"resync", Value(false)},
                       {"changes", Value(ValueList{upsert})}})},
-      {"lookup", {{"name", Value(std::string("lamp-1"))}}, entry},
       {"list", {}, Value(ValueList{entry})},
   };
 }
