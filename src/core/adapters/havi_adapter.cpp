@@ -1,5 +1,7 @@
 #include "core/adapters/havi_adapter.hpp"
 
+#include "common/join.hpp"
+
 namespace hcm::core {
 
 namespace {
@@ -97,23 +99,19 @@ void HaviAdapter::resync() {
     return;
   }
   // First contact: subscribe to the Registry's changes, then list.
-  auto pending = std::make_shared<std::size_t>(std::size(kFeedTopics));
-  auto failed = std::make_shared<Status>();
+  Join subscribed(std::size(kFeedTopics),
+                  [this, gen, alive = std::weak_ptr<bool>(alive_)](
+                      const Status& s) {
+                    if (alive.expired() || feed_.stale(gen)) return;
+                    if (!s.is_ok()) {
+                      fail_sync(s);
+                      return;
+                    }
+                    subscribed_ = true;
+                    relist(gen);
+                  });
   havi::EventClient events(ms_, self_, em_seid_);
-  for (const char* topic : kFeedTopics) {
-    events.subscribe(topic, [this, gen, pending, failed,
-                             alive = std::weak_ptr<bool>(alive_)](
-                                const Status& s) {
-      if (!s.is_ok() && failed->is_ok()) *failed = s;
-      if (--*pending != 0 || alive.expired() || feed_.stale(gen)) return;
-      if (!failed->is_ok()) {
-        fail_sync(*failed);
-        return;
-      }
-      subscribed_ = true;
-      relist(gen);
-    });
-  }
+  for (const char* topic : kFeedTopics) events.subscribe(topic, subscribed);
 }
 
 void HaviAdapter::relist(std::uint64_t gen) {

@@ -1,5 +1,6 @@
 #include "core/meta.hpp"
 
+#include "common/join.hpp"
 #include "core/shard_channel.hpp"
 
 namespace hcm::core {
@@ -41,25 +42,18 @@ void MetaMiddleware::refresh_all(DoneFn done) {
   // bookkeeping lives (single-writer, so no atomics needed).
   const sim::ShardId origin = ShardChannel::current_shard(net_);
   auto run_round = [this, origin](DoneFn next) {
-    auto remaining = std::make_shared<std::size_t>(islands_.size());
-    auto first_error = std::make_shared<Status>();
-    if (*remaining == 0) {
+    if (islands_.empty()) {
       next(Status::ok());
       return;
     }
-    auto next_shared = std::make_shared<DoneFn>(std::move(next));
+    Join join(islands_.size(), std::move(next));
     for (auto& [name, island] : islands_) {
       ShardChannel::run_on_node(
           net_, island.vsg->node(),
-          [this, origin, pcm = island.pcm.get(), remaining, first_error,
-           next_shared] {
-            pcm->refresh([this, origin, remaining, first_error,
-                          next_shared](const Status& s) {
-              ShardChannel::run_on_shard(
-                  net_, origin, [s, remaining, first_error, next_shared] {
-                    if (!s.is_ok() && first_error->is_ok()) *first_error = s;
-                    if (--*remaining == 0) (*next_shared)(*first_error);
-                  });
+          [this, origin, pcm = island.pcm.get(), join] {
+            pcm->refresh([this, origin, join](const Status& s) {
+              ShardChannel::run_on_shard(net_, origin,
+                                         [s, join] { join(s); });
             });
           });
     }

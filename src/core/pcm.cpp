@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/join.hpp"
 #include "common/logging.hpp"
 #include "core/shard_channel.hpp"
 #include "obs/slab.hpp"
@@ -39,7 +40,7 @@ void Pcm::refresh(DoneFn done) {
           done(publish_status);
           return;
         }
-        import_remotes(std::move(done));
+        import_delta(std::move(done));
       });
 }
 
@@ -73,27 +74,16 @@ void Pcm::publish_locals(DoneFn done) {
       done(services.status());
       return;
     }
-    auto first_error = std::make_shared<Status>();
-    // When every set change has been acknowledged by the VSR, renew the
-    // leases of the unchanged remainder — in delta mode one
-    // fingerprint-guarded call covers them all; in snapshot mode they
-    // were just republished wholesale, so leases are already fresh.
-    auto after_changes = [this, first_error,
-                          done = std::move(done)]() mutable {
-      if (!first_error->is_ok() || sync_mode_ == SyncMode::kSnapshot ||
-          published_.empty()) {
-        done(*first_error);
+    // When every set change has been acknowledged by the VSR, one
+    // fingerprint-guarded call renews the leases of the unchanged
+    // remainder.
+    Join join(1, [this, done = std::move(done)](const Status& s) mutable {
+      if (!s.is_ok() || published_.empty()) {
+        done(s);
         return;
       }
       renew_origin_lease(std::move(done));
-    };
-    auto remaining = std::make_shared<std::size_t>(1);
-    auto after_shared =
-        std::make_shared<decltype(after_changes)>(std::move(after_changes));
-    auto step = [remaining, first_error, after_shared](const Status& s) {
-      if (!s.is_ok() && first_error->is_ok()) *first_error = s;
-      if (--*remaining == 0) (*after_shared)();
-    };
+    });
 
     // Retire client proxies for services that left the middleware, so
     // the VSR never advertises a dead endpoint. Hosted services are not
@@ -106,8 +96,8 @@ void Pcm::publish_locals(DoneFn done) {
       if (!it->second.hosted &&
           !std::binary_search(current.begin(), current.end(), it->first)) {
         vsg_.unexpose(it->first);
-        ++*remaining;
-        vsr_.unpublish(it->first, step);
+        join.add();
+        vsr_.unpublish(it->first, join);
         it = published_.erase(it);
       } else {
         ++it;
@@ -118,40 +108,24 @@ void Pcm::publish_locals(DoneFn done) {
       // Never republish a service this PCM itself imported — that would
       // bounce services between islands forever.
       if (has_imported(service.name)) continue;
-
-      auto pub = published_.find(service.name);
-      if (pub == published_.end()) {
-        auto generated = proxygen_.generate_client_proxy(service, *adapter_);
-        if (!generated.is_ok()) {
-          if (first_error->is_ok()) *first_error = generated.status();
-          continue;
-        }
-        PublishedRecord rec;
-        rec.wsdl = std::move(generated).take();
-        rec.digest = soap::wsdl_digest(rec.wsdl);
-        rec.category = service.interface.name;
-        wsdl_generations_.inc();
-        pub = published_.emplace(service.name, std::move(rec)).first;
-      } else if (sync_mode_ == SyncMode::kDelta) {
-        // Already exposed and the document is cached; its lease rides
-        // the single renewOrigin call after the set changes land.
+      // Already exposed and the document is cached; its lease rides the
+      // renewOrigin call after the set changes land.
+      if (published_.count(service.name) != 0) continue;
+      auto generated = proxygen_.generate_client_proxy(service, *adapter_);
+      if (!generated.is_ok()) {
+        join.fail(generated.status());
         continue;
       }
-      // New service (either mode), or snapshot mode's per-refresh
-      // republish of everything — the cached document means no
-      // re-emission either way.
-      ++*remaining;
-      publish_record(pub->first, pub->second, step);
+      PublishedRecord rec;
+      rec.wsdl = std::move(generated).take();
+      rec.digest = soap::wsdl_digest(rec.wsdl);
+      rec.category = service.interface.name;
+      wsdl_generations_.inc();
+      auto pub = published_.emplace(service.name, std::move(rec)).first;
+      join.add();
+      publish_record(pub->first, pub->second, join);
     }
-    if (sync_mode_ == SyncMode::kSnapshot) {
-      // The listing above does not name hosted services.
-      for (const auto& [name, rec] : published_) {
-        if (!rec.hosted) continue;
-        ++*remaining;
-        publish_record(name, rec, step);
-      }
-    }
-    step(Status::ok());  // releases the initial hold
+    join(Status::ok());  // releases the hold
   });
 }
 
@@ -187,26 +161,12 @@ void Pcm::renew_origin_lease(DoneFn done) {
 }
 
 void Pcm::republish_all(DoneFn done) {
-  auto remaining = std::make_shared<std::size_t>(1);
-  auto first_error = std::make_shared<Status>();
-  auto done_shared = std::make_shared<DoneFn>(std::move(done));
-  auto step = [remaining, first_error, done_shared](const Status& s) {
-    if (!s.is_ok() && first_error->is_ok()) *first_error = s;
-    if (--*remaining == 0) (*done_shared)(*first_error);
-  };
+  Join join(1, std::move(done));
   for (const auto& [name, rec] : published_) {
-    ++*remaining;
-    publish_record(name, rec, step);
+    join.add();
+    publish_record(name, rec, join);
   }
-  step(Status::ok());
-}
-
-void Pcm::import_remotes(DoneFn done) {
-  if (sync_mode_ == SyncMode::kSnapshot) {
-    import_snapshot(std::move(done));
-  } else {
-    import_delta(std::move(done));
-  }
+  join(Status::ok());
 }
 
 std::size_t Pcm::imported_count() const {
@@ -273,8 +233,7 @@ void Pcm::retire_import(const std::string& name) {
   foreign_.erase(it);
 }
 
-template <typename Entry>
-void Pcm::converge_imports(const std::vector<Entry>& entries) {
+void Pcm::converge_imports(const std::vector<VsrChange>& entries) {
   std::set<std::string> seen_foreign;
   for (const auto& entry : entries) {
     if (entry.origin == vsg_.island_name()) continue;
@@ -291,18 +250,6 @@ void Pcm::converge_imports(const std::vector<Entry>& entries) {
       ++it;
     }
   }
-}
-
-void Pcm::import_snapshot(DoneFn done) {
-  vsr_.list_all([this, done = std::move(done)](
-                    Result<std::vector<VsrEntry>> entries) {
-    if (!entries.is_ok()) {
-      done(entries.status());
-      return;
-    }
-    converge_imports(entries.value());
-    done(Status::ok());
-  });
 }
 
 void Pcm::import_delta(DoneFn done) {

@@ -17,13 +17,14 @@
 // bridge resolves subscriptions there, on both sides, without asking
 // the VSR or the adapter.
 //
-// Synchronization is incremental by default (SyncMode::kDelta): the PCM
-// keeps a per-registry cursor and only parses / generates proxies for
-// entries that actually changed, and steady-state lease renewal is one
-// fingerprint-guarded renewOrigin call instead of S republications.
-// SyncMode::kSnapshot preserves the original full-transfer behaviour
-// (every refresh lists everything and republishes everything) — kept as
-// the baseline arm for bench_ext_vsr_sync.
+// Synchronization is incremental: the PCM keeps a per-registry cursor
+// and only parses / generates proxies for entries that changed, and
+// steady-state lease renewal is one fingerprint-guarded renewOrigin
+// call instead of S republications. The paper's full transfer (publish
+// everything, download everything) survives as the delta protocol's
+// own resync: on first contact, after journal compaction and after a
+// registry restart the changesSince reply is the registry's whole set,
+// and a refused renewal republishes the island's whole set.
 #pragma once
 
 #include <map>
@@ -38,8 +39,6 @@ namespace hcm::core {
 
 class Pcm {
  public:
-  enum class SyncMode { kSnapshot, kDelta };
-
   Pcm(net::Network& net, VirtualServiceGateway& vsg, net::Endpoint vsr,
       std::unique_ptr<MiddlewareAdapter> adapter);
 
@@ -47,8 +46,6 @@ class Pcm {
 
   // Full synchronization pass (publish CPs, then import/retire SPs).
   void refresh(DoneFn done);
-
-  void set_sync_mode(SyncMode mode) { sync_mode_ = mode; }
 
   // Hosts a framework service on this island: exposes `handler` on the
   // VSG, emits its WSDL once and publishes it, initiated from the
@@ -127,16 +124,12 @@ class Pcm {
   void publish_locals(DoneFn done);
   void publish_record(const std::string& name, const PublishedRecord& rec,
                       DoneFn done);
-  void renew_origin_lease(DoneFn done);  // delta steady state: one call
+  void renew_origin_lease(DoneFn done);  // steady state: one call
   void republish_all(DoneFn done);       // fallback when renewal refused
-  void import_remotes(DoneFn done);
-  void import_snapshot(DoneFn done);
   void import_delta(DoneFn done);
-  // Converges the imports to an authoritative set of entries (a snapshot
-  // listing, or a full changesSince reply): upserts every foreign entry
-  // and retires each import the set does not name.
-  template <typename Entry>
-  void converge_imports(const std::vector<Entry>& entries);
+  // Converges the imports to a full changesSince reply: upserts every
+  // foreign entry and retires each import the set does not name.
+  void converge_imports(const std::vector<VsrChange>& entries);
   // Imports/updates one foreign entry; returns false on the non-fatal
   // conversion failures (bad WSDL, impossible export). A refused export
   // keeps the record and is retried the next time the entry is applied.
@@ -149,7 +142,6 @@ class Pcm {
   VsrClient vsr_;
   std::unique_ptr<MiddlewareAdapter> adapter_;
   ProxyGenerator proxygen_;
-  SyncMode sync_mode_ = SyncMode::kDelta;
   // Names this island put in the VSR, with their cached documents:
   // native services and hosted ones alike.
   std::map<std::string, PublishedRecord> published_;

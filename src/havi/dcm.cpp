@@ -1,5 +1,7 @@
 #include "havi/dcm.hpp"
 
+#include "common/join.hpp"
+
 namespace hcm::havi {
 
 Dcm::Dcm(MessagingSystem& ms, std::string huid, std::string name)
@@ -34,13 +36,7 @@ void Dcm::announce(RegistryClient& rc,
       {kAttrHuid, Value(huid_)},
       {kAttrName, Value(name_)},
   };
-  auto remaining = std::make_shared<std::size_t>(1 + fcms_.size());
-  auto first_error = std::make_shared<Status>();
-  auto step = [remaining, first_error,
-               done = std::move(done)](const Status& s) {
-    if (!s.is_ok() && first_error->is_ok()) *first_error = s;
-    if (--*remaining == 0) done(*first_error);
-  };
+  Join step(1 + fcms_.size(), std::move(done));
   rc.register_element(seid_, dcm_attrs, step);
   for (const auto& fcm : fcms_) fcm->announce(rc, step);
 }

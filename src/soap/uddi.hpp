@@ -79,9 +79,10 @@ class FingerprintHasher {
 // Server side: mounts five ops on a SoapService at `path` of an
 // HttpServer. Each island's PCM is the only writer of the entries of its
 // origin ("publish"/"unpublish", and "renewOrigin" for its leases), and
-// reads the registry through "changesSince", or "list" in snapshot mode.
-// The event bridge resolves sources through its island's PCM and never
-// asks the registry.
+// reads the registry through "changesSince". "list" returns every entry
+// at once, for audits (hcm_lint, perfbench, tests). The event bridge
+// resolves sources through its island's PCM and never asks the
+// registry.
 class UddiRegistry {
  public:
   // The journal is bounded: once more than `journal_capacity` records
@@ -196,12 +197,14 @@ class UddiClient {
   // Pooled connections to the registry. A delta refresh with nothing
   // to publish asks one question at a time (renewOrigin, then
   // changesSince) and keeps to one connection; publications sent
-  // together spread over up to kMaxConnections. A snapshot round
-  // republishes everything at once, and with 32 its rounds stay at
-  // least as fast as one connection per request was (bench_ext_vsr_sync,
-  // up to 50 services per island). A registry restart closes them, and the
-  // next request reconnects; a request one of them drops unanswered is
-  // resent once, on a fresh connection (see Attempt).
+  // together spread over up to kMaxConnections. Two bursts send an
+  // island's whole set at once: its first round, and the republish
+  // after a refused renewal (Pcm::republish_all). With 32, a burst of
+  // up to 50 services per island was measured at least as fast as one
+  // connection per request (bench_ext_vsr_sync). A registry restart
+  // closes them, and the next request reconnects; a request one of them
+  // drops unanswered is resent once, on a fresh connection (see
+  // Attempt).
   static constexpr std::size_t kMaxConnections = 32;
   UddiClient(net::Network& net, net::NodeId node, net::Endpoint registry,
              std::string path = "/uddi")
