@@ -70,12 +70,11 @@ void Stream::close() {
 
 void Stream::set_on_data(DataHandler handler) {
   on_data_ = std::move(handler);
-  if (on_data_) {
-    while (!pending_.empty()) {
-      BlockStream data = std::move(pending_.front());
-      pending_.pop_front();
-      on_data_(std::move(data));
-    }
+  if (on_data_ && !pending_.empty()) {
+    // Moved out first: the handler may close() this end, which clears
+    // pending_, while it still reads what it was handed.
+    BlockStream data = std::move(pending_);
+    on_data_(std::move(data));
   }
 }
 
@@ -95,7 +94,7 @@ void Stream::deliver(BlockStream data) {
   if (on_data_) {
     on_data_(std::move(data));
   } else {
-    pending_.push_back(std::move(data));
+    pending_.splice(std::move(data));
   }
 }
 

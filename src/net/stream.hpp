@@ -2,7 +2,6 @@
 // HTTP, the Jini call protocol, and the mail protocol run on these.
 #pragma once
 
-#include <deque>
 #include <functional>
 #include <memory>
 
@@ -47,8 +46,8 @@ class Stream : public std::enable_shared_from_this<Stream> {
   // Graceful close: the peer's close handler fires after transit time.
   void close();
 
-  // Delivery of bytes that arrive before a handler is installed is
-  // buffered and flushed when the handler is set.
+  // Bytes that arrive before a handler is installed are buffered and
+  // flushed, as one delivery in arrival order, when the handler is set.
   void set_on_data(DataHandler handler);
   void set_on_close(CloseHandler handler);
 
@@ -68,7 +67,10 @@ class Stream : public std::enable_shared_from_this<Stream> {
   bool open_ = true;
   DataHandler on_data_;
   CloseHandler on_close_;
-  std::deque<BlockStream> pending_;  // arrived before on_data_ set
+  // Bytes that arrived before on_data_ was set, spliced into one
+  // stream and handed over in a single delivery. Empty, it holds no
+  // blocks and cost no allocation to construct.
+  BlockStream pending_;
   bool closed_pending_ = false;      // closed before on_close_ set
   sim::SimTime clear_time_ = 0;      // FIFO ordering for our sends
   std::uint64_t bytes_sent_ = 0;

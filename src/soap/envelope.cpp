@@ -111,9 +111,7 @@ void build_call_into(std::string& out, const std::string& ns,
         .end()
         .end();
   }
-  std::string qname = "m:";
-  qname += method;
-  w.start("SOAP-ENV:Body").start(qname).attr("xmlns:m", ns);
+  w.start("SOAP-ENV:Body").start("m:", method).attr("xmlns:m", ns);
   for (const auto& [name, value] : params) {
     value_write(name, value, w);
   }
@@ -123,10 +121,9 @@ void build_call_into(std::string& out, const std::string& ns,
 void build_response_into(std::string& out, const std::string& ns,
                          const std::string& method, const Value& result) {
   xml::Writer w = open_envelope(out);
-  std::string qname = "m:";
-  qname += method;
-  qname += "Response";
-  w.start("SOAP-ENV:Body").start(qname).attr("xmlns:m", ns);
+  w.start("SOAP-ENV:Body")
+      .start("m:", method, "Response")
+      .attr("xmlns:m", ns);
   value_write("return", result, w);
   w.end().end().end();
 }

@@ -27,12 +27,91 @@ http::Response& soap_response(int status, std::string_view reason) {
 }
 }  // namespace
 
+// One slot per dispatch in flight: what its completion needs once the
+// request envelope has been recycled. Slots go back on a free list, and
+// their strings keep their capacity from call to call, so a warm
+// dispatch stores its state without allocating.
+class DispatchTable {
+ public:
+  struct Slot {
+    http::RespondFn respond;  // null once answered
+    std::string ns;
+    std::string method;
+    std::uint64_t span_id = 0;
+    std::uint32_t refs = 0;  // live copies of the slot's completion
+  };
+
+  DispatchTable(obs::Counter& faults_sent, sim::Scheduler& scheduler)
+      : faults(faults_sent), sched(scheduler) {}
+
+  std::uint32_t acquire() {
+    if (free_.empty()) {
+      slots.emplace_back();
+      return static_cast<std::uint32_t>(slots.size() - 1);
+    }
+    const std::uint32_t i = free_.back();
+    free_.pop_back();
+    return i;
+  }
+
+  void retain(std::uint32_t i) { ++slots[i].refs; }
+
+  // The last completion copy is gone: an unanswered respond fn (a
+  // handler dropped its completion) dies with it, after the slot is
+  // back on the free list.
+  void release(std::uint32_t i) {
+    if (--slots[i].refs != 0) return;
+    http::RespondFn dead = std::move(slots[i].respond);
+    free_.push_back(i);
+  }
+
+  obs::Counter& faults;
+  sim::Scheduler& sched;
+  std::vector<Slot> slots;
+
+ private:
+  std::vector<std::uint32_t> free_;
+};
+
+namespace {
+// A completion's claim on its slot. Copies of the completion share the
+// slot; the last one to be destroyed frees it.
+class SlotRef {
+ public:
+  SlotRef(std::shared_ptr<DispatchTable> table, std::uint32_t index)
+      : table_(std::move(table)), index_(index) {
+    table_->retain(index_);
+  }
+  SlotRef(const SlotRef& o) : table_(o.table_), index_(o.index_) {
+    table_->retain(index_);
+  }
+  SlotRef(SlotRef&& o) noexcept
+      : table_(std::move(o.table_)), index_(o.index_) {}
+  SlotRef& operator=(const SlotRef&) = delete;
+  SlotRef& operator=(SlotRef&&) = delete;
+  ~SlotRef() {
+    if (table_) table_->release(index_);
+  }
+
+  [[nodiscard]] DispatchTable& table() const { return *table_; }
+  [[nodiscard]] DispatchTable::Slot& slot() const {
+    return table_->slots[index_];
+  }
+
+ private:
+  std::shared_ptr<DispatchTable> table_;
+  std::uint32_t index_;
+};
+}  // namespace
+
 SoapService::SoapService(http::HttpServer& http_server, std::string path)
     : http_server_(http_server),
       path_(std::move(path)),
       obs_scope_(obs::shard_registry().unique_scope("soap.service")),
       calls_handled_(obs::shard_registry().counter(obs_scope_ + ".calls")),
-      faults_sent_(obs::shard_registry().counter(obs_scope_ + ".faults")) {
+      faults_sent_(obs::shard_registry().counter(obs_scope_ + ".faults")),
+      dispatch_(std::make_shared<DispatchTable>(
+          faults_sent_, http_server_.network().scheduler())) {
   http_server_.route(path_, [this](const http::Request& req,
                                    http::RespondFn respond) {
     handle(req, std::move(respond));
@@ -40,6 +119,10 @@ SoapService::SoapService(http::HttpServer& http_server, std::string path)
 }
 
 SoapService::~SoapService() { http_server_.remove_route(path_); }
+
+std::size_t SoapService::dispatch_slots() const {
+  return dispatch_->slots.size();
+}
 
 void SoapService::register_method(const std::string& method,
                                   MethodHandler handler) {
@@ -72,8 +155,8 @@ void SoapService::handle(const http::Request& req, http::RespondFn respond) {
     respond(std::move(resp));
     return;
   }
-  // Borrowed for this frame only: the completion lambda copies what it
-  // needs (it may run after the envelope has been reused).
+  // Borrowed for this frame only: what the completion needs moves into
+  // a dispatch slot (it may run after the envelope has been reused).
   auto env = acquire_env();
   struct Lease {
     SoapService* service;
@@ -120,27 +203,42 @@ void SoapService::handle(const http::Request& req, http::RespondFn respond) {
                               sched.now())
           : 0;
   obs::Tracer::Scope span_scope(tracer, tracer.context_of(span_id));
-  // ns/method are copied straight into the closure (the envelope is
-  // recycled before an async completion runs).
-  it->second(call.params,
-             [respond = std::move(respond),
-              ns = call.method_ns.empty() ? std::string("urn:hcm")
-                                          : call.method_ns,
-              method = call.method, &faults = faults_sent_, &tracer, &sched,
-              span_id](Result<Value> result) {
-               tracer.end_span(span_id, sched.now(), result.is_ok());
-               if (result.is_ok()) {
-                 auto& resp = soap_response(200, "OK");
-                 build_response_into(resp.body, ns, method, result.value());
-                 respond(std::move(resp));
-               } else {
-                 faults.inc();
-                 auto& resp = soap_response(500, "Internal Server Error");
-                 build_fault_into(resp.body,
-                                  Fault::from_status(result.status()));
-                 respond(std::move(resp));
-               }
-             });
+  // The completion holds only its slot: the respond fn, namespace,
+  // method and span wait in the dispatch table, so the closure leaves
+  // room in CallResultFn's buffer for the observers that the VSG glue
+  // and the target adapter decorate into it. It touches nothing of
+  // `this`: it may run after the service is gone.
+  const std::uint32_t index = dispatch_->acquire();
+  {
+    auto& slot = dispatch_->slots[index];
+    slot.respond = std::move(respond);
+    slot.ns.assign(call.method_ns.empty() ? std::string_view("urn:hcm")
+                                          : std::string_view(call.method_ns));
+    slot.method.assign(call.method);
+    slot.span_id = span_id;
+  }
+  auto complete = [ref = SlotRef(dispatch_, index)](Result<Value> result) {
+    auto& slot = ref.slot();
+    if (!slot.respond) return;  // a copy already answered
+    DispatchTable& table = ref.table();
+    obs::Tracer::global().end_span(slot.span_id, table.sched.now(),
+                                   result.is_ok());
+    const http::RespondFn respond = std::move(slot.respond);
+    if (result.is_ok()) {
+      auto& resp = soap_response(200, "OK");
+      build_response_into(resp.body, slot.ns, slot.method, result.value());
+      respond(std::move(resp));
+    } else {
+      table.faults.inc();
+      auto& resp = soap_response(500, "Internal Server Error");
+      build_fault_into(resp.body, Fault::from_status(result.status()));
+      respond(std::move(resp));
+    }
+  };
+  // Two observer records (56 bytes each) follow it in the 192-byte
+  // buffer; a closure any larger nests the dispatch into a heap cell.
+  static_assert(sizeof(complete) <= 80);
+  it->second(call.params, std::move(complete));
 }
 
 void SoapClient::call(net::Endpoint dest, const std::string& path,

@@ -28,6 +28,11 @@ using CallResultFn = SmallFn<void(Result<Value>), 192>;
 using MethodHandler =
     std::function<void(NamedValues& params, CallResultFn done)>;
 
+// Per-call state of the dispatches a SoapService has in flight (see
+// rpc.cpp). The service and its completions share it, so it outlives a
+// service destroyed while a completion is still pending.
+class DispatchTable;
+
 // Dispatch service mounted at a path on an HttpServer. Multiple
 // SoapServices can share one HttpServer (one per mounted path).
 class SoapService {
@@ -55,6 +60,9 @@ class SoapService {
   [[nodiscard]] std::uint64_t calls_handled() const {
     return calls_handled_.value();
   }
+  // Dispatch slots allocated so far: the most calls that were ever in
+  // flight at once (slots are recycled, never freed).
+  [[nodiscard]] std::size_t dispatch_slots() const;
 
  private:
   void handle(const http::Request& req, http::RespondFn respond);
@@ -71,6 +79,7 @@ class SoapService {
   std::string obs_scope_;
   obs::Counter& calls_handled_;
   obs::Counter& faults_sent_;
+  std::shared_ptr<DispatchTable> dispatch_;
 };
 
 // Client-side SOAP call helper.

@@ -128,12 +128,17 @@ void Writer::close_start_tag() {
   }
 }
 
-Writer& Writer::start(std::string_view name) {
+Writer& Writer::start(std::string_view name) { return start({}, name); }
+
+Writer& Writer::start(std::string_view prefix, std::string_view name,
+                      std::string_view suffix) {
   close_start_tag();
   out_ += '<';
   const auto off = static_cast<std::uint32_t>(out_.size());
+  out_.append(prefix);
   out_.append(name);
-  push_open({off, static_cast<std::uint32_t>(name.size())});
+  out_.append(suffix);
+  push_open({off, static_cast<std::uint32_t>(out_.size() - off)});
   in_start_tag_ = true;
   return *this;
 }

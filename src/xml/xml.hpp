@@ -37,6 +37,10 @@ class Writer {
   explicit Writer(std::string& out) : out_(out) {}
 
   Writer& start(std::string_view name);
+  // The element named prefix + name + suffix, written in place (a
+  // qualified or derived name needs no concatenated temporary).
+  Writer& start(std::string_view prefix, std::string_view name,
+                std::string_view suffix = {});
   // Valid only between start() and the first content/end() call.
   Writer& attr(std::string_view name, std::string_view value);
   Writer& text(std::string_view s);      // escaped text content

@@ -107,6 +107,57 @@ TEST_F(StreamTest, DataBeforeHandlerIsBuffered) {
   EXPECT_EQ(got, "early");
 }
 
+TEST_F(StreamTest, EarlyChunksArriveOnceInOrder) {
+  // Chunks that arrive before the handler is set are spliced into one
+  // buffer: a small one, one past a 16 KB block, and a small one again
+  // (copied into spare room, relinked, copied). The handler sees every
+  // byte exactly once, in order, and later sends follow them.
+  auto [client, server] = make_pair_on_port(80);
+  const std::string big(20'000, 'b');
+  client->send(blocks("first|"));
+  client->send(blocks(big));
+  client->send(blocks("|third"));
+  sched.run();
+  std::string got;
+  int deliveries = 0;
+  server->set_on_data([&](BlockStream&& d) {
+    ++deliveries;
+    d.append_to(got);
+  });
+  EXPECT_EQ(deliveries, 1);
+  EXPECT_EQ(got, "first|" + big + "|third");
+  client->send(blocks("|fourth"));
+  sched.run();
+  EXPECT_EQ(deliveries, 2);
+  EXPECT_EQ(got, "first|" + big + "|third|fourth");
+}
+
+TEST_F(StreamTest, HandlerMayCloseDuringEarlyDelivery) {
+  // The handler closes its end from inside the delivery of the
+  // buffered bytes: it still reads all of them, the peer sees the
+  // close, and nothing arrives afterwards.
+  auto [client, server] = make_pair_on_port(80);
+  client->send(blocks("one"));
+  client->send(blocks("two"));
+  sched.run();
+  bool client_closed = false;
+  client->set_on_close([&] { client_closed = true; });
+  std::string got;
+  int deliveries = 0;
+  server->set_on_data([&](BlockStream&& d) {
+    ++deliveries;
+    server->close();
+    d.append_to(got);
+  });
+  EXPECT_EQ(deliveries, 1);
+  EXPECT_EQ(got, "onetwo");
+  EXPECT_FALSE(server->is_open());
+  client->send(blocks("late"));
+  sched.run();
+  EXPECT_TRUE(client_closed);
+  EXPECT_EQ(deliveries, 1);
+}
+
 TEST_F(StreamTest, CloseNotifiesPeer) {
   auto [client, server] = make_pair_on_port(80);
   bool server_closed = false;

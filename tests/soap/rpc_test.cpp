@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <vector>
+
 namespace hcm::soap {
 namespace {
 
@@ -163,6 +166,148 @@ TEST_F(SoapRpcTest, UnreachableServerSurfacesError) {
   sched.run();
   ASSERT_TRUE(result.has_value());
   EXPECT_FALSE(result->is_ok());
+}
+
+// A raw POST of one SOAP call: the test reads the response envelope
+// itself, so it sees the response element the service wrote.
+void post_call(http::HttpClient& raw, net::Endpoint dest,
+               const std::string& ns, const std::string& method,
+               std::optional<Result<http::Response>>& out) {
+  http::Request req;
+  req.method = "POST";
+  req.target = "/svc";
+  req.body = build_call(ns, method, {});
+  raw.request(dest, std::move(req),
+              [&out](Result<http::Response>& r) { out = std::move(r); });
+}
+
+TEST_F(SoapRpcTest, CompletionOutlivesService) {
+  // Both handlers park their completions; the service is destroyed
+  // before either runs. One answers late, the other is dropped
+  // unanswered: the dispatch state they hold must outlive the service
+  // (asan checks the late answer and the drop alike).
+  std::vector<CallResultFn> parked;
+  service->register_method("park", [&](const NamedValues&, CallResultFn done) {
+    parked.push_back(std::move(done));
+  });
+  SoapClient answered(net, client_node->id());
+  SoapClient dropped(net, client_node->id());
+  std::optional<Result<Value>> answered_result;
+  std::optional<Result<Value>> dropped_result;
+  answered.call({server_node->id(), 80}, "/svc", "urn:test", "park", {},
+                [&](Result<Value> r) { answered_result = std::move(r); });
+  dropped.call({server_node->id(), 80}, "/svc", "urn:test", "park", {},
+               [&](Result<Value> r) { dropped_result = std::move(r); });
+  sched.run_for(sim::seconds(1));
+  ASSERT_EQ(parked.size(), 2u);
+  service.reset();
+  parked[0](Value("late"));
+  parked.clear();
+  sched.run();
+  ASSERT_TRUE(answered_result.has_value());
+  if (answered_result->is_ok()) {
+    EXPECT_EQ(answered_result->value(), Value("late"));
+  }
+  ASSERT_TRUE(dropped_result.has_value());
+  EXPECT_FALSE(dropped_result->is_ok());
+}
+
+TEST_F(SoapRpcTest, InterleavedCompletionsKeepTheirOwnState) {
+  // Two calls to different methods in flight on one service (one HTTP
+  // client each: a connection carries one request at a time), answered
+  // in reverse order. Each reply names its own method and carries its
+  // own value.
+  std::vector<CallResultFn> parked;
+  auto park = [&](const NamedValues&, CallResultFn done) {
+    parked.push_back(std::move(done));
+  };
+  service->register_method("getTransportState", park);
+  service->register_method("setPowerStateOfDevice", park);
+  http::HttpClient first(net, client_node->id());
+  http::HttpClient second(net, client_node->id());
+  std::optional<Result<http::Response>> first_result;
+  std::optional<Result<http::Response>> second_result;
+  const net::Endpoint dest{server_node->id(), 80};
+  post_call(first, dest, "urn:hcm:LaserdiscPlayer", "getTransportState",
+            first_result);
+  post_call(second, dest, "urn:hcm:PowerController", "setPowerStateOfDevice",
+            second_result);
+  sched.run_for(sim::seconds(1));
+  ASSERT_EQ(parked.size(), 2u);
+  EXPECT_EQ(service->dispatch_slots(), 2u);
+  parked[1](Value("second"));
+  parked[0](Value("first"));
+  parked.clear();
+  sched.run();
+  ASSERT_TRUE(first_result.has_value() && first_result->is_ok());
+  ASSERT_TRUE(second_result.has_value() && second_result->is_ok());
+  const std::string& first_body = first_result->value().body;
+  const std::string& second_body = second_result->value().body;
+  EXPECT_NE(first_body.find("<m:getTransportStateResponse "
+                            "xmlns:m=\"urn:hcm:LaserdiscPlayer\">"),
+            std::string::npos)
+      << first_body;
+  EXPECT_NE(second_body.find("<m:setPowerStateOfDeviceResponse "
+                             "xmlns:m=\"urn:hcm:PowerController\">"),
+            std::string::npos)
+      << second_body;
+  Envelope env;
+  ASSERT_TRUE(parse_envelope_into(first_body, env).is_ok());
+  EXPECT_EQ(env.method, "getTransportStateResponse");
+  ASSERT_EQ(env.params.size(), 1u);
+  EXPECT_EQ(env.params[0].second, Value("first"));
+  ASSERT_TRUE(parse_envelope_into(second_body, env).is_ok());
+  EXPECT_EQ(env.method, "setPowerStateOfDeviceResponse");
+  ASSERT_EQ(env.params.size(), 1u);
+  EXPECT_EQ(env.params[0].second, Value("second"));
+}
+
+TEST_F(SoapRpcTest, DispatchSlotsStayAtPeakInFlight) {
+  // Slots are recycled: after two calls in flight at once and then
+  // 1,000 sequential ones, the table holds two slots. A handler that
+  // drops its completion unanswered returns its slot too, and a copy
+  // of an answered completion answers nothing more.
+  std::vector<CallResultFn> parked;
+  service->register_method("park", [&](const NamedValues&, CallResultFn done) {
+    parked.push_back(std::move(done));
+  });
+  service->register_method("drop", [](const NamedValues&, CallResultFn) {});
+  service->register_method("echo", [](NamedValues& params, CallResultFn done) {
+    done(std::move(params[0].second));
+  });
+  const net::Endpoint dest{server_node->id(), 80};
+  SoapClient a(net, client_node->id());
+  SoapClient b(net, client_node->id());
+  int answered = 0;
+  a.call(dest, "/svc", "urn:test", "park", {},
+         [&](Result<Value> r) { answered += r.is_ok() ? 1 : 0; });
+  b.call(dest, "/svc", "urn:test", "park", {},
+         [&](Result<Value> r) { answered += r.is_ok() ? 1 : 0; });
+  sched.run_for(sim::seconds(1));
+  ASSERT_EQ(parked.size(), 2u);
+  for (auto& done : parked) {
+    const CallResultFn copy = done;
+    done(Value(0));
+    copy(Value(1));
+  }
+  parked.clear();
+  sched.run();
+  EXPECT_EQ(answered, 2);
+  EXPECT_EQ(service->dispatch_slots(), 2u);
+
+  SoapClient client(net, client_node->id(),
+                    http::HttpClient::Options{.keep_alive = true});
+  std::int64_t sum = 0;
+  const NamedValues params{{"x", Value(1)}};
+  for (int i = 0; i < 1000; ++i) {
+    client.call(dest, "/svc", "urn:test", i == 500 ? "drop" : "echo", params,
+                [&](Result<Value> r) {
+                  if (r.is_ok()) sum += r.value().as_int();
+                });
+    sched.run();
+  }
+  EXPECT_EQ(sum, 999);
+  EXPECT_EQ(service->dispatch_slots(), 2u);
 }
 
 }  // namespace

@@ -418,6 +418,24 @@ TEST(XmlWriterTest, BufferReuseAppendsCleanly) {
   EXPECT_EQ(out, "prefix:<x>1</x>");
 }
 
+TEST(XmlWriterTest, NameInPartsClosesWithTheWholeName) {
+  // The close tag repeats prefix + name + suffix, also past the
+  // small-string length, and an empty element self-closes.
+  std::string out;
+  Writer w(out);
+  const std::string method = "getTransportState";
+  w.start("m:", method, "Response")
+      .attr("xmlns:m", "urn:hcm:LaserdiscPlayer")
+      .start("m:", method)
+      .end()
+      .text("x")
+      .end();
+  EXPECT_EQ(out,
+            "<m:getTransportStateResponse "
+            "xmlns:m=\"urn:hcm:LaserdiscPlayer\"><m:getTransportState/>x"
+            "</m:getTransportStateResponse>");
+}
+
 // Generator model for the randomized property below: what the pull
 // parser should report for a rendered tree.
 struct Node {
