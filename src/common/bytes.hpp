@@ -66,6 +66,11 @@ class BigEndianWriter {
 // Appends big-endian encoded primitives to a growable buffer.
 class BufWriter : public BigEndianWriter<BufWriter> {
  public:
+  BufWriter() = default;
+  // Writes into `buf`'s storage from the start: a recycled buffer
+  // (net::Network::datagram_buffer) keeps its capacity, not its bytes.
+  explicit BufWriter(Bytes buf) : buf_(std::move(buf)) { buf_.clear(); }
+
   void append(const void* data, std::size_t n) {
     const auto* p = static_cast<const std::uint8_t*>(data);
     buf_.insert(buf_.end(), p, p + n);

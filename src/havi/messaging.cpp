@@ -23,20 +23,17 @@ void write_header(BufWriter& w, MessageKind kind, std::uint64_t id,
   w.put_u32(dst.handle);
 }
 
-Bytes encode_request(MessageKind kind, std::uint64_t id, const Seid& src,
-                     const Seid& dst, const std::string& op,
-                     const ValueList& args) {
-  BufWriter w;
+void encode_request(BufWriter& w, MessageKind kind, std::uint64_t id,
+                    const Seid& src, const Seid& dst, const std::string& op,
+                    const ValueList& args) {
   w.reserve(kHeaderBytes + 2 + op.size() + kBodyReserve);
   write_header(w, kind, id, src, dst);
   w.put_u16(static_cast<std::uint16_t>(op.size()));
   w.put_raw(op);
   encode_value(args, w);
-  return w.take();
 }
 
-Bytes encode_reply(const Message& msg) {
-  BufWriter w;
+void encode_reply(BufWriter& w, const Message& msg) {
   w.reserve(kHeaderBytes + kBodyReserve);
   write_header(w, msg.kind, msg.id, msg.src, msg.dst);
   if (msg.reply.is_ok()) {
@@ -45,7 +42,6 @@ Bytes encode_reply(const Message& msg) {
     w.put_u8(static_cast<std::uint8_t>(msg.reply.status().code()));
     w.put_string(msg.reply.status().message());
   }
-  return w.take();
 }
 
 Result<Seid> read_seid(BufReader& r) {
@@ -202,8 +198,10 @@ void MessagingSystem::send(MessageKind kind, std::uint64_t id,
   if (to.node == node_) {
     deliver_later(Message{kind, id, from, to, op, args});
   } else {
+    BufWriter w(net_.datagram_buffer());
+    encode_request(w, kind, id, from, to, op, args);
     net_.send_datagram({node_, kMessagingPort}, {to.node, kMessagingPort},
-                       encode_request(kind, id, from, to, op, args));
+                       w.take());
   }
 }
 
@@ -240,8 +238,10 @@ void MessagingSystem::deliver_request(Message& msg) {
     if (reply_to.node == node_) {
       deliver_later(std::move(reply));
     } else {
+      BufWriter w(net_.datagram_buffer());
+      encode_reply(w, reply);
       net_.send_datagram({node_, kMessagingPort},
-                         {reply_to.node, kMessagingPort}, encode_reply(reply));
+                         {reply_to.node, kMessagingPort}, w.take());
     }
   };
 

@@ -266,7 +266,7 @@ Status DiscoveryResponder::start() {
   return n->bind(kDiscoveryPort, [this](net::Endpoint from,
                                         const Bytes& data) {
     if (to_string(data) != kRequestMagic) return;
-    BufWriter w;
+    BufWriter w(net_.datagram_buffer());
     w.put_u32(lookup_endpoint_.node);
     w.put_u16(lookup_endpoint_.port);
     net_.send_datagram({node_, kDiscoveryPort}, from, w.take());

@@ -54,7 +54,8 @@ class Network {
   // --- Sharding ---------------------------------------------------------
   // Attach before building topology (nodes created earlier land on
   // shard 0). In kernel mode, construct the Network with
-  // kernel.shard(0) so the legacy scheduler and shard 0 coincide.
+  // kernel.shard(0) so the legacy scheduler and shard 0 coincide
+  // (checked here).
   void set_kernel(sim::ShardedKernel* kernel);
   [[nodiscard]] sim::ShardedKernel* kernel() const { return kernel_; }
   // Nodes are placed on the shard bound at add_node time; place_node
@@ -92,13 +93,21 @@ class Network {
 
   // --- Datagrams -------------------------------------------------------
   // Unreliable: dropped when no route, no handler, node down, or the
-  // segment's drop probability fires.
+  // segment's drop probability fires. The payload is handed back to the
+  // spare list of the shard it ends on once its handler returns (or it
+  // is dropped), so a sender that fills datagram_buffer() allocates
+  // nothing once warm.
   void send_datagram(Endpoint from, Endpoint to, Bytes data);
+  // An empty buffer for the next payload. It keeps the capacity of a
+  // datagram delivered earlier on the calling shard (the same shard
+  // resolution as scheduler()); empty and capacity-less when the
+  // shard's spare list is.
+  [[nodiscard]] Bytes datagram_buffer();
 
   // --- Multicast (segment-scoped, used by discovery protocols) ---------
   void join_group(NodeId node, GroupId group);
-  void leave_group(NodeId node, GroupId group);
-  // Delivered to every group member sharing a segment with `from`.
+  // Delivered to every group member sharing a segment with `from`; each
+  // member's copy is taken from the spare list.
   void send_multicast(Endpoint from, GroupId group, std::uint16_t port,
                       Bytes data);
 
@@ -143,6 +152,13 @@ class Network {
   void deliver_at(NodeId dst, sim::SimTime when, sim::EventFn fn);
   void deliver_to(NodeId dst, sim::Duration latency, sim::EventFn fn);
 
+  // The calling context's shard index (0 off-kernel or unbound), which
+  // picks both the scheduler slab and the spare datagram list.
+  [[nodiscard]] sim::ShardId current_shard() const;
+  // Parks a spent payload on the calling shard's spare list; buffers
+  // past the list or capacity bound are freed instead.
+  void recycle_datagram(Bytes&& buf);
+
   sim::Scheduler& sched_;
   sim::ShardedKernel* kernel_ = nullptr;
   std::vector<sim::ShardId> node_shard_;  // index = id - 1
@@ -155,8 +171,13 @@ class Network {
   mutable std::shared_mutex route_mu_;
   std::map<std::uint64_t, RoutePtr> route_cache_;
   RoutePtr loopback_route_ = std::make_shared<Route>();
-  std::mutex groups_mu_;  // join/leave vs. multicast on other shards
+  std::mutex groups_mu_;  // join vs. multicast on other shards
   std::map<GroupId, std::set<NodeId>> groups_;
+  std::vector<NodeId> multicast_seen_;  // send_multicast scratch, groups_mu_
+  // Spare datagram buffers, one list per kernel shard (index 0 without
+  // a kernel). Each list is only touched by its own shard's thread: a
+  // buffer sent across shards is recycled where it is delivered.
+  std::vector<std::vector<Bytes>> spare_datagrams_{1};
   std::string obs_scope_;
   obs::Counter& datagrams_sent_;
   obs::Counter& datagrams_dropped_;

@@ -45,17 +45,8 @@ void Stream::close() {
   // A closed end receives no further callbacks, so the handlers are
   // dropped; they are what owners capture themselves into, and keeping
   // them would keep the owner<->stream reference cycle alive past
-  // teardown (LeakSanitizer runs on every asan build). close() is
-  // routinely called from inside on_data, so the closures must not be
-  // destroyed while one of them is executing — they are parked in a
-  // shared graveyard (the scheduler may copy the event closure, which
-  // must not deep-copy and then free the live handler) and die next
-  // tick.
-  auto graveyard = std::make_shared<std::pair<DataHandler, CloseHandler>>(
-      std::move(on_data_), std::move(on_close_));
-  net_.scheduler().after(0, [graveyard] {});
-  on_data_ = nullptr;
-  on_close_ = nullptr;
+  // teardown (LeakSanitizer runs on every asan build).
+  retire_handlers();
   pending_.clear();
   auto peer = peer_.lock();
   if (!peer) return;
@@ -68,7 +59,44 @@ void Stream::close() {
   net_.deliver_at(remote_.node, arrival, [peer] { peer->peer_closed(); });
 }
 
+// Held by the next-tick event that retire_handlers schedules, it
+// clears the handlers when that event is destroyed: after it runs, or
+// with a scheduler torn down before then. Either way the owner<->stream
+// cycle the handlers close is broken.
+struct Stream::HandlerReaper {
+  explicit HandlerReaper(StreamPtr s) : stream(std::move(s)) {}
+  HandlerReaper(HandlerReaper&& o) noexcept : stream(std::move(o.stream)) {}
+  HandlerReaper(const HandlerReaper&) = delete;
+  HandlerReaper& operator=(const HandlerReaper&) = delete;
+  HandlerReaper& operator=(HandlerReaper&&) = delete;
+  ~HandlerReaper() {
+    if (stream) {
+      stream->on_data_ = nullptr;
+      stream->on_close_ = nullptr;
+    }
+  }
+  StreamPtr stream;
+};
+
+void Stream::retire_handlers() {
+  // A closed end calls neither handler again (deliver, peer_closed and
+  // the setters check open_), but one may be running: close() is
+  // routinely called from inside on_data. So they stay in place until
+  // the next tick.
+  net_.scheduler().after(
+      0, [reaper = HandlerReaper(shared_from_this())] {});
+}
+
 void Stream::set_on_data(DataHandler handler) {
+  if (!open_) {
+    // Closed by the peer with bytes still unread: they go to this
+    // handler, which is not kept (a closed end holds no handlers).
+    if (handler && !pending_.empty()) {
+      BlockStream data = std::move(pending_);
+      handler(std::move(data));
+    }
+    return;
+  }
   on_data_ = std::move(handler);
   if (on_data_ && !pending_.empty()) {
     // Moved out first: the handler may close() this end, which clears
@@ -79,11 +107,14 @@ void Stream::set_on_data(DataHandler handler) {
 }
 
 void Stream::set_on_close(CloseHandler handler) {
-  on_close_ = std::move(handler);
-  if (closed_pending_ && on_close_) {
-    closed_pending_ = false;
-    on_close_();
+  if (!open_) {
+    if (closed_pending_ && handler) {
+      closed_pending_ = false;
+      handler();  // unread bytes stay for a later set_on_data
+    }
+    return;
   }
+  on_close_ = std::move(handler);
 }
 
 void Stream::deliver(BlockStream data) {
@@ -102,14 +133,11 @@ void Stream::peer_closed() {
   if (!open_) return;
   open_ = false;
   // Same as close(): once closed, drop the handlers (after the final
-  // on_close fires) so owners captured in them are released; deferred
-  // destruction for the same reentrancy reason.
+  // on_close fires) so owners captured in them are released. Bytes not
+  // yet read stay buffered for a late set_on_data.
   auto handler = std::move(on_close_);
   on_close_ = nullptr;
-  auto graveyard = std::make_shared<DataHandler>(std::move(on_data_));
-  net_.scheduler().after(0, [graveyard] {});
-  on_data_ = nullptr;
-  pending_.clear();
+  retire_handlers();
   if (handler) {
     handler();
   } else {

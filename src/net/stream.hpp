@@ -48,6 +48,10 @@ class Stream : public std::enable_shared_from_this<Stream> {
 
   // Bytes that arrive before a handler is installed are buffered and
   // flushed, as one delivery in arrival order, when the handler is set.
+  // That holds after the peer has closed too: a late data handler gets
+  // the buffered bytes whichever setter runs first. Set it first to
+  // read them ahead of the close, as a TCP receiver reads the data
+  // ahead of the FIN. A closed end keeps neither handler.
   void set_on_data(DataHandler handler);
   void set_on_close(CloseHandler handler);
 
@@ -59,6 +63,9 @@ class Stream : public std::enable_shared_from_this<Stream> {
 
   void deliver(BlockStream data);    // peer -> this
   void peer_closed();                // peer close/reset -> this
+  // Frees the handlers of an end that just closed, on the next tick.
+  void retire_handlers();
+  struct HandlerReaper;
 
   Network& net_;
   Endpoint local_;

@@ -96,10 +96,11 @@ void City::start() {
 }
 
 void City::tick_device(Island& isl, std::size_t dev, sim::Duration period) {
-  const Bytes payload{0x01, static_cast<std::uint8_t>(isl.index & 0xff),
-                      static_cast<std::uint8_t>(dev & 0xff)};
+  Bytes payload = net.datagram_buffer();
+  payload.assign({0x01, static_cast<std::uint8_t>(isl.index & 0xff),
+                  static_cast<std::uint8_t>(dev & 0xff)});
   net.send_datagram({isl.devices[dev], kDevicePort},
-                    {isl.gateway->id(), kReportPort}, payload);
+                    {isl.gateway->id(), kReportPort}, std::move(payload));
   net.scheduler().after(period, [this, &isl, dev, period] {
     tick_device(isl, dev, period);
   });

@@ -255,7 +255,9 @@ void UpnpDevice::on_ssdp(net::Endpoint from, const Bytes& data) {
                      std::to_string(node_) + ":" +
                      std::to_string(http_port_) +
                      "/description.xml\r\nUSN: " + udn_ + "\r\n\r\n";
-  net_.send_datagram({node_, kSsdpPort}, from, to_bytes(resp));
+  Bytes out = net_.datagram_buffer();
+  out.assign(resp.begin(), resp.end());
+  net_.send_datagram({node_, kSsdpPort}, from, std::move(out));
 }
 
 std::string UpnpDevice::description_xml() const {

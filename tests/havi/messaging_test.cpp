@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/bench_util.hpp"
 #include "obs/metrics.hpp"
 
 namespace hcm::havi {
@@ -108,6 +109,35 @@ TEST_F(HaviMessagingTest, RemoteRequestReply) {
   ASSERT_TRUE(result.has_value());
   ASSERT_TRUE(result->is_ok());
   EXPECT_EQ(result->value(), Value("hello"));
+}
+
+TEST_F(HaviMessagingTest, WarmRemoteRequestAllocatesNothing) {
+  // A warm request and its reply each cross the 1394 bus as one
+  // datagram written into a recycled buffer and decoded into the
+  // receiver's reused Message: no allocation per message.
+  Seid echo = ms_b->register_element(
+      [](const std::string&, const ValueList& args, InvokeResultFn done) {
+        done(args[0]);
+      });
+  Seid self = ms_a->register_element(nullptr);
+  const ValueList args{Value(7)};
+  std::int64_t sum = 0;
+  auto request = [&] {
+    ms_a->send_request(self, echo, "echo", args, [&](Result<Value> r) {
+      if (r.is_ok()) sum += r.value().as_int();
+    });
+    sched.run();
+  };
+  for (int i = 0; i < 5; ++i) request();
+  ASSERT_TRUE(bench::alloc_hook_installed());
+  const int kRequests = 100;
+  bench::AllocDelta delta;
+  for (int i = 0; i < kRequests; ++i) request();
+  // Two datagrams per request: the request and the reply.
+  const double per_message =
+      static_cast<double>(delta.allocs()) / (2 * kRequests);
+  EXPECT_LT(per_message, 0.1) << delta.allocs() << " allocations";
+  EXPECT_EQ(sum, 7 * (5 + kRequests));
 }
 
 TEST_F(HaviMessagingTest, LocalDeliveryWorks) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "bench/bench_util.hpp"
+
 namespace hcm::net {
 namespace {
 
@@ -209,6 +211,76 @@ TEST_F(NetworkTest, BindSamePortTwiceFails) {
 TEST_F(NetworkTest, EthernetTransitScalesWithSize) {
   auto& eth = net.add_ethernet("lan", sim::microseconds(100), 100'000'000);
   EXPECT_LT(eth.transit_time(100), eth.transit_time(100000));
+}
+
+TEST_F(NetworkTest, WarmDatagramsAllocateNothing) {
+  // Each round: a unicast that is delivered, one dropped for want of a
+  // handler, and a multicast to three members. Every payload is a
+  // recycled buffer, and each copy goes back to the spare list once
+  // its handler returns (or it is dropped), so a warm round allocates
+  // nothing.
+  Node& a = net.add_node("a");
+  Node& b = net.add_node("b");
+  Node& c = net.add_node("c");
+  Node& d = net.add_node("d");
+  auto& eth = net.add_ethernet("lan", sim::microseconds(100), 100'000'000);
+  for (Node* n : {&a, &b, &c, &d}) net.attach(*n, eth);
+  std::size_t unicast_bytes = 0;
+  int announced = 0;
+  ASSERT_TRUE(b.bind(7, [&](Endpoint, const Bytes& data) {
+                 unicast_bytes += data.size();
+               }).is_ok());
+  for (Node* n : {&b, &c, &d}) {
+    net.join_group(n->id(), 3);
+    ASSERT_TRUE(n->bind(5, [&](Endpoint, const Bytes&) { ++announced; })
+                    .is_ok());
+  }
+  auto round = [&] {
+    Bytes report = net.datagram_buffer();
+    report.assign({1, 2, 3, 4});
+    net.send_datagram({a.id(), 9}, {b.id(), 7}, std::move(report));
+    Bytes stray = net.datagram_buffer();
+    stray.assign({5, 6});
+    net.send_datagram({a.id(), 9}, {c.id(), 8}, std::move(stray));
+    Bytes hello = net.datagram_buffer();
+    hello.assign({7, 8, 9});
+    net.send_multicast({a.id(), 5}, 3, 5, std::move(hello));
+    sched.run();
+  };
+  for (int i = 0; i < 5; ++i) round();
+  ASSERT_TRUE(bench::alloc_hook_installed());
+  const int kRounds = 100;
+  bench::AllocDelta delta;
+  for (int i = 0; i < kRounds; ++i) round();
+  const double per_op = static_cast<double>(delta.allocs()) / (3 * kRounds);
+  EXPECT_LT(per_op, 0.1) << delta.allocs() << " allocations";
+  EXPECT_EQ(unicast_bytes, 4u * (5 + kRounds));
+  EXPECT_EQ(announced, 3 * (5 + kRounds));
+  EXPECT_EQ(net.datagrams_sent(), 2u * (5 + kRounds));
+  EXPECT_EQ(net.datagrams_dropped(), 5u + kRounds);
+}
+
+TEST_F(NetworkTest, RecycledBufferCarriesNoStaleTail) {
+  Node& a = net.add_node("a");
+  Node& b = net.add_node("b");
+  auto& eth = net.add_ethernet("lan", sim::microseconds(100), 100'000'000);
+  net.attach(a, eth);
+  net.attach(b, eth);
+  std::vector<Bytes> seen;
+  ASSERT_TRUE(
+      b.bind(7, [&](Endpoint, const Bytes& data) { seen.push_back(data); })
+          .is_ok());
+  net.send_datagram({a.id(), 1}, {b.id(), 7}, Bytes(100, 0xee));
+  sched.run();
+  Bytes next = net.datagram_buffer();
+  EXPECT_TRUE(next.empty());
+  EXPECT_GE(next.capacity(), 100u);  // the first datagram's storage
+  next.assign({1, 2, 3});
+  net.send_datagram({a.id(), 1}, {b.id(), 7}, std::move(next));
+  sched.run();
+  ASSERT_EQ(seen.size(), 2u);
+  EXPECT_EQ(seen[0], Bytes(100, 0xee));
+  EXPECT_EQ(seen[1], (Bytes{1, 2, 3}));
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "bench/bench_util.hpp"
 #include "net/network.hpp"
 
 namespace hcm::net {
@@ -176,6 +177,114 @@ TEST_F(StreamTest, CloseBeforeHandlerIsDeferred) {
   bool notified = false;
   server->set_on_close([&] { notified = true; });
   EXPECT_TRUE(notified);
+}
+
+TEST_F(StreamTest, DataBeforePeerCloseReachesALateHandler) {
+  // The peer sends and closes before this end installs any handler:
+  // like a TCP receiver reading the data ahead of the FIN, the late
+  // data handler still gets the bytes, then the close handler fires.
+  auto [client, server] = make_pair_on_port(80);
+  client->send(blocks("bye"));
+  client->close();
+  sched.run();
+  EXPECT_FALSE(server->is_open());
+  std::string got;
+  bool notified = false;
+  server->set_on_data([&](BlockStream&& d) {
+    EXPECT_FALSE(notified) << "data must come before the close";
+    d.append_to(got);
+  });
+  server->set_on_close([&] { notified = true; });
+  EXPECT_EQ(got, "bye");
+  EXPECT_TRUE(notified);
+
+  // Close handler first: the close fires at once and the bytes still
+  // wait for the data handler.
+  auto [client2, server2] = make_pair_on_port(81);
+  client2->send(blocks("later"));
+  client2->close();
+  sched.run();
+  bool notified2 = false;
+  std::string got2;
+  server2->set_on_close([&] { notified2 = true; });
+  EXPECT_TRUE(notified2);
+  server2->set_on_data([&](BlockStream&& d) { d.append_to(got2); });
+  EXPECT_EQ(got2, "later");
+}
+
+TEST_F(StreamTest, CloseAllocatesNothing) {
+  // Closing parks the handlers in the stream itself until the next
+  // tick: no heap cell per closed end. Half the pairs warm the
+  // scheduler slab and both route-cache directions; the other half are
+  // measured, each closing both ends (one by close, one by the peer).
+  constexpr int kPairs = 40;
+  std::vector<std::pair<StreamPtr, StreamPtr>> pairs;
+  int closes_seen = 0;
+  for (int i = 0; i < kPairs; ++i) {
+    auto [client, server] =
+        make_pair_on_port(static_cast<std::uint16_t>(100 + i));
+    client->set_on_data([&](BlockStream&&) {});
+    client->set_on_close([&] { ++closes_seen; });
+    server->set_on_data([&](BlockStream&&) {});
+    server->set_on_close([&] { ++closes_seen; });
+    pairs.emplace_back(client, server);
+  }
+  auto close_pair = [&](int i) {
+    if (i % 2 == 0) {
+      pairs[i].first->close();
+    } else {
+      pairs[i].second->close();
+    }
+    sched.run();
+  };
+  for (int i = 0; i < kPairs / 2; ++i) close_pair(i);
+  ASSERT_TRUE(bench::alloc_hook_installed());
+  bench::AllocDelta delta;
+  for (int i = kPairs / 2; i < kPairs; ++i) close_pair(i);
+  // kPairs / 2 measured pairs, two closed ends each.
+  const double per_end = static_cast<double>(delta.allocs()) / kPairs;
+  EXPECT_LT(per_end, 0.1) << delta.allocs() << " allocations";
+  EXPECT_EQ(closes_seen, kPairs);
+  for (const auto& [client, server] : pairs) {
+    EXPECT_FALSE(client->is_open());
+    EXPECT_FALSE(server->is_open());
+  }
+}
+
+TEST_F(StreamTest, ClosedHandlersReleasedWithAnUndrainedScheduler) {
+  // An owner holds its stream and the stream's handlers hold the owner.
+  // Closing breaks that cycle on the next tick, and also when the
+  // scheduler is torn down before that tick runs.
+  struct Owner {
+    StreamPtr stream;
+  };
+  std::weak_ptr<Owner> watch;
+  {
+    sim::Scheduler s;
+    Network n{s};
+    Node& x = n.add_node("x");
+    Node& y = n.add_node("y");
+    auto& lan = n.add_ethernet("lan", sim::microseconds(200), 100'000'000);
+    n.attach(x, lan);
+    n.attach(y, lan);
+    StreamPtr accepted;
+    ASSERT_TRUE(y.listen(80, [&](StreamPtr st) { accepted = std::move(st); })
+                    .is_ok());
+    auto owner = std::make_shared<Owner>();
+    n.connect(x.id(), {y.id(), 80}, [&](Result<StreamPtr> r) {
+      ASSERT_TRUE(r.is_ok());
+      owner->stream = r.value();
+    });
+    s.run();
+    ASSERT_NE(owner->stream, nullptr);
+    owner->stream->set_on_data([owner](BlockStream&&) {});
+    owner->stream->set_on_close([owner] {});
+    watch = owner;
+    owner->stream->close();
+    owner.reset();
+    EXPECT_FALSE(watch.expired());  // the handlers still hold it
+  }
+  EXPECT_TRUE(watch.expired());
 }
 
 TEST_F(StreamTest, SendAfterCloseIsDropped) {

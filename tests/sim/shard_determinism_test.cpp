@@ -11,6 +11,7 @@
 #include <optional>
 #include <vector>
 
+#include "bench/bench_util.hpp"
 #include "sim/sharded_kernel.hpp"
 #include "sim/trace.hpp"
 #include "testbed/city.hpp"
@@ -197,6 +198,36 @@ TEST(CityTest, ShardedCityIsDeterministicAndDelivers) {
   EXPECT_GT(std::get<1>(a), 0u);  // device reports flowed
   EXPECT_GT(std::get<2>(a), 0u);  // cross-shard ring calls completed
   EXPECT_EQ(std::get<3>(a), 0u);  // lookahead contract never violated
+}
+
+TEST(CityTest, WarmReportsAllocateNothing) {
+  // Device reports on two shards: each tick fills a recycled datagram
+  // buffer, and the gateway's delivery hands it back to its shard's
+  // spare list. The ring calls are pushed out past the run (each
+  // island makes its first one during the warm-up), so only reports,
+  // windows and barriers are measured.
+  sim::ShardedKernelOptions kopts;
+  kopts.shards = 2;
+  sim::ShardedKernel kernel(kopts);
+  testbed::CityOptions copts;
+  copts.islands = 4;
+  copts.devices_per_island = 8;
+  copts.ring_period = sim::seconds(3600);
+  testbed::City city(kernel, copts);
+  city.start();
+  kernel.run_for(sim::seconds(2));
+  ASSERT_TRUE(bench::alloc_hook_installed());
+  const std::uint64_t reports0 = city.reports_received();
+  bench::AllocDelta delta;
+  kernel.run_for(sim::seconds(5));
+  const std::uint64_t allocs = delta.allocs();
+  const std::uint64_t reports = city.reports_received() - reports0;
+  ASSERT_GT(reports, 0u);
+  const double per_report =
+      static_cast<double>(allocs) / static_cast<double>(reports);
+  EXPECT_LT(per_report, 0.1) << allocs << " allocations, " << reports
+                             << " reports";
+  EXPECT_EQ(city.ring_calls_ok(), copts.islands);
 }
 
 }  // namespace
