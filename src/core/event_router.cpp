@@ -279,9 +279,9 @@ void EventRouter::handle_deliver(const ValueList& args, InvokeResultFn done) {
   for (const auto& item : args[0].as_list()) {
     if (!item.is_map()) continue;
     ++acked;  // ack = received; unknown leases still count as received
-    const std::string sub_id =
-        item.at("sub").is_string() ? item.at("sub").as_string() : "";
-    auto it = local_subs_.find(sub_id);
+    const Value& sub_id = item.at("sub");
+    if (!sub_id.is_string()) continue;
+    auto it = local_subs_.find(sub_id.as_string());
     if (it == local_subs_.end()) continue;
     const auto seq = item.at("seq").is_int()
                          ? static_cast<std::uint64_t>(item.at("seq").as_int())
@@ -314,13 +314,19 @@ void EventRouter::on_native_event(const std::string& service,
                                   const Value& payload) {
   for (auto& [id, sub] : subs_) {
     if (sub.service != service || sub.event != event) continue;
-    sub.queue.push_back({sub.next_seq++, payload});
-    if (sub.queue.size() > kMaxQueue && sub.queue.size() > sub.inflight) {
-      // Bounded queue: drop the oldest *unsent* event. Entries before
-      // `inflight` are on the wire awaiting ack and must survive for
+    // The one copy of the payload this subscriber gets: the item goes on
+    // the wire as built (keys in the map's sorted order).
+    ValueMap item;
+    item.reserve(3);
+    item.emplace("payload", payload);
+    item.emplace("seq", static_cast<std::int64_t>(sub.next_seq++));
+    item.emplace("sub", sub.id);
+    sub.queue.emplace_back(std::move(item));
+    if (sub.queue.size() + sub.batch().size() > kMaxQueue) {
+      // Bounded queue: drop the oldest *unsent* event. The batch is on
+      // the wire (or awaiting its retry) and must survive for
       // at-least-once delivery.
-      sub.queue.erase(sub.queue.begin() +
-                      static_cast<std::ptrdiff_t>(sub.inflight));
+      sub.queue.pop_front();
       events_dropped_.inc();
     }
     schedule_flush(sub);
@@ -411,44 +417,34 @@ void EventRouter::flush(const std::string& id) {
   auto it = subs_.find(id);
   if (it == subs_.end()) return;
   auto& sub = it->second;
-  if (sub.sending || sub.queue.empty()) return;
-  const std::size_t n = std::min(sub.queue.size(), kMaxBatch);
-  sub.inflight = n;
-  sub.sending = true;
-  // Payloads are copied: the queue keeps them until the ack arrives.
-  ValueList batch;
-  batch.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto& q = sub.queue[i];
-    ValueMap item;
-    item.reserve(3);
-    item.emplace("sub", sub.id);
-    item.emplace("seq", static_cast<std::int64_t>(q.seq));
-    item.emplace("payload", q.payload);
-    batch.emplace_back(std::move(item));
+  ValueList& batch = sub.batch();
+  if (sub.sending || (sub.queue.empty() && batch.empty())) return;
+  // A retry re-sends the failed batch, topped up from the queue.
+  while (batch.size() < kMaxBatch && !sub.queue.empty()) {
+    batch.push_back(std::move(sub.queue.front()));
+    sub.queue.pop_front();
   }
-  ValueList args;
-  args.emplace_back(std::move(batch));
+  sub.sending = true;
+  // The wire client renders the arguments before call_remote returns;
+  // the batch itself stays put until its ack.
   vsg_.call_remote(
-      sub.sink, kBridgeService, bridge_interface(), "deliver", args,
-      [this, id, n, start = net_.scheduler().now()](Result<Value> r) {
+      sub.sink, kBridgeService, bridge_interface(), "deliver",
+      sub.deliver_args,
+      [this, id, start = net_.scheduler().now()](Result<Value> r) {
         delivery_latency_us_.observe(net_.scheduler().now() - start);
         auto it = subs_.find(id);
         if (it == subs_.end()) return;  // lease expired while in flight
         auto& sub = it->second;
         sub.sending = false;
-        sub.inflight = 0;
         if (r.is_ok()) {
-          for (std::size_t i = 0; i < n && !sub.queue.empty(); ++i) {
-            sub.queue.pop_front();
-          }
-          events_routed_.inc(n);
+          events_routed_.inc(sub.batch().size());
+          sub.batch().clear();  // capacity kept for the next batch
           batches_sent_.inc();
           sub.backoff = 0;
           if (!sub.queue.empty()) flush(id);
           return;
         }
-        // Transient transport failure: the batch stays queued
+        // Transient transport failure: the batch stays in place
         // (at-least-once) and is retried with exponential backoff.
         delivery_retries_.inc();
         sub.backoff = sub.backoff == 0

@@ -116,12 +116,10 @@ class EventRouter {
   [[nodiscard]] static const InterfaceDesc& bridge_interface();
 
  private:
-  struct QueuedEvent {
-    std::uint64_t seq = 0;
-    Value payload;
-  };
-
-  // Origin-side record of one remote subscriber's lease.
+  // Origin-side record of one remote subscriber's lease. Each event is
+  // built once, as the finished deliver item {payload, seq, sub}, and
+  // moves from the queue into the batch: the items on the wire (or
+  // awaiting a retry) stay in the batch until their ack.
   struct Subscription {
     std::string id;
     std::string service;
@@ -129,13 +127,16 @@ class EventRouter {
     Uri sink;                // subscriber's bridge exposure
     sim::Duration lease = 0;
     sim::EventId expiry_event = 0;
-    std::deque<QueuedEvent> queue;  // front [0, inflight) is on the wire
-    std::size_t inflight = 0;
+    std::deque<Value> queue;  // unsent items, oldest first
+    // deliver's argument list; its one element is the batch list.
+    ValueList deliver_args = ValueList(1, Value(ValueList()));
     std::uint64_t next_seq = 1;
     sim::EventId flush_event = 0;
     sim::EventId retry_event = 0;
     sim::Duration backoff = 0;
     bool sending = false;
+
+    ValueList& batch() { return deliver_args.front().as_list(); }
   };
 
   // Subscriber-side record of a lease we hold on a remote service.
@@ -182,7 +183,8 @@ class EventRouter {
   MiddlewareAdapter& adapter_;
 
   std::map<std::string, Subscription> subs_;     // origin side, by lease id
-  std::map<std::string, LocalSub> local_subs_;   // subscriber side, by id
+  // Subscriber side, by id (transparent: deliver looks ids up in place).
+  std::map<std::string, LocalSub, std::less<>> local_subs_;
   std::map<std::string, Watch> watches_;         // origin, by service name
   std::uint64_t next_sub_ = 1;
 

@@ -40,7 +40,6 @@ void EventManager::handle(const std::string& op, const ValueList& args,
 }
 
 void EventManager::fan_out(const std::string& event, const Value& payload) {
-  ++events_posted_;
   auto it = subscribers_.find(event);
   if (it == subscribers_.end()) return;
   for (const Seid& sub : it->second) {

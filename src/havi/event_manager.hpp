@@ -25,7 +25,6 @@ class EventManager {
   EventManager(MessagingSystem& ms, net::Ieee1394Bus& bus);
 
   [[nodiscard]] Seid seid() const { return seid_; }
-  [[nodiscard]] std::uint64_t events_posted() const { return events_posted_; }
 
  private:
   void handle(const std::string& op, const ValueList& args,
@@ -35,7 +34,6 @@ class EventManager {
   MessagingSystem& ms_;
   Seid seid_;
   std::map<std::string, std::set<Seid>> subscribers_;
-  std::uint64_t events_posted_ = 0;
 };
 
 // Client helper for subscribing and posting.

@@ -206,7 +206,7 @@ Status parse_operation(xml::PullParser& p, Envelope& env) {
   std::size_t n_params = 0;
   auto s = p.for_each_child([&]() -> Status {
     auto name = p.local_name();  // view into the input; stays valid
-    auto value = value_from_pull(p);
+    auto value = value_from_pull(p, env.decode_stack);
     if (!value.is_ok()) return value.status();
     if (n_params < env.params.size()) {
       env.params[n_params].first.assign(name);

@@ -10,6 +10,7 @@
 #include "common/status.hpp"
 #include "common/value.hpp"
 #include "obs/trace.hpp"
+#include "soap/value_xml.hpp"
 
 namespace hcm::soap {
 
@@ -35,6 +36,9 @@ struct Envelope {
   NamedValues params;      // in-order child parameters
   // From the <hcm:Trace> header, when present (zero ids otherwise).
   obs::TraceContext trace;
+  // Decode scratch for the params' lists and maps, empty between
+  // parses; recycled with the envelope so its capacity is kept.
+  DecodeStack decode_stack;
 };
 
 [[nodiscard]] std::string build_call(const std::string& ns,

@@ -1,6 +1,7 @@
 #include "soap/value_xml.hpp"
 
 #include <charconv>
+#include <iterator>
 
 #include "common/base64.hpp"
 #include "common/value_codec.hpp"
@@ -120,6 +121,12 @@ void value_write(std::string_view name, const Value& v, xml::Writer& w) {
 }
 
 Result<Value> value_from_pull(xml::PullParser& p, int depth) {
+  DecodeStack stack;
+  return value_from_pull(p, stack, depth);
+}
+
+Result<Value> value_from_pull(xml::PullParser& p, DecodeStack& stack,
+                              int depth) {
   if (depth > kMaxValueDepth) return protocol_error("value nesting too deep");
   // Typing attributes must be captured before any event advances the
   // parser past the start tag.
@@ -145,9 +152,18 @@ Result<Value> value_from_pull(xml::PullParser& p, int depth) {
   // Consume content up to the matching end tag: direct text runs
   // accumulate (whitespace-only runs are formatting noise, as in
   // PullParser::collect_text), child elements decode in order for
-  // lists/maps and are skipped for scalars.
+  // lists/maps and are skipped for scalars. This level's children are
+  // stack[base, end); every return drops them.
   std::string text;
-  std::vector<std::pair<std::string, Value>> kids;
+  const std::size_t base = stack.size();
+  struct DropChildren {
+    DecodeStack& stack;
+    std::size_t base;
+    ~DropChildren() {
+      stack.erase(stack.begin() + static_cast<std::ptrdiff_t>(base),
+                  stack.end());
+    }
+  } drop_children{stack, base};
   while (true) {
     auto ev = p.next();
     if (!ev.is_ok()) return ev.status();
@@ -169,7 +185,10 @@ Result<Value> value_from_pull(xml::PullParser& p, int depth) {
       if (auto s = p.skip_element(); !s.is_ok()) return s;
       continue;
     }
-    std::string key(p.local_name());
+    // The child's slot is pushed before it decodes (its own children
+    // stack above it), and indexed: the stack may grow meanwhile.
+    const std::size_t slot = stack.size();
+    auto& key = stack.emplace_back(p.local_name(), Value()).first;
     if (key == "entry") {
       if (const auto* k = p.find_attr("key")) {
         scratch.clear();
@@ -178,14 +197,16 @@ Result<Value> value_from_pull(xml::PullParser& p, int depth) {
         key.assign(kv.value());
       }
     }
-    auto item = value_from_pull(p, depth + 1);
+    auto item = value_from_pull(p, stack, depth + 1);
     if (!item.is_ok()) return item.status();
-    kids.emplace_back(std::move(key), std::move(item).take());
+    stack[slot].second = std::move(item).take();
   }
   if (is_nil) return Value();
+  const auto kids_begin = stack.begin() + static_cast<std::ptrdiff_t>(base);
+  const std::size_t n_kids = stack.size() - base;
   if (!typed) {
     // Untyped: infer structure.
-    if (!kids.empty()) {
+    if (n_kids != 0) {
       type = ValueType::kMap;
     } else if (!text.empty()) {
       type = ValueType::kString;
@@ -227,14 +248,20 @@ Result<Value> value_from_pull(xml::PullParser& p, int depth) {
     }
     case ValueType::kList: {
       ValueList list;
-      list.reserve(kids.size());
-      for (auto& [key, item] : kids) list.push_back(std::move(item));
+      list.reserve(n_kids);
+      for (auto it = kids_begin; it != stack.end(); ++it) {
+        list.push_back(std::move(it->second));
+      }
       return Value(std::move(list));
     }
-    case ValueType::kMap:
+    case ValueType::kMap: {
+      std::vector<ValueMap::value_type> entries(
+          std::make_move_iterator(kids_begin),
+          std::make_move_iterator(stack.end()));
       // The first of a repeated key wins.
-      return Value(ValueMap::from_unsorted(std::move(kids),
+      return Value(ValueMap::from_unsorted(std::move(entries),
                                            ValueMap::Duplicates::kKeepFirst));
+    }
     case ValueType::kNull:
       return Value();
   }

@@ -2,6 +2,10 @@
 // the data half of the VSG wire protocol.
 #pragma once
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "common/status.hpp"
 #include "common/value.hpp"
 #include "xml/xml.hpp"
@@ -20,6 +24,16 @@ void value_write(std::string_view name, const Value& v, xml::Writer& w);
 // kEnd has been consumed. Values nested past kMaxValueDepth are
 // rejected.
 [[nodiscard]] Result<Value> value_from_pull(xml::PullParser& p, int depth = 0);
+
+// The element stack lists and maps decode through: every open level
+// pushes its (key, value) children here and, at its end tag, moves them
+// into a container reserved at exact size and truncates back to where it
+// started (on errors too). Held by a caller that outlives the call (a
+// recycled Envelope), it keeps its capacity, so a warm decode allocates
+// one block per list or map and none for growing child vectors.
+using DecodeStack = std::vector<std::pair<std::string, Value>>;
+[[nodiscard]] Result<Value> value_from_pull(xml::PullParser& p,
+                                            DecodeStack& stack, int depth = 0);
 
 // The xsi:type string used for a ValueType ("xsd:long", "xsd:string", ...).
 [[nodiscard]] const char* xsi_type_for(ValueType t);

@@ -239,7 +239,6 @@ void UpnpDevice::post_event(const std::string& service_id,
     req.body = body;
     notify_client_.request(sub.callback, std::move(req),
                            [](Result<http::Response>) {});
-    ++events_posted_;
   }
 }
 

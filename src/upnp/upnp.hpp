@@ -74,7 +74,6 @@ class UpnpDevice {
                   const Value& payload);
   [[nodiscard]] std::size_t subscriber_count(
       const std::string& service_id) const;
-  [[nodiscard]] std::uint64_t events_posted() const { return events_posted_; }
 
   [[nodiscard]] const std::string& udn() const { return udn_; }
   [[nodiscard]] net::Endpoint http_endpoint() const {
@@ -106,7 +105,6 @@ class UpnpDevice {
   // service_id -> SID -> subscriber callback.
   std::map<std::string, std::map<std::string, GenaSubscriber>> subscribers_;
   std::uint64_t next_sid_ = 1;
-  std::uint64_t events_posted_ = 0;
 };
 
 // Control point: discovers devices and invokes their actions.

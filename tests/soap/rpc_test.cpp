@@ -118,6 +118,47 @@ TEST_F(SoapRpcTest, MalformedEnvelopeRejected) {
   EXPECT_EQ(result->value().status, 400);
 }
 
+// The service parses each request into a pooled envelope. A request
+// whose decode fails midway (a bad xsd:long in the third map of a
+// list) must leave that envelope's decode stack empty, so the next call
+// it serves decodes exactly.
+TEST_F(SoapRpcTest, FailedDecodeLeavesThePooledEnvelopeClean) {
+  service->register_method("echo",
+                           [](const NamedValues& params, CallResultFn done) {
+                             done(params.empty() ? Value() : params[0].second);
+                           });
+  ValueList maps;
+  for (int m = 0; m < 4; ++m) {
+    maps.emplace_back(ValueMap{
+        {"id", Value(m)},
+        {"samples", Value(ValueList{Value(m * 10), Value(m * 10 + 7)})}});
+  }
+  const Value good(std::move(maps));
+  std::string bad = build_call("urn:test", "echo", {{"v", good}});
+  const auto third = bad.find(">27<");
+  ASSERT_NE(third, std::string::npos);
+  bad.replace(third, 4, ">2x<");
+
+  http::HttpClient raw(net, client_node->id());
+  std::optional<Result<http::Response>> result;
+  http::Request req;
+  req.method = "POST";
+  req.target = "/svc";
+  req.body = std::move(bad);
+  raw.request({server_node->id(), 80}, std::move(req),
+              [&](Result<http::Response> r) { result = std::move(r); });
+  sched.run();
+  ASSERT_TRUE(result.has_value());
+  ASSERT_TRUE(result->is_ok());
+  EXPECT_EQ(result->value().status, 400);
+
+  for (int i = 0; i < 2; ++i) {
+    auto r = do_call("echo", {{"v", good}});
+    ASSERT_TRUE(r.is_ok()) << r.status().to_string();
+    EXPECT_EQ(r.value(), good);
+  }
+}
+
 TEST_F(SoapRpcTest, UnregisterMethodRemoves) {
   service->register_method("temp", [](const NamedValues&, CallResultFn done) {
     done(Value(1));

@@ -6,6 +6,8 @@
 #include <chrono>
 #include <cstdio>
 
+#include "common/value_codec.hpp"
+#include "soap/envelope.hpp"
 #include "tests/xml/xml_drain.hpp"
 
 namespace hcm::soap {
@@ -151,6 +153,110 @@ TEST(SoapValueTest, UnorderedMapWithDuplicatesDecodesSorted) {
   EXPECT_EQ(r.value(), Value(ValueMap{{"a", Value(2)},
                                       {"b", Value(4)},
                                       {"c", Value(1)}}));
+}
+
+// --- Decoding through a recycled envelope ---------------------------------
+
+// parse_envelope_into decodes every param through the envelope's decode
+// stack, which keeps its capacity from parse to parse. Each list or map
+// level must hand the stack back as it found it, on errors as well.
+class RecycledEnvelopeDecodeTest : public ::testing::Test {
+ protected:
+  // A call envelope whose one param is `param_xml`.
+  static std::string call_with(const std::string& param_xml) {
+    return "<SOAP-ENV:Envelope "
+           "xmlns:SOAP-ENV=\"http://schemas.xmlsoap.org/soap/envelope/\">"
+           "<SOAP-ENV:Body><m:m xmlns:m=\"urn:x\">" +
+           param_xml + "</m:m></SOAP-ENV:Body></SOAP-ENV:Envelope>";
+  }
+
+  // The first param of `body` parsed into the recycled envelope.
+  Result<Value> parse(std::string_view body) {
+    if (auto s = parse_envelope_into(body, env); !s.is_ok()) return s;
+    if (env.params.size() != 1) return internal_error("expected one param");
+    return env.params.front().second;
+  }
+
+  Envelope env;
+};
+
+// Four maps, each holding a list of `width` ints and a string.
+Value list_of_maps_of_lists(int width) {
+  ValueList maps;
+  for (int m = 0; m < 4; ++m) {
+    ValueList ints;
+    for (int i = 0; i < width; ++i) ints.emplace_back(m * 100 + i);
+    ValueMap entry;
+    entry.emplace("name", Value("map-" + std::to_string(m)));
+    entry.emplace("values", Value(std::move(ints)));
+    maps.emplace_back(std::move(entry));
+  }
+  return Value(std::move(maps));
+}
+
+TEST_F(RecycledEnvelopeDecodeTest, ListOfMapsOfListsRoundTrips) {
+  // Widths shrink and grow, so later parses run on a stack sized by an
+  // earlier, differently shaped one.
+  for (int width : {3, 17, 1, 9}) {
+    const Value v = list_of_maps_of_lists(width);
+    auto r = parse(build_call("urn:x", "m", {{"p", v}}));
+    ASSERT_TRUE(r.is_ok()) << r.status().to_string();
+    EXPECT_EQ(r.value(), v) << "width " << width;
+    EXPECT_TRUE(env.decode_stack.empty());
+  }
+}
+
+TEST_F(RecycledEnvelopeDecodeTest, RepeatedMapKeyKeepsTheFirstEntry) {
+  auto r = parse(call_with(
+      "<p xsi:type=\"SOAP-ENC:Array\">"
+      "<item xsi:type=\"xsd:struct\"><a xsi:type=\"xsd:long\">1</a>"
+      "<b xsi:type=\"xsd:long\">2</b><a xsi:type=\"xsd:long\">3</a></item>"
+      "</p>"));
+  ASSERT_TRUE(r.is_ok()) << r.status().to_string();
+  EXPECT_EQ(r.value(), Value(ValueList{Value(ValueMap{{"a", Value(1)},
+                                                      {"b", Value(2)}})}));
+  EXPECT_TRUE(env.decode_stack.empty());
+}
+
+// An int nested `depth` lists below the param.
+Value nested_lists(int depth) {
+  Value v(1);
+  for (int i = 0; i < depth; ++i) {
+    ValueList wrap;
+    wrap.push_back(std::move(v));
+    v = Value(std::move(wrap));
+  }
+  return v;
+}
+
+TEST_F(RecycledEnvelopeDecodeTest, DepthLimitStillRejects) {
+  const Value too_deep = nested_lists(kMaxValueDepth + 1);
+  auto r = parse(build_call("urn:x", "m", {{"p", too_deep}}));
+  ASSERT_FALSE(r.is_ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kProtocolError);
+  EXPECT_TRUE(env.decode_stack.empty());
+  const Value at_limit = nested_lists(kMaxValueDepth);
+  r = parse(build_call("urn:x", "m", {{"p", at_limit}}));
+  ASSERT_TRUE(r.is_ok()) << r.status().to_string();
+  EXPECT_EQ(r.value(), at_limit);
+}
+
+TEST_F(RecycledEnvelopeDecodeTest, FailedDecodeLeavesNothingBehind) {
+  const Value good = list_of_maps_of_lists(5);
+  std::string bad = build_call("urn:x", "m", {{"p", good}});
+  // Corrupt one xsd:long in the third map of the list.
+  const auto third = bad.find(">201<");
+  ASSERT_NE(third, std::string::npos);
+  bad.replace(third, 5, ">2x1<");
+  auto r = parse(bad);
+  ASSERT_FALSE(r.is_ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kProtocolError);
+  EXPECT_TRUE(env.decode_stack.empty());
+  // The next parse on the same envelope decodes exactly.
+  r = parse(build_call("urn:x", "m", {{"p", good}}));
+  ASSERT_TRUE(r.is_ok()) << r.status().to_string();
+  EXPECT_EQ(r.value(), good);
+  EXPECT_TRUE(env.decode_stack.empty());
 }
 
 }  // namespace
