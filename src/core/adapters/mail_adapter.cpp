@@ -70,18 +70,19 @@ void MailAdapter::invoke(const std::string& service_name,
     });
     return;
   }
-  mail::Message m;
-  m.from = account_;
-  m.to = args[0].as_string();
-  m.subject = args[1].as_string();
-  m.body = args[2].as_string();
-  sender_.send(std::move(m), [done = std::move(done)](const Status& s) {
+  // The DATA section is rendered from the arguments themselves, and the
+  // completion holds `done` inline: it must fit DoneFn's 208 bytes.
+  auto sent = [done = std::move(done)](const Status& s) {
     if (s.is_ok()) {
       done(Value(true));
     } else {
       done(s);
     }
-  });
+  };
+  static_assert(sizeof(sent) <= 208);
+  sender_.send({account_, args[0].as_string(), args[1].as_string(),
+                args[2].as_string()},
+               std::move(sent));
 }
 
 Value MailAdapter::parse_arg(const std::string& line) {
@@ -146,12 +147,9 @@ void MailAdapter::emit_event(const std::string& service_name,
                              const std::string& event, const Value& payload) {
   // Native re-emission: remote events become messages in the
   // "evt-<account>" mailbox, where any mail client can poll them.
-  mail::Message m;
-  m.from = service_name;
-  m.to = "evt-" + account_;
-  m.subject = service_name + "." + event;
-  m.body = payload.to_string();
-  sender_.send(std::move(m), [](const Status&) {});
+  sender_.send({service_name, "evt-" + account_, service_name + "." + event,
+                payload.to_string()},
+               [](const Status&) {});
 }
 
 void MailAdapter::on_service_mail(const std::string& service_name,
@@ -169,13 +167,10 @@ void MailAdapter::on_service_mail(const std::string& service_name,
       method, args,
       [this, reply_to = m.from, method](Result<Value> result) {
         if (reply_to.empty()) return;
-        mail::Message reply;
-        reply.from = account_;
-        reply.to = reply_to;
-        reply.subject = "Re: " + method;
-        reply.body = result.is_ok() ? result.value().to_string()
-                                    : "ERROR " + result.status().to_string();
-        sender_.send(std::move(reply), [](const Status&) {});
+        sender_.send({account_, reply_to, "Re: " + method,
+                      result.is_ok() ? result.value().to_string()
+                                     : "ERROR " + result.status().to_string()},
+                     [](const Status&) {});
       });
 }
 

@@ -51,10 +51,6 @@ void AvRelayReceiver::open_stream(std::uint32_t stream_id, FrameSink sink) {
   streams_[stream_id] = Stream{std::move(sink), 0};
 }
 
-void AvRelayReceiver::close_stream(std::uint32_t stream_id) {
-  streams_.erase(stream_id);
-}
-
 AvRelaySender::~AvRelaySender() {
   for (const auto& [id, relay] : relays_) {
     bus_.unlisten_channel(relay.channel, relay.listener);

@@ -32,7 +32,6 @@ class AvRelayReceiver {
   using FrameSink = std::function<void(std::uint64_t seq, const Bytes& frame)>;
   // One sink per stream id.
   void open_stream(std::uint32_t stream_id, FrameSink sink);
-  void close_stream(std::uint32_t stream_id);
 
   [[nodiscard]] std::uint64_t frames_received() const {
     return frames_received_;

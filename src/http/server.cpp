@@ -53,10 +53,6 @@ void HttpServer::remove_route(const std::string& target) {
   routes_.erase(target);
 }
 
-void HttpServer::set_default_handler(RequestHandler handler) {
-  default_handler_ = std::move(handler);
-}
-
 void HttpServer::on_accept(net::StreamPtr stream) {
   connections_accepted_.inc();
   auto conn = std::make_shared<Connection>();
@@ -108,10 +104,6 @@ void HttpServer::handle(const Request& req,
       handler(req, std::move(respond));
       return;
     }
-  }
-  if (default_handler_) {
-    default_handler_(req, std::move(respond));
-    return;
   }
   respond(Response::make(404, "Not Found", "no handler for " + req.target));
 }

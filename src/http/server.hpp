@@ -35,11 +35,10 @@ class HttpServer {
   Status start();
   void stop();
 
-  // Exact-match route registration; falls back to the default handler,
-  // then 404.
+  // Exact-match route registration (a target ending in '/' also
+  // serves every target under it); anything else gets a 404.
   void route(const std::string& target, RequestHandler handler);
   void remove_route(const std::string& target);
-  void set_default_handler(RequestHandler handler);
 
   [[nodiscard]] net::Endpoint endpoint() const { return {node_, port_}; }
   [[nodiscard]] net::Network& network() { return net_; }
@@ -72,7 +71,6 @@ class HttpServer {
   // capture `this`) before the server goes away.
   std::vector<std::weak_ptr<Connection>> connections_;
   std::map<std::string, RequestHandler> routes_;
-  RequestHandler default_handler_;
   std::string obs_scope_;
   obs::Counter& requests_served_;
   obs::Counter& connections_accepted_;

@@ -236,7 +236,6 @@ void LookupService::remove_service(const std::string& service_id) {
 
 void LookupService::fire_event(const char* type, const ServiceItem& item) {
   ++seq_;
-  ++events_fired_;
   if (listeners_.empty()) return;
   // One payload per event, sent to every listener.
   ValueList args;

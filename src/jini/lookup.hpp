@@ -50,7 +50,6 @@ class LookupService {
   // does every lookup reply, so a listener can tell which events a
   // snapshot already holds.
   [[nodiscard]] std::uint64_t seq() const { return seq_; }
-  [[nodiscard]] std::uint64_t events_fired() const { return events_fired_; }
   [[nodiscard]] std::uint64_t lookups_served() const { return lookups_served_; }
 
   // Longest lease granted, for services and event registrations alike;
@@ -93,7 +92,6 @@ class LookupService {
   std::uint64_t epoch_ = 0;  // the current incarnation's start instant
   std::uint64_t next_lease_ = 1;
   std::uint64_t seq_ = 0;
-  std::uint64_t events_fired_ = 0;
   std::uint64_t lookups_served_ = 0;
 };
 

@@ -37,11 +37,4 @@ Status Proxy::invoke_one_way(const std::string& method,
   return Status::ok();
 }
 
-ServiceHandler Proxy::as_handler() {
-  // The handler calls through the proxy, so it stays valid for the
-  // proxy's lifetime (PCMs own their proxies).
-  return [this](const std::string& method, const ValueList& args,
-                InvokeResultFn done) { invoke(method, args, std::move(done)); };
-}
-
 }  // namespace hcm::jini

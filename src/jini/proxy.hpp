@@ -29,10 +29,6 @@ class Proxy {
   // One-way (no reply expected); only valid for one_way methods.
   Status invoke_one_way(const std::string& method, const ValueList& args);
 
-  // As a ServiceHandler, for plugging a remote service where a local
-  // object is expected.
-  [[nodiscard]] ServiceHandler as_handler();
-
  private:
   ServiceItem item_;
   net::BinaryRpcClient client_;

@@ -53,6 +53,11 @@ class LineReader {
     buf_.consume(len + 2);
     scan_ = 0;
   }
+  // Drops everything buffered; the seam scratch keeps its capacity.
+  void clear() {
+    buf_.clear();
+    scan_ = 0;
+  }
 
  private:
   BlockStream buf_;
@@ -114,7 +119,13 @@ DataStep read_data(LineReader& in, DataState& st, Message& m, bool retr) {
         m.from.assign(trim(line.substr(5)));
       }
     } else {
-      if (!st.first_body_line) m.body.append("\r\n");
+      if (st.first_body_line) {
+        // What is buffered bounds the body when the section arrived in
+        // one segment, as it does from MailClient: one allocation.
+        m.body.reserve(std::min(in.buffered(), limit));
+      } else {
+        m.body.append("\r\n");
+      }
       st.first_body_line = false;
       in.copy_to(m.body, skip, len);
     }
@@ -137,12 +148,21 @@ void append_stuffed(BlockStream& out, std::string_view body) {
 }
 
 // The SMTP DATA section: header block, stuffed body, terminator.
-void render_data(BlockStream& out, const Message& m) {
+void render_data(BlockStream& out, const MessageView& m) {
   out.append("Subject: ");
   out.append(m.subject);
   out.append("\r\n\r\n");
   append_stuffed(out, m.body);
   out.append("\r\n.\r\n");
+}
+
+// Empties `m`, keeping its strings' capacity.
+void clear_message(Message& m) {
+  m.id = 0;
+  m.from.clear();
+  m.to.clear();
+  m.subject.clear();
+  m.body.clear();
 }
 
 // One send of `prefix` + `value` + CRLF; replies are single sends.
@@ -177,19 +197,32 @@ std::string local_part(std::string_view addr) {
 
 }  // namespace
 
+// One SMTP connection, recycled through a SlotPool.
 struct MailServer::SmtpSession {
-  net::StreamPtr stream;
+  net::StreamPtr stream;  // null while the slot is free
   LineReader in;
   Message pending;
   bool in_data = false;
   DataState data;
+
+  void reset() {
+    in.clear();
+    clear_message(pending);
+    in_data = false;
+  }
 };
 
 struct MailServer::PopSession {
-  net::StreamPtr stream;
+  net::StreamPtr stream;  // null while the slot is free
   LineReader in;
   std::string mailbox;
   std::vector<std::int64_t> deleted;
+
+  void reset() {
+    in.clear();
+    mailbox.clear();
+    deleted.clear();
+  }
 };
 
 MailServer::MailServer(net::Network& net, net::NodeId node)
@@ -223,14 +256,12 @@ void MailServer::stop() {
   }
   started_ = false;
   auto detach = [](auto& sessions) {
-    for (auto& weak : sessions) {
-      if (auto session = weak.lock(); session && session->stream) {
-        session->stream->set_on_data(nullptr);
+    for (const auto& session : sessions.slots()) {
+      if (session->stream) {
         session->stream->close();
-        session->stream = nullptr;
+        sessions.release(*session);
       }
     }
-    sessions.clear();
   };
   detach(smtp_sessions_);
   detach(pop_sessions_);
@@ -254,31 +285,31 @@ void MailServer::reject(const net::StreamPtr& stream, std::string_view reply) {
 }
 
 void MailServer::on_smtp_accept(net::StreamPtr stream) {
-  auto session = std::make_shared<SmtpSession>();
-  session->stream = stream;
-  std::erase_if(smtp_sessions_, [](const std::weak_ptr<SmtpSession>& w) {
-    return w.expired();
+  SmtpSession& s = smtp_sessions_.acquire();
+  s.stream = std::move(stream);
+  send_line(s.stream, "220 hcm-mail ready");
+  s.stream->set_on_close([this, session = &s] {
+    smtp_sessions_.release(*session);
   });
-  smtp_sessions_.push_back(session);
-  send_line(stream, "220 hcm-mail ready");
-  stream->set_on_close([session] { session->stream = nullptr; });
-  stream->set_on_data([this, session](BlockStream&& data) {
+  s.stream->set_on_data([this, session = &s](BlockStream&& data) {
     on_smtp_data(*session, std::move(data));
   });
 }
 
 void MailServer::on_smtp_data(SmtpSession& s, BlockStream&& data) {
   s.in.feed(std::move(data));
-  while (s.stream && s.stream->is_open()) {
+  while (s.stream->is_open()) {
     if (s.in_data) {
       const DataStep step = read_data(s.in, s.data, s.pending, false);
       if (step == DataStep::kMore) return;
       if (step == DataStep::kTooLarge) {
         reject(s.stream, "552 message too large");
-        return;
+        break;
       }
+      // The message moves into the mailbox: a session keeps no
+      // body-sized buffer between connections.
       deliver(std::move(s.pending));
-      s.pending = Message{};
+      clear_message(s.pending);
       s.in_data = false;
       send_line(s.stream, "250 OK message accepted");
       continue;
@@ -286,12 +317,14 @@ void MailServer::on_smtp_data(SmtpSession& s, BlockStream&& data) {
     const std::size_t len = s.in.next_command();
     if (len == LineReader::kTooLong) {
       reject(s.stream, "500 line too long");
-      return;
+      break;
     }
     if (len == BlockStream::npos) return;
     smtp_line(s, s.in.view(len));
     s.in.consume_line(len);
   }
+  // QUIT or a reject closed the connection.
+  smtp_sessions_.release(s);
 }
 
 void MailServer::smtp_line(SmtpSession& s, std::string_view line) {
@@ -320,31 +353,31 @@ void MailServer::smtp_line(SmtpSession& s, std::string_view line) {
 }
 
 void MailServer::on_pop_accept(net::StreamPtr stream) {
-  auto session = std::make_shared<PopSession>();
-  session->stream = stream;
-  std::erase_if(pop_sessions_, [](const std::weak_ptr<PopSession>& w) {
-    return w.expired();
+  PopSession& s = pop_sessions_.acquire();
+  s.stream = std::move(stream);
+  send_line(s.stream, "+OK hcm-pop ready");
+  s.stream->set_on_close([this, session = &s] {
+    pop_sessions_.release(*session);
   });
-  pop_sessions_.push_back(session);
-  send_line(stream, "+OK hcm-pop ready");
-  stream->set_on_close([session] { session->stream = nullptr; });
-  stream->set_on_data([this, session](BlockStream&& data) {
+  s.stream->set_on_data([this, session = &s](BlockStream&& data) {
     on_pop_data(*session, std::move(data));
   });
 }
 
 void MailServer::on_pop_data(PopSession& s, BlockStream&& data) {
   s.in.feed(std::move(data));
-  while (s.stream && s.stream->is_open()) {
+  while (s.stream->is_open()) {
     const std::size_t len = s.in.next_command();
     if (len == LineReader::kTooLong) {
       reject(s.stream, "-ERR line too long");
-      return;
+      break;
     }
     if (len == BlockStream::npos) return;
     pop_line(s, s.in.view(len));
     s.in.consume_line(len);
   }
+  // QUIT or a reject closed the connection.
+  pop_sessions_.release(s);
 }
 
 void MailServer::pop_line(PopSession& s, std::string_view line) {
@@ -357,18 +390,23 @@ void MailServer::pop_line(PopSession& s, std::string_view line) {
     send_line(s.stream, "-ERR USER first");
     return;
   }
-  auto& box = mailboxes_[s.mailbox];
+  // A mailbox nothing was delivered to reads as empty. Looking it up
+  // must not create it: a peer cycling made-up USER names would grow
+  // the map without bound.
+  auto it = mailboxes_.find(s.mailbox);
+  std::vector<Message>* box = it == mailboxes_.end() ? nullptr : &it->second;
+  const std::size_t count = box == nullptr ? 0 : box->size();
   if (has_prefix_ci(line, "STAT")) {
-    send_uint_line(*s.stream, "+OK ", box.size());
+    send_uint_line(*s.stream, "+OK ", count);
   } else if (has_prefix_ci(line, "RETR ")) {
     auto idx = parse_uint(trim(line.substr(5)));
-    if (idx < 1 || static_cast<std::size_t>(idx) > box.size()) {
+    if (idx < 1 || static_cast<std::size_t>(idx) > count) {
       send_line(s.stream, "-ERR no such message");
       return;
     }
     // One send per header line, the stuffed body and the terminator:
     // the segment boundaries peers (and the backbone) have always seen.
-    const Message& m = box[static_cast<std::size_t>(idx - 1)];
+    const Message& m = (*box)[static_cast<std::size_t>(idx - 1)];
     send_line(s.stream, "+OK message follows");
     send_line(s.stream, "From: ", m.from);
     send_line(s.stream, "Subject: ", m.subject);
@@ -380,16 +418,18 @@ void MailServer::pop_line(PopSession& s, std::string_view line) {
     send_line(s.stream, ".");
   } else if (has_prefix_ci(line, "DELE ")) {
     auto idx = parse_uint(trim(line.substr(5)));
-    if (idx < 1 || static_cast<std::size_t>(idx) > box.size()) {
+    if (idx < 1 || static_cast<std::size_t>(idx) > count) {
       send_line(s.stream, "-ERR no such message");
       return;
     }
-    s.deleted.push_back(box[static_cast<std::size_t>(idx - 1)].id);
+    s.deleted.push_back((*box)[static_cast<std::size_t>(idx - 1)].id);
     send_line(s.stream, "+OK marked");
   } else if (has_prefix_ci(line, "QUIT")) {
-    // Commit deletions.
+    // Commit deletions (none can match after a USER switched to a
+    // mailbox that does not exist).
     for (auto id : s.deleted) {
-      std::erase_if(box, [id](const Message& m) { return m.id == id; });
+      if (box == nullptr) break;
+      std::erase_if(*box, [id](const Message& m) { return m.id == id; });
     }
     send_line(s.stream, "+OK bye");
     s.stream->close();
@@ -400,40 +440,78 @@ void MailServer::pop_line(PopSession& s, std::string_view line) {
 
 // --- Client -------------------------------------------------------------
 
-// One SMTP submission: the moved message, the stage reached and the
-// completion, shared by the dialogue's connect/data/close callbacks.
+// One SMTP submission: the addresses, the DATA section rendered by
+// send(), the stage reached and the completion. Recycled through a
+// SlotPool; reset() leaves `done` for the finish() that follows it.
 struct MailClient::SmtpDialogue {
-  Message m;
-  DoneFn done;
+  static constexpr std::uint16_t kPort = kSmtpPort;
+  static constexpr const char* kClosedEarly = "SMTP connection closed early";
+  static constexpr auto kReplies = &MailClient::smtp_replies;
+  static constexpr auto kPool = &MailClient::smtp_dialogues_;
+
+  MailClient* client = nullptr;
+  net::StreamPtr stream;  // set once connected, null while free
   LineReader in;
   int stage = 0;
-  bool finished = false;
+  std::string from;
+  std::string to;
+  BlockStream data;
+  DoneFn done;
 
+  void reset() {
+    in.clear();
+    stage = 0;
+    from.clear();
+    to.clear();
+    data.clear();
+  }
+
+  // Runs the completion once. It is moved out first: it may start the
+  // next dialogue in this slot or destroy the client, so nothing may
+  // touch the dialogue after it.
   void finish(const Status& s) {
-    if (finished) return;
-    finished = true;
-    done(s);
+    if (!done) return;
+    const DoneFn fn = std::move(done);
+    fn(s);
   }
 };
 
 // One POP retrieval: every message is read into `msg` and moved out.
 struct MailClient::PopDialogue {
-  std::string mailbox;
-  MessagesFn done;
+  static constexpr std::uint16_t kPort = kPopPort;
+  static constexpr const char* kClosedEarly = "POP connection closed early";
+  static constexpr auto kReplies = &MailClient::pop_replies;
+  static constexpr auto kPool = &MailClient::pop_dialogues_;
+
+  MailClient* client = nullptr;
+  net::StreamPtr stream;  // set once connected, null while free
   LineReader in;
   int stage = 0;
+  std::string mailbox;
   long long total = 0;
   long long current = 0;
   bool in_message = false;
   DataState data;
   Message msg;
   std::vector<Message> out;
-  bool finished = false;
+  MessagesFn done;
 
+  void reset() {
+    in.clear();
+    stage = 0;
+    mailbox.clear();
+    total = 0;
+    current = 0;
+    in_message = false;
+    clear_message(msg);
+    out.clear();
+  }
+
+  // As SmtpDialogue::finish.
   void finish(Result<std::vector<Message>> r) {
-    if (finished) return;
-    finished = true;
-    done(std::move(r));
+    if (!done) return;
+    const MessagesFn fn = std::move(done);
+    fn(std::move(r));
   }
 };
 
@@ -446,52 +524,70 @@ MailClient::MailClient(net::Network& net, net::NodeId node,
 
 MailClient::~MailClient() {
   unwatch();
-  for (auto& [raw, stream] : active_) stream->close();
-  active_.clear();
-}
-
-net::Stream* MailClient::track(net::StreamPtr stream) {
-  net::Stream* raw = stream.get();
-  active_[raw] = std::move(stream);
-  return raw;
-}
-
-void MailClient::untrack(net::Stream* stream) { active_.erase(stream); }
-
-void MailClient::hang_up(net::Stream& s, bool rejected) {
-  if (rejected) rejected_.inc();
-  s.close();
-  untrack(&s);
+  auto close_all = [](const auto& dialogues) {
+    for (const auto& d : dialogues.slots()) {
+      if (d->stream) d->stream->close();
+    }
+  };
+  close_all(smtp_dialogues_);
+  close_all(pop_dialogues_);
 }
 
 template <typename Dialogue>
-void MailClient::dial(std::uint16_t port, std::shared_ptr<Dialogue> d,
-                      void (MailClient::*on_replies)(Dialogue&, net::Stream&),
-                      const char* closed_early) {
-  net_.connect(node_, {server_, port},
-               [this, alive = std::weak_ptr<bool>(alive_), d, on_replies,
-                closed_early](Result<net::StreamPtr> r) {
-    if (alive.expired()) {  // client destroyed while connecting
-      if (r.is_ok()) r.value()->close();
-      return;
-    }
-    if (!r.is_ok()) {
-      d->finish(r.status());
-      return;
-    }
-    net::Stream* raw = track(r.value());  // owned by active_
-    raw->set_on_close([this, d, raw, closed_early] {
-      d->finish(unavailable(closed_early));
-      untrack(raw);
-    });
-    raw->set_on_data([this, d, raw, on_replies](BlockStream&& data) {
-      d->in.feed(std::move(data));
-      (this->*on_replies)(*d, *raw);
-    });
+void MailClient::track(Dialogue& d, net::StreamPtr stream) {
+  d.stream = std::move(stream);
+  d.stream->set_on_close([this, dialogue = &d] {
+    untrack(*dialogue);
+    dialogue->finish(unavailable(Dialogue::kClosedEarly));
+  });
+  d.stream->set_on_data([this, dialogue = &d](BlockStream&& data) {
+    dialogue->in.feed(std::move(data));
+    (this->*Dialogue::kReplies)(*dialogue);
   });
 }
 
-void MailClient::send(Message m, DoneFn done) {
+template <typename Dialogue>
+void MailClient::untrack(Dialogue& d) {
+  (this->*Dialogue::kPool).release(d);
+}
+
+template <typename Dialogue, typename Outcome>
+void MailClient::hang_up(Dialogue& d, Outcome&& outcome, bool rejected) {
+  if (rejected) rejected_.inc();
+  const net::StreamPtr stream = std::move(d.stream);
+  untrack(d);
+  // The completion runs before the close is scheduled, as it always
+  // has. It may destroy the client, so only the local ref is used after.
+  d.finish(std::forward<Outcome>(outcome));
+  stream->close();
+}
+
+template <typename Dialogue>
+void MailClient::dial(Dialogue& d) {
+  d.client = this;
+  // The callback holds its dialogue by a weak_ptr sharing alive_'s
+  // count (no allocation): the slot lives exactly as long as the
+  // client, so the pointer is good while alive_ is.
+  net_.connect(node_, {server_, Dialogue::kPort},
+               [slot = std::weak_ptr<Dialogue>(
+                    std::shared_ptr<Dialogue>(alive_, &d))](
+                   Result<net::StreamPtr> r) {
+                 Dialogue* dialogue = slot.lock().get();
+                 if (dialogue == nullptr) {  // client destroyed meanwhile
+                   if (r.is_ok()) r.value()->close();
+                   return;
+                 }
+                 MailClient& client = *dialogue->client;
+                 if (!r.is_ok()) {
+                   client.untrack(*dialogue);
+                   dialogue->finish(r.status());
+                   return;
+                 }
+                 client.track(*dialogue, std::move(r).take());
+               });
+}
+
+void MailClient::send(const MessageView& m, DoneFn done) {
   if (has_line_break(m.from) || has_line_break(m.to) ||
       has_line_break(m.subject)) {
     net_.scheduler().after(0, [done = std::move(done)] {
@@ -499,26 +595,27 @@ void MailClient::send(Message m, DoneFn done) {
     });
     return;
   }
-  auto d = std::make_shared<SmtpDialogue>();
-  d->m = std::move(m);
-  d->done = std::move(done);
-  dial(kSmtpPort, std::move(d), &MailClient::smtp_replies,
-       "SMTP connection closed early");
+  SmtpDialogue& d = smtp_dialogues_.acquire();
+  d.from.assign(m.from);
+  d.to.assign(m.to);
+  render_data(d.data, m);
+  d.done = std::move(done);
+  dial(d);
 }
 
-void MailClient::smtp_replies(SmtpDialogue& d, net::Stream& s) {
+void MailClient::smtp_replies(SmtpDialogue& d) {
+  net::Stream& s = *d.stream;
   while (s.is_open()) {
     const std::size_t len = d.in.next_command();
     if (len == LineReader::kTooLong) {
-      d.finish(protocol_error("SMTP reply line too long"));
-      hang_up(s, true);
+      hang_up(d, protocol_error("SMTP reply line too long"), true);
       return;
     }
     if (len == BlockStream::npos) return;
     const std::string_view line = d.in.view(len);
     if (line.empty() || (line[0] != '2' && line[0] != '3')) {
-      d.finish(protocol_error("SMTP rejected: " + std::string(line)));
-      hang_up(s, false);
+      hang_up(d, protocol_error("SMTP rejected: " + std::string(line)),
+              false);
       return;
     }
     d.in.consume_line(len);
@@ -529,27 +626,30 @@ void MailClient::smtp_replies(SmtpDialogue& d, net::Stream& s) {
         break;
       case 1:
         out.append("MAIL FROM:<");
-        out.append(d.m.from);
+        out.append(d.from);
         out.append(">\r\n");
         break;
       case 2:
         out.append("RCPT TO:<");
-        out.append(d.m.to);
+        out.append(d.to);
         out.append(">\r\n");
         break;
       case 3:
         out.append("DATA\r\n");
         break;
       case 4:
-        render_data(out, d.m);
+        out = std::move(d.data);
         break;
       case 5:
         out.append("QUIT\r\n");
         s.send(std::move(out));
+        // Should the completion destroy the client, that closes `s`
+        // (which lives until the next tick), so the loop ends without
+        // touching `d`.
         d.finish(Status::ok());
         continue;
-      default:
-        hang_up(s, false);
+      default:  // the 221 reply; the completion already ran
+        hang_up(d, Status::ok(), false);
         return;
     }
     s.send(std::move(out));
@@ -563,21 +663,20 @@ void MailClient::fetch(const std::string& mailbox, MessagesFn done) {
     });
     return;
   }
-  auto d = std::make_shared<PopDialogue>();
-  d->mailbox = mailbox;
-  d->done = std::move(done);
-  dial(kPopPort, std::move(d), &MailClient::pop_replies,
-       "POP connection closed early");
+  PopDialogue& d = pop_dialogues_.acquire();
+  d.mailbox.assign(mailbox);
+  d.done = std::move(done);
+  dial(d);
 }
 
-void MailClient::pop_replies(PopDialogue& d, net::Stream& s) {
+void MailClient::pop_replies(PopDialogue& d) {
+  net::Stream& s = *d.stream;
   while (s.is_open()) {
     if (d.in_message) {
       const DataStep step = read_data(d.in, d.data, d.msg, true);
       if (step == DataStep::kMore) return;
       if (step == DataStep::kTooLarge) {
-        d.finish(protocol_error("POP message too large"));
-        hang_up(s, true);
+        hang_up(d, protocol_error("POP message too large"), true);
         return;
       }
       d.out.push_back(std::move(d.msg));
@@ -588,15 +687,13 @@ void MailClient::pop_replies(PopDialogue& d, net::Stream& s) {
     }
     const std::size_t len = d.in.next_command();
     if (len == LineReader::kTooLong) {
-      d.finish(protocol_error("POP reply line too long"));
-      hang_up(s, true);
+      hang_up(d, protocol_error("POP reply line too long"), true);
       return;
     }
     if (len == BlockStream::npos) return;
     const std::string_view line = d.in.view(len);
     if (!starts_with(line, "+OK")) {
-      d.finish(protocol_error("POP error: " + std::string(line)));
-      hang_up(s, false);
+      hang_up(d, protocol_error("POP error: " + std::string(line)), false);
       return;
     }
     // The STAT count, read before the line is consumed.
@@ -646,8 +743,7 @@ void MailClient::pop_replies(PopDialogue& d, net::Stream& s) {
         }
         break;
       case 5:  // QUIT ok
-        d.finish(std::move(d.out));
-        hang_up(s, false);
+        hang_up(d, Result<std::vector<Message>>(std::move(d.out)), false);
         return;
       default:
         break;

@@ -11,6 +11,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/inline_fn.hpp"
 #include "net/network.hpp"
 #include "obs/metrics.hpp"
 
@@ -35,6 +36,54 @@ struct Message {
   std::string to;       // mailbox name, e.g. "home" (local part)
   std::string subject;
   std::string body;
+};
+
+// What MailClient::send reads. The views need only outlive the call:
+// send() copies the addresses and renders the DATA section into pooled
+// blocks before it returns.
+struct MessageView {
+  MessageView(std::string_view from_addr, std::string_view to_addr,
+              std::string_view subject_line, std::string_view body_text)
+      : from(from_addr), to(to_addr), subject(subject_line), body(body_text) {}
+  MessageView(const Message& m)  // NOLINT(google-explicit-constructor)
+      : MessageView(m.from, m.to, m.subject, m.body) {}
+
+  std::string_view from;
+  std::string_view to;
+  std::string_view subject;
+  std::string_view body;
+};
+
+// Per-connection state recycled across connections: when its connection
+// ends a slot drops its stream, is reset() and goes back on the free
+// list, its buffers keeping their capacity for the next one. Slots live
+// as long as the pool, so stream handlers hold plain pointers to them.
+template <typename Slot>
+class SlotPool {
+ public:
+  Slot& acquire() {
+    if (free_.empty()) {
+      slots_.push_back(std::make_unique<Slot>());
+      free_.reserve(slots_.size());  // release() never grows it
+      return *slots_.back();
+    }
+    Slot& slot = *free_.back();
+    free_.pop_back();
+    return slot;
+  }
+  void release(Slot& slot) {
+    slot.stream = nullptr;
+    slot.reset();
+    free_.push_back(&slot);
+  }
+  // Every slot, in use or free.
+  [[nodiscard]] const std::vector<std::unique_ptr<Slot>>& slots() const {
+    return slots_;
+  }
+
+ private:
+  std::vector<std::unique_ptr<Slot>> slots_;
+  std::vector<Slot*> free_;
 };
 
 // Serves SMTP (submission) and POP (retrieval) on one node; stores
@@ -72,9 +121,10 @@ class MailServer {
   net::Network& net_;
   net::NodeId node_;
   bool started_ = false;
-  // Live sessions, detached on stop() (their callbacks capture this).
-  std::vector<std::weak_ptr<SmtpSession>> smtp_sessions_;
-  std::vector<std::weak_ptr<PopSession>> pop_sessions_;
+  // A session's stream is set while its connection is open; stop()
+  // closes those (their handlers hold this and the session).
+  SlotPool<SmtpSession> smtp_sessions_;
+  SlotPool<PopSession> pop_sessions_;
   std::map<std::string, std::vector<Message>> mailboxes_;
   std::int64_t next_id_ = 1;
   std::uint64_t messages_accepted_ = 0;
@@ -89,14 +139,16 @@ class MailClient {
   MailClient(const MailClient&) = delete;
   MailClient& operator=(const MailClient&) = delete;
 
-  using DoneFn = std::function<void(const Status&)>;
-  using MessagesFn = std::function<void(Result<std::vector<Message>>)>;
+  // Inline room for a completion that captures an adapter's result
+  // callback (core::InvokeResultFn, 208 bytes).
+  using DoneFn = SmallFn<void(const Status&), 208>;
+  using MessagesFn = SmallFn<void(Result<std::vector<Message>>)>;
 
-  // Sends one message through the SMTP dialogue. The message moves
-  // into the dialogue; its body is rendered straight onto the wire,
-  // dot-stuffed, so any body arrives byte-exact. CR or LF in from, to
-  // or subject fails with kInvalidArgument before connecting.
-  void send(Message m, DoneFn done);
+  // Sends one message through the SMTP dialogue. The DATA section is
+  // rendered from `m` straight into pooled blocks, the body dot-stuffed
+  // so any body arrives byte-exact. CR or LF in from, to or subject
+  // fails with kInvalidArgument before connecting.
+  void send(const MessageView& m, DoneFn done);
   // Retrieves (and deletes) everything in `mailbox` via POP.
   void fetch(const std::string& mailbox, MessagesFn done);
 
@@ -111,33 +163,40 @@ class MailClient {
   struct SmtpDialogue;
   struct PopDialogue;
   void poll();
-  net::Stream* track(net::StreamPtr stream);
-  void untrack(net::Stream* stream);
-  // Connects to `port` and runs `d` over the stream: `on_replies` reads
-  // what arrives; a close before `d` finishes fails it.
+  // Connects to the dialogue's port and runs `d` over the stream; a
+  // close before `d` finishes fails it.
   template <typename Dialogue>
-  void dial(std::uint16_t port, std::shared_ptr<Dialogue> d,
-            void (MailClient::*on_replies)(Dialogue&, net::Stream&),
-            const char* closed_early);
-  void smtp_replies(SmtpDialogue& d, net::Stream& s);
-  void pop_replies(PopDialogue& d, net::Stream& s);
-  // Closes and forgets a dialogue's stream; `rejected` counts it.
-  void hang_up(net::Stream& s, bool rejected);
+  void dial(Dialogue& d);
+  // Hands the connected stream to `d` and installs its handlers.
+  template <typename Dialogue>
+  void track(Dialogue& d, net::StreamPtr stream);
+  // Returns `d` to its pool; the caller finishes it last.
+  template <typename Dialogue>
+  void untrack(Dialogue& d);
+  void smtp_replies(SmtpDialogue& d);
+  void pop_replies(PopDialogue& d);
+  // Forgets a dialogue, finishes it with `outcome` (a no-op once it
+  // finished) and closes its stream; `rejected` counts it.
+  template <typename Dialogue, typename Outcome>
+  void hang_up(Dialogue& d, Outcome&& outcome, bool rejected);
 
   net::Network& net_;
   net::NodeId node_;
   net::NodeId server_;
-  // In-flight SMTP/POP dialogues. The client owns its streams; their
+  // SMTP/POP dialogues. The client owns their streams; the streams'
   // callbacks capture raw pointers back, so there is no stream<->
   // closure ownership cycle and destroying the client tears down
   // every open dialogue.
-  std::map<net::Stream*, net::StreamPtr> active_;
+  SlotPool<SmtpDialogue> smtp_dialogues_;
+  SlotPool<PopDialogue> pop_dialogues_;
   std::string watch_mailbox_;
   sim::Duration watch_interval_ = 0;
   std::function<void(const Message&)> watch_fn_;
   sim::EventId watch_event_ = 0;
   // Expires with the client: connect and fetch completions that can
-  // outlive it (an unexport mid-poll) hold it weakly and bail out.
+  // outlive it (an unexport mid-poll) hold it weakly and bail out. A
+  // pending connect holds its dialogue through a weak_ptr that shares
+  // this token.
   std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
   obs::Counter& rejected_;  // mail.rejected
 };

@@ -365,14 +365,17 @@ void Network::connect(NodeId from, Endpoint to, ConnectCallback cb) {
   stream_connects_.inc();
   Node* src = node(from);
   if (src == nullptr) {
-    scheduler().after(0, [cb] { cb(not_found("no such source node")); });
+    scheduler().after(0, [cb = std::move(cb)]() mutable {
+      cb(not_found("no such source node"));
+    });
     return;
   }
   auto route = find_route(from, to.node);
   if (!route.is_ok()) {
-    auto status = route.status();
     scheduler().after(sim::milliseconds(1),
-                      [cb, status] { cb(status); });
+                      [cb = std::move(cb), status = route.status()]() mutable {
+                        cb(status);
+                      });
     return;
   }
   const auto rtt = 2 * path_latency(*route.value(), 40);
@@ -382,7 +385,7 @@ void Network::connect(NodeId from, Endpoint to, ConnectCallback cb) {
   if (!cross_shard(from, to.node)) {
     // Same shard (or unsharded): keep the legacy single handshake
     // event so 1-shard traces stay byte-identical.
-    scheduler().after(handshake, [this, local, to, cb] {
+    auto complete = [this, local, to, cb = std::move(cb)]() mutable {
       Node* dst = node(to.node);
       Node* src2 = node(local.node);
       if (dst == nullptr || !dst->is_up() || src2 == nullptr ||
@@ -401,27 +404,34 @@ void Network::connect(NodeId from, Endpoint to, ConnectCallback cb) {
       server->peer_ = client;
       (*acceptor)(server);
       cb(client);
-    });
+    };
+    static_assert(sizeof(complete) <= 64, "fits sim::EventFn inline");
+    scheduler().after(handshake, std::move(complete));
     return;
   }
 
   // Cross-shard handshake splits by side: the accept fires on the
   // destination shard at 1 RTT (SYN arrived, SYN-ACK in flight), the
   // connect callback on the source shard at the legacy 1.5 RTT mark.
-  deliver_to(to.node, rtt, [this, local, to, cb, rtt] {
+  // `rtt` is captured ahead of `cb`, which packs the closure into 64
+  // bytes.
+  auto accept = [this, local, to, rtt, cb = std::move(cb)]() mutable {
     Node* dst = node(to.node);
     Node* src2 = node(local.node);
     if (dst == nullptr || !dst->is_up() || src2 == nullptr ||
         !src2->is_up()) {
-      deliver_to(local.node, rtt / 2, [cb] {
+      deliver_to(local.node, rtt / 2, [cb = std::move(cb)]() mutable {
         cb(unavailable("peer unreachable during handshake"));
       });
       return;
     }
     const AcceptHandler* acceptor = dst->listener(to.port);
     if (acceptor == nullptr || !*acceptor) {
-      const std::string msg = "connection refused: " + to.to_string();
-      deliver_to(local.node, rtt / 2, [cb, msg] { cb(unavailable(msg)); });
+      deliver_to(local.node, rtt / 2,
+                 [cb = std::move(cb),
+                  msg = "connection refused: " + to.to_string()]() mutable {
+                   cb(unavailable(msg));
+                 });
       return;
     }
     auto client = std::make_shared<Stream>(*this, local, to);
@@ -429,8 +439,13 @@ void Network::connect(NodeId from, Endpoint to, ConnectCallback cb) {
     client->peer_ = server;
     server->peer_ = client;
     (*acceptor)(server);
-    deliver_to(local.node, rtt / 2, [cb, client] { cb(client); });
-  });
+    deliver_to(local.node, rtt / 2,
+               [cb = std::move(cb), client = std::move(client)]() mutable {
+                 cb(std::move(client));
+               });
+  };
+  static_assert(sizeof(accept) <= 64, "fits sim::EventFn inline");
+  deliver_to(to.node, rtt, std::move(accept));
 }
 
 }  // namespace hcm::net

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "common/bytes.hpp"
+#include "common/inline_fn.hpp"
 #include "common/status.hpp"
 #include "net/address.hpp"
 #include "net/ieee1394.hpp"
@@ -26,7 +27,10 @@
 
 namespace hcm::net {
 
-using ConnectCallback = std::function<void(Result<StreamPtr>)>;
+// Move-only and 32 bytes, the size of the std::function it replaced:
+// the handshake event that carries it still fits sim::EventFn's 64-byte
+// slot, and a capture of up to 16 bytes (a weak_ptr) is stored inline.
+using ConnectCallback = InlineFn<void(Result<StreamPtr>), 16>;
 
 class Network {
  public:
@@ -113,7 +117,8 @@ class Network {
 
   // --- Streams ----------------------------------------------------------
   // Simulates a connection handshake (1.5 RTT), then hands the accept
-  // side to the listener and the connect side to `cb`.
+  // side to the listener and the connect side to `cb`, which moves
+  // through the handshake event(s) and is called exactly once.
   void connect(NodeId from, Endpoint to, ConnectCallback cb);
 
   // Counters (backed by the obs registry under `obs_scope()`; these

@@ -90,11 +90,6 @@ class EthernetSegment : public Segment {
     return base_latency_ + ser;
   }
 
-  // Typical home LAN (100 Mb/s, 200 us).
-  static EthernetSegment home_lan(std::string name) {
-    return {std::move(name), sim::microseconds(200), 100'000'000};
-  }
-
  private:
   sim::Duration base_latency_;
   std::uint64_t bandwidth_bps_;

@@ -98,7 +98,6 @@ class HealthMonitor {
   void evaluate(sim::SimTime now, const TimeSeriesRecorder& rec);
 
   [[nodiscard]] HealthState overall() const;
-  [[nodiscard]] std::size_t rule_count() const { return rules_.size(); }
   [[nodiscard]] std::uint64_t transitions() const { return transitions_n_; }
   [[nodiscard]] HealthState rule_state(const std::string& name) const;
 

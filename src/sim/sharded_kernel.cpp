@@ -80,12 +80,6 @@ ShardedKernel::Context ShardedKernel::exchange_context(Context next) {
   return prev;
 }
 
-Scheduler& ShardedKernel::current_scheduler() {
-  const Context* ctx = current();
-  if (ctx != nullptr && ctx->kernel == this) return shard(ctx->shard);
-  return shard(0);
-}
-
 ShardId ShardedKernel::current_shard() const {
   const Context* ctx = current();
   return ctx != nullptr && ctx->kernel == this ? ctx->shard : 0;

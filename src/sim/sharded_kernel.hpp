@@ -77,7 +77,6 @@ class ShardedKernel {
     ShardId shard;
   };
   [[nodiscard]] static const Context* current();
-  [[nodiscard]] Scheduler& current_scheduler();
   [[nodiscard]] ShardId current_shard() const;
 
   // Run fn with the calling thread bound to shard s, then restore the

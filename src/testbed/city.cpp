@@ -58,7 +58,6 @@ void City::build(const CityOptions& options) {
                                  std::to_string(d));
         net.attach(dev, lan);
         island.devices.push_back(dev.id());
-        ++device_count_;
       }
     });
     islands_.push_back(std::move(isl));

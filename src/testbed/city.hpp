@@ -45,7 +45,6 @@ class City {
   void start();
 
   [[nodiscard]] std::size_t islands() const { return islands_.size(); }
-  [[nodiscard]] std::size_t device_count() const { return device_count_; }
   // Aggregates across islands — read only while the kernel is parked.
   [[nodiscard]] std::uint64_t reports_received() const;
   [[nodiscard]] std::uint64_t ring_calls_ok() const;
@@ -74,7 +73,6 @@ class City {
   void ring_call(Island& isl, sim::Duration period);
 
   CityOptions options_;
-  std::size_t device_count_ = 0;
   net::EthernetSegment* backbone_ = nullptr;
   std::vector<std::unique_ptr<Island>> islands_;
 };

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "bench/bench_util.hpp"
 #include "common/value_codec.hpp"
 #include "mail_peer.hpp"
 #include "obs/metrics.hpp"
@@ -205,6 +206,59 @@ TEST_F(MailTest, DestroyingWatcherMidPollIsSafe) {
   }
 }
 
+// --- Allocations on a warm dialogue ------------------------------------------
+// Sessions and dialogues are recycled and their handlers stored inline,
+// so a warm dial allocates the two Streams Network::connect builds and,
+// for a send, the body the server stores.
+
+TEST_F(MailTest, WarmSendAllocationsStayPinned) {
+  Message m;
+  m.from = "tester";
+  m.to = "home";
+  m.subject = "s";
+  for (int line = 0; line < 64; ++line) {  // 4 KB of 64-byte lines
+    m.body += std::string(62, static_cast<char>('a' + line % 26)) + "\r\n";
+  }
+  int ok = 0;
+  auto send_once = [&] {
+    client->send(m, [&ok](const Status& s) { ok += s.is_ok() ? 1 : 0; });
+    sched.run();
+  };
+  const int kWarm = 10;
+  for (int i = 0; i < kWarm; ++i) send_once();
+  EXPECT_TRUE(bench::alloc_hook_installed());
+  const int kSends = 100;
+  bench::AllocDelta delta;
+  for (int i = 0; i < kSends; ++i) send_once();
+  const double per_send = static_cast<double>(delta.allocs()) / kSends;
+  EXPECT_EQ(ok, kWarm + kSends);
+  EXPECT_EQ(server->mailbox_size("home"),
+            static_cast<std::size_t>(kWarm + kSends));
+  EXPECT_LT(per_send, 3.5) << per_send * kSends << " allocations";
+}
+
+TEST_F(MailTest, WarmPollAllocationsStayPinned) {
+  const obs::Counter* connects = obs::Registry::global().find_counter(
+      net.obs_scope() + ".stream_connects");
+  ASSERT_NE(connects, nullptr);
+  int seen = 0;
+  client->watch("nobody", sim::seconds(1),
+                [&seen](const Message&) { ++seen; });
+  sched.run_until(sched.now() + sim::seconds(15));  // warm-up polls
+  EXPECT_TRUE(bench::alloc_hook_installed());
+  const std::uint64_t polls0 = connects->value();
+  bench::AllocDelta delta;
+  sched.run_until(sched.now() + sim::seconds(130));
+  const std::uint64_t allocs = delta.allocs();
+  const std::uint64_t polls = connects->value() - polls0;
+  client->unwatch();
+  ASSERT_GE(polls, 90u);
+  EXPECT_EQ(seen, 0);
+  const double per_poll = static_cast<double>(allocs) / polls;
+  EXPECT_LT(per_poll, 2.5) << allocs << " allocations in " << polls
+                           << " polls";
+}
+
 TEST_F(MailTest, ServerDownFailsSend) {
   server_node->set_up(false);
   EXPECT_FALSE(send("home", "s", "b").is_ok());
@@ -282,6 +336,57 @@ TEST_F(MailTest, LineBreaksInHeaderFieldsAreRejectedBeforeConnecting) {
 }
 
 // --- Bounded input ----------------------------------------------------------
+
+TEST_F(MailTest, PopUserOfAnUnknownMailboxCreatesNone) {
+  Message m;
+  m.from = "tester";
+  m.to = "home";
+  m.subject = "s";
+  server->deliver(m);
+  // Replies as for an empty mailbox; a DELE marked under another USER
+  // is not committed to the mailbox QUIT finds.
+  ScriptedClient peer(net, client_node->id(), {server_node->id(), kPopPort},
+                      {{1, "USER home\r\nDELE 1\r\nUSER ghost\r\nSTAT\r\n"
+                           "RETR 1\r\nDELE 1\r\nQUIT\r\n"}});
+  sched.run();
+  EXPECT_EQ(peer.text(),
+            "+OK hcm-pop ready\r\n+OK mailbox selected\r\n+OK marked\r\n"
+            "+OK mailbox selected\r\n+OK 0\r\n-ERR no such message\r\n"
+            "-ERR no such message\r\n+OK bye\r\n");
+  EXPECT_EQ(server->mailbox_size("home"), 1u);
+
+  // A peer cycling made-up names costs the server nothing per name.
+  std::size_t replied = 0;
+  net::StreamPtr stream;
+  net.connect(client_node->id(), {server_node->id(), kPopPort},
+              [&](Result<net::StreamPtr> r) { stream = std::move(r).take(); });
+  sched.run();
+  ASSERT_TRUE(stream);
+  stream->set_on_data([&replied](BlockStream&& d) { replied += d.size(); });
+  auto cycle = [&](char round) {
+    BlockStream out;
+    for (int i = 0; i < 256; ++i) {
+      out.append("USER made-up-mailbox-");
+      out.put(round);
+      out.append(std::to_string(1000 + i));
+      out.append("\r\nSTAT\r\n");
+    }
+    stream->send(std::move(out));
+    sched.run();
+  };
+  cycle('a');  // warm: pooled blocks, the line reader's seam scratch
+  const std::size_t warm_replied = replied;
+  EXPECT_EQ(warm_replied,
+            256 * (std::string("+OK mailbox selected\r\n+OK 0\r\n").size()) +
+                std::string("+OK hcm-pop ready\r\n").size());
+  bench::AllocDelta delta;
+  cycle('b');
+  EXPECT_LT(delta.allocs(), 32u);
+  EXPECT_EQ(replied,
+            2 * warm_replied - std::string("+OK hcm-pop ready\r\n").size());
+  stream->close();
+  sched.run();
+}
 
 TEST_F(MailTest, SmtpCommandWithoutCrlfIsCutOffAtTheLineCap) {
   const auto before = rejected_count();
