@@ -71,7 +71,7 @@ void MailAdapter::invoke(const std::string& service_name,
     return;
   }
   // The DATA section is rendered from the arguments themselves, and the
-  // completion holds `done` inline: it must fit DoneFn's 208 bytes.
+  // completion holds `done` inline: it must fit DoneFn's inline room.
   auto sent = [done = std::move(done)](const Status& s) {
     if (s.is_ok()) {
       done(Value(true));
@@ -79,7 +79,7 @@ void MailAdapter::invoke(const std::string& service_name,
       done(s);
     }
   };
-  static_assert(sizeof(sent) <= 208);
+  static_assert(sizeof(sent) <= mail::MailClient::kDoneInline);
   sender_.send({account_, args[0].as_string(), args[1].as_string(),
                 args[2].as_string()},
                std::move(sent));

@@ -38,6 +38,10 @@ class LineReader {
     return too_long ? kTooLong : len;
   }
   [[nodiscard]] std::size_t buffered() const { return buf_.size(); }
+  // Offset of the first `pat` buffered, or npos.
+  [[nodiscard]] std::size_t find(std::string_view pat) const {
+    return buf_.find(pat);
+  }
   // The first `len` bytes; valid until the next consume_line().
   [[nodiscard]] std::string_view view(std::size_t len) {
     return buf_.view(0, len, scratch_);
@@ -120,9 +124,12 @@ DataStep read_data(LineReader& in, DataState& st, Message& m, bool retr) {
       }
     } else {
       if (st.first_body_line) {
-        // What is buffered bounds the body when the section arrived in
-        // one segment, as it does from MailClient: one allocation.
-        m.body.reserve(std::min(in.buffered(), limit));
+        // When the terminator is already buffered (the section arrived
+        // in one segment, as it does from MailClient), the body's wire
+        // size bounds it: one allocation. Bytes pipelined behind the
+        // terminator never size it.
+        const std::size_t end = in.find("\r\n.\r\n");
+        if (end != BlockStream::npos) m.body.reserve(std::min(end, limit));
       } else {
         m.body.append("\r\n");
       }
@@ -535,6 +542,15 @@ MailClient::~MailClient() {
 
 template <typename Dialogue>
 void MailClient::track(Dialogue& d, net::StreamPtr stream) {
+  if (!stream->is_open()) {
+    // Closed by the server or reset by a route failure before this
+    // connect callback arrived (a cross-shard handshake delivers it
+    // rtt/2 after the accept). The dialogue ends as that close would
+    // have ended it, and a dead stream gets no handlers.
+    untrack(d);
+    d.finish(unavailable(Dialogue::kClosedEarly));
+    return;
+  }
   d.stream = std::move(stream);
   d.stream->set_on_close([this, dialogue = &d] {
     untrack(*dialogue);

@@ -141,7 +141,8 @@ class MailClient {
 
   // Inline room for a completion that captures an adapter's result
   // callback (core::InvokeResultFn, 208 bytes).
-  using DoneFn = SmallFn<void(const Status&), 208>;
+  static constexpr std::size_t kDoneInline = 208;
+  using DoneFn = SmallFn<void(const Status&), kDoneInline>;
   using MessagesFn = SmallFn<void(Result<std::vector<Message>>)>;
 
   // Sends one message through the SMTP dialogue. The DATA section is

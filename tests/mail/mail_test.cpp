@@ -6,6 +6,7 @@
 #include "common/value_codec.hpp"
 #include "mail_peer.hpp"
 #include "obs/metrics.hpp"
+#include "sim/sharded_kernel.hpp"
 
 namespace hcm::mail {
 namespace {
@@ -386,6 +387,113 @@ TEST_F(MailTest, PopUserOfAnUnknownMailboxCreatesNone) {
             2 * warm_replied - std::string("+OK hcm-pop ready\r\n").size());
   stream->close();
   sched.run();
+}
+
+TEST_F(MailTest, PipelinedBodiesAreSizedByThemselvesNotByTheSegment) {
+  // Many tiny messages ahead of a large one, all in one segment: each
+  // stored body is sized by its own bytes, never by what is buffered
+  // behind it.
+  std::string script = "HELO hcm\r\n";
+  const int kTiny = 100;
+  for (int i = 0; i < kTiny; ++i) {
+    script += "MAIL FROM:<t>\r\nRCPT TO:<home>\r\nDATA\r\n"
+              "Subject: s\r\n\r\nx\r\n.\r\n";
+  }
+  script += "MAIL FROM:<t>\r\nRCPT TO:<home>\r\nDATA\r\nSubject: big\r\n\r\n";
+  for (int line = 0; line < 4096; ++line) {  // 256 KiB of 64-byte lines
+    script += std::string(62, 'y') + "\r\n";
+  }
+  script += ".\r\nQUIT\r\n";
+  auto run_script = [&] {
+    std::map<std::size_t, std::string> after{{1, script}};
+    bench::AllocDelta delta;
+    ScriptedClient peer(net, client_node->id(),
+                        {server_node->id(), kSmtpPort}, std::move(after));
+    sched.run();
+    EXPECT_TRUE(peer.closed);
+    return delta.bytes();
+  };
+  // Warm: every reply is its own 16 KiB pool block, and all of them are
+  // in flight at once; the second run finds them pooled.
+  (void)run_script();
+  EXPECT_TRUE(bench::alloc_hook_installed());
+  const std::uint64_t bytes = run_script();
+  EXPECT_EQ(server->mailbox_size("home"),
+            static_cast<std::size_t>(2 * (kTiny + 1)));
+  // The stored bodies take ~256 KiB; sizing every tiny body by the bytes
+  // behind it would take ~25 MiB.
+  EXPECT_LT(bytes, 1u << 20) << bytes << " heap bytes";
+}
+
+TEST(MailShardTest, ConnectCallbackForAClosedStreamEndsTheDialogue) {
+  // Across shards the connect callback arrives rtt/2 after the accept.
+  // A server whose greeting finds the route gone resets both ends 1 ms
+  // later, so the client's end is already closed when the callback
+  // runs. The dialogue fails once, as a close would have failed it.
+  sim::ShardedKernel kernel(sim::ShardedKernelOptions{.shards = 2});
+  net::Network net(kernel.shard(0));
+  net.set_kernel(&kernel);
+  net::Segment* eth = nullptr;
+  net::Node* client_node = nullptr;
+  net::Node* server_node = nullptr;
+  kernel.run_as(0, [&] {
+    eth = &net.add_ethernet("internet", sim::milliseconds(20), 10'000'000);
+    client_node = &net.add_node("gateway");
+    net.attach(*client_node, *eth);
+  });
+  kernel.run_as(1, [&] {
+    server_node = &net.add_node("mail-host");
+    net.attach(*server_node, *eth);
+  });
+  ASSERT_TRUE(net.cross_shard(client_node->id(), server_node->id()));
+  kernel.set_lookahead(net.min_cross_shard_latency());
+  for (const std::uint16_t port : {kSmtpPort, kPopPort}) {
+    ASSERT_TRUE(server_node
+                    ->listen(port,
+                             [eth](net::StreamPtr s) {
+                               eth->set_up(false);
+                               mailtest::send_text(*s, "220 ready\r\n");
+                             })
+                    .is_ok());
+  }
+
+  // The precondition, seen through a raw connect.
+  std::optional<bool> open_at_callback;
+  kernel.run_as(0, [&] {
+    net.connect(client_node->id(), {server_node->id(), kSmtpPort},
+                [&](Result<net::StreamPtr> r) {
+                  ASSERT_TRUE(r.is_ok());
+                  open_at_callback = r.value()->is_open();
+                });
+  });
+  kernel.run();
+  ASSERT_TRUE(open_at_callback.has_value());
+  EXPECT_FALSE(*open_at_callback);
+
+  eth->set_up(true);
+  std::vector<Status> sent;
+  std::vector<Status> fetched;
+  std::unique_ptr<MailClient> client;
+  kernel.run_as(0, [&] {
+    client = std::make_unique<MailClient>(net, client_node->id(),
+                                          server_node->id());
+    Message m;
+    m.to = "home";
+    client->send(m, [&sent](const Status& s) { sent.push_back(s); });
+  });
+  kernel.run();
+  eth->set_up(true);
+  kernel.run_as(0, [&] {
+    client->fetch("home", [&fetched](Result<std::vector<Message>> r) {
+      fetched.push_back(r.status());
+    });
+  });
+  kernel.run();
+  ASSERT_EQ(sent.size(), 1u);
+  EXPECT_EQ(sent[0].message(), "SMTP connection closed early");
+  ASSERT_EQ(fetched.size(), 1u);
+  EXPECT_EQ(fetched[0].message(), "POP connection closed early");
+  kernel.run_as(0, [&] { client.reset(); });
 }
 
 TEST_F(MailTest, SmtpCommandWithoutCrlfIsCutOffAtTheLineCap) {
