@@ -12,7 +12,9 @@ namespace {
 // Lane stickiness: each thread draws a round-robin cookie on first
 // acquire so concurrent threads spread across lanes but a single
 // thread (the common case: one shard worker per pool) always reuses
-// the same lane and its freelist stays cache-warm.
+// the same lane and its freelist stays cache-warm. Which lane a thread
+// gets depends on thread start order.
+// hcm:allow(static-atomic-counter): assigns pool lanes, ROADMAP 3(b) suspect
 std::atomic<std::uint32_t> g_lane_cookie{0};
 thread_local std::uint32_t t_lane = UINT32_MAX;
 

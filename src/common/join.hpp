@@ -12,7 +12,9 @@
 
 #include <cstddef>
 #include <memory>
+#include <type_traits>
 #include <utility>
+#include <vector>
 
 #include "common/status.hpp"
 
@@ -51,5 +53,49 @@ class Join {
   };
   std::shared_ptr<Cell> cell_;
 };
+
+// The collecting form: each branch reports a Result<T>, and the
+// completion receives the values of the branches that succeeded, in the
+// order they reported; a failed branch is skipped. The values, the
+// count and the completion share one cell. Open it with the hold as
+// above and close the hold with skip().
+template <typename T, typename Done>
+class Collect {
+ public:
+  Collect(std::size_t branches, Done done)
+      : cell_(std::make_shared<Cell>(branches, std::move(done))) {}
+
+  // One more branch will report.
+  void add() const { ++cell_->remaining; }
+
+  // One branch reports: its value is kept when it has one.
+  void operator()(Result<T> r) const {
+    if (r.is_ok()) cell_->values.push_back(std::move(r).take());
+    skip();
+  }
+
+  // One branch reports without a value.
+  void skip() const {
+    if (--cell_->remaining != 0) return;
+    // The completion may destroy the callback this copy lives in.
+    const std::shared_ptr<Cell> cell = cell_;
+    cell->done(std::move(cell->values));
+  }
+
+ private:
+  struct Cell {
+    Cell(std::size_t n, Done d) : remaining(n), done(std::move(d)) {}
+    std::size_t remaining;
+    std::vector<T> values;
+    Done done;
+  };
+  std::shared_ptr<Cell> cell_;
+};
+
+// Collect<T, Done> with Done deduced.
+template <typename T, typename Done>
+Collect<T, std::decay_t<Done>> collect(std::size_t branches, Done&& done) {
+  return {branches, std::forward<Done>(done)};
+}
 
 }  // namespace hcm

@@ -62,9 +62,5 @@ template <typename... Args>
 void log_warn(const std::string& c, const Args&... a) {
   log_at(LogLevel::kWarn, c, a...);
 }
-template <typename... Args>
-void log_error(const std::string& c, const Args&... a) {
-  log_at(LogLevel::kError, c, a...);
-}
 
 }  // namespace hcm

@@ -46,8 +46,6 @@ class MailAdapter : public MiddlewareAdapter {
   // else string). Exposed for tests.
   static Value parse_arg(const std::string& line);
 
-  [[nodiscard]] const std::string& account() const { return account_; }
-
  private:
   void on_service_mail(const std::string& service_name,
                        const mail::Message& m);

@@ -54,7 +54,6 @@ class X10Adapter : public MiddlewareAdapter {
 
   // The virtual unit a foreign service was bound to (for remotes/UIs).
   [[nodiscard]] Result<int> unit_for(const std::string& service_name) const;
-  [[nodiscard]] x10::HouseCode export_house() const { return export_house_; }
 
   // The native interface X10 modules are exposed under.
   static InterfaceDesc switchable_interface(bool dimmable);

@@ -40,7 +40,7 @@ void MetaMiddleware::refresh_all(DoneFn done) {
   // refresh must be initiated there, and the per-island completions
   // marshaled back to the caller's shard, where the shared round
   // bookkeeping lives (single-writer, so no atomics needed).
-  const sim::ShardId origin = ShardChannel::current_shard(net_);
+  const sim::ShardId origin = net_.current_shard();
   auto run_round = [this, origin](DoneFn next) {
     if (islands_.empty()) {
       next(Status::ok());

@@ -4,13 +4,6 @@
 
 namespace hcm::core {
 
-sim::ShardId ShardChannel::current_shard(net::Network& net) {
-  auto* kernel = net.kernel();
-  const auto* ctx = sim::ShardedKernel::current();
-  if (kernel == nullptr || ctx == nullptr || ctx->kernel != kernel) return 0;
-  return ctx->shard;
-}
-
 void ShardChannel::run_on_shard(net::Network& net, sim::ShardId shard,
                                 std::function<void()> fn) {
   auto* kernel = net.kernel();

@@ -24,9 +24,6 @@ namespace hcm::core {
 
 class ShardChannel {
  public:
-  // Shard the calling context is bound to (0 when unbound / no kernel).
-  [[nodiscard]] static sim::ShardId current_shard(net::Network& net);
-
   // Run `fn` in the context of `shard` / the shard owning `node`.
   static void run_on_shard(net::Network& net, sim::ShardId shard,
                            std::function<void()> fn);

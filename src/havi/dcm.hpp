@@ -20,13 +20,9 @@ class Dcm {
   Dcm& operator=(const Dcm&) = delete;
 
   [[nodiscard]] Seid seid() const { return seid_; }
-  [[nodiscard]] const std::string& huid() const { return huid_; }
 
   // Takes ownership of an FCM belonging to this device.
   Fcm& add_fcm(std::unique_ptr<Fcm> fcm);
-  [[nodiscard]] const std::vector<std::unique_ptr<Fcm>>& fcms() const {
-    return fcms_;
-  }
 
   // Registers the DCM and all its FCMs. `done` fires once everything
   // is registered (or with the first error).

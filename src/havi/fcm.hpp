@@ -22,10 +22,6 @@ class Fcm {
 
   [[nodiscard]] Seid seid() const { return seid_; }
   [[nodiscard]] const InterfaceDesc& interface() const { return iface_; }
-  [[nodiscard]] const std::string& device_class() const {
-    return device_class_;
-  }
-  [[nodiscard]] const std::string& huid() const { return huid_; }
   [[nodiscard]] const std::string& name() const { return name_; }
 
   // Registry attributes describing this FCM.

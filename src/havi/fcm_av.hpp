@@ -103,7 +103,6 @@ class DisplayFcm : public Fcm {
 
   static InterfaceDesc describe_interface();
 
-  [[nodiscard]] bool powered() const { return powered_; }
   [[nodiscard]] std::uint64_t frames_shown() const { return frames_shown_; }
 
  protected:

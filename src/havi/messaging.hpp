@@ -26,7 +26,6 @@ struct Seid {
   net::NodeId node = net::kInvalidNode;
   std::uint32_t handle = 0;
 
-  [[nodiscard]] bool valid() const { return node != net::kInvalidNode; }
   [[nodiscard]] std::string to_string() const {
     return "seid(" + std::to_string(node) + "." + std::to_string(handle) + ")";
   }

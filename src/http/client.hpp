@@ -76,7 +76,6 @@ class HttpClient {
   // allocation.
   [[nodiscard]] Request recycled_request() { return std::move(spare_req_); }
 
-  [[nodiscard]] net::NodeId node() const { return node_; }
   [[nodiscard]] net::Network& network() { return net_; }
 
  private:

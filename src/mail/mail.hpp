@@ -98,7 +98,6 @@ class MailServer {
   Status start();
   void stop();
 
-  [[nodiscard]] net::NodeId node() const { return node_; }
   [[nodiscard]] std::size_t mailbox_size(const std::string& mailbox) const;
   [[nodiscard]] std::uint64_t messages_accepted() const {
     return messages_accepted_;

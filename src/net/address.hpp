@@ -14,7 +14,6 @@ struct Endpoint {
   NodeId node = kInvalidNode;
   std::uint16_t port = 0;
 
-  [[nodiscard]] bool valid() const { return node != kInvalidNode; }
   [[nodiscard]] std::string to_string() const {
     return "node-" + std::to_string(node) + ":" + std::to_string(port);
   }

@@ -40,12 +40,6 @@ void Network::set_kernel(sim::ShardedKernel* kernel) {
   spare_datagrams_.resize(kernel != nullptr ? kernel->shards() : 1);
 }
 
-void Network::place_node(NodeId node_id, sim::ShardId shard) {
-  HCM_CHECK(node_id != kInvalidNode && node_id <= node_shard_.size());
-  HCM_CHECK(kernel_ == nullptr || shard < kernel_->shards());
-  node_shard_[node_id - 1] = shard;
-}
-
 sim::ShardId Network::shard_of(NodeId node_id) const {
   if (node_id == kInvalidNode || node_id > node_shard_.size()) return 0;
   return node_shard_[node_id - 1];
@@ -110,7 +104,7 @@ Node& Network::add_node(const std::string& name) {
   HCM_CHECK_MSG(kernel_ == nullptr || !kernel_->running(),
                 "topology is frozen while the kernel runs");
   auto id = static_cast<NodeId>(nodes_.size() + 1);
-  nodes_.push_back(std::make_unique<Node>(*this, id, name));
+  nodes_.push_back(std::make_unique<Node>(id, name));
   node_shard_.push_back(current_shard());
   return *nodes_.back();
 }

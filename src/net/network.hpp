@@ -62,9 +62,11 @@ class Network {
   // (checked here).
   void set_kernel(sim::ShardedKernel* kernel);
   [[nodiscard]] sim::ShardedKernel* kernel() const { return kernel_; }
-  // Nodes are placed on the shard bound at add_node time; place_node
-  // overrides (setup only, before the first run).
-  void place_node(NodeId node, sim::ShardId shard);
+  // The shard the calling context is bound to (0 off-kernel or
+  // unbound), which picks both the scheduler slab and the spare
+  // datagram list.
+  [[nodiscard]] sim::ShardId current_shard() const;
+  // Nodes are placed on the shard bound at add_node time.
   [[nodiscard]] sim::ShardId shard_of(NodeId node) const;
   [[nodiscard]] bool cross_shard(NodeId a, NodeId b) const {
     return kernel_ != nullptr && shard_of(a) != shard_of(b);
@@ -157,9 +159,6 @@ class Network {
   void deliver_at(NodeId dst, sim::SimTime when, sim::EventFn fn);
   void deliver_to(NodeId dst, sim::Duration latency, sim::EventFn fn);
 
-  // The calling context's shard index (0 off-kernel or unbound), which
-  // picks both the scheduler slab and the spare datagram list.
-  [[nodiscard]] sim::ShardId current_shard() const;
   // Parks a spent payload on the calling shard's spare list; buffers
   // past the list or capacity bound are freed instead.
   void recycle_datagram(Bytes&& buf);

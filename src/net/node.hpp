@@ -14,7 +14,6 @@
 
 namespace hcm::net {
 
-class Network;
 class Stream;
 using StreamPtr = std::shared_ptr<Stream>;
 
@@ -23,14 +22,12 @@ using AcceptHandler = std::function<void(StreamPtr stream)>;
 
 class Node {
  public:
-  Node(Network& net, NodeId id, std::string name)
-      : net_(net), id_(id), name_(std::move(name)) {}
+  Node(NodeId id, std::string name) : id_(id), name_(std::move(name)) {}
   Node(const Node&) = delete;
   Node& operator=(const Node&) = delete;
 
   [[nodiscard]] NodeId id() const { return id_; }
   [[nodiscard]] const std::string& name() const { return name_; }
-  [[nodiscard]] Network& network() { return net_; }
 
   // Failure injection: a down node neither sends nor receives. Atomic:
   // routing on any shard reads it, fault injection writes it.
@@ -53,7 +50,6 @@ class Node {
   [[nodiscard]] std::uint16_t next_ephemeral_port();
 
  private:
-  Network& net_;
   NodeId id_;
   std::string name_;
   std::atomic<bool> up_{true};

@@ -46,7 +46,6 @@ class PowerlineSegment : public Segment {
   // so the device layer can retry).
   void transmit(NodeId from, Bytes frame, TransmitDone done);
 
-  [[nodiscard]] bool busy() const { return busy_; }
   [[nodiscard]] std::uint64_t collisions() const { return collisions_; }
 
   static constexpr std::int64_t kHalfCycleUs = 1000000 / 120;  // 60 Hz mains

@@ -126,12 +126,6 @@ const Counter* Registry::find_counter(const std::string& name) const {
   return it == counters_.end() ? nullptr : it->second.get();
 }
 
-const Gauge* Registry::find_gauge(const std::string& name) const {
-  std::lock_guard<std::mutex> lk(mu_);
-  auto it = gauges_.find(name);
-  return it == gauges_.end() ? nullptr : it->second.get();
-}
-
 const Histogram* Registry::find_histogram(const std::string& name) const {
   std::lock_guard<std::mutex> lk(mu_);
   auto it = histograms_.find(name);

@@ -141,7 +141,6 @@ class Registry {
 
   // nullptr when the metric was never created (lint/tests).
   [[nodiscard]] const Counter* find_counter(const std::string& name) const;
-  [[nodiscard]] const Gauge* find_gauge(const std::string& name) const;
   [[nodiscard]] const Histogram* find_histogram(const std::string& name) const;
 
   // Instance-unique scope prefix: first caller gets `base`, later ones

@@ -73,8 +73,6 @@ class WindowBarrier {
     cv_start_.notify_all();
   }
 
-  [[nodiscard]] std::size_t parties() const { return parties_; }
-
  private:
   std::mutex mu_;
   std::condition_variable cv_start_;

@@ -98,8 +98,6 @@ class SoapClient {
             const std::string& ns, const std::string& method,
             NamedValuesView params, CallResultFn done);
 
-  [[nodiscard]] std::uint64_t calls_sent() const { return calls_sent_.value(); }
-
  private:
   http::HttpClient http_;
   // Response-parse scratch: deliveries are serialized per client (the

@@ -15,7 +15,9 @@ constexpr const char* kNs = "urn:hcm:uddi";
 // deterministic (same scenario -> same epochs), unlike wall time.
 // Atomic so concurrent registry construction across future shard
 // workers still yields unique epochs (allocation order stays
-// deterministic in the single-threaded sim).
+// deterministic in the single-threaded sim). Being process-wide, an
+// epoch still depends on how many registries the process built before.
+// hcm:allow(static-atomic-counter): pending ROADMAP 3(a), per-registry base
 std::atomic<std::uint64_t> g_next_epoch{1};
 
 const Value& param(const NamedValues& params, const std::string& name) {

@@ -38,7 +38,6 @@ class PackWriter {
   void add_delta(const std::string& digest, const std::string& base_digest,
                  std::string_view delta);
 
-  [[nodiscard]] std::size_t entry_count() const { return entries_.size(); }
   // Serializes entries + index + footer to `path` and fsyncs the file.
   [[nodiscard]] Status write(const std::string& path) const;
 

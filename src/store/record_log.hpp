@@ -81,7 +81,6 @@ class RecordLog {
   // Writes and (policy permitting) fsyncs all staged payloads.
   [[nodiscard]] Status commit();
 
-  [[nodiscard]] bool is_open() const { return fd_ >= 0; }
   [[nodiscard]] std::uint64_t size_bytes() const {
     return durable_bytes_ + pending_.size();
   }

@@ -40,7 +40,6 @@ class LaserdiscPlayer {
   static InterfaceDesc describe_interface();
 
   [[nodiscard]] bool powered() const { return powered_; }
-  [[nodiscard]] bool playing() const { return playing_; }
   [[nodiscard]] std::uint64_t commands() const { return commands_; }
   [[nodiscard]] std::size_t listener_count() const {
     return listeners_.size();

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <optional>
 
+#include "common/join.hpp"
 #include "common/strings.hpp"
 #include "soap/value_xml.hpp"
 #include "xml/xml.hpp"
@@ -37,7 +38,9 @@ Status parse_propertyset(std::string_view body, std::string& event,
 }
 
 // Atomic so device construction across future shard workers still
-// yields unique UDNs without a data race.
+// yields unique UDNs without a data race. Being process-wide, a UDN
+// still depends on how many devices the process built before.
+// hcm:allow(static-atomic-counter): pending ROADMAP 3(a), per-network UDNs
 std::atomic<std::uint64_t> g_udn_counter{0};
 
 // One <service> of the <serviceList>: its first serviceId and SCPDURL.
@@ -316,20 +319,12 @@ void ControlPoint::search(sim::Duration wait, DevicesFn done) {
   net_.scheduler().after(wait, [this, port, locations,
                                 done = std::move(done)] {
     if (net::Node* n2 = net_.node(node_)) n2->unbind(port);
-    auto devices = std::make_shared<std::vector<DeviceDescription>>();
-    auto remaining = std::make_shared<std::size_t>(locations->size());
-    if (*remaining == 0) {
-      done({});
-      return;
-    }
-    auto done_shared = std::make_shared<DevicesFn>(std::move(done));
+    const auto devices = collect<DeviceDescription>(1, std::move(done));
     for (const auto& loc : *locations) {
-      fetch_description(loc, [devices, remaining, done_shared](
-                                 Result<DeviceDescription> r) {
-        if (r.is_ok()) devices->push_back(std::move(r).take());
-        if (--*remaining == 0) (*done_shared)(std::move(*devices));
-      });
+      devices.add();
+      fetch_description(loc, devices);
     }
+    devices.skip();
   });
 }
 
@@ -350,40 +345,36 @@ void ControlPoint::fetch_description(
       done(parsed.status());
       return;
     }
-    auto desc = std::make_shared<DeviceDescription>();
-    desc->friendly_name = std::move(parsed.value().friendly_name);
-    desc->udn = std::move(parsed.value().udn);
     // Fetch each service's SCPD (WSDL) to learn its interface.
-    const auto& scpds = parsed.value().scpds;
-    auto remaining = std::make_shared<std::size_t>(scpds.size());
-    auto done_shared =
-        std::make_shared<std::function<void(Result<DeviceDescription>)>>(
-            std::move(done));
-    if (scpds.empty()) {
-      (*done_shared)(std::move(*desc));
-      return;
-    }
-    for (const auto& [id, path] : scpds) {
+    const auto services = collect<ServiceDescription>(
+        1, [friendly_name = std::move(parsed.value().friendly_name),
+            udn = std::move(parsed.value().udn), done = std::move(done)](
+               std::vector<ServiceDescription> found) mutable {
+          DeviceDescription desc;
+          desc.friendly_name = std::move(friendly_name);
+          desc.udn = std::move(udn);
+          desc.services = std::move(found);
+          done(std::move(desc));
+        });
+    for (const auto& [id, path] : parsed.value().scpds) {
       http::Request scpd_req;
       scpd_req.target = path;
+      services.add();
       http_.request(
           http_endpoint, std::move(scpd_req),
-          [desc, remaining, done_shared, id = id,
-           http_endpoint](Result<http::Response> sr) {
-            if (sr.is_ok()) {
-              auto wsdl = soap::parse_wsdl(sr.value().body);
-              if (wsdl.is_ok()) {
-                ServiceDescription s;
-                s.service_id = id;
-                s.interface = wsdl.value().interface;
-                s.control = {http_endpoint.node, wsdl.value().endpoint.port};
-                s.control_path = wsdl.value().endpoint.path;
-                desc->services.push_back(std::move(s));
-              }
-            }
-            if (--*remaining == 0) (*done_shared)(std::move(*desc));
+          [services, id = id, http_endpoint](Result<http::Response> sr) {
+            if (!sr.is_ok()) return services.skip();
+            auto wsdl = soap::parse_wsdl(sr.value().body);
+            if (!wsdl.is_ok()) return services.skip();
+            ServiceDescription s;
+            s.service_id = id;
+            s.interface = wsdl.value().interface;
+            s.control = {http_endpoint.node, wsdl.value().endpoint.port};
+            s.control_path = wsdl.value().endpoint.path;
+            services(std::move(s));
           });
     }
+    services.skip();
   });
 }
 

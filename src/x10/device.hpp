@@ -22,7 +22,6 @@ class ReceiverModule {
   ReceiverModule(const ReceiverModule&) = delete;
   ReceiverModule& operator=(const ReceiverModule&) = delete;
 
-  [[nodiscard]] HouseCode house() const { return house_; }
   [[nodiscard]] int unit() const { return unit_; }
   [[nodiscard]] std::string address() const {
     return format_address(house_, unit_);
@@ -118,8 +117,6 @@ class RemoteControl {
 
   using DoneFn = std::function<void(const Status&)>;
   void press(int unit, FunctionCode function, DoneFn done = nullptr);
-
-  [[nodiscard]] HouseCode house() const { return house_; }
 
  private:
   net::Network& net_;

@@ -77,5 +77,54 @@ TEST(JoinTest, CompletionMayDestroyTheLastBranchCallback) {
   EXPECT_TRUE(done);
 }
 
+TEST(CollectTest, EmptyFanOutCompletesWithNoValuesWhenTheHoldReports) {
+  std::optional<std::vector<int>> got;
+  const auto values =
+      collect<int>(1, [&](std::vector<int> v) { got = std::move(v); });
+  EXPECT_FALSE(got.has_value());
+  values.skip();
+  ASSERT_TRUE(got.has_value());
+  EXPECT_TRUE(got->empty());
+}
+
+// Branches that report inside the loop, before the caller has started
+// the rest, neither finish the collection early nor lose their values.
+TEST(CollectTest, BranchesCompletingInsideTheLoopKeepCompletionOrder) {
+  std::optional<std::vector<int>> got;
+  int runs = 0;
+  const auto values = collect<int>(1, [&](std::vector<int> v) {
+    ++runs;
+    got = std::move(v);
+  });
+  std::vector<std::function<void()>> later;
+  for (int i = 0; i < 4; ++i) {
+    values.add();
+    if (i % 2 == 0) {
+      values(i);  // synchronous
+    } else {
+      later.emplace_back([values, i] { values(i * 10); });
+    }
+  }
+  values.skip();
+  EXPECT_EQ(runs, 0);
+  later[1]();
+  later[0]();
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(*got, (std::vector<int>{0, 2, 30, 10}));
+  EXPECT_EQ(runs, 1);
+}
+
+TEST(CollectTest, FailedBranchIsSkipped) {
+  std::optional<std::vector<int>> got;
+  const auto values =
+      collect<int>(3, [&](std::vector<int> v) { got = std::move(v); });
+  values(1);
+  values(Result<int>(not_found("gone")));
+  EXPECT_FALSE(got.has_value());
+  values(3);
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(*got, (std::vector<int>{1, 3}));
+}
+
 }  // namespace
 }  // namespace hcm

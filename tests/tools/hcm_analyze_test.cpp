@@ -9,6 +9,8 @@
 #include <algorithm>
 #include <set>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/json.hpp"
 #include "hcm_analyze/analysis.hpp"
@@ -468,6 +470,40 @@ TEST(ShardTest, MutableStaticLocalIsFlagged) {
   EXPECT_EQ(find_rule(fs, "shard-static-local")->line, 2);
 }
 
+TEST(ShardTest, IncrementedStaticAtomicIsACounter) {
+  TokenStream ts = lex(
+      "namespace hcm {\n"
+      "std::atomic<std::uint64_t> g_epoch{1};\n"     // line 2
+      "std::atomic<int> g_bumped = 0;\n"             // line 3
+      "std::atomic<bool> g_enabled{true};\n"         // line 4: loads only
+      "std::uint64_t next() { return g_epoch.fetch_add(1); }\n"
+      "void bump() { ++g_bumped; }\n"
+      "int cookie() {\n"
+      "  static std::atomic<int> s_cookie{0};\n"     // line 8
+      "  return s_cookie += 1;\n"
+      "}\n"
+      "bool on() { return g_enabled.load(); }\n"
+      "}\n");
+  Findings fs = shard_check("src/x/a.cpp", ts);
+  ASSERT_EQ(count_rule(fs, "static-atomic-counter"), 3) << format_findings(fs);
+  std::set<int> lines;
+  for (const Finding& f : fs) lines.insert(f.line);
+  EXPECT_EQ(lines, (std::set<int>{2, 3, 8}));
+  EXPECT_EQ(count_rule(fs, "shard-mutable-global"), 0);
+}
+
+TEST(ShardTest, LoadedOnlyStaticAtomicIsNotACounter) {
+  TokenStream ts = lex(
+      "namespace hcm {\n"
+      "std::atomic<int> g_level{0};\n"
+      "void set(int v) { g_level.store(v); }\n"
+      "int get() { return g_level.load(); }\n"
+      "struct S { std::atomic<int> n_{0}; void inc() { ++n_; } };\n"
+      "}\n");
+  Findings fs = shard_check("src/x/a.cpp", ts);
+  EXPECT_TRUE(fs.empty()) << format_findings(fs);
+}
+
 // --- Status discipline --------------------------------------------------
 
 TEST(SourceScanTest, StripPreservesOffsetsAndRemovesLiterals) {
@@ -617,6 +653,156 @@ TEST(InitListMoveTest, EmplaceFormPasses) {
           "  return Value(std::move(list));\n"
           "}\n"));
   EXPECT_TRUE(fs.empty()) << format_findings(fs);
+}
+
+// --- unreferenced API ---------------------------------------------------
+
+// Indexes `files` (path, text) in order and runs the pass.
+Findings api_findings(
+    const std::vector<std::pair<std::string, std::string>>& files,
+    const std::string& allow = {}) {
+  ApiIndex index;
+  for (const auto& [path, text] : files) {
+    api_index_file(path, lex(text), index);
+  }
+  return unreferenced_api_check(index, parse_api_allow(allow),
+                                "tools/hcm_analyze/api_allow.txt");
+}
+
+TEST(UnreferencedApiTest, UnusedPublicMemberIsAFinding) {
+  Findings fs = api_findings({
+      {"src/x/a.hpp",
+       "namespace hcm {\n"
+       "class Box {\n"
+       " public:\n"
+       "  void fill(int n);\n"
+       "  [[nodiscard]] int spare() const { return n_; }\n"  // line 5
+       " private:\n"
+       "  int n_ = 0;\n"
+       "};\n"
+       "}\n"},
+      {"src/x/a.cpp",
+       "void Box::fill(int n) { n_ = n; }\n"
+       "int Box::spare() const { return n_; }\n"},  // a definition
+      {"src/y/b.cpp", "void use(hcm::Box& b) { b.fill(1); }\n"},
+  });
+  ASSERT_EQ(fs.size(), 1u) << format_findings(fs);
+  EXPECT_EQ(fs[0].rule, "unreferenced-api");
+  EXPECT_EQ(fs[0].file, "src/x/a.hpp");
+  EXPECT_EQ(fs[0].line, 5);
+  EXPECT_NE(fs[0].message.find("'spare'"), std::string::npos);
+  EXPECT_FALSE(fs[0].suppressed);
+}
+
+TEST(UnreferencedApiTest, UseOnlyFromATestIsNotAFinding) {
+  Findings fs = api_findings({
+      {"src/x/a.hpp",
+       "namespace hcm {\n"
+       "struct Gauge { long read() const; };\n"
+       "[[nodiscard]] int parse_level(const char* s);\n"
+       "}\n"},
+      {"tests/x/a_test.cpp",
+       "TEST(A, B) {\n"
+       "  hcm::Gauge g;\n"
+       "  EXPECT_EQ(g.read(), 0);\n"
+       "  EXPECT_EQ(hcm::parse_level(\"x\"), 1);\n"
+       "}\n"},
+  });
+  EXPECT_TRUE(fs.empty()) << format_findings(fs);
+}
+
+TEST(UnreferencedApiTest, MentionInACommentOrStringIsStillAFinding) {
+  Findings fs = api_findings({
+      {"src/x/a.hpp",
+       "namespace hcm {\n"
+       "void flush_all();\n"  // line 2
+       "}\n"},
+      {"src/x/b.cpp",
+       "// flush_all() is what we would call here\n"
+       "/* flush_all */\n"
+       "const char* kName = \"flush_all\";\n"},
+  });
+  ASSERT_EQ(count_rule(fs, "unreferenced-api"), 1) << format_findings(fs);
+  EXPECT_EQ(fs[0].line, 2);
+}
+
+TEST(UnreferencedApiTest, MacroBodyIsAUse) {
+  Findings fs = api_findings({
+      {"src/x/check.hpp",
+       "namespace hcm {\n"
+       "[[noreturn]] void fail_at(const char* file, int line);\n"
+       "}\n"
+       "#define HCM_FAIL() ::hcm::fail_at(__FILE__, __LINE__)\n"},
+  });
+  EXPECT_TRUE(fs.empty()) << format_findings(fs);
+}
+
+TEST(UnreferencedApiTest, OverridesOperatorsAndHiddenMembersAreExempt) {
+  Findings fs = api_findings({
+      {"src/x/a.hpp",
+       "namespace hcm {\n"
+       "struct Base {\n"
+       "  virtual ~Base() = default;\n"
+       "  virtual void on_tick() = 0;\n"
+       "};\n"
+       "class Impl final : public Base {\n"
+       " public:\n"
+       "  explicit Impl(int n);\n"
+       "  Impl(const Impl&) = delete;\n"
+       "  void on_tick() override;\n"
+       "  bool operator==(const Impl& o) const { return n_ == o.n_; }\n"
+       "  const int* begin() const { return &n_; }\n"
+       "  void plain();\n"  // line 13: the one in scope
+       " protected:\n"
+       "  void for_subclasses();\n"
+       " private:\n"
+       "  void helper();\n"
+       "  struct Node { void walk(); };\n"
+       "  int n_;\n"
+       "};\n"
+       "}\n"},
+  });
+  ASSERT_EQ(fs.size(), 1u) << format_findings(fs);
+  EXPECT_EQ(fs[0].line, 13);
+}
+
+TEST(UnreferencedApiTest, OnlySrcHeadersDeclare) {
+  Findings fs = api_findings({
+      {"src/x/a.cpp", "namespace { void local_only() {} }\n"},
+      {"tests/x/h.hpp", "inline void test_helper() {}\n"},
+  });
+  EXPECT_TRUE(fs.empty()) << format_findings(fs);
+}
+
+TEST(UnreferencedApiTest, AllowManifestSuppressesWithItsReason) {
+  const std::vector<std::pair<std::string, std::string>> files = {
+      {"src/x/a.hpp", "void legacy_entry();\n"}};
+  Findings fs =
+      api_findings(files, "# comment\nsrc/x/a.hpp legacy_entry called by a "
+                          "plugin loader\n");
+  ASSERT_EQ(fs.size(), 1u) << format_findings(fs);
+  EXPECT_TRUE(fs[0].suppressed);
+  EXPECT_EQ(fs[0].reason, "called by a plugin loader");
+}
+
+TEST(UnreferencedApiTest, AllowEntryWithoutReasonFailsTheRun) {
+  Findings fs = api_findings({{"src/x/a.hpp", "void legacy_entry();\n"}},
+                             "src/x/a.hpp legacy_entry\n");
+  ASSERT_EQ(count_rule(fs, "api-allow-malformed"), 1) << format_findings(fs);
+  EXPECT_EQ(find_rule(fs, "api-allow-malformed")->line, 1);
+  EXPECT_FALSE(find_rule(fs, "unreferenced-api")->suppressed);
+}
+
+TEST(UnreferencedApiTest, StaleAllowEntryFailsTheRun) {
+  Findings fs = api_findings(
+      {{"src/x/a.hpp", "void live();\n"},
+       {"src/x/a.cpp", "int f() { live(); }\n"}},
+      "\nsrc/x/a.hpp live kept for a caller that now exists\n");
+  ASSERT_EQ(fs.size(), 1u) << format_findings(fs);
+  EXPECT_EQ(fs[0].rule, "api-allow-stale");
+  EXPECT_EQ(fs[0].file, "tools/hcm_analyze/api_allow.txt");
+  EXPECT_EQ(fs[0].line, 2);
+  EXPECT_FALSE(fs[0].suppressed);
 }
 
 // --- suppression machinery ----------------------------------------------

@@ -1,4 +1,5 @@
-// hcm_analyze driver: multi-pass static analysis over src/ + tools/.
+// hcm_analyze entry point: multi-pass static analysis over src/ + tools/,
+// reading tests/, bench/, perfbench/ and examples/ for API uses.
 //
 //   hcm_analyze --root <repo> [--json out.json] [--manifest path]
 //               [--baseline path] [--update-baseline]
@@ -13,15 +14,21 @@
 //   4. shard        — mutable namespace-scope / static-local state
 //                     across src/; enforcing (unsuppressable) under
 //                     src/sim + src/core now the sharded kernel runs
-//                     that code on worker threads.
+//                     that code on worker threads. Process-wide
+//                     atomics that are incremented are flagged too
+//                     (static-atomic-counter).
 //   5. status       — [[nodiscard]] on Status/Result-returning
 //                     declarations in src/common + src/core headers,
 //                     and no discarded calls to them anywhere in src/.
 //   6. value build  — no std::move inside a braced ValueMap/ValueList/
 //                     NamedValues initializer list in src/ (it copies).
+//   7. unreferenced — public functions declared in src/ headers that
+//                     nothing under src/, tests/, bench/, perfbench/,
+//                     tools/ or examples/ calls.
 // Suppression: inline `// hcm:allow(rule): reason` or a baseline
-// entry; stale suppressions of either kind fail the run, so the
-// baseline only shrinks. Exit 1 on any unsuppressed finding.
+// entry, and for pass 7 an api_allow.txt entry; stale suppressions of
+// any kind fail the run, so they only shrink. Exit 1 on any
+// unsuppressed finding.
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
@@ -99,28 +106,36 @@ int main(int argc, char** argv) {
                            : fs::path(baseline_arg);
 
   // --- collect + lex ----------------------------------------------------
-  std::vector<SourceFile> files;
-  for (const char* top : {"src", "tools"}) {
-    fs::path dir = root / top;
-    if (!fs::exists(dir)) continue;
-    for (const auto& e : fs::recursive_directory_iterator(dir)) {
-      if (!e.is_regular_file()) continue;
-      auto ext = e.path().extension();
-      if (ext != ".cpp" && ext != ".hpp") continue;
-      SourceFile f;
-      f.rel = fs::relative(e.path(), root).generic_string();
-      f.text = read_file(e.path());
-      files.push_back(std::move(f));
+  // `files` are checked; `readers` (the trees that only call into src/)
+  // are read for pass 7's uses.
+  auto collect = [&](std::initializer_list<const char*> tops) {
+    std::vector<SourceFile> out;
+    for (const char* top : tops) {
+      fs::path dir = root / top;
+      if (!fs::exists(dir)) continue;
+      for (const auto& e : fs::recursive_directory_iterator(dir)) {
+        if (!e.is_regular_file()) continue;
+        auto ext = e.path().extension();
+        if (ext != ".cpp" && ext != ".hpp") continue;
+        SourceFile f;
+        f.rel = fs::relative(e.path(), root).generic_string();
+        f.text = read_file(e.path());
+        out.push_back(std::move(f));
+      }
     }
-  }
-  std::sort(files.begin(), files.end(),
-            [](const SourceFile& a, const SourceFile& b) {
-              return a.rel < b.rel;
-            });
-  for (SourceFile& f : files) f.stream = lex(f.text);
+    std::sort(out.begin(), out.end(),
+              [](const SourceFile& a, const SourceFile& b) {
+                return a.rel < b.rel;
+              });
+    for (SourceFile& f : out) f.stream = lex(f.text);
+    return out;
+  };
+  const std::vector<SourceFile> files = collect({"src", "tools"});
+  const std::vector<SourceFile> readers =
+      collect({"tests", "bench", "perfbench", "examples"});
 
   Report report;
-  report.files_scanned = files.size();
+  report.files_scanned = files.size() + readers.size();
   if (files.empty()) {
     std::fprintf(stderr,
                  "hcm_analyze: no sources under %s/src — bad --root?\n",
@@ -213,6 +228,16 @@ int main(int argc, char** argv) {
     }
   }
 
+  // --- pass 7: unreferenced API -----------------------------------------
+  ApiIndex api;
+  for (const auto* tree : {&files, &readers}) {
+    for (const SourceFile& f : *tree) api_index_file(f.rel, f.stream, api);
+  }
+  const std::string api_allow = "tools/hcm_analyze/api_allow.txt";
+  append(report.findings,
+         unreferenced_api_check(
+             api, parse_api_allow(read_file(root / api_allow)), api_allow));
+
   // --- suppression ------------------------------------------------------
   std::map<std::string, std::vector<AllowNote>> allows;
   std::map<std::string, std::vector<std::string>> lines;
@@ -257,7 +282,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::printf(
-      "hcm_analyze: OK — %zu files, 6 passes, %zu finding(s) all "
+      "hcm_analyze: OK — %zu files, 7 passes, %zu finding(s) all "
       "suppressed with recorded justifications\n",
       report.files_scanned, report.findings.size());
   return 0;

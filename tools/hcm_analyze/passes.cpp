@@ -353,8 +353,8 @@ Findings hotpath_check(const std::string& rel_path, const TokenStream& ts,
   // On the hot path these must run once at setup; per-call code mutates
   // through the cached Counter&/Histogram& handle instead.
   static const std::set<std::string> kRegistryLookups = {
-      "counter",      "gauge",          "histogram",      "unique_scope",
-      "find_counter", "find_gauge",     "find_histogram"};
+      "counter",      "gauge",          "histogram",
+      "unique_scope", "find_counter",   "find_histogram"};
 
   // Growth calls that reallocate a flat byte buffer. On the wire path
   // message bytes live in pooled BlockStream chains; a Bytes that grows
@@ -466,7 +466,27 @@ namespace {
 struct ShardCtx {
   const std::string* path;
   Findings* out;
+  // Mutable process-wide atomics: (name, declaration line).
+  std::vector<std::pair<std::string, int>> atomics;
 };
+
+// The name a variable declaration head declares: its last identifier
+// outside template angles and before any `=`.
+std::string declared_variable(const std::vector<Token>& toks, std::size_t b,
+                              std::size_t e) {
+  std::string name;
+  int angle = 0;
+  for (std::size_t i = b; i < e; ++i) {
+    const Token& t = toks[i];
+    if (t.kind == TokKind::kIdent && angle == 0) name = t.text;
+    if (t.kind != TokKind::kPunct) continue;
+    if (t.text == "<") ++angle;
+    if (t.text == ">" && angle > 0) --angle;
+    if (t.text == ">>" && angle > 0) angle = angle >= 2 ? angle - 2 : 0;
+    if (t.text == "=" && angle == 0) break;
+  }
+  return name;
+}
 
 bool head_has(const TokenStream& ts, std::size_t b, std::size_t e,
               std::string_view word) {
@@ -477,10 +497,12 @@ bool head_has(const TokenStream& ts, std::size_t b, std::size_t e,
 }
 
 void shard_on_statement(void* raw, const TokenStream& ts, std::size_t b,
-                        std::size_t e, bool ns_scope, bool fn_scope) {
+                        std::size_t e, const StatementScope& where) {
   auto* ctx = static_cast<ShardCtx*>(raw);
   const auto& toks = ts.tokens;
-  if (b >= e) return;
+  if (b >= e || where.body_head) return;
+  const bool ns_scope = where.ns_scope;
+  const bool fn_scope = where.fn_scope;
   const Token& first = toks[b];
   if (first.kind != TokKind::kIdent) return;
 
@@ -492,6 +514,9 @@ void shard_on_statement(void* raw, const TokenStream& ts, std::size_t b,
 
   if (fn_scope) {
     if (first.text != "static") return;
+    if (is_atomic && !is_const) {
+      ctx->atomics.emplace_back(declared_variable(toks, b, e), first.line);
+    }
     if (is_const || is_atomic) return;
     (*ctx->out).push_back(
         {"shard-static-local", *ctx->path, first.line,
@@ -512,6 +537,9 @@ void shard_on_statement(void* raw, const TokenStream& ts, std::size_t b,
       "else",    "try",      "catch",    "case",     "default",
       "public",  "private",  "protected", "operator", "thread_local"};
   if (kSkipFirst.count(first.text) != 0) return;
+  if (is_atomic && !is_const) {
+    ctx->atomics.emplace_back(declared_variable(toks, b, e), first.line);
+  }
   if (is_const || is_atomic) return;
 
   // '(' before any '=' (both outside template angles) means a function
@@ -558,11 +586,32 @@ void shard_on_statement(void* raw, const TokenStream& ts, std::size_t b,
 
 Findings shard_check(const std::string& rel_path, const TokenStream& ts) {
   Findings out;
-  ShardCtx ctx{&rel_path, &out};
+  ShardCtx ctx{&rel_path, &out, {}};
   ScopeVisitor visitor;
   visitor.on_statement = &shard_on_statement;
   visitor.ctx = &ctx;
   walk_scopes(ts, visitor);
+
+  // static-atomic-counter: a process-wide atomic the file increments.
+  const auto& toks = ts.tokens;
+  for (const auto& [name, line] : ctx.atomics) {
+    for (std::size_t i = 0; i + 1 < toks.size(); ++i) {
+      if (!is_ident(toks[i], name)) continue;
+      const bool incremented =
+          is_punct(toks[i + 1], "++") || is_punct(toks[i + 1], "+=") ||
+          (i > 0 && is_punct(toks[i - 1], "++")) ||
+          (i + 2 < toks.size() && is_punct(toks[i + 1], ".") &&
+           is_ident(toks[i + 2], "fetch_add"));
+      if (!incremented) continue;
+      out.push_back(
+          {"static-atomic-counter", rel_path, line,
+           "process-wide atomic counter '" + name +
+               "' is incremented — what it numbers depends on everything "
+               "the process ran before, not on the scenario; give the "
+               "count an owner (the registry, the network, the kernel)"});
+      break;
+    }
+  }
   return out;
 }
 
@@ -735,6 +784,181 @@ Findings init_list_move_check(const std::string& rel_path,
       }
     }
     i = j;
+  }
+  return out;
+}
+
+// --- unreferenced API ---------------------------------------------------
+
+namespace {
+
+// Whether declarations in this path are in scope: headers under src/.
+bool api_decls_covered(const std::string& rel_path) {
+  return rel_path.rfind("src/", 0) == 0 && rel_path.size() > 4 &&
+         rel_path.compare(rel_path.size() - 4, 4, ".hpp") == 0;
+}
+
+// Index of the identifier a declaration head [b, e) declares as a
+// function: the one before the first top-level `(`. npos when an `=`
+// comes first (a variable), the head names an operator, or the paren
+// opens a declarator such as `(*fn)`. Attributes and the parens of
+// decltype/alignas/noexcept are skipped.
+std::size_t declared_function(const std::vector<Token>& toks, std::size_t b,
+                              std::size_t e) {
+  static const std::set<std::string> kNotNames = {
+      "decltype", "alignas",  "alignof",       "noexcept",
+      "sizeof",   "requires", "static_assert", "__attribute__"};
+  int angle = 0;
+  int square = 0;
+  for (std::size_t i = b; i < e; ++i) {
+    const Token& t = toks[i];
+    if (is_ident(t, "operator")) return std::string::npos;
+    if (t.kind != TokKind::kPunct) continue;
+    if (t.text == "[") ++square;
+    if (t.text == "]" && square > 0) --square;
+    if (square > 0) continue;
+    if (t.text == "<") ++angle;
+    if (t.text == ">" && angle > 0) --angle;
+    if (t.text == ">>" && angle > 0) angle = angle >= 2 ? angle - 2 : 0;
+    if (angle > 0) continue;
+    if (t.text == "=") return std::string::npos;
+    if (t.text != "(") continue;
+    if (i == b || toks[i - 1].kind != TokKind::kIdent) return std::string::npos;
+    if (kNotNames.count(toks[i - 1].text) == 0) {
+      const bool declarator = i + 1 < e && (is_punct(toks[i + 1], "*") ||
+                                            is_punct(toks[i + 1], "&") ||
+                                            is_punct(toks[i + 1], "^"));
+      return declarator ? std::string::npos : i - 1;
+    }
+    for (int depth = 0; i < e; ++i) {  // skip decltype(...) and kin
+      if (is_punct(toks[i], "(")) ++depth;
+      if (is_punct(toks[i], ")") && --depth == 0) break;
+    }
+  }
+  return std::string::npos;
+}
+
+struct ApiCtx {
+  const std::string* path;
+  bool collect;
+  std::vector<bool>* declarators;
+  ApiIndex* index;
+};
+
+void api_on_statement(void* raw, const TokenStream& ts, std::size_t b,
+                      std::size_t e, const StatementScope& where) {
+  auto* ctx = static_cast<ApiCtx*>(raw);
+  const auto& toks = ts.tokens;
+  if (!where.ns_scope && !where.class_scope) return;
+  if (is_ident(toks[b], "using") || is_ident(toks[b], "typedef")) return;
+  const std::size_t name = declared_function(toks, b, e);
+  if (name == std::string::npos) return;
+  (*ctx->declarators)[name] = true;
+
+  // Exemptions: out-of-line definitions (declared elsewhere), hidden
+  // members, constructors and destructors, dispatch through a vtable,
+  // deleted functions, and names std calls by protocol.
+  static const std::set<std::string> kProtocol = {"begin", "end", "size",
+                                                  "swap", "get"};
+  if (!ctx->collect || !where.exported ||
+      (name > b && (is_punct(toks[name - 1], "::") ||
+                    is_punct(toks[name - 1], "~"))) ||
+      toks[name].text == where.class_name ||
+      kProtocol.count(toks[name].text) != 0) {
+    return;
+  }
+  for (std::size_t i = b; i < e; ++i) {
+    if (is_ident(toks[i], "virtual") || is_ident(toks[i], "override") ||
+        is_ident(toks[i], "final") || is_ident(toks[i], "delete")) {
+      return;
+    }
+  }
+  ctx->index->decls.push_back({toks[name].text, *ctx->path, toks[name].line});
+}
+
+}  // namespace
+
+void api_index_file(const std::string& rel_path, const TokenStream& ts,
+                    ApiIndex& index) {
+  std::vector<bool> declarators(ts.tokens.size(), false);
+  ApiCtx ctx{&rel_path, api_decls_covered(rel_path), &declarators, &index};
+  ScopeVisitor visitor;
+  visitor.on_statement = &api_on_statement;
+  visitor.ctx = &ctx;
+  walk_scopes(ts, visitor);
+  for (std::size_t i = 0; i < ts.tokens.size(); ++i) {
+    const Token& t = ts.tokens[i];
+    if (t.kind == TokKind::kIdent && !declarators[i]) {
+      index.used.insert(t.text);
+    } else if (t.kind == TokKind::kDirective) {
+      // A macro body calls what it expands to.
+      const std::size_t define = t.text.find("define");
+      if (define == std::string::npos ||
+          t.text.find_first_not_of("# \t") != define) {
+        continue;
+      }
+      for (const Token& m : lex(std::string_view(t.text).substr(define + 6))
+                                .tokens) {
+        if (m.kind == TokKind::kIdent) index.used.insert(m.text);
+      }
+    }
+  }
+}
+
+std::vector<ApiAllow> parse_api_allow(const std::string& text) {
+  std::vector<ApiAllow> out;
+  const std::vector<std::string> lines = split_lines(text);
+  for (std::size_t n = 0; n < lines.size(); ++n) {
+    std::string line = trim_copy(lines[n]);
+    if (line.empty() || line[0] == '#') continue;
+    ApiAllow entry;
+    entry.line = static_cast<int>(n + 1);
+    std::size_t sp = line.find_first_of(" \t");
+    entry.path = line.substr(0, sp);
+    if (sp != std::string::npos) {
+      std::string rest = trim_copy(line.substr(sp + 1));
+      sp = rest.find_first_of(" \t");
+      entry.name = rest.substr(0, sp);
+      if (sp != std::string::npos) entry.reason = trim_copy(rest.substr(sp));
+    }
+    out.push_back(std::move(entry));
+  }
+  return out;
+}
+
+Findings unreferenced_api_check(const ApiIndex& index,
+                                const std::vector<ApiAllow>& allow,
+                                const std::string& allow_path) {
+  Findings out;
+  std::vector<bool> allow_used(allow.size(), false);
+  for (const ApiDecl& d : index.decls) {
+    if (index.used.count(d.name) != 0) continue;
+    Finding f{"unreferenced-api", d.file, d.line,
+              "public function '" + d.name +
+                  "' has no caller in src/, tests/, bench/, perfbench/, "
+                  "tools/ or examples/ — delete it with any state only it "
+                  "reads, or add the test that shows why it exists"};
+    for (std::size_t a = 0; a < allow.size(); ++a) {
+      if (allow[a].path == d.file && allow[a].name == d.name &&
+          !allow[a].reason.empty()) {
+        f.suppressed = true;
+        f.reason = allow[a].reason;
+        allow_used[a] = true;
+      }
+    }
+    out.push_back(std::move(f));
+  }
+  for (std::size_t a = 0; a < allow.size(); ++a) {
+    if (allow[a].reason.empty()) {
+      out.push_back({"api-allow-malformed", allow_path, allow[a].line,
+                     "allow entry needs `path name reason`: an exemption "
+                     "without a recorded reason is not one"});
+    } else if (!allow_used[a]) {
+      out.push_back({"api-allow-stale", allow_path, allow[a].line,
+                     "allow entry '" + allow[a].path + " " + allow[a].name +
+                         "' matches no unreferenced-api finding — delete "
+                         "it, so the manifest only shrinks"});
+    }
   }
   return out;
 }

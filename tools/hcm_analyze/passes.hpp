@@ -1,4 +1,4 @@
-// The six analysis passes of hcm_analyze. Each exposes a text-level
+// The seven analysis passes of hcm_analyze. Each exposes a text-level
 // entry point (driven against known-bad fixtures by
 // tests/tools/hcm_analyze_test.cpp) plus whatever whole-tree state it
 // needs; tree orchestration lives in main.cpp. Rule ids are stable —
@@ -12,9 +12,11 @@
 //   hot path:    hotpath-new, hotpath-make, hotpath-node-container,
 //                hotpath-std-function, hotpath-missing-file,
 //                hotpath-bytes-growth, obs-hotpath-lookup
-//   shard:       shard-mutable-global, shard-static-local
+//   shard:       shard-mutable-global, shard-static-local,
+//                static-atomic-counter
 //   status:      missing-nodiscard, discarded-status
 //   value build: init-list-move
+//   unreferenced: unreferenced-api, api-allow-malformed, api-allow-stale
 #pragma once
 
 #include <map>
@@ -96,7 +98,9 @@ struct HotScope {
 // Inventories cross-shard hazards anywhere under src/: mutable
 // namespace-scope variables and mutable function-local statics
 // (const/constexpr/std::atomic are exempt). Must be empty-or-suppressed
-// before the sharded sim kernel lands.
+// before the sharded sim kernel lands. A namespace-scope or
+// function-static atomic that the file increments is a
+// static-atomic-counter: what it numbers depends on process history.
 [[nodiscard]] Findings shard_check(const std::string& rel_path,
                                    const TokenStream& ts);
 
@@ -131,5 +135,52 @@ struct HotScope {
 // Build such containers with emplace/emplace_back instead.
 [[nodiscard]] Findings init_list_move_check(const std::string& rel_path,
                                             const TokenStream& ts);
+
+// --- unreferenced-API pass ---------------------------------------------
+// Public API with no caller. Scope: free functions and public member
+// functions (a struct's members, a class's after `public:`) declared in
+// headers under src/. A use is an identifier token equal to the name in
+// any file under src/, tests/, bench/, perfbench/, tools/ or examples/,
+// other than a declaration or definition of a function by that name;
+// comments and literals produce no tokens. A declared name with no use
+// is an `unreferenced-api` finding. Matching is by name only: it can
+// miss an unused overload, or a dead name that something else reuses,
+// but it never flags a name anything uses. Virtual functions and
+// overrides, operators, constructors, destructors, deleted functions
+// and the std protocol names (begin, end, size, swap, get) are exempt.
+struct ApiDecl {
+  std::string name;
+  std::string file;
+  int line = 0;
+};
+
+struct ApiIndex {
+  std::vector<ApiDecl> decls;  // in-scope declarations, in scan order
+  std::set<std::string> used;  // every name used anywhere
+};
+
+// Adds the file's uses and, for a covered path, its public function
+// declarations to `index`.
+void api_index_file(const std::string& rel_path, const TokenStream& ts,
+                    ApiIndex& index);
+
+// One allow-manifest line, `path name reason`.
+struct ApiAllow {
+  std::string path;
+  std::string name;
+  std::string reason;  // empty = malformed
+  int line = 0;
+};
+
+// Manifest format: one `path name reason` per line, '#' comments.
+[[nodiscard]] std::vector<ApiAllow> parse_api_allow(const std::string& text);
+
+// unreferenced-api for every declared name with no use (suppressed,
+// with the entry's reason, when the manifest names it), plus
+// api-allow-malformed for an entry without a reason and api-allow-stale
+// for one that matches no finding, both reported against `allow_path`.
+[[nodiscard]] Findings unreferenced_api_check(
+    const ApiIndex& index, const std::vector<ApiAllow>& allow,
+    const std::string& allow_path);
 
 }  // namespace hcm::analyze

@@ -279,6 +279,8 @@ struct Scope {
   char kind;  // 'n' namespace, 'c' class, 'f' function, 'b' block/init
   std::string name;
   int fn_index = -1;
+  bool reachable = true;  // 'c': the class can be named from outside
+  bool is_public = true;  // 'c': the access section now open
 };
 
 bool is_control_keyword(const Token& t) {
@@ -343,26 +345,32 @@ void walk_impl(const TokenStream& ts, const WalkCallbacks& cb) {
   std::size_t stmt = 0;
   int paren = 0;
 
-  auto scope_flags = [&](bool& ns_scope, bool& fn_scope) {
-    ns_scope = true;
-    fn_scope = false;
+  auto where_now = [&]() {
+    StatementScope where;
+    where.ns_scope = true;
     for (auto it = stack.rbegin(); it != stack.rend(); ++it) {
       if (it->kind == 'n') continue;
-      ns_scope = false;
+      where.ns_scope = false;
       if (it->kind == 'b') continue;
-      fn_scope = it->kind == 'f';
-      return;
+      where.fn_scope = it->kind == 'f';
+      break;
     }
+    if (!stack.empty() && stack.back().kind == 'c') {
+      where.class_scope = true;
+      where.class_name = stack.back().name;
+      where.exported = stack.back().reachable && stack.back().is_public;
+    } else {
+      where.exported = where.ns_scope;
+    }
+    return where;
   };
 
-  auto emit_stmt = [&](std::size_t begin, std::size_t end) {
+  auto emit_stmt = [&](std::size_t begin, std::size_t end, bool body_head) {
     if (cb.visitor == nullptr || cb.visitor->on_statement == nullptr) return;
     if (begin >= end) return;
-    bool ns_scope = false;
-    bool fn_scope = false;
-    scope_flags(ns_scope, fn_scope);
-    cb.visitor->on_statement(cb.visitor->ctx, ts, begin, end, ns_scope,
-                             fn_scope);
+    StatementScope where = where_now();
+    where.body_head = body_head;
+    cb.visitor->on_statement(cb.visitor->ctx, ts, begin, end, where);
   };
 
   auto enclosing_class = [&]() -> const Scope* {
@@ -392,7 +400,7 @@ void walk_impl(const TokenStream& ts, const WalkCallbacks& cb) {
     if (paren > 0) continue;  // inside parens: no statement boundaries
 
     if (t.text == ";") {
-      emit_stmt(stmt, i);
+      emit_stmt(stmt, i, false);
       stmt = i + 1;
       continue;
     }
@@ -401,6 +409,9 @@ void walk_impl(const TokenStream& ts, const WalkCallbacks& cb) {
       if (i == stmt + 1 && toks[stmt].kind == TokKind::kIdent &&
           (toks[stmt].text == "public" || toks[stmt].text == "private" ||
            toks[stmt].text == "protected" || toks[stmt].text == "default")) {
+        if (!stack.empty() && stack.back().kind == 'c') {
+          stack.back().is_public = toks[stmt].text == "public";
+        }
         stmt = i + 1;
       } else if (stmt < i && toks[stmt].kind == TokKind::kIdent &&
                  toks[stmt].text == "case") {
@@ -414,6 +425,7 @@ void walk_impl(const TokenStream& ts, const WalkCallbacks& cb) {
       char kind = 'b';
       std::string name;
       int fn_index = -1;
+      bool is_public = true;
       std::size_t begin = stmt;
       if (begin < i) {
         const Token& first = toks[begin];
@@ -462,6 +474,7 @@ void walk_impl(const TokenStream& ts, const WalkCallbacks& cb) {
             if (toks[j].kind == TokKind::kIdent &&
                 (toks[j].text == "class" || toks[j].text == "struct" ||
                  toks[j].text == "union" || toks[j].text == "enum")) {
+              is_public = toks[j].text != "class";
               for (std::size_t k = j + 1; k < i; ++k) {
                 if (toks[k].kind == TokKind::kIdent &&
                     toks[k].text != "class" && toks[k].text != "final" &&
@@ -500,9 +513,10 @@ void walk_impl(const TokenStream& ts, const WalkCallbacks& cb) {
             fns.push_back({name, qualified, toks[begin].line, toks[i].line});
           }
         }
-        if (kind == 'b') emit_stmt(begin, i);
+        if (kind != 'n' && kind != 'c') emit_stmt(begin, i, kind == 'f');
       }
-      stack.push_back({kind, std::move(name), fn_index});
+      stack.push_back(
+          {kind, std::move(name), fn_index, where_now().exported, is_public});
       stmt = i + 1;
       continue;
     }

@@ -74,16 +74,30 @@ struct FunctionRange {
 [[nodiscard]] std::vector<FunctionRange> function_ranges(
     const TokenStream& ts);
 
+// Where a statement reported by walk_scopes sits.
+struct StatementScope {
+  bool ns_scope = false;     // at namespace scope
+  bool fn_scope = false;     // inside a function body
+  bool class_scope = false;  // directly in a class/struct/union body
+  // A namespace-scope name, or a class member outside code that can be
+  // named from outside: a struct member, or one after `public:`, in a
+  // class that is itself reachable.
+  bool exported = false;
+  // [begin, end) is the head of a function body (everything before its
+  // `{`) rather than a statement.
+  bool body_head = false;
+  std::string_view class_name;  // innermost class, when class_scope
+};
+
 // Scope-aware statement visitor for declaration-shaped passes.
-// `on_statement(begin, end, ns_scope, fn_scope)` is called with token
-// indices [begin, end) covering one statement head — terminated by `;`
-// at brace/paren depth 0, or by the `{` of a braced initializer —
-// together with whether the statement sits at namespace scope or inside
-// a function body (class-member scope reports neither).
+// `on_statement(begin, end, where)` is called with token indices
+// [begin, end) covering one statement head — terminated by `;` at
+// brace/paren depth 0, or by the `{` of a braced initializer or of a
+// function body — together with where it sits.
 struct ScopeVisitor {
-  // on_statement(begin, end, at_namespace_scope, in_function)
   void (*on_statement)(void* ctx, const TokenStream& ts, std::size_t begin,
-                       std::size_t end, bool ns_scope, bool fn_scope) = nullptr;
+                       std::size_t end,
+                       const StatementScope& where) = nullptr;
   void* ctx = nullptr;
 };
 
