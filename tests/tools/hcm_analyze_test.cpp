@@ -499,6 +499,8 @@ TEST(ShardTest, LoadedOnlyStaticAtomicIsNotACounter) {
       "void set(int v) { g_level.store(v); }\n"
       "int get() { return g_level.load(); }\n"
       "struct S { std::atomic<int> n_{0}; void inc() { ++n_; } };\n"
+      "struct Stats { int g_level = 0; };\n"  // same name, not the atomic
+      "void tally(Stats& s, Stats* p) { s.g_level++; p->g_level += 2; }\n"
       "}\n");
   Findings fs = shard_check("src/x/a.cpp", ts);
   EXPECT_TRUE(fs.empty()) << format_findings(fs);
@@ -659,14 +661,12 @@ TEST(InitListMoveTest, EmplaceFormPasses) {
 
 // Indexes `files` (path, text) in order and runs the pass.
 Findings api_findings(
-    const std::vector<std::pair<std::string, std::string>>& files,
-    const std::string& allow = {}) {
+    const std::vector<std::pair<std::string, std::string>>& files) {
   ApiIndex index;
   for (const auto& [path, text] : files) {
     api_index_file(path, lex(text), index);
   }
-  return unreferenced_api_check(index, parse_api_allow(allow),
-                                "tools/hcm_analyze/api_allow.txt");
+  return unreferenced_api_check(index);
 }
 
 TEST(UnreferencedApiTest, UnusedPublicMemberIsAFinding) {
@@ -766,6 +766,22 @@ TEST(UnreferencedApiTest, OverridesOperatorsAndHiddenMembersAreExempt) {
   EXPECT_EQ(fs[0].line, 13);
 }
 
+TEST(UnreferencedApiTest, TemplateParameterClassDoesNotHideStructMembers) {
+  Findings fs = api_findings({
+      {"src/x/a.hpp",
+       "namespace hcm {\n"
+       "template <class T, class U = std::vector<std::vector<T>>>\n"
+       "struct Holder {\n"
+       "  explicit Holder(T v);\n"
+       "  T take();\n"  // line 5
+       "};\n"
+       "}\n"},
+  });
+  ASSERT_EQ(fs.size(), 1u) << format_findings(fs);
+  EXPECT_EQ(fs[0].line, 5);
+  EXPECT_NE(fs[0].message.find("'take'"), std::string::npos);
+}
+
 TEST(UnreferencedApiTest, OnlySrcHeadersDeclare) {
   Findings fs = api_findings({
       {"src/x/a.cpp", "namespace { void local_only() {} }\n"},
@@ -774,35 +790,37 @@ TEST(UnreferencedApiTest, OnlySrcHeadersDeclare) {
   EXPECT_TRUE(fs.empty()) << format_findings(fs);
 }
 
-TEST(UnreferencedApiTest, AllowManifestSuppressesWithItsReason) {
-  const std::vector<std::pair<std::string, std::string>> files = {
-      {"src/x/a.hpp", "void legacy_entry();\n"}};
-  Findings fs =
-      api_findings(files, "# comment\nsrc/x/a.hpp legacy_entry called by a "
-                          "plugin loader\n");
-  ASSERT_EQ(fs.size(), 1u) << format_findings(fs);
-  EXPECT_TRUE(fs[0].suppressed);
-  EXPECT_EQ(fs[0].reason, "called by a plugin loader");
-}
-
-TEST(UnreferencedApiTest, AllowEntryWithoutReasonFailsTheRun) {
-  Findings fs = api_findings({{"src/x/a.hpp", "void legacy_entry();\n"}},
-                             "src/x/a.hpp legacy_entry\n");
-  ASSERT_EQ(count_rule(fs, "api-allow-malformed"), 1) << format_findings(fs);
-  EXPECT_EQ(find_rule(fs, "api-allow-malformed")->line, 1);
-  EXPECT_FALSE(find_rule(fs, "unreferenced-api")->suppressed);
-}
-
-TEST(UnreferencedApiTest, StaleAllowEntryFailsTheRun) {
-  Findings fs = api_findings(
-      {{"src/x/a.hpp", "void live();\n"},
-       {"src/x/a.cpp", "int f() { live(); }\n"}},
-      "\nsrc/x/a.hpp live kept for a caller that now exists\n");
-  ASSERT_EQ(fs.size(), 1u) << format_findings(fs);
-  EXPECT_EQ(fs[0].rule, "api-allow-stale");
-  EXPECT_EQ(fs[0].file, "tools/hcm_analyze/api_allow.txt");
-  EXPECT_EQ(fs[0].line, 2);
-  EXPECT_FALSE(fs[0].suppressed);
+TEST(UnreferencedApiTest, InlineAllowSuppressesAndGoesStaleOnceCalled) {
+  const std::string header =
+      "namespace hcm {\n"
+      "// hcm:allow(unreferenced-api): called by a plugin loader\n"
+      "void legacy_entry();\n"
+      "}\n";
+  for (const bool called : {false, true}) {
+    TokenStream ts = lex(header);
+    ApiIndex index;
+    api_index_file("src/x/a.hpp", ts, index);
+    if (called) {
+      api_index_file("src/x/b.cpp", lex("int f() { legacy_entry(); }\n"),
+                     index);
+    }
+    Report report;
+    report.findings = unreferenced_api_check(index);
+    std::map<std::string, std::vector<AllowNote>> allows = {
+        {"src/x/a.hpp", ts.allows}};
+    std::map<std::string, std::vector<std::string>> lines = {
+        {"src/x/a.hpp", split_lines(header)}};
+    apply_suppressions(report, allows, {}, lines);
+    ASSERT_EQ(report.findings.size(), 1u) << format_findings(report.findings);
+    if (called) {
+      EXPECT_EQ(report.findings[0].rule, "allow-stale");
+      EXPECT_EQ(report.unsuppressed(), 1u);
+    } else {
+      EXPECT_EQ(report.findings[0].rule, "unreferenced-api");
+      EXPECT_TRUE(report.findings[0].suppressed);
+      EXPECT_EQ(report.findings[0].reason, "called by a plugin loader");
+    }
+  }
 }
 
 // --- suppression machinery ----------------------------------------------

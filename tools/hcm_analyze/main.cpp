@@ -26,9 +26,8 @@
 //                     nothing under src/, tests/, bench/, perfbench/,
 //                     tools/ or examples/ calls.
 // Suppression: inline `// hcm:allow(rule): reason` or a baseline
-// entry, and for pass 7 an api_allow.txt entry; stale suppressions of
-// any kind fail the run, so they only shrink. Exit 1 on any
-// unsuppressed finding.
+// entry; stale suppressions of either kind fail the run, so the
+// baseline only shrinks. Exit 1 on any unsuppressed finding.
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
@@ -233,10 +232,7 @@ int main(int argc, char** argv) {
   for (const auto* tree : {&files, &readers}) {
     for (const SourceFile& f : *tree) api_index_file(f.rel, f.stream, api);
   }
-  const std::string api_allow = "tools/hcm_analyze/api_allow.txt";
-  append(report.findings,
-         unreferenced_api_check(
-             api, parse_api_allow(read_file(root / api_allow)), api_allow));
+  append(report.findings, unreferenced_api_check(api));
 
   // --- suppression ------------------------------------------------------
   std::map<std::string, std::vector<AllowNote>> allows;

@@ -593,10 +593,16 @@ Findings shard_check(const std::string& rel_path, const TokenStream& ts) {
   walk_scopes(ts, visitor);
 
   // static-atomic-counter: a process-wide atomic the file increments.
+  // Matching is by name: a member access (`x.name`, `p->name`) is some
+  // other variable, but a local that shadows the atomic is not told
+  // apart from it.
   const auto& toks = ts.tokens;
   for (const auto& [name, line] : ctx.atomics) {
     for (std::size_t i = 0; i + 1 < toks.size(); ++i) {
       if (!is_ident(toks[i], name)) continue;
+      if (i > 0 && (is_punct(toks[i - 1], ".") || is_punct(toks[i - 1], "->"))) {
+        continue;
+      }
       const bool incremented =
           is_punct(toks[i + 1], "++") || is_punct(toks[i + 1], "+=") ||
           (i > 0 && is_punct(toks[i - 1], "++")) ||
@@ -905,60 +911,15 @@ void api_index_file(const std::string& rel_path, const TokenStream& ts,
   }
 }
 
-std::vector<ApiAllow> parse_api_allow(const std::string& text) {
-  std::vector<ApiAllow> out;
-  const std::vector<std::string> lines = split_lines(text);
-  for (std::size_t n = 0; n < lines.size(); ++n) {
-    std::string line = trim_copy(lines[n]);
-    if (line.empty() || line[0] == '#') continue;
-    ApiAllow entry;
-    entry.line = static_cast<int>(n + 1);
-    std::size_t sp = line.find_first_of(" \t");
-    entry.path = line.substr(0, sp);
-    if (sp != std::string::npos) {
-      std::string rest = trim_copy(line.substr(sp + 1));
-      sp = rest.find_first_of(" \t");
-      entry.name = rest.substr(0, sp);
-      if (sp != std::string::npos) entry.reason = trim_copy(rest.substr(sp));
-    }
-    out.push_back(std::move(entry));
-  }
-  return out;
-}
-
-Findings unreferenced_api_check(const ApiIndex& index,
-                                const std::vector<ApiAllow>& allow,
-                                const std::string& allow_path) {
+Findings unreferenced_api_check(const ApiIndex& index) {
   Findings out;
-  std::vector<bool> allow_used(allow.size(), false);
   for (const ApiDecl& d : index.decls) {
     if (index.used.count(d.name) != 0) continue;
-    Finding f{"unreferenced-api", d.file, d.line,
-              "public function '" + d.name +
-                  "' has no caller in src/, tests/, bench/, perfbench/, "
-                  "tools/ or examples/ — delete it with any state only it "
-                  "reads, or add the test that shows why it exists"};
-    for (std::size_t a = 0; a < allow.size(); ++a) {
-      if (allow[a].path == d.file && allow[a].name == d.name &&
-          !allow[a].reason.empty()) {
-        f.suppressed = true;
-        f.reason = allow[a].reason;
-        allow_used[a] = true;
-      }
-    }
-    out.push_back(std::move(f));
-  }
-  for (std::size_t a = 0; a < allow.size(); ++a) {
-    if (allow[a].reason.empty()) {
-      out.push_back({"api-allow-malformed", allow_path, allow[a].line,
-                     "allow entry needs `path name reason`: an exemption "
-                     "without a recorded reason is not one"});
-    } else if (!allow_used[a]) {
-      out.push_back({"api-allow-stale", allow_path, allow[a].line,
-                     "allow entry '" + allow[a].path + " " + allow[a].name +
-                         "' matches no unreferenced-api finding — delete "
-                         "it, so the manifest only shrinks"});
-    }
+    out.push_back({"unreferenced-api", d.file, d.line,
+                   "public function '" + d.name +
+                       "' has no caller in src/, tests/, bench/, perfbench/, "
+                       "tools/ or examples/ — delete it with any state only "
+                       "it reads, or add the test that shows why it exists"});
   }
   return out;
 }

@@ -16,7 +16,7 @@
 //                static-atomic-counter
 //   status:      missing-nodiscard, discarded-status
 //   value build: init-list-move
-//   unreferenced: unreferenced-api, api-allow-malformed, api-allow-stale
+//   unreferenced: unreferenced-api
 #pragma once
 
 #include <map>
@@ -164,23 +164,9 @@ struct ApiIndex {
 void api_index_file(const std::string& rel_path, const TokenStream& ts,
                     ApiIndex& index);
 
-// One allow-manifest line, `path name reason`.
-struct ApiAllow {
-  std::string path;
-  std::string name;
-  std::string reason;  // empty = malformed
-  int line = 0;
-};
-
-// Manifest format: one `path name reason` per line, '#' comments.
-[[nodiscard]] std::vector<ApiAllow> parse_api_allow(const std::string& text);
-
-// unreferenced-api for every declared name with no use (suppressed,
-// with the entry's reason, when the manifest names it), plus
-// api-allow-malformed for an entry without a reason and api-allow-stale
-// for one that matches no finding, both reported against `allow_path`.
-[[nodiscard]] Findings unreferenced_api_check(
-    const ApiIndex& index, const std::vector<ApiAllow>& allow,
-    const std::string& allow_path);
+// unreferenced-api for every declared name with no use. An exemption
+// is an inline `// hcm:allow(unreferenced-api): reason` on the
+// declaration, applied with the other passes' suppressions.
+[[nodiscard]] Findings unreferenced_api_check(const ApiIndex& index);
 
 }  // namespace hcm::analyze

@@ -470,8 +470,19 @@ void walk_impl(const TokenStream& ts, const WalkCallbacks& cb) {
           }
         } else if (class_like) {
           kind = 'c';
+          // The keyword that opens the body is the first one outside
+          // template angles: in `template <class T> struct X`, `class`
+          // names a parameter.
+          int angle = 0;
           for (std::size_t j = begin; j < i; ++j) {
-            if (toks[j].kind == TokKind::kIdent &&
+            if (toks[j].kind == TokKind::kPunct) {
+              if (toks[j].text == "<") ++angle;
+              if (toks[j].text == ">" && angle > 0) --angle;
+              if (toks[j].text == ">>" && angle > 0) {
+                angle = angle >= 2 ? angle - 2 : 0;
+              }
+            }
+            if (angle == 0 && toks[j].kind == TokKind::kIdent &&
                 (toks[j].text == "class" || toks[j].text == "struct" ||
                  toks[j].text == "union" || toks[j].text == "enum")) {
               is_public = toks[j].text != "class";
