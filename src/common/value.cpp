@@ -8,8 +8,8 @@
 namespace hcm {
 
 namespace {
-// Largest map from_unsorted sorts by insertion (quadratic, but in
-// place) rather than through a sorted index (two allocations).
+// Largest map normalize() sorts by insertion (quadratic, but in
+// place) rather than through a sorted index (one allocation).
 constexpr std::size_t kInsertionSortMax = 16;
 }  // namespace
 
@@ -21,7 +21,12 @@ ValueMap ValueMap::from_unsorted(std::vector<value_type> items,
                                  Duplicates keep) {
   ValueMap out;
   out.items_ = std::move(items);
-  auto& v = out.items_;
+  out.normalize(keep);
+  return out;
+}
+
+void ValueMap::normalize(Duplicates keep) {
+  auto& v = items_;
   const auto key_less = [](const value_type& a, const value_type& b) {
     return a.first < b.first;
   };
@@ -30,13 +35,14 @@ ValueMap ValueMap::from_unsorted(std::vector<value_type> items,
   if (std::adjacent_find(v.begin(), v.end(), [&](const auto& a, const auto& b) {
         return !key_less(a, b);
       }) == v.end()) {
-    return out;
+    return;
   }
   // Stable, so a run of equal keys keeps its input order: the first
   // entry of each run is the first one seen, the last the last one.
   // A small map (a braced initializer written out of key order) is
   // insertion-sorted in place. A large one sorts entry indices, with
-  // the index breaking ties, and then moves each entry once.
+  // the index breaking ties, and then moves the entries into that order
+  // in place, one permutation cycle at a time.
   if (v.size() <= kInsertionSortMax) {
     for (auto i = v.begin(); i != v.end(); ++i) {
       std::rotate(std::upper_bound(v.begin(), i, *i, key_less), i, i + 1);
@@ -48,10 +54,21 @@ ValueMap ValueMap::from_unsorted(std::vector<value_type> items,
       const int c = v[a].first.compare(v[b].first);
       return c < 0 || (c == 0 && a < b);
     });
-    std::vector<value_type> sorted;
-    sorted.reserve(v.size());
-    for (std::uint32_t i : order) sorted.push_back(std::move(v[i]));
-    v = std::move(sorted);
+    // Entry i takes the entry at order[i]; a finished slot is marked
+    // order[i] == i.
+    for (std::uint32_t i = 0; i < order.size(); ++i) {
+      if (order[i] == i) continue;
+      value_type held = std::move(v[i]);
+      std::uint32_t j = i;
+      while (order[j] != i) {
+        const std::uint32_t next = order[j];
+        v[j] = std::move(v[next]);
+        order[j] = j;
+        j = next;
+      }
+      v[j] = std::move(held);
+      order[j] = j;
+    }
   }
   auto write = v.begin();
   for (auto run = v.begin(); run != v.end();) {
@@ -63,7 +80,6 @@ ValueMap ValueMap::from_unsorted(std::vector<value_type> items,
     run = next;
   }
   v.erase(write, v.end());
-  return out;
 }
 
 Value& ValueMap::at(std::string_view key) {
@@ -179,6 +195,18 @@ void render(const Value& v, std::string& out) {
 }
 
 }  // namespace
+
+void trim_for_reuse(Value& v) {
+  if (v.is_string()) {
+    if (v.as_string().capacity() > kMaxRetainedString) v = Value();
+  } else if (v.is_bytes()) {
+    if (v.as_bytes().capacity() > kMaxRetainedString) v = Value();
+  } else if (v.is_list()) {
+    for (Value& item : v.as_list()) trim_for_reuse(item);
+  } else if (v.is_map()) {
+    for (auto& [key, item] : v.as_map()) trim_for_reuse(item);
+  }
+}
 
 std::string Value::to_string() const {
   std::string out;

@@ -43,8 +43,9 @@ using ValueList = std::vector<Value>;
 //
 // Unlike std::map, inserting (emplace, operator[] on a new key) may move
 // every entry: it invalidates references and iterators into the map.
-// Decoders build a map with from_unsorted, not key by key, so a hostile
-// key order costs one sort instead of a quadratic run of inserts.
+// Decoders build a map with from_unsorted (or normalize), not key by
+// key, so a hostile key order costs one sort instead of a quadratic run
+// of inserts.
 class ValueMap {
  public:
   using value_type = std::pair<std::string, Value>;
@@ -62,6 +63,13 @@ class ValueMap {
   // already ascend strictly) and drops the repeats `keep` does not name.
   [[nodiscard]] static ValueMap from_unsorted(std::vector<value_type> items,
                                               Duplicates keep);
+  // In-place form for decoders that reuse a map's storage: write the
+  // entries in any order into unsorted_entries() (keys and values
+  // assign into the capacity they kept), then normalize() sorts and
+  // drops repeats as from_unsorted does. Until then the map's lookups
+  // are unspecified.
+  [[nodiscard]] std::vector<value_type>& unsorted_entries() { return items_; }
+  void normalize(Duplicates keep);
 
   [[nodiscard]] iterator begin() { return items_.begin(); }
   [[nodiscard]] iterator end() { return items_.end(); }
@@ -142,6 +150,15 @@ class Value {
   }
   [[nodiscard]] const ValueMap& as_map() const { return std::get<ValueMap>(v_); }
   [[nodiscard]] ValueList& as_list() { return std::get<ValueList>(v_); }
+  // The T (std::string, Bytes, ValueList or ValueMap) this value holds,
+  // after making it an empty T if it held another type: what is then
+  // assigned or decoded into it reuses a held T's storage (recycled
+  // wire items, decoders).
+  template <typename T>
+  [[nodiscard]] T& slot() {
+    if (!std::holds_alternative<T>(v_)) v_ = T();
+    return std::get<T>(v_);
+  }
   [[nodiscard]] ValueMap& as_map() { return std::get<ValueMap>(v_); }
 
   // Lenient numeric view: int or double -> double.
@@ -162,6 +179,15 @@ class Value {
                ValueList, ValueMap>
       v_;
 };
+
+// Largest string or byte string whose storage a decoded tree kept for
+// the next decode holds on to (a pooled SOAP envelope, a binary
+// server's argument list). trim_for_reuse frees a larger one, such as a
+// mail body, so it does not stay resident.
+inline constexpr std::size_t kMaxRetainedString = 1024;
+// Frees the strings and byte strings in `v`, at any depth, whose storage
+// exceeds kMaxRetainedString.
+void trim_for_reuse(Value& v);
 
 // ValueMap's members that touch its entries, now that Value is complete.
 

@@ -12,67 +12,92 @@ namespace {
 // decode_list).
 constexpr std::size_t kMaxListReserve = 1024;
 
-Result<Value> decode_rec(BufReader& r, int depth);
+Status decode_into(BufReader& r, Value& out, int depth);
 
-// GCC 12 warns (-Wfree-nonheap-object) when the moved-from Value
-// temporary here is destroyed: it follows the variant's Bytes branch
-// with the moved string's inline buffer as the vector's pointer, a path
-// the variant's index rules out.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wfree-nonheap-object"
-template <typename T>
-Result<Value> as_value(Result<T> r) {
-  if (!r.is_ok()) return r.status();
-  return Value(std::move(r).take());
+// A length-prefixed run of the buffer, borrowed.
+Result<std::string_view> prefixed(BufReader& r) {
+  auto len = r.u32();
+  if (!len.is_ok()) return len.status();
+  return r.view(len.value());
 }
-#pragma GCC diagnostic pop
 
-// Body of a list at `depth` (its tag already read) into `out`.
+// `s` = `text`. Storage too small for it is replaced by storage of the
+// exact size: assign would round it up to twice the old capacity.
+void assign_exact(std::string& s, std::string_view text) {
+  if (text.size() > s.capacity()) {
+    s = std::string(text);
+  } else {
+    s.assign(text);
+  }
+}
+
+// Body of a list at `depth` (its tag already read) into `out`: the
+// elements decode into the ones `out` holds, by index, and the rest are
+// truncated.
 Status decode_list(BufReader& r, int depth, ValueList& out) {
   auto n = r.u32();
   if (!n.is_ok()) return n.status();
   if (n.value() > r.remaining()) {
     return protocol_error("list length exceeds buffer");
   }
-  out.clear();
   // The count is checked against the bytes left, not the nesting: a
   // frame of nested lists each claiming the rest of the buffer would
   // reserve that much per level. Reserve at most kMaxListReserve before
-  // any element has been decoded and let push_back grow past it.
+  // any element has been decoded and let the list grow past it.
   out.reserve(std::min<std::size_t>(n.value(), kMaxListReserve));
   for (std::uint32_t i = 0; i < n.value(); ++i) {
-    auto e = decode_rec(r, depth + 1);
-    if (!e.is_ok()) return e.status();
-    out.push_back(std::move(e).take());
+    if (i == out.size()) out.emplace_back();
+    if (auto s = decode_into(r, out[i], depth + 1); !s.is_ok()) return s;
   }
+  out.resize(n.value());
   return Status::ok();
 }
 
-Result<Value> decode_rec(BufReader& r, int depth) {
+// Decodes one value at `depth` into `out`, reusing the storage `out`
+// holds, as soap::value_from_pull does: a string or byte string is
+// assigned into its own, and a list's or map's children decode into the
+// ones it has. A recycled tree of the same shape decodes without
+// allocating. On error `out` holds some valid value.
+Status decode_into(BufReader& r, Value& out, int depth) {
   if (depth > kMaxValueDepth) return protocol_error("value nesting too deep");
   auto tag = r.u8();
   if (!tag.is_ok()) return tag.status();
   switch (static_cast<ValueType>(tag.value())) {
     case ValueType::kNull:
-      return Value();
+      out = Value();
+      return Status::ok();
     case ValueType::kBool: {
       auto b = r.u8();
       if (!b.is_ok()) return b.status();
-      return Value(b.value() != 0);
+      out = b.value() != 0;
+      return Status::ok();
     }
-    case ValueType::kInt:
-      return as_value(r.i64());
-    case ValueType::kDouble:
-      return as_value(r.f64());
-    case ValueType::kString:
-      return as_value(r.string());
-    case ValueType::kBytes:
-      return as_value(r.bytes());
-    case ValueType::kList: {
-      ValueList list;
-      if (auto s = decode_list(r, depth, list); !s.is_ok()) return s;
-      return Value(std::move(list));
+    case ValueType::kInt: {
+      auto i = r.i64();
+      if (!i.is_ok()) return i.status();
+      out = i.value();
+      return Status::ok();
     }
+    case ValueType::kDouble: {
+      auto d = r.f64();
+      if (!d.is_ok()) return d.status();
+      out = d.value();
+      return Status::ok();
+    }
+    case ValueType::kString: {
+      auto v = prefixed(r);
+      if (!v.is_ok()) return v.status();
+      assign_exact(out.slot<std::string>(), v.value());
+      return Status::ok();
+    }
+    case ValueType::kBytes: {
+      auto v = prefixed(r);
+      if (!v.is_ok()) return v.status();
+      out.slot<Bytes>().assign(v.value().begin(), v.value().end());
+      return Status::ok();
+    }
+    case ValueType::kList:
+      return decode_list(r, depth, out.slot<ValueList>());
     case ValueType::kMap: {
       auto n = r.u32();
       if (!n.is_ok()) return n.status();
@@ -81,17 +106,20 @@ Result<Value> decode_rec(BufReader& r, int depth) {
       }
       // Entries go in wire order and are sorted once at the end; the
       // first of a repeated key wins, as it would by emplace.
-      std::vector<ValueMap::value_type> entries;
+      ValueMap& map = out.slot<ValueMap>();
+      auto& entries = map.unsorted_entries();
       entries.reserve(std::min<std::size_t>(n.value(), kMaxListReserve));
       for (std::uint32_t i = 0; i < n.value(); ++i) {
-        auto k = r.string();
+        if (i == entries.size()) entries.emplace_back();
+        auto& [key, value] = entries[i];
+        auto k = prefixed(r);
         if (!k.is_ok()) return k.status();
-        auto e = decode_rec(r, depth + 1);
-        if (!e.is_ok()) return e.status();
-        entries.emplace_back(std::move(k).take(), std::move(e).take());
+        assign_exact(key, k.value());
+        if (auto s = decode_into(r, value, depth + 1); !s.is_ok()) return s;
       }
-      return Value(ValueMap::from_unsorted(std::move(entries),
-                                           ValueMap::Duplicates::kKeepFirst));
+      entries.resize(n.value());
+      map.normalize(ValueMap::Duplicates::kKeepFirst);
+      return Status::ok();
     }
   }
   return protocol_error("unknown value tag " + std::to_string(tag.value()));
@@ -150,7 +178,11 @@ Bytes encode_value(const Value& v) {
   return w.take();
 }
 
-Result<Value> decode_value(BufReader& r) { return decode_rec(r, 0); }
+Result<Value> decode_value(BufReader& r) {
+  Value out;
+  if (auto s = decode_into(r, out, 0); !s.is_ok()) return s;
+  return out;
+}
 
 Status decode_value(BufReader& r, ValueList& out) {
   auto tag = r.u8();
@@ -163,7 +195,7 @@ Status decode_value(BufReader& r, ValueList& out) {
 
 Result<Value> decode_value(ByteView b) {
   BufReader r(b);
-  auto v = decode_rec(r, 0);
+  auto v = decode_value(r);
   if (!v.is_ok()) return v;
   if (!r.at_end()) return protocol_error("trailing bytes after value");
   return v;

@@ -38,7 +38,10 @@ void encode_value(const ValueList& list, BigEndianWriter<Sink>& w);
 [[nodiscard]] Bytes encode_value(const Value& v);
 
 [[nodiscard]] Result<Value> decode_value(BufReader& r);
-// Decodes a list value into `out`, reusing its capacity.
+// Decodes a list value into `out`, reusing the storage its elements
+// hold: they decode in place, by index, and the extra ones are
+// truncated, so a recycled list of the same shape decodes without
+// allocating.
 [[nodiscard]] Status decode_value(BufReader& r, ValueList& out);
 [[nodiscard]] Result<Value> decode_value(ByteView b);
 

@@ -45,9 +45,13 @@ void HaviAdapter::handle_self(const std::string& op, const ValueList& args,
     } else if (topic == havi::kEventNetworkReset) {
       feed_gap();  // the bus re-enumerated: re-list on the next listing
     } else if (auto dot = topic.find('.'); dot != std::string::npos) {
-      auto it = watches_.find(topic.substr(0, dot));
+      auto it = watches_.find(std::string_view(topic).substr(0, dot));
       if (it != watches_.end() && it->second.fn) {
-        it->second.fn(topic.substr(0, dot), topic.substr(dot + 1), args[1]);
+        for (const auto& t : it->second.topics) {
+          if (t.topic != topic) continue;
+          it->second.fn(it->first, t.event, args[1]);
+          break;
+        }
       }
     }
     done(Value());
@@ -263,6 +267,7 @@ void HaviAdapter::unexport_service(const std::string& name) {
   registry_.unregister_element(it->second.seid, [](const Status&) {});
   ms_.unregister_element(it->second.seid);
   exported_.erase(it);
+  emit_args_.erase(name);
 }
 
 Status HaviAdapter::watch_events(const LocalService& service,
@@ -275,9 +280,9 @@ Status HaviAdapter::watch_events(const LocalService& service,
   watch.fn = std::move(on_event);
   havi::EventClient events(ms_, self_, em_seid_);
   for (const auto& ev : service.interface.events) {
-    const std::string topic = service.name + "." + ev.name;
-    events.subscribe(topic, [](const Status&) {});
-    watch.topics.push_back(topic);
+    Watch::Topic& t =
+        watch.topics.emplace_back(service.name + "." + ev.name, ev.name);
+    events.subscribe(t.topic, [](const Status&) {});
   }
   watches_[service.name] = std::move(watch);
   return Status::ok();
@@ -287,8 +292,8 @@ void HaviAdapter::unwatch_events(const std::string& service_name) {
   auto it = watches_.find(service_name);
   if (it == watches_.end()) return;
   havi::EventClient events(ms_, self_, em_seid_);
-  for (const auto& topic : it->second.topics) {
-    events.unsubscribe(topic, [](const Status&) {});
+  for (const auto& t : it->second.topics) {
+    events.unsubscribe(t.topic, [](const Status&) {});
   }
   watches_.erase(it);
 }
@@ -296,9 +301,19 @@ void HaviAdapter::unwatch_events(const std::string& service_name) {
 void HaviAdapter::emit_event(const std::string& service_name,
                              const std::string& event, const Value& payload) {
   // Posting through the Event Manager lets native HAVi subscribers of
-  // the exported server proxy receive the remote event.
-  havi::EventClient events(ms_, self_, em_seid_);
-  events.post(service_name + "." + event, payload);
+  // the exported server proxy receive the remote event. The topic is
+  // built on the first post of the pair; later ones only assign the
+  // payload into its argument list.
+  auto& by_event = emit_args_[service_name];
+  auto it = by_event.find(event);
+  if (it == by_event.end()) {
+    it = by_event
+             .emplace(event, ValueList{Value(service_name + "." + event),
+                                       Value()})
+             .first;
+  }
+  it->second[1] = payload;
+  havi::EventClient(ms_, self_, em_seid_).post(it->second);
 }
 
 }  // namespace hcm::core

@@ -96,11 +96,22 @@ class HaviAdapter : public MiddlewareAdapter {
     ServiceHandler handler;  // direct dispatch while registration settles
   };
   std::map<std::string, Exported> exported_;
+  // A watched service's "<service>.<event>" topics, built once when the
+  // watch starts: a notification is matched against them and reaches
+  // `fn` with the watch's own strings.
   struct Watch {
-    std::vector<std::string> topics;
+    struct Topic {
+      std::string topic;
+      std::string event;
+    };
+    std::vector<Topic> topics;
     AdapterEventFn fn;
   };
-  std::map<std::string, Watch> watches_;  // by service name
+  std::map<std::string, Watch, std::less<>> watches_;  // by service name
+  // emit_event's postEvent argument lists [topic, payload], one per
+  // (service, event) it has re-emitted, with the topic built once; a
+  // post assigns the payload into the list. Dropped at unexport.
+  std::map<std::string, std::map<std::string, ValueList>> emit_args_;
 };
 
 }  // namespace hcm::core

@@ -422,10 +422,12 @@ void JiniAdapter::unwatch_events(const std::string& service_name) {
 void JiniAdapter::emit_event(const std::string& service_name,
                              const std::string& event, const Value& payload) {
   auto it = exported_.find(service_name);
-  if (it == exported_.end()) return;
+  if (it == exported_.end() || it->second.listeners.empty()) return;
+  // One argument list per event, shared by every listener: each call
+  // encodes it before returning.
+  const ValueList args{Value(event), event_item(payload)};
   for (auto& [id, listener] : it->second.listeners) {
-    listener->invoke_one_way("serviceEvent",
-                             {Value(event), event_item(payload)});
+    listener->invoke_one_way("serviceEvent", args);
   }
 }
 

@@ -54,9 +54,9 @@ EventRouter::EventRouter(net::Network& net, Pcm& pcm)
 EventRouter::~EventRouter() {
   auto& sched = net_.scheduler();
   for (auto& [id, sub] : subs_) {
-    if (sub.expiry_event != 0) sched.cancel(sub.expiry_event);
-    if (sub.flush_event != 0) sched.cancel(sub.flush_event);
-    if (sub.retry_event != 0) sched.cancel(sub.retry_event);
+    if (sub->expiry_event != 0) sched.cancel(sub->expiry_event);
+    if (sub->flush_event != 0) sched.cancel(sub->flush_event);
+    if (sub->retry_event != 0) sched.cancel(sub->retry_event);
   }
   for (auto& [id, ls] : local_subs_) {
     if (ls.renew_event != 0) sched.cancel(ls.renew_event);
@@ -144,7 +144,7 @@ void EventRouter::subscribe(const std::string& service,
 
 void EventRouter::unsubscribe(const std::string& lease_id, DoneFn done) {
   auto it = local_subs_.find(lease_id);
-  if (it == local_subs_.end()) {
+  if (it == local_subs_.end() || it->second.retired) {
     // Idempotent: the lease may have expired or already been cancelled;
     // either way the goal state — no subscription — holds.
     done(Status::ok());
@@ -152,9 +152,10 @@ void EventRouter::unsubscribe(const std::string& lease_id, DoneFn done) {
   }
   if (it->second.renew_event != 0) {
     net_.scheduler().cancel(it->second.renew_event);
+    it->second.renew_event = 0;
   }
   const Uri origin = it->second.origin;
-  local_subs_.erase(it);
+  erase_local(it);
   vsg_.call_remote(origin, kBridgeService, bridge_interface(), "unsubscribe",
                    {Value(lease_id)},
                    [done = std::move(done)](Result<Value> r) {
@@ -163,13 +164,24 @@ void EventRouter::unsubscribe(const std::string& lease_id, DoneFn done) {
                    });
 }
 
+void EventRouter::erase_local(
+    std::map<std::string, LocalSub, std::less<>>::iterator it) {
+  // A lease whose handler is running stays put until handle_deliver
+  // returns from it; later items for it are skipped meanwhile.
+  if (it->second.dispatching != 0) {
+    it->second.retired = true;
+    return;
+  }
+  local_subs_.erase(it);
+}
+
 void EventRouter::arm_renew(const std::string& id) {
   auto it = local_subs_.find(id);
-  if (it == local_subs_.end()) return;
+  if (it == local_subs_.end() || it->second.retired) return;
   it->second.renew_event =
       net_.scheduler().after(it->second.lease / 2, [this, id] {
         auto it = local_subs_.find(id);
-        if (it == local_subs_.end()) return;
+        if (it == local_subs_.end() || it->second.retired) return;
         it->second.renew_event = 0;
         const ValueList args{
             Value(id), Value(static_cast<std::int64_t>(it->second.lease))};
@@ -177,12 +189,12 @@ void EventRouter::arm_renew(const std::string& id) {
             it->second.origin, kBridgeService, bridge_interface(), "renew",
             args, [this, id](Result<Value> r) {
               auto it = local_subs_.find(id);
-              if (it == local_subs_.end()) return;
+              if (it == local_subs_.end() || it->second.retired) return;
               if (!r.is_ok() || !r.value().is_int()) {
                 // The origin no longer knows the lease (expired or the
                 // island restarted): drop the local record so handler
                 // dispatch and dedupe bookkeeping stop.
-                local_subs_.erase(it);
+                erase_local(it);
                 return;
               }
               it->second.lease = r.value().as_int();
@@ -228,18 +240,18 @@ void EventRouter::handle_subscribe(const ValueList& args,
       return;
     }
   }
-  Subscription sub;
-  sub.id = vsg_.island_name() + "/esub-" + std::to_string(next_sub_++);
-  sub.service = service;
-  sub.event = event;
-  sub.sink = std::move(sink).take();
-  sub.lease = clamp_lease(args[3].as_int());
-  const std::string id = sub.id;
-  auto [it, inserted] = subs_.emplace(id, std::move(sub));
-  arm_expiry(it->second);
+  auto sub = std::make_unique<Subscription>();
+  sub->id = vsg_.island_name() + "/esub-" + std::to_string(next_sub_++);
+  sub->service = service;
+  sub->event = event;
+  sub->sink = std::move(sink).take();
+  sub->lease = clamp_lease(args[3].as_int());
+  Subscription& s = *sub;
+  subs_.emplace(s.id, std::move(sub));
+  arm_expiry(s);
   done(Value(ValueMap{
-      {"lease", Value(id)},
-      {"duration", Value(static_cast<std::int64_t>(it->second.lease))},
+      {"lease", Value(s.id)},
+      {"duration", Value(static_cast<std::int64_t>(s.lease))},
   }));
 }
 
@@ -253,9 +265,9 @@ void EventRouter::handle_renew(const ValueList& args, InvokeResultFn done) {
     done(not_found("no such lease: " + args[0].as_string()));
     return;
   }
-  it->second.lease = clamp_lease(args[1].as_int());
-  arm_expiry(it->second);
-  done(Value(static_cast<std::int64_t>(it->second.lease)));
+  it->second->lease = clamp_lease(args[1].as_int());
+  arm_expiry(*it->second);
+  done(Value(static_cast<std::int64_t>(it->second->lease)));
 }
 
 void EventRouter::handle_unsubscribe(const ValueList& args,
@@ -282,83 +294,111 @@ void EventRouter::handle_deliver(const ValueList& args, InvokeResultFn done) {
     const Value& sub_id = item.at("sub");
     if (!sub_id.is_string()) continue;
     auto it = local_subs_.find(sub_id.as_string());
-    if (it == local_subs_.end()) continue;
+    if (it == local_subs_.end() || it->second.retired) continue;
+    LocalSub& ls = it->second;
     const auto seq = item.at("seq").is_int()
                          ? static_cast<std::uint64_t>(item.at("seq").as_int())
                          : 0;
-    if (seq != 0 && seq <= it->second.last_seq) {
+    if (seq != 0 && seq <= ls.last_seq) {
       // Batch re-sent after a lost ack (at-least-once): suppress the
       // duplicate so local handlers fire once per event.
       duplicates_dropped_.inc();
       continue;
     }
-    if (seq != 0) it->second.last_seq = seq;
+    if (seq != 0) ls.last_seq = seq;
     // Service and event come from the lease, never from the item: a
     // peer holding one lease id must not speak for another service.
-    // Copy them with the handler: it may unsubscribe and invalidate `it`.
-    // The payload is borrowed from the caller's args, not the lease, so
-    // it outlives an unsubscribe.
-    const std::string service = it->second.service;
-    const std::string event = it->second.event;
-    auto handler = it->second.handler;
+    // The lease is pinned while they are in use: a handler that
+    // unsubscribes only retires it, and it is erased below.
     const Value& payload = item.at("payload");
     events_delivered_.inc();
-    adapter_.emit_event(service, event, payload);
-    if (handler) handler(service, event, payload);
+    ++ls.dispatching;
+    adapter_.emit_event(ls.service, ls.event, payload);
+    if (ls.handler) ls.handler(ls.service, ls.event, payload);
+    if (--ls.dispatching == 0 && ls.retired) local_subs_.erase(it);
   }
   done(Value(acked));
 }
+
+namespace {
+
+// Writes the deliver item {payload, seq, sub} into `item`. A slot's
+// first item builds the map; later ones copy-assign into its entries
+// (keys in the map's sorted order), which reuses their storage.
+void fill_item(Value& item, const Value& payload, std::uint64_t seq,
+               const std::string& sub) {
+  if (!item.is_map() || item.as_map().size() != 3) {
+    ValueMap m;
+    m.reserve(3);
+    m.emplace("payload", payload);
+    m.emplace("seq", static_cast<std::int64_t>(seq));
+    m.emplace("sub", sub);
+    item = Value(std::move(m));
+    return;
+  }
+  auto e = item.as_map().begin();
+  e[0].second = payload;
+  e[1].second = static_cast<std::int64_t>(seq);
+  e[2].second.slot<std::string>().assign(sub);
+}
+
+}  // namespace
 
 void EventRouter::on_native_event(const std::string& service,
                                   const std::string& event,
                                   const Value& payload) {
   for (auto& [id, sub] : subs_) {
-    if (sub.service != service || sub.event != event) continue;
-    // The one copy of the payload this subscriber gets: the item goes on
-    // the wire as built (keys in the map's sorted order).
-    ValueMap item;
-    item.reserve(3);
-    item.emplace("payload", payload);
-    item.emplace("seq", static_cast<std::int64_t>(sub.next_seq++));
-    item.emplace("sub", sub.id);
-    sub.queue.emplace_back(std::move(item));
-    if (sub.queue.size() + sub.batch().size() > kMaxQueue) {
+    Subscription& s = *sub;
+    if (s.service != service || s.event != event) continue;
+    if (s.queued + s.batch().size() == kMaxQueue) {
       // Bounded queue: drop the oldest *unsent* event. The batch is on
       // the wire (or awaiting its retry) and must survive for
-      // at-least-once delivery.
-      sub.queue.pop_front();
+      // at-least-once delivery. The dropped item's storage trades
+      // places with the batch's first empty slot, so the empty slots
+      // stay the ones just behind `head`.
+      const std::size_t n = s.ring.size();
+      const std::size_t in_batch = s.batch().size();
+      if (in_batch != 0) {
+        std::swap(s.ring[s.head], s.ring[(s.head + n - in_batch) % n]);
+      }
+      s.head = (s.head + 1) % n;
+      --s.queued;
       events_dropped_.inc();
     }
-    schedule_flush(sub);
+    // The one copy of the payload this subscriber gets: the item goes
+    // on the wire as written.
+    fill_item(s.slot(s.queued), payload, s.next_seq++, s.id);
+    ++s.queued;
+    schedule_flush(s);
   }
 }
 
 void EventRouter::arm_expiry(Subscription& sub) {
   auto& sched = net_.scheduler();
   if (sub.expiry_event != 0) sched.cancel(sub.expiry_event);
-  sub.expiry_event =
-      sched.after(sub.lease, [this, id = sub.id] { expire(id); });
-}
-
-void EventRouter::expire(const std::string& id) {
-  auto it = subs_.find(id);
-  if (it == subs_.end()) return;
-  it->second.expiry_event = 0;
-  leases_expired_.inc();
-  drop_subscription(id);
+  // Dropping the lease cancels its timers, so they hold its address.
+  sub.expiry_event = sched.after(sub.lease, [this, &sub] {
+    sub.expiry_event = 0;
+    leases_expired_.inc();
+    drop_subscription(sub.id);
+  });
 }
 
 void EventRouter::drop_subscription(const std::string& id) {
   auto it = subs_.find(id);
   if (it == subs_.end()) return;
-  auto& sched = net_.scheduler();
-  auto& sub = it->second;
-  if (sub.expiry_event != 0) sched.cancel(sub.expiry_event);
-  if (sub.flush_event != 0) sched.cancel(sub.flush_event);
-  if (sub.retry_event != 0) sched.cancel(sub.retry_event);
-  const std::string service = sub.service;
+  std::unique_ptr<Subscription> sub = std::move(it->second);
   subs_.erase(it);
-  release_watch(service);
+  auto& sched = net_.scheduler();
+  if (sub->expiry_event != 0) sched.cancel(sub->expiry_event);
+  if (sub->flush_event != 0) sched.cancel(sub->flush_event);
+  if (sub->retry_event != 0) sched.cancel(sub->retry_event);
+  release_watch(sub->service);
+  if (sub->sending) {
+    // The batch's completion still holds the record: it frees it.
+    sub->retired = true;
+    retired_.push_back(std::move(sub));
+  }
 }
 
 Status EventRouter::ensure_watch(const std::string& service,
@@ -393,70 +433,74 @@ void EventRouter::schedule_flush(Subscription& sub) {
   // While a batch is on the wire or a retry timer is pending, new
   // events just queue; the ack/retry path continues the drain.
   if (sub.sending || sub.retry_event != 0) return;
-  if (sub.queue.size() >= kMaxBatch) {
+  if (sub.queued >= kMaxBatch) {
     if (sub.flush_event != 0) {
       net_.scheduler().cancel(sub.flush_event);
       sub.flush_event = 0;
     }
-    flush(sub.id);
+    flush(sub);
     return;
   }
   if (sub.flush_event == 0) {
     // Batch window: coalesce a burst into one deliver() call.
-    sub.flush_event =
-        net_.scheduler().after(kBatchWindow, [this, id = sub.id] {
-          auto it = subs_.find(id);
-          if (it == subs_.end()) return;
-          it->second.flush_event = 0;
-          flush(id);
-        });
+    sub.flush_event = net_.scheduler().after(kBatchWindow, [this, &sub] {
+      sub.flush_event = 0;
+      flush(sub);
+    });
   }
 }
 
-void EventRouter::flush(const std::string& id) {
-  auto it = subs_.find(id);
-  if (it == subs_.end()) return;
-  auto& sub = it->second;
+void EventRouter::flush(Subscription& sub) {
   ValueList& batch = sub.batch();
-  if (sub.sending || (sub.queue.empty() && batch.empty())) return;
+  if (sub.sending || (sub.queued == 0 && batch.empty())) return;
   // A retry re-sends the failed batch, topped up from the queue.
-  while (batch.size() < kMaxBatch && !sub.queue.empty()) {
-    batch.push_back(std::move(sub.queue.front()));
-    sub.queue.pop_front();
+  while (batch.size() < kMaxBatch && sub.queued != 0) {
+    batch.push_back(std::move(sub.ring[sub.head]));
+    sub.head = (sub.head + 1) % sub.ring.size();
+    --sub.queued;
   }
   sub.sending = true;
+  sub.sent_at = net_.scheduler().now();
   // The wire client renders the arguments before call_remote returns;
   // the batch itself stays put until its ack.
-  vsg_.call_remote(
-      sub.sink, kBridgeService, bridge_interface(), "deliver",
-      sub.deliver_args,
-      [this, id, start = net_.scheduler().now()](Result<Value> r) {
-        delivery_latency_us_.observe(net_.scheduler().now() - start);
-        auto it = subs_.find(id);
-        if (it == subs_.end()) return;  // lease expired while in flight
-        auto& sub = it->second;
-        sub.sending = false;
-        if (r.is_ok()) {
-          events_routed_.inc(sub.batch().size());
-          sub.batch().clear();  // capacity kept for the next batch
-          batches_sent_.inc();
-          sub.backoff = 0;
-          if (!sub.queue.empty()) flush(id);
-          return;
-        }
-        // Transient transport failure: the batch stays in place
-        // (at-least-once) and is retried with exponential backoff.
-        delivery_retries_.inc();
-        sub.backoff = sub.backoff == 0
-                          ? kRetryBase
-                          : std::min(sub.backoff * 2, kRetryMax);
-        sub.retry_event = net_.scheduler().after(sub.backoff, [this, id] {
-          auto it = subs_.find(id);
-          if (it == subs_.end()) return;
-          it->second.retry_event = 0;
-          flush(id);
-        });
-      });
+  vsg_.call_remote(sub.sink, kBridgeService, bridge_interface(), "deliver",
+                   sub.deliver_args, [this, s = &sub](Result<Value> r) {
+                     on_delivered(*s, r);
+                   });
+}
+
+void EventRouter::on_delivered(Subscription& sub, const Result<Value>& r) {
+  delivery_latency_us_.observe(net_.scheduler().now() - sub.sent_at);
+  sub.sending = false;
+  if (sub.retired) {  // the lease was dropped while this batch flew
+    std::erase_if(retired_, [&sub](const auto& p) { return p.get() == &sub; });
+    return;
+  }
+  ValueList& batch = sub.batch();
+  if (r.is_ok()) {
+    events_routed_.inc(batch.size());
+    // The acked items go back to the slots they came from, storage and
+    // all, for the next events to be written into.
+    const std::size_t n = sub.ring.size();
+    const std::size_t first = sub.head + n - batch.size();
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      std::swap(sub.ring[(first + i) % n], batch[i]);
+    }
+    batch.clear();  // capacity kept for the next batch
+    batches_sent_.inc();
+    sub.backoff = 0;
+    if (sub.queued != 0) flush(sub);
+    return;
+  }
+  // Transient transport failure: the batch stays in place
+  // (at-least-once) and is retried with exponential backoff.
+  delivery_retries_.inc();
+  sub.backoff =
+      sub.backoff == 0 ? kRetryBase : std::min(sub.backoff * 2, kRetryMax);
+  sub.retry_event = net_.scheduler().after(sub.backoff, [this, &sub] {
+    sub.retry_event = 0;
+    flush(sub);
+  });
 }
 
 sim::Duration EventRouter::clamp_lease(sim::Duration lease) {

@@ -14,10 +14,10 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "core/pcm.hpp"
 #include "obs/metrics.hpp"
@@ -34,6 +34,8 @@ class EventRouter {
   // Queueing, batching, lease and retry policy (docs/EVENTS.md).
   static constexpr std::size_t kMaxQueue = 64;  // per-subscriber bound
   static constexpr std::size_t kMaxBatch = 16;  // events per deliver() call
+  // Item slots per subscription: the queue and the batch's empty slots.
+  static constexpr std::size_t kRingSlots = kMaxQueue + kMaxBatch;
   static constexpr sim::Duration kBatchWindow = sim::milliseconds(10);
   static constexpr sim::Duration kDefaultLease = sim::seconds(60);
   static constexpr sim::Duration kMaxLease = sim::seconds(300);
@@ -116,9 +118,11 @@ class EventRouter {
   [[nodiscard]] static const InterfaceDesc& bridge_interface();
 
  private:
-  // Origin-side record of one remote subscriber's lease. Each event is
-  // built once, as the finished deliver item {payload, seq, sub}, and
-  // moves from the queue into the batch: the items on the wire (or
+  // Origin-side record of one remote subscriber's lease. Its items are
+  // recycled: every event is written into a retained item Value
+  // {payload, seq, sub} in the ring (copy-assignment reuses the item's
+  // storage), moves from the ring into the batch when flushed, and goes
+  // back to the ring when the batch is acked. The items on the wire (or
   // awaiting a retry) stay in the batch until their ack.
   struct Subscription {
     std::string id;
@@ -127,19 +131,33 @@ class EventRouter {
     Uri sink;                // subscriber's bridge exposure
     sim::Duration lease = 0;
     sim::EventId expiry_event = 0;
-    std::deque<Value> queue;  // unsent items, oldest first
+    // kRingSlots item slots. The unsent items, oldest first, are the
+    // `queued` slots from `head` on (modulo the ring's size); the
+    // batch's items came from the batch().size() slots just behind
+    // `head`, which stay empty until the ack returns them.
+    std::vector<Value> ring = std::vector<Value>(kRingSlots);
+    std::size_t head = 0;
+    std::size_t queued = 0;
     // deliver's argument list; its one element is the batch list.
     ValueList deliver_args = ValueList(1, Value(ValueList()));
     std::uint64_t next_seq = 1;
     sim::EventId flush_event = 0;
     sim::EventId retry_event = 0;
     sim::Duration backoff = 0;
+    sim::SimTime sent_at = 0;  // of the batch on the wire
     bool sending = false;
+    // Dropped while its batch was on the wire: kept in retired_ until
+    // the batch's completion, which then frees it.
+    bool retired = false;
 
     ValueList& batch() { return deliver_args.front().as_list(); }
+    Value& slot(std::size_t i) { return ring[(head + i) % ring.size()]; }
   };
 
   // Subscriber-side record of a lease we hold on a remote service.
+  // While a handler runs the record is pinned (`dispatching`): an
+  // unsubscribe from inside it marks the record `retired` and
+  // handle_deliver erases it once the handler returns.
   struct LocalSub {
     std::string id;
     std::string service;
@@ -150,6 +168,8 @@ class EventRouter {
     bool auto_renew = true;
     sim::EventId renew_event = 0;
     std::uint64_t last_seq = 0;  // at-least-once: dedupe re-sent batches
+    std::uint32_t dispatching = 0;
+    bool retired = false;
   };
 
   struct Watch {
@@ -164,16 +184,17 @@ class EventRouter {
   void handle_deliver(const ValueList& args, InvokeResultFn done);  // sub side
 
   void arm_expiry(Subscription& sub);
-  void expire(const std::string& id);
   void drop_subscription(const std::string& id);
   [[nodiscard]] Status ensure_watch(const std::string& service,
                                     const InterfaceDesc& iface);
   void release_watch(const std::string& service);
 
   void schedule_flush(Subscription& sub);
-  void flush(const std::string& id);
+  void flush(Subscription& sub);
+  void on_delivered(Subscription& sub, const Result<Value>& r);
 
   void arm_renew(const std::string& id);
+  void erase_local(std::map<std::string, LocalSub, std::less<>>::iterator it);
   [[nodiscard]] static sim::Duration clamp_lease(sim::Duration lease);
   [[nodiscard]] static Uri bridge_uri_for(const Uri& service_endpoint);
 
@@ -182,7 +203,11 @@ class EventRouter {
   VirtualServiceGateway& vsg_;
   MiddlewareAdapter& adapter_;
 
-  std::map<std::string, Subscription> subs_;     // origin side, by lease id
+  // Origin side, by lease id. Timers capture the record's address
+  // (dropping a lease cancels them); a lease dropped with its batch on
+  // the wire moves to retired_ until that batch's completion runs.
+  std::map<std::string, std::unique_ptr<Subscription>> subs_;
+  std::vector<std::unique_ptr<Subscription>> retired_;
   // Subscriber side, by id (transparent: deliver looks ids up in place).
   std::map<std::string, LocalSub, std::less<>> local_subs_;
   std::map<std::string, Watch> watches_;         // origin, by service name

@@ -123,16 +123,23 @@ Result<Uri> VirtualServiceGateway::expose(const std::string& name,
       exposed.soap_service->register_method(
           m.name,
           // args lives in the (mutable) closure so its capacity is
-          // reused call over call; dispatch consumes it synchronously
-          // and nested re-entry is impossible within a frame (loopback
-          // delivery is scheduled, never inline).
+          // reused call over call. The params' values swap into it for
+          // the dispatch, which consumes them synchronously, and swap
+          // back after it, so the pooled envelope keeps the decoded
+          // trees for its next parse. Nested re-entry is impossible
+          // within a frame (loopback delivery is scheduled, never
+          // inline).
           [dispatch, handler = exposed.handler, method = m.name,
            args = ValueList{}](soap::NamedValues& params,
                                soap::CallResultFn done) mutable {
-            args.clear();
-            args.reserve(params.size());
-            for (auto& [k, v] : params) args.push_back(std::move(v));
+            args.resize(params.size());
+            for (std::size_t i = 0; i < params.size(); ++i) {
+              std::swap(args[i], params[i].second);
+            }
             dispatch(handler, method, args, std::move(done));
+            for (std::size_t i = 0; i < params.size(); ++i) {
+              std::swap(args[i], params[i].second);
+            }
           });
     }
     Uri uri = endpoint_uri(net_, "http", {node_, port_}, path);
@@ -221,25 +228,14 @@ void VirtualServiceGateway::call_remote(const Uri& endpoint,
                         std::move(done));
     return;
   }
-  // Scratch reuse: entry names assign into retained capacity, values
-  // copy-assign (no allocation for scalars), and the namespace string
-  // rebuilds in place. Both are done with by the time soap_client_.call
-  // returns (the call body renders synchronously).
-  auto& params = params_scratch_;
-  params.resize(args.size());
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    if (i < desc->params.size()) {
-      params[i].first.assign(desc->params[i].name);
-    } else {
-      params[i].first.assign("arg");
-      params[i].first += std::to_string(i);
-    }
-    params[i].second = args[i];
-  }
+  // The body renders straight from `args`, each named by its param
+  // (check_args matched the counts), and the namespace string rebuilds
+  // in retained capacity; soap_client_.call is done with both when it
+  // returns.
   ns_scratch_.assign("urn:hcm:");
   ns_scratch_ += iface.name;
   soap_client_.call(resolved.value(), endpoint.path, ns_scratch_, method,
-                    params, std::move(done));
+                    soap::CallParams(desc->params, args), std::move(done));
 }
 
 }  // namespace hcm::core

@@ -106,11 +106,8 @@ class VirtualServiceGateway {
   net::BinaryRpcServer binary_server_;
   net::BinaryRpcClient binary_client_;
   std::map<std::string, Exposed> exposed_;
-  // call_remote scratch, consumed synchronously by the wire client
-  // before the frame returns (completions fire on later scheduler
-  // events, so a nested call never observes a live borrow). Entry
-  // capacities persist call over call.
-  soap::NamedValues params_scratch_;
+  // call_remote's SOAP namespace, consumed synchronously by the wire
+  // client before the frame returns; its capacity persists.
   std::string ns_scratch_;
   std::string obs_scope_;
   obs::Counter& remote_calls_;

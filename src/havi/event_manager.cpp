@@ -42,8 +42,10 @@ void EventManager::handle(const std::string& op, const ValueList& args,
 void EventManager::fan_out(const std::string& event, const Value& payload) {
   auto it = subscribers_.find(event);
   if (it == subscribers_.end()) return;
+  notify_args_[0].slot<std::string>().assign(event);
+  notify_args_[1] = payload;
   for (const Seid& sub : it->second) {
-    ms_.send_notification(seid_, sub, "event", {Value(event), payload});
+    ms_.send_notification(seid_, sub, "event", notify_args_);
   }
 }
 
@@ -64,8 +66,8 @@ void EventClient::unsubscribe(const std::string& event,
                    });
 }
 
-void EventClient::post(const std::string& event, const Value& payload) {
-  ms_.send_request(self_, em_, "postEvent", {Value(event), payload},
+void EventClient::post(const ValueList& event_and_payload) {
+  ms_.send_request(self_, em_, "postEvent", event_and_payload,
                    [](Result<Value>) {});
 }
 

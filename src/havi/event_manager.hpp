@@ -34,6 +34,9 @@ class EventManager {
   MessagingSystem& ms_;
   Seid seid_;
   std::map<std::string, std::set<Seid>> subscribers_;
+  // fan_out's notification args [event, payload], rewritten in place
+  // per event; every send copies or encodes them before returning.
+  ValueList notify_args_ = ValueList(2);
 };
 
 // Client helper for subscribing and posting.
@@ -46,7 +49,10 @@ class EventClient {
                  std::function<void(const Status&)> done);
   void unsubscribe(const std::string& event,
                    std::function<void(const Status&)> done);
-  void post(const std::string& event, const Value& payload);
+  // Posts the postEvent argument list [event, payload]. A poster that
+  // keeps the list per topic assigns each payload into it; the list is
+  // copied or encoded before this returns.
+  void post(const ValueList& event_and_payload);
 
  private:
   MessagingSystem& ms_;

@@ -94,8 +94,9 @@ void VcrFcm::set_state(TransportState s) {
   const bool changed = state_ != s;
   state_ = s;
   if (changed && events_) {
-    events_->post(name() + ".transportChanged",
-                  Value(ValueMap{{"state", Value(std::string(to_string(s)))}}));
+    events_->post({Value(name() + ".transportChanged"),
+                   Value(ValueMap{
+                       {"state", Value(std::string(to_string(s)))}})});
   }
   bool need_tick = (s == TransportState::kPlay && source_channel_) ||
                    s == TransportState::kRecord;

@@ -196,7 +196,15 @@ void MessagingSystem::send(MessageKind kind, std::uint64_t id,
                            const std::string& op, const ValueList& args) {
   ++messages_sent_;
   if (to.node == node_) {
-    deliver_later(Message{kind, id, from, to, op, args});
+    std::uint32_t index = 0;
+    Message& msg = acquire_local(index);
+    msg.kind = kind;
+    msg.id = id;
+    msg.src = from;
+    msg.dst = to;
+    msg.op.assign(op);
+    msg.args = args;  // element-wise, into the slot's retained values
+    deliver_later(index);
   } else {
     BufWriter w(net_.datagram_buffer());
     encode_request(w, kind, id, from, to, op, args);
@@ -205,9 +213,21 @@ void MessagingSystem::send(MessageKind kind, std::uint64_t id,
   }
 }
 
-void MessagingSystem::deliver_later(Message&& msg) {
-  net_.scheduler().after(sim::microseconds(10),
-                         [this, m = std::move(msg)]() mutable { deliver(m); });
+Message& MessagingSystem::acquire_local(std::uint32_t& index) {
+  if (free_local_.empty()) {
+    index = static_cast<std::uint32_t>(local_.size());
+    return local_.emplace_back();
+  }
+  index = free_local_.back();
+  free_local_.pop_back();
+  return local_[index];
+}
+
+void MessagingSystem::deliver_later(std::uint32_t index) {
+  net_.scheduler().after(sim::microseconds(10), [this, index] {
+    deliver(local_[index]);
+    free_local_.push_back(index);
+  });
 }
 
 void MessagingSystem::on_datagram(net::Endpoint, const Bytes& data) {
@@ -234,10 +254,17 @@ void MessagingSystem::deliver_request(Message& msg) {
     if (!wants_reply) return;
     const MessageKind kind =
         result.is_ok() ? MessageKind::kReplyOk : MessageKind::kReplyError;
-    Message reply{kind, id, self, reply_to, {}, {}, std::move(result)};
     if (reply_to.node == node_) {
-      deliver_later(std::move(reply));
+      std::uint32_t index = 0;
+      Message& reply = acquire_local(index);
+      reply.kind = kind;
+      reply.id = id;
+      reply.src = self;
+      reply.dst = reply_to;
+      reply.reply = std::move(result);
+      deliver_later(index);
     } else {
+      const Message reply{kind, id, self, reply_to, {}, {}, std::move(result)};
       BufWriter w(net_.datagram_buffer());
       encode_reply(w, reply);
       net_.send_datagram({node_, kMessagingPort},

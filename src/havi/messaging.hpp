@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -116,9 +117,10 @@ class MessagingSystem {
   void send(MessageKind kind, std::uint64_t id, const Seid& from,
             const Seid& to, const std::string& op, const ValueList& args);
   void on_datagram(net::Endpoint from, const Bytes& data);
-  // Local delivery: the message moves into one 10 µs scheduler tick
-  // (no encode), so ordering matches remote delivery.
-  void deliver_later(Message&& msg);
+  // Local delivery: the message waits in a recycled slot for one 10 µs
+  // scheduler tick (no encode), so ordering matches remote delivery.
+  [[nodiscard]] Message& acquire_local(std::uint32_t& index);
+  void deliver_later(std::uint32_t index);
   void deliver(Message& msg);
   void deliver_request(Message& msg);
   void deliver_reply(Message& msg);
@@ -138,6 +140,13 @@ class MessagingSystem {
   // Decode scratch reused datagram over datagram: handlers consume the
   // args synchronously.
   Message rx_;
+  // Local messages waiting for their tick. A slot keeps its op and args
+  // storage for the next message written into it, so a local send
+  // copy-assigns without allocating once warm; a deque, so a handler
+  // that sends from inside a delivery leaves the delivered slot in
+  // place.
+  std::deque<Message> local_;
+  std::vector<std::uint32_t> free_local_;
   std::uint64_t messages_sent_ = 0;
   obs::Counter& rejected_;  // havi.msg.rejected
 };

@@ -224,11 +224,15 @@ struct MailServer::PopSession {
   LineReader in;
   std::string mailbox;
   std::vector<std::int64_t> deleted;
+  // Past the AUTHORIZATION state: a command ran on the selected
+  // mailbox, so USER may no longer switch it (RFC 1939).
+  bool transaction = false;
 
   void reset() {
     in.clear();
     mailbox.clear();
     deleted.clear();
+    transaction = false;
   }
 };
 
@@ -389,6 +393,12 @@ void MailServer::on_pop_data(PopSession& s, BlockStream&& data) {
 
 void MailServer::pop_line(PopSession& s, std::string_view line) {
   if (has_prefix_ci(line, "USER ")) {
+    // A second USER after a DELE would leave that mark to be committed
+    // to whichever mailbox QUIT finds.
+    if (s.transaction) {
+      send_line(s.stream, "-ERR USER only in AUTHORIZATION state");
+      return;
+    }
     s.mailbox.assign(trim(line.substr(5)));
     send_line(s.stream, "+OK mailbox selected");
     return;
@@ -397,6 +407,7 @@ void MailServer::pop_line(PopSession& s, std::string_view line) {
     send_line(s.stream, "-ERR USER first");
     return;
   }
+  s.transaction = true;
   // A mailbox nothing was delivered to reads as empty. Looking it up
   // must not create it: a peer cycling made-up USER names would grow
   // the map without bound.
@@ -432,8 +443,7 @@ void MailServer::pop_line(PopSession& s, std::string_view line) {
     s.deleted.push_back((*box)[static_cast<std::size_t>(idx - 1)].id);
     send_line(s.stream, "+OK marked");
   } else if (has_prefix_ci(line, "QUIT")) {
-    // Commit deletions (none can match after a USER switched to a
-    // mailbox that does not exist).
+    // Commit deletions, all marked in this mailbox.
     for (auto id : s.deleted) {
       if (box == nullptr) break;
       std::erase_if(*box, [id](const Message& m) { return m.id == id; });

@@ -86,7 +86,8 @@ struct BinaryRpcServer::Conn {
   StreamPtr stream;
   FrameReader reader;
   // Decode scratch reused call over call: handlers consume the args
-  // synchronously, as on the SOAP path (vsg.cpp).
+  // synchronously, as on the SOAP path (vsg.cpp), and the next request
+  // decodes into their storage.
   std::string method;
   ValueList args;
 };
@@ -202,6 +203,7 @@ Status BinaryRpcServer::serve(const std::shared_ptr<Conn>& conn,
   } else {
     it->second(conn->method, conn->args, std::move(reply));
   }
+  for (Value& arg : conn->args) trim_for_reuse(arg);  // no mail body stays
   return Status::ok();
 }
 

@@ -3,6 +3,7 @@
 #include <charconv>
 #include <cstdlib>
 
+#include "common/check.hpp"
 #include "soap/value_xml.hpp"
 #include "xml/xml.hpp"
 
@@ -38,6 +39,12 @@ std::string_view u64_chars(std::uint64_t v, char (&buf)[24]) {
 }
 
 }  // namespace
+
+CallParams::CallParams(const std::vector<ParamDesc>& param_names,
+                       const ValueList& param_values)
+    : names(param_names), values(param_values) {
+  HCM_CHECK_MSG(names.size() == values.size(), "one name per call value");
+}
 
 Status Fault::to_status() const {
   // Client faults map to invalid argument; server faults carry the
@@ -97,7 +104,7 @@ std::string build_fault(const Fault& fault) {
 }
 
 void build_call_into(std::string& out, const std::string& ns,
-                     const std::string& method, NamedValuesView params,
+                     const std::string& method, const CallParams& params,
                      const obs::TraceContext& trace) {
   xml::Writer w = open_envelope(out);
   if (trace.valid()) {
@@ -112,8 +119,11 @@ void build_call_into(std::string& out, const std::string& ns,
         .end();
   }
   w.start("SOAP-ENV:Body").start("m:", method).attr("xmlns:m", ns);
-  for (const auto& [name, value] : params) {
+  for (const auto& [name, value] : params.named) {
     value_write(name, value, w);
+  }
+  for (std::size_t i = 0; i < params.values.size(); ++i) {
+    value_write(params.names[i].name, params.values[i], w);
   }
   w.end().end().end();
 }
@@ -201,27 +211,26 @@ Status parse_operation(xml::PullParser& p, Envelope& env) {
   p.decoded_attr(xmlns, env.method_ns);
 
   // Param entries are reused by index (like MessageParser's header
-  // slots): names assign into retained string capacity, the vector only
-  // grows when a call carries more params than any before it.
+  // slots): names assign into retained string capacity, values decode
+  // into the trees the previous parse left, and the vector only grows
+  // when a call carries more params than any before it.
   std::size_t n_params = 0;
   auto s = p.for_each_child([&]() -> Status {
-    auto name = p.local_name();  // view into the input; stays valid
-    auto value = value_from_pull(p, env.decode_stack);
-    if (!value.is_ok()) return value.status();
-    if (n_params < env.params.size()) {
-      env.params[n_params].first.assign(name);
-      env.params[n_params].second = std::move(value).take();
-    } else {
-      env.params.emplace_back(std::string(name), std::move(value).take());
-    }
-    ++n_params;
-    return Status::ok();
+    if (n_params == env.params.size()) env.params.emplace_back();
+    auto& [name, value] = env.params[n_params++];
+    name.assign(p.local_name());
+    return value_from_pull(p, value, &env.spare);
   });
   env.params.resize(n_params);
   return s;
 }
 
 }  // namespace
+
+void trim_for_reuse(Envelope& env) {
+  for (auto& [name, value] : env.params) hcm::trim_for_reuse(value);
+  for (Value& value : env.spare) hcm::trim_for_reuse(value);
+}
 
 Result<Envelope> parse_envelope(std::string_view body_text) {
   Envelope env;

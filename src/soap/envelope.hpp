@@ -7,6 +7,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/interface_desc.hpp"
 #include "common/status.hpp"
 #include "common/value.hpp"
 #include "obs/trace.hpp"
@@ -27,6 +28,21 @@ using NamedValues = std::vector<std::pair<std::string, Value>>;
 // Borrowed named values, for renderers (a NamedValues converts).
 using NamedValuesView = std::span<const NamedValues::value_type>;
 
+// The borrowed parameters of an outgoing call: named pairs, or
+// positional values named by their method's parameter list, which the
+// renderer pairs up as it writes (the VSG's calls, which check the
+// values against that list first).
+struct CallParams {
+  CallParams() = default;
+  CallParams(NamedValuesView named) : named(named) {}     // NOLINT
+  CallParams(const NamedValues& named) : named(named) {}  // NOLINT
+  CallParams(const std::vector<ParamDesc>& names, const ValueList& values);
+
+  NamedValuesView named;
+  std::span<const ParamDesc> names;  // as many as `values`
+  std::span<const Value> values;
+};
+
 // A parsed RPC envelope: either a call/response body or a fault.
 struct Envelope {
   bool is_fault = false;
@@ -36,10 +52,16 @@ struct Envelope {
   NamedValues params;      // in-order child parameters
   // From the <hcm:Trace> header, when present (zero ids otherwise).
   obs::TraceContext trace;
-  // Decode scratch for the params' lists and maps, empty between
-  // parses; recycled with the envelope so its capacity is kept.
-  DecodeStack decode_stack;
+  // List elements the params' lists shed, kept for the next parse whose
+  // lists are longer (value_from_pull's `spare`).
+  ValueList spare;
 };
+
+// Frees the strings and byte strings of the params and spares, at any
+// depth, whose storage exceeds kMaxRetainedString (common/value.hpp),
+// so a large one does not stay resident in the pool. Run before pooling
+// an envelope.
+void trim_for_reuse(Envelope& env);
 
 [[nodiscard]] std::string build_call(const std::string& ns,
                                      const std::string& method,
@@ -61,7 +83,7 @@ struct Envelope {
 // caller-owned string (cleared first, capacity kept), so steady-state
 // RPC loops rebuild bodies without reallocating.
 void build_call_into(std::string& out, const std::string& ns,
-                     const std::string& method, NamedValuesView params,
+                     const std::string& method, const CallParams& params,
                      const obs::TraceContext& trace);
 void build_response_into(std::string& out, const std::string& ns,
                          const std::string& method, const Value& result);
@@ -70,7 +92,8 @@ void build_fault_into(std::string& out, const Fault& fault);
 [[nodiscard]] Result<Envelope> parse_envelope(std::string_view body);
 
 // Parse into a caller-owned (typically recycled) Envelope: field and
-// param-entry capacities from the previous parse are reused, so a
+// param-entry capacities, and the params' value trees, from the
+// previous parse are reused (value_from_pull decodes in place), so a
 // steady-state RPC loop parses without per-call allocation. On error
 // the envelope's contents are unspecified.
 [[nodiscard]] Status parse_envelope_into(std::string_view body, Envelope& env);

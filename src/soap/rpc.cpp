@@ -142,8 +142,12 @@ std::unique_ptr<Envelope> SoapService::acquire_env() {
 
 void SoapService::release_env(std::unique_ptr<Envelope> env) {
   // A few entries cover synchronous nested dispatch; beyond that the
-  // envelope just frees (no unbounded hoard).
-  if (env_pool_.size() < 4) env_pool_.push_back(std::move(env));
+  // envelope just frees (no unbounded hoard). A pooled one keeps its
+  // params' trees for the next parse, but no large string.
+  if (env_pool_.size() < 4) {
+    trim_for_reuse(*env);
+    env_pool_.push_back(std::move(env));
+  }
 }
 
 void SoapService::handle(const http::Request& req, http::RespondFn respond) {
@@ -243,7 +247,7 @@ void SoapService::handle(const http::Request& req, http::RespondFn respond) {
 
 void SoapClient::call(net::Endpoint dest, const std::string& path,
                       const std::string& ns, const std::string& method,
-                      NamedValuesView params, CallResultFn done) {
+                      const CallParams& params, CallResultFn done) {
   calls_sent_.inc();
   // The wire header carries this client span's context, so the remote
   // dispatch span parents to it and the trace stays connected across

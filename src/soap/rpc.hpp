@@ -96,7 +96,7 @@ class SoapClient {
   // decoded return value or the fault converted back to a Status.
   void call(net::Endpoint dest, const std::string& path,
             const std::string& ns, const std::string& method,
-            NamedValuesView params, CallResultFn done);
+            const CallParams& params, CallResultFn done);
 
  private:
   http::HttpClient http_;

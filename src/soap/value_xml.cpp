@@ -121,12 +121,58 @@ void value_write(std::string_view name, const Value& v, xml::Writer& w) {
 }
 
 Result<Value> value_from_pull(xml::PullParser& p, int depth) {
-  DecodeStack stack;
-  return value_from_pull(p, stack, depth);
+  Value out;
+  if (auto s = value_from_pull(p, out, nullptr, depth); !s.is_ok()) return s;
+  return out;
 }
 
-Result<Value> value_from_pull(xml::PullParser& p, DecodeStack& stack,
-                              int depth) {
+namespace {
+
+// Appends the parser's current text run to `text`, unless it is a
+// whitespace-only run (formatting noise, as in PullParser::collect_text).
+// Entity references decode straight into `text`.
+Status append_text(const xml::PullParser& p, std::string& text) {
+  const std::size_t before = text.size();
+  auto t = p.text(text);
+  if (!t.is_ok()) return t.status();
+  if (!p.text_is_cdata() && trim(t.value()).empty()) {
+    text.resize(before);
+  } else if (text.size() == before) {  // nothing was decoded into `text`
+    text.append(t.value());
+  }
+  return Status::ok();
+}
+
+// The number of child elements of the element the parser just opened,
+// read ahead by a copy of the parser. Malformed input counts what it
+// reaches; the decode itself reports the error.
+std::size_t count_children(const xml::PullParser& p) {
+  xml::PullParser ahead = p;
+  std::size_t n = 0;
+  while (true) {
+    auto ev = ahead.next();
+    if (!ev.is_ok() || ev.value() == xml::PullParser::Event::kEnd ||
+        ev.value() == xml::PullParser::Event::kEof) {
+      return n;
+    }
+    if (ev.value() != xml::PullParser::Event::kStart) continue;
+    ++n;
+    if (!ahead.skip_element().is_ok()) return n;
+  }
+}
+
+// A container without storage of its own (a fresh or moved-from tree:
+// a client's result, a first call) reserves its children's count, so it
+// allocates once instead of growing; a recycled one keeps what it has.
+template <typename Vec>
+void reserve_children(const xml::PullParser& p, Vec& children) {
+  if (children.capacity() == 0) children.reserve(count_children(p));
+}
+
+}  // namespace
+
+Status value_from_pull(xml::PullParser& p, Value& out, ValueList* spare,
+                       int depth) {
   if (depth > kMaxValueDepth) return protocol_error("value nesting too deep");
   // Typing attributes must be captured before any event advances the
   // parser past the start tag.
@@ -150,32 +196,29 @@ Result<Value> value_from_pull(xml::PullParser& p, DecodeStack& stack,
       typed && type != ValueType::kList && type != ValueType::kMap;
 
   // Consume content up to the matching end tag: direct text runs
-  // accumulate (whitespace-only runs are formatting noise, as in
-  // PullParser::collect_text), child elements decode in order for
-  // lists/maps and are skipped for scalars. This level's children are
-  // stack[base, end); every return drops them.
-  std::string text;
-  const std::size_t base = stack.size();
-  struct DropChildren {
-    DecodeStack& stack;
-    std::size_t base;
-    ~DropChildren() {
-      stack.erase(stack.begin() + static_cast<std::ptrdiff_t>(base),
-                  stack.end());
-    }
-  } drop_children{stack, base};
+  // accumulate, child elements decode in order for lists/maps and are
+  // skipped for scalars. Everything lands in the storage `out` already
+  // holds: a string's text in its own string, a list's or map's
+  // children into its existing elements by index (the extra ones are
+  // truncated at the end tag).
+  std::string local_text;
+  std::string& text = typed && type == ValueType::kString && !is_nil
+                          ? out.slot<std::string>()
+                          : local_text;
+  text.clear();
+  if (!is_nil && type == ValueType::kList) {
+    reserve_children(p, out.slot<ValueList>());
+  } else if (!is_nil && type == ValueType::kMap) {
+    reserve_children(p, out.slot<ValueMap>().unsorted_entries());
+  }
+  std::size_t n_kids = 0;
   while (true) {
     auto ev = p.next();
     if (!ev.is_ok()) return ev.status();
     using Event = xml::PullParser::Event;
     if (ev.value() == Event::kEnd) break;
     if (ev.value() == Event::kText) {
-      scratch.clear();
-      auto t = p.text(scratch);
-      if (!t.is_ok()) return t.status();
-      if (p.text_is_cdata() || !trim(t.value()).empty()) {
-        text.append(t.value());
-      }
+      if (auto s = append_text(p, text); !s.is_ok()) return s;
       continue;
     }
     if (ev.value() == Event::kEof) {
@@ -185,85 +228,114 @@ Result<Value> value_from_pull(xml::PullParser& p, DecodeStack& stack,
       if (auto s = p.skip_element(); !s.is_ok()) return s;
       continue;
     }
-    // The child's slot is pushed before it decodes (its own children
-    // stack above it), and indexed: the stack may grow meanwhile.
-    const std::size_t slot = stack.size();
-    auto& key = stack.emplace_back(p.local_name(), Value()).first;
-    if (key == "entry") {
-      if (const auto* k = p.find_attr("key")) {
-        scratch.clear();
-        auto kv = xml::PullParser::decode(k->raw_value, scratch);
-        if (!kv.is_ok()) return kv.status();
-        key.assign(kv.value());
+    Value* child = nullptr;
+    if (type == ValueType::kList) {
+      ValueList& list = out.slot<ValueList>();
+      if (n_kids == list.size()) {  // longer than the recycled list
+        if (spare != nullptr && !spare->empty()) {
+          list.push_back(std::move(spare->back()));
+          spare->pop_back();
+        } else {
+          list.emplace_back();
+        }
       }
+      child = &list[n_kids];
+    } else {  // a map, typed or inferred from its first child
+      auto& entries = out.slot<ValueMap>().unsorted_entries();
+      if (n_kids == entries.size()) entries.emplace_back();
+      auto& [key, value] = entries[n_kids];
+      key.assign(p.local_name());
+      if (key == "entry") {
+        if (const auto* k = p.find_attr("key")) {
+          scratch.clear();
+          auto kv = xml::PullParser::decode(k->raw_value, scratch);
+          if (!kv.is_ok()) return kv.status();
+          key.assign(kv.value());
+        }
+      }
+      child = &value;
     }
-    auto item = value_from_pull(p, stack, depth + 1);
-    if (!item.is_ok()) return item.status();
-    stack[slot].second = std::move(item).take();
+    ++n_kids;
+    if (auto s = value_from_pull(p, *child, spare, depth + 1); !s.is_ok()) {
+      return s;
+    }
   }
-  if (is_nil) return Value();
-  const auto kids_begin = stack.begin() + static_cast<std::ptrdiff_t>(base);
-  const std::size_t n_kids = stack.size() - base;
+  if (is_nil) {
+    out = Value();
+    return Status::ok();
+  }
   if (!typed) {
     // Untyped: infer structure.
     if (n_kids != 0) {
       type = ValueType::kMap;
     } else if (!text.empty()) {
-      type = ValueType::kString;
+      out = std::move(text);
+      return Status::ok();
     } else {
-      return Value();
+      out = Value();
+      return Status::ok();
     }
   }
   switch (type) {
     case ValueType::kBool: {
       auto t = trim(text);
-      if (t == "true" || t == "1") return Value(true);
-      if (t == "false" || t == "0") return Value(false);
-      return protocol_error("bad boolean: " + std::string(t));
+      if (t == "true" || t == "1") {
+        out = true;
+      } else if (t == "false" || t == "0") {
+        out = false;
+      } else {
+        return protocol_error("bad boolean: " + std::string(t));
+      }
+      return Status::ok();
     }
     case ValueType::kInt: {
       auto t = trim(text);
-      std::int64_t out = 0;
-      auto [ptr, ec] = std::from_chars(t.data(), t.data() + t.size(), out);
+      std::int64_t v = 0;
+      auto [ptr, ec] = std::from_chars(t.data(), t.data() + t.size(), v);
       if (ec != std::errc{} || ptr != t.data() + t.size()) {
         return protocol_error("bad integer: " + std::string(t));
       }
-      return Value(out);
+      out = v;
+      return Status::ok();
     }
     case ValueType::kDouble: {
       auto t = trim(text);
-      double out = 0;
-      auto [ptr, ec] = std::from_chars(t.data(), t.data() + t.size(), out);
+      double v = 0;
+      auto [ptr, ec] = std::from_chars(t.data(), t.data() + t.size(), v);
       if (ec != std::errc{} || ptr != t.data() + t.size()) {
         return protocol_error("bad double: " + std::string(t));
       }
-      return Value(out);
+      out = v;
+      return Status::ok();
     }
     case ValueType::kString:
-      return Value(std::move(text));
+      return Status::ok();  // decoded in place
     case ValueType::kBytes: {
       auto bytes = base64_decode(text);
       if (!bytes.is_ok()) return bytes.status();
-      return Value(std::move(bytes).take());
+      out = std::move(bytes).take();
+      return Status::ok();
     }
     case ValueType::kList: {
-      ValueList list;
-      list.reserve(n_kids);
-      for (auto it = kids_begin; it != stack.end(); ++it) {
-        list.push_back(std::move(it->second));
+      ValueList& list = out.slot<ValueList>();
+      if (spare != nullptr) {
+        for (std::size_t i = n_kids; i < list.size(); ++i) {
+          spare->push_back(std::move(list[i]));
+        }
       }
-      return Value(std::move(list));
+      list.resize(n_kids);
+      return Status::ok();
     }
     case ValueType::kMap: {
-      std::vector<ValueMap::value_type> entries(
-          std::make_move_iterator(kids_begin),
-          std::make_move_iterator(stack.end()));
+      ValueMap& map = out.slot<ValueMap>();
+      map.unsorted_entries().resize(n_kids);
       // The first of a repeated key wins.
-      return Value(ValueMap::from_unsorted(std::move(entries),
-                                           ValueMap::Duplicates::kKeepFirst));
+      map.normalize(ValueMap::Duplicates::kKeepFirst);
+      return Status::ok();
     }
     case ValueType::kNull:
-      return Value();
+      out = Value();
+      return Status::ok();
   }
   return protocol_error("unhandled value type");
 }

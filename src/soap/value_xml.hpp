@@ -3,8 +3,6 @@
 #pragma once
 
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "common/status.hpp"
 #include "common/value.hpp"
@@ -18,22 +16,23 @@ namespace hcm::soap {
 // Writes <name xsi:type=...>...</name> encoding v.
 void value_write(std::string_view name, const Value& v, xml::Writer& w);
 // Decodes an element written by value_write (or by any SOAP peer using
-// xsd/SOAP-ENC types).
+// xsd/SOAP-ENC types) into `out`, reusing the storage `out` already
+// holds: a string's text accumulates in its own string, and a list's
+// or map's children decode into its existing elements by index, the
+// rest truncated. A recycled tree of the same shape therefore decodes
+// without allocating. With `spare`, a list's truncated elements move
+// there and a list longer than its recycled one takes them back first,
+// so storage survives a shorter message between two longer ones. On
+// error `out` holds some valid value.
 // Pre: the parser just produced kStart for the encoded element, which
 // sits `depth` levels below the top-level value. Post: the matching
 // kEnd has been consumed. Values nested past kMaxValueDepth are
 // rejected.
+[[nodiscard]] Status value_from_pull(xml::PullParser& p, Value& out,
+                                     ValueList* spare = nullptr,
+                                     int depth = 0);
+// The same into a fresh Value.
 [[nodiscard]] Result<Value> value_from_pull(xml::PullParser& p, int depth = 0);
-
-// The element stack lists and maps decode through: every open level
-// pushes its (key, value) children here and, at its end tag, moves them
-// into a container reserved at exact size and truncates back to where it
-// started (on errors too). Held by a caller that outlives the call (a
-// recycled Envelope), it keeps its capacity, so a warm decode allocates
-// one block per list or map and none for growing child vectors.
-using DecodeStack = std::vector<std::pair<std::string, Value>>;
-[[nodiscard]] Result<Value> value_from_pull(xml::PullParser& p,
-                                            DecodeStack& stack, int depth = 0);
 
 // The xsi:type string used for a ValueType ("xsd:long", "xsd:string", ...).
 [[nodiscard]] const char* xsi_type_for(ValueType t);

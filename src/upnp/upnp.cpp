@@ -22,16 +22,12 @@ Status parse_propertyset(std::string_view body, std::string& event,
   return p.for_each_child([&] {
     return p.for_each_child([&]() -> Status {
       const std::string_view local = p.local_name();
-      if (local != "event" && local != "payload") return p.skip_element();
-      auto v = soap::value_from_pull(p);
-      if (!v.is_ok()) return v.status();
-      if (local == "payload") {
-        payload = std::move(v).take();
-      } else if (v.value().is_string()) {
-        event = v.value().as_string();
-      } else {
-        return protocol_error("event is not a string");
-      }
+      if (local == "payload") return soap::value_from_pull(p, payload);
+      if (local != "event") return p.skip_element();
+      Value v;
+      if (auto s = soap::value_from_pull(p, v); !s.is_ok()) return s;
+      if (!v.is_string()) return protocol_error("event is not a string");
+      event = std::move(v.slot<std::string>());
       return Status::ok();
     });
   });
@@ -233,13 +229,17 @@ void UpnpDevice::post_event(const std::string& service_id,
   soap::value_write("event", Value(event), w);
   soap::value_write("payload", payload, w);
   w.end();
-  for (const auto& [sid, sub] : it->second) {
+  // Every subscriber but the last gets a copy of the body; the last
+  // one takes it.
+  const auto last = std::prev(it->second.end());
+  for (auto s = it->second.begin(); s != it->second.end(); ++s) {
+    const auto& [sid, sub] = *s;
     http::Request req;
     req.method = "NOTIFY";
     req.target = sub.path;
     req.set_header("SID", sid);
     req.set_header("Content-Type", "text/xml");
-    req.body = body;
+    req.body = s == last ? std::move(body) : body;
     notify_client_.request(sub.callback, std::move(req),
                            [](Result<http::Response>) {});
   }
@@ -464,13 +464,9 @@ void ControlPoint::invoke(const ServiceDescription& service,
     done(status);
     return;
   }
-  soap::NamedValues params;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    params.emplace_back(desc->params[i].name, args[i]);
-  }
   soap_.call(service.control, service.control_path,
-             "urn:hcm:" + service.interface.name, action, params,
-             std::move(done));
+             "urn:hcm:" + service.interface.name, action,
+             soap::CallParams(desc->params, args), std::move(done));
 }
 
 }  // namespace hcm::upnp

@@ -190,5 +190,61 @@ TEST(ValueCodecTest, UnorderedMapWithDuplicatesDecodesSorted) {
   EXPECT_TRUE(keys_ascend(r.value().as_map()));
 }
 
+// A binary server decodes each request's argument list into the one
+// the previous request left. Whatever shape that list had, and after a
+// rejected frame too, the result must equal a fresh decode; a repeat of
+// the same shape allocates nothing.
+TEST(ValueCodecTest, RecycledListDecodesAsAFreshOne) {
+  const Value long_map(ValueMap{{"a", Value(1)},
+                                {"b", Value(std::string(40, 'b'))},
+                                {"c", Value(ValueList{Value(3), Value(4)})}});
+  auto list_frame = [](ValueList items) {
+    return encode_value(Value(std::move(items)));
+  };
+  Bytes rejected = list_frame({long_map, Value(std::string(30, 's'))});
+  rejected.resize(rejected.size() - 5);  // the string runs past the end
+  Bytes descending;
+  {
+    std::vector<std::pair<std::string, Value>> entries;
+    for (int i = 40; i > 0; --i) {
+      entries.emplace_back("k" + std::to_string(i), i);
+    }
+    entries.emplace_back("k7", -7);
+    const Bytes map = map_frame(entries);
+    BufWriter w;
+    w.put_u8(static_cast<std::uint8_t>(ValueType::kList));
+    w.put_u32(1);
+    w.put_raw(std::string_view(reinterpret_cast<const char*>(map.data()),
+                               map.size()));
+    descending = w.take();
+  }
+  const std::vector<Bytes> frames = {
+      list_frame({long_map, Value(std::string(30, 's'))}),
+      list_frame({Value(std::string(20, 'x')), long_map, Value(Bytes(64, 7))}),
+      list_frame({Value(ValueMap{{"b", Value(std::string("x"))}})}),
+      rejected,
+      list_frame({long_map, Value(), Value(2.5), Value(true)}),
+      descending,
+      list_frame({long_map, Value(std::string(30, 's'))}),
+  };
+  ValueList recycled;
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    BufReader fresh_reader(frames[i]);
+    auto fresh = decode_value(fresh_reader);
+    BufReader r(frames[i]);
+    auto s = decode_value(r, recycled);
+    ASSERT_EQ(s.is_ok(), fresh.is_ok()) << "frame " << i;
+    if (!s.is_ok()) continue;
+    EXPECT_EQ(Value(recycled), fresh.value()) << "frame " << i;
+  }
+  // The last frame again, into the tree it just left.
+  bench::AllocDelta delta;
+  BufReader warm(frames.back());
+  ASSERT_TRUE(decode_value(warm, recycled).is_ok());
+  EXPECT_EQ(delta.allocs(), 0u);
+  EXPECT_EQ(Value(recycled), Value(ValueList{long_map,
+                                             Value(std::string(30, 's'))}));
+}
+
 }  // namespace
 }  // namespace hcm

@@ -212,7 +212,7 @@ TEST_F(HaviStackTest, EventSubscriptionAndPost) {
   ASSERT_TRUE(sub.has_value() && sub->is_ok());
 
   EventClient poster(*vcr_ms, vcr_dcm->seid(), fav->event_manager.seid());
-  poster.post("TapeInserted", Value("T-120"));
+  poster.post({Value("TapeInserted"), Value("T-120")});
   sched.run();
   ASSERT_EQ(events.size(), 1u);
   EXPECT_EQ(events[0], "TapeInserted");

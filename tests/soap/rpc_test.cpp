@@ -120,8 +120,8 @@ TEST_F(SoapRpcTest, MalformedEnvelopeRejected) {
 
 // The service parses each request into a pooled envelope. A request
 // whose decode fails midway (a bad xsd:long in the third map of a
-// list) must leave that envelope's decode stack empty, so the next call
-// it serves decodes exactly.
+// list) leaves a partly decoded tree in that envelope, and the next
+// call it serves must still decode exactly.
 TEST_F(SoapRpcTest, FailedDecodeLeavesThePooledEnvelopeClean) {
   service->register_method("echo",
                            [](const NamedValues& params, CallResultFn done) {

@@ -157,9 +157,9 @@ TEST(SoapValueTest, UnorderedMapWithDuplicatesDecodesSorted) {
 
 // --- Decoding through a recycled envelope ---------------------------------
 
-// parse_envelope_into decodes every param through the envelope's decode
-// stack, which keeps its capacity from parse to parse. Each list or map
-// level must hand the stack back as it found it, on errors as well.
+// parse_envelope_into decodes every param into the tree the envelope's
+// previous parse left there, reusing its storage. Whatever that tree
+// was, and on errors as well, the result must be the fresh decode.
 class RecycledEnvelopeDecodeTest : public ::testing::Test {
  protected:
   // A call envelope whose one param is `param_xml`.
@@ -195,14 +195,13 @@ Value list_of_maps_of_lists(int width) {
 }
 
 TEST_F(RecycledEnvelopeDecodeTest, ListOfMapsOfListsRoundTrips) {
-  // Widths shrink and grow, so later parses run on a stack sized by an
-  // earlier, differently shaped one.
+  // Widths shrink and grow, so later parses decode into trees (and
+  // spare list elements) an earlier, differently shaped one left.
   for (int width : {3, 17, 1, 9}) {
     const Value v = list_of_maps_of_lists(width);
     auto r = parse(build_call("urn:x", "m", {{"p", v}}));
     ASSERT_TRUE(r.is_ok()) << r.status().to_string();
     EXPECT_EQ(r.value(), v) << "width " << width;
-    EXPECT_TRUE(env.decode_stack.empty());
   }
 }
 
@@ -215,7 +214,6 @@ TEST_F(RecycledEnvelopeDecodeTest, RepeatedMapKeyKeepsTheFirstEntry) {
   ASSERT_TRUE(r.is_ok()) << r.status().to_string();
   EXPECT_EQ(r.value(), Value(ValueList{Value(ValueMap{{"a", Value(1)},
                                                       {"b", Value(2)}})}));
-  EXPECT_TRUE(env.decode_stack.empty());
 }
 
 // An int nested `depth` lists below the param.
@@ -234,7 +232,6 @@ TEST_F(RecycledEnvelopeDecodeTest, DepthLimitStillRejects) {
   auto r = parse(build_call("urn:x", "m", {{"p", too_deep}}));
   ASSERT_FALSE(r.is_ok());
   EXPECT_EQ(r.status().code(), StatusCode::kProtocolError);
-  EXPECT_TRUE(env.decode_stack.empty());
   const Value at_limit = nested_lists(kMaxValueDepth);
   r = parse(build_call("urn:x", "m", {{"p", at_limit}}));
   ASSERT_TRUE(r.is_ok()) << r.status().to_string();
@@ -251,12 +248,97 @@ TEST_F(RecycledEnvelopeDecodeTest, FailedDecodeLeavesNothingBehind) {
   auto r = parse(bad);
   ASSERT_FALSE(r.is_ok());
   EXPECT_EQ(r.status().code(), StatusCode::kProtocolError);
-  EXPECT_TRUE(env.decode_stack.empty());
   // The next parse on the same envelope decodes exactly.
   r = parse(build_call("urn:x", "m", {{"p", good}}));
   ASSERT_TRUE(r.is_ok()) << r.status().to_string();
   EXPECT_EQ(r.value(), good);
-  EXPECT_TRUE(env.decode_stack.empty());
+}
+
+// A list that comes back shorter lends its extra elements to the
+// envelope's spares, and a longer one takes them back before building
+// new ones: four inner lists of 17 ints, then of 1, then of 9.
+TEST_F(RecycledEnvelopeDecodeTest, ShortenedListsLendElementsToLongerOnes) {
+  auto r = parse(build_call("urn:x", "m", {{"p", list_of_maps_of_lists(17)}}));
+  ASSERT_TRUE(r.is_ok()) << r.status().to_string();
+  EXPECT_TRUE(env.spare.empty());
+  r = parse(build_call("urn:x", "m", {{"p", list_of_maps_of_lists(1)}}));
+  ASSERT_TRUE(r.is_ok()) << r.status().to_string();
+  EXPECT_EQ(r.value(), list_of_maps_of_lists(1));
+  EXPECT_EQ(env.spare.size(), 4u * 16);
+  r = parse(build_call("urn:x", "m", {{"p", list_of_maps_of_lists(9)}}));
+  ASSERT_TRUE(r.is_ok()) << r.status().to_string();
+  EXPECT_EQ(r.value(), list_of_maps_of_lists(9));
+  EXPECT_EQ(env.spare.size(), 4u * 8);
+}
+
+// One recycled envelope fed params that change shape from call to call
+// decodes each exactly as a fresh parse_envelope does: a map, a list
+// and a string in turn in one param slot, a longer map before a
+// shorter one, a rejected envelope between two valid ones, and a
+// descending-key map with a repeated key, which is sorted in place.
+TEST_F(RecycledEnvelopeDecodeTest, ReshapedParamsMatchAFreshParse) {
+  const Value long_map(ValueMap{{"a", Value(1)},
+                                {"b", Value(std::string("two"))},
+                                {"c", Value(ValueList{Value(3), Value(4)})},
+                                {"d", Value(true)}});
+  const Value short_map(ValueMap{{"b", Value(std::string("x"))}});
+  std::string rejected = build_call("urn:x", "m", {{"p", long_map}});
+  const auto digit = rejected.find(">3<");
+  ASSERT_NE(digit, std::string::npos);
+  rejected.replace(digit, 3, ">3x<");
+  std::string descending = "<p xsi:type=\"xsd:struct\">";
+  char member[64];
+  for (int i = 40; i > 0; --i) {
+    std::snprintf(member, sizeof member,
+                  "<k%02d xsi:type=\"xsd:long\">%d</k%02d>", i, i, i);
+    descending += member;
+  }
+  descending += "<k07 xsi:type=\"xsd:long\">-7</k07></p>";
+
+  const std::vector<std::string> bodies = {
+      build_call("urn:x", "m", {{"p", long_map}}),
+      build_call("urn:x", "m", {{"p", list_of_maps_of_lists(3)}}),
+      build_call("urn:x", "m", {{"p", Value(std::string("a string"))}}),
+      build_call("urn:x", "m", {{"p", long_map}, {"q", short_map}}),
+      build_call("urn:x", "m", {{"p", short_map}}),
+      rejected,
+      build_call("urn:x", "m", {{"p", list_of_maps_of_lists(5)}}),
+      call_with(descending),
+      build_call("urn:x", "m", {{"p", long_map}}),
+  };
+  for (std::size_t i = 0; i < bodies.size(); ++i) {
+    auto fresh = parse_envelope(bodies[i]);
+    auto s = parse_envelope_into(bodies[i], env);
+    ASSERT_EQ(s.is_ok(), fresh.is_ok()) << "body " << i;
+    if (!s.is_ok()) {
+      EXPECT_EQ(s.code(), fresh.status().code()) << "body " << i;
+      continue;
+    }
+    EXPECT_EQ(env.method, fresh.value().method) << "body " << i;
+    EXPECT_EQ(env.params, fresh.value().params) << "body " << i;
+  }
+  // The descending map kept the first k07 and sorted its keys.
+  auto r = parse(call_with(descending));
+  ASSERT_TRUE(r.is_ok()) << r.status().to_string();
+  EXPECT_EQ(r.value().as_map().size(), 40u);
+  EXPECT_EQ(r.value().at("k07"), Value(7));
+  EXPECT_EQ(r.value().as_map().begin()->first, "k01");
+}
+
+// A pooled envelope keeps its params' trees for the next parse, but no
+// string longer than kMaxRetainedString: a mail body is freed.
+TEST_F(RecycledEnvelopeDecodeTest, TrimForReuseFreesOnlyLargeStrings) {
+  const std::string body(16 * 1024, 'b');
+  const Value message(ValueMap{{"body", Value(body)},
+                               {"subject", Value(std::string("s"))}});
+  ASSERT_TRUE(parse(build_call("urn:x", "m", {{"p", message}})).is_ok());
+  trim_for_reuse(env);
+  const Value& kept = env.params.front().second;
+  EXPECT_TRUE(kept.at("body").is_null());
+  EXPECT_EQ(kept.at("subject"), Value(std::string("s")));
+  auto r = parse(build_call("urn:x", "m", {{"p", message}}));
+  ASSERT_TRUE(r.is_ok()) << r.status().to_string();
+  EXPECT_EQ(r.value(), message);
 }
 
 }  // namespace
