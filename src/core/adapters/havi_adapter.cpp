@@ -267,7 +267,6 @@ void HaviAdapter::unexport_service(const std::string& name) {
   registry_.unregister_element(it->second.seid, [](const Status&) {});
   ms_.unregister_element(it->second.seid);
   exported_.erase(it);
-  emit_args_.erase(name);
 }
 
 Status HaviAdapter::watch_events(const LocalService& service,
@@ -301,19 +300,16 @@ void HaviAdapter::unwatch_events(const std::string& service_name) {
 void HaviAdapter::emit_event(const std::string& service_name,
                              const std::string& event, const Value& payload) {
   // Posting through the Event Manager lets native HAVi subscribers of
-  // the exported server proxy receive the remote event. The topic is
-  // built on the first post of the pair; later ones only assign the
-  // payload into its argument list.
-  auto& by_event = emit_args_[service_name];
-  auto it = by_event.find(event);
-  if (it == by_event.end()) {
-    it = by_event
-             .emplace(event, ValueList{Value(service_name + "." + event),
-                                       Value()})
-             .first;
-  }
-  it->second[1] = payload;
-  havi::EventClient(ms_, self_, em_seid_).post(it->second);
+  // the exported server proxy receive the remote event. The topic and
+  // payload are written into the list the previous post left, and a
+  // large payload string is freed once posted.
+  std::string& topic = emit_args_[0].slot<std::string>();
+  topic.assign(service_name);
+  topic += '.';
+  topic += event;
+  emit_args_[1] = payload;
+  havi::EventClient(ms_, self_, em_seid_).post(emit_args_);
+  trim_for_reuse(emit_args_[1]);
 }
 
 }  // namespace hcm::core

@@ -108,10 +108,9 @@ class HaviAdapter : public MiddlewareAdapter {
     AdapterEventFn fn;
   };
   std::map<std::string, Watch, std::less<>> watches_;  // by service name
-  // emit_event's postEvent argument lists [topic, payload], one per
-  // (service, event) it has re-emitted, with the topic built once; a
-  // post assigns the payload into the list. Dropped at unexport.
-  std::map<std::string, std::map<std::string, ValueList>> emit_args_;
+  // emit_event's postEvent argument list [topic, payload], rewritten in
+  // place by every post, so a warm one reuses its storage.
+  ValueList emit_args_ = ValueList(2);
 };
 
 }  // namespace hcm::core

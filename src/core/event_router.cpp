@@ -350,6 +350,7 @@ void EventRouter::on_native_event(const std::string& service,
   for (auto& [id, sub] : subs_) {
     Subscription& s = *sub;
     if (s.service != service || s.event != event) continue;
+    if (s.ring.empty()) s.ring.resize(kMaxQueue);  // the lease's first event
     if (s.queued + s.batch().size() == kMaxQueue) {
       // Bounded queue: drop the oldest *unsent* event. The batch is on
       // the wire (or awaiting its retry) and must survive for
@@ -480,13 +481,18 @@ void EventRouter::on_delivered(Subscription& sub, const Result<Value>& r) {
   if (r.is_ok()) {
     events_routed_.inc(batch.size());
     // The acked items go back to the slots they came from, storage and
-    // all, for the next events to be written into.
+    // all, for the next events to be written into; a large payload
+    // string is freed rather than kept per slot.
     const std::size_t n = sub.ring.size();
     const std::size_t first = sub.head + n - batch.size();
     for (std::size_t i = 0; i < batch.size(); ++i) {
+      trim_for_reuse(batch[i]);
       std::swap(sub.ring[(first + i) % n], batch[i]);
     }
     batch.clear();  // capacity kept for the next batch
+    // A drained ring starts over at its first slot, so a lease keeps
+    // storage for as many items as its deepest burst, not kMaxQueue.
+    if (sub.queued == 0) sub.head = 0;
     batches_sent_.inc();
     sub.backoff = 0;
     if (sub.queued != 0) flush(sub);

@@ -34,8 +34,6 @@ class EventRouter {
   // Queueing, batching, lease and retry policy (docs/EVENTS.md).
   static constexpr std::size_t kMaxQueue = 64;  // per-subscriber bound
   static constexpr std::size_t kMaxBatch = 16;  // events per deliver() call
-  // Item slots per subscription: the queue and the batch's empty slots.
-  static constexpr std::size_t kRingSlots = kMaxQueue + kMaxBatch;
   static constexpr sim::Duration kBatchWindow = sim::milliseconds(10);
   static constexpr sim::Duration kDefaultLease = sim::seconds(60);
   static constexpr sim::Duration kMaxLease = sim::seconds(300);
@@ -122,7 +120,8 @@ class EventRouter {
   // recycled: every event is written into a retained item Value
   // {payload, seq, sub} in the ring (copy-assignment reuses the item's
   // storage), moves from the ring into the batch when flushed, and goes
-  // back to the ring when the batch is acked. The items on the wire (or
+  // back to the ring when the batch is acked, its strings over
+  // kMaxRetainedString freed on the way. The items on the wire (or
   // awaiting a retry) stay in the batch until their ack.
   struct Subscription {
     std::string id;
@@ -131,11 +130,13 @@ class EventRouter {
     Uri sink;                // subscriber's bridge exposure
     sim::Duration lease = 0;
     sim::EventId expiry_event = 0;
-    // kRingSlots item slots. The unsent items, oldest first, are the
-    // `queued` slots from `head` on (modulo the ring's size); the
-    // batch's items came from the batch().size() slots just behind
-    // `head`, which stay empty until the ack returns them.
-    std::vector<Value> ring = std::vector<Value>(kRingSlots);
+    // kMaxQueue item slots, allocated on the lease's first event. The
+    // unsent items, oldest first, are the `queued` slots from `head` on
+    // (modulo kMaxQueue); the batch's items came from the
+    // batch().size() slots just behind `head`, which stay empty until
+    // the ack returns them. Drop-oldest keeps queued + batch().size()
+    // within kMaxQueue, so the ring never overflows.
+    std::vector<Value> ring;
     std::size_t head = 0;
     std::size_t queued = 0;
     // deliver's argument list; its one element is the batch list.

@@ -47,6 +47,7 @@ void EventManager::fan_out(const std::string& event, const Value& payload) {
   for (const Seid& sub : it->second) {
     ms_.send_notification(seid_, sub, "event", notify_args_);
   }
+  trim_for_reuse(notify_args_[1]);  // no large payload stays resident
 }
 
 void EventClient::subscribe(const std::string& event,

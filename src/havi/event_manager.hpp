@@ -35,7 +35,8 @@ class EventManager {
   Seid seid_;
   std::map<std::string, std::set<Seid>> subscribers_;
   // fan_out's notification args [event, payload], rewritten in place
-  // per event; every send copies or encodes them before returning.
+  // per event; every send copies or encodes them before returning, and
+  // a payload string over kMaxRetainedString is freed after the fan-out.
   ValueList notify_args_ = ValueList(2);
 };
 

@@ -225,7 +225,12 @@ Message& MessagingSystem::acquire_local(std::uint32_t& index) {
 
 void MessagingSystem::deliver_later(std::uint32_t index) {
   net_.scheduler().after(sim::microseconds(10), [this, index] {
-    deliver(local_[index]);
+    Message& msg = local_[index];
+    deliver(msg);
+    // The slot keeps its storage for the next message, but no string
+    // over kMaxRetainedString.
+    for (Value& arg : msg.args) trim_for_reuse(arg);
+    if (msg.reply.is_ok()) trim_for_reuse(msg.reply.value());
     free_local_.push_back(index);
   });
 }

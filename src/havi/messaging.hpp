@@ -141,7 +141,8 @@ class MessagingSystem {
   // args synchronously.
   Message rx_;
   // Local messages waiting for their tick. A slot keeps its op and args
-  // storage for the next message written into it, so a local send
+  // storage (strings up to kMaxRetainedString, common/value.hpp) for
+  // the next message written into it, so a local send
   // copy-assigns without allocating once warm; a deque, so a handler
   // that sends from inside a delivery leaves the delivered slot in
   // place.

@@ -99,6 +99,8 @@ class MailServer {
   void stop();
 
   [[nodiscard]] std::size_t mailbox_size(const std::string& mailbox) const;
+  // Mailboxes that exist: those something was ever delivered to.
+  [[nodiscard]] std::size_t mailbox_count() const { return mailboxes_.size(); }
   [[nodiscard]] std::uint64_t messages_accepted() const {
     return messages_accepted_;
   }

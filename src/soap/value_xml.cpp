@@ -164,15 +164,20 @@ std::size_t count_children(const xml::PullParser& p) {
 // A container without storage of its own (a fresh or moved-from tree:
 // a client's result, a first call) reserves its children's count, so it
 // allocates once instead of growing; a recycled one keeps what it has.
+// Only the outermost such container on a path reads ahead (returns
+// true, and `read_ahead` is false below it): the subtrees read ahead
+// are disjoint, so a decode scans its input at most twice whatever the
+// nesting. The fresh containers inside one grow as they fill.
 template <typename Vec>
-void reserve_children(const xml::PullParser& p, Vec& children) {
-  if (children.capacity() == 0) children.reserve(count_children(p));
+bool reserve_children(const xml::PullParser& p, Vec& children,
+                      bool read_ahead) {
+  if (!read_ahead || children.capacity() != 0) return false;
+  children.reserve(count_children(p));
+  return true;
 }
 
-}  // namespace
-
-Status value_from_pull(xml::PullParser& p, Value& out, ValueList* spare,
-                       int depth) {
+Status decode_value(xml::PullParser& p, Value& out, ValueList* spare,
+                    int depth, bool read_ahead) {
   if (depth > kMaxValueDepth) return protocol_error("value nesting too deep");
   // Typing attributes must be captured before any event advances the
   // parser past the start tag.
@@ -207,9 +212,14 @@ Status value_from_pull(xml::PullParser& p, Value& out, ValueList* spare,
                           : local_text;
   text.clear();
   if (!is_nil && type == ValueType::kList) {
-    reserve_children(p, out.slot<ValueList>());
+    if (reserve_children(p, out.slot<ValueList>(), read_ahead)) {
+      read_ahead = false;
+    }
   } else if (!is_nil && type == ValueType::kMap) {
-    reserve_children(p, out.slot<ValueMap>().unsorted_entries());
+    if (reserve_children(p, out.slot<ValueMap>().unsorted_entries(),
+                         read_ahead)) {
+      read_ahead = false;
+    }
   }
   std::size_t n_kids = 0;
   while (true) {
@@ -256,7 +266,8 @@ Status value_from_pull(xml::PullParser& p, Value& out, ValueList* spare,
       child = &value;
     }
     ++n_kids;
-    if (auto s = value_from_pull(p, *child, spare, depth + 1); !s.is_ok()) {
+    if (auto s = decode_value(p, *child, spare, depth + 1, read_ahead);
+        !s.is_ok()) {
       return s;
     }
   }
@@ -338,6 +349,13 @@ Status value_from_pull(xml::PullParser& p, Value& out, ValueList* spare,
       return Status::ok();
   }
   return protocol_error("unhandled value type");
+}
+
+}  // namespace
+
+Status value_from_pull(xml::PullParser& p, Value& out, ValueList* spare,
+                       int depth) {
+  return decode_value(p, out, spare, depth, /*read_ahead=*/true);
 }
 
 }  // namespace hcm::soap

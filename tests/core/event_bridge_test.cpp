@@ -565,7 +565,7 @@ TEST_P(EventBridgeTest, WarmDeliveryAllocationsStayPinned) {
   // (SOAP) and 10.64 (binary) allocations per event; fresh items at the
   // origin, a fresh SOAP decode and the lease's strings copied per item
   // read 9.47 and 8.46; recycled item slots and batches decoded into
-  // recycled trees read 1.11 and 2.10. One per event is this test's
+  // recycled trees read 1.01 and 2.00. One per event is this test's
   // own: the event name literal becomes a std::string longer than the
   // SSO buffer.
   const double bound = GetParam() == core::VsgProtocol::kSoap ? 2.0 : 3.0;
@@ -575,9 +575,9 @@ TEST_P(EventBridgeTest, WarmDeliveryAllocationsStayPinned) {
 // Native HAVi re-emission on a subscriber island, warm: the adapter
 // posts "<service>.<event>" through the Event Manager (a local message
 // on the FAV gateway), which notifies a native subscriber and replies.
-// The topic and the postEvent list are built once per (service, event),
-// each post assigns the payload into that list, and the local messages
-// wait in recycled slots. A fresh topic, argument list and message per
+// The adapter rewrites one postEvent list in place (the topic into the
+// string the last post left, the payload into its slot), and the local
+// messages wait in recycled slots. A fresh topic, argument list and message per
 // post read 2.13 allocations per delivered dynamism event.
 TEST_P(EventBridgeTest, WarmHaviReemissionAllocationsStayPinned) {
   auto& ms = home->fav->messaging;

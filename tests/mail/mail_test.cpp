@@ -354,42 +354,46 @@ TEST_F(MailTest, PopUserOfAnUnknownMailboxCreatesNone) {
             "-ERR no such message\r\n-ERR no such message\r\n+OK bye\r\n");
   EXPECT_EQ(server->mailbox_size("home"), 1u);
 
-  // A peer cycling made-up names costs the server nothing per name. A
-  // session selects names until its first transaction command, so each
-  // round is one connection: 256 USERs, then a STAT of the last name.
+  // A peer cycling made-up names costs the server nothing per name.
+  // USER is refused once a transaction command ran, so each name is its
+  // own short session, and each session's STAT looks its name up.
   std::size_t replied = 0;
   auto cycle = [&](char round) {
-    net::StreamPtr stream;
-    net.connect(client_node->id(), {server_node->id(), kPopPort},
-                [&](Result<net::StreamPtr> r) {
-                  stream = std::move(r).take();
-                });
-    sched.run();
-    ASSERT_TRUE(stream);
-    stream->set_on_data([&replied](BlockStream&& d) { replied += d.size(); });
-    BlockStream out;
     for (int i = 0; i < 256; ++i) {
+      net::StreamPtr stream;
+      net.connect(client_node->id(), {server_node->id(), kPopPort},
+                  [&](Result<net::StreamPtr> r) {
+                    stream = std::move(r).take();
+                  });
+      sched.run();
+      ASSERT_TRUE(stream);
+      stream->set_on_data(
+          [&replied](BlockStream&& d) { replied += d.size(); });
+      BlockStream out;
       out.append("USER made-up-mailbox-");
       out.put(round);
       out.append(std::to_string(1000 + i));
-      out.append("\r\n");
+      out.append("\r\nSTAT\r\nQUIT\r\n");
+      stream->send(std::move(out));
+      sched.run();
     }
-    out.append("STAT\r\n");
-    stream->send(std::move(out));
-    sched.run();
-    stream->close();
-    sched.run();
   };
   cycle('a');  // warm: pooled blocks, sessions, the line reader's scratch
   const std::size_t warm_replied = replied;
   EXPECT_EQ(warm_replied,
-            256 * std::string("+OK mailbox selected\r\n").size() +
-                std::string("+OK 0\r\n").size() +
-                std::string("+OK hcm-pop ready\r\n").size());
+            256 * std::string("+OK hcm-pop ready\r\n+OK mailbox selected\r\n"
+                              "+OK 0\r\n+OK bye\r\n")
+                      .size());
+  EXPECT_EQ(server->mailbox_count(), 1u);  // "home" only
   bench::AllocDelta delta;
   cycle('b');
-  EXPECT_LT(delta.allocs(), 32u);
+  const std::uint64_t allocs = delta.allocs();
   EXPECT_EQ(replied, 2 * warm_replied);
+  EXPECT_EQ(server->mailbox_count(), 1u);
+  // A warm session costs its connection two allocations (512 a round).
+  // A mailbox created per looked-up name would add a map node and a
+  // 21-byte key for each of the 256, 1,024 a round.
+  EXPECT_LT(allocs, 3u * 256u) << allocs;
 }
 
 // RFC 1939 allows USER only in the AUTHORIZATION state. A USER after a

@@ -155,6 +155,41 @@ TEST(SoapValueTest, UnorderedMapWithDuplicatesDecodesSorted) {
                                       {"c", Value(1)}}));
 }
 
+// A fresh tree's lists reserve their child counts, read ahead by a
+// copy of the parser. Only the outermost one reads ahead: were every
+// level to read its own subtree ahead, sixty lists around a 4 MB string
+// would scan the string sixty-one times. The decode must cost about
+// two parses (the read-ahead and the decode itself), not sixty.
+TEST(SoapValueTest, DeepFreshChainIsReadAheadOnce) {
+  Value v(std::string(4 << 20, 'x'));
+  for (int i = 0; i < 60; ++i) {
+    ValueList wrap;
+    wrap.push_back(std::move(v));
+    v = Value(std::move(wrap));
+  }
+  std::string doc;
+  xml::Writer w(doc);
+  value_write("p", v, w);
+  // Fastest of three runs each, so a stray stall does not decide.
+  using Clock = std::chrono::steady_clock;
+  Clock::duration parse_time = Clock::duration::max();
+  Clock::duration decode_time = Clock::duration::max();
+  for (int run = 0; run < 3; ++run) {
+    auto start = Clock::now();
+    ASSERT_TRUE(xml::xmltest::drain(doc).is_ok());
+    parse_time = std::min(parse_time, Clock::now() - start);
+    start = Clock::now();
+    auto r = decode(doc);
+    decode_time = std::min(decode_time, Clock::now() - start);
+    ASSERT_TRUE(r.is_ok()) << r.status().to_string();
+    ASSERT_TRUE(r.value() == v);  // not printed: it holds 4 MB
+  }
+  EXPECT_LT(decode_time, 8 * parse_time)
+      << "decode " << std::chrono::duration<double>(decode_time).count()
+      << " s, parse " << std::chrono::duration<double>(parse_time).count()
+      << " s";
+}
+
 // --- Decoding through a recycled envelope ---------------------------------
 
 // parse_envelope_into decodes every param into the tree the envelope's
